@@ -1079,11 +1079,6 @@ let micro _opts =
       Test.make ~name:"bgv.decrypt" (Staged.stage (fun () -> Bgv.decrypt keys.Bgv.sk ct));
       Test.make ~name:"bgv.decrypt_coeff0"
         (Staged.stage (fun () -> Bgv.decrypt_coeff0 keys.Bgv.sk ct));
-      (let bp = Params.create ~name:"bfv-micro" ~n:64 ~plain_bits:30 ~prime_bits:30 ~chain_len:6 () in
-       let bkeys = Bfv.keygen rng bp in
-       let bct = Bfv.encrypt rng bkeys.Bfv.pk (Plaintext.constant bp 123L) in
-       Test.make ~name:"bfv.mul_relin"
-         (Staged.stage (fun () -> Bfv.mul ~rlk:bkeys.Bfv.rlk bct bct)));
       Test.make ~name:"paillier.encrypt_512"
         (Staged.stage (fun () -> Paillier.encrypt_int rng pk_p 7));
       Test.make ~name:"paillier.decrypt_512"

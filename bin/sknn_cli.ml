@@ -494,6 +494,16 @@ let report_cmd =
 
 module CM = Sknn_obs.Cost_model
 
+(* The --path names of sknn cost and sknn plan. *)
+let path_of_string ~batch = function
+  | "plain" -> CM.Plain
+  | "prepared" -> CM.Prepared
+  | "packed" -> CM.Packed
+  | "batch" -> CM.Batch batch
+  | other ->
+    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
+    exit 2
+
 let calib_t =
   Arg.(value & opt (some string) None
        & info [ "calib" ] ~docv:"FILE"
@@ -509,6 +519,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   in
   let q = queries.(0) in
   let m = Array.length queries in
+  let path = path_of_string ~batch:m path_s in
   let config = config_of_layout layout in
   (match Config.validate config ~d:(Array.length q) with
    | Ok () -> ()
@@ -540,25 +551,9 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
   let dep = Protocol.deploy ~rng ?jobs config ~db in
-  let r =
-    match path_s with
-    | "plain" -> Protocol.query ?net dep ~query:q ~k
-    | "prepared" -> Protocol.query_prepared ?net dep ~query:q ~k
-    | "packed" -> Protocol.query_packed ?net dep ~query:q ~k
-    | "batch" -> (Protocol.query_batch ?net dep ~queries ~k).(0)
-    | other ->
-      Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-      exit 2
-  in
-  let cm_path =
-    match path_s with
-    | "plain" -> CM.Plain
-    | "prepared" -> CM.Prepared
-    | "packed" -> CM.Packed
-    | _ -> CM.Batch m
-  in
+  let r = (Protocol.query_gen ~path ?net dep ~queries ~k).(0) in
   (* The one query above pays any prepare-db phase, so predict it too. *)
-  let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k cm_path in
+  let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k path in
   let ledger_exact =
     Util.Counters.equal_ledger pred.CM.party_a r.Protocol.counters_a
     && Util.Counters.equal_ledger pred.CM.party_b r.Protocol.counters_b
@@ -729,21 +724,12 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       Format.eprintf "unknown layout %S (per-coordinate | dot-product)@." other;
       exit 2
   in
-  let path =
-    match path_s with
-    | "plain" -> CM.Plain
-    | "prepared" -> CM.Prepared
-    | "packed" -> CM.Packed
-    | "batch" ->
-      if batch_m < 2 then begin
-        Format.eprintf "--path batch needs --batch at least 2 (got %d)@." batch_m;
-        exit 2
-      end;
-      CM.Batch batch_m
-    | other ->
-      Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-      exit 2
-  in
+  let path = path_of_string ~batch:batch_m path_s in
+  (match path with
+   | CM.Batch m when m < 2 ->
+     Format.eprintf "--path batch needs --batch at least 2 (got %d)@." m;
+     exit 2
+   | _ -> ());
   let objective =
     match objective_s with
     | "first" -> Planner.First_query
@@ -888,12 +874,7 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       in
       let dep = Protocol.deploy ~rng ?jobs config ~db in
       let r, secs =
-        Util.Timer.time (fun () ->
-            match path with
-            | CM.Plain -> Protocol.query dep ~query:q ~k
-            | CM.Prepared -> Protocol.query_prepared dep ~query:q ~k
-            | CM.Packed -> Protocol.query_packed dep ~query:q ~k
-            | CM.Batch _ -> (Protocol.query_batch dep ~queries ~k).(0))
+        Util.Timer.time (fun () -> (Protocol.query_gen ~path dep ~queries ~k).(0))
       in
       let ok = Protocol.exact dep ~db ~query:q r in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;

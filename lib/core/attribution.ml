@@ -18,11 +18,15 @@ let centered_bits ~t_plain v =
   let c = Mod64.centered t_plain (Mod64.reduce t_plain v) in
   lg (Float.max 1.0 (Int64.to_float (Int64.abs c)))
 
-let noise_model_params (p : Params.t) : NM.params =
-  { NM.n = p.Params.n;
-    t_bits = lg (Int64.to_float p.Params.t_plain);
-    moduli_bits = Array.map (fun m -> lg (float_of_int m)) p.Params.moduli;
-    eta = float_of_int p.Params.eta }
+(* The same floats the live circuit computes from Params.t, so a level
+   rule evaluated on these agrees with its live call bit for bit. *)
+let noise_params_probe (pr : Params.probe) : NM.params =
+  { NM.n = pr.Params.pr_n;
+    t_bits = lg (Int64.to_float pr.Params.pr_t_plain);
+    moduli_bits = Array.map (fun m -> lg (float_of_int m)) pr.Params.pr_moduli;
+    eta = float_of_int pr.Params.pr_eta }
+
+let noise_model_params p = noise_params_probe (Params.probe_of_t p)
 
 (* Exact bit length of the modulus product with i+1 active primes —
    the prefix-product definition of Rq.modulus ~nprimes, but computable
@@ -66,14 +70,7 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
     (* Masking.draw samples coefficients uniformly from [1, 2^c − 1]. *)
     centered_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
   in
-  let coord_bits =
-    centered_bits ~t_plain (Int64.of_int ((1 lsl max_coord_bits) - 1))
-  in
-  { CM.nm =
-      { NM.n = pr.Params.pr_n;
-        t_bits = lg (Int64.to_float t_plain);
-        moduli_bits = Array.map (fun m -> lg (float_of_int m)) moduli;
-        eta = float_of_int pr.Params.pr_eta };
+  { CM.nm = noise_params_probe pr;
     q_ibits;
     n_points = n;
     d;
@@ -81,7 +78,7 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
     per_coordinate = (layout = Config.Per_coordinate);
     mask_degree;
     mask_leading_bits;
-    coord_bits;
+    coord_bits = float_of_int max_coord_bits;
     rescale_distances;
     return_level;
     use_relin;
@@ -99,8 +96,8 @@ let model_params (config : Config.t) ~n ~d ~k : CM.params =
     ~rescale_distances:config.Config.rescale_distances
     ~return_level:config.Config.return_level ~n ~d ~k
 
-let predict ?include_prepare config ~n ~d ~k path =
-  CM.predict ?include_prepare (model_params config ~n ~d ~k) path
+let predict ?include_prepare ?margin_bits config ~n ~d ~k path =
+  CM.predict ?include_prepare ?margin_bits (model_params config ~n ~d ~k) path
 
 let predict_end_to_end ?include_prepare config ~n ~d ~k ~unit_costs ~profile path =
   CM.predict_end_to_end ~unit_costs ~profile

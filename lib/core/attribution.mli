@@ -8,6 +8,9 @@
     See DESIGN.md §5a for the invariant this upholds. *)
 
 val noise_model_params : Params.t -> Sknn_obs.Noise_model.params
+(** The forecaster's view of a parameter set, with the floats the live
+    circuit computes — what [Entities.Party_a] evaluates the
+    {!Sknn_obs.Noise_model} level-drop rules on. *)
 
 val q_ibits_of_moduli : int array -> int array
 (** Exact bit length of the prefix modulus products (index [i] =
@@ -43,6 +46,7 @@ val model_params :
 
 val predict :
   ?include_prepare:bool ->
+  ?margin_bits:float ->
   Config.t ->
   n:int ->
   d:int ->

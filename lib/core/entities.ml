@@ -278,22 +278,18 @@ module Party_a = struct
 
   (* ---- Noise forecast ------------------------------------------- *)
 
-  (* Worst-case end-of-circuit headroom for the prepared path, predicted
-     from the parameter chain alone — the planner's forecast trace
-     ([Planner.forecast], which the parameter search also prunes with),
-     over the same Config→model bridge the cost replica uses.  A
-     negative forecast here means a live query would raise
+  (* Worst-case headroom of a path's circuit, predicted from the
+     parameter chain alone by the symbolic walk the planner also prunes
+     with.  A negative forecast means a live query would raise
      Decryption_failure. *)
-  let forecast_noise ?(margin_bits = 4.0) t =
-    Planner.forecast ~margin_bits
-      (Attribution.model_params t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1)
-      Sknn_obs.Cost_model.Prepared
+  let forecast_noise ?(margin_bits = 4.0) ?(path = Sknn_obs.Cost_model.Prepared) t =
+    (Attribution.predict ~margin_bits t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1 path)
+      .Sknn_obs.Cost_model.noise
 
-  let prepare ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t =
-    (match prepared_supported t.config ~d:t.db.db_d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.prepare: " ^ msg));
-    let forecast = forecast_noise ~margin_bits:noise_margin_bits t in
+  (* The prepare-time guard: audit the forecast minimum, and warn (audit
+     entry, flight event, stderr) when it falls below the margin. *)
+  let guard_noise obs t ~margin_bits path =
+    let forecast = forecast_noise ~margin_bits ~path t in
     Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
       (Audit.Float forecast.NM.min_headroom_bits);
     if forecast.NM.below_margin then begin
@@ -304,8 +300,14 @@ module Party_a = struct
       Format.eprintf
         "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin \
          %.1f) — deepen the modulus chain or lower the circuit depth@."
-        forecast.NM.min_headroom_bits noise_margin_bits
-    end;
+        forecast.NM.min_headroom_bits margin_bits
+    end
+
+  let prepare ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t =
+    (match prepared_supported t.config ~d:t.db.db_d with
+     | Ok () -> ()
+     | Error msg -> invalid_arg ("Party_a.prepare: " ^ msg));
+    guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Prepared;
     let norms =
       Obs.with_span obs
         ~counters:[ ("party-a", t.counters) ]
@@ -349,6 +351,7 @@ module Party_a = struct
     (match prepared_supported config ~d with
      | Ok () -> ()
      | Error msg -> invalid_arg ("Party_a.compute_distances_prepared: " ^ msg));
+    let nm = Attribution.noise_model_params config.Config.bgv in
     let mask =
       Obs.with_span obs "draw-mask" (fun () ->
           Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
@@ -378,35 +381,22 @@ module Party_a = struct
                       (Bgv.add ~counters prep.prep_norms.(i) q_norm)
                       (Bgv.mul_scalar ~counters ip 2L)
                   in
-                  (* ED is one multiplication deep, so its noise bound
-                     sits far below the full modulus: find the lowest
-                     level whose modulus still leaves headroom for the
-                     affine mask (coefficients < t) and drop the spare
-                     RNS components in one cheap truncation.  Masking,
-                     transport and B's decryption then all run on the
-                     small ciphertext, without the per-point modswitch
-                     chain a full rescale would cost.  If no level has
-                     the headroom, fall back to the configured rescale
-                     (which actually reduces the noise). *)
+                  (* ED is one multiplication deep: drop the RNS
+                     primes the affine mask does not need in one cheap
+                     truncation, so masking, transport and B's
+                     decryption all run on the small ciphertext.  If no
+                     level has the headroom, fall back to the
+                     configured rescale (which actually reduces the
+                     noise). *)
                   let ed =
-                    let params = config.Config.bgv in
-                    let mask_bits =
-                      log (Int64.to_float params.Params.t_plain) /. log 2.
-                    in
-                    let need = Bgv.noise_bits ed +. mask_bits +. 17. in
-                    let lvl = ref 0 and bits = ref 0. in
-                    while !bits <= need && !lvl < Bgv.level ed do
-                      bits :=
-                        !bits
-                        +. (log (float_of_int params.Params.moduli.(!lvl)) /. log 2.);
-                      incr lvl
-                    done;
-                    let lvl = Stdlib.max !lvl (return_level t) in
-                    if !bits > need && lvl < Bgv.level ed then
-                      Bgv.truncate_to_level ~counters ed lvl
-                    else if config.Config.rescale_distances then
+                    match
+                      NM.distance_level nm ~return_level:(return_level t)
+                        ~level:(Bgv.level ed) ~bits:(Bgv.noise_bits ed)
+                    with
+                    | Some lvl -> Bgv.truncate_to_level ~counters ed lvl
+                    | None when config.Config.rescale_distances ->
                       Bgv.rescale_to_floor ~counters ed
-                    else ed
+                    | None -> ed
                   in
                   let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
                   Bgv.add_plain ~counters m
@@ -458,21 +448,6 @@ module Party_a = struct
       Error "packed queries need d <= ring degree"
     else Ok ()
 
-  let lg2 x = log x /. log 2.0
-
-  let log2_add a b =
-    let hi = Float.max a b and lo = Float.min a b in
-    hi +. lg2 (1.0 +. (2.0 ** (lo -. hi)))
-
-  (* Worst-case headroom for the packed SIMD circuit — strictly
-     shallower than the prepared path (d plain products summed
-     slot-wise, so no tensor term ever appears).  Delegated to the
-     planner's trace for the same reason as [forecast_noise]. *)
-  let forecast_noise_packed ?(margin_bits = 4.0) t =
-    Planner.forecast ~margin_bits
-      (Attribution.model_params t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1)
-      Sknn_obs.Cost_model.Packed
-
   let prepare_packed ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t ~db =
     let config = t.config in
     let d = t.db.db_d and n = t.db.db_n in
@@ -482,19 +457,7 @@ module Party_a = struct
     if Array.length db <> n then
       invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
     Array.iter (Data_owner.validate_point config ~d) db;
-    let forecast = forecast_noise_packed ~margin_bits:noise_margin_bits t in
-    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
-      (Audit.Float forecast.NM.min_headroom_bits);
-    if forecast.NM.below_margin then begin
-      Obs.audit obs ~party:"party-a" ~phase:"prepare-db"
-        ~label:"noise-low-headroom-warning"
-        (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
-      Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
-      Format.eprintf
-        "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin \
-         %.1f) — deepen the modulus chain or lower the circuit depth@."
-        forecast.NM.min_headroom_bits noise_margin_bits
-    end;
+    guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Packed;
     let tp = config.Config.bgv.Params.t_plain in
     let lvl = return_level t in
     { pp_cols =
@@ -506,34 +469,6 @@ module Party_a = struct
         Array.map
           (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
           t.db.points }
-
-  (* Walk the RNS chain for the lowest level whose modulus clears [need]
-     bits — the prepared level-drop rule, applied predictively to the
-     query ciphertexts before the products.  Every packed op's noise
-     increment is level-independent, so truncating up front reaches the
-     same end-of-circuit bound while all the per-batch work runs on the
-     short chain.  [None] when even the full chain lacks the headroom
-     (callers then fall back to the configured rescale). *)
-  let level_for_need t ~need =
-    let params = t.config.Config.bgv in
-    let chain = Params.chain_length params in
-    let lvl = ref 0 and bits = ref 0.0 in
-    while !bits <= need && !lvl < chain do
-      bits := !bits +. lg2 (float_of_int params.Params.moduli.(!lvl));
-      incr lvl
-    done;
-    let lvl = Stdlib.max !lvl (return_level t) in
-    if !bits > need then Some lvl else None
-
-  let packed_query_level t ~q_noise_bits ~d =
-    let params = t.config.Config.bgv in
-    let t_bits = lg2 (Int64.to_float params.Params.t_plain) in
-    let ip =
-      q_noise_bits +. lg2 (float_of_int params.Params.n) +. t_bits -. 1.0
-      +. lg2 (float_of_int (Stdlib.max 1 d))
-    in
-    let ed = log2_add (log2_add q_noise_bits (t_bits -. 1.0)) (ip +. 1.0) in
-    level_for_need t ~need:(ed +. t_bits +. 17.0)
 
   let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
     let config = t.config in
@@ -576,7 +511,11 @@ module Party_a = struct
         (fun m c -> Float.max m (Bgv.noise_bits c))
         (Bgv.noise_bits q_norm) q_coords
     in
-    let drop = packed_query_level t ~q_noise_bits:q_noise ~d in
+    let drop =
+      NM.packed_query_level
+        (Attribution.noise_model_params params)
+        ~return_level:(return_level t) ~d ~q_bits:q_noise
+    in
     let q_coords, q_norm =
       match drop with
       | Some lvl when lvl < Bgv.level q_norm ->
@@ -653,20 +592,6 @@ module Party_a = struct
   let batch_state_masks s = s.b_masks
   let batch_state_perm s = s.b_perm
 
-  let batch_query_level t ~q_noise_bits ~d =
-    let params = t.config.Config.bgv in
-    let t_bits = lg2 (Int64.to_float params.Params.t_plain) in
-    let ip =
-      q_noise_bits
-      +. float_of_int t.config.Config.max_coord_bits
-      +. lg2 (float_of_int (Stdlib.max 1 d))
-      +. 1.0
-    in
-    let ed = log2_add (log2_add q_noise_bits (t_bits -. 1.0)) ip in
-    let masked = ed +. lg2 (float_of_int params.Params.n) +. t_bits -. 1.0 in
-    let masked = log2_add masked (t_bits -. 1.0) in
-    level_for_need t ~need:(masked +. 17.0)
-
   (* M queries in the slot dimension: per point the inner products of
      all M queries cost d scalar products on the slot-packed query
      ciphertexts, and one plain product + plain add applies every
@@ -716,7 +641,13 @@ module Party_a = struct
         (fun x c -> Float.max x (Bgv.noise_bits c))
         (Bgv.noise_bits bq.bq_norm) bq.bq_coords
     in
-    let drop = batch_query_level t ~q_noise_bits:q_noise ~d in
+    let drop =
+      NM.batch_query_level
+        (Attribution.noise_model_params params)
+        ~return_level:(return_level t) ~d
+        ~coord_bits:(float_of_int config.Config.max_coord_bits)
+        ~q_bits:q_noise
+    in
     let bq_coords, bq_norm =
       match drop with
       | Some lvl when lvl < Bgv.level bq.bq_norm ->

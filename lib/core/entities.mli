@@ -118,11 +118,13 @@ module Party_a : sig
 
   type prepared
 
-  val forecast_noise : ?margin_bits:float -> t -> Sknn_obs.Noise_model.report
-  (** Worst-case end-of-circuit noise headroom predicted from the
-      parameter chain alone (no ciphertexts touched): fresh encryptions
-      through the ED combine, the prepared path's level-drop rule, the
-      affine mask and the Return-kNN row selection.  A negative
+  val forecast_noise :
+    ?margin_bits:float -> ?path:Sknn_obs.Cost_model.path -> t ->
+    Sknn_obs.Noise_model.report
+  (** Worst-case noise headroom of [path]'s circuit (default
+      [Prepared]), predicted from the parameter chain alone: the noise
+      report of {!Sknn_obs.Cost_model.predict}, the symbolic walk of the
+      circuit that runs, level-drop rules included.  A negative
       [min_headroom_bits] means a live query would raise
       {!Bgv.Decryption_failure}.  [margin_bits] defaults to 4. *)
 
@@ -133,7 +135,8 @@ module Party_a : sig
       in the non-constant coefficients, so higher-degree masks would
       corrupt the constant coefficient.
 
-      Also runs {!forecast_noise} and, when the predicted minimum
+      Also runs {!forecast_noise} on the prepared path and, when the
+      predicted minimum
       headroom drops below [noise_margin_bits] (default 4), emits a
       structured warning: an audit entry
       [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
@@ -170,18 +173,14 @@ module Party_a : sig
 
   type prepared_packed
 
-  val forecast_noise_packed : ?margin_bits:float -> t -> Sknn_obs.Noise_model.report
-  (** {!forecast_noise} for the packed circuit, which is strictly
-      shallower (plain products only, no tensor term); the prepared
-      level-drop rule is replayed verbatim on the smaller bound. *)
-
   val prepare_packed :
     ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> db:int array array ->
     prepared_packed
   (** Lays [db] (the plaintext database, dimension-major) out for the
       packed path and caches the return-level packed ciphertexts.  Emits
       the same [prepare-db] audit entries and low-headroom warning as
-      {!prepare}, driven by {!forecast_noise_packed}.  Requires affine
+      {!prepare}, driven by {!forecast_noise} on the packed path.
+      Requires affine
       masking and [d <= n].
       @raise Invalid_argument when the config is unsupported or [db]
       does not match the encrypted database's dimensions. *)
@@ -196,9 +195,10 @@ module Party_a : sig
       query must be in broadcast-slot form
       ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
       batch are overwritten with uniform randomness.  The query
-      ciphertexts are truncated up front by the prepared level-drop
-      rule, applied predictively (every later op's noise increment is
-      level-independent).  Batches run pool-parallel with per-batch RNG
+      ciphertexts are truncated up front by
+      {!Sknn_obs.Noise_model.packed_query_level} (every later op's noise
+      increment is level-independent).  Batches run pool-parallel with
+      per-batch RNG
       streams: results, counters and transcripts are bit-identical for
       every job count. *)
 

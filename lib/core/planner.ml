@@ -2,16 +2,14 @@
    chain, plaintext prime) space for the cheapest parameter set a given
    workload can prove safe.
 
-   The two halves of the objective already exist:
+   Both halves of the objective come from one symbolic walk of the
+   candidate's circuit, Cost_model.predict:
 
-   - feasibility — Noise_model traces replicate the worst-case noise walk
-     of every query path (the prepared/packed walks are the ones
-     Party_a.prepare/prepare_packed audit; entities.ml delegates here so
-     the planner and the live guard can never diverge), and
-     Params.security_bits_for prices the RLWE floor;
-   - cost — Cost_model.predict symbolically executes the candidate's
-     circuit and a fitted unit model (Cost_model.fit_unit_model) prices
-     the ledger at any (n, chain) shape from one measured calibration.
+   - feasibility — its noise report (the same walk Party_a.prepare and
+     prepare_packed audit, so the planner and the live guard can never
+     diverge), plus Params.security_bits_for for the RLWE floor;
+   - cost — its ledger, priced at any (n, chain) shape by a unit model
+     fitted from one measured calibration (Cost_model.fit_unit_model).
 
    This module is the search loop over both.  It deliberately depends
    only on Params probes (prime search, no ring context): the expensive
@@ -23,198 +21,6 @@ module NM = Sknn_obs.Noise_model
 module CM = Sknn_obs.Cost_model
 
 let lg2 x = log x /. log 2.0
-
-(* ------------------------------------------------------------------ *)
-(* Worst-case noise forecasts per query path                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared Return-kNN tail: return-level packed points against fresh
-   indicator rows, summed across the database. *)
-let return_tail nm tr ~return_level ~n_points fresh =
-  let packed_ret = NM.truncate fresh ~level:(Stdlib.min return_level fresh.NM.level) in
-  let row = NM.fresh_at nm ~level:return_level in
-  ignore
-    (NM.step tr "return-knn"
-       (NM.mul_sum nm packed_ret row ~terms:(Stdlib.max 1 n_points)))
-
-(* The level-drop rule of compute_distances_prepared, verbatim. *)
-let drop_rule nm tr ~rescale_distances ~return_level (ed : NM.state) =
-  let need = ed.NM.bits +. nm.NM.t_bits +. 17.0 in
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < ed.NM.level do
-    bits := !bits +. nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl return_level in
-  if !bits > need && lvl < ed.NM.level then
-    NM.step tr "truncate" (NM.truncate ed ~level:lvl)
-  else if rescale_distances then
-    NM.step tr "rescale-to-floor" (NM.rescale_to_floor nm ed)
-  else ed
-
-(* Worst-case end-of-circuit headroom for the prepared dot-product path
-   (the walk Party_a.prepare runs before any ciphertext exists): fresh
-   encryptions through ED = ||p||^2 - 2<p,q> + ||q||^2, the same
-   level-drop rule compute_distances_prepared applies, the affine mask
-   with worst-case (< t) coefficients, and the Return-kNN row selection
-   at the return level.  A negative forecast means a live query would
-   raise Decryption_failure. *)
-let forecast_prepared ?(margin_bits = 4.0) (p : CM.params) =
-  let nm = p.CM.nm in
-  let tr = NM.start nm in
-  let fresh = NM.step tr "fresh-encrypt" (NM.fresh nm) in
-  let norm =
-    if p.CM.per_coordinate then
-      NM.step tr "prepare-norms"
-        (NM.mul_sum nm fresh fresh ~terms:(Stdlib.max 1 p.CM.d))
-    else fresh (* encrypted directly by the data owner *)
-  in
-  let ip = NM.step tr "inner-product" (NM.mul nm fresh fresh) in
-  let ip2 = NM.step tr "scale-by-2" (NM.mul_scalar ip ~bits:1.0) in
-  let ed = NM.step tr "ed-combine" (NM.sub (NM.add norm fresh) ip2) in
-  let mask_bits = nm.NM.t_bits in
-  let return_level = Stdlib.min p.CM.return_level (NM.chain_length nm) in
-  let ed = drop_rule nm tr ~rescale_distances:p.CM.rescale_distances ~return_level ed in
-  let m = NM.step tr "mask-scale" (NM.mul_scalar ed ~bits:(mask_bits -. 1.0)) in
-  let m = NM.step tr "mask-shift" (NM.add_plain nm m) in
-  ignore (NM.step tr "randomizer" (NM.add_plain nm m));
-  return_tail nm tr ~return_level ~n_points:p.CM.n_points fresh;
-  NM.report ~margin_bits tr
-
-(* The packed SIMD circuit: strictly shallower than the prepared path —
-   the inner product is d plain products summed slot-wise, so no tensor
-   term ever appears and the level-drop rule applies to a smaller
-   bound. *)
-let forecast_packed ?(margin_bits = 4.0) (p : CM.params) =
-  let nm = p.CM.nm in
-  let tr = NM.start nm in
-  let fresh = NM.step tr "fresh-encrypt" (NM.fresh nm) in
-  let d = Stdlib.max 1 p.CM.d in
-  let ip = NM.step tr "coordinate-products" (NM.mul_plain nm fresh) in
-  let ip =
-    NM.step tr "coordinate-sum" { ip with NM.bits = ip.NM.bits +. lg2 (float_of_int d) }
-  in
-  let ip2 = NM.step tr "scale-by-2" (NM.mul_scalar ip ~bits:1.0) in
-  let ed = NM.step tr "ed-combine" (NM.sub (NM.add_plain nm fresh) ip2) in
-  let mask_bits = nm.NM.t_bits in
-  let return_level = Stdlib.min p.CM.return_level (NM.chain_length nm) in
-  let ed = drop_rule nm tr ~rescale_distances:p.CM.rescale_distances ~return_level ed in
-  let m = NM.step tr "mask-scale" (NM.mul_scalar ed ~bits:(mask_bits -. 1.0)) in
-  let m = NM.step tr "mask-shift" (NM.add_plain nm m) in
-  ignore (NM.step tr "tail-randomizer" (NM.add_plain nm m));
-  return_tail nm tr ~return_level ~n_points:p.CM.n_points fresh;
-  NM.report ~margin_bits tr
-
-(* The plain (unprepared) path of Protocol.query: per-coordinate squared
-   differences (or the dot-product trick) followed by the masking
-   polynomial of the configured degree with worst-case (< t)
-   coefficients in Horner form — the noise walk of
-   Cost_model.predict_plain. *)
-let forecast_plain ?(margin_bits = 4.0) (p : CM.params) =
-  let nm = p.CM.nm in
-  let tr = NM.start nm in
-  let fresh = NM.step tr "fresh-encrypt" (NM.fresh nm) in
-  let mask_bits = nm.NM.t_bits in
-  let return_level = Stdlib.min p.CM.return_level (NM.chain_length nm) in
-  if p.CM.per_coordinate then begin
-    let diff = NM.step tr "coordinate-diff" (NM.sub fresh fresh) in
-    let ed =
-      NM.step tr "square-sum" (NM.mul_sum nm diff diff ~terms:(Stdlib.max 1 p.CM.d))
-    in
-    let ed =
-      if p.CM.rescale_distances then
-        NM.step tr "rescale-to-floor" (NM.rescale_to_floor nm ed)
-      else ed
-    in
-    let degree = Stdlib.max 1 p.CM.mask_degree in
-    let acc = ref (NM.step tr "mask-scale" (NM.mul_scalar ed ~bits:(mask_bits -. 1.0))) in
-    for i = degree - 1 downto 0 do
-      if i < degree - 1 then begin
-        let x = NM.truncate ed ~level:(Stdlib.min ed.NM.level (!acc).NM.level) in
-        let m = NM.mul nm !acc x in
-        let m =
-          if p.CM.use_relin && m.NM.degree = 2 then
-            NM.relinearize nm ~digit_bits:p.CM.relin_digit_bits m
-          else m
-        in
-        acc := NM.step tr "mask-horner-mul" m
-      end;
-      acc := NM.step tr "mask-shift" (NM.add_plain nm !acc)
-    done
-  end
-  else begin
-    let ip = NM.step tr "inner-product" (NM.mul nm fresh fresh) in
-    let ip2 = NM.step tr "scale-by-2" (NM.mul_scalar ip ~bits:1.0) in
-    let ed = NM.step tr "ed-combine" (NM.sub (NM.add fresh fresh) ip2) in
-    let m = NM.step tr "mask-scale" (NM.mul_scalar ed ~bits:(mask_bits -. 1.0)) in
-    let m = NM.step tr "mask-shift" (NM.add_plain nm m) in
-    ignore (NM.step tr "randomizer" (NM.add_plain nm m))
-  end;
-  return_tail nm tr ~return_level ~n_points:p.CM.n_points fresh;
-  NM.report ~margin_bits tr
-
-(* Party_a.batch_query_level, on model parameters (as in Cost_model). *)
-let batch_query_level (p : CM.params) ~q_noise_bits =
-  let nm = p.CM.nm in
-  let t_bits = nm.NM.t_bits in
-  let ip =
-    q_noise_bits +. p.CM.coord_bits
-    +. lg2 (float_of_int (Stdlib.max 1 p.CM.d))
-    +. 1.0
-  in
-  let ed = NM.log2_add (NM.log2_add q_noise_bits (t_bits -. 1.0)) ip in
-  let masked = ed +. lg2 (float_of_int nm.NM.n) +. t_bits -. 1.0 in
-  let masked = NM.log2_add masked (t_bits -. 1.0) in
-  let need = masked +. 17.0 in
-  let return_level = Stdlib.min p.CM.return_level (NM.chain_length nm) in
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < NM.chain_length nm do
-    bits := !bits +. nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl return_level in
-  if !bits > need then Some lvl else None
-
-(* The slot-dimension multi-query round: scalar coordinate products on
-   the (predictively truncated) packed query ciphertexts, the per-query
-   affine masks applied as packed plaintexts — Cost_model.predict_batch's
-   noise walk. *)
-let forecast_batch ?(margin_bits = 4.0) (p : CM.params) =
-  let nm = p.CM.nm in
-  let tr = NM.start nm in
-  let fresh = NM.step tr "fresh-encrypt" (NM.fresh nm) in
-  let return_level = Stdlib.min p.CM.return_level (NM.chain_length nm) in
-  let drop = batch_query_level p ~q_noise_bits:fresh.NM.bits in
-  let q =
-    match drop with
-    | Some lvl when lvl < fresh.NM.level ->
-      NM.step tr "query-truncate" (NM.truncate fresh ~level:lvl)
-    | _ -> fresh
-  in
-  let d = Stdlib.max 1 p.CM.d in
-  let ip = ref (NM.mul_scalar q ~bits:p.CM.coord_bits) in
-  for _ = 2 to d do
-    ip := NM.add !ip (NM.mul_scalar q ~bits:p.CM.coord_bits)
-  done;
-  let ip = NM.step tr "coordinate-sum" !ip in
-  let ed =
-    NM.step tr "ed-combine" (NM.add_plain nm (NM.sub q (NM.mul_scalar ip ~bits:1.0)))
-  in
-  let ed =
-    if drop = None && p.CM.rescale_distances then
-      NM.step tr "rescale-to-floor" (NM.rescale_to_floor nm ed)
-    else ed
-  in
-  let md = NM.step tr "mask-scale" (NM.mul_plain nm ed) in
-  ignore (NM.step tr "mask-shift" (NM.add_plain nm md));
-  return_tail nm tr ~return_level ~n_points:p.CM.n_points fresh;
-  NM.report ~margin_bits tr
-
-let forecast ?margin_bits (p : CM.params) = function
-  | CM.Plain -> forecast_plain ?margin_bits p
-  | CM.Prepared -> forecast_prepared ?margin_bits p
-  | CM.Packed -> forecast_packed ?margin_bits p
-  | CM.Batch _ -> forecast_batch ?margin_bits p
 
 (* ------------------------------------------------------------------ *)
 (* The search                                                          *)
@@ -420,35 +226,35 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                   let security = Params.security_bits_for ~n ~log2_q in
                   if security < limits.min_security_bits then incr pruned_security
                   else begin
-                    (* Lowest return level whose forecast clears the
+                    (* Lowest return level whose noise report clears the
                        margin: lower is cheaper (Return-kNN encrypts at
-                       it, and the level-drop rule floors at it). *)
-                    let model rl =
-                      Attribution.model_params_probe pr ~layout:w.layout
-                        ~mask_degree:w.mask_degree ~mask_coeff_bits:w.mask_coeff_bits
-                        ~max_coord_bits:w.coord_bits ~use_relin:false
-                        ~rescale_distances ~return_level:rl ~n:w.points ~d:w.dim
-                        ~k:w.k
-                    in
+                       it, and the level-drop rules floor at it). *)
                     let rec first_feasible rl =
                       if rl > chain_len then None
                       else
-                        let report =
-                          forecast ~margin_bits:limits.noise_margin_bits (model rl)
-                            w.path
+                        let p =
+                          Attribution.model_params_probe pr ~layout:w.layout
+                            ~mask_degree:w.mask_degree
+                            ~mask_coeff_bits:w.mask_coeff_bits
+                            ~max_coord_bits:w.coord_bits ~use_relin:false
+                            ~rescale_distances ~return_level:rl ~n:w.points ~d:w.dim
+                            ~k:w.k
                         in
-                        if report.NM.below_margin then first_feasible (rl + 1)
-                        else Some (rl, report)
+                        let steady =
+                          CM.predict ~include_prepare:false
+                            ~margin_bits:limits.noise_margin_bits p w.path
+                        in
+                        if steady.CM.noise.NM.below_margin then first_feasible (rl + 1)
+                        else Some (rl, p, steady)
                     in
                     match first_feasible 1 with
                     | None -> incr pruned_noise
-                    | Some (rl, report) ->
-                      let p = model rl in
+                    | Some (rl, p, pred_steady) ->
+                      let report = pred_steady.CM.noise in
                       let unit_costs =
                         CM.unit_costs_for unit_model ~n ~levels:chain_len
                       in
                       let pred_first = CM.predict ~include_prepare:true p w.path in
-                      let pred_steady = CM.predict ~include_prepare:false p w.path in
                       let first = price ~unit_costs ?net:limits.net pred_first in
                       let steady = price ~unit_costs ?net:limits.net pred_steady in
                       let entry =

@@ -8,13 +8,14 @@
       only; structured {!Params.Infeasible} specs are counted, not
       fatal), with the plaintext width sized to the masking envelope via
       {!Masking.max_coeff_bits};
-    - feasibility pruning runs the worst-case {!Sknn_obs.Noise_model}
-      trace of the workload's query path ({!forecast} — the same walks
-      [Party_a.prepare]/[prepare_packed] audit) against the noise
-      margin, and {!Params.security_bits_for} against the security
-      floor; the return level is the lowest that clears the margin;
+    - feasibility pruning checks the noise report of
+      {!Sknn_obs.Cost_model.predict} — the symbolic walk of the
+      workload's query path, the same one [Party_a.prepare] and
+      [prepare_packed] audit — against the noise margin, and
+      {!Params.security_bits_for} against the security floor; the
+      return level is the lowest that clears the margin;
     - survivors are ranked by {!Sknn_obs.Cost_model.predict_seconds}
-      of the symbolically-executed circuit, priced by a
+      of the same walk's ledger, priced by a
       {!Sknn_obs.Cost_model.unit_model} fitted from one measured
       calibration — both the first-query (prepare included) and
       steady-state objectives are computed.
@@ -22,22 +23,6 @@
     Everything is pure given the unit model: the same spec yields the
     byte-identical plan.  Only {!realize} builds the expensive NTT/CRT
     tables, for the candidate actually chosen. *)
-
-(** {1 Noise forecasts}
-
-    Worst-case end-of-circuit noise walks per query path, over
-    {!Sknn_obs.Cost_model.params} (see {!Attribution} for the bridge).
-    [Party_a.forecast_noise]/[forecast_noise_packed] delegate here, so
-    the planner's feasibility rule and the live prepare-time guard are
-    the same code.  A negative minimum headroom means a live query
-    would raise [Bgv.Decryption_failure]. *)
-
-val forecast :
-  ?margin_bits:float ->
-  Sknn_obs.Cost_model.params ->
-  Sknn_obs.Cost_model.path ->
-  Sknn_obs.Noise_model.report
-(** [margin_bits] defaults to 4. *)
 
 (** {1 Workload and constraints} *)
 

@@ -4,6 +4,7 @@ module Obs = Sknn_obs.Ctx
 module Otrace = Sknn_obs.Trace
 module Audit = Sknn_obs.Audit
 module Metrics = Sknn_obs.Metrics
+module CM = Sknn_obs.Cost_model
 
 type deployment = {
   config : Config.t;
@@ -230,26 +231,29 @@ let sample_cts obs ~name cts =
       Metrics.set (Metrics.gauge m ("bgv." ^ name ^ ".min_noise_budget_bits")) !min_budget
   end
 
+let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
+
 let query_ct_count (q : Entities.encrypted_query) =
   (match q.Entities.q_coords with None -> 0 | Some a -> Array.length a)
   + (match q.Entities.q_rev with None -> 0 | Some _ -> 1)
   + (match q.Entities.q_norm with None -> 0 | Some _ -> 1)
 
-(* How a single query runs: the per-query path of the paper, the
-   PR-3 prepared (inner-product) path, or the slot-packed SIMD path. *)
-type path = Path_plain | Path_prepared | Path_packed
-
-(* Per-query state, tagged by path so the driver below can dispatch the
-   four path-dependent stages without duplicating the pipeline. *)
-type prep_state =
-  | Prep_none
-  | Prep_ip of Entities.Party_a.prepared
-  | Prep_packed of Entities.Party_a.prepared_packed
-
-let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
+(* One protocol round on [path]: every path runs the same five phases
+   and sends, and differs only in the query form, Party A's distance
+   circuit and Party B's unpacking.  [queries] holds the round's queries
+   (exactly one except on [Batch]); the phase list, transcript and
+   counters describe the whole round and are shared by the results;
+   neighbours and views are per query. *)
+let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
+  let fn = match path with CM.Batch _ -> "Protocol.query_batch" | _ -> "Protocol.query" in
   let rng = match rng with Some r -> r | None -> Rng.split d.query_seed in
-  if Array.length query <> d.db_d then invalid_arg "Protocol.query: dimension mismatch";
-  if k < 1 || k > d.db_n then invalid_arg "Protocol.query: k out of range";
+  let m = Array.length queries in
+  (match path with
+   | CM.Batch _ -> if m = 0 then invalid_arg (fn ^ ": empty batch")
+   | _ -> if m <> 1 then invalid_arg "Protocol.query_gen: only the batch path takes several queries");
+  if Array.exists (fun q -> Array.length q <> d.db_d) queries then
+    invalid_arg (fn ^ ": dimension mismatch");
+  if k < 1 || k > d.db_n then invalid_arg (fn ^ ": k out of range");
   let ca = Entities.Party_a.counters d.a in
   let cb = Entities.Party_b.counters d.b in
   let cc = Entities.Client.counters d.cl in
@@ -258,116 +262,151 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
   Counters.reset cc;
   let tr = Transcript.create () in
   let clock = Option.map Clock.cursor net in
-  let send_tracked = send_tracked ?clock in
+  let send = send_tracked ?clock obs tr in
   let phases = ref [] in
-  (* Prepared/packed paths: build the query-independent state once per
-     deployment; only the first such query pays (and records) the
-     "prepare-db" phase. *)
-  let prep =
+  (* The query-independent state is built once per deployment; only the
+     first query of its path pays (and records) the "prepare-db" phase. *)
+  let prepare_db build = timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" build in
+  let prepared () =
+    match d.prepared with
+    | Some p -> p
+    | None ->
+      let p = prepare_db (fun () -> Entities.Party_a.prepare ~obs d.a) in
+      d.prepared <- Some p;
+      p
+  in
+  let prepared_packed () =
+    match d.prepared_packed with
+    | Some p -> p
+    | None ->
+      let p = prepare_db (fun () -> Entities.Party_a.prepare_packed ~obs d.a ~db:d.db) in
+      d.prepared_packed <- Some p;
+      p
+  in
+  let encrypt f = timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" f in
+  let send_query ~bytes ~cts =
+    send ~sender:Transcript.Client ~receiver:Transcript.Party_a ~label:"encrypted query"
+      ~bytes;
+    Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
+      (Audit.Int cts);
+    Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
+      (Audit.Int bytes)
+  in
+  (* Client: encrypt the query in the path's form and send it to Party
+     A (label 4, Fig. 2).  Each arm returns Party A's Compute Distances
+     over it, which yields the masked ciphertexts and a thunk for Π(P')
+     at the return level. *)
+  let compute_distances =
+    let single (q : Entities.encrypted_query) f =
+      send_query ~bytes:(Entities.query_bytes q) ~cts:(query_ct_count q);
+      f q
+    in
     match path with
-    | Path_plain -> Prep_none
-    | Path_prepared ->
-      (match d.prepared with
-       | Some p -> Prep_ip p
-       | None ->
-         let p =
-           timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-               Entities.Party_a.prepare ~obs d.a)
-         in
-         d.prepared <- Some p;
-         Prep_ip p)
-    | Path_packed ->
-      (match d.prepared_packed with
-       | Some p -> Prep_packed p
-       | None ->
-         let p =
-           timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-               Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-         in
-         d.prepared_packed <- Some p;
-         Prep_packed p)
+    | CM.Plain ->
+      single
+        (encrypt (fun () -> Entities.Client.encrypt_query d.cl rng queries.(0)))
+        (fun q () ->
+          let s, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
+          (masked, fun () -> Entities.Party_a.permuted_packed d.a s))
+    | CM.Prepared ->
+      let p = prepared () in
+      single
+        (encrypt (fun () -> Entities.Client.encrypt_query_ip d.cl rng queries.(0)))
+        (fun q () ->
+          let s, masked = Entities.Party_a.compute_distances_prepared ~obs d.a p rng q in
+          (masked, fun () -> Entities.Party_a.permuted_packed_prepared p s))
+    | CM.Packed ->
+      let p = prepared_packed () in
+      single
+        (encrypt (fun () -> Entities.Client.encrypt_query_packed d.cl rng queries.(0)))
+        (fun q () ->
+          let s, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng q in
+          (masked, fun () -> Entities.Party_a.permuted_return_packed p s))
+    | CM.Batch _ ->
+      let p = prepared_packed () in
+      let bq = encrypt (fun () -> Entities.Client.encrypt_query_batch d.cl rng queries) in
+      send_query
+        ~bytes:(Entities.batched_query_bytes bq)
+        ~cts:(Array.length bq.Entities.bq_coords + 1);
+      fun () ->
+        let s, masked = Entities.Party_a.compute_distances_batch ~obs d.a p rng bq in
+        (masked, fun () -> Entities.Party_a.permuted_return_packed_batch p s)
   in
-  (* Client: encrypt the query and send it to Party A (label 4, Fig. 2). *)
-  let q_enc =
-    timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" (fun () ->
-        match prep with
-        | Prep_none -> Entities.Client.encrypt_query d.cl rng query
-        | Prep_ip _ -> Entities.Client.encrypt_query_ip d.cl rng query
-        | Prep_packed _ -> Entities.Client.encrypt_query_packed d.cl rng query)
-  in
-  send_tracked obs tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~bytes:(Entities.query_bytes q_enc);
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
-    (Audit.Int (query_ct_count q_enc));
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
-    (Audit.Int (Entities.query_bytes q_enc));
   (* Party A: Compute Distances (Algorithm 1). *)
-  let state, masked =
-    timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" (fun () ->
-        match prep with
-        | Prep_none -> Entities.Party_a.compute_distances ~obs d.a rng q_enc
-        | Prep_ip p -> Entities.Party_a.compute_distances_prepared ~obs d.a p rng q_enc
-        | Prep_packed p -> Entities.Party_a.compute_distances_packed ~obs d.a p rng q_enc)
+  let masked, permuted_packed =
+    timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" compute_distances
   in
   sample_cts obs ~name:"masked-distance" masked;
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 masked);
-  (* Party B: Find Neighbours (Algorithm 2), with the indicator vectors
-     streamed row by row; Party A folds each row into Return kNN
-     (Algorithm 3) as it arrives. *)
-  let view =
+  send ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
+    ~label:"masked permuted distances" ~bytes:(cts_bytes masked);
+  (* Party B: Find Neighbours (Algorithm 2), one view per query, with
+     the indicator vectors streamed row by row; Party A folds each row
+     into Return kNN (Algorithm 3) as it arrives. *)
+  let views =
     timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
-        match prep with
-        | Prep_packed _ ->
-          Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k
-        | Prep_none | Prep_ip _ -> Entities.Party_b.select_neighbours ~obs d.b masked ~k)
+        match path with
+        | CM.Plain | CM.Prepared ->
+          [| Entities.Party_b.select_neighbours ~obs d.b masked ~k |]
+        | CM.Packed ->
+          [| Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k |]
+        | CM.Batch _ -> Entities.Party_b.select_views_batch ~obs d.b masked ~m ~k)
   in
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-    ~label:"masked-distance-multiset"
-    (Audit.Int64s (Leakage.view_multiset view));
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-    ~label:"equidistant-group-sizes"
-    (Audit.Ints (Leakage.equidistant_group_sizes view));
+  (match path with
+   | CM.Batch _ ->
+     (* The one leakage the batch mode adds: B learns how many queries
+        share the round's permutation, and can align positions across
+        their views. *)
+     Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"batch-query-count"
+       (Audit.Int m)
+   | _ -> ());
+  Array.iter
+    (fun view ->
+      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
+        ~label:"masked-distance-multiset"
+        (Audit.Int64s (Leakage.view_multiset view));
+      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
+        ~label:"equidistant-group-sizes"
+        (Audit.Ints (Leakage.equidistant_group_sizes view)))
+    views;
   let indicator_bytes = ref 0 in
   let results =
     timed obs phases
       ~counters:[ ("party-a", ca); ("party-b", cb) ]
       "return-knn"
       (fun () ->
-        let packed =
-          match prep with
-          | Prep_ip p -> Entities.Party_a.permuted_packed_prepared p state
-          | Prep_packed p -> Entities.Party_a.permuted_return_packed p state
-          | Prep_none -> Entities.Party_a.permuted_packed d.a state
-        in
-        Array.init k (fun j ->
-            Obs.with_span obs
-              ~counters:[ ("party-a", ca); ("party-b", cb) ]
-              ~args:[ ("j", string_of_int j) ]
-              "indicator-row"
-              (fun () ->
-                let row = Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j in
-                let bytes = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 row in
-                indicator_bytes := !indicator_bytes + bytes;
-                send_tracked obs tr ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-                  ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-                  ~bytes;
-                Entities.Party_a.select_row ~obs d.a packed row)))
+        let packed = permuted_packed () in
+        Array.map
+          (fun view ->
+            Array.init k (fun j ->
+                Obs.with_span obs
+                  ~counters:[ ("party-a", ca); ("party-b", cb) ]
+                  ~args:[ ("j", string_of_int j) ]
+                  "indicator-row"
+                  (fun () ->
+                    let row =
+                      Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j
+                    in
+                    let bytes = cts_bytes row in
+                    indicator_bytes := !indicator_bytes + bytes;
+                    send ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
+                      ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
+                      ~bytes;
+                    Entities.Party_a.select_row ~obs d.a packed row)))
+          views)
   in
-  sample_cts obs ~name:"result" results;
+  Array.iter (fun cts -> sample_cts obs ~name:"result" cts) results;
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
-    (Audit.Int (k * d.db_n));
+    (Audit.Int (m * k * d.db_n));
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-bytes"
     (Audit.Int !indicator_bytes);
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Client
+  send ~sender:Transcript.Party_a ~receiver:Transcript.Client
     ~label:"encrypted k-NN result"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 results);
+    ~bytes:(Array.fold_left (fun s cts -> s + cts_bytes cts) 0 results);
   let neighbours =
     timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
-        Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d results)
+        Array.map (Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d) results)
   in
   Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"
     (Audit.Int k);
@@ -378,37 +417,44 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
     | Transcript.Data_owner -> None);
   (match Obs.metrics obs with
    | None -> ()
-   | Some m ->
+   | Some reg ->
      List.iter
        (fun ((x, y), bytes) ->
          Metrics.set
-           (Metrics.gauge m
+           (Metrics.gauge reg
               (Printf.sprintf "transcript.%s-%s.bytes" (Transcript.party_name x)
                  (Transcript.party_name y)))
            (float_of_int bytes))
        (Transcript.links tr);
      List.iter
-       (fun (party, c) -> Metrics.record_ledger m ~party c)
+       (fun (party, c) -> Metrics.record_ledger reg ~party c)
        [ ("party-a", ca); ("party-b", cb); ("client", cc) ]);
   let net_timeline = observe_net obs tr net in
-  { neighbours;
-    k;
-    phase_seconds = List.rev !phases;
-    transcript = tr;
-    counters_a = ca;
-    counters_b = cb;
-    counters_client = cc;
-    view_b = view;
-    net = net_timeline }
+  let phase_seconds = List.rev !phases in
+  Array.mapi
+    (fun q view ->
+      { neighbours = neighbours.(q);
+        k;
+        phase_seconds;
+        transcript = tr;
+        counters_a = ca;
+        counters_b = cb;
+        counters_client = cc;
+        view_b = view;
+        net = net_timeline })
+    views
 
 let query ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_plain ?obs ?rng ?net d ~query ~k
+  (query_gen ~path:CM.Plain ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
 let query_prepared ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_prepared ?obs ?rng ?net d ~query ~k
+  (query_gen ~path:CM.Prepared ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
 let query_packed ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_packed ?obs ?rng ?net d ~query ~k
+  (query_gen ~path:CM.Packed ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
+
+let query_batch ?obs ?rng ?net d ~queries ~k =
+  query_gen ~path:(CM.Batch (Array.length queries)) ?obs ?rng ?net d ~queries ~k
 
 let prepare ?(obs = Obs.disabled) d =
   match d.prepared with
@@ -423,161 +469,6 @@ let prepare_packed ?(obs = Obs.disabled) d =
   | None -> d.prepared_packed <- Some (Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
 
 let is_packed_prepared d = Option.is_some d.prepared_packed
-
-let run_queries ?obs ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> d.query_seed in
-  Array.map
-    (fun q -> query_prepared ?obs ~rng:(Rng.split rng) ?net d ~query:q ~k)
-    queries
-
-let run_queries_packed ?obs ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> d.query_seed in
-  Array.map
-    (fun q -> query_packed ?obs ~rng:(Rng.split rng) ?net d ~query:q ~k)
-    queries
-
-(* M queries in one protocol round through the slot dimension.  The
-   phase list, transcript and counters describe the whole round and are
-   shared by the M results; neighbours and views are per query. *)
-let query_batch ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> Rng.split d.query_seed in
-  let m = Array.length queries in
-  if m = 0 then invalid_arg "Protocol.query_batch: empty batch";
-  Array.iter
-    (fun q ->
-      if Array.length q <> d.db_d then
-        invalid_arg "Protocol.query_batch: dimension mismatch")
-    queries;
-  if k < 1 || k > d.db_n then invalid_arg "Protocol.query_batch: k out of range";
-  let ca = Entities.Party_a.counters d.a in
-  let cb = Entities.Party_b.counters d.b in
-  let cc = Entities.Client.counters d.cl in
-  Counters.reset ca;
-  Counters.reset cb;
-  Counters.reset cc;
-  let tr = Transcript.create () in
-  let clock = Option.map Clock.cursor net in
-  let send_tracked = send_tracked ?clock in
-  let phases = ref [] in
-  let pp =
-    match d.prepared_packed with
-    | Some p -> p
-    | None ->
-      let p =
-        timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-            Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-      in
-      d.prepared_packed <- Some p;
-      p
-  in
-  let bq =
-    timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" (fun () ->
-        Entities.Client.encrypt_query_batch d.cl rng queries)
-  in
-  send_tracked obs tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~bytes:(Entities.batched_query_bytes bq);
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
-    (Audit.Int (Array.length bq.Entities.bq_coords + 1));
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
-    (Audit.Int (Entities.batched_query_bytes bq));
-  let bstate, masked =
-    timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" (fun () ->
-        Entities.Party_a.compute_distances_batch ~obs d.a pp rng bq)
-  in
-  sample_cts obs ~name:"masked-distance" masked;
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 masked);
-  let views =
-    timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
-        Entities.Party_b.select_views_batch ~obs d.b masked ~m ~k)
-  in
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
-  (* The one leakage the batch mode adds: B learns how many queries
-     share the round's permutation, and can align positions across
-     their views. *)
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"batch-query-count"
-    (Audit.Int m);
-  Array.iter
-    (fun view ->
-      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-        ~label:"masked-distance-multiset"
-        (Audit.Int64s (Leakage.view_multiset view));
-      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-        ~label:"equidistant-group-sizes"
-        (Audit.Ints (Leakage.equidistant_group_sizes view)))
-    views;
-  let indicator_bytes = ref 0 in
-  let result_cts =
-    timed obs phases
-      ~counters:[ ("party-a", ca); ("party-b", cb) ]
-      "return-knn"
-      (fun () ->
-        let packed = Entities.Party_a.permuted_return_packed_batch pp bstate in
-        Array.map
-          (fun view ->
-            Array.init k (fun j ->
-                Obs.with_span obs
-                  ~counters:[ ("party-a", ca); ("party-b", cb) ]
-                  ~args:[ ("j", string_of_int j) ]
-                  "indicator-row"
-                  (fun () ->
-                    let row =
-                      Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j
-                    in
-                    let bytes =
-                      Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 row
-                    in
-                    indicator_bytes := !indicator_bytes + bytes;
-                    send_tracked obs tr ~sender:Transcript.Party_b
-                      ~receiver:Transcript.Party_a
-                      ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-                      ~bytes;
-                    Entities.Party_a.select_row ~obs d.a packed row)))
-          views)
-  in
-  Array.iter (fun cts -> sample_cts obs ~name:"result" cts) result_cts;
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
-    (Audit.Int (m * k * d.db_n));
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-bytes"
-    (Audit.Int !indicator_bytes);
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Client
-    ~label:"encrypted k-NN result"
-    ~bytes:
-      (Array.fold_left
-         (fun s cts -> Array.fold_left (fun s ct -> s + Bgv.byte_size ct) s cts)
-         0 result_cts);
-  let neighbours =
-    timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
-        Array.map (fun cts -> Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d cts)
-          result_cts)
-  in
-  Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"
-    (Audit.Int k);
-  tally_transcript tr (function
-    | Transcript.Party_a -> Some ca
-    | Transcript.Party_b -> Some cb
-    | Transcript.Client -> Some cc
-    | Transcript.Data_owner -> None);
-  (match Obs.metrics obs with
-   | None -> ()
-   | Some m ->
-     List.iter
-       (fun (party, c) -> Metrics.record_ledger m ~party c)
-       [ ("party-a", ca); ("party-b", cb); ("client", cc) ]);
-  let net_timeline = observe_net obs tr net in
-  let phase_seconds = List.rev !phases in
-  Array.init m (fun q ->
-      { neighbours = neighbours.(q);
-        k;
-        phase_seconds;
-        transcript = tr;
-        counters_a = ca;
-        counters_b = cb;
-        counters_client = cc;
-        view_b = views.(q);
-        net = net_timeline })
 
 let total_seconds r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.phase_seconds
 

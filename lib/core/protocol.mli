@@ -125,12 +125,6 @@ val query_prepared :
     @raise Invalid_argument if the configuration does not admit the
     prepared path. *)
 
-val run_queries :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  queries:int array array -> k:int -> result array
-(** [query_prepared] over a query batch, one independent RNG stream per
-    query split off [rng] (default: the deployment's query seed). *)
-
 (** {1 Slot-packed (SIMD) path}
 
     The packed path lays the database out dimension-major across the
@@ -162,17 +156,11 @@ val query_packed :
     @raise Invalid_argument if the configuration does not admit the
     packed path. *)
 
-val run_queries_packed :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  queries:int array array -> k:int -> result array
-(** {!query_packed} over a query batch, one independent RNG stream per
-    query (each query still runs its own protocol round; see
-    {!query_batch} for slot-dimension batching). *)
-
 val query_batch :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   queries:int array array -> k:int -> result array
-(** M ≤ [Params.slot_count] queries in {e one} protocol round: the
+(** [query_gen ~path:(Batch M)]: M ≤ [Params.slot_count] queries in
+    {e one} protocol round: the
     queries ride the slot dimension of d+1 ciphertexts
     ({!Entities.Client.encrypt_query_batch}), Party A masks each query's
     distances with its own fresh affine polynomial in one slot-wise
@@ -184,6 +172,19 @@ val query_batch :
     and views are per query.
     @raise Invalid_argument on an empty or oversized batch, dimension
     mismatch, or k out of range. *)
+
+(** {1 Any path} *)
+
+val query_gen :
+  path:Sknn_obs.Cost_model.path -> ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t ->
+  ?net:Profile.t -> deployment -> queries:int array array -> k:int -> result array
+(** The one round driver behind every entry point above, keyed by the
+    path type the planner and the cost model use: [Plain] is {!query},
+    [Prepared] {!query_prepared}, [Packed] {!query_packed}, [Batch _]
+    {!query_batch}.  [queries] holds exactly one query except on
+    [Batch], which answers all of them in the round.  Every path emits
+    the same phases, spans, audit labels and metric names.
+    @raise Invalid_argument as the matching entry point does. *)
 
 val total_seconds : result -> float
 val exact : deployment -> db:int array array -> query:int array -> result -> bool

@@ -1,26 +1,23 @@
-(* Analytic replica of the protocol's ciphertext-operation cost: a
-   symbolic executor that walks the exact circuit each query path runs
-   (lib/core/entities.ml + protocol.ml) and records the same op-kind ×
-   BGV-level ledger cells (Util.Counters) the instrumented scheme
-   records on live ciphertexts — without touching a single ciphertext.
+(* The analytic model of a query path: a symbolic executor that walks
+   the exact circuit each path runs (lib/core/entities.ml +
+   protocol.ml) on Noise_model bounds instead of ciphertexts.  One walk
+   yields the op-kind × BGV-level ledger cells (Util.Counters) the
+   instrumented scheme records, the transcript with its byte sizes, and
+   the noise report the prepare-time guard and the planner read.
 
    Exactness is the contract: the test suite asserts
    [Counters.equal_ledger] between a prediction and a measured run on
    every preset.  That only holds because every branch the live circuit
-   takes on a noise bound (rescale_to_floor loop trips, the prepared
-   level-drop rule, the packed/batched up-front query truncation) is
-   replayed here with bit-identical float arithmetic:
+   takes on a noise bound (rescale_to_floor loop trips, the level-drop
+   rules) is replayed here with bit-identical float arithmetic:
 
-   - the per-op noise formulas are Noise_model's, which mirror
-     lib/bgv/bgv.ml term for term;
-   - where Noise_model deliberately simplifies (its [mul_sum] closes
-     the term-order log2_add fold to [bits + log2 terms]), this module
-     re-implements the scheme's exact sequential fold instead;
+   - the per-op noise formulas and the level-drop rules are
+     Noise_model's, which the live circuit calls too or mirrors term
+     for term (lib/bgv/bgv.ml);
    - scalar magnitudes (mask coefficients, plaintext coordinates) are
-     supplied by the caller as worst-case log2 bounds computed with the
-     scheme's own centering rule; the presets' branch decisions are
-     stable across the whole coefficient range, which the equality
-     tests witness empirically.
+     supplied by the caller as worst-case log2 bounds; the presets'
+     branch decisions are stable across the whole range, which the
+     equality tests witness empirically.
 
    The level-0 row of the ledger holds the slot pack/unpack NTTs mod t,
    exactly as Plaintext records them. *)
@@ -57,95 +54,103 @@ type prediction = {
   client : C.t;
   ab_bytes : int;
   transcript : Transcript.t;
+  noise : NM.report;
 }
 
 let log2 x = log x /. log 2.0
 
-let chain p = NM.chain_length p.nm
-let full_level p = chain p
-let return_level p = Stdlib.min p.return_level (chain p)
+let full_level p = NM.chain_length p.nm
+let return_level p = Stdlib.min p.return_level (full_level p)
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic Bgv: Noise_model states + ledger recording                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Where a symbolic op records: its phase's ledger and its party's
+   total, each entry counted [times] times.  Every point (or slot
+   batch) of a phase runs the same circuit on the same symbolic states,
+   so each walk evaluates one representative and [repeat] scales what
+   it records.  That keeps a prediction O(d + n) and gives the noise
+   report a one-point step list. *)
+type tally = { phase_c : C.t; party_c : C.t; times : int }
+
+let record ?(n = 1) t e =
+  C.record_n t.phase_c e (n * t.times);
+  C.record_n t.party_c e (n * t.times)
+
+let record_op ?(n = 1) t op ~level =
+  C.record_op_n t.phase_c op ~level (n * t.times);
+  C.record_op_n t.party_c op ~level (n * t.times)
+
+let repeat t ~times f = f { t with times = t.times * times }
 
 (* Each operation mirrors the recording discipline of the matching
    Bgv/Plaintext entry point: primary op cell, the whole-polynomial NTT
    passes it triggers, and the coarse Table 1 event. *)
 
 let enc p c ~level =
-  C.record c C.Encrypt;
-  C.record_op c C.Op_encrypt ~level;
-  C.record_op_n c C.Op_ntt_fwd ~level 4;
+  record c C.Encrypt;
+  record_op c C.Op_encrypt ~level;
+  record_op ~n:4 c C.Op_ntt_fwd ~level;
   NM.fresh_at p.nm ~level
 
 (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
    so presenting coefficients always costs one inverse pass. *)
 let dec c (st : NM.state) =
-  C.record c C.Decrypt;
-  C.record_op c C.Op_decrypt ~level:st.NM.level;
-  C.record_op c C.Op_ntt_inv ~level:st.NM.level
+  record c C.Decrypt;
+  record_op c C.Op_decrypt ~level:st.NM.level;
+  record_op c C.Op_ntt_inv ~level:st.NM.level
 
 (* decrypt_coeff0 reads the evaluation-domain residues directly. *)
 let dec0 c (st : NM.state) =
-  C.record c C.Decrypt;
-  C.record_op c C.Op_decrypt ~level:st.NM.level
+  record c C.Decrypt;
+  record_op c C.Op_decrypt ~level:st.NM.level
 
 let add c a b =
-  C.record c C.Hom_add;
-  C.record_op c C.Op_ct_add ~level:(Stdlib.min a.NM.level b.NM.level);
+  record c C.Hom_add;
+  record_op c C.Op_ct_add ~level:(Stdlib.min a.NM.level b.NM.level);
   NM.add a b
 
 let sub = add
 
 let add_plain p c st =
-  C.record c C.Hom_add;
-  C.record_op c C.Op_ct_add ~level:st.NM.level;
-  C.record_op c C.Op_ntt_fwd ~level:st.NM.level;
+  record c C.Hom_add;
+  record_op c C.Op_ct_add ~level:st.NM.level;
+  record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.add_plain p.nm st
 
 let add_const = add_plain
 
 let mul_plain p c st =
-  C.record c C.Hom_mul_plain;
-  C.record_op c C.Op_mul_plain ~level:st.NM.level;
-  C.record_op c C.Op_ntt_fwd ~level:st.NM.level;
+  record c C.Hom_mul_plain;
+  record_op c C.Op_mul_plain ~level:st.NM.level;
+  record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.mul_plain p.nm st
 
 let mul_scalar c st ~bits =
-  C.record c C.Hom_mul_plain;
-  C.record_op c C.Op_mul_plain ~level:st.NM.level;
+  record c C.Hom_mul_plain;
+  record_op c C.Op_mul_plain ~level:st.NM.level;
   NM.mul_scalar st ~bits
 
 let modswitch p c (st : NM.state) =
-  C.record c C.Hom_modswitch;
+  record c C.Hom_modswitch;
   let k = st.NM.level in
-  C.record_op c C.Op_modswitch ~level:k;
+  record_op c C.Op_modswitch ~level:k;
   (* Every component is Eval (the scheme's invariant), so each pays the
      inverse pass at the source level and a forward pass below. *)
-  C.record_op_n c C.Op_ntt_inv ~level:k (st.NM.degree + 1);
-  C.record_op_n c C.Op_ntt_fwd ~level:(k - 1) (st.NM.degree + 1);
+  record_op ~n:(st.NM.degree + 1) c C.Op_ntt_inv ~level:k;
+  record_op ~n:(st.NM.degree + 1) c C.Op_ntt_fwd ~level:(k - 1);
   NM.modswitch p.nm st
 
 let rescale_to_floor p c st =
-  let rec go (st : NM.state) =
-    if st.NM.level <= 1 then st
-    else
-      let predicted =
-        NM.log2_add
-          (st.NM.bits -. p.nm.NM.moduli_bits.(st.NM.level - 1))
-          (NM.switch_floor_bits p.nm ~degree:st.NM.degree)
-      in
-      if predicted < st.NM.bits -. 0.5 then go (modswitch p c st) else st
-  in
-  go st
+  NM.rescale_to_floor ~switch:(fun _ st -> modswitch p c st) p.nm st
 
 (* Recorded truncation (Bgv.truncate_to_level ~counters): a cell only
    when components are actually dropped. *)
 let truncate c (st : NM.state) ~level =
   if level >= st.NM.level then st
   else begin
-    C.record_op c C.Op_level_drop ~level;
+    record_op c C.Op_level_drop ~level;
     NM.truncate st ~level
   end
 
@@ -154,15 +159,15 @@ let truncate_silent (st : NM.state) ~level =
   if level >= st.NM.level then st else NM.truncate st ~level
 
 let relinearize p c (st : NM.state) =
-  C.record c C.Hom_relin;
+  record c C.Hom_relin;
   let k = st.NM.level in
-  C.record_op c C.Op_key_switch ~level:k;
+  record_op c C.Op_key_switch ~level:k;
   (* key_switch_digits: the tensor component is Eval, one inverse pass;
      then ndigits digit polynomials embed Coeff→Eval. *)
   let w = p.relin_digit_bits in
   let ndigits = Stdlib.min p.relin_rows ((p.q_ibits.(k - 1) + w - 1) / w) in
-  C.record_op c C.Op_ntt_inv ~level:k;
-  C.record_op_n c C.Op_ntt_fwd ~level:k ndigits;
+  record_op c C.Op_ntt_inv ~level:k;
+  record_op ~n:ndigits c C.Op_ntt_fwd ~level:k;
   let added =
     p.nm.NM.t_bits
     +. log2 (float_of_int ndigits)
@@ -172,128 +177,57 @@ let relinearize p c (st : NM.state) =
   in
   { st with NM.degree = 1; NM.bits = NM.log2_add st.NM.bits added }
 
-(* [relin] mirrors whether the live call site passes [?rlk] — some
-   sites (the plain-path inner product, Return-kNN's row selection)
-   never do, whatever the configuration says. *)
-let mul p c ?(rescale = true) ~relin a b =
-  C.record c C.Hom_mul;
-  C.record_op c C.Op_ct_mul ~level:(Stdlib.min a.NM.level b.NM.level);
+(* The tensor product, relinearised when the live call site passes
+   [?rlk] — some sites (the plain-path inner product, Return-kNN's row
+   selection) never do, whatever the configuration says.  A rescaling
+   Bgv.mul is this followed by [rescale_to_floor]. *)
+let mul p c ~relin a b =
+  record c C.Hom_mul;
+  record_op c C.Op_ct_mul ~level:(Stdlib.min a.NM.level b.NM.level);
   let st = NM.mul p.nm a b in
-  let st = if relin && st.NM.degree = 2 then relinearize p c st else st in
-  if rescale then rescale_to_floor p c st else st
+  if relin && st.NM.degree = 2 then relinearize p c st else st
 
 (* Σ terms · (a·b) with every term the same symbolic pair — all the
    protocol's inner products are uniform.  Mirrors Bgv.mul_sum: the
    fused fast path when no relinearisation is in play, the exact
-   mul-then-add fold otherwise, and in both cases the noise bound is
-   the scheme's sequential term-order fold (Noise_model's closed form
-   is a bound, not the same float). *)
+   mul-then-add fold otherwise; either way the bound is the scheme's
+   term-order fold. *)
 let mul_sum p c ~terms ~relin a b =
   if terms < 1 then invalid_arg "Cost_model.mul_sum: terms must be positive";
   let lvl = Stdlib.min a.NM.level b.NM.level in
-  let a = truncate_silent a ~level:lvl and b = truncate_silent b ~level:lvl in
   if relin then begin
-    let acc = ref (mul p c ~rescale:false ~relin a b) in
+    let acc = ref (mul p c ~relin a b) in
     for _ = 2 to terms do
-      acc := add c !acc (mul p c ~rescale:false ~relin a b)
+      acc := add c !acc (mul p c ~relin a b)
     done;
     !acc
   end
   else begin
-    C.record_n c C.Hom_mul terms;
-    C.record_n c C.Hom_add (terms - 1);
-    C.record_op_n c C.Op_ct_mul ~level:lvl terms;
-    C.record_op_n c C.Op_ct_add ~level:lvl (terms - 1);
-    let term = log2 (float_of_int p.nm.NM.n) +. a.NM.bits +. b.NM.bits in
-    let bits = ref term in
-    for _ = 1 to terms - 1 do
-      bits := NM.log2_add !bits term
-    done;
-    { NM.level = lvl; NM.degree = a.NM.degree + b.NM.degree; NM.bits = !bits }
+    record ~n:terms c C.Hom_mul;
+    record ~n:(terms - 1) c C.Hom_add;
+    record_op ~n:terms c C.Op_ct_mul ~level:lvl;
+    record_op ~n:(terms - 1) c C.Op_ct_add ~level:lvl;
+    NM.mul_sum p.nm a b ~terms
   end
 
-(* Horner evaluation with the protocol's masking polynomial: only the
-   leading coefficient is applied as a scalar, the rest arrive through
-   add_const.  [leading_bits] is the caller's bound on its centered
-   magnitude. *)
-let eval_poly p c ~leading_bits st =
-  let d = p.mask_degree in
-  if d = 0 then add_const p c (mul_scalar c st ~bits:0.0)
-  else begin
-    let acc = ref (mul_scalar c st ~bits:leading_bits) in
-    for i = d - 1 downto 0 do
-      if i < d - 1 then begin
-        let x = truncate_silent st ~level:(!acc).NM.level in
-        acc := mul p c ~relin:p.use_relin !acc x
-      end;
-      acc := add_const p c !acc
-    done;
-    !acc
-  end
-
-let slot_pack c = C.record_op c C.Op_slot_pack ~level:0
-let slot_unpack c = C.record_op c C.Op_slot_unpack ~level:0
-
-(* ------------------------------------------------------------------ *)
-(* Level-drop rules (entities.ml, verbatim)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The prepared per-point rule: lowest level whose modulus clears the
-   masked bound with 17 bits of slack, floored at the return level. *)
-let prepared_drop p (ed : NM.state) =
-  let t_bits = p.nm.NM.t_bits in
-  let need = ed.NM.bits +. t_bits +. 17.0 in
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < ed.NM.level do
-    bits := !bits +. p.nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl (return_level p) in
-  if !bits > need && lvl < ed.NM.level then `Truncate lvl
-  else if p.rescale_distances then `Rescale
-  else `Keep
-
-(* Party_a.level_for_need: the same walk over the full chain. *)
-let level_for_need p ~need =
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < chain p do
-    bits := !bits +. p.nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl (return_level p) in
-  if !bits > need then Some lvl else None
-
-(* Party_a.packed_query_level. *)
-let packed_query_level p ~q_noise_bits =
-  let t_bits = p.nm.NM.t_bits in
-  let ip =
-    q_noise_bits
-    +. log2 (float_of_int p.nm.NM.n)
-    +. t_bits -. 1.0
-    +. log2 (float_of_int (Stdlib.max 1 p.d))
-  in
-  let ed = NM.log2_add (NM.log2_add q_noise_bits (t_bits -. 1.0)) (ip +. 1.0) in
-  level_for_need p ~need:(ed +. t_bits +. 17.0)
-
-(* Party_a.batch_query_level. *)
-let batch_query_level p ~q_noise_bits =
-  let t_bits = p.nm.NM.t_bits in
-  let ip = q_noise_bits +. p.coord_bits +. log2 (float_of_int (Stdlib.max 1 p.d)) +. 1.0 in
-  let ed = NM.log2_add (NM.log2_add q_noise_bits (t_bits -. 1.0)) ip in
-  let masked = ed +. log2 (float_of_int p.nm.NM.n) +. t_bits -. 1.0 in
-  let masked = NM.log2_add masked (t_bits -. 1.0) in
-  level_for_need p ~need:(masked +. 17.0)
+let slot_pack c = record_op c C.Op_slot_pack ~level:0
+let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 
 (* ------------------------------------------------------------------ *)
 (* Per-path circuits                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The batch path scales each query ciphertext by plaintext coordinates
-   whose magnitude is data-dependent; the bound only feeds the noise
-   state (the op counts are scalar-blind unless the no-drop rescale
-   branch fires, which the presets never reach). *)
+type sim = {
+  p : params;
+  mutable rev_phases : phase list;
+  tr : Transcript.t;
+  noise : NM.trace;
+  party_a : C.t;
+  party_b : C.t;
+  client : C.t;
+}
 
-type sim = { p : params; mutable rev_phases : phase list; tr : Transcript.t }
+let step sim name st = NM.step sim.noise name st
 
 (* Serialized size of a ciphertext in the symbolic state: the exact
    Bgv.byte_size formula, (degree+1) residue polynomials per remaining
@@ -312,295 +246,269 @@ let send sim ~sender ~receiver ~label ~count st =
 let phase_counter sim ~phase ~party =
   let c = C.create () in
   sim.rev_phases <- { phase; party; counters = c } :: sim.rev_phases;
-  c
+  let party_c =
+    match party with
+    | "party-a" -> sim.party_a
+    | "party-b" -> sim.party_b
+    | _ -> sim.client
+  in
+  { phase_c = c; party_c; times = 1 }
+
+(* Horner evaluation with the protocol's masking polynomial: only the
+   leading coefficient is applied as a scalar, the rest arrive through
+   add_const.  [mask_leading_bits] bounds its centered magnitude. *)
+let eval_poly sim c st =
+  let p = sim.p in
+  let d = p.mask_degree in
+  if d = 0 then add_const p c (mul_scalar c st ~bits:0.0)
+  else begin
+    let acc = ref (step sim "mask-scale" (mul_scalar c st ~bits:p.mask_leading_bits)) in
+    for i = d - 1 downto 0 do
+      if i < d - 1 then begin
+        let x = truncate_silent st ~level:(!acc).NM.level in
+        let prod = mul p c ~relin:p.use_relin !acc x in
+        acc := step sim "mask-rescale" (rescale_to_floor p c (step sim "mask-horner-mul" prod))
+      end;
+      acc := step sim "mask-shift" (add_const p c !acc)
+    done;
+    !acc
+  end
+
+(* The masked distances cross A->B and Party B decrypts each one. *)
+let send_masked sim ~count ~decrypt masked =
+  let masked = step sim "masked-distance" masked in
+  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
+    ~label:"masked permuted distances" ~count masked;
+  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
+  repeat cb ~times:count (fun c -> decrypt c masked)
 
 (* Shared return-kNN + decrypt-result tail: [views] indicator-row sets
    of [k] rows each, against return-level packed points. *)
 let return_and_decrypt sim ~views ~plain_truncations =
   let p = sim.p in
   let rl = return_level p in
+  let rows = views * p.k in
   let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
   let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
-  if plain_truncations then
-    for _ = 1 to p.n_points do
-      ignore (truncate ca (NM.fresh p.nm) ~level:rl)
-    done;
-  let packed_ret = truncate_silent (NM.fresh p.nm) ~level:rl in
-  let result = ref None in
+  let fresh = NM.fresh p.nm in
+  let packed_ret =
+    if plain_truncations then
+      repeat ca ~times:p.n_points (fun c -> truncate c fresh ~level:rl)
+    else truncate_silent fresh ~level:rl
+  in
+  (* Each indicator row is n fresh return-level encryptions crossing
+     B->A in one message, folded by A into one selected point. *)
+  let row = repeat cb ~times:(rows * p.n_points) (fun c -> enc p c ~level:rl) in
+  let result =
+    repeat ca ~times:rows (fun c -> mul_sum p c ~terms:p.n_points ~relin:false packed_ret row)
+  in
   for _ = 1 to views do
-    for j = 0 to p.k - 1 do
-      let row =
-        let st = ref None in
-        for _ = 1 to p.n_points do
-          st := Some (enc p cb ~level:rl)
-        done;
-        Option.get !st
-      in
-      (* Each indicator row crosses B->A as n fresh return-level cts, one
-         message per row, labelled as the live protocol labels them. *)
+    for j = 1 to p.k do
       send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-        ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-        ~count:p.n_points row;
-      result := Some (mul_sum p ca ~terms:p.n_points ~relin:false packed_ret row)
+        ~label:(Printf.sprintf "indicator vector B^%d" j)
+        ~count:p.n_points row
     done
   done;
+  let result = step sim "result" result in
   let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
-  match !result with
-  | None -> ()
-  | Some r ->
-    send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
-      ~label:"encrypted k-NN result" ~count:(views * p.k) r;
-    for _ = 1 to views * p.k do
-      dec cc r
-    done
+  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
+    ~label:"encrypted k-NN result" ~count:rows result;
+  repeat cc ~times:rows (fun c -> dec c result)
+
+let encrypt_query sim ?(pack = false) count =
+  let p = sim.p in
+  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
+  let fresh =
+    repeat cc ~times:count (fun c ->
+        if pack then slot_pack c;
+        enc p c ~level:(full_level p))
+  in
+  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
+    ~label:"encrypted query" ~count fresh;
+  step sim "fresh-encrypt" fresh
 
 let predict_plain sim =
   let p = sim.p in
-  let full = full_level p in
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  let n_query_cts = if p.per_coordinate then p.d else 2 in
-  for _ = 1 to n_query_cts do
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:n_query_cts fresh;
+  let fresh = encrypt_query sim (if p.per_coordinate then p.d else 2) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let masked = ref fresh in
-  for _ = 1 to p.n_points do
-    let m =
-      if p.per_coordinate then begin
-        (* d per-coordinate differences, fused square-and-sum, one
-           deferred rescale, then the masking polynomial. *)
-        let diff = ref fresh in
-        for _ = 1 to p.d do
-          diff := sub ca fresh fresh
-        done;
-        let ed = mul_sum p ca ~terms:p.d ~relin:p.use_relin !diff !diff in
-        let ed = if p.rescale_distances then rescale_to_floor p ca ed else ed in
-        eval_poly p ca ~leading_bits:p.mask_leading_bits ed
-      end
-      else begin
-        (* ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖² via the inner-product trick, plus
-           the zero-constant randomizer. *)
-        let ip = mul p ca ~rescale:false ~relin:false fresh fresh in
-        let ed = sub ca (add ca fresh fresh) (mul_scalar ca ip ~bits:1.0) in
-        let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-        add_plain p ca m
-      end
-    in
-    masked := m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec0 cb !masked
-  done;
+  let masked =
+    repeat ca ~times:p.n_points (fun c ->
+        if p.per_coordinate then begin
+          (* d per-coordinate differences, fused square-and-sum, one
+             deferred rescale, then the masking polynomial. *)
+          let diff = repeat c ~times:p.d (fun c -> sub c fresh fresh) in
+          let ed = step sim "square-sum" (mul_sum p c ~terms:p.d ~relin:p.use_relin diff diff) in
+          let ed =
+            if p.rescale_distances then step sim "rescale-to-floor" (rescale_to_floor p c ed)
+            else ed
+          in
+          eval_poly sim c ed
+        end
+        else begin
+          (* ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖² via the inner-product trick, plus
+             the zero-constant randomizer. *)
+          let ip = step sim "inner-product" (mul p c ~relin:false fresh fresh) in
+          let ed = step sim "ed-combine" (sub c (add c fresh fresh) (mul_scalar c ip ~bits:1.0)) in
+          add_plain p c (eval_poly sim c ed)
+        end)
+  in
+  send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
   return_and_decrypt sim ~views:1 ~plain_truncations:true
 
 let predict_prepared sim ~include_prepare =
   let p = sim.p in
-  let full = full_level p in
   let rl = return_level p in
   let fresh = NM.fresh p.nm in
   (* The prepared norms exist whether or not this query pays for them;
-     only the first query of a deployment records the prepare phase. *)
-  let norm_of c =
-    if p.per_coordinate then mul_sum p c ~terms:p.d ~relin:p.use_relin fresh fresh
-    else fresh
+     only the first query of a deployment records the prepare phase (a
+     steady-state query walks them at zero repetitions). *)
+  let cp =
+    if include_prepare then phase_counter sim ~phase:"prepare-db" ~party:"party-a"
+    else { phase_c = sim.party_a; party_c = sim.party_a; times = 0 }
   in
-  let scratch = C.create () in
   let norm =
-    if include_prepare then begin
-      let ca = phase_counter sim ~phase:"prepare-db" ~party:"party-a" in
-      let norm = ref fresh in
-      for _ = 1 to p.n_points do
-        norm := norm_of ca
-      done;
-      for _ = 1 to p.n_points do
-        ignore (truncate ca fresh ~level:rl)
-      done;
-      !norm
-    end
-    else norm_of scratch
+    repeat cp ~times:p.n_points (fun c ->
+        if p.per_coordinate then
+          step sim "prepare-norms" (mul_sum p c ~terms:p.d ~relin:p.use_relin fresh fresh)
+        else fresh)
   in
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let qct = enc p cc ~level:full in
-  ignore (enc p cc ~level:full);
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:2 qct;
+  ignore (repeat cp ~times:p.n_points (fun c -> truncate c fresh ~level:rl));
+  let q = encrypt_query sim 2 in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let masked = ref fresh in
-  for _ = 1 to p.n_points do
-    let ip = mul p ca ~rescale:false ~relin:p.use_relin fresh fresh in
-    let ed = sub ca (add ca norm fresh) (mul_scalar ca ip ~bits:1.0) in
-    let ed =
-      match prepared_drop p ed with
-      | `Truncate lvl -> truncate ca ed ~level:lvl
-      | `Rescale -> rescale_to_floor p ca ed
-      | `Keep -> ed
-    in
-    let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-    masked := add_plain p ca m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec0 cb !masked
-  done;
+  let masked =
+    repeat ca ~times:p.n_points (fun c ->
+        let ip = step sim "inner-product" (mul p c ~relin:p.use_relin fresh q) in
+        let ed = step sim "ed-combine" (sub c (add c norm q) (mul_scalar c ip ~bits:1.0)) in
+        let ed =
+          match
+            NM.distance_level p.nm ~return_level:rl ~level:ed.NM.level ~bits:ed.NM.bits
+          with
+          | Some lvl -> step sim "truncate" (truncate c ed ~level:lvl)
+          | None when p.rescale_distances ->
+            step sim "rescale-to-floor" (rescale_to_floor p c ed)
+          | None -> ed
+        in
+        add_plain p c (eval_poly sim c ed))
+  in
+  send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
   return_and_decrypt sim ~views:1 ~plain_truncations:false
 
 let packed_prepare sim =
   let p = sim.p in
   let ca = phase_counter sim ~phase:"prepare-db" ~party:"party-a" in
-  let rl = return_level p in
-  for _ = 1 to p.n_points do
-    ignore (truncate ca (NM.fresh p.nm) ~level:rl)
-  done
+  ignore
+    (repeat ca ~times:p.n_points (fun c ->
+         truncate c (NM.fresh p.nm) ~level:(return_level p)))
+
+(* The packed and batch paths truncate all d+1 query ciphertexts up
+   front when their rule finds a level. *)
+let truncate_query sim c drop q =
+  match drop with
+  | Some lvl when lvl < q.NM.level ->
+    step sim "query-truncate"
+      (repeat c ~times:(sim.p.d + 1) (fun c -> truncate c q ~level:lvl))
+  | _ -> q
+
+(* Without an up-front drop, the configured rescale runs per ED. *)
+let rescale_undropped sim c drop ed =
+  if drop = None && sim.p.rescale_distances then
+    step sim "rescale-to-floor" (rescale_to_floor sim.p c ed)
+  else ed
+
+(* Σⱼ of d products, in the live circuit's left-to-right order. *)
+let sum_d sim c product =
+  let acc = ref (product c) in
+  for _ = 2 to sim.p.d do
+    acc := add c !acc (product c)
+  done;
+  step sim "coordinate-sum" !acc
 
 let predict_packed sim ~include_prepare =
   let p = sim.p in
-  let full = full_level p in
   if include_prepare then packed_prepare sim;
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  for _ = 1 to p.d + 1 do
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:(p.d + 1) fresh;
+  let fresh = encrypt_query sim (p.d + 1) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  (* Up-front query truncation: the level-drop rule applied predictively
-     to the fresh query ciphertexts. *)
-  let drop = packed_query_level p ~q_noise_bits:fresh.NM.bits in
-  let q =
-    match drop with
-    | Some lvl when lvl < fresh.NM.level ->
-      let q = ref fresh in
-      for _ = 1 to p.d + 1 do
-        q := truncate ca fresh ~level:lvl
-      done;
-      !q
-    | _ -> fresh
+  let drop =
+    NM.packed_query_level p.nm ~return_level:(return_level p) ~d:p.d ~q_bits:fresh.NM.bits
   in
+  let q = truncate_query sim ca drop fresh in
   let nbatches = (p.n_points + p.slots - 1) / p.slots in
-  let ragged = p.n_points mod p.slots <> 0 in
-  let masked = ref q in
-  for b = 0 to nbatches - 1 do
-    let ip = ref q in
-    for j = 0 to p.d - 1 do
+  let masked =
+    repeat ca ~times:nbatches (fun c ->
+        let ip =
+          sum_d sim c (fun c ->
+              slot_pack c;
+              mul_plain p c q)
+        in
+        slot_pack c;
+        let ed = step sim "ed-combine" (sub c (add_plain p c q) (mul_scalar c ip ~bits:1.0)) in
+        eval_poly sim c (rescale_undropped sim c drop ed))
+  in
+  (* The ragged tail batch also masks its dead slots. *)
+  let masked =
+    if p.n_points mod p.slots = 0 then masked
+    else begin
       slot_pack ca;
-      let prod = mul_plain p ca q in
-      ip := if j = 0 then prod else add ca !ip prod
-    done;
-    slot_pack ca;
-    let ed = sub ca (add_plain p ca q) (mul_scalar ca !ip ~bits:1.0) in
-    let ed =
-      if drop = None && p.rescale_distances then rescale_to_floor p ca ed else ed
-    in
-    let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-    let m =
-      if ragged && b = nbatches - 1 then begin
-        slot_pack ca;
-        add_plain p ca m
-      end
-      else m
-    in
-    masked := m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:nbatches !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to nbatches do
-    dec cb !masked;
-    slot_unpack cb
-  done;
+      add_plain p ca masked
+    end
+  in
+  send_masked sim ~count:nbatches masked ~decrypt:(fun c st ->
+      dec c st;
+      slot_unpack c);
   return_and_decrypt sim ~views:1 ~plain_truncations:false
 
 let predict_batch sim ~include_prepare ~queries =
   let p = sim.p in
-  let full = full_level p in
   if queries < 1 || queries > p.slots then
     invalid_arg "Cost_model.predict: batch size out of range";
   if include_prepare then packed_prepare sim;
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  for _ = 1 to p.d + 1 do
-    slot_pack cc;
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:(p.d + 1) fresh;
+  let fresh = encrypt_query sim ~pack:true (p.d + 1) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   (* Per-query affine masks, slot-aligned: one packed slope plaintext,
      and a shared intercept only when every slot carries a query. *)
   slot_pack ca;
   let shared_intercept = queries = p.slots in
   if shared_intercept then slot_pack ca;
-  let drop = batch_query_level p ~q_noise_bits:fresh.NM.bits in
-  let q =
-    match drop with
-    | Some lvl when lvl < fresh.NM.level ->
-      let q = ref fresh in
-      for _ = 1 to p.d + 1 do
-        q := truncate ca fresh ~level:lvl
-      done;
-      !q
-    | _ -> fresh
+  let drop =
+    NM.batch_query_level p.nm ~return_level:(return_level p) ~d:p.d
+      ~coord_bits:p.coord_bits ~q_bits:fresh.NM.bits
   in
-  let masked = ref q in
-  for _ = 1 to p.n_points do
-    let ip = ref q in
-    for j = 0 to p.d - 1 do
-      let prod = mul_scalar ca q ~bits:p.coord_bits in
-      ip := if j = 0 then prod else add ca !ip prod
-    done;
-    let ed = add_const p ca (sub ca q (mul_scalar ca !ip ~bits:1.0)) in
-    let ed =
-      if drop = None && p.rescale_distances then rescale_to_floor p ca ed else ed
-    in
-    let md = mul_plain p ca ed in
-    if not shared_intercept then slot_pack ca;
-    masked := add_plain p ca md
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec cb !masked;
-    slot_unpack cb
-  done;
+  let q = truncate_query sim ca drop fresh in
+  let masked =
+    repeat ca ~times:p.n_points (fun c ->
+        let ip = sum_d sim c (fun c -> mul_scalar c q ~bits:p.coord_bits) in
+        let ed =
+          step sim "ed-combine" (add_const p c (sub c q (mul_scalar c ip ~bits:1.0)))
+        in
+        let md = step sim "mask-scale" (mul_plain p c (rescale_undropped sim c drop ed)) in
+        if not shared_intercept then slot_pack c;
+        add_plain p c md)
+  in
+  send_masked sim ~count:p.n_points masked ~decrypt:(fun c st ->
+      dec c st;
+      slot_unpack c);
   return_and_decrypt sim ~views:queries ~plain_truncations:false
 
-let predict ?(include_prepare = true) p path =
+let predict ?(include_prepare = true) ?margin_bits p path =
   if p.n_points < 1 then invalid_arg "Cost_model.predict: empty database";
   if p.d < 1 then invalid_arg "Cost_model.predict: dimension < 1";
   if p.k < 1 || p.k > p.n_points then invalid_arg "Cost_model.predict: k out of range";
-  let sim = { p; rev_phases = []; tr = Transcript.create () } in
+  let sim =
+    { p; rev_phases = []; tr = Transcript.create (); noise = NM.start p.nm;
+      party_a = C.create (); party_b = C.create (); client = C.create () }
+  in
   (match path with
    | Plain -> predict_plain sim
    | Prepared -> predict_prepared sim ~include_prepare
    | Packed -> predict_packed sim ~include_prepare
    | Batch queries -> predict_batch sim ~include_prepare ~queries);
-  let phases = List.rev sim.rev_phases in
-  let total party =
-    let acc = C.create () in
-    List.iter
-      (fun ph -> if String.equal ph.party party then C.absorb ~into:acc ph.counters)
-      phases;
-    acc
-  in
-  { phases;
-    party_a = total "party-a";
-    party_b = total "party-b";
-    client = total "client";
+  { phases = List.rev sim.rev_phases;
+    party_a = sim.party_a;
+    party_b = sim.party_b;
+    client = sim.client;
     ab_bytes = Transcript.bytes_between sim.tr Transcript.Party_a Transcript.Party_b;
-    transcript = sim.tr }
+    transcript = sim.tr;
+    noise = NM.report ?margin_bits sim.noise }
 
 (* ------------------------------------------------------------------ *)
 (* Calibrated time prediction                                          *)

@@ -1,20 +1,23 @@
-(** Analytic replica of the protocol's op-kind × BGV-level cost ledger.
+(** The analytic model of a query path.
 
-    Where {!Noise_model} forecasts how much {e noise} a circuit accrues,
-    this module forecasts how many {e ciphertext operations} it runs —
-    by symbolically executing the exact per-path circuits of
-    [lib/core/entities.ml]/[protocol.ml] and recording into fresh
-    {!Util.Counters.t} values the same ledger cells the instrumented
-    scheme records on live ciphertexts.  The test suite asserts
-    {!Util.Counters.equal_ledger} between a prediction and a measured
-    query on every preset: the model is cross-checked against the
-    ledger exactly the way the noise forecaster is cross-checked
-    against [Bgv]'s tracked bound.
+    {!predict} symbolically executes the exact per-path circuits of
+    [lib/core/entities.ml]/[protocol.ml] on {!Noise_model} bounds
+    instead of ciphertexts.  One walk yields three things:
+
+    - the op-kind × BGV-level ledger the instrumented scheme records on
+      live ciphertexts, in fresh {!Util.Counters.t} values;
+    - the transcript, message for message, with exact byte sizes;
+    - the worst-case noise report that [Party_a.prepare]/[prepare_packed]
+      audit and the planner prunes with.
+
+    The test suite asserts {!Util.Counters.equal_ledger} and transcript
+    equality between a prediction and a measured query on every preset,
+    and that every live noise gauge clears the report's minimum.
 
     Every count that depends on a noise bound (rescale loop trips, the
-    prepared level-drop rule, the packed/batched up-front query
-    truncation) is replayed with bit-identical float arithmetic, so the
-    predicted branch decisions match the live ones.
+    level-drop rules of {!Noise_model}) is replayed with bit-identical
+    float arithmetic, so the predicted branch decisions match the live
+    ones.
 
     Combined with per-op unit costs measured by the calibration bench
     ([bench/kernels]), {!predict_seconds} turns a ledger — predicted or
@@ -36,8 +39,9 @@ type params = {
       (** log2 bound on the centered magnitude of the mask's leading
           coefficient (the one Horner applies as a scalar) *)
   coord_bits : float;
-      (** log2 bound on a centered plaintext coordinate — the batch
-          path's scalar products *)
+      (** log2 bound on a plaintext coordinate (the configured
+          [max_coord_bits]) — the batch path's scalar products and its
+          query-level rule *)
   rescale_distances : bool;
   return_level : int;
   use_relin : bool;
@@ -72,13 +76,21 @@ type prediction = {
           run, with bytes from the symbolic send-time states — so
           per-link bytes and rounds (and any {!Netsim.Clock} replay of
           it) agree exactly with a measured query *)
+  noise : Noise_model.report;
+      (** worst-case noise bound of one representative point (or batch)
+          per phase, in circuit order: the step ["masked-distance"] is
+          the A→B ciphertext, ["result"] a Return-kNN product.  A
+          negative minimum means a live query would raise
+          [Bgv.Decryption_failure]. *)
 }
 
-val predict : ?include_prepare:bool -> params -> path -> prediction
-(** Symbolically run one query (or one batch round) and return its
-    predicted ledger.  [include_prepare] (default [true]) adds the
-    prepare-db phase the first prepared/packed query of a deployment
-    pays; steady-state queries drop it.  Ignored for [Plain].
+val predict :
+  ?include_prepare:bool -> ?margin_bits:float -> params -> path -> prediction
+(** Symbolically run one query (or one batch round).  [include_prepare]
+    (default [true]) adds the prepare-db phase the first
+    prepared/packed query of a deployment pays; steady-state queries
+    drop it.  Ignored for [Plain]; the noise report is the same either
+    way.  [margin_bits] (default 4) is the report's warning margin.
     @raise Invalid_argument on nonsensical sizes. *)
 
 (** {1 Calibrated time} *)

@@ -62,22 +62,17 @@ let mul p a b =
     degree = a.degree + b.degree;
     bits = log2_n p +. a.bits +. b.bits }
 
-(* Σᵢ aᵢ·bᵢ over m uniform terms: one product's bits plus log2 m (the
-   exact term-order log2_add fold is bounded by this and equals it for
-   identical terms, which is the worst case we forecast). *)
+(* Σᵢ aᵢ·bᵢ over m uniform terms, folded in term order exactly as
+   Bgv.mul_sum folds its tracked bound (the same float, not a bound on
+   it, which is what keeps branch decisions on it in step with live). *)
 let mul_sum p a b ~terms =
   if terms < 1 then invalid_arg "Noise_model.mul_sum: terms must be positive";
   let one = mul p a b in
-  { one with bits = one.bits +. log2 (float_of_int terms) }
-
-let relinearize p ~digit_bits st =
-  let q_bits = int_of_float (ceil (log2_q p ~level:st.level)) in
-  let ndigits = Stdlib.max 1 ((q_bits + digit_bits - 1) / digit_bits) in
-  let added =
-    p.t_bits +. log2 (float_of_int ndigits) +. log2_n p
-    +. float_of_int digit_bits +. log2 p.eta
-  in
-  { st with degree = 1; bits = log2_add st.bits added }
+  let bits = ref one.bits in
+  for _ = 2 to terms do
+    bits := log2_add !bits one.bits
+  done;
+  { one with bits = !bits }
 
 let modswitch p st =
   if st.level <= 1 then invalid_arg "Noise_model.modswitch: already at the last level";
@@ -88,7 +83,10 @@ let modswitch p st =
         (st.bits -. p.moduli_bits.(st.level - 1))
         (switch_floor_bits p ~degree:st.degree) }
 
-let rescale_to_floor p st =
+(* Bgv.rescale_to_floor's loop: switch down while a switch still cuts
+   the bound by half a bit.  [switch] performs each step (the cost walk
+   passes one that also records the ledger). *)
+let rescale_to_floor ?(switch = modswitch) p st =
   let rec go st =
     if st.level <= 1 then st
     else
@@ -97,13 +95,62 @@ let rescale_to_floor p st =
           (st.bits -. p.moduli_bits.(st.level - 1))
           (switch_floor_bits p ~degree:st.degree)
       in
-      if predicted < st.bits -. 0.5 then go (modswitch p st) else st
+      if predicted < st.bits -. 0.5 then go (switch p st) else st
   in
   go st
 
 let truncate st ~level =
   if level < 1 || level > st.level then invalid_arg "Noise_model.truncate: bad level";
   { st with level }
+
+(* ------------------------------------------------------------------ *)
+(* Level-drop rules                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Party A's distances are one product deep, so their bound sits far
+   below the full modulus.  Each rule below predicts the masked bound
+   and keeps the fewest RNS primes whose modulus clears it with 17 bits
+   of slack, never below the return level; the spare primes go in one
+   cheap truncation instead of a modswitch chain.  The live circuit and
+   the symbolic walk both call these, on the same floats. *)
+
+(* The lowest level, walking at most [below] primes, whose modulus
+   exceeds [need] bits; [None] when even [below] primes fall short. *)
+let level_for_need p ~return_level ~below ~need =
+  let lvl = ref 0 and bits = ref 0.0 in
+  while !bits <= need && !lvl < below do
+    bits := !bits +. p.moduli_bits.(!lvl);
+    incr lvl
+  done;
+  if !bits > need then Some (Stdlib.max !lvl return_level) else None
+
+(* Prepared path, per point: ED at [level] with noise [bits], about to
+   take the affine mask (a scalar below t).  [Some lvl] only when that
+   drops primes. *)
+let distance_level p ~return_level ~level ~bits =
+  match level_for_need p ~return_level ~below:level ~need:(bits +. p.t_bits +. 17.0) with
+  | Some lvl when lvl < level -> Some lvl
+  | _ -> None
+
+(* Packed path, applied up front to the fresh query bound [q_bits]:
+   every later op's noise increment is level-independent, so truncating
+   the query reaches the same end-of-circuit bound with all the
+   per-batch work on the short chain.  The masked bound is d plain
+   products summed, the ED combine, then the mask. *)
+let packed_query_level p ~return_level ~d ~q_bits =
+  let ip = q_bits +. log2_n p +. p.t_bits -. 1.0 +. log2 (float_of_int (Stdlib.max 1 d)) in
+  let ed = log2_add (log2_add q_bits (p.t_bits -. 1.0)) (ip +. 1.0) in
+  level_for_need p ~return_level ~below:(chain_length p) ~need:(ed +. p.t_bits +. 17.0)
+
+(* Batch path, up front: d scalar products by coordinates below
+   2^[coord_bits], the ED combine, then the slot-wise mask (a plain
+   product and a plain add). *)
+let batch_query_level p ~return_level ~d ~coord_bits ~q_bits =
+  let ip = q_bits +. coord_bits +. log2 (float_of_int (Stdlib.max 1 d)) +. 1.0 in
+  let ed = log2_add (log2_add q_bits (p.t_bits -. 1.0)) ip in
+  let masked = ed +. log2_n p +. p.t_bits -. 1.0 in
+  let masked = log2_add masked (p.t_bits -. 1.0) in
+  level_for_need p ~return_level ~below:(chain_length p) ~need:(masked +. 17.0)
 
 (* ------------------------------------------------------------------ *)
 (* Forecast traces                                                     *)

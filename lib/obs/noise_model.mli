@@ -43,13 +43,38 @@ val mul_scalar : state -> bits:float -> state
 val mul : params -> state -> state -> state
 
 val mul_sum : params -> state -> state -> terms:int -> state
-(** Inner product of [terms] uniform worst-case pairs.
+(** Inner product of [terms] identical pairs, folded term by term in
+    the order [Bgv.mul_sum] folds its tracked bound.
     @raise Invalid_argument if [terms < 1]. *)
 
-val relinearize : params -> digit_bits:int -> state -> state
 val modswitch : params -> state -> state
-val rescale_to_floor : params -> state -> state
+
+val rescale_to_floor : ?switch:(params -> state -> state) -> params -> state -> state
+(** [Bgv.rescale_to_floor]'s loop; [switch] (default {!modswitch})
+    performs each step. *)
+
 val truncate : state -> level:int -> state
+
+(** {1 Level-drop rules}
+
+    Where Party A drops spare RNS primes: each rule predicts the masked
+    bound and returns the lowest level whose modulus clears it with 17
+    bits of slack, floored at [return_level].  The live circuit
+    ([Entities.Party_a]) and the symbolic walk ({!Cost_model.predict})
+    both call these, so their level choices are the same float
+    comparisons. *)
+
+val distance_level : params -> return_level:int -> level:int -> bits:float -> int option
+(** Prepared path, per point: the level for a distance at [level] with
+    noise [bits] before its affine mask; [Some] only when below [level]. *)
+
+val packed_query_level : params -> return_level:int -> d:int -> q_bits:float -> int option
+(** Packed path, applied up front to the query ciphertexts (noise
+    [q_bits]); [None] means no level clears the bound. *)
+
+val batch_query_level :
+  params -> return_level:int -> d:int -> coord_bits:float -> q_bits:float -> int option
+(** Batch path, up front; coordinates are bounded by [2^coord_bits]. *)
 
 (** {1 Forecast traces} *)
 

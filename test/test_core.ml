@@ -360,13 +360,18 @@ let test_prepared_rejects_nonaffine () =
     (Invalid_argument "Party_a.prepare: prepared queries need affine (degree-1) masking")
     (fun () -> Protocol.prepare dep)
 
-let test_run_queries_batch () =
+let test_prepared_query_stream () =
   let rng = Rng.of_int 181 in
   let db = small_db rng in
   let dep = Protocol.deploy ~rng:(Rng.of_int 182) (affine_config ()) ~db in
   Alcotest.(check bool) "not prepared before" false (Protocol.is_prepared dep);
   let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
-  let results = Protocol.run_queries ~rng:(Rng.of_int 183) dep ~queries ~k:3 in
+  let rng_q = Rng.of_int 183 in
+  let results =
+    Array.map
+      (fun q -> Protocol.query_prepared ~rng:(Rng.split rng_q) dep ~query:q ~k:3)
+      queries
+  in
   Alcotest.(check bool) "prepared after" true (Protocol.is_prepared dep);
   Array.iteri
     (fun i r ->
@@ -491,14 +496,19 @@ let test_packed_rejects_nonaffine () =
     (Invalid_argument "Party_a.prepare_packed: packed queries need affine (degree-1) masking")
     (fun () -> Protocol.prepare_packed dep)
 
-let test_run_queries_packed () =
+let test_packed_query_stream () =
   let rng = Rng.of_int 421 in
   let db = small_db rng in
   let dep = Protocol.deploy ~rng:(Rng.of_int 422) (affine_config ()) ~db in
   Alcotest.(check bool) "not packed-prepared before" false
     (Protocol.is_packed_prepared dep);
   let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
-  let results = Protocol.run_queries_packed ~rng:(Rng.of_int 423) dep ~queries ~k:3 in
+  let rng_q = Rng.of_int 423 in
+  let results =
+    Array.map
+      (fun q -> Protocol.query_packed ~rng:(Rng.split rng_q) dep ~query:q ~k:3)
+      queries
+  in
   Alcotest.(check bool) "packed-prepared after" true (Protocol.is_packed_prepared dep);
   Array.iteri
     (fun i r ->
@@ -592,6 +602,38 @@ let test_query_batch () =
   Alcotest.(check bool) "per-query masks differ" true
     (Leakage.view_multiset results.(0).Protocol.view_b
      <> Leakage.view_multiset results.(1).Protocol.view_b)
+
+let test_batch_metric_surface () =
+  (* Every path runs through one round driver, so a batch round exports
+     the same metrics as a packed query: phase histograms, noise
+     gauges and per-link transcript bytes.  Only the ledger.* cells and
+     the pool.* loop labels differ, because the two circuits run
+     different ops and parallel loops. *)
+  let rng = Rng.of_int 437 in
+  let db = small_db rng in
+  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
+  let names run =
+    let metrics = Sknn_obs.Metrics.create () in
+    let obs = Sknn_obs.Ctx.create ~metrics () in
+    let dep = Protocol.deploy ~rng:(Rng.of_int 438) (affine_config ()) ~db in
+    run obs dep;
+    List.filter
+      (fun name ->
+        not
+          (String.starts_with ~prefix:"ledger." name
+          || String.starts_with ~prefix:"pool." name))
+      (Sknn_obs.Metrics.names metrics)
+  in
+  let packed =
+    names (fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query:queries.(0) ~k:3))
+  in
+  let batch = names (fun obs dep -> ignore (Protocol.query_batch ~obs dep ~queries ~k:3)) in
+  Alcotest.(check (list string)) "same metric names" packed batch;
+  List.iter
+    (fun link ->
+      Alcotest.(check bool) (link ^ " exported") true
+        (List.mem (Printf.sprintf "transcript.%s.bytes" link) batch))
+    [ "party-A-party-B"; "party-A-client" ]
 
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
@@ -942,18 +984,19 @@ let () =
          Alcotest.test_case "matches unprepared path" `Quick test_prepared_matches_unprepared;
          Alcotest.test_case "identical across job counts" `Quick test_prepared_jobs_determinism;
          Alcotest.test_case "rejects non-affine masking" `Quick test_prepared_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_run_queries_batch ]);
+         Alcotest.test_case "run_queries batch" `Quick test_prepared_query_stream ]);
       ("packed",
        [ Alcotest.test_case "exact over repeated queries" `Quick test_packed_exactness;
          Alcotest.test_case "matches unpacked paths" `Quick test_packed_matches_unpacked;
          Alcotest.test_case "ragged and full batch shapes" `Quick test_packed_batch_shapes;
          Alcotest.test_case "identical across job counts" `Quick test_packed_jobs_determinism;
          Alcotest.test_case "rejects non-affine masking" `Quick test_packed_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_run_queries_packed;
+         Alcotest.test_case "run_queries batch" `Quick test_packed_query_stream;
          Alcotest.test_case "equidistant groups slot-unpacked" `Quick
            test_packed_leakage_groups;
          Alcotest.test_case "audit surface unchanged" `Quick test_packed_audit_surface;
-         Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch ]);
+         Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch;
+         Alcotest.test_case "batch metric surface" `Quick test_batch_metric_surface ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;

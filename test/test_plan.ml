@@ -2,8 +2,11 @@
 
    The contract under test:
    - a planner-returned parameter set is live-sound: realized, it
-     answers a toy-sized query exactly, and the live tracked noise
-     budget never dips below the model's worst-case minimum headroom;
+     answers a toy-sized query exactly;
+   - the noise report of the symbolic walk is sound and tight: on every
+     path and preset, no live tracked noise budget dips below its
+     minimum, and the masked distances sit within one bounded scalar's
+     width of it;
    - planning is deterministic: the same spec yields the byte-identical
      plan, in whichever domain it runs;
    - every ranked entry clears the noise margin and the security floor
@@ -104,52 +107,106 @@ let test_roundtrip_exact () =
         fun dep q -> Protocol.query dep ~query:q ~k:3 ) ]
 
 (* ------------------------------------------------------------------ *)
-(* Forecast conservativeness: live budget >= model's minimum headroom  *)
+(* Forecast: sound and tight against the live gauges, on every path    *)
 (* ------------------------------------------------------------------ *)
 
-(* Every live ciphertext the protocol samples sits at some point of the
-   forecast circuit; the model's noise there is a worst case, so the
-   live budget at every phase must be at least the forecast's global
-   minimum headroom. *)
-let test_forecast_conservative () =
-  let w = toy_workload ~path:CM.Packed () in
-  let o = Planner.plan ~unit_model w Planner.default_constraints in
-  let best = best_exn o in
-  let config = Planner.realize w best in
+let min_budget_gauges metrics =
+  let suffix = ".min_noise_budget_bits" in
+  List.filter_map
+    (fun name ->
+      if Filename.check_suffix name suffix then
+        Option.map
+          (fun v -> (name, v))
+          (Sknn_obs.Metrics.gauge_value (Sknn_obs.Metrics.gauge metrics name))
+      else None)
+    (Sknn_obs.Metrics.names metrics)
+
+(* Run [path] live on [config] and hold its noise report to the gauges.
+   Every live ciphertext the protocol samples sits at some state of the
+   walked circuit, where the walk holds a worst-case bound: each live
+   budget is at least the report's minimum (sound).  At the masked
+   distances the walk and the live run differ only by the scalars the
+   walk bounds — the mask coefficient, or on the batch path the
+   coordinates — so the live budget exceeds the walk's masked-distance
+   step by less than that scalar's width (tight).  A degree-2 mask
+   rescales its Horner product, and a smaller drawn coefficient can
+   leave the live product one modswitch short of the walk's: the live
+   distance then keeps one more prime, which the width also spans. *)
+let check_forecast label config ~n ~d path =
+  let k = 3 in
   let metrics = Sknn_obs.Metrics.create () in
   let obs = Sknn_obs.Ctx.create ~metrics () in
-  let db = toy_db 7 in
-  let q = Synthetic.query_like (Rng.of_int 8) db in
-  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 9) ~jobs:1 config ~db in
-  let r = Protocol.query_packed ~obs dep ~query:q ~k:3 in
-  Alcotest.(check bool) "query exact" true (Protocol.exact dep ~db ~query:q r);
-  let suffix = ".min_noise_budget_bits" in
-  let checked = ref 0 in
+  let max_value = (1 lsl config.Config.max_coord_bits) - 1 in
+  let db = Synthetic.uniform (Rng.of_int 7) ~n ~d ~max_value in
+  let rng = Rng.of_int 8 in
+  let m = match path with CM.Batch m -> m | _ -> 1 in
+  let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 9) ~jobs:1 config ~db in
+  let results = Protocol.query_gen ~path ~obs dep ~queries ~k in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool) (label ^ ": exact") true
+        (Protocol.exact dep ~db ~query:queries.(i) r))
+    results;
+  let report = (Attribution.predict config ~n ~d ~k path).CM.noise in
+  let gauges = min_budget_gauges metrics in
+  Alcotest.(check bool) (label ^ ": sampled the phase gauges") true
+    (List.length gauges >= 2);
   List.iter
-    (fun name ->
-      if String.length name > String.length suffix
-         && String.sub name
-              (String.length name - String.length suffix)
-              (String.length suffix)
-            = suffix
-      then
-        match Sknn_obs.Metrics.gauge_value (Sknn_obs.Metrics.gauge metrics name) with
-        | None -> ()
-        | Some live_budget ->
-          incr checked;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: live budget %.1f >= forecast min %.1f" name
-               live_budget best.Planner.min_headroom_bits)
-            true
-            (live_budget >= best.Planner.min_headroom_bits -. 1e-6))
-    (Sknn_obs.Metrics.names metrics);
-  Alcotest.(check bool) "sampled at least one phase gauge" true (!checked > 0);
-  (* The same walk the planner pruned with is what the live prepare-time
-     guard runs: the realized config's forecast equals the entry's. *)
-  let p = Attribution.model_params config ~n:24 ~d:3 ~k:3 in
-  let report = Planner.forecast p CM.Packed in
+    (fun (name, live) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s live %.2f >= forecast min %.2f" label name live
+           report.NM.min_headroom_bits)
+        true
+        (live >= report.NM.min_headroom_bits -. 1e-6))
+    gauges;
+  let step =
+    match List.find_opt (fun s -> s.NM.op = "masked-distance") report.NM.steps with
+    | Some s -> s
+    | None -> Alcotest.failf "%s: no masked-distance step in the report" label
+  in
+  let bgv = config.Config.bgv in
+  let width =
+    match path with
+    | CM.Batch _ -> float_of_int config.Config.max_coord_bits
+    | _ ->
+      let sound =
+        Masking.max_coeff_bits ~t_plain:bgv.Params.t_plain
+          ~input_bits:(Config.max_distance_bits config ~d)
+          ~degree:config.Config.mask_degree
+      in
+      let c = float_of_int (Stdlib.min config.Config.mask_coeff_bits sound) in
+      if config.Config.mask_degree = 1 then c
+      else c +. (log (float_of_int bgv.Params.moduli.(step.NM.s_level)) /. log 2.0)
+  in
+  let live = List.assoc "bgv.masked-distance.min_noise_budget_bits" gauges in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: live masked %.2f - forecast %.2f < %.2f bits" label live
+       step.NM.s_headroom width)
+    true
+    (live -. step.NM.s_headroom < width)
+
+let test_forecast_conservative () =
+  let fast = Config.fast () and standard = Config.standard () in
+  let affine = Config.with_mask_degree 1 standard in
+  List.iter
+    (fun (name, config, n, d, paths) ->
+      List.iter
+        (fun path ->
+          check_forecast (name ^ "/" ^ Planner.path_name path) config ~n ~d path)
+        paths)
+    [ ("fast", fast, 8, 3, [ CM.Plain; CM.Prepared; CM.Packed; CM.Batch 3 ]);
+      ("standard", standard, 64, 32, [ CM.Plain ]);
+      ("standard+affine", affine, 64, 32, [ CM.Plain; CM.Prepared; CM.Packed; CM.Batch 3 ]) ];
+  (* A planner pick: the live guard walks the circuit the planner pruned
+     with, so the entry's headroom is the realized walk's minimum. *)
+  let w = toy_workload ~path:CM.Packed () in
+  let best = best_exn (Planner.plan ~unit_model w Planner.default_constraints) in
+  let config = Planner.realize w best in
+  let report = (Attribution.predict config ~n:24 ~d:3 ~k:3 CM.Packed).CM.noise in
   Alcotest.(check (float 1e-9)) "entry headroom = realized forecast"
-    best.Planner.min_headroom_bits report.NM.min_headroom_bits
+    best.Planner.min_headroom_bits report.NM.min_headroom_bits;
+  check_forecast "planner pick/packed" config ~n:24 ~d:3 CM.Packed
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same spec => byte-identical plan, in any domain        *)
@@ -227,8 +284,7 @@ let test_probe_prices_like_config () =
   let config = Planner.realize w best in
   (* The candidate was priced from its probe; the realized configuration
      must forecast the identical noise walk. *)
-  let realized = Attribution.model_params config ~n:24 ~d:3 ~k:3 in
-  let probe_report = Planner.forecast realized CM.Prepared in
+  let probe_report = (Attribution.predict config ~n:24 ~d:3 ~k:3 CM.Prepared).CM.noise in
   Alcotest.(check (float 1e-9)) "headroom identical"
     best.Planner.min_headroom_bits probe_report.NM.min_headroom_bits;
   Alcotest.(check (float 1e-9)) "security from the probe's chain"
