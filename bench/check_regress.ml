@@ -12,133 +12,9 @@
    the committed baseline's ratio — in either direction, since both
    an optimisation the cost model missed and a slowdown it did not
    predict mean the attribution story has drifted.  The gate skips
-   (with a note) when either file predates the predicted fields.
+   (with a note) when either file predates the predicted fields. *)
 
-   The repo carries no JSON dependency, so this reads the bench writer's
-   output with a small recursive-descent parser covering exactly the
-   grammar `write_json` emits (objects, arrays, strings, numbers,
-   booleans, null). *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '\000' -> fail "unterminated string"
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'; advance ()
-         | '\\' -> Buffer.add_char buf '\\'; advance ()
-         | '/' -> Buffer.add_char buf '/'; advance ()
-         | 'n' -> Buffer.add_char buf '\n'; advance ()
-         | 't' -> Buffer.add_char buf '\t'; advance ()
-         | 'r' -> Buffer.add_char buf '\r'; advance ()
-         | 'b' -> Buffer.add_char buf '\b'; advance ()
-         | 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           pos := !pos + 4;
-           (* Bench output is ASCII; keep the low byte for anything else. *)
-           Buffer.add_char buf (Char.chr (code land 0xff))
-         | _ -> fail "bad escape");
-        go ()
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while is_num_char (peek ()) do advance () done;
-    if !pos = start then fail "expected number";
-    Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Str (parse_string ())
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Obj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((key, v) :: acc)
-          | '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Arr [])
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elems (v :: acc)
-          | ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elems []
-      end
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
+open Util.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -147,21 +23,17 @@ let read_file path =
   close_in ic;
   s
 
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
+let num name v = Option.bind (member name v) number
 
 let runs_of path =
-  let doc = parse (read_file path) in
-  match member "runs" doc with
-  | Some (Arr l) -> l
-  | _ -> failwith (path ^ ": no runs array")
+  match of_string (read_file path) with
+  | Error msg -> failwith (path ^ ": " ^ msg)
+  | Ok doc -> (
+    match member "runs" doc with
+    | Some (List l) -> l
+    | _ -> failwith (path ^ ": no runs array"))
 
-let phase_seconds name run =
-  match member "phases" run with
-  | Some phases ->
-    (match member name phases with Some (Num s) -> Some s | _ -> None)
-  | None -> None
+let phase_seconds name run = Option.bind (member "phases" run) (num name)
 
 (* Mean of the fig3 runs' compute-distances phase, in seconds. *)
 let mean_compute_distances path =
@@ -212,7 +84,7 @@ let mean_planned_steady ~variant path =
             member "steady_state" run )
         with
         | Some (Str "planned"), Some (Str v), Some (Bool true) when v = variant ->
-          (match member "seconds" run with Some (Num s) -> Some s | _ -> None)
+          num "seconds" run
         | _ -> None)
       (runs_of path)
   in
@@ -242,8 +114,8 @@ let attribution_ratios ~experiment path =
           let tot_p = ref 0.0 and tot_m = ref 0.0 in
           List.iter
             (fun (phase, pv) ->
-              match (pv, List.assoc_opt phase measured) with
-              | Num p, Some (Num m) when p > 0.0 ->
+              match (number pv, Option.bind (List.assoc_opt phase measured) number) with
+              | Some p, Some m when p > 0.0 ->
                 tot_p := !tot_p +. p;
                 tot_m := !tot_m +. m;
                 if m >= floor_s then add phase (m /. p)
@@ -267,24 +139,20 @@ let network_runs path =
         match
           ( member "shape" run,
             member "profile" run,
-            member "n" run,
-            member "predicted_wire_s" run,
-            member "replayed_wire_s" run,
+            num "n" run,
+            num "predicted_wire_s" run,
+            num "replayed_wire_s" run,
             member "transcript_exact" run )
         with
-        | ( Some (Str shape),
-            Some (Str profile),
-            Some (Num n),
-            Some (Num pw),
-            Some (Num rw),
-            Some (Bool exact) ) ->
+        | Some (Str shape), Some (Str profile), Some n, Some pw, Some rw, Some (Bool exact)
+          ->
           Some (shape, profile, n, pw, rw, exact)
         | _ -> None
       else None)
     (runs_of path)
 
 let same_wire a b =
-  (* Exact up to the %.9g JSON round-trip. *)
+  (* Exact up to the %.9g rounding that older bench files carry. *)
   Float.abs (a -. b) <= 1e-8 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 let check_drift ~label ~max_pct ~baseline ~current =

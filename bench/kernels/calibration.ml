@@ -16,6 +16,7 @@
    them. *)
 
 module C = Util.Counters
+module Json = Util.Json
 
 (* [costs.(C.op_index op).(level)] = seconds per op; row 0 of the
    level axis holds the level-free slot ops. *)
@@ -171,125 +172,8 @@ let machine () =
   Printf.sprintf "%s/%d-bit/%d-domains" Sys.os_type Sys.word_size
     (Domain.recommended_domain_count ())
 
-(* Minimal recursive-descent JSON reader, just enough for the cache's
-   own lines: objects, arrays, strings (quote and backslash escapes),
-   numbers, bools.  Report/check_regress have their own; this module
-   cannot depend on either. *)
-module Json = struct
-  type v =
-    | Obj of (string * v) list
-    | Arr of v list
-    | Str of string
-    | Num of float
-    | Bool of bool
-    | Null
-
-  exception Bad of string
-
-  let parse (s : string) : v =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else raise (Bad (Printf.sprintf "expected %c at %d" c !pos))
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string")
-        else
-          match s.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then raise (Bad "bad escape");
-            (match s.[!pos + 1] with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 't' -> Buffer.add_char buf '\t'
-             | c -> Buffer.add_char buf c);
-            pos := !pos + 2;
-            go ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (string_lit ())
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (incr pos; Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; members ((key, v) :: acc)
-            | Some '}' -> incr pos; Obj (List.rev ((key, v) :: acc))
-            | _ -> raise (Bad "expected , or } in object")
-          in
-          members []
-        end
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (incr pos; Arr [])
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; elements (v :: acc)
-            | Some ']' -> incr pos; Arr (List.rev (v :: acc))
-            | _ -> raise (Bad "expected , or ] in array")
-          in
-          elements []
-        end
-      | Some 't' -> pos := !pos + 4; Bool true
-      | Some 'f' -> pos := !pos + 5; Bool false
-      | Some 'n' -> pos := !pos + 4; Null
-      | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with
-              | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-              | _ -> false)
-        do
-          incr pos
-        done;
-        if !pos = start then raise (Bad "unexpected character");
-        Num (float_of_string (String.sub s start (!pos - start)))
-      | None -> raise (Bad "unexpected end of input")
-    in
-    let v = value () in
-    skip_ws ();
-    v
-
-  let mem key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-  let str = function Some (Str s) -> Some s | _ -> None
-  let num = function Some (Num f) -> Some f | _ -> None
-  let booln = function Some (Bool b) -> Some b | _ -> None
-  let arr = function Some (Arr l) -> Some l | _ -> None
-end
+let str name v = match Json.member name v with Some (Json.Str s) -> Some s | _ -> None
+let num name v = Option.bind (Json.member name v) Json.number
 
 (* The cache key: the table is only reusable for the shape it was
    measured at, and quick-pass tables are noisier than full ones, so the
@@ -298,13 +182,8 @@ let cache_key (params : Params.t) ~quick =
   (params.Params.name, params.Params.n, Params.chain_length params, quick)
 
 let entry_key line =
-  match
-    ( Json.str (Json.mem "params" line),
-      Json.num (Json.mem "n" line),
-      Json.num (Json.mem "chain" line),
-      Json.booln (Json.mem "quick" line) )
-  with
-  | Some name, Some n, Some chain, Some quick ->
+  match (str "params" line, num "n" line, num "chain" line, Json.member "quick" line) with
+  | Some name, Some n, Some chain, Some (Json.Bool quick) ->
     Some (name, int_of_float n, int_of_float chain, quick)
   | _ -> None
 
@@ -331,17 +210,12 @@ let costs_of_entry (params : Params.t) line =
       (fun acc op -> if String.equal (C.op_name op) name then Some op else acc)
       None C.all_ops
   in
-  match Json.arr (Json.mem "ops" line) with
-  | None -> None
-  | Some ops ->
+  match Json.member "ops" line with
+  | Some (Json.List ops) ->
     let ok = ref true in
     List.iter
       (fun cell ->
-        match
-          ( Json.str (Json.mem "op" cell),
-            Json.num (Json.mem "level" cell),
-            Json.num (Json.mem "s" cell) )
-        with
+        match (str "op" cell, num "level" cell, num "s" cell) with
         | Some name, Some level, Some s ->
           (match op_of_name name with
            | Some op ->
@@ -352,6 +226,7 @@ let costs_of_entry (params : Params.t) line =
         | _ -> ok := false)
       ops;
     if !ok then Some costs else None
+  | _ -> None
 
 (* Look the key up; [Ok] carries staleness warnings (git revision or
    machine drift) the caller should surface. *)
@@ -359,12 +234,11 @@ let load_cached ~file ?(quick = false) (params : Params.t) :
     (t * string list) option =
   let key = cache_key params ~quick in
   let find line =
-    match Json.parse line with
-    | exception Json.Bad _ -> None
-    | v ->
-      if Json.str (Json.mem "rec" v) <> Some "calibration-cache" then None
-      else if Json.num (Json.mem "version" v) <> Some (float_of_int cache_version)
-      then None
+    match Json.of_string line with
+    | Error _ -> None
+    | Ok v ->
+      if str "rec" v <> Some "calibration-cache" then None
+      else if num "version" v <> Some (float_of_int cache_version) then None
       else if entry_key v <> Some key then None
       else Some v
   in
@@ -375,7 +249,7 @@ let load_cached ~file ?(quick = false) (params : Params.t) :
      | None -> None
      | Some costs ->
        let warn field now =
-         match Json.str (Json.mem field line) with
+         match str field line with
          | Some v when not (String.equal v now) ->
            [ Printf.sprintf
                "calibration cache %s: %s was %S, now %S — consider re-measuring \
@@ -385,29 +259,36 @@ let load_cached ~file ?(quick = false) (params : Params.t) :
        in
        Some (costs, warn "git_rev" (git_rev ()) @ warn "machine" (machine ())))
 
+(* One {"op","level","s"} cell per measured (op, level); the zero cells
+   (census rows, unmeasured levels) stay out. *)
+let op_cells (costs : t) =
+  Json.List
+    (List.concat_map
+       (fun op ->
+         Array.to_list costs.(C.op_index op)
+         |> List.mapi (fun level s -> (level, s))
+         |> List.filter_map (fun (level, s) ->
+                if s > 0.0 then
+                  Some
+                    (Json.Obj
+                       [ ("op", Json.Str (C.op_name op));
+                         ("level", Json.Int level);
+                         ("s", Json.Float s) ])
+                else None))
+       priced_ops)
+
 let entry_json (params : Params.t) ~quick (costs : t) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"rec\":\"calibration-cache\",\"version\":%d,\"git_rev\":%S,\"machine\":%S,\
-        \"params\":%S,\"n\":%d,\"chain\":%d,\"quick\":%b,\"ops\":["
-       cache_version (git_rev ()) (machine ()) params.Params.name params.Params.n
-       (Params.chain_length params) quick);
-  let first = ref true in
-  Array.iter
-    (fun op ->
-      Array.iteri
-        (fun lvl s ->
-          if s > 0.0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            Buffer.add_string buf
-              (Printf.sprintf "{\"op\":%S,\"level\":%d,\"s\":%.9g}" (C.op_name op) lvl s)
-          end)
-        costs.(C.op_index op))
-    C.all_ops;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [ ("rec", Json.Str "calibration-cache");
+         ("version", Json.Int cache_version);
+         ("git_rev", Json.Str (git_rev ()));
+         ("machine", Json.Str (machine ()));
+         ("params", Json.Str params.Params.name);
+         ("n", Json.Int params.Params.n);
+         ("chain", Json.Int (Params.chain_length params));
+         ("quick", Json.Bool quick);
+         ("ops", op_cells costs) ])
 
 (* Replace the entry for this key, keep every other line verbatim. *)
 let store_cached ~file ?(quick = false) (params : Params.t) (costs : t) =
@@ -415,9 +296,9 @@ let store_cached ~file ?(quick = false) (params : Params.t) (costs : t) =
   let others =
     List.filter
       (fun line ->
-        match Json.parse line with
-        | exception Json.Bad _ -> true
-        | v -> entry_key v <> key)
+        match Json.of_string line with
+        | Error _ -> true
+        | Ok v -> entry_key v <> key)
       (read_cache_lines file)
   in
   let oc = open_out file in
@@ -439,23 +320,7 @@ let measure_cached ?(quick = false) ?rng ?file (params : Params.t) :
        store_cached ~file ~quick params costs;
        (costs, []))
 
-(* One JSON line per table, parseable by Report/check_regress's minimal
-   readers: {"rec":"calibration","ops":[{"op":...,"level":...,"s":...}]} *)
-let to_json_line (costs : t) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"rec\":\"calibration\",\"ops\":[";
-  let first = ref true in
-  List.iter
-    (fun op ->
-      Array.iteri
-        (fun lvl s ->
-          if s > 0.0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            Buffer.add_string buf
-              (Printf.sprintf "{\"op\":%S,\"level\":%d,\"s\":%.9g}" (C.op_name op) lvl s)
-          end)
-        costs.(C.op_index op))
-    priced_ops;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+(* The unit-cost table as one JSON record:
+   {"rec":"calibration","ops":[{"op":...,"level":...,"s":...}]} *)
+let to_json (costs : t) =
+  Json.Obj [ ("rec", Json.Str "calibration"); ("ops", op_cells costs) ]

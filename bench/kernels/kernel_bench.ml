@@ -126,6 +126,17 @@ let pp_results ppf results =
         r.ns_per_op r.reps)
     results
 
+(* One result as the JSON record both the kernels CLI and the protocol
+   bench's "kernels" block write. *)
+let result_json r =
+  Util.Json.(
+    Obj
+      [ ("kernel", Str r.name);
+        ("n", Int r.ring_n);
+        ("prime_bits", Int r.prime_bits);
+        ("ns_per_op", Float r.ns_per_op);
+        ("reps", Int r.reps) ])
+
 (* Re-export: the library name matches this main module, so siblings are
    only reachable through it. *)
 module Calibration = Calibration

@@ -2,21 +2,6 @@
    writes a JSON report (same record shape as the "kernels" block of
    the protocol bench JSON). *)
 
-let emit_json oc results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"generator\":\"sknn-kernel-bench\",\"results\":[";
-  List.iteri
-    (fun i (r : Kernel_bench.result) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"kernel\":%S,\"n\":%d,\"prime_bits\":%d,\"ns_per_op\":%.3f,\"reps\":%d}"
-           r.Kernel_bench.name r.Kernel_bench.ring_n r.Kernel_bench.prime_bits
-           r.Kernel_bench.ns_per_op r.Kernel_bench.reps))
-    results;
-  Buffer.add_string buf "]}\n";
-  output_string oc (Buffer.contents buf)
-
 let run quick json =
   let results = Kernel_bench.run ~quick () in
   Format.printf "%a" Kernel_bench.pp_results results;
@@ -24,7 +9,11 @@ let run quick json =
    | None -> ()
    | Some path ->
      let oc = open_out path in
-     emit_json oc results;
+     Util.Json.(
+       output_line oc
+         (Obj
+            [ ("generator", Str "sknn-kernel-bench");
+              ("results", List (List.map Kernel_bench.result_json results)) ]));
      close_out oc;
      Format.printf "wrote %d results to %s@." (List.length results) path);
   0

@@ -91,57 +91,7 @@ let interp anchors x =
 (* Machine-readable results (--json)                                   *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-let rec emit_json buf = function
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.9g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | List l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit_json buf x)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit_json buf (Str k);
-        Buffer.add_char buf ':';
-        emit_json buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    line
-  with _ -> ""
+open Util.Json
 
 let json_counters c =
   Obj
@@ -177,11 +127,11 @@ let json_transcript tr =
               (Transcript.party_name x ^ "-" ^ Transcript.party_name y, Int bytes))
             (Transcript.links tr))) ]
 
-let json_runs : json list ref = ref []
+let json_runs : t list ref = ref []
 
 (* Extra top-level JSON blocks filled in by individual experiments. *)
-let amortized_summary : json option ref = ref None
-let kernel_results : json option ref = ref None
+let amortized_summary : t option ref = ref None
+let kernel_results : t option ref = ref None
 
 let record_run ?(extra = []) ~experiment ~n ~d ~k ~jobs ~seconds ~exact
     (r : Protocol.result) =
@@ -207,36 +157,30 @@ let record_run ?(extra = []) ~experiment ~n ~d ~k ~jobs ~seconds ~exact
 
 let write_json opts path =
   let gc = Gc.quick_stat () in
+  let opt name v = match v with None -> [] | Some x -> [ (name, x) ] in
   let doc =
     Obj
-      [ ("schema_version", Int 3);
-        ("generator", Str "sknn-bench");
-        ("git_rev", Str (git_rev ()));
-        ("seed", Int opts.seed);
-        ("jobs", Int (effective_jobs opts));
-        ("full", Bool opts.full);
-        ("gc",
-         Obj
-           [ ("top_heap_words", Int gc.Gc.top_heap_words);
-             ("heap_words", Int gc.Gc.heap_words);
-             ("minor_collections", Int gc.Gc.minor_collections);
-             ("major_collections", Int gc.Gc.major_collections);
-             ("minor_words", Float gc.Gc.minor_words);
-             ("promoted_words", Float gc.Gc.promoted_words) ]);
-        ("runs", List (List.rev !json_runs)) ]
+      ([ ("schema_version", Int 3);
+         ("generator", Str "sknn-bench");
+         ("git_rev", Str (Kernel_bench.Calibration.git_rev ()));
+         ("machine", Str (Kernel_bench.Calibration.machine ()));
+         ("seed", Int opts.seed);
+         ("jobs", Int (effective_jobs opts));
+         ("full", Bool opts.full);
+         ("gc",
+          Obj
+            [ ("top_heap_words", Int gc.Gc.top_heap_words);
+              ("heap_words", Int gc.Gc.heap_words);
+              ("minor_collections", Int gc.Gc.minor_collections);
+              ("major_collections", Int gc.Gc.major_collections);
+              ("minor_words", Float gc.Gc.minor_words);
+              ("promoted_words", Float gc.Gc.promoted_words) ]);
+         ("runs", List (List.rev !json_runs)) ]
+       @ opt "amortized" !amortized_summary
+       @ opt "kernels" !kernel_results)
   in
-  let doc =
-    match doc with
-    | Obj fields ->
-      let opt name v = match v with None -> [] | Some x -> [ (name, x) ] in
-      Obj (fields @ opt "amortized" !amortized_summary @ opt "kernels" !kernel_results)
-    | _ -> doc
-  in
-  let buf = Buffer.create 4096 in
-  emit_json buf doc;
-  Buffer.add_char buf '\n';
   let oc = open_out path in
-  Buffer.output_buffer oc buf;
+  output_line oc doc;
   close_out oc;
   say "wrote %d runs to %s@." (List.length !json_runs) path
 
@@ -1042,18 +986,7 @@ let kernels opts =
   hr "kernels — NTT / pointwise / mul_sum ring kernels";
   let results = Kernel_bench.run ~quick:(not opts.full) () in
   Format.printf "%a" Kernel_bench.pp_results results;
-  kernel_results :=
-    Some
-      (List
-         (List.map
-            (fun (r : Kernel_bench.result) ->
-              Obj
-                [ ("kernel", Str r.Kernel_bench.name);
-                  ("n", Int r.Kernel_bench.ring_n);
-                  ("prime_bits", Int r.Kernel_bench.prime_bits);
-                  ("ns_per_op", Float r.Kernel_bench.ns_per_op);
-                  ("reps", Int r.Kernel_bench.reps) ])
-            results))
+  kernel_results := Some (List (List.map Kernel_bench.result_json results))
 
 (* ------------------------------------------------------------------ *)
 (* Primitive micro-benchmarks (bechamel)                               *)

@@ -87,18 +87,26 @@ let print_timeline ppf (tl : Clock.timeline) =
    carries both streams. *)
 let append_net_records path (tl : Clock.timeline) =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Printf.fprintf oc "{\"rec\":\"net\",\"profile\":%S,\"end_to_end_s\":%.9g}\n"
-    (Profile.to_string tl.Clock.profile)
-    tl.Clock.end_to_end_s;
-  List.iter
-    (fun (l : Clock.link) ->
-      Printf.fprintf oc
-        "{\"rec\":\"net-link\",\"link\":%S,\"messages\":%d,\"bytes\":%d,\"rounds\":%d,\"busy_s\":%.9g,\"idle_s\":%.9g,\"round_p50_s\":%.9g,\"round_p95_s\":%.9g}\n"
-        (Clock.link_name l) l.Clock.link_messages l.Clock.link_bytes
-        l.Clock.link_rounds l.Clock.busy_s l.Clock.idle_s
-        (Clock.quantile l.Clock.round_latency_s 0.5)
-        (Clock.quantile l.Clock.round_latency_s 0.95))
-    tl.Clock.links;
+  Util.Json.(
+    output_line oc
+      (Obj
+         [ ("rec", Str "net");
+           ("profile", Str (Profile.to_string tl.Clock.profile));
+           ("end_to_end_s", Float tl.Clock.end_to_end_s) ]);
+    List.iter
+      (fun (l : Clock.link) ->
+        output_line oc
+          (Obj
+             [ ("rec", Str "net-link");
+               ("link", Str (Clock.link_name l));
+               ("messages", Int l.Clock.link_messages);
+               ("bytes", Int l.Clock.link_bytes);
+               ("rounds", Int l.Clock.link_rounds);
+               ("busy_s", Float l.Clock.busy_s);
+               ("idle_s", Float l.Clock.idle_s);
+               ("round_p50_s", Float (Clock.quantile l.Clock.round_latency_s 0.5));
+               ("round_p95_s", Float (Clock.quantile l.Clock.round_latency_s 0.95)) ]))
+      tl.Clock.links);
   close_out oc
 
 let query_run data query_s k layout seed jobs repeat packed batch net verbose
@@ -641,31 +649,38 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   (match json with
    | None -> ()
    | Some path ->
-     let buf = Buffer.create 1024 in
-     Buffer.add_string buf (Kernel_bench.Calibration.to_json_line unit_costs);
-     Buffer.add_char buf '\n';
-     Buffer.add_string buf
-       (Printf.sprintf
-          "{\"rec\":\"cost\",\"path\":%S,\"n\":%d,\"d\":%d,\"k\":%d,\"ledger_exact\":%b,\"phases\":["
-          path_s n d k ledger_exact);
-     List.iteri
-       (fun i (phase, p, ms) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf
-           (Printf.sprintf "{\"phase\":%S,\"predicted_s\":%.9g,\"measured_s\":%.9g}"
-              phase p ms))
-       rows;
-     Buffer.add_string buf "]}\n";
-     (match net_report with
-      | None -> ()
-      | Some (profile, e2e, live, exact) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"rec\":\"cost-net\",\"profile\":%S,\"predicted_total_s\":%.9g,\"predicted_compute_s\":%.9g,\"predicted_wire_s\":%.9g,\"replayed_wire_s\":%.9g,\"transcript_exact\":%b}\n"
-             (Profile.to_string profile) e2e.CM.total_s e2e.CM.compute_s
-             e2e.CM.wire_s live.Clock.end_to_end_s exact));
      let oc = open_out path in
-     Buffer.output_buffer oc buf;
+     Util.Json.(
+       output_line oc (Kernel_bench.Calibration.to_json unit_costs);
+       output_line oc
+         (Obj
+            [ ("rec", Str "cost");
+              ("path", Str path_s);
+              ("n", Int n);
+              ("d", Int d);
+              ("k", Int k);
+              ("ledger_exact", Bool ledger_exact);
+              ( "phases",
+                List
+                  (List.map
+                     (fun (phase, p, ms) ->
+                       Obj
+                         [ ("phase", Str phase);
+                           ("predicted_s", Float p);
+                           ("measured_s", Float ms) ])
+                     rows) ) ]);
+       match net_report with
+       | None -> ()
+       | Some (profile, e2e, live, exact) ->
+         output_line oc
+           (Obj
+              [ ("rec", Str "cost-net");
+                ("profile", Str (Profile.to_string profile));
+                ("predicted_total_s", Float e2e.CM.total_s);
+                ("predicted_compute_s", Float e2e.CM.compute_s);
+                ("predicted_wire_s", Float e2e.CM.wire_s);
+                ("replayed_wire_s", Float live.Clock.end_to_end_s);
+                ("transcript_exact", Bool exact) ]));
      close_out oc;
      Format.printf "@.cost report written to %s@." path);
   if not (ledger_exact && transcript_exact) then 1 else 0
@@ -839,11 +854,15 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
      output_char oc '\n';
      (match comparison, Planner.best outcome with
       | Some (pname, pfirst, psteady), Some best ->
-        output_string oc
-          (Printf.sprintf
-             "{\"rec\":\"plan-compare\",\"preset\":%S,\"preset_first_s\":%.9g,\"preset_steady_s\":%.9g,\"planned_first_s\":%.9g,\"planned_steady_s\":%.9g}\n"
-             pname pfirst psteady best.Planner.first_seconds
-             best.Planner.steady_seconds)
+        Util.Json.(
+          output_line oc
+            (Obj
+               [ ("rec", Str "plan-compare");
+                 ("preset", Str pname);
+                 ("preset_first_s", Float pfirst);
+                 ("preset_steady_s", Float psteady);
+                 ("planned_first_s", Float best.Planner.first_seconds);
+                 ("planned_steady_s", Float best.Planner.steady_seconds) ]))
       | _ -> ());
      close_out oc;
      Format.printf "plan written to %s@." path);

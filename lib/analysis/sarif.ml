@@ -1,27 +1,9 @@
 (* Minimal SARIF 2.1.0 emitter so lint findings render as GitHub
-   code-scanning annotations, plus a small JSON well-formedness checker
-   used by the test suite (no JSON library in the dependency set, and
-   the emitter is simple enough to verify directly).
+   code-scanning annotations.
 
    Output is deterministic: findings arrive pre-sorted from the driver
    and the emitter adds nothing environment-dependent (no timestamps,
    no absolute paths). *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let rule_descriptions =
   [ (Lint_config.No_division, "Ring kernels are division-free");
@@ -35,141 +17,36 @@ let rule_descriptions =
     (Lint_config.Unused_allow, "Escape hatches suppress at least one diagnostic") ]
 
 let render (diags : Lint_rules.diagnostic list) =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"version\":\"2.1.0\",";
-  add "\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",";
-  add "\"runs\":[{\"tool\":{\"driver\":{\"name\":\"sknn-lint\",";
-  add "\"informationUri\":\"https://example.invalid/sknn-lint\",\"rules\":[";
-  List.iteri
-    (fun i (r, desc) ->
-      if i > 0 then add ",";
-      add "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}"
-        (escape (Lint_config.rule_name r)) (escape desc))
-    rule_descriptions;
-  add "]}},\"results\":[";
-  List.iteri
-    (fun i (d : Lint_rules.diagnostic) ->
-      if i > 0 then add ",";
-      add
-        "{\"ruleId\":\"%s\",\"level\":\"error\",\"message\":{\"text\":\"%s\"},\
-         \"locations\":[{\"physicalLocation\":{\"artifactLocation\":\
-         {\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-        (escape (Lint_config.rule_name d.rule))
-        (escape d.message) (escape d.file) d.line (d.col + 1))
-    diags;
-  add "]}]}";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSON well-formedness (for the test suite)                           *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad of int
-
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail () = raise (Bad !pos) in
-  let peek () = if !pos >= n then fail () else s.[!pos] in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
+  let open Util.Json in
+  let text s = Obj [ ("text", Str s) ] in
+  let rule (r, desc) =
+    Obj [ ("id", Str (Lint_config.rule_name r)); ("shortDescription", text desc) ]
   in
-  let expect c = if peek () <> c then fail () else advance () in
-  let literal w =
-    String.iter (fun c -> expect c) w
+  let result (d : Lint_rules.diagnostic) =
+    let region = Obj [ ("startLine", Int d.line); ("startColumn", Int (d.col + 1)) ] in
+    Obj
+      [ ("ruleId", Str (Lint_config.rule_name d.rule));
+        ("level", Str "error");
+        ("message", text d.message);
+        ( "locations",
+          List
+            [ Obj
+                [ ( "physicalLocation",
+                    Obj [ ("artifactLocation", Obj [ ("uri", Str d.file) ]); ("region", region) ]
+                  ) ] ] ) ]
   in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> advance ()
-         | 'u' ->
-           advance ();
-           for _ = 1 to 4 do
-             (match peek () with
-              | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> advance ()
-              | _ -> fail ())
-           done
-         | _ -> fail ());
-        go ()
-      | c when Char.code c < 0x20 -> fail ()
-      | _ -> advance (); go ()
-    in
-    go ()
+  let driver =
+    Obj
+      [ ("name", Str "sknn-lint");
+        ("informationUri", Str "https://example.invalid/sknn-lint");
+        ("rules", List (List.map rule rule_descriptions)) ]
   in
-  let number () =
-    if peek () = '-' then advance ();
-    let digits () =
-      let saw = ref false in
-      let rec d () =
-        if !pos < n then
-          match s.[!pos] with
-          | '0' .. '9' -> saw := true; advance (); d ()
-          | _ -> ()
-      in
-      d ();
-      if not !saw then fail ()
-    in
-    digits ();
-    if !pos < n && s.[!pos] = '.' then (advance (); digits ());
-    if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-      advance ();
-      if !pos < n && (s.[!pos] = '+' || s.[!pos] = '-') then advance ();
-      digits ()
-    end
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then advance ()
-      else begin
-        let rec members () =
-          skip_ws ();
-          string_lit ();
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ()
-          | '}' -> advance ()
-          | _ -> fail ()
-        in
-        members ()
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then advance ()
-      else begin
-        let rec elements () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elements ()
-          | ']' -> advance ()
-          | _ -> fail ()
-        in
-        elements ()
-      end
-    | '"' -> string_lit ()
-    | 't' -> literal "true"
-    | 'f' -> literal "false"
-    | 'n' -> literal "null"
-    | _ -> number ()
-  in
-  try
-    value ();
-    skip_ws ();
-    !pos = n
-  with Bad _ -> false
+  to_string
+    (Obj
+       [ ("version", Str "2.1.0");
+         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ( "runs",
+           List
+             [ Obj
+                 [ ("tool", Obj [ ("driver", driver) ]);
+                   ("results", List (List.map result diags)) ] ] ) ])

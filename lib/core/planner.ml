@@ -327,52 +327,58 @@ let path_name = function
   | CM.Packed -> "packed"
   | CM.Batch m -> Printf.sprintf "batch-%d" m
 
-let json_of_entry buf e =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"n\":%d,\"plain_bits\":%d,\"prime_bits\":%d,\"chain_len\":%d,\
-        \"return_level\":%d,\"t_plain\":%Ld,\"log2_q\":%.6g,\
-        \"security_bits\":%.6g,\"min_headroom_bits\":%.6g,\
-        \"first_seconds\":%.9g,\"steady_seconds\":%.9g,\
-        \"objective_seconds\":%.9g,\"phases\":["
-       e.spec.sp_n e.spec.sp_plain_bits e.spec.sp_prime_bits e.spec.sp_chain_len
-       e.spec.sp_return_level e.probe.Params.pr_t_plain e.log2_q e.security_bits
-       e.min_headroom_bits e.first_seconds e.steady_seconds e.objective_seconds);
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"phase\":%S,\"s\":%.9g}" name s))
-    e.phase_seconds;
-  Buffer.add_string buf "]}"
+let json_of_entry e =
+  let open Util.Json in
+  Obj
+    [ ("n", Int e.spec.sp_n);
+      ("plain_bits", Int e.spec.sp_plain_bits);
+      ("prime_bits", Int e.spec.sp_prime_bits);
+      ("chain_len", Int e.spec.sp_chain_len);
+      ("return_level", Int e.spec.sp_return_level);
+      ("t_plain", Int (Int64.to_int e.probe.Params.pr_t_plain));
+      ("log2_q", Float e.log2_q);
+      ("security_bits", Float e.security_bits);
+      ("min_headroom_bits", Float e.min_headroom_bits);
+      ("first_seconds", Float e.first_seconds);
+      ("steady_seconds", Float e.steady_seconds);
+      ("objective_seconds", Float e.objective_seconds);
+      ( "phases",
+        List
+          (List.map
+             (fun (name, s) -> Obj [ ("phase", Str name); ("s", Float s) ])
+             e.phase_seconds) ) ]
 
 let json_of_outcome o =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"rec\":\"plan\",\"workload\":{\"points\":%d,\"dim\":%d,\"k\":%d,\
-        \"coord_bits\":%d,\"layout\":%S,\"path\":%S,\"mask_degree\":%d,\
-        \"mask_coeff_bits\":%d},\"constraints\":{\"min_security_bits\":%.6g,\
-        \"noise_margin_bits\":%.6g,\"net\":%S},\"considered\":%d,\
-        \"pruned_noise\":%d,\"pruned_security\":%d,\"infeasible\":["
-       o.load.points o.load.dim o.load.k o.load.coord_bits
-       (Config.layout_name o.load.layout)
-       (path_name o.load.path) o.load.mask_degree o.load.mask_coeff_bits
-       o.limits.min_security_bits o.limits.noise_margin_bits
-       (match o.limits.net with None -> "none" | Some p -> Profile.to_string p)
-       o.considered o.pruned_noise o.pruned_security);
-  List.iteri
-    (fun i (reason, count) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"reason\":%S,\"count\":%d}" reason count))
-    o.infeasible;
-  Buffer.add_string buf "],\"ranked\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      json_of_entry buf e)
-    o.ranked;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Util.Json in
+  to_string
+    (Obj
+       [ ("rec", Str "plan");
+         ( "workload",
+           Obj
+             [ ("points", Int o.load.points);
+               ("dim", Int o.load.dim);
+               ("k", Int o.load.k);
+               ("coord_bits", Int o.load.coord_bits);
+               ("layout", Str (Config.layout_name o.load.layout));
+               ("path", Str (path_name o.load.path));
+               ("mask_degree", Int o.load.mask_degree);
+               ("mask_coeff_bits", Int o.load.mask_coeff_bits) ] );
+         ( "constraints",
+           Obj
+             [ ("min_security_bits", Float o.limits.min_security_bits);
+               ("noise_margin_bits", Float o.limits.noise_margin_bits);
+               ( "net",
+                 Str (match o.limits.net with None -> "none" | Some p -> Profile.to_string p)
+               ) ] );
+         ("considered", Int o.considered);
+         ("pruned_noise", Int o.pruned_noise);
+         ("pruned_security", Int o.pruned_security);
+         ( "infeasible",
+           List
+             (List.map
+                (fun (reason, count) -> Obj [ ("reason", Str reason); ("count", Int count) ])
+                o.infeasible) );
+         ("ranked", List (List.map json_of_entry o.ranked)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Table rendering (shared by the CLI verb and tests)                  *)

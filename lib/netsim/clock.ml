@@ -150,69 +150,6 @@ let quantile xs p =
 let link_name l =
   Transcript.party_name l.link_a ^ "<->" ^ Transcript.party_name l.link_b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Chrome trace-event JSON for the wire: one thread lane per link, one
-   "X" slice per message spanning departure..arrival in virtual time.
-   [pid] defaults to 2 so the lanes sit beside (not inside) the compute
-   process the span-tree sink emits as pid 1. *)
-let write_chrome ?(pid = 2) tl oc =
-  let first = ref true in
-  let emit line =
-    if not !first then output_string oc ",\n";
-    first := false;
-    output_string oc line
-  in
-  output_string oc "{\"traceEvents\":[\n";
-  emit
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"virtual network (%s)\"}}"
-       pid
-       (json_escape (Profile.to_string tl.profile)));
-  List.iteri
-    (fun i l ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"wire %s\"}}"
-           pid (i + 1)
-           (json_escape (link_name l))))
-    tl.links;
-  let tid_of_entry (e : Transcript.entry) =
-    let rec find i = function
-      | [] -> 0
-      | l :: rest ->
-        if on_link l.link_a l.link_b e then i else find (i + 1) rest
-    in
-    find 1 tl.links
-  in
-  List.iter
-    (fun m ->
-      let e = m.entry in
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"wire\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"seq\":%d,\"from\":\"%s\",\"to\":\"%s\",\"bytes\":%d}}"
-           (json_escape e.Transcript.label)
-           (m.departure_s *. 1e6)
-           ((m.arrival_s -. m.departure_s) *. 1e6)
-           pid (tid_of_entry e) e.Transcript.seq
-           (Transcript.party_name e.Transcript.sender)
-           (Transcript.party_name e.Transcript.receiver)
-           e.Transcript.bytes))
-    tl.messages;
-  output_string oc "\n]}\n"
-
 let pp ppf tl =
   Format.fprintf ppf "@[<v>profile: %a@ " Profile.pp tl.profile;
   List.iter

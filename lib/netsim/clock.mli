@@ -67,10 +67,4 @@ val quantile : float array -> float -> float
 val link_name : link -> string
 (** ["party-A<->party-B"]-style display key. *)
 
-val write_chrome : ?pid:int -> timeline -> out_channel -> unit
-(** Chrome trace-event JSON: one thread lane per link, one slice per
-    message spanning departure..arrival in virtual microseconds.  [pid]
-    defaults to 2 so the wire lanes sit beside the compute process the
-    trace sink emits. *)
-
 val pp : Format.formatter -> timeline -> unit

@@ -1,4 +1,5 @@
 module Timer = Util.Timer
+module Json = Util.Json
 
 type kind = Phase_enter | Phase_exit | Noise | Send | Chunk | Warning | Mark
 
@@ -112,49 +113,27 @@ let default () = if env_enabled () then Some (Lazy.force default_instance) else 
 (* Dump                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let buf_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* JSONL: one header line describing the buffer, then one line per live
    event oldest-first, each tagged with a "rec" discriminator so flight
    dumps and jsonl traces can share a file or a parser. *)
 let dump ?(run = []) t oc =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"rec\":\"flight-header\"";
-  Buffer.add_string buf (Printf.sprintf ",\"capacity\":%d" t.cap);
-  Buffer.add_string buf (Printf.sprintf ",\"total\":%d" (total t));
-  Buffer.add_string buf (Printf.sprintf ",\"dropped\":%d" (dropped t));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ',';
-      buf_json_string buf k;
-      Buffer.add_char buf ':';
-      buf_json_string buf v)
-    run;
-  Buffer.add_string buf "}\n";
-  Buffer.output_buffer oc buf;
+  let line fields = Json.output_line oc (Json.Obj fields) in
+  line
+    ([ ("rec", Json.Str "flight-header");
+       ("capacity", Json.Int t.cap);
+       ("total", Json.Int (total t));
+       ("dropped", Json.Int (dropped t)) ]
+     @ List.map (fun (k, v) -> (k, Json.Str v)) run);
   List.iter
     (fun e ->
-      Buffer.clear buf;
-      Buffer.add_string buf "{\"rec\":\"flight\",\"ts\":";
-      Buffer.add_string buf (Printf.sprintf "%.9f" e.ts);
-      Buffer.add_string buf ",\"kind\":";
-      buf_json_string buf (kind_name e.kind);
-      Buffer.add_string buf ",\"name\":";
-      buf_json_string buf e.name;
-      Buffer.add_string buf (Printf.sprintf ",\"i\":%d,\"j\":%d,\"x\":%.9g}\n" e.i e.j e.x);
-      Buffer.output_buffer oc buf)
+      line
+        [ ("rec", Json.Str "flight");
+          ("ts", Json.Float e.ts);
+          ("kind", Json.Str (kind_name e.kind));
+          ("name", Json.Str e.name);
+          ("i", Json.Int e.i);
+          ("j", Json.Int e.j);
+          ("x", Json.Float e.x) ])
     (events t)
 
 let pp ppf t =

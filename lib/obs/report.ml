@@ -1,136 +1,12 @@
 (* Offline aggregation of recorded observability output: jsonl traces
    (Trace.write Jsonl) and flight-recorder dumps (Flight.dump) go in,
    per-phase latency percentiles, bytes-per-link and noise-margin tables
-   come out.  The repo carries no JSON dependency, so lines are read
-   with a minimal recursive-descent parser covering exactly the grammar
-   our own writers emit. *)
+   come out. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module Json = Util.Json
 
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '\000' -> fail "unterminated string"
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'; advance ()
-         | '\\' -> Buffer.add_char buf '\\'; advance ()
-         | '/' -> Buffer.add_char buf '/'; advance ()
-         | 'n' -> Buffer.add_char buf '\n'; advance ()
-         | 't' -> Buffer.add_char buf '\t'; advance ()
-         | 'r' -> Buffer.add_char buf '\r'; advance ()
-         | 'b' -> Buffer.add_char buf '\b'; advance ()
-         | 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           pos := !pos + 4;
-           Buffer.add_char buf (Char.chr (code land 0xff))
-         | _ -> fail "bad escape");
-        go ()
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while is_num_char (peek ()) do advance () done;
-    if !pos = start then fail "expected number";
-    Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Str (parse_string ())
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Obj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((key, v) :: acc)
-          | '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Arr [])
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elems (v :: acc)
-          | ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elems []
-      end
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let str_member name j = match member name j with Some (Str s) -> Some s | _ -> None
-let num_member name j = match member name j with Some (Num v) -> Some v | _ -> None
+let str_member name j = match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
+let num_member name j = Option.bind (Json.member name j) Json.number
 
 (* ------------------------------------------------------------------ *)
 (* Accumulator                                                         *)
@@ -186,9 +62,9 @@ let add_line t line =
   if line = "" then ()
   else begin
     t.lines <- t.lines + 1;
-    match parse_json line with
-    | exception Parse _ -> t.skipped <- t.skipped + 1
-    | j -> (
+    match Json.of_string line with
+    | Error _ -> t.skipped <- t.skipped + 1
+    | Ok j -> (
       match str_member "rec" j with
       | Some "flight" -> (
         let name = Option.value ~default:"" (str_member "name" j) in
@@ -240,8 +116,8 @@ let add_line t line =
       | Some "cost" -> (
         (* sknn-cost attribution line: predicted vs measured seconds per
            protocol phase, one sample each. *)
-        match member "phases" j with
-        | Some (Arr entries) ->
+        match Json.member "phases" j with
+        | Some (Json.List entries) ->
           List.iter
             (fun e ->
               match

@@ -1,5 +1,6 @@
 module Counters = Util.Counters
 module Timer = Util.Timer
+module Json = Util.Json
 
 type kind = Root | Phase | Stage | Chunk
 
@@ -122,63 +123,32 @@ let format_of_string = function
   | "chrome" | "trace_event" | "perfetto" -> Ok Chrome
   | other -> Error (Printf.sprintf "unknown trace format %S (pretty | jsonl | chrome)" other)
 
-let buf_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let json_args args = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
 
-let buf_fields buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, add_v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      buf_json_string buf k;
-      Buffer.add_char buf ':';
-      add_v buf)
-    fields;
-  Buffer.add_char buf '}'
-
-let buf_args buf args = buf_fields buf (List.map (fun (k, v) -> (k, fun b -> buf_json_string b v)) args)
-
-let buf_counters buf deltas =
-  buf_fields buf
+let json_counters deltas =
+  Json.Obj
     (List.map
        (fun (owner, d) ->
          ( owner,
-           fun b ->
-             buf_fields b
-               (List.filter_map
-                  (fun (k, v) ->
-                    if v = 0 then None
-                    else Some (k, fun b -> Buffer.add_string b (string_of_int v)))
-                  (Counters.to_list d)) ))
+           Json.Obj
+             (List.filter_map
+                (fun (k, v) -> if v = 0 then None else Some (k, Json.Int v))
+                (Counters.to_list d)) ))
        deltas)
 
 (* One JSON object per span per line, pre-order, nesting encoded by
    [depth]: greppable and parseable line by line. *)
 let write_jsonl t oc =
-  let buf = Buffer.create 256 in
   let rec line depth s =
-    Buffer.clear buf;
-    buf_fields buf
-      [ ("depth", fun b -> Buffer.add_string b (string_of_int depth));
-        ("name", fun b -> buf_json_string b s.name);
-        ("kind", fun b -> buf_json_string b (kind_name s.kind));
-        ("start_s", fun b -> Buffer.add_string b (Printf.sprintf "%.9f" s.start_s));
-        ("dur_s", fun b -> Buffer.add_string b (Printf.sprintf "%.9f" s.dur_s));
-        ("args", fun b -> buf_args b s.args);
-        ("counters", fun b -> buf_counters b s.deltas) ];
-    Buffer.add_char buf '\n';
-    Buffer.output_buffer oc buf;
+    Json.output_line oc
+      (Json.Obj
+         [ ("depth", Json.Int depth);
+           ("name", Json.Str s.name);
+           ("kind", Json.Str (kind_name s.kind));
+           ("start_s", Json.Float s.start_s);
+           ("dur_s", Json.Float s.dur_s);
+           ("args", json_args s.args);
+           ("counters", json_counters s.deltas) ]);
     List.iter (line (depth + 1)) s.children
   in
   List.iter (line 0) (roots t)
@@ -205,31 +175,38 @@ let span_lanes t =
   List.iter (collect orchestrator_lane) (roots t);
   List.rev !rev_lanes
 
-let write_chrome t oc =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let emit fields =
-    if !first then first := false else Buffer.add_char buf ',';
-    buf_fields buf fields
+(* A lane's thread id: its 1-based position in [lanes]. *)
+let tid_in lanes lane =
+  let rec go i = function
+    | [] -> 1
+    | l :: _ when String.equal l lane -> i
+    | _ :: rest -> go (i + 1) rest
   in
+  go 1 lanes
+
+let write_chrome t oc =
+  let rev_events = ref [] in
+  let emit fields = rev_events := Json.Obj fields :: !rev_events in
   let meta ~pid ~tid ~event ~name =
     emit
-      [ ("name", fun b -> buf_json_string b event);
-        ("ph", fun b -> buf_json_string b "M");
-        ("pid", fun b -> Buffer.add_string b (string_of_int pid));
-        ("tid", fun b -> Buffer.add_string b (string_of_int tid));
-        ("args", fun b -> buf_args b [ ("name", name) ]) ]
+      [ ("name", Json.Str event);
+        ("ph", Json.Str "M");
+        ("pid", Json.Int pid);
+        ("tid", Json.Int tid);
+        ("args", json_args [ ("name", name) ]) ]
+  in
+  let slice ~name ~cat ~start_s ~dur_s ~pid ~tid ~args =
+    emit
+      [ ("name", Json.Str name);
+        ("cat", Json.Str cat);
+        ("ph", Json.Str "X");
+        ("ts", Json.Float (start_s *. 1e6));
+        ("dur", Json.Float (dur_s *. 1e6));
+        ("pid", Json.Int pid);
+        ("tid", Json.Int tid);
+        ("args", json_args args) ]
   in
   let lanes = span_lanes t in
-  let tid_of lane =
-    let rec go i = function
-      | [] -> 1
-      | l :: _ when String.equal l lane -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 1 lanes
-  in
   meta ~pid:1 ~tid:0 ~event:"process_name" ~name:"sknn";
   List.iteri
     (fun i lane -> meta ~pid:1 ~tid:(i + 1) ~event:"thread_name" ~name:lane)
@@ -248,15 +225,8 @@ let write_chrome t oc =
               (Counters.to_list d))
           s.deltas
     in
-    emit
-      [ ("name", fun b -> buf_json_string b s.name);
-        ("cat", fun b -> buf_json_string b (kind_name s.kind));
-        ("ph", fun b -> buf_json_string b "X");
-        ("ts", fun b -> Buffer.add_string b (Printf.sprintf "%.3f" (s.start_s *. 1e6)));
-        ("dur", fun b -> Buffer.add_string b (Printf.sprintf "%.3f" (s.dur_s *. 1e6)));
-        ("pid", fun b -> Buffer.add_string b "1");
-        ("tid", fun b -> Buffer.add_string b (string_of_int (tid_of lane)));
-        ("args", fun b -> buf_args b args) ];
+    slice ~name:s.name ~cat:(kind_name s.kind) ~start_s:s.start_s ~dur_s:s.dur_s
+      ~pid:1 ~tid:(tid_in lanes lane) ~args;
     List.iter (event lane) s.children
   in
   List.iter (event orchestrator_lane) (roots t);
@@ -268,14 +238,6 @@ let write_chrome t oc =
        (fun w -> if not (List.mem w.w_link !rev_links) then rev_links := w.w_link :: !rev_links)
        ws;
      let links = List.rev !rev_links in
-     let wire_tid link =
-       let rec go i = function
-         | [] -> 1
-         | l :: _ when String.equal l link -> i
-         | _ :: rest -> go (i + 1) rest
-       in
-       go 1 links
-     in
      meta ~pid:2 ~tid:0 ~event:"process_name" ~name:"virtual network";
      List.iteri
        (fun i link ->
@@ -283,20 +245,12 @@ let write_chrome t oc =
        links;
      List.iter
        (fun w ->
-         emit
-           [ ("name", fun b -> buf_json_string b w.w_label);
-             ("cat", fun b -> buf_json_string b "wire");
-             ("ph", fun b -> buf_json_string b "X");
-             ( "ts",
-               fun b -> Buffer.add_string b (Printf.sprintf "%.3f" (w.w_start_s *. 1e6)) );
-             ( "dur",
-               fun b -> Buffer.add_string b (Printf.sprintf "%.3f" (w.w_dur_s *. 1e6)) );
-             ("pid", fun b -> Buffer.add_string b "2");
-             ("tid", fun b -> Buffer.add_string b (string_of_int (wire_tid w.w_link)));
-             ("args", fun b -> buf_args b w.w_args) ])
+         slice ~name:w.w_label ~cat:"wire" ~start_s:w.w_start_s ~dur_s:w.w_dur_s ~pid:2
+           ~tid:(tid_in links w.w_link) ~args:w.w_args)
        ws);
-  Buffer.add_string buf "]}\n";
-  Buffer.output_buffer oc buf
+  Json.output_line oc
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.List (List.rev !rev_events)) ])
 
 let pp_span_counters ppf deltas =
   List.iter

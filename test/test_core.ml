@@ -879,15 +879,29 @@ let test_cost_model_batch () =
   let n = Array.length db and d = Array.length db.(0) in
   let k = 3 in
   let config = Config.fast () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 642) config ~db in
-  let rng = Rng.of_int 643 in
-  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
-  let first = Protocol.query_batch dep ~queries ~k in
-  check_prediction "batch/first" config ~n ~d ~k ~include_prepare:true
-    (CM.Batch 3) first.(0);
-  let steady = Protocol.query_batch dep ~queries ~k in
-  check_prediction "batch/steady" config ~n ~d ~k ~include_prepare:false
-    (CM.Batch 3) steady.(0)
+  (* A 3-query batch leaves dead slots, so every point draws a fresh
+     intercept plaintext; a batch that fills every slot shares one
+     intercept plaintext across points. *)
+  List.iter
+    (fun m ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 642) config ~db in
+      let rng = Rng.of_int 643 in
+      let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
+      let round label ~include_prepare =
+        let name = Printf.sprintf "batch-%d/%s" m label in
+        let results = Protocol.query_batch dep ~queries ~k in
+        Array.iteri
+          (fun i r ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s query %d exact" name i)
+              true
+              (Protocol.exact dep ~db ~query:queries.(i) r))
+          results;
+        check_prediction name config ~n ~d ~k ~include_prepare (CM.Batch m) results.(0)
+      in
+      round "first" ~include_prepare:true;
+      round "steady" ~include_prepare:false)
+    [ 3; Params.slot_count config.Config.bgv ]
 
 let test_predict_end_to_end_consistency () =
   (* predict_end_to_end = priced compute + replayed symbolic wire; with

@@ -125,7 +125,7 @@ let test_sarif_valid_and_stable () =
      byte-identical across repeated runs and across --jobs levels. *)
   let sarif_at jobs = Lint_driver.sarif (Lint_driver.run_paths ~jobs [ fixture_dir ]) in
   let s1 = sarif_at 1 in
-  Alcotest.(check bool) "sarif parses as JSON" true (Sarif.json_valid s1);
+  Alcotest.(check bool) "sarif parses as JSON" true (Result.is_ok (Util.Json.of_string s1));
   Alcotest.(check bool) "sarif mentions a ruleId" true
     (let needle = "\"ruleId\":\"secret-flow\"" in
      let lh = String.length s1 and ln = String.length needle in

@@ -76,7 +76,7 @@ let test_trace_span_survives_raise () =
     (List.map (fun s -> s.Trace.name) (Trace.roots t))
 
 (* ------------------------------------------------------------------ *)
-(* Sinks: a tiny recursive-descent JSON well-formedness checker         *)
+(* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let contains ~sub s =
@@ -84,100 +84,10 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-exception Bad_json of string
-
-let check_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else raise (Bad_json (Printf.sprintf "expected %c at %d" c !pos))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some ('t' | 'f' | 'n') -> keyword ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> raise (Bad_json (Printf.sprintf "unexpected input at %d" !pos))
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        skip_ws (); string_lit (); skip_ws (); expect ':'; value (); skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); members ()
-        | Some '}' -> advance ()
-        | _ -> raise (Bad_json (Printf.sprintf "bad object at %d" !pos))
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let rec elements () =
-        value (); skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); elements ()
-        | Some ']' -> advance ()
-        | _ -> raise (Bad_json (Printf.sprintf "bad array at %d" !pos))
-      in
-      elements ()
-  and string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | Some '"' -> advance ()
-      | Some '\\' -> advance (); advance (); go ()
-      | Some _ -> advance (); go ()
-      | None -> raise (Bad_json "unterminated string")
-    in
-    go ()
-  and keyword () =
-    let ok kw = String.length s - !pos >= String.length kw
-                && String.sub s !pos (String.length kw) = kw in
-    if ok "true" then pos := !pos + 4
-    else if ok "false" then pos := !pos + 5
-    else if ok "null" then pos := !pos + 4
-    else raise (Bad_json (Printf.sprintf "bad keyword at %d" !pos))
-  and number () =
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let had = ref false in
-      while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-        had := true; advance ()
-      done;
-      if not !had then raise (Bad_json (Printf.sprintf "bad number at %d" !pos))
-    in
-    digits ();
-    if peek () = Some '.' then (advance (); digits ());
-    (match peek () with
-     | Some ('e' | 'E') ->
-       advance ();
-       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-       digits ()
-     | _ -> ())
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then raise (Bad_json (Printf.sprintf "trailing input at %d" !pos))
-
 let assert_valid_json name s =
-  match check_json s with
-  | () -> ()
-  | exception Bad_json msg -> Alcotest.failf "%s: invalid JSON (%s)" name msg
+  match Util.Json.of_string s with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s: invalid JSON (%s)" name msg
 
 let traced_run ~jobs =
   let db = Synthetic.uniform (Rng.of_int 77) ~n:18 ~d:3 ~max_value:100 in

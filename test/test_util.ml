@@ -1,11 +1,12 @@
 (* Tests for the shared substrate: deterministic RNG, permutations,
-   counters, timing and float matrices. *)
+   counters, timing, float matrices and the JSON codec. *)
 
 module Rng = Util.Rng
 module Perm = Util.Perm
 module Counters = Util.Counters
 module Matf = Util.Matf
 module Topk = Util.Topk
+module Json = Util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -310,6 +311,147 @@ let prop_matf_mulvec_linear =
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) lhs
         (Array.init n (fun i -> mu.(i) +. mv.(i))))
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Structural equality with floats compared bit for bit, so -0.0 and
+   0.0 differ and a printed float must read back to the same double. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && json_equal x y) xs ys
+  | _ -> a = b
+
+let json_testable = Alcotest.testable (Fmt.of_to_string Json.to_string) json_equal
+
+let gen_json =
+  let open QCheck.Gen in
+  let str =
+    let piece =
+      oneof
+        [ map (String.make 1) (map Char.chr (int_range 0 0x1f));
+          oneofl [ "\""; "\\"; "/"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e" ];
+          string_size ~gen:printable (int_range 0 4);
+          map (String.make 1) char ]
+    in
+    map (String.concat "") (list_size (int_range 0 6) piece)
+  in
+  let int = oneof [ oneofl [ min_int; max_int; 0; -1 ]; int ] in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let float =
+    oneof
+      [ oneofl [ 0.0; -0.0; 0.1; 5e-324; 2.2250738585072e-308; Float.max_float; 2.0; 1e15 ];
+        map (fun bits -> finite (Int64.float_of_bits bits)) ui64 ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) float;
+        map (fun s -> Json.Str s) str ]
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (depth - 1)))) ) ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:500 ~name:"json: parse (print v) = v"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v ->
+      match Json.of_string (Json.to_string v) with
+      | Ok v' -> json_equal v v'
+      | Error _ -> false)
+
+(* The parser's independent oracle: literal inputs with the values they
+   must parse to, and one input per strictness rule that must fail. *)
+let test_json_corpus () =
+  let ok =
+    [ ("null", Json.Null);
+      ("true", Json.Bool true);
+      ("false", Json.Bool false);
+      ("0", Json.Int 0);
+      ("-0", Json.Int 0);
+      ("-17", Json.Int (-17));
+      ("4611686018427387903", Json.Int max_int);
+      ("-4611686018427387904", Json.Int min_int);
+      ("4611686018427387904", Json.Float 4611686018427387904.0);
+      ("1.5", Json.Float 1.5);
+      ("-0.0", Json.Float (-0.0));
+      ("1e3", Json.Float 1000.0);
+      ("2.5E-3", Json.Float 0.0025);
+      ("1e+2", Json.Float 100.0);
+      ({|""|}, Json.Str "");
+      ({|"a\"b\\c\/d"|}, Json.Str "a\"b\\c/d");
+      ({|"\b\f\n\r\t"|}, Json.Str "\b\012\n\r\t");
+      ({|"Aé\u0000"|}, Json.Str "A\xc3\xa9\x00");
+      ({|"𝄞"|}, Json.Str "\xf0\x9d\x84\x9e");
+      ("\"\xe2\x82\xac\"", Json.Str "\xe2\x82\xac");
+      (" [ 1 ,\t\"x\" ,\r\n[ ] , { } ] ", Json.(List [ Int 1; Str "x"; List []; Obj [] ]));
+      ({|{"a":1,"a":{"b":null}}|}, Json.(Obj [ ("a", Int 1); ("a", Obj [ ("b", Null) ]) ]))
+    ]
+  in
+  List.iter
+    (fun (text, want) ->
+      match Json.of_string text with
+      | Ok got -> Alcotest.check json_testable text want got
+      | Error msg -> Alcotest.failf "%S rejected: %s" text msg)
+    ok;
+  let bad =
+    [ "[1,]"; {|{"a":1,}|}; "nan"; "NaN"; "Infinity"; "-Infinity"; "+1"; "01"; "-01";
+      "\"a\nb\""; "\"\x01\""; {|"\x"|}; {|"\u00g0"|}; {|"\ud800"|}; {|"\udc00x"|};
+      "1 2"; "{} x"; ""; "1."; ".5"; "-"; "1e"; "1e400"; "[1"; {|{"a"}|}; "{a:1}";
+      "'a'"; "tru"; "nul" ]
+  in
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Ok v -> Alcotest.failf "%S accepted as %s" text (Json.to_string v)
+      | Error _ -> ())
+    bad
+
+let test_json_printer () =
+  List.iter
+    (fun (want, v) -> Alcotest.(check string) want want (Json.to_string v))
+    [ ("2.0", Json.Float 2.0);
+      ("0.1", Json.Float 0.1);
+      ("-0.0", Json.Float (-0.0));
+      ("1e+20", Json.Float 1e20);
+      ("4.94065645841247e-324", Json.Float 5e-324);
+      ("0.30000000000000004", Json.Float (0.1 +. 0.2));
+      ("-4611686018427387904", Json.Int min_int);
+      ({|"q\"b\\n\nu\u0001"|}, Json.Str "q\"b\\n\nu\x01");
+      ({|{"z":[true,null],"a":{}}|}, Json.(Obj [ ("z", List [ Bool true; Null ]); ("a", Obj []) ]))
+    ];
+  let controls = Json.to_string (Json.Str (String.init 0x20 Char.chr)) in
+  Alcotest.(check bool) "no raw control byte printed" true
+    (String.for_all (fun c -> Char.code c >= 0x20) controls);
+  List.iter
+    (fun f ->
+      Alcotest.check_raises (Printf.sprintf "%h raises" f)
+        (Invalid_argument "Util.Json: non-finite float") (fun () ->
+          ignore (Json.to_string (Json.List [ Json.Float f ]))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let v = Json.(Obj [ ("n", Int 3); ("x", Float 0.5); ("s", Str "y") ]) in
+  Alcotest.(check (option (float 0.0))) "int member as number" (Some 3.0)
+    (Option.bind (Json.member "n" v) Json.number);
+  Alcotest.(check (option (float 0.0))) "float member as number" (Some 0.5)
+    (Option.bind (Json.member "x" v) Json.number);
+  Alcotest.(check (option (float 0.0))) "string is no number" None
+    (Option.bind (Json.member "s" v) Json.number);
+  Alcotest.(check bool) "missing member" true (Json.member "q" v = None)
+
 let () =
   Alcotest.run "util"
     [ ("rng",
@@ -340,6 +482,10 @@ let () =
        [ Alcotest.test_case "basics" `Quick test_matf_basics;
          Alcotest.test_case "inverse" `Quick test_matf_inverse;
          Alcotest.test_case "solve" `Quick test_matf_solve ]);
+      ("json",
+       [ Alcotest.test_case "fixed corpus" `Quick test_json_corpus;
+         Alcotest.test_case "printer" `Quick test_json_printer;
+         QCheck_alcotest.to_alcotest prop_json_round_trip ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_matf_mulvec_linear; prop_topk_ties; prop_topk_wide ]) ]
