@@ -592,12 +592,9 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   let tot_p = tot (fun p _ -> p) and tot_m = tot (fun _ ms -> ms) in
   Format.printf "%-22s %11.6fs %11.6fs %7s@." "total" tot_p tot_m
     (if tot_p > 0.0 then Printf.sprintf "%.2fx" (tot_m /. tot_p) else "-");
-  (* The paper's Table 1 rows, predicted (closed form, plus the exact
-     serialized-bytes prediction) vs measured. *)
-  let t1p =
-    Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
-      ~mask_degree:config.Config.mask_degree ()
-  in
+  (* The paper's Table 1 rows for this path, predicted by the cost
+     model vs measured. *)
+  let t1p = Cost.predicted pred in
   let t1m = Cost.measured r in
   Format.printf "@.Table 1 (ours): predicted %a@.                measured  %a@." Cost.pp
     t1p Cost.pp t1m;

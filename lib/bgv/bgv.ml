@@ -895,10 +895,59 @@ let actual_noise_bits sk ct =
   in
   float_of_int worst
 
-(* Fresh re-randomisation: add an encryption of zero so the ciphertext
-   is statistically unlinkable to its history (used when a result must
-   be returned to a party that has seen related ciphertexts). *)
-let rerandomize ?counters rng pk ct =
-  let zero = Plaintext.constant pk.pk_params 0L in
-  let z = encrypt ?counters ~level:(level ct) rng pk zero in
-  add ?counters ct z
+(* t·F in the evaluation domain, with F's coefficients uniform in
+   [-2^fb, 2^fb).  F is drawn as fb + 1 uniform bits per coefficient in
+   30-bit chunks and reduced per prime by Horner steps (r·2^30 + chunk
+   stays below 2^62), so no coefficient is ever materialised as a big
+   integer; the one forward NTT brings the sum into the Eval domain. *)
+let flood_poly rng p ~nprimes ~fb =
+  let n = p.Params.n in
+  let bits = fb + 1 in
+  let nchunks = (bits + 29) / 30 in
+  let top = bits - (30 * (nchunks - 1)) in
+  let chunks =
+    Array.init (n * nchunks) (fun i ->
+        let w = if i mod nchunks = 0 then top else 30 in
+        Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) (64 - w)))
+  in
+  let t = p.Params.t_plain in
+  let comps =
+    Array.init nprimes (fun i ->
+        let pi = p.Params.moduli.(i) in
+        let pi64 = Int64.of_int pi in
+        let offset = Int64.to_int (Mod64.pow pi64 2L (Int64.of_int fb)) in
+        let t_mod = Int64.to_int (Int64.rem t pi64) in
+        Array.init n (fun j ->
+            let r = ref 0 in
+            for c = 0 to nchunks - 1 do
+              r := ((!r lsl 30) + chunks.((j * nchunks) + c)) mod pi
+            done;
+            let f = (!r - offset + pi) mod pi in
+            Int64.to_int (Mod64.mul pi64 (Int64.of_int f) (Int64.of_int t_mod))))
+  in
+  Rq.to_eval (Rq.of_components p.Params.ring Rq.Coeff comps)
+
+let numbits64 v =
+  let rec go acc v = if Int64.equal v 0L then acc else go (acc + 1) (Int64.shift_right_logical v 1) in
+  go 0 v
+
+(* Flooded re-randomisation: add a fresh encryption of zero whose c0
+   also carries t·F with |t·F| < 2^flood_bits.  When [flood_bits]
+   exceeds the ciphertext's noise bound by a statistical margin, the
+   result's noise is (statistically) independent of how the ciphertext
+   was computed — the decryptor learns the plaintext and nothing about
+   the operands.  The caller supplies a width derived from public
+   bounds, never one read off a ciphertext. *)
+let rerandomize ?counters ~flood_bits rng pk ct =
+  let p = pk.pk_params in
+  let lvl = level ct in
+  let fb = flood_bits - numbits64 p.Params.t_plain in
+  if fb < 0 then invalid_arg "Bgv.rerandomize: flood narrower than the plaintext modulus";
+  if float_of_int flood_bits >= log2_q_at_level p lvl -. 1.0 then
+    invalid_arg "Bgv.rerandomize: flood does not fit under the level's modulus";
+  let z = encrypt ?counters ~level:lvl rng pk (Plaintext.zero p) in
+  record_op counters Counters.Op_ntt_fwd ~level:lvl;
+  (* c0 is freshly owned by [z], so the flood can land in place. *)
+  Rq.add_into z.comps.(0) (flood_poly rng p ~nprimes:lvl ~fb);
+  add ?counters ct
+    { z with log_noise = log2_add z.log_noise (float_of_int flood_bits) }

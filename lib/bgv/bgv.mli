@@ -102,9 +102,17 @@ val mul_sum :
     @raise Invalid_argument on empty or length-mismatched inputs. *)
 
 val rerandomize :
-  ?counters:Util.Counters.t -> Util.Rng.t -> public_key -> ct -> ct
-(** Adds a fresh encryption of zero at the ciphertext's level: same
-    plaintext, fresh randomness. *)
+  ?counters:Util.Counters.t -> flood_bits:int -> Util.Rng.t -> public_key -> ct -> ct
+(** Noise flooding: adds a fresh encryption of zero at the ciphertext's
+    level whose [c0] also carries [t·F], with [F] uniform and
+    [|t·F| < 2^flood_bits].  Same plaintext; the tracked noise bound
+    grows by the flood.  With [flood_bits] a statistical margin above
+    the ciphertext's noise bound, the decryptor learns the plaintext
+    and nothing about how the ciphertext was computed.  [flood_bits]
+    must come from public bounds, not from the ciphertext.  Costs one
+    encryption, one forward NTT and one addition.
+    @raise Invalid_argument when the flood is narrower than [t] or does
+    not fit under the level's modulus. *)
 
 val relinearize : ?counters:Util.Counters.t -> relin_key -> ct -> ct
 (** Degree-2 → degree-1. @raise Invalid_argument on other degrees. *)

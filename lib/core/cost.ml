@@ -27,19 +27,26 @@ let yousef ~n ~d ~k ~l =
     rounds = k;
     bytes = 0 }
 
-let measured (r : Protocol.result) =
-  let a = r.Protocol.counters_a and b = r.Protocol.counters_b in
+(* The Table 1 cells of one round, from Party A's and Party B's counters
+   and the transcript — a live run's or the cost model's. *)
+let of_round ~a ~b tr =
   let hom c =
     Util.Counters.hom_adds c + Util.Counters.hom_muls c
     + Util.Counters.hom_mul_plains c + Util.Counters.hom_modswitches c
     + Util.Counters.hom_relins c
   in
-  let tr = r.Protocol.transcript in
   { hom_ops = hom a + hom b;
     encryptions = Util.Counters.encryptions b;
     decryptions = Util.Counters.decryptions b;
     rounds = Transcript.rounds tr Transcript.Party_a Transcript.Party_b;
     bytes = Transcript.bytes_between tr Transcript.Party_a Transcript.Party_b }
+
+let measured (r : Protocol.result) =
+  of_round ~a:r.Protocol.counters_a ~b:r.Protocol.counters_b r.Protocol.transcript
+
+let predicted (p : Sknn_obs.Cost_model.prediction) =
+  of_round ~a:p.Sknn_obs.Cost_model.party_a ~b:p.Sknn_obs.Cost_model.party_b
+    p.Sknn_obs.Cost_model.transcript
 
 let within_asymptotic ~measured ~predicted ~slack =
   let fits m p =

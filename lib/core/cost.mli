@@ -33,6 +33,11 @@ val measured : Protocol.result -> row
 (** Party A + Party B homomorphic work, Party B encryptions/decryptions,
     measured A↔B rounds and bytes from the transcript. *)
 
+val predicted : Sknn_obs.Cost_model.prediction -> row
+(** The same cells as {!measured}, read from the cost model's per-party
+    ledgers and symbolic transcript: the predicted Table 1 row of any
+    path, where {!ours} is the plain path's closed form. *)
+
 val within_asymptotic : measured:row -> predicted:row -> slack:float -> bool
 (** Each measured count is at most [slack] times the prediction (and the
     prediction is not wildly pessimistic either: measured >=

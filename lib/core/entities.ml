@@ -81,6 +81,17 @@ let reversed_query_plaintext params query =
 
 let squared_norm point = Array.fold_left (fun s v -> s + (v * v)) 0 point
 
+(* Return-kNN's block layout on the packed paths: block b carries the
+   [per] permuted positions b·per .. b·per + per − 1, and the point at
+   offset o owns the [width] slots from o·width (its d coordinates
+   first).  Party B lays out its indicators from [per] alone. *)
+type block_layout = { per : int; width : int; count : int }
+
+let points_per_block params ~d = Params.slot_count params / d
+
+let block_layout params ~n ~per =
+  { per; width = Params.slot_count params / per; count = (n + per - 1) / per }
+
 (* ------------------------------------------------------------------ *)
 
 module Data_owner = struct
@@ -155,9 +166,7 @@ end
 module Party_a = struct
   type t = {
     config : Config.t;
-    (* Party A holds the public key in the paper's setup even though
-       the current pipeline never re-encrypts on its side. *)
-    pk : Bgv.public_key; [@warning "-69"]
+    pk : Bgv.public_key;  (* floods the packed paths' Return-kNN results *)
     rlk : Bgv.relin_key;
     db : encrypted_db;
     counters : Counters.t;
@@ -437,9 +446,10 @@ module Party_a = struct
   type prepared_packed = {
     pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
     pp_norms : int64 array;       (* ‖p_i‖² mod t *)
-    pp_return_packed : Bgv.ct array;
-        (* return-level packed points, as in [prepared] *)
   }
+
+  (* Column j in Π-permuted order: position Π(i) holds p_i(j). *)
+  let permuted_cols pp perm = Array.map (Perm.apply perm) pp.pp_cols
 
   let packed_supported config ~d =
     if config.Config.mask_degree <> 1 then
@@ -459,16 +469,11 @@ module Party_a = struct
     Array.iter (Data_owner.validate_point config ~d) db;
     guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Packed;
     let tp = config.Config.bgv.Params.t_plain in
-    let lvl = return_level t in
     { pp_cols =
         Array.init d (fun j ->
             Array.init n (fun i -> Mod64.reduce tp (Int64.of_int db.(i).(j))));
       pp_norms =
-        Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i))));
-      pp_return_packed =
-        Array.map
-          (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-          t.db.points }
+        Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i)))) }
 
   let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
     let config = t.config in
@@ -523,7 +528,7 @@ module Party_a = struct
           Bgv.truncate_to_level ~counters:t.counters q_norm lvl )
       | _ -> (q_coords, q_norm)
     in
-    let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
+    let cols_p = permuted_cols pp perm in
     let norms_p = Perm.apply perm pp.pp_norms in
     let slice src base len =
       let a = Array.make slots 0L in
@@ -582,8 +587,6 @@ module Party_a = struct
                 rngs))
     in
     ({ mask; perm }, masked)
-
-  let permuted_return_packed pp state = Perm.apply state.perm pp.pp_return_packed
 
   (* ---- Slot-batched multi-query evaluation ------------------------ *)
 
@@ -702,7 +705,38 @@ module Party_a = struct
     in
     ({ b_masks = masks; b_perm = perm }, Perm.apply perm masked)
 
-  let permuted_return_packed_batch pp bstate = Perm.apply bstate.b_perm pp.pp_return_packed
+  (* Return-kNN on the packed paths: Party A holds the plaintext points,
+     so each of B's block indicators costs one plain product against
+     the block of Π-permuted points it covers.  A point's d slots hold
+     p_j + 1, so every selected point — an all-zero row included —
+     decrypts non-zero in its first slot, and positions B left out
+     decrypt to zero.  The product's noise carries the database and the
+     indicator's encryption noise, so it is flooded with a width that
+     depends on the parameters alone before it leaves A. *)
+  let return_blocks ?(obs = Obs.disabled) t pp ~perm rng indicators =
+    let params = t.config.Config.bgv in
+    let d = t.db.db_d and n = t.db.db_n in
+    let lay = block_layout params ~n ~per:(points_per_block params ~d) in
+    if Array.length indicators <> lay.count then
+      invalid_arg "Party_a.return_blocks: indicator count mismatch";
+    let cols_p = permuted_cols pp perm in
+    let flood_bits = NM.flood_bits (Attribution.noise_model_params params) in
+    let rngs = split_streams rng lay.count in
+    Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
+        Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+          ~f:(fun counters b ind ->
+            let slots = Array.make (Params.slot_count params) 0L in
+            for o = 0 to lay.per - 1 do
+              let pos = (b * lay.per) + o in
+              if pos < n then
+                for j = 0 to d - 1 do
+                  slots.((o * lay.width) + j) <- Int64.succ cols_p.(j).(pos)
+                done
+            done;
+            let block = Plaintext.of_slots ~counters params slots in
+            Bgv.rerandomize ~counters ~flood_bits rngs.(b) t.pk
+              (Bgv.mul_plain ~counters ind block))
+          indicators)
 
   let return_knn ?obs t state rows =
     let packed = permuted_packed t state in
@@ -819,6 +853,28 @@ module Party_b = struct
             Bgv.encrypt ~counters ~level rng t.pk (Plaintext.constant params bit))
           rngs)
 
+  (* One k-hot indicator per block of [per] permuted positions: ones
+     over every slot of each position selected in any of the round's
+     views.  Every block is packed and encrypted the same way, selected
+     or not, so B's work depends on n, N and [per] only. *)
+  let block_indicators ?(obs = Obs.disabled) t rng views ~n ~per =
+    let params = t.config.Config.bgv in
+    let level = return_level t in
+    let lay = block_layout params ~n ~per in
+    let chosen = Array.make n 0L in
+    Array.iter (fun v -> Array.iter (fun i -> chosen.(i) <- 1L) v.selected) views;
+    let rngs = split_streams rng lay.count in
+    Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
+        Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+          ~f:(fun counters b rng ->
+            let slots = Array.make (Params.slot_count params) 0L in
+            for o = 0 to lay.per - 1 do
+              let pos = (b * lay.per) + o in
+              if pos < n then Array.fill slots (o * lay.width) lay.width chosen.(pos)
+            done;
+            Bgv.encrypt ~counters ~level rng t.pk (Plaintext.of_slots ~counters params slots))
+          rngs)
+
   let find_neighbours ?obs t rng cts ~k =
     let n = Array.length cts in
     let view = select_neighbours ?obs t cts ~k in
@@ -923,6 +979,32 @@ module Client = struct
       bq_norm = enc squared_norm;
       bq_count = m;
       bq_dim = d }
+
+  (* Every block the client receives decrypts to its points, p_j + 1 in
+     each selected position's slots and zero elsewhere. *)
+  let decrypt_blocks ?(obs = Obs.disabled) t ~d cts =
+    let params = t.config.Config.bgv in
+    let per = points_per_block params ~d in
+    let lay = block_layout params ~n:(per * Array.length cts) ~per in
+    let decoded =
+      Obs.with_pool_chunks obs ~label:"decrypt-result" (fun () ->
+          Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+            ~f:(fun counters _ ct ->
+              let s = Plaintext.to_slots ~counters (Bgv.decrypt ~counters t.sk ct) in
+              List.filter_map
+                (fun o ->
+                  let base = o * lay.width in
+                  if Int64.equal s.(base) 0L then None
+                  else Some (Array.init d (fun j -> Int64.to_int s.(base + j) - 1)))
+                (List.init per Fun.id))
+            cts)
+    in
+    Array.of_list (List.concat (Array.to_list decoded))
+
+  (* The client ranks the decoded points against its own query in the
+     clear. *)
+  let nearest ~k ~query points =
+    Array.map (fun i -> points.(i)) (Plain_knn.knn ~k ~query points)
 
   let decrypt_points ?(obs = Obs.disabled) t ~d cts =
     Obs.with_pool_chunks obs ~label:"decrypt-result" (fun () ->

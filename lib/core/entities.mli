@@ -68,9 +68,11 @@ module Party_a : sig
 
   val create :
     ?jobs:int -> Config.t -> Bgv.public_key -> Bgv.relin_key -> encrypted_db -> t
-  (** [jobs] is the domain count used by {!compute_distances} and
-      {!select_row} (default {!Util.Pool.default_jobs}).  Results and
-      counter totals are identical for every value. *)
+  (** [jobs] is the domain count used by {!compute_distances},
+      {!select_row} and {!return_blocks} (default
+      {!Util.Pool.default_jobs}).  Results and counter totals are
+      identical for every value.  The public key floods the packed
+      paths' Return-kNN results. *)
 
   val counters : t -> Util.Counters.t
   val db_size : t -> int
@@ -104,8 +106,9 @@ module Party_a : sig
 
   val state_mask : query_state -> Masking.t
   val state_perm : query_state -> Util.Perm.t
-  (** Exposed for the leakage-audit tests only — a deployed Party A
-      would keep both secret and drop them after the query. *)
+  (** The mask is exposed for the leakage-audit tests only; the
+      permutation also feeds {!return_blocks}.  A deployed Party A keeps
+      both secret and drops them after the query. *)
 
   (** {2 Prepared multi-query state}
 
@@ -169,19 +172,24 @@ module Party_a : sig
       batch of [N = slot_count] points then costs [d] plain products
       plus adds instead of [N] ciphertext products, and Party B decrypts
       [⌈n/N⌉] ciphertexts instead of [n].  Party B's §5 view (the masked
-      permuted distance multiset, [n] and [k]) is unchanged. *)
+      permuted distance multiset, [n] and [k]) is unchanged.  Return-kNN
+      selects whole blocks of plaintext points ({!return_blocks}), so
+      the database never needs a return-level ciphertext copy. *)
 
   type prepared_packed
+
+  val packed_supported : Config.t -> d:int -> (unit, string) result
+  (** Whether the packed and batch paths admit [config] at dimension
+      [d]: affine (degree-1) masking and [d <= N], the ring degree. *)
 
   val prepare_packed :
     ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> db:int array array ->
     prepared_packed
   (** Lays [db] (the plaintext database, dimension-major) out for the
-      packed path and caches the return-level packed ciphertexts.  Emits
-      the same [prepare-db] audit entries and low-headroom warning as
-      {!prepare}, driven by {!forecast_noise} on the packed path.
-      Requires affine
-      masking and [d <= n].
+      packed path.  Emits the same [prepare-db] audit entries and
+      low-headroom warning as {!prepare}, driven by {!forecast_noise}
+      on the packed path.  Requires affine masking and [d <= N], the
+      ring degree.
       @raise Invalid_argument when the config is unsupported or [db]
       does not match the encrypted database's dimensions. *)
 
@@ -202,9 +210,6 @@ module Party_a : sig
       streams: results, counters and transcripts are bit-identical for
       every job count. *)
 
-  val permuted_return_packed : prepared_packed -> query_state -> Bgv.ct array
-  (** {!permuted_packed_prepared} for the packed state. *)
-
   (** {2 Slot-batched multi-query evaluation} *)
 
   type batch_state
@@ -221,11 +226,25 @@ module Party_a : sig
       randomness.  The M views share one permutation — the batch mode's
       extra declared leakage (audited as ["batch-query-count"]). *)
 
-  val permuted_return_packed_batch : prepared_packed -> batch_state -> Bgv.ct array
-
   val batch_state_masks : batch_state -> Masking.t array
   val batch_state_perm : batch_state -> Util.Perm.t
-  (** Exposed for the leakage-audit tests only, like {!state_mask}. *)
+  (** The batch's masks, for the leakage-audit tests only, and its
+      permutation, which {!return_blocks} also reads. *)
+
+  val return_blocks :
+    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> perm:Util.Perm.t -> Util.Rng.t ->
+    Bgv.ct array -> Bgv.ct array
+  (** Return-kNN on the packed and batch paths, given the round's
+      permutation Π and Party B's {!Party_b.block_indicators}: block [b]
+      is [rerandomize (indicator_b ⊙ P_b)], where [P_b] holds, in the
+      slots of the point at permuted position [p = b·per + o], its
+      coordinates plus one ([per = ⌊N/d⌋] points a block, each owning
+      [N/per] slots from [o·(N/per)]).  The product is flooded by
+      {!Bgv.rerandomize} at the public width
+      {!Sknn_obs.Noise_model.flood_bits}.  Blocks run pool-parallel with
+      per-block RNG streams split in order (pool chunks ["select-row"]).
+      @raise Invalid_argument when the indicator count is not
+      [⌈n/per⌉]. *)
 end
 
 (** {1 Party B — key holder, never sees the database} *)
@@ -234,9 +253,10 @@ module Party_b : sig
   type t
 
   val create : ?jobs:int -> Config.t -> Bgv.secret_key -> Bgv.public_key -> t
-  (** [jobs] parallelises {!indicator_row}'s batch encryption only; the
-      decrypt-and-select half of Algorithm 2 always runs in B's own
-      domain (it touches secret-key material). *)
+  (** [jobs] parallelises the indicator encryption of {!indicator_row}
+      and {!block_indicators} only; the decrypt-and-select half of
+      Algorithm 2 always runs in B's own domain (it touches secret-key
+      material). *)
 
   val counters : t -> Util.Counters.t
 
@@ -279,6 +299,17 @@ module Party_b : sig
   (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
       1).  Used by the protocol driver to stream row-by-row so that the
       O(nk) ciphertexts never live in memory at once. *)
+
+  val block_indicators :
+    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view array -> n:int -> per:int ->
+    Bgv.ct array
+  (** The packed paths' indicators: one slot-packed encryption, at the
+      return level, per block of [per] permuted positions ([⌈n/per⌉] in
+      all), with ones over the [N/per] slots of every position selected
+      in any of [views] and zeros elsewhere.  Every block is packed and
+      encrypted alike, so B's work depends on [n], [N] and [per] only.
+      Blocks run pool-parallel with per-block RNG streams split in order
+      (pool chunks ["indicator-row"]). *)
 end
 
 (** {1 Client} *)
@@ -313,7 +344,23 @@ module Client : sig
       @raise Invalid_argument on an empty, ragged or oversized batch. *)
 
   val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
+  (** The plain and prepared paths' result: one coefficient-packed point
+      per ciphertext. *)
+
+  val decrypt_blocks : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
+  (** The packed paths' result ({!Party_a.return_blocks}): decrypts and
+      slot-unpacks every block and returns the points whose first slot
+      is non-zero, minus the one added to each coordinate, in block
+      order. *)
+
+  val nearest : k:int -> query:int array -> int array array -> int array array
+  (** The [k] points nearest to [query] among the decoded ones, computed
+      by the client in the clear ({!Plain_knn.knn}'s order). *)
 end
+
+val points_per_block : Params.t -> d:int -> int
+(** [⌊N/d⌋]: the points a Return-kNN block holds on the packed paths —
+    what Party B learns to lay out its indicators. *)
 
 (** {1 Serialised sizes} *)
 

@@ -233,6 +233,15 @@ let sample_cts obs ~name cts =
 
 let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 
+(* How Party A answers Return kNN: by folding Party B's k scalar
+   indicator rows into Π(P') at the return level, which only ciphertexts
+   hold on the plain and prepared paths; or, where A holds the plaintext
+   points (packed, batch), by multiplying B's block indicators into its
+   plaintext blocks under the round's permutation. *)
+type return_knn =
+  | Rows of (unit -> Bgv.ct array)
+  | Blocks of (Rng.t -> Bgv.ct array -> Bgv.ct array)
+
 let query_ct_count (q : Entities.encrypted_query) =
   (match q.Entities.q_coords with None -> 0 | Some a -> Array.length a)
   + (match q.Entities.q_rev with None -> 0 | Some _ -> 1)
@@ -294,8 +303,8 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   in
   (* Client: encrypt the query in the path's form and send it to Party
      A (label 4, Fig. 2).  Each arm returns Party A's Compute Distances
-     over it, which yields the masked ciphertexts and a thunk for Π(P')
-     at the return level. *)
+     over it, which yields the masked ciphertexts and A's side of
+     Return kNN. *)
   let compute_distances =
     let single (q : Entities.encrypted_query) f =
       send_query ~bytes:(Entities.query_bytes q) ~cts:(query_ct_count q);
@@ -307,21 +316,22 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
         (encrypt (fun () -> Entities.Client.encrypt_query d.cl rng queries.(0)))
         (fun q () ->
           let s, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
-          (masked, fun () -> Entities.Party_a.permuted_packed d.a s))
+          (masked, Rows (fun () -> Entities.Party_a.permuted_packed d.a s)))
     | CM.Prepared ->
       let p = prepared () in
       single
         (encrypt (fun () -> Entities.Client.encrypt_query_ip d.cl rng queries.(0)))
         (fun q () ->
           let s, masked = Entities.Party_a.compute_distances_prepared ~obs d.a p rng q in
-          (masked, fun () -> Entities.Party_a.permuted_packed_prepared p s))
+          (masked, Rows (fun () -> Entities.Party_a.permuted_packed_prepared p s)))
     | CM.Packed ->
       let p = prepared_packed () in
       single
         (encrypt (fun () -> Entities.Client.encrypt_query_packed d.cl rng queries.(0)))
         (fun q () ->
           let s, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng q in
-          (masked, fun () -> Entities.Party_a.permuted_return_packed p s))
+          let perm = Entities.Party_a.state_perm s in
+          (masked, Blocks (Entities.Party_a.return_blocks ~obs d.a p ~perm)))
     | CM.Batch _ ->
       let p = prepared_packed () in
       let bq = encrypt (fun () -> Entities.Client.encrypt_query_batch d.cl rng queries) in
@@ -330,18 +340,17 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
         ~cts:(Array.length bq.Entities.bq_coords + 1);
       fun () ->
         let s, masked = Entities.Party_a.compute_distances_batch ~obs d.a p rng bq in
-        (masked, fun () -> Entities.Party_a.permuted_return_packed_batch p s)
+        let perm = Entities.Party_a.batch_state_perm s in
+        (masked, Blocks (Entities.Party_a.return_blocks ~obs d.a p ~perm))
   in
   (* Party A: Compute Distances (Algorithm 1). *)
-  let masked, permuted_packed =
+  let masked, return_knn =
     timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" compute_distances
   in
   sample_cts obs ~name:"masked-distance" masked;
   send ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
     ~label:"masked permuted distances" ~bytes:(cts_bytes masked);
-  (* Party B: Find Neighbours (Algorithm 2), one view per query, with
-     the indicator vectors streamed row by row; Party A folds each row
-     into Return kNN (Algorithm 3) as it arrives. *)
+  (* Party B: Find Neighbours (Algorithm 2), one view per query. *)
   let views =
     timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
         match path with
@@ -370,43 +379,70 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
         ~label:"equidistant-group-sizes"
         (Audit.Ints (Leakage.equidistant_group_sizes view)))
     views;
-  let indicator_bytes = ref 0 in
+  (* Return kNN (Algorithm 3).  On rows, B's indicator vectors stream
+     one message per row and A folds each into one selected point as it
+     arrives; on blocks, B's indicators cross in one message and A
+     returns one flooded block each. *)
+  let received = ref 0 and indicator_bytes = ref 0 in
+  let receive ~label cts =
+    let bytes = cts_bytes cts in
+    received := !received + Array.length cts;
+    indicator_bytes := !indicator_bytes + bytes;
+    send ~sender:Transcript.Party_b ~receiver:Transcript.Party_a ~label ~bytes
+  in
   let results =
     timed obs phases
       ~counters:[ ("party-a", ca); ("party-b", cb) ]
       "return-knn"
       (fun () ->
-        let packed = permuted_packed () in
-        Array.map
-          (fun view ->
-            Array.init k (fun j ->
-                Obs.with_span obs
-                  ~counters:[ ("party-a", ca); ("party-b", cb) ]
-                  ~args:[ ("j", string_of_int j) ]
-                  "indicator-row"
-                  (fun () ->
-                    let row =
-                      Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j
-                    in
-                    let bytes = cts_bytes row in
-                    indicator_bytes := !indicator_bytes + bytes;
-                    send ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-                      ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-                      ~bytes;
-                    Entities.Party_a.select_row ~obs d.a packed row)))
-          views)
+        match return_knn with
+        | Rows permuted_packed ->
+          let packed = permuted_packed () in
+          Array.init k (fun j ->
+              Obs.with_span obs
+                ~counters:[ ("party-a", ca); ("party-b", cb) ]
+                ~args:[ ("j", string_of_int j) ]
+                "indicator-row"
+                (fun () ->
+                  let row =
+                    Entities.Party_b.indicator_row ~obs d.b rng views.(0) ~n:d.db_n ~j
+                  in
+                  receive ~label:(Printf.sprintf "indicator vector B^%d" (j + 1)) row;
+                  Entities.Party_a.select_row ~obs d.a packed row))
+        | Blocks select ->
+          (* B lays its indicators out from ⌊N/d⌋: the one observable
+             the block layout adds to its view. *)
+          let per = Entities.points_per_block d.config.Config.bgv ~d:d.db_d in
+          Obs.audit obs ~party:"party-b" ~phase:"return-knn" ~label:"points-per-block"
+            (Audit.Int per);
+          let indicators =
+            Obs.with_span obs ~counters:[ ("party-b", cb) ] "indicator-blocks" (fun () ->
+                Entities.Party_b.block_indicators ~obs d.b rng views ~n:d.db_n ~per)
+          in
+          receive ~label:"indicator blocks" indicators;
+          Obs.with_span obs ~counters:[ ("party-a", ca) ] "select-blocks" (fun () ->
+              select rng indicators))
   in
-  Array.iter (fun cts -> sample_cts obs ~name:"result" cts) results;
+  sample_cts obs ~name:"result" results;
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
-    (Audit.Int (m * k * d.db_n));
+    (Audit.Int !received);
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-bytes"
     (Audit.Int !indicator_bytes);
   send ~sender:Transcript.Party_a ~receiver:Transcript.Client
-    ~label:"encrypted k-NN result"
-    ~bytes:(Array.fold_left (fun s cts -> s + cts_bytes cts) 0 results);
+    ~label:"encrypted k-NN result" ~bytes:(cts_bytes results);
   let neighbours =
     timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
-        Array.map (Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d) results)
+        let points =
+          match return_knn with
+          | Rows _ -> Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d results
+          | Blocks _ -> Entities.Client.decrypt_blocks ~obs d.cl ~d:d.db_d results
+        in
+        Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"result-points"
+          (Audit.Int (Array.length points));
+        match return_knn with
+        | Rows _ -> [| points |]
+        | Blocks _ ->
+          Array.map (fun query -> Entities.Client.nearest ~k ~query points) queries)
   in
   Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"
     (Audit.Int k);

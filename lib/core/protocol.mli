@@ -11,10 +11,16 @@
       distances, fresh monotone masking polynomial, fresh permutation;
     + one message A→B; {b Find Neighbours} at B (Algorithm 2) —
       decrypt, streaming top-k, k encrypted indicator vectors; one
-      message B→A (streamed row by row so O(nk) ciphertexts never live
-      in memory at once);
+      message B→A per vector (streamed row by row so O(nk) ciphertexts
+      never live in memory at once);
     + {b Return kNN} at A (Algorithm 3) — permuted inner products,
       giving k re-randomised encrypted points returned to the client.
+
+    The packed and batch paths, where Party A holds the plaintext
+    points, answer Return kNN by blocks instead: B sends one message of
+    [⌈n/⌊N/d⌋⌉] slot-packed indicators, A returns one flooded product
+    with its plaintext block per indicator, and the client decodes the
+    selected points and ranks them against its own queries.
 
     The result carries plaintext neighbours, per-phase wall-clock times,
     per-party operation counters and the full communication transcript —
@@ -79,8 +85,9 @@ val query :
     noise-budget headroom are sampled into histograms, per-link
     transcript bytes become gauges, and each party's observables are
     appended to the leakage-audit channel ([party-b]: masked distance
-    multiset, [k], equidistant group sizes; [party-a]: ciphertext
-    counts and byte sizes only).
+    multiset, [n], [k], equidistant group sizes; [party-a]: ciphertext
+    counts and byte sizes only; [client]: the number of points it
+    decodes).
 
     With a network profile [net], a virtual clock cursor runs alongside
     the transcript (flight [Send] events gain seq + virtual arrival),
@@ -103,7 +110,7 @@ val query :
     reversed-packed query) instead of [d], and the query message shrinks
     from [d] ciphertexts to two.
 
-    Requires affine (degree-1) masking and [d ≤ n]
+    Requires affine (degree-1) masking and [d ≤ N], the ring degree
     (see {!Entities.Party_a.prepare}).  Results remain exact and
     bit-identical across job counts. *)
 
@@ -131,14 +138,19 @@ val query_prepared :
     [N = Params.slot_count] plaintext slots, so Party A computes a batch
     of [N] masked distances with [d] plain products plus adds, and
     Party B decrypts [⌈n/N⌉] ciphertexts instead of [n], slot-unpacking
-    them before the top-k scan.  Party B's §5 leakage surface (masked
-    distance multiset, [n], [k], equidistant groups) is identical to the
-    unpacked paths.  The trust model differs on Party A's side: A holds
-    the plaintext database as the data owner's delegate
-    (see {!Entities.Party_a.prepare_packed}).
+    them before the top-k scan.  The trust model differs on Party A's
+    side: A holds the plaintext database as the data owner's delegate
+    (see {!Entities.Party_a.prepare_packed}), and uses it for Return kNN
+    too: B encrypts one indicator per block of [⌊N/d⌋] permuted
+    positions instead of [n·k] scalars, A multiplies each into its
+    plaintext block and floods the product
+    ({!Entities.Party_a.return_blocks}), and the client decodes the
+    selected points.  Party B's §5 leakage surface is the unpacked
+    paths' (masked distance multiset, [n], [k], equidistant groups)
+    plus [points-per-block], [⌊N/d⌋].
 
-    Requires affine (degree-1) masking and [d ≤ n].  Results remain
-    exact and bit-identical across job counts. *)
+    Requires affine (degree-1) masking and [d ≤ N], the ring degree.
+    Results remain exact and bit-identical across job counts. *)
 
 val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
 (** Builds the packed prepared state now (idempotent); otherwise the
@@ -152,7 +164,8 @@ val query_packed :
 (** Like {!query_prepared} on the packed layout, with the client sending
     the broadcast-slot query form
     ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in,
-    [⌈n/N⌉] masked-distance ciphertexts A→B.
+    [⌈n/N⌉] masked-distance ciphertexts A→B, [⌈n/⌊N/d⌋⌉] block
+    indicators B→A and as many flooded blocks to the client.
     @raise Invalid_argument if the configuration does not admit the
     packed path. *)
 
@@ -167,7 +180,11 @@ val query_batch :
     pass, and Party B unpacks one view per query from the [n] returned
     ciphertexts.  The M views share one permutation — the batch mode's
     extra declared leakage, audited as
-    [party-b/find-neighbours/batch-query-count].  The returned results
+    [party-b/find-neighbours/batch-query-count].  Return kNN runs by
+    blocks, as on {!query_packed}: B's indicators cover the union of
+    the M selections, and the client (who asked all M queries) gives
+    each query its k nearest among the decoded points — exact, since
+    each query's true k-NN lies in that union.  The returned results
     share the round's transcript, counters and phase times; neighbours
     and views are per query.
     @raise Invalid_argument on an empty or oversized batch, dimension
@@ -183,7 +200,9 @@ val query_gen :
     [Prepared] {!query_prepared}, [Packed] {!query_packed}, [Batch _]
     {!query_batch}.  [queries] holds exactly one query except on
     [Batch], which answers all of them in the round.  Every path emits
-    the same phases, spans, audit labels and metric names.
+    the same phases and metric names; the packed and batch paths add
+    the [points-per-block] audit label, and the batch path
+    [batch-query-count].
     @raise Invalid_argument as the matching entry point does. *)
 
 val total_seconds : result -> float

@@ -213,6 +213,15 @@ let mul_sum p c ~terms ~relin a b =
 let slot_pack c = record_op c C.Op_slot_pack ~level:0
 let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 
+(* Bgv.rerandomize ~flood_bits: an encryption of zero, the flood's one
+   forward NTT, and the addition. *)
+let rerandomize p c (st : NM.state) =
+  ignore (enc p c ~level:st.NM.level);
+  record_op c C.Op_ntt_fwd ~level:st.NM.level;
+  record c C.Hom_add;
+  record_op c C.Op_ct_add ~level:st.NM.level;
+  NM.flood p.nm st ~flood_bits:(NM.flood_bits p.nm)
+
 (* ------------------------------------------------------------------ *)
 (* Per-path circuits                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -282,12 +291,11 @@ let send_masked sim ~count ~decrypt masked =
   let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
   repeat cb ~times:count (fun c -> decrypt c masked)
 
-(* Shared return-kNN + decrypt-result tail: [views] indicator-row sets
-   of [k] rows each, against return-level packed points. *)
-let return_and_decrypt sim ~views ~plain_truncations =
+(* Return-kNN + decrypt-result on the plain and prepared paths: [k]
+   scalar indicator rows against return-level packed points. *)
+let return_rows sim ~plain_truncations =
   let p = sim.p in
   let rl = return_level p in
-  let rows = views * p.k in
   let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
   let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
   let fresh = NM.fresh p.nm in
@@ -298,22 +306,52 @@ let return_and_decrypt sim ~views ~plain_truncations =
   in
   (* Each indicator row is n fresh return-level encryptions crossing
      B->A in one message, folded by A into one selected point. *)
-  let row = repeat cb ~times:(rows * p.n_points) (fun c -> enc p c ~level:rl) in
+  let row = repeat cb ~times:(p.k * p.n_points) (fun c -> enc p c ~level:rl) in
   let result =
-    repeat ca ~times:rows (fun c -> mul_sum p c ~terms:p.n_points ~relin:false packed_ret row)
+    repeat ca ~times:p.k (fun c -> mul_sum p c ~terms:p.n_points ~relin:false packed_ret row)
   in
-  for _ = 1 to views do
-    for j = 1 to p.k do
-      send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-        ~label:(Printf.sprintf "indicator vector B^%d" j)
-        ~count:p.n_points row
-    done
+  for j = 1 to p.k do
+    send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
+      ~label:(Printf.sprintf "indicator vector B^%d" j)
+      ~count:p.n_points row
   done;
   let result = step sim "result" result in
   let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
   send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
-    ~label:"encrypted k-NN result" ~count:rows result;
-  repeat cc ~times:rows (fun c -> dec c result)
+    ~label:"encrypted k-NN result" ~count:p.k result;
+  repeat cc ~times:p.k (fun c -> dec c result)
+
+(* Return-kNN on the packed and batch paths.  Party B encrypts one
+   slot-packed indicator per block of ⌊N/d⌋ permuted positions and
+   sends them in one message; Party A multiplies each by its plaintext
+   block and floods the product; the client decrypts and slot-unpacks
+   every block.  The counts depend on n, N and d only. *)
+let return_blocks sim =
+  let p = sim.p in
+  let rl = return_level p in
+  let per = p.slots / p.d in
+  let blocks = (p.n_points + per - 1) / per in
+  let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
+  let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
+  let ind =
+    repeat cb ~times:blocks (fun c ->
+        slot_pack c;
+        enc p c ~level:rl)
+  in
+  send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
+    ~label:"indicator blocks" ~count:blocks ind;
+  let result =
+    repeat ca ~times:blocks (fun c ->
+        slot_pack c;
+        rerandomize p c (mul_plain p c ind))
+  in
+  let result = step sim "result" result in
+  let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
+  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
+    ~label:"encrypted k-NN result" ~count:blocks result;
+  repeat cc ~times:blocks (fun c ->
+      dec c result;
+      slot_unpack c)
 
 let encrypt_query sim ?(pack = false) count =
   let p = sim.p in
@@ -353,7 +391,7 @@ let predict_plain sim =
         end)
   in
   send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
-  return_and_decrypt sim ~views:1 ~plain_truncations:true
+  return_rows sim ~plain_truncations:true
 
 let predict_prepared sim ~include_prepare =
   let p = sim.p in
@@ -391,14 +429,11 @@ let predict_prepared sim ~include_prepare =
         add_plain p c (eval_poly sim c ed))
   in
   send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
-  return_and_decrypt sim ~views:1 ~plain_truncations:false
+  return_rows sim ~plain_truncations:false
 
-let packed_prepare sim =
-  let p = sim.p in
-  let ca = phase_counter sim ~phase:"prepare-db" ~party:"party-a" in
-  ignore
-    (repeat ca ~times:p.n_points (fun c ->
-         truncate c (NM.fresh p.nm) ~level:(return_level p)))
+(* prepare_packed lays out plaintext columns only: its phase records
+   no ciphertext op. *)
+let packed_prepare sim = ignore (phase_counter sim ~phase:"prepare-db" ~party:"party-a")
 
 (* The packed and batch paths truncate all d+1 query ciphertexts up
    front when their rule finds a level. *)
@@ -455,7 +490,7 @@ let predict_packed sim ~include_prepare =
   send_masked sim ~count:nbatches masked ~decrypt:(fun c st ->
       dec c st;
       slot_unpack c);
-  return_and_decrypt sim ~views:1 ~plain_truncations:false
+  return_blocks sim
 
 let predict_batch sim ~include_prepare ~queries =
   let p = sim.p in
@@ -487,7 +522,7 @@ let predict_batch sim ~include_prepare ~queries =
   send_masked sim ~count:p.n_points masked ~decrypt:(fun c st ->
       dec c st;
       slot_unpack c);
-  return_and_decrypt sim ~views:queries ~plain_truncations:false
+  return_blocks sim
 
 let predict ?(include_prepare = true) ?margin_bits p path =
   if p.n_points < 1 then invalid_arg "Cost_model.predict: empty database";

@@ -79,7 +79,9 @@ type prediction = {
   noise : Noise_model.report;
       (** worst-case noise bound of one representative point (or batch)
           per phase, in circuit order: the step ["masked-distance"] is
-          the A→B ciphertext, ["result"] a Return-kNN product.  A
+          the A→B ciphertext, ["result"] what A returns to the client —
+          a Return-kNN inner product, or on the packed and batch paths a
+          block product flooded at {!Noise_model.flood_bits}.  A
           negative minimum means a live query would raise
           [Bgv.Decryption_failure]. *)
 }

@@ -103,6 +103,18 @@ let truncate st ~level =
   if level < 1 || level > st.level then invalid_arg "Noise_model.truncate: bad level";
   { st with level }
 
+(* The flood width of the packed paths' Return-kNN: the bound of a
+   fresh ciphertext after one plain product (a block indicator times
+   Party A's plaintext block), plus 40 bits of statistical margin.  It
+   depends on the parameters alone. *)
+let flood_bits p = int_of_float (Float.ceil (mul_plain p (fresh p)).bits) + 40
+
+(* Bgv.rerandomize ~flood_bits: a fresh encryption of zero that also
+   carries the flood, added at the state's level. *)
+let flood p st ~flood_bits =
+  add st { (fresh_at p ~level:st.level) with
+           bits = log2_add (fresh_noise_bits p) (float_of_int flood_bits) }
+
 (* ------------------------------------------------------------------ *)
 (* Level-drop rules                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -55,6 +55,16 @@ val rescale_to_floor : ?switch:(params -> state -> state) -> params -> state -> 
 
 val truncate : state -> level:int -> state
 
+val flood_bits : params -> int
+(** The public flood width of the packed paths' Return-kNN: the bound of
+    a fresh ciphertext after one {!mul_plain}, rounded up, plus 40 bits.
+    Party A passes it to [Bgv.rerandomize] and {!Cost_model.predict}
+    walks the same value. *)
+
+val flood : params -> state -> flood_bits:int -> state
+(** [Bgv.rerandomize ~flood_bits]: adds a fresh encryption of zero that
+    also carries a flood of [flood_bits] bits. *)
+
 (** {1 Level-drop rules}
 
     Where Party A drops spare RNS primes: each rule predicts the masked

@@ -400,13 +400,72 @@ let test_rerandomize () =
   let a = random_slots 35 in
   let ct = enc a in
   let r = Rng.of_int 4242 in
-  let ct' = Bgv.rerandomize r keys.Bgv.pk ct in
+  let flood_bits = int_of_float (Float.ceil (Bgv.noise_bits ct)) + 8 in
+  let ct' = Bgv.rerandomize ~flood_bits r keys.Bgv.pk ct in
   check_slots "same plaintext" a (dec ct');
   Alcotest.(check int) "level preserved" (Bgv.level ct) (Bgv.level ct');
   (* Fresh randomness: the difference decrypts to zero but the wire
      bytes differ. *)
   Alcotest.(check bool) "bytes differ" true
     (Bgv.ct_to_bytes ct <> Bgv.ct_to_bytes ct')
+
+(* Noise flooding keeps the plaintext at every level the flood fits
+   under, the tracked bound stays sound against the true noise and
+   covers the flood, and the flood really is that wide. *)
+let test_flood_every_level () =
+  let a = random_slots 38 in
+  let ct = enc a in
+  let t_bits = Int64.to_int (Int64.of_float (Float.ceil (log (Int64.to_float tp) /. log 2.0))) in
+  let flood_bits = t_bits + 20 in
+  let flooded = ref 0 in
+  for lvl = Params.chain_length params downto 1 do
+    let c = Bgv.truncate_to_level ct lvl in
+    let r = Rng.of_int (4300 + lvl) in
+    if float_of_int flood_bits >= Bgv.log2_q_at_level params lvl -. 1.0 then
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d: flood that does not fit raises" lvl)
+        true
+        (try
+           ignore (Bgv.rerandomize ~flood_bits r keys.Bgv.pk c);
+           false
+         with Invalid_argument _ -> true)
+    else begin
+      incr flooded;
+      let f = Bgv.rerandomize ~flood_bits r keys.Bgv.pk c in
+      let label what = Printf.sprintf "level %d: %s" lvl what in
+      check_slots (label "same plaintext") a (dec f);
+      Alcotest.(check int) (label "level kept") lvl (Bgv.level f);
+      let actual = Bgv.actual_noise_bits keys.Bgv.sk f in
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d: actual %.0f <= tracked %.1f bits" lvl actual
+           (Bgv.noise_bits f))
+        true
+        (actual <= Bgv.noise_bits f);
+      Alcotest.(check bool) (label "tracked bound covers the flood") true
+        (Bgv.noise_bits f >= float_of_int flood_bits);
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d: flood is %d bits wide (actual %.0f)" lvl flood_bits actual)
+        true
+        (actual >= float_of_int (flood_bits - 4))
+    end
+  done;
+  Alcotest.(check bool) "some level floods" true (!flooded > 0);
+  Alcotest.(check bool) "some level refuses" true (!flooded < Params.chain_length params)
+
+let test_flood_rejects () =
+  let ct = enc (random_slots 39) in
+  let raises flood_bits =
+    try
+      ignore (Bgv.rerandomize ~flood_bits (Rng.of_int 1) keys.Bgv.pk ct);
+      false
+    with Invalid_argument _ -> true
+  in
+  let log2_q = Bgv.log2_q_at_level params (Bgv.level ct) in
+  Alcotest.(check bool) "flood wider than the modulus" true
+    (raises (int_of_float (Float.ceil log2_q)));
+  Alcotest.(check bool) "flood narrower than t" true (raises 2);
+  Alcotest.(check bool) "a flood that fits" false
+    (raises (int_of_float (Float.ceil (Bgv.noise_bits ct)) + 8))
 
 let test_noise_exhaustion_raises () =
   (* Repeated unrescaled squaring doubles the noise bits each time and
@@ -722,6 +781,8 @@ let () =
          Alcotest.test_case "fresh metadata" `Quick test_fresh_metadata;
          Alcotest.test_case "randomised" `Quick test_encryption_randomized;
          Alcotest.test_case "rerandomize" `Quick test_rerandomize;
+         Alcotest.test_case "flood at every level" `Quick test_flood_every_level;
+         Alcotest.test_case "flood that does not fit" `Quick test_flood_rejects;
          Alcotest.test_case "noise exhaustion raises" `Quick test_noise_exhaustion_raises ]);
       ("evaluation",
        [ Alcotest.test_case "add/sub/neg" `Quick test_add_sub_neg;

@@ -542,19 +542,34 @@ let test_packed_leakage_groups () =
     (Leakage.equidistant_group_sizes r_packed.Protocol.view_b)
 
 let test_packed_audit_surface () =
-  (* §5 leakage surface through the audit channel: the packed path must
-     record exactly the same Party B labels as the unpacked paths. *)
+  (* §5 leakage surface through the audit channel: the packed path
+     records the unpacked paths' Party B labels plus the one the block
+     Return-kNN adds, points-per-block (⌊N/d⌋).  Party A counts the
+     block indicators it receives, and the client the points it
+     decodes. *)
   let module Audit = Sknn_obs.Audit in
   let rng = Rng.of_int 427 in
   let db = Synthetic.uniform rng ~n:20 ~d:3 ~max_value:100 in
   let audit = Audit.create () in
   let obs = Sknn_obs.Ctx.create ~audit () in
-  let dep = Protocol.deploy ~rng (affine_config ()) ~db in
+  let config = affine_config () in
+  let dep = Protocol.deploy ~rng config ~db in
   let q = Synthetic.query_like rng db in
   let r = Protocol.query_packed ~obs dep ~query:q ~k:4 in
-  Alcotest.(check (list string)) "party-b leakage surface unchanged"
-    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ]
+  Alcotest.(check (list string)) "party-b surface: the unpacked one plus points-per-block"
+    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
+  let per = Params.slot_count config.Config.bgv / 3 in
+  let int_of party label =
+    match Audit.value_of audit ~party ~label with
+    | Some (Audit.Int v) -> v
+    | _ -> Alcotest.failf "%s/%s not recorded as Int" party label
+  in
+  Alcotest.(check int) "points-per-block = N/d" per (int_of "party-b" "points-per-block");
+  Alcotest.(check int) "A receives one indicator per block" ((20 + per - 1) / per)
+    (int_of "party-a" "indicator-ciphertexts");
+  Alcotest.(check int) "the client decodes the k selected points" 4
+    (int_of "client" "result-points");
   (match Audit.value_of audit ~party:"party-b" ~label:"masked-distance-multiset" with
    | Some (Audit.Int64s a) ->
      Alcotest.(check (array int64)) "multiset matches view"
@@ -590,9 +605,9 @@ let test_query_batch () =
         (Array.length db)
         (Array.length (Leakage.view_multiset r.Protocol.view_b)))
     results;
-  Alcotest.(check (list string)) "batch adds exactly batch-query-count"
+  Alcotest.(check (list string)) "batch adds exactly batch-query-count and points-per-block"
     [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset";
-      "n" ]
+      "n"; "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
   (match Audit.value_of audit ~party:"party-b" ~label:"batch-query-count" with
    | Some (Audit.Int m) -> Alcotest.(check int) "batch count" 3 m
@@ -634,6 +649,165 @@ let test_batch_metric_surface () =
       Alcotest.(check bool) (link ^ " exported") true
         (List.mem (Printf.sprintf "transcript.%s.bytes" link) batch))
     [ "party-A-party-B"; "party-A-client" ]
+
+(* The messages block Return-kNN adds must carry public metadata only:
+   two rounds with the same public shape (n, d, k, M) but different
+   databases, queries and selections send B→A indicators and A→client
+   results whose level, degree, factor, tracked noise, size and header
+   bytes are equal ciphertext for ciphertext. *)
+let test_block_message_metadata () =
+  let config = affine_config () in
+  let params = config.Config.bgv in
+  let n = 30 and d = 3 and k = 4 in
+  let round ~seed ~m =
+    let rng = Rng.of_int seed in
+    let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
+    let dep = Protocol.deploy ~rng ~jobs:1 config ~db in
+    let a = Protocol.party_a dep and b = Protocol.party_b dep in
+    let cl = Protocol.client dep in
+    let pp = Entities.Party_a.prepare_packed a ~db in
+    let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
+    let perm, views =
+      if m = 1 then begin
+        let q = Entities.Client.encrypt_query_packed cl rng queries.(0) in
+        let s, masked = Entities.Party_a.compute_distances_packed a pp rng q in
+        ( Entities.Party_a.state_perm s,
+          [| Entities.Party_b.select_neighbours_packed b masked ~n ~k |] )
+      end
+      else begin
+        let bq = Entities.Client.encrypt_query_batch cl rng queries in
+        let s, masked = Entities.Party_a.compute_distances_batch a pp rng bq in
+        ( Entities.Party_a.batch_state_perm s,
+          Entities.Party_b.select_views_batch b masked ~m ~k )
+      end
+    in
+    let per = Entities.points_per_block params ~d in
+    let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
+    let results = Entities.Party_a.return_blocks a pp ~perm rng indicators in
+    (views, indicators, results)
+  in
+  let meta ct =
+    let header = Bytes.sub (Bgv.ct_to_bytes ct) 0 40 in
+    ( Bgv.level ct,
+      Bgv.degree ct,
+      Bytes.get_int64_le header 20,
+      Int64.bits_of_float (Bgv.noise_bits ct),
+      Bgv.byte_size ct,
+      Bytes.to_string header )
+  in
+  List.iter
+    (fun (name, m) ->
+      let v1, i1, r1 = round ~seed:701 ~m and v2, i2, r2 = round ~seed:702 ~m in
+      Alcotest.(check bool) (name ^ ": the selections differ") true
+        (Array.map (fun v -> v.Entities.Party_b.selected) v1
+         <> Array.map (fun v -> v.Entities.Party_b.selected) v2);
+      List.iter
+        (fun (what, c1, c2) ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s count" name what) (Array.length c1)
+            (Array.length c2);
+          Array.iteri
+            (fun i c ->
+              if meta c <> meta c2.(i) then
+                Alcotest.failf "%s: %s ciphertext %d metadata differs (%a vs %a)" name what i
+                  Bgv.pp_ct c Bgv.pp_ct c2.(i))
+            c1)
+        [ ("B->A indicator", i1, i2); ("A->client result", r1, r2) ])
+    [ ("packed", 1); ("batch", 3) ]
+
+(* ------------------------------------------------------------------ *)
+(* Cross-path differential test on edge shapes                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One instance drawn from [(preset, n, d, k, rows, seed)] selectors,
+   biased to the shapes the paths must agree on: duplicates, ties and
+   all-zero rows, k = n, n = 1, n ≡ 0 and 1 (mod ⌊N/d⌋), one point per
+   block (d = N/2 + 1) and d = N, and coordinates at 2^max_coord_bits − 1. *)
+let edge_instance (preset, n_sel, d_sel, k_sel, rows_sel, seed) =
+  let name, config =
+    match preset mod 3 with
+    | 0 -> ("fast", Config.fast ())
+    | 1 -> ("affine", affine_config ())
+    | _ -> ("standard", Config.standard ())
+  in
+  let slots = Params.slot_count config.Config.bgv in
+  let d = [| 1; 2; 3; 3; 5; (slots / 2) + 1; slots |].(d_sel mod 7) in
+  let per = slots / d in
+  let rng = Rng.of_int seed in
+  let n =
+    match n_sel mod 6 with
+    | 0 -> 1
+    | 1 -> per
+    | 2 -> per + 1
+    | 3 -> 2 * per
+    | 4 -> (2 * per) + 1
+    | _ -> 1 + Rng.int_below rng 12
+  in
+  let n = if d > 8 then Stdlib.min n 6 else n in
+  let top = (1 lsl config.Config.max_coord_bits) - 1 in
+  let row kind =
+    match kind with
+    | 0 -> Array.make d 0
+    | 1 -> Array.make d top
+    | 2 -> Array.init d (fun _ -> Rng.int_below rng 3)
+    | _ -> Array.init d (fun _ -> Rng.int_below rng (top + 1))
+  in
+  (* Row kind 4 duplicates an earlier row. *)
+  let db = Array.make n [||] in
+  for i = 0 to n - 1 do
+    let kind = (rows_sel + Rng.int_below rng 4) mod 5 in
+    db.(i) <- (if kind = 4 && i > 0 then Array.copy db.(Rng.int_below rng i) else row kind)
+  done;
+  let queries = Array.init 3 (fun m -> if m = 0 then Array.copy db.(0) else row (m + rows_sel)) in
+  let k = match k_sel mod 3 with 0 -> 1 | 1 -> n | _ -> 1 + Rng.int_below rng n in
+  (* The plain and prepared paths encrypt n·k indicators: keep k = n to
+     the smaller databases so one instance stays under ~0.3 s. *)
+  let k = Stdlib.min k (Stdlib.max 1 (1200 / n)) in
+  (name, config, db, queries, k)
+
+let prop_paths_agree_on_edge_shapes =
+  QCheck.Test.make ~count:14 ~name:"paths agree on edge shapes"
+    QCheck.(
+      make
+        ~print:(fun (p, n, d, k, r, s) -> Printf.sprintf "(%d,%d,%d,%d,%d,%d)" p n d k r s)
+        Gen.(
+          map
+            (fun ((p, n, d), (k, r, s)) -> (p, n, d, k, r, s))
+            (pair (triple (int_bound 2) (int_bound 5) (int_bound 6))
+               (triple (int_bound 2) (int_bound 4) (int_bound 10000)))))
+    (fun sel ->
+      let name, config, db, queries, k = edge_instance sel in
+      let d = Array.length db.(0) in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 7) config ~db in
+      let admits = Entities.Party_a.packed_supported config ~d = Ok () in
+      let runs =
+        (("plain", [| Protocol.query dep ~query:queries.(0) ~k |]) ::
+         (if admits then
+            [ ("prepared", [| Protocol.query_prepared dep ~query:queries.(0) ~k |]);
+              ("packed", [| Protocol.query_packed dep ~query:queries.(0) ~k |]);
+              ("batch-1", Protocol.query_batch dep ~queries:[| queries.(0) |] ~k);
+              ("batch-3", Protocol.query_batch dep ~queries ~k) ]
+          else []))
+      in
+      let groups (r : Protocol.result) = Leakage.equidistant_group_sizes r.Protocol.view_b in
+      let expected = groups (snd (List.hd runs)).(0) in
+      List.iter
+        (fun (path, results) ->
+          Array.iteri
+            (fun i (r : Protocol.result) ->
+              let query = queries.(i) in
+              let where = Printf.sprintf "%s n=%d d=%d k=%d %s query %d" name
+                  (Array.length db) d k path i in
+              if not (Protocol.exact dep ~db ~query r) then
+                QCheck.Test.fail_reportf "%s: inexact answer" where;
+              if not
+                   (Leakage.recovers_true_order r.Protocol.view_b
+                      (Plain_knn.distances ~query db))
+              then QCheck.Test.fail_reportf "%s: view does not preserve the order" where;
+              if i = 0 && groups r <> expected then
+                QCheck.Test.fail_reportf "%s: equidistant groups differ from plain" where)
+            results)
+        runs;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
@@ -1010,7 +1184,9 @@ let () =
            test_packed_leakage_groups;
          Alcotest.test_case "audit surface unchanged" `Quick test_packed_audit_surface;
          Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch;
-         Alcotest.test_case "batch metric surface" `Quick test_batch_metric_surface ]);
+         Alcotest.test_case "batch metric surface" `Quick test_batch_metric_surface;
+         Alcotest.test_case "block message metadata is public" `Quick
+           test_block_message_metadata ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;
@@ -1031,4 +1207,5 @@ let () =
            test_net_timeline_jobs_determinism ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_masking_order_preserving; prop_masking_fresh_each_draw; prop_end_to_end_exact ]) ]
+         [ prop_masking_order_preserving; prop_masking_fresh_each_draw; prop_end_to_end_exact;
+           prop_paths_agree_on_edge_shapes ]) ]

@@ -89,16 +89,31 @@ let assert_valid_json name s =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "%s: invalid JSON (%s)" name msg
 
-let traced_run ~jobs =
+(* One traced round on [path]: the paper's standard preset on the plain
+   path, its affine-mask variant on the others. *)
+let traced_round ~path ~jobs =
   let db = Synthetic.uniform (Rng.of_int 77) ~n:18 ~d:3 ~max_value:100 in
-  let q = [| 10; 20; 30 |] in
+  let queries =
+    match path with
+    | Sknn_obs.Cost_model.Batch m -> Array.init m (fun i -> [| 10 + i; 20; 30 - i |])
+    | _ -> [| [| 10; 20; 30 |] |]
+  in
+  let config =
+    match path with
+    | Sknn_obs.Cost_model.Plain -> Config.standard ()
+    | _ -> Config.with_mask_degree 1 (Config.standard ())
+  in
   let trace = Trace.create () in
   let audit = Audit.create () in
   let flight = Flight.create () in
   let obs = Ctx.create ~trace ~audit ~flight () in
-  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 999) ~jobs (Config.standard ()) ~db in
-  let r = Protocol.query ~obs ~rng:(Rng.of_int 1000) dep ~query:q ~k:3 in
-  (trace, audit, flight, r)
+  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 999) ~jobs config ~db in
+  let rs = Protocol.query_gen ~path ~obs ~rng:(Rng.of_int 1000) dep ~queries ~k:3 in
+  (trace, audit, flight, rs)
+
+let traced_run ~jobs =
+  let trace, audit, flight, rs = traced_round ~path:Sknn_obs.Cost_model.Plain ~jobs in
+  (trace, audit, flight, rs.(0))
 
 let with_temp_file f =
   let path = Filename.temp_file "sknn_obs_test" ".json" in
@@ -184,25 +199,32 @@ let audit_s a =
   Format.asprintf "%a" Audit.pp a
 
 let test_span_tree_jobs_determinism () =
-  let t1, a1, _, r1 = traced_run ~jobs:1 in
-  let t2, a2, _, r2 = traced_run ~jobs:2 in
-  let t4, a4, _, r4 = traced_run ~jobs:4 in
-  let s1 = shape t1 and s2 = shape t2 and s4 = shape t4 in
-  Alcotest.(check string) "span tree: jobs 1 = jobs 2" s1 s2;
-  Alcotest.(check string) "span tree: jobs 1 = jobs 4" s1 s4;
-  Alcotest.(check bool) "tree is non-trivial" true (String.length s1 > 100);
-  Alcotest.(check string) "audit: jobs 1 = jobs 2" (audit_s a1) (audit_s a2);
-  Alcotest.(check string) "audit: jobs 1 = jobs 4" (audit_s a1) (audit_s a4);
-  Alcotest.(check bool) "results identical" true
-    (r1.Protocol.neighbours = r2.Protocol.neighbours
-     && r1.Protocol.neighbours = r4.Protocol.neighbours);
-  let cs c = Format.asprintf "%a" Counters.pp c in
-  Alcotest.(check string) "counters identical (A)" (cs r1.Protocol.counters_a)
-    (cs r4.Protocol.counters_a);
-  Alcotest.(check string) "counters identical (B)" (cs r1.Protocol.counters_b)
-    (cs r4.Protocol.counters_b);
-  Alcotest.(check string) "counters identical (client)"
-    (cs r1.Protocol.counters_client) (cs r4.Protocol.counters_client)
+  List.iter
+    (fun (name, path) ->
+      let check what = Alcotest.(check string) (name ^ ": " ^ what) in
+      let t1, a1, _, rs1 = traced_round ~path ~jobs:1 in
+      let t2, a2, _, rs2 = traced_round ~path ~jobs:2 in
+      let t4, a4, _, rs4 = traced_round ~path ~jobs:4 in
+      let s1 = shape t1 and s2 = shape t2 and s4 = shape t4 in
+      check "span tree: jobs 1 = jobs 2" s1 s2;
+      check "span tree: jobs 1 = jobs 4" s1 s4;
+      Alcotest.(check bool) (name ^ ": tree is non-trivial") true (String.length s1 > 100);
+      check "audit: jobs 1 = jobs 2" (audit_s a1) (audit_s a2);
+      check "audit: jobs 1 = jobs 4" (audit_s a1) (audit_s a4);
+      let neighbours rs = Array.map (fun r -> r.Protocol.neighbours) rs in
+      Alcotest.(check bool) (name ^ ": results identical") true
+        (neighbours rs1 = neighbours rs2 && neighbours rs1 = neighbours rs4);
+      let r1 = rs1.(0) and r4 = rs4.(0) in
+      let cs c = Format.asprintf "%a" Counters.pp c in
+      check "counters identical (A)" (cs r1.Protocol.counters_a) (cs r4.Protocol.counters_a);
+      check "counters identical (B)" (cs r1.Protocol.counters_b) (cs r4.Protocol.counters_b);
+      check "counters identical (client)" (cs r1.Protocol.counters_client)
+        (cs r4.Protocol.counters_client);
+      check "transcript identical"
+        (Format.asprintf "%a" Transcript.pp r1.Protocol.transcript)
+        (Format.asprintf "%a" Transcript.pp r4.Protocol.transcript))
+    [ ("plain", Sknn_obs.Cost_model.Plain); ("packed", Sknn_obs.Cost_model.Packed);
+      ("batch", Sknn_obs.Cost_model.Batch 3) ]
 
 let test_chunk_spans_partition () =
   (* At jobs=2 the "distance-batches" stage must carry exactly 2 chunk
