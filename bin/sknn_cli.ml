@@ -193,7 +193,7 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
      Format.eprintf "configuration unsound for this data: %s@." e;
      exit 2);
   let packed_ok =
-    config.Config.mask_degree = 1 && Array.length q <= config.Config.bgv.Params.n
+    Result.is_ok (Config.affine_supported config ~d:(Array.length q) ~what:"packed queries")
   in
   if (packed || batch) && not packed_ok then begin
     Format.eprintf
@@ -539,7 +539,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     exit 2
   end;
   let packed_ok =
-    config.Config.mask_degree = 1 && Array.length q <= config.Config.bgv.Params.n
+    Result.is_ok (Config.affine_supported config ~d:(Array.length q) ~what:path_s)
   in
   if path_s <> "plain" && not packed_ok then begin
     Format.eprintf

@@ -1,5 +1,6 @@
 module Rng = Util.Rng
 module Counters = Util.Counters
+module NM = Util.Noise_model
 module Z = Zint
 
 type secret_key = {
@@ -33,8 +34,6 @@ type ct = {
   log_noise : float;  (* bits: conservative bound on |c0 + c1 s + …| *)
 }
 
-let record c e = match c with None -> () | Some c -> Counters.record c e
-
 (* Ledger recording: one op-kind × level cell per primary operation,
    plus the whole-polynomial NTT passes it triggers.  Where the number
    of passes depends on a value's current domain, the census uses
@@ -50,41 +49,17 @@ let record_op_n c op ~level k =
 let record_inv_census c rq ~level =
   if Rq.needs_transform rq Rq.Coeff then record_op c Counters.Op_ntt_inv ~level
 
-let log2 x = log x /. log 2.0
-let log2_add a b =
-  let hi = Float.max a b and lo = Float.min a b in
-  hi +. log2 (1.0 +. (2.0 ** (lo -. hi)))
-
-let log2_t p = log2 (Int64.to_float p.Params.t_plain)
-let log2_n p = log2 (float_of_int p.Params.n)
-
-(* Bound on a fresh ciphertext's |m + t(e·u + e1 + e2·s)|. *)
-let fresh_noise_bits p =
-  let eta = float_of_int p.Params.eta and n = float_of_int p.Params.n in
-  log2_t p +. log2 (0.5 +. (eta *. ((2.0 *. n) +. 1.0)))
-
-(* Additive rounding term of one modulus switch at ciphertext degree d:
-   (t/2) * sum_{i<=d} n^i. *)
-let switch_floor_bits p d =
-  let n = float_of_int p.Params.n in
-  let rec sum acc i = if i > d then acc else sum (acc +. (n ** float_of_int i)) (i + 1) in
-  log2_t p -. 1.0 +. log2 (sum 0.0 0)
-
 let degree ct = Array.length ct.comps - 1
 let level ct = Rq.nprimes ct.comps.(0)
 
-let log2_q_at_level p k =
-  let acc = ref 0.0 in
-  for i = 0 to k - 1 do
-    acc := !acc +. log2 (float_of_int p.Params.moduli.(i))
-  done;
-  !acc
+(* The ciphertext as the noise model sees it.  Every op derives its
+   tracked bound by applying the model's op to these states. *)
+let state ct = { NM.level = level ct; degree = degree ct; bits = ct.log_noise }
+let nm ct = ct.params.Params.noise
 
 let noise_bits ct = ct.log_noise
-let noise_budget_bits ct = log2_q_at_level ct.params (level ct) -. 1.0 -. ct.log_noise
-
-let header_bytes = 40
-let byte_size ct = ((degree ct + 1) * level ct * ct.params.Params.n * 4) + header_bytes
+let noise_budget_bits ct = NM.headroom (nm ct) (state ct)
+let byte_size ct = NM.ct_bytes (nm ct) (state ct)
 
 let pp_ct ppf ct =
   Format.fprintf ppf "<ct deg=%d level=%d noise=%.0f budget=%.0f factor=%Ld>"
@@ -164,7 +139,6 @@ let sk_dot sk ct =
 (* ------------------------------------------------------------------ *)
 
 let encrypt ?counters ?level rng pk pt =
-  record counters Counters.Encrypt;
   let p = pk.pk_params in
   if Plaintext.params pt != p then invalid_arg "Bgv.encrypt: parameter mismatch";
   let ring = p.Params.ring in
@@ -195,7 +169,8 @@ let encrypt ?counters ?level rng pk pt =
   Rq.add_into c0 m;
   let c1 = Rq.mul a u in
   Rq.add_into c1 (noise ());
-  { params = p; comps = [| c0; c1 |]; factor = 1L; log_noise = fresh_noise_bits p }
+  { params = p; comps = [| c0; c1 |]; factor = 1L;
+    log_noise = (NM.fresh_at p.Params.noise ~level:nprimes).NM.bits }
 
 exception Decryption_failure of string
 
@@ -206,7 +181,6 @@ let check_budget op ct =
          (Format.asprintf "Bgv.%s: noise budget exhausted (%a)" op pp_ct ct))
 
 let decrypt ?counters sk ct =
-  record counters Counters.Decrypt;
   record_op counters Counters.Op_decrypt ~level:(level ct);
   let p = sk.sk_params in
   check_budget "decrypt" ct;
@@ -234,7 +208,6 @@ let decrypt ?counters sk ct =
   Plaintext.of_coeffs p out
 
 let decrypt_coeff0 ?counters sk ct =
-  record counters Counters.Decrypt;
   (* Reads the evaluation-domain residues directly: no NTT pass. *)
   record_op counters Counters.Op_decrypt ~level:(level ct);
   let p = sk.sk_params in
@@ -294,16 +267,16 @@ let align a b =
   let k = Stdlib.min (level a) (level b) in
   (truncate_to_level a k, truncate_to_level b k)
 
-let centered_magnitude t v =
-  let c = Mod64.centered t (Mod64.reduce t v) in
-  Float.max 1.0 (Int64.to_float (Int64.abs c))
+let scalar_bits ~t_plain v =
+  let c = Mod64.centered t_plain (Mod64.reduce t_plain v) in
+  NM.log2 (Float.max 1.0 (Int64.to_float (Int64.abs c)))
 
 (* Multiply all components by a scalar (changes the raw plaintext). *)
 let scale_raw ct v =
-  let t = ct.params.Params.t_plain in
+  let bits = scalar_bits ~t_plain:ct.params.Params.t_plain v in
   { ct with
     comps = Array.map (fun c -> Rq.mul_scalar c v) ct.comps;
-    log_noise = ct.log_noise +. log2 (centered_magnitude t v) }
+    log_noise = (NM.mul_scalar (state ct) ~bits).NM.bits }
 
 let match_factor target ct =
   if Int64.equal ct.factor target then ct
@@ -334,15 +307,13 @@ let add2 op f a b =
   { params = a.params;
     comps = Array.init k (fun i -> f ca.(i) cb.(i));
     factor = a.factor;
-    log_noise = log2_add a.log_noise b.log_noise }
+    log_noise = (NM.add (state a) (state b)).NM.bits }
 
 let add ?counters a b =
-  record counters Counters.Hom_add;
   record_op counters Counters.Op_ct_add ~level:(Stdlib.min (level a) (level b));
   add2 "Bgv.add" Rq.add a b
 
 let sub ?counters a b =
-  record counters Counters.Hom_add;
   record_op counters Counters.Op_ct_add ~level:(Stdlib.min (level a) (level b));
   add2 "Bgv.sub" Rq.sub a b
 
@@ -353,7 +324,6 @@ let plain_to_rq ct pt =
     (Plaintext.to_coeffs pt)
 
 let add_plain ?counters ct pt =
-  record counters Counters.Hom_add;
   record_op counters Counters.Op_ct_add ~level:(level ct);
   (* plain_to_rq embeds the addend Coeff→Eval at the ciphertext level. *)
   record_op counters Counters.Op_ntt_fwd ~level:(level ct);
@@ -362,23 +332,21 @@ let add_plain ?counters ct pt =
   let pt = Plaintext.scale pt ct.factor in
   let comps = Array.copy ct.comps in
   comps.(0) <- Rq.add comps.(0) (plain_to_rq ct pt);
-  { ct with comps; log_noise = log2_add ct.log_noise (log2_t ct.params -. 1.0) }
+  { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
 
 let add_const ?counters ct v =
   add_plain ?counters ct (Plaintext.constant ct.params v)
 
 let mul_plain ?counters ct pt =
-  record counters Counters.Hom_mul_plain;
   record_op counters Counters.Op_mul_plain ~level:(level ct);
   record_op counters Counters.Op_ntt_fwd ~level:(level ct);
   if Plaintext.params pt != ct.params then invalid_arg "Bgv.mul_plain: parameter mismatch";
   let m = plain_to_rq ct pt in
   { ct with
     comps = Array.map (fun c -> Rq.mul c m) ct.comps;
-    log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0 }
+    log_noise = (NM.mul_plain (nm ct) (state ct)).NM.bits }
 
 let mul_scalar ?counters ct v =
-  record counters Counters.Hom_mul_plain;
   (* Pointwise scalar pass over the residues: no plaintext embed. *)
   record_op counters Counters.Op_mul_plain ~level:(level ct);
   scale_raw ct v
@@ -388,7 +356,6 @@ let mul_scalar ?counters ct v =
 (* ------------------------------------------------------------------ *)
 
 let modswitch ?counters ct =
-  record counters Counters.Hom_modswitch;
   let k = level ct in
   if k <= 1 then invalid_arg "Bgv.modswitch: already at the last level";
   record_op counters Counters.Op_modswitch ~level:k;
@@ -435,25 +402,11 @@ let modswitch ?counters ct =
   in
   let comps = Array.map switch_component ct.comps in
   let factor = Mod64.mul t ct.factor (Mod64.inv t (Mod64.reduce t drop64)) in
-  let log_noise =
-    log2_add
-      (ct.log_noise -. log2 (float_of_int drop))
-      (switch_floor_bits p (degree ct))
-  in
-  { ct with comps; factor; log_noise }
+  { ct with comps; factor; log_noise = (NM.modswitch (nm ct) (state ct)).NM.bits }
 
 let rescale_to_floor ?counters ct =
   let rec go ct =
-    if level ct <= 1 then ct
-    else begin
-      let drop = ct.params.Params.moduli.(level ct - 1) in
-      let predicted =
-        log2_add
-          (ct.log_noise -. log2 (float_of_int drop))
-          (switch_floor_bits ct.params (degree ct))
-      in
-      if predicted < ct.log_noise -. 0.5 then go (modswitch ?counters ct) else ct
-    end
+    if NM.switch_helps (nm ct) (state ct) then go (modswitch ?counters ct) else ct
   in
   go ct
 
@@ -463,7 +416,7 @@ let rescale_to_floor ?counters ct =
 
 (* Digit-decomposition key switching, shared by relinearisation and the
    Galois automorphisms: given a target polynomial and gadget rows with
-   b_j + a_j·s = t·e_j + 2^{jw}·S, returns (delta0, delta1, noise_bits)
+   b_j + a_j·s = t·e_j + 2^{jw}·S, returns (delta0, delta1, ndigits)
    such that delta0 + delta1·s = target·S + (t · small). *)
 let key_switch_digits ?counters p ~w ~rows ~level:k target =
   let ring = p.Params.ring in
@@ -492,29 +445,21 @@ let key_switch_digits ?counters p ~w ~rows ~level:k target =
     Rq.mul_add_into d0 digit_polys.(j) (Rq.truncate b_j ~nprimes:k);
     Rq.mul_add_into d1 digit_polys.(j) (Rq.truncate a_j ~nprimes:k)
   done;
-  let added =
-    (* t * ndigits * n * 2^w * eta *)
-    log2_t p +. log2 (float_of_int ndigits) +. log2_n p
-    +. float_of_int w +. log2 (float_of_int p.Params.eta)
-  in
-  (d0, d1, added)
+  (d0, d1, ndigits)
 
 let relinearize ?counters rlk ct =
-  record counters Counters.Hom_relin;
   if degree ct <> 2 then invalid_arg "Bgv.relinearize: degree <> 2";
   if rlk.rk_params != ct.params then invalid_arg "Bgv.relinearize: parameter mismatch";
   record_op counters Counters.Op_key_switch ~level:(level ct);
-  let p = ct.params in
-  let d0, d1, added =
-    key_switch_digits ?counters p ~w:rlk.rk_digit_bits ~rows:rlk.rk_rows ~level:(level ct)
-      ct.comps.(2)
+  let w = rlk.rk_digit_bits in
+  let d0, d1, ndigits =
+    key_switch_digits ?counters ct.params ~w ~rows:rlk.rk_rows ~level:(level ct) ct.comps.(2)
   in
   { ct with
     comps = [| Rq.add ct.comps.(0) d0; Rq.add ct.comps.(1) d1 |];
-    log_noise = log2_add ct.log_noise added }
+    log_noise = (NM.key_switch (nm ct) (state ct) ~ndigits ~w).NM.bits }
 
 let mul ?counters ?rlk ?(rescale = true) a b =
-  record counters Counters.Hom_mul;
   record_op counters Counters.Op_ct_mul ~level:(Stdlib.min (level a) (level b));
   if a.params != b.params then invalid_arg "Bgv.mul: parameter mismatch";
   let a, b = align a b in
@@ -534,7 +479,7 @@ let mul ?counters ?rlk ?(rescale = true) a b =
     { params = a.params;
       comps;
       factor = Mod64.mul t a.factor b.factor;
-      log_noise = log2_n a.params +. a.log_noise +. b.log_noise }
+      log_noise = (NM.mul (nm a) (state a) (state b)).NM.bits }
   in
   let ct =
     match rlk with
@@ -546,8 +491,6 @@ let mul ?counters ?rlk ?(rescale = true) a b =
 (* ------------------------------------------------------------------ *)
 (* Fused inner products                                                *)
 (* ------------------------------------------------------------------ *)
-
-let record_n c e k = match c with None -> () | Some c -> Counters.record_n c e k
 
 (* Σᵢ aᵢ·bᵢ without relinearisation or rescaling between terms.  The
    fused path tensors each pair directly into a shared accumulator
@@ -590,8 +533,6 @@ let mul_sum ?counters ?jobs ?rlk a b =
     !acc
   end
   else begin
-    record_n counters Counters.Hom_mul m;
-    record_n counters Counters.Hom_add (m - 1);
     record_op_n counters Counters.Op_ct_mul ~level:lvl m;
     record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
     let ring = p.Params.ring in
@@ -622,12 +563,12 @@ let mul_sum ?counters ?jobs ?rlk a b =
         List.fold_left (fun acc part -> Array.map2 Rq.add acc part) first rest
     in
     let log_noise =
-      let term i = log2_n p +. a.(i).log_noise +. b.(i).log_noise in
+      let term i = NM.mul p.Params.noise (state a.(i)) (state b.(i)) in
       let acc = ref (term 0) in
       for i = 1 to m - 1 do
-        acc := log2_add !acc (term i)
+        acc := NM.add !acc (term i)
       done;
-      !acc
+      !acc.NM.bits
     in
     { params = p; comps; factor = f0; log_noise }
   end
@@ -842,7 +783,6 @@ let galois_keygen ?counters rng sk ~elt =
   { gk_params = p; gk_elt = elt; gk_digit_bits = w; gk_rows = rows }
 
 let apply_galois ?counters gk ct =
-  record counters Counters.Hom_relin;
   if gk.gk_params != ct.params then invalid_arg "Bgv.apply_galois: parameter mismatch";
   if degree ct <> 1 then invalid_arg "Bgv.apply_galois: degree <> 1 (relinearise first)";
   let k = level ct in
@@ -854,12 +794,11 @@ let apply_galois ?counters gk ct =
   record_op_n counters Counters.Op_ntt_fwd ~level:k 2;
   let c0s = Rq.to_eval (Rq.substitute ct.comps.(0) ~k:gk.gk_elt) in
   let c1s = Rq.to_eval (Rq.substitute ct.comps.(1) ~k:gk.gk_elt) in
-  let d0, d1, added =
-    key_switch_digits ?counters ct.params ~w:gk.gk_digit_bits ~rows:gk.gk_rows ~level:k c1s
-  in
+  let w = gk.gk_digit_bits in
+  let d0, d1, ndigits = key_switch_digits ?counters ct.params ~w ~rows:gk.gk_rows ~level:k c1s in
   { ct with
     comps = [| Rq.add c0s d0; d1 |];
-    log_noise = log2_add ct.log_noise added }
+    log_noise = (NM.key_switch (nm ct) (state ct) ~ndigits ~w).NM.bits }
 
 (* Rotate-and-sum slot reduction: the Galois group of the power-of-two
    cyclotomic is <3> x <-1> and acts simply transitively on the slots,
@@ -943,11 +882,11 @@ let rerandomize ?counters ~flood_bits rng pk ct =
   let lvl = level ct in
   let fb = flood_bits - numbits64 p.Params.t_plain in
   if fb < 0 then invalid_arg "Bgv.rerandomize: flood narrower than the plaintext modulus";
-  if float_of_int flood_bits >= log2_q_at_level p lvl -. 1.0 then
+  if float_of_int flood_bits >= NM.log2_q p.Params.noise ~level:lvl -. 1.0 then
     invalid_arg "Bgv.rerandomize: flood does not fit under the level's modulus";
   let z = encrypt ?counters ~level:lvl rng pk (Plaintext.zero p) in
   record_op counters Counters.Op_ntt_fwd ~level:lvl;
   (* c0 is freshly owned by [z], so the flood can land in place. *)
   Rq.add_into z.comps.(0) (flood_poly rng p ~nprimes:lvl ~fb);
   add ?counters ct
-    { z with log_noise = log2_add z.log_noise (float_of_int flood_bits) }
+    { z with log_noise = (NM.flooded_zero p.Params.noise ~level:lvl ~flood_bits).NM.bits }

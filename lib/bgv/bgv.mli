@@ -17,14 +17,18 @@
 
     Each ciphertext tracks a conservative noise bound (in bits) and the
     plaintext scale factor accumulated by modulus switching; [decrypt]
-    undoes the factor, so callers never see it.
+    undoes the factor, so callers never see it.  Every bound, the
+    budget, the rescale rule and the serialised size come from
+    {!Util.Noise_model}'s ops applied to the ciphertext's (level,
+    degree, bits), the same ops the forecaster and
+    {!Sknn_obs.Cost_model} walk before any ciphertext exists.
 
-    Every operation optionally records into a {!Util.Counters.t} — both
-    the coarse Table 1 event classes and the op-kind × level cost
-    ledger ({!Util.Counters.op}), including the whole-polynomial NTT
-    passes each composite operation triggers.  The Table 1 reproduction
-    measures those counts on live protocol runs, and
-    {!Sknn_obs.Cost_model} replays the same accounting analytically. *)
+    Every operation optionally records into a {!Util.Counters.t}: one
+    cell of the op-kind × level cost ledger ({!Util.Counters.op}), plus
+    the whole-polynomial NTT passes each composite operation triggers.
+    The Table 1 reproduction reads those counts on live protocol runs,
+    and {!Sknn_obs.Cost_model} replays the same accounting
+    analytically. *)
 
 type secret_key
 type public_key
@@ -88,16 +92,17 @@ val mul :
 val mul_sum :
   ?counters:Util.Counters.t -> ?jobs:int -> ?rlk:relin_key -> ct array -> ct array -> ct
 (** [mul_sum a b] is the inner product [Σᵢ aᵢ·bᵢ] with no rescaling,
-    counting [n] {!Util.Counters.Hom_mul} and [n-1]
-    {!Util.Counters.Hom_add} events — exactly what the equivalent
-    [mul ~rescale:false] / [add] fold would record.  All operands are
-    first aligned to their common minimum level.  Without [rlk] the
-    products are tensored straight into a shared accumulator
+    recording [n] {!Util.Counters.Op_ct_mul} and [n-1]
+    {!Util.Counters.Op_ct_add} ledger cells — exactly what the
+    equivalent [mul ~rescale:false] / [add] fold would record.  All
+    operands are first aligned to their common minimum level.  Without
+    [rlk] the products are tensored straight into a shared accumulator
     ({!Rq.mul_add_into}), skipping one intermediate [Rq] allocation per
     term; [?jobs] splits the terms across that many domains
     ({!Util.Pool}).  Residue addition is exact modular arithmetic and
-    the noise bound is folded in term order, so the result is
-    bit-identical for every job count.  With [rlk] (or mixed factors)
+    the noise bound is folded in term order ({!Util.Noise_model.mul}
+    then {!Util.Noise_model.add}), so the result is bit-identical for
+    every job count.  With [rlk] (or mixed factors)
     it falls back to the sequential mul-then-add fold.
     @raise Invalid_argument on empty or length-mismatched inputs. *)
 
@@ -147,7 +152,8 @@ val modswitch : ?counters:Util.Counters.t -> ct -> ct
     additive rounding term). @raise Invalid_argument at level 1. *)
 
 val rescale_to_floor : ?counters:Util.Counters.t -> ct -> ct
-(** Apply {!modswitch} while it strictly reduces the noise bound. *)
+(** Apply {!modswitch} while {!Util.Noise_model.switch_helps}: while a
+    switch cuts the noise bound by more than half a bit. *)
 
 val truncate_to_level : ?counters:Util.Counters.t -> ct -> int -> ct
 (** Cheap level alignment: drop RNS components without rescaling (valid
@@ -182,22 +188,14 @@ val noise_budget_bits : ct -> float
 (** [log2 (Q_level / 2) - noise_bits]; decryption is guaranteed while
     positive. *)
 
-val fresh_noise_bits : Params.t -> float
-(** The noise bound a fresh encryption starts with — exported so the
-    observability layer's forecaster ({!Sknn_obs.Noise_model}) can be
-    cross-checked against the scheme's own bookkeeping. *)
-
-val switch_floor_bits : Params.t -> int -> float
-(** [switch_floor_bits p d]: additive rounding term of one modulus
-    switch at ciphertext degree [d] (same export rationale). *)
-
-val log2_q_at_level : Params.t -> int -> float
-(** log2 of the ciphertext modulus with [k] active RNS primes. *)
+val scalar_bits : t_plain:int64 -> int64 -> float
+(** log2 of a scalar's centered magnitude mod [t_plain] (at least 0):
+    the growth {!mul_scalar} charges the noise bound.  What the cost
+    model charges for a worst-case scalar, too. *)
 
 val byte_size : ct -> int
 (** Exact serialised size: [Bytes.length (ct_to_bytes ct)] without
-    paying for the encoding (4 bytes per residue coefficient plus a
-    40-byte header). *)
+    paying for the encoding ({!Util.Noise_model.ct_bytes}). *)
 
 val pp_ct : Format.formatter -> ct -> unit
 

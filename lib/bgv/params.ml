@@ -8,6 +8,7 @@ type t = {
   relin_digit_bits : int;
   ring : Rq.context;
   batching : Ntt64.table;
+  noise : Util.Noise_model.params;
 }
 
 (* Structured infeasibility: the planner enumerates hundreds of candidate
@@ -78,12 +79,20 @@ let probe ?(eta = 2) ?(relin_digit_bits = 16) ~name ~n ~plain_bits ~prime_bits
   { pr_name = name; pr_n = n; pr_t_plain = t_plain; pr_moduli = moduli;
     pr_eta = eta; pr_relin_digit_bits = relin_digit_bits }
 
+let noise_of_probe pr =
+  let lg = Util.Noise_model.log2 in
+  { Util.Noise_model.n = pr.pr_n;
+    t_bits = lg (Int64.to_float pr.pr_t_plain);
+    moduli_bits = Array.map (fun m -> lg (float_of_int m)) pr.pr_moduli;
+    eta = float_of_int pr.pr_eta }
+
 let of_probe pr =
   let ring = Rq.context ~n:pr.pr_n ~moduli:pr.pr_moduli in
   let batching = Ntt64.make_table ~p:pr.pr_t_plain ~n:pr.pr_n in
   { name = pr.pr_name; n = pr.pr_n; t_plain = pr.pr_t_plain;
     moduli = pr.pr_moduli; eta = pr.pr_eta;
-    relin_digit_bits = pr.pr_relin_digit_bits; ring; batching }
+    relin_digit_bits = pr.pr_relin_digit_bits; ring; batching;
+    noise = noise_of_probe pr }
 
 let create ?eta ?relin_digit_bits ~name ~n ~plain_bits ~prime_bits ~chain_len () =
   of_probe (probe ?eta ?relin_digit_bits ~name ~n ~plain_bits ~prime_bits ~chain_len ())

@@ -31,6 +31,8 @@ type t = private {
   relin_digit_bits : int;     (** base-2^w key-switching decomposition *)
   ring : Rq.context;
   batching : Ntt64.table;
+  noise : Util.Noise_model.params;
+      (** the chain's numbers for the noise and size formulas *)
 }
 
 (** Why a spec admits no parameter set.  Distinct from [Invalid_argument]
@@ -82,6 +84,10 @@ val of_probe : probe -> t
 
 val probe_of_t : t -> probe
 (** The probe a realized set came from (inverse of [of_probe]). *)
+
+val noise_of_probe : probe -> Util.Noise_model.params
+(** The [noise] field [of_probe] derives: what the planner walks its
+    unrealized candidates with. *)
 
 val create :
   ?eta:int ->

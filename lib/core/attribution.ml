@@ -1,32 +1,12 @@
 (* Bridge from a protocol configuration to the observability layer's
-   analytic cost replica (Sknn_obs.Cost_model).  lib/obs deliberately
+   analytic cost model (Sknn_obs.Cost_model).  lib/obs deliberately
    knows nothing about Params/Config/Masking, so the scheme-specific
    numbers — exact modulus bit lengths, the sound mask-coefficient
-   width, the centered scalar magnitudes — are derived here, with the
-   same arithmetic the live circuit uses (Bgv.centered_magnitude,
+   width, the worst-case scalar magnitude — are derived here, with the
+   functions the live circuit uses (Bgv.scalar_bits,
    Masking.max_coeff_bits), and handed over as plain floats/ints. *)
 
 module CM = Sknn_obs.Cost_model
-module NM = Sknn_obs.Noise_model
-
-let lg x = log x /. log 2.0
-
-(* Bgv's centered_magnitude, applied to the worst (largest) value the
-   scalar can take: the live branch decisions are stable across the
-   drawn range, which the ledger-equality tests witness. *)
-let centered_bits ~t_plain v =
-  let c = Mod64.centered t_plain (Mod64.reduce t_plain v) in
-  lg (Float.max 1.0 (Int64.to_float (Int64.abs c)))
-
-(* The same floats the live circuit computes from Params.t, so a level
-   rule evaluated on these agrees with its live call bit for bit. *)
-let noise_params_probe (pr : Params.probe) : NM.params =
-  { NM.n = pr.Params.pr_n;
-    t_bits = lg (Int64.to_float pr.Params.pr_t_plain);
-    moduli_bits = Array.map (fun m -> lg (float_of_int m)) pr.Params.pr_moduli;
-    eta = float_of_int pr.Params.pr_eta }
-
-let noise_model_params p = noise_params_probe (Params.probe_of_t p)
 
 (* Exact bit length of the modulus product with i+1 active primes —
    the prefix-product definition of Rq.modulus ~nprimes, but computable
@@ -39,14 +19,6 @@ let q_ibits_of_moduli moduli =
       acc := Zint.mul !acc (Zint.of_int64 (Int64.of_int m));
       Zint.numbits !acc)
     moduli
-
-let bits_of v =
-  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  go 0 v
-
-let max_distance_bits ~max_coord_bits ~d =
-  let max_coord = (1 lsl max_coord_bits) - 1 in
-  bits_of (Distance.max_squared_euclidean ~d ~max_value:max_coord)
 
 (* The probe-level bridge: everything [model_params] derives, from the
    prime-search result plus the protocol knobs — no ring context, no
@@ -63,14 +35,16 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
   let mask_leading_bits =
     let sound =
       Masking.max_coeff_bits ~t_plain
-        ~input_bits:(max_distance_bits ~max_coord_bits ~d)
+        ~input_bits:(Config.max_distance_bits ~max_coord_bits ~d)
         ~degree:mask_degree
     in
     let c = Stdlib.max 1 (Stdlib.min mask_coeff_bits sound) in
-    (* Masking.draw samples coefficients uniformly from [1, 2^c − 1]. *)
-    centered_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
+    (* Masking.draw samples coefficients uniformly from [1, 2^c − 1];
+       the live branch decisions are stable across that range, which
+       the ledger-equality tests witness. *)
+    Bgv.scalar_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
   in
-  { CM.nm = noise_params_probe pr;
+  { CM.nm = Params.noise_of_probe pr;
     q_ibits;
     n_points = n;
     d;

@@ -1,25 +1,16 @@
 (** Config → {!Sknn_obs.Cost_model} bridge.
 
-    Derives the analytic cost replica's parameters from a protocol
+    Derives the analytic cost model's parameters from a protocol
     configuration — exact modulus bit lengths for the key-switch digit
-    count, the sound mask-coefficient width, centered worst-case scalar
-    magnitudes — using the same arithmetic the live circuit uses, so
-    the replica's branch decisions match the instrumented run's.
+    count, the sound mask-coefficient width, the worst-case scalar
+    magnitude — using the functions the live circuit uses, so the
+    model's branch decisions match the instrumented run's.
     See DESIGN.md §5a for the invariant this upholds. *)
-
-val noise_model_params : Params.t -> Sknn_obs.Noise_model.params
-(** The forecaster's view of a parameter set, with the floats the live
-    circuit computes — what [Entities.Party_a] evaluates the
-    {!Sknn_obs.Noise_model} level-drop rules on. *)
 
 val q_ibits_of_moduli : int array -> int array
 (** Exact bit length of the prefix modulus products (index [i] =
     [i + 1] active primes) — [Zint.numbits] of the same products
     [Rq.modulus ~nprimes] returns, without needing a ring context. *)
-
-val max_distance_bits : max_coord_bits:int -> d:int -> int
-(** Bits of the largest squared distance for [d]-dimensional data under
-    [max_coord_bits] — [Config.max_distance_bits] from raw knobs. *)
 
 val model_params_probe :
   Params.probe ->

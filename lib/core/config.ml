@@ -59,17 +59,25 @@ let bits_of v =
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
   go 0 v
 
-let max_distance_bits t ~d =
-  let max_coord = (1 lsl t.max_coord_bits) - 1 in
+let max_distance_bits ~max_coord_bits ~d =
+  let max_coord = (1 lsl max_coord_bits) - 1 in
   bits_of (Distance.max_squared_euclidean ~d ~max_value:max_coord)
+
+(* A distance read out of one coefficient (the inner-product trick) or
+   one slot (the packed paths) survives only an affine mask: a
+   higher-degree one would not commute with the extraction.  The point's
+   d coordinates must fit in the ring's N coefficients or slots. *)
+let affine_supported t ~d ~what =
+  if t.mask_degree <> 1 then Error (what ^ " need affine (degree-1) masking")
+  else if d > t.bgv.Params.n then Error (what ^ " need d <= ring degree")
+  else Ok ()
 
 let layout_name = function
   | Per_coordinate -> "per-coordinate"
   | Dot_product -> "dot-product"
 
 let validate t ~d =
-  let n = t.bgv.Params.n in
-  let input_bits = max_distance_bits t ~d in
+  let input_bits = max_distance_bits ~max_coord_bits:t.max_coord_bits ~d in
   let sound =
     Masking.max_coeff_bits ~t_plain:t.bgv.Params.t_plain ~input_bits ~degree:t.mask_degree
   in
@@ -80,12 +88,9 @@ let validate t ~d =
          "masking envelope violated: degree-%d polynomial on %d-bit distances cannot fit \
           under t=%Ld; lower mask_degree or max_coord_bits"
          t.mask_degree input_bits t.bgv.Params.t_plain)
-  else if t.layout = Dot_product && t.mask_degree <> 1 then
-    Error "Dot_product layout supports only affine (degree-1) masking"
-  else if t.layout = Dot_product && d > n then
-    Error (Printf.sprintf "Dot_product layout needs d <= ring degree (%d > %d)" d n)
   else if t.return_level < 1 || t.return_level > Params.chain_length t.bgv then
     Error "return_level out of range"
+  else if t.layout = Dot_product then affine_supported t ~d ~what:"Dot_product queries"
   else Ok ()
 
 let pp ppf t =

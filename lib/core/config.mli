@@ -60,13 +60,19 @@ val with_mask_degree : int -> t -> t
 val with_relin : bool -> t -> t
 val with_rescale_distances : bool -> t -> t
 
-val max_distance_bits : t -> d:int -> int
-(** Bits of the largest squared distance for [d]-dimensional data under
-    [max_coord_bits]. *)
+val max_distance_bits : max_coord_bits:int -> d:int -> int
+(** Bits of the largest squared distance for [d]-dimensional data with
+    coordinates below [2^max_coord_bits]. *)
+
+val affine_supported : t -> d:int -> what:string -> (unit, string) result
+(** The rule of every path that reads a distance out of one coefficient
+    or slot (the [Dot_product] layout; the prepared, packed and batch
+    paths): affine (degree-1) masking and [d <= n], the ring degree.
+    [Error] says ["<what> need …"]. *)
 
 val validate : t -> d:int -> (unit, string) result
-(** Checks the masking envelope (see {!Masking}) and layout constraints
-    ([Dot_product] requires [mask_degree = 1] and [d <= n]). *)
+(** Checks the masking envelope (see {!Masking}), the return level and,
+    for [Dot_product], {!affine_supported}. *)
 
 val layout_name : layout -> string
 val pp : Format.formatter -> t -> unit

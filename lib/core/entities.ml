@@ -5,7 +5,7 @@ module Pool = Util.Pool
 module Obs = Sknn_obs.Ctx
 module Trace = Sknn_obs.Trace
 module Audit = Sknn_obs.Audit
-module NM = Sknn_obs.Noise_model
+module NM = Util.Noise_model
 
 (* Per-worker counters keep recording race-free under Pool.map_local;
    absorbing them in worker order makes the totals exact (and identical)
@@ -181,10 +181,21 @@ module Party_a = struct
   let db_size t = t.db.db_n
   let jobs t = t.jobs
 
-  type query_state = { mask : Masking.t; perm : Perm.t }
+  type query_state = { perm : Perm.t }
 
-  let state_mask s = s.mask
   let state_perm s = s.perm
+
+  (* A fresh masking polynomial, sound for d-dimensional distances. *)
+  let draw_mask rng config ~d =
+    Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
+      ~input_bits:
+        (Config.max_distance_bits ~max_coord_bits:config.Config.max_coord_bits ~d)
+      ~degree:config.Config.mask_degree ~coeff_bits:config.Config.mask_coeff_bits ()
+
+  let require_affine fn config ~d ~what =
+    match Config.affine_supported config ~d ~what with
+    | Ok () -> ()
+    | Error msg -> invalid_arg (fn ^ ": " ^ msg)
 
   let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
 
@@ -224,14 +235,9 @@ module Party_a = struct
     let config = t.config in
     let d = t.db.db_d in
     if query.q_dim <> d then invalid_arg "Party_a.compute_distances: dimension mismatch";
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
+    let coeffs =
+      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
     in
-    let coeffs = Masking.coeffs mask in
     let rngs = split_streams rng t.db.db_n in
     let masked =
       Obs.with_span obs
@@ -254,7 +260,7 @@ module Party_a = struct
     in
     Obs.with_span obs "permute" (fun () ->
         let perm = Perm.random rng t.db.db_n in
-        ({ mask; perm }, Perm.apply perm masked))
+        ({ perm }, Perm.apply perm masked))
 
   let return_level t =
     Stdlib.min t.config.Config.return_level (Params.chain_length t.config.Config.bgv)
@@ -274,16 +280,6 @@ module Party_a = struct
         (* packed points already truncated to the return level, so
            Return-kNN skips the per-query truncation pass *)
   }
-
-  (* The inner-product trick leaves cross terms in the non-constant
-     coefficients, so only affine masking keeps the constant coefficient
-     sound — the same restriction Config.validate puts on Dot_product. *)
-  let prepared_supported config ~d =
-    if config.Config.mask_degree <> 1 then
-      Error "prepared queries need affine (degree-1) masking"
-    else if d > config.Config.bgv.Params.n then
-      Error "prepared queries need d <= ring degree"
-    else Ok ()
 
   (* ---- Noise forecast ------------------------------------------- *)
 
@@ -313,9 +309,7 @@ module Party_a = struct
     end
 
   let prepare ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t =
-    (match prepared_supported t.config ~d:t.db.db_d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.prepare: " ^ msg));
+    require_affine "Party_a.prepare" t.config ~d:t.db.db_d ~what:"prepared queries";
     guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Prepared;
     let norms =
       Obs.with_span obs
@@ -357,18 +351,11 @@ module Party_a = struct
           "Party_a.compute_distances_prepared: query lacks inner-product form \
            (use Client.encrypt_query_ip)"
     in
-    (match prepared_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_prepared: " ^ msg));
-    let nm = Attribution.noise_model_params config.Config.bgv in
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
+    require_affine "Party_a.compute_distances_prepared" config ~d ~what:"prepared queries";
+    let nm = config.Config.bgv.Params.noise in
+    let coeffs =
+      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
     in
-    let coeffs = Masking.coeffs mask in
     let rngs = split_streams rng t.db.db_n in
     let masked =
       Obs.with_span obs
@@ -414,12 +401,13 @@ module Party_a = struct
     in
     Obs.with_span obs "permute" (fun () ->
         let perm = Perm.random rng t.db.db_n in
-        ({ mask; perm }, Perm.apply perm masked))
+        ({ perm }, Perm.apply perm masked))
 
   let select_row ?(obs = Obs.disabled) t permuted_packed row =
     (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
-       inner product is fused and split across domains; return_knn keeps
-       the k rows sequential so parallelism is never nested. *)
+       inner product is fused and split across domains;
+       Protocol.query_gen keeps the k rows sequential so parallelism is
+       never nested. *)
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
         Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
 
@@ -451,19 +439,10 @@ module Party_a = struct
   (* Column j in Π-permuted order: position Π(i) holds p_i(j). *)
   let permuted_cols pp perm = Array.map (Perm.apply perm) pp.pp_cols
 
-  let packed_supported config ~d =
-    if config.Config.mask_degree <> 1 then
-      Error "packed queries need affine (degree-1) masking"
-    else if d > config.Config.bgv.Params.n then
-      Error "packed queries need d <= ring degree"
-    else Ok ()
-
   let prepare_packed ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t ~db =
     let config = t.config in
     let d = t.db.db_d and n = t.db.db_n in
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.prepare_packed: " ^ msg));
+    require_affine "Party_a.prepare_packed" config ~d ~what:"packed queries";
     if Array.length db <> n then
       invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
     Array.iter (Data_owner.validate_point config ~d) db;
@@ -489,21 +468,14 @@ module Party_a = struct
           "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
            Client.encrypt_query_packed)"
     in
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_packed: " ^ msg));
+    require_affine "Party_a.compute_distances_packed" config ~d ~what:"packed queries";
     if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
       invalid_arg "Party_a.compute_distances_packed: prepared state mismatch";
     let slots = Params.slot_count params in
     let nbatches = (n + slots - 1) / slots in
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:params.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
+    let coeffs =
+      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
     in
-    let coeffs = Masking.coeffs mask in
     let rngs = split_streams rng nbatches in
     (* The permutation is drawn before the homomorphic loop: the slot
        layout must already be in permuted order when the batches are
@@ -517,9 +489,8 @@ module Party_a = struct
         (Bgv.noise_bits q_norm) q_coords
     in
     let drop =
-      NM.packed_query_level
-        (Attribution.noise_model_params params)
-        ~return_level:(return_level t) ~d ~q_bits:q_noise
+      NM.packed_query_level params.Params.noise ~return_level:(return_level t) ~d
+        ~q_bits:q_noise
     in
     let q_coords, q_norm =
       match drop with
@@ -586,13 +557,12 @@ module Party_a = struct
                   else m)
                 rngs))
     in
-    ({ mask; perm }, masked)
+    ({ perm }, masked)
 
   (* ---- Slot-batched multi-query evaluation ------------------------ *)
 
-  type batch_state = { b_masks : Masking.t array; b_perm : Perm.t }
+  type batch_state = { b_perm : Perm.t }
 
-  let batch_state_masks s = s.b_masks
   let batch_state_perm s = s.b_perm
 
   (* M queries in the slot dimension: per point the inner products of
@@ -608,9 +578,7 @@ module Party_a = struct
     let d = t.db.db_d and n = t.db.db_n in
     if bq.bq_dim <> d then
       invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_batch: " ^ msg));
+    require_affine "Party_a.compute_distances_batch" config ~d ~what:"packed queries";
     if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
       invalid_arg "Party_a.compute_distances_batch: prepared state mismatch";
     let slots = Params.slot_count params in
@@ -619,11 +587,7 @@ module Party_a = struct
       invalid_arg "Party_a.compute_distances_batch: batch size out of range";
     let masks =
       Obs.with_span obs "draw-mask" (fun () ->
-          Array.init nqueries (fun _ ->
-              Masking.draw rng ~t_plain:params.Params.t_plain
-                ~input_bits:(Config.max_distance_bits config ~d)
-                ~degree:config.Config.mask_degree
-                ~coeff_bits:config.Config.mask_coeff_bits ()))
+          Array.init nqueries (fun _ -> draw_mask rng config ~d))
     in
     let a1 = Array.make slots 1L and a0 = Array.make slots 0L in
     Array.iteri
@@ -645,9 +609,7 @@ module Party_a = struct
         (Bgv.noise_bits bq.bq_norm) bq.bq_coords
     in
     let drop =
-      NM.batch_query_level
-        (Attribution.noise_model_params params)
-        ~return_level:(return_level t) ~d
+      NM.batch_query_level params.Params.noise ~return_level:(return_level t) ~d
         ~coord_bits:(float_of_int config.Config.max_coord_bits)
         ~q_bits:q_noise
     in
@@ -703,7 +665,7 @@ module Party_a = struct
                   Bgv.add_plain ~counters md a0_pt)
                 rngs))
     in
-    ({ b_masks = masks; b_perm = perm }, Perm.apply perm masked)
+    ({ b_perm = perm }, Perm.apply perm masked)
 
   (* Return-kNN on the packed paths: Party A holds the plaintext points,
      so each of B's block indicators costs one plain product against
@@ -720,7 +682,7 @@ module Party_a = struct
     if Array.length indicators <> lay.count then
       invalid_arg "Party_a.return_blocks: indicator count mismatch";
     let cols_p = permuted_cols pp perm in
-    let flood_bits = NM.flood_bits (Attribution.noise_model_params params) in
+    let flood_bits = NM.flood_bits params.Params.noise in
     let rngs = split_streams rng lay.count in
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
         Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
@@ -737,10 +699,6 @@ module Party_a = struct
             Bgv.rerandomize ~counters ~flood_bits rngs.(b) t.pk
               (Bgv.mul_plain ~counters ind block))
           indicators)
-
-  let return_knn ?obs t state rows =
-    let packed = permuted_packed t state in
-    Array.map (fun row -> select_row ?obs t packed row) rows
 end
 
 (* ------------------------------------------------------------------ *)
@@ -874,12 +832,6 @@ module Party_b = struct
             done;
             Bgv.encrypt ~counters ~level rng t.pk (Plaintext.of_slots ~counters params slots))
           rngs)
-
-  let find_neighbours ?obs t rng cts ~k =
-    let n = Array.length cts in
-    let view = select_neighbours ?obs t cts ~k in
-    let rows = Array.init k (fun j -> indicator_row ?obs t rng view ~n ~j) in
-    (rows, view)
 end
 
 (* ------------------------------------------------------------------ *)

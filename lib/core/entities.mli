@@ -79,7 +79,7 @@ module Party_a : sig
   val jobs : t -> int
 
   type query_state
-  (** Party A's per-query secrets: the fresh masking polynomial and the
+  (** Party A's per-query secret that outlives Compute Distances: the
       fresh permutation Π. *)
 
   val compute_distances :
@@ -90,25 +90,18 @@ module Party_a : sig
       ["distance-batches"] (with per-point pool chunks) and ["permute"]
       sub-stages. *)
 
-  val return_knn :
-    ?obs:Sknn_obs.Ctx.t -> t -> query_state -> Bgv.ct array array -> Bgv.ct array
-  (** Algorithm 3: given the k indicator vectors [B^j] (in permuted index
-      space), returns k re-randomised encryptions of the neighbour
-      points (coefficient-packed). *)
-
   val permuted_packed : t -> query_state -> Bgv.ct array
   (** [Π(P')] at the return level — the first step of Algorithm 3,
       exposed so the protocol driver can stream indicator rows. *)
 
   val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
-  (** [select_row t Π(P') B^j] computes the inner product and sum of one
-      indicator row: one encrypted neighbour point. *)
+  (** Algorithm 3, one row at a time: [select_row t Π(P') B^j] computes
+      the inner product and sum of indicator row [B^j] (in permuted
+      index space): one encrypted neighbour point. *)
 
-  val state_mask : query_state -> Masking.t
   val state_perm : query_state -> Util.Perm.t
-  (** The mask is exposed for the leakage-audit tests only; the
-      permutation also feeds {!return_blocks}.  A deployed Party A keeps
-      both secret and drops them after the query. *)
+  (** The permutation, which {!return_blocks} also reads.  A deployed
+      Party A keeps it secret and drops it after the query. *)
 
   (** {2 Prepared multi-query state}
 
@@ -123,7 +116,7 @@ module Party_a : sig
 
   val forecast_noise :
     ?margin_bits:float -> ?path:Sknn_obs.Cost_model.path -> t ->
-    Sknn_obs.Noise_model.report
+    Util.Noise_model.report
   (** Worst-case noise headroom of [path]'s circuit (default
       [Prepared]), predicted from the parameter chain alone: the noise
       report of {!Sknn_obs.Cost_model.predict}, the symbolic walk of the
@@ -178,10 +171,6 @@ module Party_a : sig
 
   type prepared_packed
 
-  val packed_supported : Config.t -> d:int -> (unit, string) result
-  (** Whether the packed and batch paths admit [config] at dimension
-      [d]: affine (degree-1) masking and [d <= N], the ring degree. *)
-
   val prepare_packed :
     ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> db:int array array ->
     prepared_packed
@@ -204,7 +193,7 @@ module Party_a : sig
       ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
       batch are overwritten with uniform randomness.  The query
       ciphertexts are truncated up front by
-      {!Sknn_obs.Noise_model.packed_query_level} (every later op's noise
+      {!Util.Noise_model.packed_query_level} (every later op's noise
       increment is level-independent).  Batches run pool-parallel with
       per-batch RNG
       streams: results, counters and transcripts are bit-identical for
@@ -213,8 +202,8 @@ module Party_a : sig
   (** {2 Slot-batched multi-query evaluation} *)
 
   type batch_state
-  (** Per-batch secrets: one fresh affine mask per query and the shared
-      permutation Π. *)
+  (** The batch's per-round secret that outlives Compute Distances: the
+      shared permutation Π. *)
 
   val compute_distances_batch :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> batched_query ->
@@ -226,10 +215,8 @@ module Party_a : sig
       randomness.  The M views share one permutation — the batch mode's
       extra declared leakage (audited as ["batch-query-count"]). *)
 
-  val batch_state_masks : batch_state -> Masking.t array
   val batch_state_perm : batch_state -> Util.Perm.t
-  (** The batch's masks, for the leakage-audit tests only, and its
-      permutation, which {!return_blocks} also reads. *)
+  (** The batch's permutation, which {!return_blocks} also reads. *)
 
   val return_blocks :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> perm:Util.Perm.t -> Util.Rng.t ->
@@ -241,7 +228,7 @@ module Party_a : sig
       coordinates plus one ([per = ⌊N/d⌋] points a block, each owning
       [N/per] slots from [o·(N/per)]).  The product is flooded by
       {!Bgv.rerandomize} at the public width
-      {!Sknn_obs.Noise_model.flood_bits}.  Blocks run pool-parallel with
+      {!Util.Noise_model.flood_bits}.  Blocks run pool-parallel with
       per-block RNG streams split in order (pool chunks ["select-row"]).
       @raise Invalid_argument when the indicator count is not
       [⌈n/per⌉]. *)
@@ -267,18 +254,12 @@ module Party_b : sig
         (** Permuted indices of the k chosen minima. *)
   }
 
-  val find_neighbours :
-    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> Bgv.ct array -> k:int ->
-    Bgv.ct array array * view
-  (** Algorithm 2: decrypts the masked distances, selects the k smallest
-      with an O(n log k) heap that replicates the paper's streaming
-      max-replacement scan exactly (ties included; see {!Util.Topk}),
-      and returns the k encrypted indicator vectors.  The [view] is
-      returned for leakage auditing. *)
-
   val select_neighbours : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> k:int -> view
-  (** The decrypt-and-select half of Algorithm 2 without materialising
-      the indicator vectors. *)
+  (** The decrypt-and-select half of Algorithm 2: decrypts the masked
+      distances and selects the k smallest with an O(n log k) heap that
+      replicates the paper's streaming max-replacement scan exactly
+      (ties included; see {!Util.Topk}).  {!indicator_row} then
+      encrypts the k indicator vectors one row at a time. *)
 
   val select_neighbours_packed :
     ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> n:int -> k:int -> view

@@ -74,7 +74,9 @@ let run ?rng ?(max_iters = 25) t ~init =
   let return_level =
     Stdlib.min t.config.Config.return_level (Params.chain_length params)
   in
-  let input_bits = Config.max_distance_bits t.config ~d:t.d in
+  let input_bits =
+    Config.max_distance_bits ~max_coord_bits:t.config.Config.max_coord_bits ~d:t.d
+  in
   let centroids = ref (Array.map Array.copy init) in
   let iterations = ref 0 in
   let converged = ref false in

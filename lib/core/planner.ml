@@ -17,10 +17,8 @@
    [realize].  Everything is pure given the unit model, so the same spec
    always yields the byte-identical plan (tested). *)
 
-module NM = Sknn_obs.Noise_model
+module NM = Util.Noise_model
 module CM = Sknn_obs.Cost_model
-
-let lg2 x = log x /. log 2.0
 
 (* ------------------------------------------------------------------ *)
 (* The search                                                          *)
@@ -108,11 +106,11 @@ let rescale_for w = w.path = CM.Plain && w.layout = Config.Per_coordinate
    below 2^plain_bits, so start just above the bound and bump if the
    prime found lands under it. *)
 let min_plain_bits w =
-  let input_bits = Attribution.max_distance_bits ~max_coord_bits:w.coord_bits ~d:w.dim in
+  let input_bits = Config.max_distance_bits ~max_coord_bits:w.coord_bits ~d:w.dim in
   let need =
     float_of_int w.mask_coeff_bits
     +. (float_of_int w.mask_degree *. float_of_int input_bits)
-    +. lg2 (float_of_int (w.mask_degree + 1))
+    +. NM.log2 (float_of_int (w.mask_degree + 1))
   in
   (int_of_float (ceil need)) + 1
 
@@ -205,8 +203,8 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                       let sound =
                         Masking.max_coeff_bits ~t_plain:pr.Params.pr_t_plain
                           ~input_bits:
-                            (Attribution.max_distance_bits
-                               ~max_coord_bits:w.coord_bits ~d:w.dim)
+                            (Config.max_distance_bits ~max_coord_bits:w.coord_bits
+                               ~d:w.dim)
                           ~degree:w.mask_degree
                       in
                       if sound >= w.mask_coeff_bits then Some (plain_bits, pr)

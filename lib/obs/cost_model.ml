@@ -1,6 +1,6 @@
 (* The analytic model of a query path: a symbolic executor that walks
    the exact circuit each path runs (lib/core/entities.ml +
-   protocol.ml) on Noise_model bounds instead of ciphertexts.  One walk
+   protocol.ml) on Noise_model states instead of ciphertexts.  One walk
    yields the op-kind × BGV-level ledger cells (Util.Counters) the
    instrumented scheme records, the transcript with its byte sizes, and
    the noise report the prepare-time guard and the planner read.
@@ -9,11 +9,10 @@
    [Counters.equal_ledger] between a prediction and a measured run on
    every preset.  That only holds because every branch the live circuit
    takes on a noise bound (rescale_to_floor loop trips, the level-drop
-   rules) is replayed here with bit-identical float arithmetic:
+   rules) is decided here by the same float arithmetic:
 
-   - the per-op noise formulas and the level-drop rules are
-     Noise_model's, which the live circuit calls too or mirrors term
-     for term (lib/bgv/bgv.ml);
+   - every noise, size and level-drop formula is Noise_model's, and
+     Bgv and the live circuit call the same functions;
    - scalar magnitudes (mask coefficients, plaintext coordinates) are
      supplied by the caller as worst-case log2 bounds; the presets'
      branch decisions are stable across the whole range, which the
@@ -23,7 +22,7 @@
    exactly as Plaintext records them. *)
 
 module C = Util.Counters
-module NM = Noise_model
+module NM = Util.Noise_model
 
 type params = {
   nm : NM.params;
@@ -57,8 +56,6 @@ type prediction = {
   noise : NM.report;
 }
 
-let log2 x = log x /. log 2.0
-
 let full_level p = NM.chain_length p.nm
 let return_level p = Stdlib.min p.return_level (full_level p)
 
@@ -74,10 +71,6 @@ let return_level p = Stdlib.min p.return_level (full_level p)
    report a one-point step list. *)
 type tally = { phase_c : C.t; party_c : C.t; times : int }
 
-let record ?(n = 1) t e =
-  C.record_n t.phase_c e (n * t.times);
-  C.record_n t.party_c e (n * t.times)
-
 let record_op ?(n = 1) t op ~level =
   C.record_op_n t.phase_c op ~level (n * t.times);
   C.record_op_n t.party_c op ~level (n * t.times)
@@ -85,11 +78,10 @@ let record_op ?(n = 1) t op ~level =
 let repeat t ~times f = f { t with times = t.times * times }
 
 (* Each operation mirrors the recording discipline of the matching
-   Bgv/Plaintext entry point: primary op cell, the whole-polynomial NTT
-   passes it triggers, and the coarse Table 1 event. *)
+   Bgv/Plaintext entry point: primary op cell and the whole-polynomial
+   NTT passes it triggers. *)
 
 let enc p c ~level =
-  record c C.Encrypt;
   record_op c C.Op_encrypt ~level;
   record_op ~n:4 c C.Op_ntt_fwd ~level;
   NM.fresh_at p.nm ~level
@@ -97,24 +89,20 @@ let enc p c ~level =
 (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
    so presenting coefficients always costs one inverse pass. *)
 let dec c (st : NM.state) =
-  record c C.Decrypt;
   record_op c C.Op_decrypt ~level:st.NM.level;
   record_op c C.Op_ntt_inv ~level:st.NM.level
 
 (* decrypt_coeff0 reads the evaluation-domain residues directly. *)
 let dec0 c (st : NM.state) =
-  record c C.Decrypt;
   record_op c C.Op_decrypt ~level:st.NM.level
 
 let add c a b =
-  record c C.Hom_add;
   record_op c C.Op_ct_add ~level:(Stdlib.min a.NM.level b.NM.level);
   NM.add a b
 
 let sub = add
 
 let add_plain p c st =
-  record c C.Hom_add;
   record_op c C.Op_ct_add ~level:st.NM.level;
   record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.add_plain p.nm st
@@ -122,18 +110,15 @@ let add_plain p c st =
 let add_const = add_plain
 
 let mul_plain p c st =
-  record c C.Hom_mul_plain;
   record_op c C.Op_mul_plain ~level:st.NM.level;
   record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.mul_plain p.nm st
 
 let mul_scalar c st ~bits =
-  record c C.Hom_mul_plain;
   record_op c C.Op_mul_plain ~level:st.NM.level;
   NM.mul_scalar st ~bits
 
 let modswitch p c (st : NM.state) =
-  record c C.Hom_modswitch;
   let k = st.NM.level in
   record_op c C.Op_modswitch ~level:k;
   (* Every component is Eval (the scheme's invariant), so each pays the
@@ -159,7 +144,6 @@ let truncate_silent (st : NM.state) ~level =
   if level >= st.NM.level then st else NM.truncate st ~level
 
 let relinearize p c (st : NM.state) =
-  record c C.Hom_relin;
   let k = st.NM.level in
   record_op c C.Op_key_switch ~level:k;
   (* key_switch_digits: the tensor component is Eval, one inverse pass;
@@ -168,21 +152,13 @@ let relinearize p c (st : NM.state) =
   let ndigits = Stdlib.min p.relin_rows ((p.q_ibits.(k - 1) + w - 1) / w) in
   record_op c C.Op_ntt_inv ~level:k;
   record_op ~n:ndigits c C.Op_ntt_fwd ~level:k;
-  let added =
-    p.nm.NM.t_bits
-    +. log2 (float_of_int ndigits)
-    +. log2 (float_of_int p.nm.NM.n)
-    +. float_of_int w
-    +. log2 p.nm.NM.eta
-  in
-  { st with NM.degree = 1; NM.bits = NM.log2_add st.NM.bits added }
+  NM.key_switch p.nm st ~ndigits ~w
 
 (* The tensor product, relinearised when the live call site passes
    [?rlk] — some sites (the plain-path inner product, Return-kNN's row
    selection) never do, whatever the configuration says.  A rescaling
    Bgv.mul is this followed by [rescale_to_floor]. *)
 let mul p c ~relin a b =
-  record c C.Hom_mul;
   record_op c C.Op_ct_mul ~level:(Stdlib.min a.NM.level b.NM.level);
   let st = NM.mul p.nm a b in
   if relin && st.NM.degree = 2 then relinearize p c st else st
@@ -203,8 +179,6 @@ let mul_sum p c ~terms ~relin a b =
     !acc
   end
   else begin
-    record ~n:terms c C.Hom_mul;
-    record ~n:(terms - 1) c C.Hom_add;
     record_op ~n:terms c C.Op_ct_mul ~level:lvl;
     record_op ~n:(terms - 1) c C.Op_ct_add ~level:lvl;
     NM.mul_sum p.nm a b ~terms
@@ -218,7 +192,6 @@ let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 let rerandomize p c (st : NM.state) =
   ignore (enc p c ~level:st.NM.level);
   record_op c C.Op_ntt_fwd ~level:st.NM.level;
-  record c C.Hom_add;
   record_op c C.Op_ct_add ~level:st.NM.level;
   NM.flood p.nm st ~flood_bits:(NM.flood_bits p.nm)
 
@@ -238,19 +211,13 @@ type sim = {
 
 let step sim name st = NM.step sim.noise name st
 
-(* Serialized size of a ciphertext in the symbolic state: the exact
-   Bgv.byte_size formula, (degree+1) residue polynomials per remaining
-   prime at 4 bytes a coefficient plus the fixed header. *)
-let st_bytes p (st : NM.state) =
-  ((st.NM.degree + 1) * st.NM.level * p.nm.NM.n * 4) + 40
-
 (* A symbolic transcript message of [count] ciphertexts in state [st],
    with the same granularity and labels as the live [Protocol] sends —
    what makes the predicted transcript structurally comparable (and the
    Clock replay byte-exact) against a measured run. *)
 let send sim ~sender ~receiver ~label ~count st =
   Transcript.send sim.tr ~sender ~receiver ~label
-    ~bytes:(count * st_bytes sim.p st)
+    ~bytes:(count * NM.ct_bytes sim.p.nm st)
 
 let phase_counter sim ~phase ~party =
   let c = C.create () in
@@ -633,7 +600,7 @@ type unit_model = { scales : float array }
 
 let op_basis ~n ~level op =
   let fn = float_of_int n in
-  let lg = log2 fn in
+  let lg = NM.log2 fn in
   let lvl = float_of_int (Stdlib.max 1 level) in
   match op with
   | C.Op_ct_add | C.Op_ct_mul | C.Op_level_drop -> lvl *. fn

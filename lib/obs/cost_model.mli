@@ -1,7 +1,7 @@
 (** The analytic model of a query path.
 
     {!predict} symbolically executes the exact per-path circuits of
-    [lib/core/entities.ml]/[protocol.ml] on {!Noise_model} bounds
+    [lib/core/entities.ml]/[protocol.ml] on {!Util.Noise_model} bounds
     instead of ciphertexts.  One walk yields three things:
 
     - the op-kind × BGV-level ledger the instrumented scheme records on
@@ -15,9 +15,9 @@
     and that every live noise gauge clears the report's minimum.
 
     Every count that depends on a noise bound (rescale loop trips, the
-    level-drop rules of {!Noise_model}) is replayed with bit-identical
-    float arithmetic, so the predicted branch decisions match the live
-    ones.
+    level-drop rules) is decided by the same {!Util.Noise_model}
+    functions [Bgv] and the live circuit call, so the predicted branch
+    decisions match the live ones.
 
     Combined with per-op unit costs measured by the calibration bench
     ([bench/kernels]), {!predict_seconds} turns a ledger — predicted or
@@ -25,7 +25,7 @@
     regression gate compare against measured phase times. *)
 
 type params = {
-  nm : Noise_model.params;  (** ring/modulus/noise numbers, shared with the forecaster *)
+  nm : Util.Noise_model.params;  (** ring/modulus/noise numbers, shared with the forecaster *)
   q_ibits : int array;
       (** exact bit length of the RNS modulus product with [i+1] active
           primes (index [level − 1]) — [Zint.numbits], not a float
@@ -67,8 +67,8 @@ type prediction = {
   client : Util.Counters.t;
   ab_bytes : int;
       (** serialized bytes crossing the A<->B link (both directions),
-          computed with the exact [Bgv.byte_size] formula on the
-          symbolic ciphertexts at their send-time degree and level —
+          computed with {!Util.Noise_model.ct_bytes}, as
+          [Bgv.byte_size] is, on the symbolic ciphertexts at their send-time degree and level —
           comparable to [Transcript.bytes_between] on a measured run *)
   transcript : Transcript.t;
       (** the predicted communication transcript, message for message:
@@ -76,12 +76,12 @@ type prediction = {
           run, with bytes from the symbolic send-time states — so
           per-link bytes and rounds (and any {!Netsim.Clock} replay of
           it) agree exactly with a measured query *)
-  noise : Noise_model.report;
+  noise : Util.Noise_model.report;
       (** worst-case noise bound of one representative point (or batch)
           per phase, in circuit order: the step ["masked-distance"] is
           the A→B ciphertext, ["result"] what A returns to the client —
           a Return-kNN inner product, or on the packed and batch paths a
-          block product flooded at {!Noise_model.flood_bits}.  A
+          block product flooded at {!Util.Noise_model.flood_bits}.  A
           negative minimum means a live query would raise
           [Bgv.Decryption_failure]. *)
 }

@@ -4,7 +4,9 @@ module Counters = Util.Counters
 type public_key = { n : Z.t; n2 : Z.t; bits : int }
 type secret_key = { pk : public_key; lambda : Z.t; mu : Z.t }
 
-let record c e = match c with None -> () | Some c -> Counters.record c e
+(* Paillier has no modulus chain: its ops fill the ledger's level-less
+   row 0. *)
+let record c op = match c with None -> () | Some c -> Counters.record_op c op ~level:0
 
 let keygen ?(modulus_bits = 512) rng =
   if modulus_bits < 16 then invalid_arg "Paillier.keygen: modulus too small";
@@ -36,7 +38,7 @@ let modulus_bits pk = pk.bits
 type ct = Z.t
 
 let encrypt ?counters rng pk m =
-  record counters Counters.Encrypt;
+  record counters Counters.Op_encrypt;
   if Z.sign m < 0 || Z.compare m pk.n >= 0 then
     invalid_arg "Paillier.encrypt: message out of range";
   (* (1+n)^m = 1 + m*n (mod n^2), avoiding one full exponentiation. *)
@@ -51,7 +53,7 @@ let encrypt ?counters rng pk m =
 let encrypt_int ?counters rng pk m = encrypt ?counters rng pk (Z.of_int m)
 
 let decrypt ?counters sk c =
-  record counters Counters.Decrypt;
+  record counters Counters.Op_decrypt;
   let pk = sk.pk in
   let x = Z.powmod c sk.lambda pk.n2 in
   let l = Z.div (Z.pred x) pk.n in
@@ -60,25 +62,25 @@ let decrypt ?counters sk c =
 let decrypt_int ?counters sk c = Z.to_int_exn (decrypt ?counters sk c)
 
 let add ?counters pk c1 c2 =
-  record counters Counters.Hom_add;
+  record counters Counters.Op_ct_add;
   Z.erem (Z.mul c1 c2) pk.n2
 
 let mul_plain ?counters pk c k =
-  record counters Counters.Hom_mul_plain;
+  record counters Counters.Op_mul_plain;
   Z.powmod c (Z.erem k pk.n) pk.n2
 
 let sub ?counters pk c1 c2 =
-  record counters Counters.Hom_add;
+  record counters Counters.Op_ct_add;
   (* c1 * c2^(n-1) = E(m1 - m2). *)
   Z.erem (Z.mul c1 (Z.powmod c2 (Z.pred pk.n) pk.n2)) pk.n2
 
 let add_plain ?counters pk c m =
-  record counters Counters.Hom_add;
+  record counters Counters.Op_ct_add;
   let gm = Z.erem (Z.add Z.one (Z.mul (Z.erem m pk.n) pk.n)) pk.n2 in
   Z.erem (Z.mul c gm) pk.n2
 
 let rerandomize ?counters rng pk c =
-  record counters Counters.Hom_add;
+  record counters Counters.Op_ct_add;
   let rec random_unit () =
     let r = Z.random_below rng pk.n in
     if Z.is_zero r || not (Z.is_one (Z.gcd r pk.n)) then random_unit () else r

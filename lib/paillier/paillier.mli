@@ -11,6 +11,10 @@
     [Z_n]; the baseline protocols keep all values far below [n/4] so
     masked additions never wrap.
 
+    With [?counters], every op records one cell in the ledger's
+    level-less row 0 ({!Util.Counters}): [Op_encrypt], [Op_decrypt],
+    [Op_ct_add] (add, sub, add_plain, rerandomize) or [Op_mul_plain].
+
     Key sizes: benchmark presets default to small moduli (pure-OCaml
     bignum exponentiation is the bottleneck of the baseline, exactly as
     Paillier is the bottleneck of the original system); pass

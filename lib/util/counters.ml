@@ -1,13 +1,4 @@
-type event =
-  | Encrypt
-  | Decrypt
-  | Hom_add
-  | Hom_mul
-  | Hom_mul_plain
-  | Hom_modswitch
-  | Hom_relin
-  | Round
-  | Bytes_sent of int
+type event = Round | Bytes_sent of int
 
 type op =
   | Op_encrypt
@@ -58,18 +49,11 @@ let op_name = function
   | Op_slot_pack -> "slot_pack"
   | Op_slot_unpack -> "slot_unpack"
 
-(* Slot pack/unpack are plaintext-side and level-less; they record at
-   level 0.  Ciphertext ops record at 1..max_level. *)
+(* Level-less ops (slot pack/unpack, Paillier's) record at level 0.
+   BGV ciphertext ops record at 1..max_level. *)
 let max_level = 64
 
 type t = {
-  mutable encrypt : int;
-  mutable decrypt : int;
-  mutable hom_add : int;
-  mutable hom_mul : int;
-  mutable hom_mul_plain : int;
-  mutable hom_modswitch : int;
-  mutable hom_relin : int;
   mutable round : int;
   mutable bytes : int;
   ledger : int array array;
@@ -77,32 +61,20 @@ type t = {
 }
 
 let create () =
-  { encrypt = 0; decrypt = 0; hom_add = 0; hom_mul = 0; hom_mul_plain = 0;
-    hom_modswitch = 0; hom_relin = 0; round = 0; bytes = 0;
-    ledger = Array.make_matrix num_ops (max_level + 1) 0 }
+  { round = 0; bytes = 0; ledger = Array.make_matrix num_ops (max_level + 1) 0 }
 
 let reset t =
-  t.encrypt <- 0;
-  t.decrypt <- 0;
-  t.hom_add <- 0;
-  t.hom_mul <- 0;
-  t.hom_mul_plain <- 0;
-  t.hom_modswitch <- 0;
-  t.hom_relin <- 0;
   t.round <- 0;
   t.bytes <- 0;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.ledger
 
-let record t = function
-  | Encrypt -> t.encrypt <- t.encrypt + 1
-  | Decrypt -> t.decrypt <- t.decrypt + 1
-  | Hom_add -> t.hom_add <- t.hom_add + 1
-  | Hom_mul -> t.hom_mul <- t.hom_mul + 1
-  | Hom_mul_plain -> t.hom_mul_plain <- t.hom_mul_plain + 1
-  | Hom_modswitch -> t.hom_modswitch <- t.hom_modswitch + 1
-  | Hom_relin -> t.hom_relin <- t.hom_relin + 1
-  | Round -> t.round <- t.round + 1
-  | Bytes_sent n -> t.bytes <- t.bytes + n
+let record_n t e k =
+  if k < 0 then invalid_arg "Counters.record_n: negative count";
+  match e with
+  | Round -> t.round <- t.round + k
+  | Bytes_sent n -> t.bytes <- t.bytes + (n * k)
+
+let record t e = record_n t e 1
 
 let check_level level =
   if level < 0 || level > max_level then
@@ -129,32 +101,20 @@ let ledger_entries t =
   done;
   !acc
 
-let encryptions t = t.encrypt
-let decryptions t = t.decrypt
-let hom_adds t = t.hom_add
-let hom_muls t = t.hom_mul
-let hom_mul_plains t = t.hom_mul_plain
-let hom_modswitches t = t.hom_modswitch
-let hom_relins t = t.hom_relin
+(* The Table 1 classes are sums of ledger rows. *)
+let encryptions t = op_total t Op_encrypt
+let decryptions t = op_total t Op_decrypt
+let hom_adds t = op_total t Op_ct_add
+let hom_muls t = op_total t Op_ct_mul
+let hom_mul_plains t = op_total t Op_mul_plain
+let hom_modswitches t = op_total t Op_modswitch
+let hom_relins t = op_total t Op_key_switch
 
 let hom_total t =
-  t.hom_add + t.hom_mul + t.hom_mul_plain + t.hom_modswitch + t.hom_relin
+  hom_adds t + hom_muls t + hom_mul_plains t + hom_modswitches t + hom_relins t
 
 let rounds t = t.round
 let bytes_sent t = t.bytes
-
-let record_n t e k =
-  if k < 0 then invalid_arg "Counters.record_n: negative count";
-  match e with
-  | Encrypt -> t.encrypt <- t.encrypt + k
-  | Decrypt -> t.decrypt <- t.decrypt + k
-  | Hom_add -> t.hom_add <- t.hom_add + k
-  | Hom_mul -> t.hom_mul <- t.hom_mul + k
-  | Hom_mul_plain -> t.hom_mul_plain <- t.hom_mul_plain + k
-  | Hom_modswitch -> t.hom_modswitch <- t.hom_modswitch + k
-  | Hom_relin -> t.hom_relin <- t.hom_relin + k
-  | Round -> t.round <- t.round + k
-  | Bytes_sent n -> t.bytes <- t.bytes + (n * k)
 
 let ledger_iter2 f a b =
   for i = 0 to num_ops - 1 do
@@ -165,40 +125,17 @@ let ledger_iter2 f a b =
   done
 
 let absorb ~into b =
-  into.encrypt <- into.encrypt + b.encrypt;
-  into.decrypt <- into.decrypt + b.decrypt;
-  into.hom_add <- into.hom_add + b.hom_add;
-  into.hom_mul <- into.hom_mul + b.hom_mul;
-  into.hom_mul_plain <- into.hom_mul_plain + b.hom_mul_plain;
-  into.hom_modswitch <- into.hom_modswitch + b.hom_modswitch;
-  into.hom_relin <- into.hom_relin + b.hom_relin;
   into.round <- into.round + b.round;
   into.bytes <- into.bytes + b.bytes;
   ledger_iter2 (fun ri rb level -> ri.(level) <- ri.(level) + rb.(level)) into b
 
 let copy t =
-  let c =
-    { encrypt = t.encrypt; decrypt = t.decrypt; hom_add = t.hom_add;
-      hom_mul = t.hom_mul; hom_mul_plain = t.hom_mul_plain;
-      hom_modswitch = t.hom_modswitch; hom_relin = t.hom_relin; round = t.round;
-      bytes = t.bytes; ledger = Array.make_matrix num_ops (max_level + 1) 0 }
-  in
+  let c = { (create ()) with round = t.round; bytes = t.bytes } in
   ledger_iter2 (fun rc rt level -> rc.(level) <- rt.(level)) c t;
   c
 
 let diff a b =
-  let d =
-    { encrypt = a.encrypt - b.encrypt;
-      decrypt = a.decrypt - b.decrypt;
-      hom_add = a.hom_add - b.hom_add;
-      hom_mul = a.hom_mul - b.hom_mul;
-      hom_mul_plain = a.hom_mul_plain - b.hom_mul_plain;
-      hom_modswitch = a.hom_modswitch - b.hom_modswitch;
-      hom_relin = a.hom_relin - b.hom_relin;
-      round = a.round - b.round;
-      bytes = a.bytes - b.bytes;
-      ledger = Array.make_matrix num_ops (max_level + 1) 0 }
-  in
+  let d = { (create ()) with round = a.round - b.round; bytes = a.bytes - b.bytes } in
   for i = 0 to num_ops - 1 do
     let rd = d.ledger.(i) and ra = a.ledger.(i) and rb = b.ledger.(i) in
     for level = 0 to max_level do
@@ -208,19 +145,17 @@ let diff a b =
   d
 
 let is_zero t =
-  t.encrypt = 0 && t.decrypt = 0 && t.hom_add = 0 && t.hom_mul = 0
-  && t.hom_mul_plain = 0 && t.hom_modswitch = 0 && t.hom_relin = 0
-  && t.round = 0 && t.bytes = 0
+  t.round = 0 && t.bytes = 0
   && Array.for_all (fun row -> Array.for_all (fun c -> c = 0) row) t.ledger
 
 let to_list t =
-  [ ("encryptions", t.encrypt);
-    ("decryptions", t.decrypt);
-    ("hom_adds", t.hom_add);
-    ("hom_muls", t.hom_mul);
-    ("hom_mul_plains", t.hom_mul_plain);
-    ("hom_modswitches", t.hom_modswitch);
-    ("hom_relins", t.hom_relin);
+  [ ("encryptions", encryptions t);
+    ("decryptions", decryptions t);
+    ("hom_adds", hom_adds t);
+    ("hom_muls", hom_muls t);
+    ("hom_mul_plains", hom_mul_plains t);
+    ("hom_modswitches", hom_modswitches t);
+    ("hom_relins", hom_relins t);
     ("rounds", t.round);
     ("bytes_sent", t.bytes) ]
 
@@ -238,8 +173,8 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>enc=%d dec=%d hom(add=%d mul=%d mulp=%d modsw=%d relin=%d total=%d)@ \
      rounds=%d bytes=%d"
-    t.encrypt t.decrypt t.hom_add t.hom_mul t.hom_mul_plain t.hom_modswitch
-    t.hom_relin (hom_total t) t.round t.bytes;
+    (encryptions t) (decryptions t) (hom_adds t) (hom_muls t) (hom_mul_plains t)
+    (hom_modswitches t) (hom_relins t) (hom_total t) t.round t.bytes;
   (match ledger_entries t with
    | [] -> ()
    | entries ->

@@ -1,5 +1,5 @@
-(** Operation counters for reproducing Table 1, plus the op-level cost
-    ledger.
+(** Operation counters for reproducing Table 1: the op-level cost
+    ledger, plus communication rounds and bytes.
 
     The paper's Table 1 compares protocols by the number of homomorphic
     operations, encryptions, decryptions, communication rounds and bytes
@@ -7,17 +7,17 @@
     [Counters.t] so that benchmark runs measure these quantities on real
     executions instead of quoting the asymptotic formulas.
 
-    Two granularities coexist in one counter:
-
-    - {e events} ({!event}) — the coarse Table 1 classes, unchanged
-      since PR 1;
-    - the {e ledger} ({!op}) — op-kind × BGV-level counts, recorded at
-      every [Bgv]/[Rq] call site.  [ct_mul@L6=858] means 858
-      ciphertext–ciphertext multiplications were performed on
-      ciphertexts with 6 active RNS primes.  Because the unit cost of a
-      ring operation is proportional to its active-prime count, the
-      ledger is what a calibrated time model
-      ({!Sknn_obs.Cost_model.predict_seconds}) can price.
+    There is one set of books per operation, the {e ledger} ({!op}):
+    op-kind × BGV-level counts, recorded at every [Bgv]/[Rq] call site.
+    [ct_mul@L6=858] means 858 ciphertext–ciphertext multiplications
+    were performed on ciphertexts with 6 active RNS primes.  Because the
+    unit cost of a ring operation is proportional to its active-prime
+    count, the ledger is what a calibrated time model
+    ({!Sknn_obs.Cost_model.predict_seconds}) can price.  The Table 1
+    classes ({!encryptions}, {!hom_adds}, …) are sums of its rows over
+    levels.  Row 0 holds level-less ops: slot pack/unpack, and every
+    Paillier op (Paillier has no modulus chain).  The only {e events}
+    ({!event}) are rounds and bytes, which no ledger row holds.
 
     Ledger updates are plain field increments with no synchronisation;
     per-worker counters from {!Pool.map_local} are folded back with
@@ -26,15 +26,8 @@
 
 type t
 
-(** The coarse event classes tracked (Table 1 rows). *)
+(** The communication events, which no ledger row holds. *)
 type event =
-  | Encrypt          (** public-key encryption of one value *)
-  | Decrypt          (** secret-key decryption of one value *)
-  | Hom_add          (** homomorphic addition / subtraction *)
-  | Hom_mul          (** homomorphic ciphertext–ciphertext multiplication *)
-  | Hom_mul_plain    (** homomorphic ciphertext–plaintext multiplication *)
-  | Hom_modswitch    (** BGV modulus switch *)
-  | Hom_relin        (** relinearisation / key switch *)
   | Round            (** one protocol communication round *)
   | Bytes_sent of int (** payload bytes placed on the wire *)
 
@@ -45,7 +38,7 @@ type event =
 type op =
   | Op_encrypt       (** public-key encryption (4 fresh Coeff→Eval embeds) *)
   | Op_decrypt       (** full or coeff0-only decryption *)
-  | Op_ct_add        (** ciphertext ± ciphertext *)
+  | Op_ct_add        (** ciphertext ± ciphertext or plaintext *)
   | Op_ct_mul        (** ciphertext tensor product *)
   | Op_mul_plain     (** ciphertext × plaintext / scalar *)
   | Op_modswitch     (** modulus switch (recorded at the source level) *)
@@ -70,7 +63,7 @@ val op_name : op -> string
 val max_level : int
 (** Highest level the ledger can record (inclusive); {!record_op}
     rejects levels outside [0 .. max_level].  Level 0 is reserved for
-    level-less plaintext-side ops (slot pack/unpack). *)
+    level-less ops: slot pack/unpack and Paillier's. *)
 
 val create : unit -> t
 val reset : t -> unit
@@ -97,8 +90,15 @@ val ledger_entries : t -> (op * int * int) list
     with equal ledgers render identically. *)
 
 val equal_ledger : t -> t -> bool
-(** Cell-wise equality of the two ledgers (events are not compared) —
-    what the Cost_model cross-check tests assert. *)
+(** Cell-wise equality of the two ledgers (rounds and bytes are not
+    compared) — what the Cost_model cross-check tests assert. *)
+
+(** {1 Table 1 classes}
+
+    Each is its op's ledger row summed over levels: [Op_encrypt],
+    [Op_decrypt], [Op_ct_add], [Op_ct_mul], [Op_mul_plain],
+    [Op_modswitch] and [Op_key_switch] (relinearisation and Galois
+    key switches). *)
 
 val encryptions : t -> int
 val decryptions : t -> int
@@ -108,7 +108,7 @@ val hom_mul_plains : t -> int
 val hom_modswitches : t -> int
 val hom_relins : t -> int
 val hom_total : t -> int
-(** Sum of all homomorphic-evaluation events (adds, muls, plain muls,
+(** Sum of the five homomorphic classes above (adds, muls, plain muls,
     modswitches, relins). *)
 
 val rounds : t -> int
@@ -133,9 +133,9 @@ val diff : t -> t -> t
 val is_zero : t -> bool
 
 val to_list : t -> (string * int) list
-(** Every {e event} field as a [(name, count)] pair, in a fixed order —
-    the generic view the observability sinks serialise.  The ledger is
-    not included here; use {!ledger_entries}. *)
+(** The Table 1 classes, rounds and bytes as [(name, count)] pairs, in
+    a fixed order — the generic view the observability sinks serialise.
+    Per-level cells are not included here; use {!ledger_entries}. *)
 
 val absorb : into:t -> t -> unit
 (** [absorb ~into b] adds every count of [b] (events and ledger) into
@@ -144,6 +144,6 @@ val absorb : into:t -> t -> unit
     job count. *)
 
 val pp : Format.formatter -> t -> unit
-(** Renders events and, when nonempty, the ledger
-    ([ledger(ct_mul@L6=858 …)]) — the jobs-determinism tests compare
-    this rendering across worker counts. *)
+(** Renders the Table 1 classes, rounds, bytes and, when nonempty, the
+    ledger ([ledger(ct_mul@L6=858 …)]) — the jobs-determinism tests
+    compare this rendering across worker counts. *)

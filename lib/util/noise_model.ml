@@ -1,7 +1,10 @@
-(* Log2-domain replica of Bgv's noise bookkeeping, over plain numeric
-   parameters so it can run before any ciphertext exists (and without
-   this library depending on the scheme).  Every formula mirrors the
-   tracked bound in lib/bgv/bgv.ml; test_obs cross-checks the two. *)
+(* Log2-domain noise bounds for the BGV chain, over plain numeric
+   parameters.  This is the one copy of every formula: Bgv derives each
+   ciphertext's tracked bound, budget and size from these ops, and the
+   forecaster, the planner and Cost_model walk the same ops on states
+   before any ciphertext exists.  Float operations stay in one fixed
+   order, so a branch on a bound takes the same decision live and in a
+   walk. *)
 
 type params = {
   n : int;              (* ring degree *)
@@ -24,10 +27,13 @@ let log2_add a b =
 
 let log2_n p = log2 (float_of_int p.n)
 
+(* Bound on a fresh ciphertext's |m + t(e·u + e1 + e2·s)|. *)
 let fresh_noise_bits p =
   let n = float_of_int p.n in
   p.t_bits +. log2 (0.5 +. (p.eta *. ((2.0 *. n) +. 1.0)))
 
+(* Additive rounding term of one modulus switch at ciphertext degree d:
+   (t/2) * sum_{i<=d} n^i. *)
 let switch_floor_bits p ~degree =
   let n = float_of_int p.n in
   let rec sum acc i = if i > degree then acc else sum (acc +. (n ** float_of_int i)) (i + 1) in
@@ -44,6 +50,10 @@ let headroom p st = log2_q p ~level:st.level -. 1.0 -. st.bits
 
 let chain_length p = Array.length p.moduli_bits
 
+(* Serialised size: (degree+1) residue polynomials per active prime at
+   4 bytes a coefficient, plus the 40-byte header. *)
+let ct_bytes p st = ((st.degree + 1) * st.level * p.n * 4) + 40
+
 let fresh_at p ~level = { level; degree = 1; bits = fresh_noise_bits p }
 let fresh p = fresh_at p ~level:(chain_length p)
 
@@ -52,7 +62,6 @@ let add a b =
     degree = Stdlib.max a.degree b.degree;
     bits = log2_add a.bits b.bits }
 
-let sub = add
 let add_plain p st = { st with bits = log2_add st.bits (p.t_bits -. 1.0) }
 let mul_plain p st = { st with bits = st.bits +. log2_n p +. p.t_bits -. 1.0 }
 let mul_scalar st ~bits = { st with bits = st.bits +. Float.max 0.0 bits }
@@ -83,21 +92,23 @@ let modswitch p st =
         (st.bits -. p.moduli_bits.(st.level - 1))
         (switch_floor_bits p ~degree:st.degree) }
 
-(* Bgv.rescale_to_floor's loop: switch down while a switch still cuts
-   the bound by half a bit.  [switch] performs each step (the cost walk
-   passes one that also records the ledger). *)
+(* A modulus switch pays off while it cuts the bound by half a bit. *)
+let switch_helps p st = st.level > 1 && (modswitch p st).bits < st.bits -. 0.5
+
+(* Bgv.rescale_to_floor's loop.  [switch] performs each step (the cost
+   walk passes one that also records the ledger). *)
 let rescale_to_floor ?(switch = modswitch) p st =
-  let rec go st =
-    if st.level <= 1 then st
-    else
-      let predicted =
-        log2_add
-          (st.bits -. p.moduli_bits.(st.level - 1))
-          (switch_floor_bits p ~degree:st.degree)
-      in
-      if predicted < st.bits -. 0.5 then go (switch p st) else st
-  in
+  let rec go st = if switch_helps p st then go (switch p st) else st in
   go st
+
+(* Digit-decomposition key switching (relinearisation or a Galois
+   automorphism) back to a degree-1 ciphertext: adds
+   t · ndigits · n · 2^w · eta. *)
+let key_switch p st ~ndigits ~w =
+  let added =
+    p.t_bits +. log2 (float_of_int ndigits) +. log2_n p +. float_of_int w +. log2 p.eta
+  in
+  { st with degree = 1; bits = log2_add st.bits added }
 
 let truncate st ~level =
   if level < 1 || level > st.level then invalid_arg "Noise_model.truncate: bad level";
@@ -109,11 +120,12 @@ let truncate st ~level =
    depends on the parameters alone. *)
 let flood_bits p = int_of_float (Float.ceil (mul_plain p (fresh p)).bits) + 40
 
-(* Bgv.rerandomize ~flood_bits: a fresh encryption of zero that also
-   carries the flood, added at the state's level. *)
-let flood p st ~flood_bits =
-  add st { (fresh_at p ~level:st.level) with
-           bits = log2_add (fresh_noise_bits p) (float_of_int flood_bits) }
+(* What Bgv.rerandomize ~flood_bits adds: a fresh encryption of zero
+   whose c0 also carries the flood. *)
+let flooded_zero p ~level ~flood_bits =
+  { (fresh_at p ~level) with bits = log2_add (fresh_noise_bits p) (float_of_int flood_bits) }
+
+let flood p st ~flood_bits = add st (flooded_zero p ~level:st.level ~flood_bits)
 
 (* ------------------------------------------------------------------ *)
 (* Level-drop rules                                                    *)

@@ -421,7 +421,8 @@ let test_flood_every_level () =
   for lvl = Params.chain_length params downto 1 do
     let c = Bgv.truncate_to_level ct lvl in
     let r = Rng.of_int (4300 + lvl) in
-    if float_of_int flood_bits >= Bgv.log2_q_at_level params lvl -. 1.0 then
+    if float_of_int flood_bits >= Util.Noise_model.log2_q params.Params.noise ~level:lvl -. 1.0
+    then
       Alcotest.(check bool)
         (Printf.sprintf "level %d: flood that does not fit raises" lvl)
         true
@@ -460,7 +461,7 @@ let test_flood_rejects () =
       false
     with Invalid_argument _ -> true
   in
-  let log2_q = Bgv.log2_q_at_level params (Bgv.level ct) in
+  let log2_q = Util.Noise_model.log2_q params.Params.noise ~level:(Bgv.level ct) in
   Alcotest.(check bool) "flood wider than the modulus" true
     (raises (int_of_float (Float.ceil log2_q)));
   Alcotest.(check bool) "flood narrower than t" true (raises 2);

@@ -84,7 +84,8 @@ let test_config_envelope_rejection () =
 let test_config_distance_bits () =
   let config = Config.standard () in
   (* 8-bit coords, d=2: max distance 2*255^2 = 130050 needs 17 bits. *)
-  Alcotest.(check int) "distance bits" 17 (Config.max_distance_bits config ~d:2)
+  Alcotest.(check int) "distance bits" 17
+    (Config.max_distance_bits ~max_coord_bits:config.Config.max_coord_bits ~d:2)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end protocol                                                 *)
@@ -778,7 +779,7 @@ let prop_paths_agree_on_edge_shapes =
       let name, config, db, queries, k = edge_instance sel in
       let d = Array.length db.(0) in
       let dep = Protocol.deploy ~rng:(Rng.of_int 7) config ~db in
-      let admits = Entities.Party_a.packed_supported config ~d = Ok () in
+      let admits = Config.affine_supported config ~d ~what:"packed queries" = Ok () in
       let runs =
         (("plain", [| Protocol.query dep ~query:queries.(0) ~k |]) ::
          (if admits then
@@ -808,6 +809,86 @@ let prop_paths_agree_on_edge_shapes =
             results)
         runs;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Fault injection: chains too short for the circuit                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [config] on a chain of [chain_len] 30-bit primes (both presets' prime
+   width, under their 50-bit plaintext prime), with the return level
+   clamped to the chain. *)
+let with_chain config ~chain_len =
+  let bgv =
+    Params.create ~name:(Printf.sprintf "chain-%d" chain_len) ~n:config.Config.bgv.Params.n
+      ~plain_bits:50 ~prime_bits:30 ~chain_len ()
+  in
+  config |> Config.with_bgv bgv
+  |> Config.with_return_level (Stdlib.min config.Config.return_level chain_len)
+
+(* One round of [path] on a fresh deployment with its own audit.  A
+   short chain may end the round only in a typed error; an answer must
+   be exact.  Returns whether the round failed and whether the prepare
+   guard warned. *)
+let faulted_round config ~db ~queries ~k path =
+  let audit = Sknn_obs.Audit.create () in
+  let obs = Sknn_obs.Ctx.create ~audit () in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 29) ~jobs:1 config ~db in
+  let queries =
+    match path with Sknn_obs.Cost_model.Batch _ -> queries | _ -> [| queries.(0) |]
+  in
+  let failed =
+    match Protocol.query_gen ~path ~obs dep ~queries ~k with
+    | results ->
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check bool) "answered exactly" true
+            (Protocol.exact dep ~db ~query:queries.(i) r))
+        results;
+      false
+    | exception (Bgv.Decryption_failure _ | Invalid_argument _) -> true
+  in
+  let warned =
+    Sknn_obs.Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning"
+    <> None
+  in
+  (failed, warned)
+
+let fault_db = Synthetic.uniform (Rng.of_int 31) ~n:40 ~d:3 ~max_value:250
+let fault_queries = [| [| 10; 20; 30 |]; [| 5; 5; 5 |]; [| 200; 1; 70 |] |]
+
+let test_short_chains_every_path () =
+  (* Three primes cannot carry any path's circuit, six carry them all;
+     in between, every round is exact or raises a typed error, and on
+     the paths with a prepare guard the guard warned first. *)
+  List.iter
+    (fun chain_len ->
+      let config = with_chain (Config.fast ()) ~chain_len in
+      List.iter
+        (fun (name, path) ->
+          let label what = Printf.sprintf "chain %d, %s: %s" chain_len name what in
+          let failed, warned =
+            faulted_round config ~db:fault_db ~queries:fault_queries ~k:3 path
+          in
+          if chain_len = 3 then Alcotest.(check bool) (label "fails") true failed;
+          if chain_len = 6 then Alcotest.(check bool) (label "answers") false failed;
+          if failed && path <> Sknn_obs.Cost_model.Plain then
+            Alcotest.(check bool) (label "guard warned before the failure") true warned)
+        Sknn_obs.Cost_model.
+          [ ("plain", Plain); ("prepared", Prepared); ("packed", Packed); ("batch", Batch 3) ])
+    [ 3; 4; 5; 6 ]
+
+let test_short_chains_per_coordinate () =
+  (* The standard preset's degree-2 mask needs its full ten primes:
+     every shorter chain ends the plain round in a typed error. *)
+  List.iter
+    (fun chain_len ->
+      let config = with_chain (Config.standard ()) ~chain_len in
+      let failed, _ =
+        faulted_round config ~db:fault_db ~queries:fault_queries ~k:3
+          Sknn_obs.Cost_model.Plain
+      in
+      Alcotest.(check bool) (Printf.sprintf "chain %d fails" chain_len) true failed)
+    [ 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
@@ -1187,6 +1268,10 @@ let () =
          Alcotest.test_case "batch metric surface" `Quick test_batch_metric_surface;
          Alcotest.test_case "block message metadata is public" `Quick
            test_block_message_metadata ]);
+      ("faults",
+       [ Alcotest.test_case "short chains, every path" `Quick test_short_chains_every_path;
+         Alcotest.test_case "short chains, per-coordinate plain" `Quick
+           test_short_chains_per_coordinate ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;

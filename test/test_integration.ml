@@ -116,39 +116,70 @@ let test_communication_independent_of_d () =
     true
     (ratio < 1.5 && ratio > 0.6)
 
+(* Every ciphertext that crosses a link goes through the binary codec —
+   what real sockets would carry. *)
+let wire params ct = Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct)
+
+let check_exact label ~k ~query db neighbours =
+  let expected = Plain_knn.kth_smallest_distances ~k ~query db in
+  let got = Array.map (fun p -> Distance.squared_euclidean query p) neighbours in
+  Array.sort compare got;
+  Alcotest.(check (array int)) label expected got
+
 let test_protocol_over_the_wire () =
-  (* Drive the three protocol phases manually, forcing every A<->B
-     ciphertext through the binary codec — what real sockets would
-     carry — and still get exact results. *)
+  (* The plain path, driven by hand with the calls Protocol.query_gen
+     makes: A -> B, B -> A and A -> client all cross the codec. *)
   let rng = Rng.of_int 251 in
   let config = Config.standard () in
-  let params = config.Config.bgv in
-  let db = Synthetic.uniform rng ~n:18 ~d:3 ~max_value:120 in
+  let wire = wire config.Config.bgv in
+  let n = 18 and d = 3 and k = 4 in
+  let db = Synthetic.uniform rng ~n ~d ~max_value:120 in
   let dep = Protocol.deploy ~rng config ~db in
   let a = Protocol.party_a dep and b = Protocol.party_b dep and cl = Protocol.client dep in
   let q = Synthetic.query_like rng db in
-  let k = 4 in
-  let q_enc = Entities.Client.encrypt_query cl rng q in
-  let state, masked = Entities.Party_a.compute_distances a rng q_enc in
-  (* A -> B over the wire. *)
-  let masked_wire =
-    Array.map (fun ct -> Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct)) masked
+  let state, masked =
+    Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng q)
   in
-  let rows, _view = Entities.Party_b.find_neighbours b rng masked_wire ~k in
-  (* B -> A over the wire. *)
-  let rows_wire =
-    Array.map (Array.map (fun ct -> Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct))) rows
+  let view = Entities.Party_b.select_neighbours b (Array.map wire masked) ~k in
+  let packed = Entities.Party_a.permuted_packed a state in
+  let results =
+    Array.init k (fun j ->
+        let row = Entities.Party_b.indicator_row b rng view ~n ~j in
+        Entities.Party_a.select_row a packed (Array.map wire row))
   in
-  let results = Entities.Party_a.return_knn a state rows_wire in
-  (* A -> client over the wire. *)
-  let results_wire =
-    Array.map (fun ct -> Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct)) results
+  check_exact "exact through the codec" ~k ~query:q db
+    (Entities.Client.decrypt_points cl ~d (Array.map wire results))
+
+let test_packed_over_the_wire () =
+  (* The packed path's block Return-kNN: the masked distances, B's block
+     indicators and A's flooded blocks all cross the codec, and the
+     client answers from the decoded blocks. *)
+  let rng = Rng.of_int 257 in
+  let config = Config.fast () in
+  let params = config.Config.bgv in
+  let wire = wire params in
+  let n = 150 and d = 3 and k = 5 in
+  let db = Synthetic.uniform rng ~n ~d ~max_value:120 in
+  let dep = Protocol.deploy ~rng config ~db in
+  let a = Protocol.party_a dep and b = Protocol.party_b dep and cl = Protocol.client dep in
+  let pp = Entities.Party_a.prepare_packed a ~db in
+  let q = Synthetic.query_like rng db in
+  let state, masked =
+    Entities.Party_a.compute_distances_packed a pp rng
+      (Entities.Client.encrypt_query_packed cl rng q)
   in
-  let neighbours = Entities.Client.decrypt_points cl ~d:3 results_wire in
-  let expected = Plain_knn.kth_smallest_distances ~k ~query:q db in
-  let got = Array.map (fun p -> Distance.squared_euclidean q p) neighbours in
-  Array.sort compare got;
-  Alcotest.(check (array int)) "exact through the codec" expected got
+  let view = Entities.Party_b.select_neighbours_packed b (Array.map wire masked) ~n ~k in
+  let per = Entities.points_per_block params ~d in
+  let indicators = Entities.Party_b.block_indicators b rng [| view |] ~n ~per in
+  let blocks =
+    Entities.Party_a.return_blocks a pp ~perm:(Entities.Party_a.state_perm state) rng
+      (Array.map wire indicators)
+  in
+  Alcotest.(check int) "one block per ⌊N/d⌋ points" ((n + per - 1) / per)
+    (Array.length blocks);
+  let points = Entities.Client.decrypt_blocks cl ~d (Array.map wire blocks) in
+  check_exact "exact through the codec" ~k ~query:q db
+    (Entities.Client.nearest ~k ~query:q points)
 
 let () =
   Alcotest.run "integration"
@@ -162,4 +193,6 @@ let () =
          Alcotest.test_case "shared deployment" `Quick test_queries_share_deployment;
          Alcotest.test_case "A->B bytes independent of d" `Quick
            test_communication_independent_of_d;
-         Alcotest.test_case "protocol over the wire" `Quick test_protocol_over_the_wire ]) ]
+         Alcotest.test_case "protocol over the wire" `Quick test_protocol_over_the_wire;
+         Alcotest.test_case "packed protocol over the wire" `Quick
+           test_packed_over_the_wire ]) ]

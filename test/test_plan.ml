@@ -14,7 +14,7 @@
    - the Attribution bridge prices probes and realized sets identically
      (q_ibits_of_moduli = Zint bit lengths of Rq.modulus prefixes). *)
 
-module NM = Sknn_obs.Noise_model
+module NM = Util.Noise_model
 module CM = Sknn_obs.Cost_model
 module Rng = Util.Rng
 
@@ -172,7 +172,8 @@ let check_forecast label config ~n ~d path =
     | _ ->
       let sound =
         Masking.max_coeff_bits ~t_plain:bgv.Params.t_plain
-          ~input_bits:(Config.max_distance_bits config ~d)
+          ~input_bits:
+            (Config.max_distance_bits ~max_coord_bits:config.Config.max_coord_bits ~d)
           ~degree:config.Config.mask_degree
       in
       let c = float_of_int (Stdlib.min config.Config.mask_coeff_bits sound) in

@@ -81,8 +81,8 @@ let test_map_local_counter_merge () =
       Pool.map_local ~jobs ~make:Counters.create
         ~merge:(fun w -> Counters.absorb ~into:total w)
         ~f:(fun w i x ->
-          Counters.record w Counters.Encrypt;
-          Counters.record_n w Counters.Hom_add 3;
+          Counters.record_op w Counters.Op_encrypt ~level:2;
+          Counters.record_op_n w Counters.Op_ct_add ~level:2 3;
           Counters.record w (Counters.Bytes_sent x);
           i + x)
         (Array.init 37 (fun i -> i * 2))

@@ -202,13 +202,11 @@ let test_topk_validation () =
 
 let test_counters_record_and_merge () =
   let c = Counters.create () in
-  Counters.record c Counters.Encrypt;
-  Counters.record c Counters.Decrypt;
-  Counters.record c Counters.Hom_add;
-  Counters.record c Counters.Hom_mul;
-  Counters.record c Counters.Hom_mul_plain;
-  Counters.record c Counters.Hom_modswitch;
-  Counters.record c Counters.Hom_relin;
+  List.iter
+    (fun op -> Counters.record_op c op ~level:3)
+    Counters.
+      [ Op_encrypt; Op_decrypt; Op_ct_add; Op_ct_mul; Op_mul_plain; Op_modswitch;
+        Op_key_switch ];
   Counters.record c Counters.Round;
   Counters.record c (Counters.Bytes_sent 100);
   Alcotest.(check int) "hom_total" 5 (Counters.hom_total c);
@@ -222,11 +220,11 @@ let test_counters_record_and_merge () =
 
 let test_counters_copy_diff () =
   let c = Counters.create () in
-  Counters.record c Counters.Encrypt;
+  Counters.record_op c Counters.Op_encrypt ~level:4;
   Counters.record c (Counters.Bytes_sent 64);
   let snap = Counters.copy c in
-  Counters.record c Counters.Encrypt;
-  Counters.record c Counters.Hom_mul;
+  Counters.record_op c Counters.Op_encrypt ~level:4;
+  Counters.record_op c Counters.Op_ct_mul ~level:4;
   Counters.record c (Counters.Bytes_sent 36);
   Alcotest.(check int) "snapshot unaffected" 1 (Counters.encryptions snap);
   let d = Counters.diff c snap in
@@ -239,7 +237,7 @@ let test_counters_copy_diff () =
 
 let test_counters_to_list () =
   let c = Counters.create () in
-  Counters.record_n c Counters.Hom_add 3;
+  Counters.record_op_n c Counters.Op_ct_add ~level:2 3;
   Counters.record c (Counters.Bytes_sent 9);
   let l = Counters.to_list c in
   Alcotest.(check int) "field count" 9 (List.length l);
