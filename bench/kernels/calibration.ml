@@ -168,9 +168,31 @@ let git_rev () =
   cleanup ();
   rev
 
+(* The first "model name" line of /proc/cpuinfo, or "unknown" where
+   there is none (other kernels, or architectures that do not print
+   one). *)
+let cpu_model () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> "unknown"
+      | line -> (
+        match String.index_opt line ':' with
+        | Some i when String.trim (String.sub line 0 i) = "model name" ->
+          let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+          if v = "" then "unknown" else v
+        | _ -> scan ())
+    in
+    let model = scan () in
+    close_in ic;
+    model
+
 let machine () =
-  Printf.sprintf "%s/%d-bit/%d-domains" Sys.os_type Sys.word_size
+  Printf.sprintf "%s/%d-bit/%d-domains/%s" Sys.os_type Sys.word_size
     (Domain.recommended_domain_count ())
+    (cpu_model ())
 
 let str name v = match Json.member name v with Some (Json.Str s) -> Some s | _ -> None
 let num name v = Option.bind (Json.member name v) Json.number

@@ -1,6 +1,7 @@
 (* Microbenchmarks for the ring kernels: NTT forward/inverse, the
-   pointwise product kernels, Rq.mul and the fused Bgv.mul_sum.  Used
-   by the standalone [kernels] executable and embedded as the
+   pointwise product kernels, Rq.mul, the fused Bgv.mul_sum and
+   Algorithm 1's distance kernels (Bgv.sum_sq_diff and the rescale
+   chain).  Used by the standalone [kernels] executable and embedded as the
    ["kernels"] block of the protocol bench JSON, so kernel-level
    regressions are visible without a full protocol run. *)
 
@@ -56,7 +57,7 @@ let rq_suite ~target rng ~n ~bits ~chain =
     Prime64.ntt_primes ~congruent_mod:(Int64.of_int (2 * n)) ~bits ~count:chain
     |> List.map Int64.to_int |> Array.of_list
   in
-  let ctx = Rq.context ~n ~moduli in
+  let ctx = Rq.context ~n ~moduli ~t:65537L in
   let rand_rq () =
     Rq.of_int64_coeffs ctx ~nprimes:chain Rq.Eval
       (Array.init n (fun _ -> Util.Rng.int64_below rng 1024L))
@@ -84,6 +85,26 @@ let mul_sum_suite ~target rng ~d =
       prime_bits = 0;
       ns_per_op = ns;
       reps } ]
+
+(* Algorithm 1's per-point distance kernels at the standard preset's
+   shape (N = 64, 10 × 30-bit primes): the fused square-sum over d = 32
+   coordinate pairs, beside bgv-mul-sum-d32's plain inner product, and
+   the degree-2 rescale chain from L10 to L7 that follows it. *)
+let distance_suite ~target rng =
+  let params =
+    Params.create ~name:"kernel-standard" ~n:64 ~plain_bits:50 ~prime_bits:30 ~chain_len:10 ()
+  in
+  let keys = Bgv.keygen rng params in
+  let enc v = Bgv.encrypt rng keys.Bgv.pk (Plaintext.constant params (Int64.of_int v)) in
+  let a = Array.init 32 (fun i -> enc (i + 1)) in
+  let b = Array.init 32 (fun i -> enc (2 * i)) in
+  let sum = Bgv.sum_sq_diff a b in
+  let bench name f =
+    let ns, reps = measure ~target f in
+    { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }
+  in
+  [ bench "bgv-sum-sq-diff-d32" (fun () -> ignore (Bgv.sum_sq_diff a b));
+    bench "bgv-rescale-chain" (fun () -> ignore (Bgv.rescale_to_floor sum)) ]
 
 (* Slot-packing kernels behind the SIMD protocol path: CRT packing and
    unpacking (one NTT over t each way) and the Galois machinery whose
@@ -116,6 +137,7 @@ let run ?(quick = false) () =
   @ rq_suite ~target rng ~n:64 ~bits:30 ~chain:10
   @ rq_suite ~target rng ~n:1024 ~bits:30 ~chain:4
   @ mul_sum_suite ~target rng ~d:32
+  @ distance_suite ~target rng
   @ slot_suite ~target rng
 
 let pp_results ppf results =

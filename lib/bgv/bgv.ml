@@ -334,8 +334,16 @@ let add_plain ?counters ct pt =
   comps.(0) <- Rq.add comps.(0) (plain_to_rq ct pt);
   { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
 
+(* add_plain (Plaintext.constant v) without the embedding: the scaled
+   addend factor·v mod t is a constant polynomial, whose evaluation
+   form is that constant at every point, so no transform runs. *)
 let add_const ?counters ct v =
-  add_plain ?counters ct (Plaintext.constant ct.params v)
+  record_op counters Counters.Op_ct_add ~level:(level ct);
+  let t = ct.params.Params.t_plain in
+  let c = Mod64.mul t (Mod64.reduce t v) (Mod64.reduce t ct.factor) in
+  let comps = Array.copy ct.comps in
+  comps.(0) <- Rq.add_constant comps.(0) c;
+  { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
 
 let mul_plain ?counters ct pt =
   record_op counters Counters.Op_mul_plain ~level:(level ct);
@@ -355,60 +363,43 @@ let mul_scalar ?counters ct v =
 (* Modulus switching                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let modswitch ?counters ct =
+(* [drops] modulus switches as one Rq.switch_down per component.  The
+   ledger keeps one modswitch cell per prime dropped; the NTT census is
+   one round trip per component for the whole chain: an inverse pass
+   at the source level (when the component is not already Coeff) and a
+   forward pass at the target level.  Factor and noise bound step
+   exactly as single switches would. *)
+let switch_down ?counters ct ~drops =
   let k = level ct in
-  if k <= 1 then invalid_arg "Bgv.modswitch: already at the last level";
-  record_op counters Counters.Op_modswitch ~level:k;
-  (* Each component round-trips through the coefficient domain: one
-     inverse pass at the source level (when it is not already Coeff)
-     and one forward pass at the target level. *)
+  let moduli = ct.params.Params.moduli in
+  let t = ct.params.Params.t_plain in
+  let factor = ref ct.factor and st = ref (state ct) in
+  for s = 0 to drops - 1 do
+    record_op counters Counters.Op_modswitch ~level:(k - s);
+    let drop = Int64.of_int moduli.(k - 1 - s) in
+    factor := Mod64.mul t !factor (Mod64.inv t (Mod64.reduce t drop));
+    st := NM.modswitch (nm ct) !st
+  done;
   Array.iter (fun c -> record_inv_census counters c ~level:k) ct.comps;
-  record_op_n counters Counters.Op_ntt_fwd ~level:(k - 1) (Array.length ct.comps);
-  let p = ct.params in
-  let moduli = p.Params.moduli in
-  let drop = moduli.(k - 1) in
-  let drop64 = Int64.of_int drop in
-  let t = p.Params.t_plain in
-  let t_inv_drop = Int64.to_int (Mod64.inv drop64 (Mod64.reduce drop64 t)) in
-  let half_drop = drop / 2 in
-  let n = p.Params.n in
-  let t_mod = Array.init (k - 1) (fun i -> Int64.to_int (Int64.rem t (Int64.of_int moduli.(i)))) in
-  let drop_inv =
-    Array.init (k - 1) (fun i ->
-        let pi = Int64.of_int moduli.(i) in
-        Int64.to_int (Mod64.inv pi (Mod64.reduce pi drop64)))
-  in
-  let switch_component rq =
-    Rq.with_coeff_components rq (fun cc ->
-        let clast = cc.(k - 1) in
-        (* w ≡ c·t^{-1} (mod drop), centered so that |t·w| stays small. *)
-        Util.Arena.with_array n (fun w ->
-            for j = 0 to n - 1 do
-              let x = clast.(j) * t_inv_drop mod drop in
-              w.(j) <- (if x > half_drop then x - drop else x)
-            done;
-            let comps =
-              Array.init (k - 1) (fun i ->
-                  let pi = moduli.(i) in
-                  let ci = cc.(i) in
-                  let tm = t_mod.(i) and dinv = drop_inv.(i) in
-                  let br = Ntt.barrett (Rq.table (Rq.ctx rq) i) in
-                  Array.init n (fun j ->
-                      let x = (ci.(j) - (tm * w.(j))) mod pi in
-                      let x = if x < 0 then x + pi else x in
-                      Barrett.mul br x dinv))
-            in
-            Rq.to_eval_into (Rq.of_components p.Params.ring Rq.Coeff comps)))
-  in
-  let comps = Array.map switch_component ct.comps in
-  let factor = Mod64.mul t ct.factor (Mod64.inv t (Mod64.reduce t drop64)) in
-  { ct with comps; factor; log_noise = (NM.modswitch (nm ct) (state ct)).NM.bits }
+  record_op_n counters Counters.Op_ntt_fwd ~level:(k - drops) (Array.length ct.comps);
+  { ct with
+    comps = Array.map (fun c -> Rq.switch_down c ~drops) ct.comps;
+    factor = !factor;
+    log_noise = !st.NM.bits }
 
+let modswitch ?counters ct =
+  if level ct <= 1 then invalid_arg "Bgv.modswitch: already at the last level";
+  switch_down ?counters ct ~drops:1
+
+(* The trip count comes first, from the same Noise_model decisions a
+   switch-at-a-time loop would make; the switches then run as one
+   chain. *)
 let rescale_to_floor ?counters ct =
-  let rec go ct =
-    if NM.switch_helps (nm ct) (state ct) then go (modswitch ?counters ct) else ct
-  in
-  go ct
+  let nm = nm ct in
+  let rec trips st j = if NM.switch_helps nm st then trips (NM.modswitch nm st) (j + 1) else j in
+  match trips (state ct) 0 with
+  | 0 -> ct
+  | drops -> switch_down ?counters ct ~drops
 
 (* ------------------------------------------------------------------ *)
 (* Multiplication and relinearisation                                  *)
@@ -492,15 +483,15 @@ let mul ?counters ?rlk ?(rescale = true) a b =
 (* Fused inner products                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Σᵢ aᵢ·bᵢ without relinearisation or rescaling between terms.  The
-   fused path tensors each pair directly into a shared accumulator
-   (Rq.mul_add_into), cutting the intermediate Rq allocations the
-   mul-then-add fold pays per term — these are the two hottest loops of
-   the protocol (Compute-Distances' per-coordinate sum and Return-kNN's
-   row selection).  Chunks may run on separate domains: residue addition
+(* Σᵢ aᵢ·bᵢ without rescaling between terms.  The fused path tensors
+   each pair directly into a shared accumulator (Rq.mul_add_into),
+   cutting the intermediate Rq allocations the mul-then-add fold pays
+   per term — this is Return-kNN's row selection and the prepared
+   path's norms.  Chunks may run on separate domains: residue addition
    mod p is associative and commutative, so the components are
    bit-identical for every job count, and the noise bound is folded
-   sequentially in term order for the same reason. *)
+   sequentially in term order for the same reason.  With [rlk] the
+   degree-2 sum is relinearised once, never term by term. *)
 let mul_sum ?counters ?jobs ?rlk a b =
   let m = Array.length a in
   if m = 0 || Array.length b <> m then invalid_arg "Bgv.mul_sum: empty or mismatched inputs";
@@ -523,55 +514,97 @@ let mul_sum ?counters ?jobs ?rlk a b =
     done;
     !ok
   in
-  if rlk <> None || not uniform_factor then begin
-    (* Relinearisation (or mixed factors) breaks the shared-accumulator
-       shape; fall back to the exact mul-then-add sequence. *)
-    let acc = ref (mul ?counters ?rlk ~rescale:false a.(0) b.(0)) in
-    for i = 1 to m - 1 do
-      acc := add ?counters !acc (mul ?counters ?rlk ~rescale:false a.(i) b.(i))
-    done;
-    !acc
-  end
-  else begin
-    record_op_n counters Counters.Op_ct_mul ~level:lvl m;
-    record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
-    let ring = p.Params.ring in
-    let width =
-      let w = ref 0 in
-      for i = 0 to m - 1 do
-        w := Stdlib.max !w (Array.length a.(i).comps + Array.length b.(i).comps - 1)
-      done;
-      !w
-    in
-    let partials = ref [] in
-    ignore
-      (Util.Pool.map_local ?jobs
-         ~make:(fun () -> Array.init width (fun _ -> Rq.zero ring ~nprimes:lvl Rq.Eval))
-         ~merge:(fun acc -> partials := acc :: !partials)
-         ~f:(fun acc i () ->
-           let ca = a.(i).comps and cb = b.(i).comps in
-           for x = 0 to Array.length ca - 1 do
-             for y = 0 to Array.length cb - 1 do
-               Rq.mul_add_into acc.(x + y) ca.(x) cb.(y)
-             done
-           done)
-         (Array.make m ()));
-    let comps =
-      match List.rev !partials with
-      | [] -> assert false
-      | first :: rest ->
-        List.fold_left (fun acc part -> Array.map2 Rq.add acc part) first rest
-    in
-    let log_noise =
-      let term i = NM.mul p.Params.noise (state a.(i)) (state b.(i)) in
-      let acc = ref (term 0) in
+  let sum =
+    if not uniform_factor then begin
+      (* Mixed factors break the shared-accumulator shape; fall back to
+         the exact mul-then-add sequence. *)
+      let acc = ref (mul ?counters ~rescale:false a.(0) b.(0)) in
       for i = 1 to m - 1 do
-        acc := NM.add !acc (term i)
+        acc := add ?counters !acc (mul ?counters ~rescale:false a.(i) b.(i))
       done;
-      !acc.NM.bits
+      !acc
+    end
+    else begin
+      record_op_n counters Counters.Op_ct_mul ~level:lvl m;
+      record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
+      let ring = p.Params.ring in
+      let width =
+        let w = ref 0 in
+        for i = 0 to m - 1 do
+          w := Stdlib.max !w (Array.length a.(i).comps + Array.length b.(i).comps - 1)
+        done;
+        !w
+      in
+      let partials = ref [] in
+      ignore
+        (Util.Pool.map_local ?jobs
+           ~make:(fun () -> Array.init width (fun _ -> Rq.zero ring ~nprimes:lvl Rq.Eval))
+           ~merge:(fun acc -> partials := acc :: !partials)
+           ~f:(fun acc i () ->
+             let ca = a.(i).comps and cb = b.(i).comps in
+             for x = 0 to Array.length ca - 1 do
+               for y = 0 to Array.length cb - 1 do
+                 Rq.mul_add_into acc.(x + y) ca.(x) cb.(y)
+               done
+             done)
+           (Array.make m ()));
+      let comps =
+        match List.rev !partials with
+        | [] -> assert false
+        | first :: rest ->
+          List.fold_left (fun acc part -> Array.map2 Rq.add acc part) first rest
+      in
+      let log_noise =
+        let term i = NM.mul p.Params.noise (state a.(i)) (state b.(i)) in
+        let acc = ref (term 0) in
+        for i = 1 to m - 1 do
+          acc := NM.add !acc (term i)
+        done;
+        !acc.NM.bits
+      in
+      { params = p; comps; factor = f0; log_noise }
+    end
+  in
+  match rlk with
+  | Some rlk when degree sum = 2 -> relinearize ?counters rlk sum
+  | Some _ | None -> sum
+
+(* Σⱼ (aⱼ - bⱼ)², Algorithm 1's per-coordinate distance, as
+   mul_sum (sub a b) (sub a b) computes it but without the difference
+   ciphertexts: Rq.sum_sq_diff forms d0², d0·d1 and d1² per term and
+   sums them straight into the three components.  Residue arithmetic is
+   exact, so the components, factor and tracked bound (the same
+   term-order fold) equal that sequence's, and so does the ledger. *)
+let sum_sq_diff ?counters ?rlk a b =
+  let m = Array.length a in
+  if m = 0 || Array.length b <> m then
+    invalid_arg "Bgv.sum_sq_diff: empty or mismatched inputs";
+  let x = a.(0) in
+  let lvl = level x in
+  let same c =
+    c.params == x.params && level c = lvl && Int64.equal c.factor x.factor && degree c = 1
+  in
+  if not (Array.for_all same a && Array.for_all same b) then
+    invalid_arg "Bgv.sum_sq_diff: inputs must share params, level, factor and degree 1";
+  (* The m differences, then mul_sum's m products and m - 1 additions. *)
+  record_op_n counters Counters.Op_ct_add ~level:lvl m;
+  record_op_n counters Counters.Op_ct_mul ~level:lvl m;
+  record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
+  let comps = Rq.sum_sq_diff (Array.map (fun c -> c.comps) a) (Array.map (fun c -> c.comps) b) in
+  let log_noise =
+    let term j =
+      let d = NM.add (state a.(j)) (state b.(j)) in
+      NM.mul (nm x) d d
     in
-    { params = p; comps; factor = f0; log_noise }
-  end
+    let bound = ref (term 0) in
+    for j = 1 to m - 1 do
+      bound := NM.add !bound (term j)
+    done;
+    !bound.NM.bits
+  in
+  let t = x.params.Params.t_plain in
+  let sum = { params = x.params; comps; factor = Mod64.mul t x.factor x.factor; log_noise } in
+  match rlk with Some rlk -> relinearize ?counters rlk sum | None -> sum
 
 (* ------------------------------------------------------------------ *)
 (* Polynomial evaluation (the protocol's EvalPoly)                     *)

@@ -95,16 +95,30 @@ val mul_sum :
     recording [n] {!Util.Counters.Op_ct_mul} and [n-1]
     {!Util.Counters.Op_ct_add} ledger cells — exactly what the
     equivalent [mul ~rescale:false] / [add] fold would record.  All
-    operands are first aligned to their common minimum level.  Without
-    [rlk] the products are tensored straight into a shared accumulator
+    operands are first aligned to their common minimum level.  The
+    products are tensored straight into a shared accumulator
     ({!Rq.mul_add_into}), skipping one intermediate [Rq] allocation per
     term; [?jobs] splits the terms across that many domains
     ({!Util.Pool}).  Residue addition is exact modular arithmetic and
     the noise bound is folded in term order ({!Util.Noise_model.mul}
     then {!Util.Noise_model.add}), so the result is bit-identical for
-    every job count.  With [rlk] (or mixed factors)
-    it falls back to the sequential mul-then-add fold.
+    every job count.  Mixed factors fall back to the sequential
+    mul-then-add fold.  With [rlk] a degree-2 sum is relinearised once,
+    after the last term: one {!Util.Counters.Op_key_switch}.
     @raise Invalid_argument on empty or length-mismatched inputs. *)
+
+val sum_sq_diff :
+  ?counters:Util.Counters.t -> ?rlk:relin_key -> ct array -> ct array -> ct
+(** [sum_sq_diff a b] is [Σⱼ (aⱼ - bⱼ)²], Algorithm 1's per-coordinate
+    squared distance.  Its components, factor, tracked bound and ledger
+    cells ([n] {!Util.Counters.Op_ct_add} for the differences, then
+    [n] {!Util.Counters.Op_ct_mul} and [n-1] {!Util.Counters.Op_ct_add})
+    equal [mul_sum (Array.map2 sub a b) (Array.map2 sub a b)]'s, but no
+    difference ciphertext is built: {!Rq.sum_sq_diff} sums each term's
+    d0², d0·d1 and d1² directly.  With [rlk] the sum is
+    relinearised once.  Runs on the calling domain.
+    @raise Invalid_argument unless every input shares params, level and
+    factor and has degree 1 (the protocol's fresh encryptions do). *)
 
 val rerandomize :
   ?counters:Util.Counters.t -> flood_bits:int -> Util.Rng.t -> public_key -> ct -> ct
@@ -152,8 +166,14 @@ val modswitch : ?counters:Util.Counters.t -> ct -> ct
     additive rounding term). @raise Invalid_argument at level 1. *)
 
 val rescale_to_floor : ?counters:Util.Counters.t -> ct -> ct
-(** Apply {!modswitch} while {!Util.Noise_model.switch_helps}: while a
-    switch cuts the noise bound by more than half a bit. *)
+(** Switch down while {!Util.Noise_model.switch_helps}: while a switch
+    cuts the noise bound by more than half a bit.  The trip count [j]
+    is decided first on the tracked bound; the [j] switches then run as
+    one {!Rq.switch_down} chain per component, equal byte for byte to
+    [j] calls of {!modswitch}.  The ledger records [j]
+    {!Util.Counters.Op_modswitch} cells, but only one NTT round trip
+    per component: [degree+1] inverse passes at the source level and
+    [degree+1] forward passes at the target level. *)
 
 val truncate_to_level : ?counters:Util.Counters.t -> ct -> int -> ct
 (** Cheap level alignment: drop RNS components without rescaling (valid

@@ -87,7 +87,7 @@ let noise_of_probe pr =
     eta = float_of_int pr.pr_eta }
 
 let of_probe pr =
-  let ring = Rq.context ~n:pr.pr_n ~moduli:pr.pr_moduli in
+  let ring = Rq.context ~n:pr.pr_n ~moduli:pr.pr_moduli ~t:pr.pr_t_plain in
   let batching = Ntt64.make_table ~p:pr.pr_t_plain ~n:pr.pr_n in
   { name = pr.pr_name; n = pr.pr_n; t_plain = pr.pr_t_plain;
     moduli = pr.pr_moduli; eta = pr.pr_eta;

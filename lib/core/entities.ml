@@ -202,13 +202,12 @@ module Party_a = struct
   let encrypted_distance t ~counters query point =
     match t.config.Config.layout, point.coords, query.q_coords with
     | Config.Per_coordinate, Some coords, Some q_coords ->
-      (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1.  The
-         per-dimension squares are left unrescaled (fused inner product
-         of the difference vector with itself); one rescale after the
-         sum costs d-1 fewer modulus switches per point. *)
-      let diffs = Array.mapi (fun j c -> Bgv.sub ~counters c q_coords.(j)) coords in
-      (* jobs:1 — compute_distances already parallelises over points. *)
-      let ed = Bgv.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) diffs diffs in
+      (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1, as one
+         fused square-sum: the per-dimension squares are left
+         unrescaled, and one rescale chain after the sum costs d-1
+         fewer modulus switches per point.  It runs on this point's
+         worker; compute_distances already parallelises over points. *)
+      let ed = Bgv.sum_sq_diff ~counters ?rlk:(rlk_opt t) coords q_coords in
       if t.config.Config.rescale_distances then Bgv.rescale_to_floor ~counters ed else ed
     | Config.Dot_product, _, _ ->
       let q_rev = Option.get query.q_rev and q_norm = Option.get query.q_norm in

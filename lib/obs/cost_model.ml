@@ -107,7 +107,11 @@ let add_plain p c st =
   record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.add_plain p.nm st
 
-let add_const = add_plain
+(* Bgv.add_const adds the scaled constant at every evaluation point:
+   no transform. *)
+let add_const p c st =
+  record_op c C.Op_ct_add ~level:st.NM.level;
+  NM.add_plain p.nm st
 
 let mul_plain p c st =
   record_op c C.Op_mul_plain ~level:st.NM.level;
@@ -118,17 +122,21 @@ let mul_scalar c st ~bits =
   record_op c C.Op_mul_plain ~level:st.NM.level;
   NM.mul_scalar st ~bits
 
-let modswitch p c (st : NM.state) =
-  let k = st.NM.level in
-  record_op c C.Op_modswitch ~level:k;
-  (* Every component is Eval (the scheme's invariant), so each pays the
-     inverse pass at the source level and a forward pass below. *)
-  record_op ~n:(st.NM.degree + 1) c C.Op_ntt_inv ~level:k;
-  record_op ~n:(st.NM.degree + 1) c C.Op_ntt_fwd ~level:(k - 1);
-  NM.modswitch p.nm st
-
-let rescale_to_floor p c st =
-  NM.rescale_to_floor ~switch:(fun _ st -> modswitch p c st) p.nm st
+(* Bgv.rescale_to_floor: one modswitch cell per prime dropped, and one
+   NTT round trip per component for the whole chain.  Every component
+   is Eval (the scheme's invariant), so each pays the inverse pass at
+   the source level and a forward pass at the target level. *)
+let rescale_to_floor p c (st : NM.state) =
+  let switch nm (st : NM.state) =
+    record_op c C.Op_modswitch ~level:st.NM.level;
+    NM.modswitch nm st
+  in
+  let out = NM.rescale_to_floor ~switch p.nm st in
+  if out.NM.level < st.NM.level then begin
+    record_op ~n:(st.NM.degree + 1) c C.Op_ntt_inv ~level:st.NM.level;
+    record_op ~n:(st.NM.degree + 1) c C.Op_ntt_fwd ~level:out.NM.level
+  end;
+  out
 
 (* Recorded truncation (Bgv.truncate_to_level ~counters): a cell only
    when components are actually dropped. *)
@@ -164,25 +172,17 @@ let mul p c ~relin a b =
   if relin && st.NM.degree = 2 then relinearize p c st else st
 
 (* Σ terms · (a·b) with every term the same symbolic pair — all the
-   protocol's inner products are uniform.  Mirrors Bgv.mul_sum: the
-   fused fast path when no relinearisation is in play, the exact
-   mul-then-add fold otherwise; either way the bound is the scheme's
-   term-order fold. *)
+   protocol's inner products are uniform.  Mirrors Bgv.mul_sum (and
+   Bgv.sum_sq_diff after its differences): the bound is the scheme's
+   term-order fold, and with [relin] the degree-2 sum is relinearised
+   once. *)
 let mul_sum p c ~terms ~relin a b =
   if terms < 1 then invalid_arg "Cost_model.mul_sum: terms must be positive";
   let lvl = Stdlib.min a.NM.level b.NM.level in
-  if relin then begin
-    let acc = ref (mul p c ~relin a b) in
-    for _ = 2 to terms do
-      acc := add c !acc (mul p c ~relin a b)
-    done;
-    !acc
-  end
-  else begin
-    record_op ~n:terms c C.Op_ct_mul ~level:lvl;
-    record_op ~n:(terms - 1) c C.Op_ct_add ~level:lvl;
-    NM.mul_sum p.nm a b ~terms
-  end
+  record_op ~n:terms c C.Op_ct_mul ~level:lvl;
+  record_op ~n:(terms - 1) c C.Op_ct_add ~level:lvl;
+  let st = NM.mul_sum p.nm a b ~terms in
+  if relin && st.NM.degree = 2 then relinearize p c st else st
 
 let slot_pack c = record_op c C.Op_slot_pack ~level:0
 let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
@@ -339,8 +339,9 @@ let predict_plain sim =
   let masked =
     repeat ca ~times:p.n_points (fun c ->
         if p.per_coordinate then begin
-          (* d per-coordinate differences, fused square-and-sum, one
-             deferred rescale, then the masking polynomial. *)
+          (* Bgv.sum_sq_diff: d per-coordinate differences and their
+             square-and-sum, then one deferred rescale chain and the
+             masking polynomial. *)
           let diff = repeat c ~times:p.d (fun c -> sub c fresh fresh) in
           let ed = step sim "square-sum" (mul_sum p c ~terms:p.d ~relin:p.use_relin diff diff) in
           let ed =

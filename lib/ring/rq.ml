@@ -3,11 +3,21 @@ module Z = Zint
 
 type domain = Coeff | Eval
 
+(* The constants of one BGV modulus-switch step from level k to k - 1:
+   divide out [drop] = p_{k-1} while preserving residues mod t. *)
+type switch_step = {
+  drop : int;
+  t_inv_drop : Shoup.t;     (* t^-1 mod drop *)
+  t_mod : Shoup.t array;    (* t mod p_i, for each kept prime i < k - 1 *)
+  drop_inv : Shoup.t array; (* drop^-1 mod p_i *)
+}
+
 type context = {
   n : int;
   moduli : int array;
   tables : Ntt.table array;
   bases : Crt.basis array; (* bases.(i): basis of the first i+1 primes *)
+  steps : switch_step array; (* steps.(k-2): the switch from level k *)
 }
 
 type t = {
@@ -16,7 +26,28 @@ type t = {
   comps : int array array; (* comps.(i): residues mod moduli.(i), length n *)
 }
 
-let context ~n ~moduli =
+(* Precompute, once per context: the inverses come from Mod64's
+   extended Euclid, and each Shoup companion costs two divisions inside
+   Shoup.of_int. *)
+let switch_steps ~t moduli =
+  let residue p x = Int64.to_int (Mod64.reduce (Int64.of_int p) x) in
+  let inverse p x = Int64.to_int (Mod64.inv (Int64.of_int p) (Int64.of_int x)) in
+  Array.init
+    (Array.length moduli - 1)
+    (fun s ->
+      let kept = s + 1 in
+      let drop = moduli.(kept) in
+      let t_drop = residue drop t in
+      if t_drop = 0 then invalid_arg "Rq.context: t is not invertible mod a chain prime";
+      { drop;
+        t_inv_drop = Shoup.of_int ~p:drop (inverse drop t_drop);
+        t_mod = Array.init kept (fun i -> Shoup.of_int ~p:moduli.(i) (residue moduli.(i) t));
+        drop_inv =
+          Array.init kept (fun i ->
+              let p = moduli.(i) in
+              Shoup.of_int ~p (inverse p (residue p (Int64.of_int drop)))) })
+
+let context ~n ~moduli ~t =
   if Array.length moduli = 0 then invalid_arg "Rq.context: empty modulus chain";
   let seen = Hashtbl.create 8 in
   Array.iter
@@ -31,15 +62,11 @@ let context ~n ~moduli =
   let bases =
     Array.init (Array.length moduli) (fun i -> Crt.make (Array.sub moduli 0 (i + 1)))
   in
-  { n; moduli = Array.copy moduli; tables; bases }
+  { n; moduli = Array.copy moduli; tables; bases; steps = switch_steps ~t moduli }
 
 let degree c = c.n
 let moduli c = Array.copy c.moduli
 let chain_length c = Array.length c.moduli
-
-let table c i =
-  if i < 0 || i >= Array.length c.tables then invalid_arg "Rq.table: bad index";
-  c.tables.(i)
 
 let basis c ~nprimes =
   if nprimes < 1 || nprimes > Array.length c.moduli then invalid_arg "Rq.basis: bad nprimes";
@@ -139,44 +166,112 @@ let check_compat a b op =
   if a.ctx != b.ctx then invalid_arg (op ^ ": different contexts");
   if Array.length a.comps <> Array.length b.comps then invalid_arg (op ^ ": level mismatch")
 
-let map2_domain op f a b =
+(* The loops below index residue arrays only within [0, n): every
+   component of every value over a context has length n (zero, the
+   embeddings and of_components guarantee it) and check_compat pins
+   both operands to one context and level.  So they use unsafe
+   accessors and write each modular correction inline, with no closure
+   and no call into another module per coefficient: the dev profile
+   compiles with -opaque, under which no [@inline] crosses a module
+   boundary.  Corrections are branchless: for 0 <= x < 2p,
+   [x - (p land ((p - 1 - x) asr 62))] is x mod p. *)
+
+(* Both operands in one domain: a mismatched operand moves to Eval. *)
+let same_domain op a b =
   check_compat a b op;
-  let a, b =
-    match a.domain, b.domain with
-    | Coeff, Coeff | Eval, Eval -> (a, b)
-    | Coeff, Eval -> (to_eval a, b)
-    | Eval, Coeff -> (a, to_eval b)
-  in
-  let comps =
-    Array.mapi
-      (fun i ca ->
-        let p = a.ctx.moduli.(i) in
-        let cb = b.comps.(i) in
-        Array.mapi (fun j x -> f p x cb.(j)) ca)
-      a.comps
-  in
-  { ctx = a.ctx; domain = a.domain; comps }
+  match a.domain, b.domain with
+  | Coeff, Coeff | Eval, Eval -> (a, b)
+  | Coeff, Eval -> (to_eval a, b)
+  | Eval, Coeff -> (a, to_eval b)
 
 let add a b =
-  map2_domain "Rq.add"
-    (fun p x y ->
-      let s = x + y in
-      if s >= p then s - p else s)
-    a b
+  let a, b = same_domain "Rq.add" a b in
+  let n = a.ctx.n in
+  let comps =
+    Array.mapi
+      (fun i ca ->
+        let p = a.ctx.moduli.(i) and cb = b.comps.(i) in
+        let out = Array.make n 0 in
+        for j = 0 to n - 1 do
+          let s = Array.unsafe_get ca j + Array.unsafe_get cb j in
+          Array.unsafe_set out j (s - (p land ((p - 1 - s) asr 62)))
+        done;
+        out)
+      a.comps
+  in
+  { a with comps }
 
 let sub a b =
-  map2_domain "Rq.sub"
-    (fun p x y ->
-      let d = x - y in
-      if d < 0 then d + p else d)
-    a b
+  let a, b = same_domain "Rq.sub" a b in
+  let n = a.ctx.n in
+  let comps =
+    Array.mapi
+      (fun i ca ->
+        let p = a.ctx.moduli.(i) and cb = b.comps.(i) in
+        let out = Array.make n 0 in
+        for j = 0 to n - 1 do
+          let d = Array.unsafe_get ca j - Array.unsafe_get cb j in
+          Array.unsafe_set out j (d + (p land (d asr 62)))
+        done;
+        out)
+      a.comps
+  in
+  { a with comps }
 
 let neg a =
+  let n = a.ctx.n in
   let comps =
     Array.mapi
       (fun i ca ->
         let p = a.ctx.moduli.(i) in
-        Array.map (fun x -> if x = 0 then 0 else p - x) ca)
+        let out = Array.make n 0 in
+        for j = 0 to n - 1 do
+          (* p - 0 = p folds back to 0 *)
+          let r = p - Array.unsafe_get ca j in
+          Array.unsafe_set out j (r - (p land ((p - 1 - r) asr 62)))
+        done;
+        out)
+      a.comps
+  in
+  { a with comps }
+
+(* Every residue times a fixed per-prime operand, Shoup's quotient
+   estimate written out (see shoup.ml): valid for any p < 2^31. *)
+let scale_comps a ~residue =
+  let n = a.ctx.n in
+  let comps =
+    Array.mapi
+      (fun i ca ->
+        let p = a.ctx.moduli.(i) in
+        let sh = Shoup.of_int ~p (residue p) in
+        let w = sh.Shoup.w and hi = sh.Shoup.hi and lo = sh.Shoup.lo in
+        let out = Array.make n 0 in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get ca j in
+          let q = ((hi * x) + ((lo * x) lsr 31)) lsr 31 in
+          let r = (w * x) - (q * p) in
+          Array.unsafe_set out j (r - (p land ((p - 1 - r) asr 62)))
+        done;
+        out)
+      a.comps
+  in
+  { a with comps }
+
+let add_constant a v =
+  let n = a.ctx.n in
+  let comps =
+    Array.mapi
+      (fun i ca ->
+        let p = a.ctx.moduli.(i) in
+        let c = Int64.to_int (Mod64.reduce (Int64.of_int p) v) in
+        let out = Array.copy ca in
+        (* A constant polynomial evaluates to itself at every point. *)
+        let last = match a.domain with Eval -> n - 1 | Coeff -> 0 in
+        for j = 0 to last do
+          let s = Array.unsafe_get out j + c in
+          Array.unsafe_set out j (s - (p land ((p - 1 - s) asr 62)))
+        done;
+        out)
       a.comps
   in
   { a with comps }
@@ -206,17 +301,7 @@ let mul a b =
   { ctx = a.ctx; domain = Eval; comps }
 
 let mul_scalar a s =
-  let comps =
-    Array.mapi
-      (fun i ca ->
-        let p = a.ctx.moduli.(i) in
-        let p64 = Int64.of_int p in
-        let sp = Int64.to_int (Mod64.reduce p64 s) in
-        let sh = Shoup.of_int ~p sp in
-        Array.map (fun x -> Shoup.mul sh ~p x) ca)
-      a.comps
-  in
-  { a with comps }
+  scale_comps a ~residue:(fun p -> Int64.to_int (Mod64.reduce (Int64.of_int p) s))
 
 let mul_add_into acc a b =
   check_compat acc a "Rq.mul_add_into";
@@ -239,8 +324,8 @@ let add_into acc b =
     let p = acc.ctx.moduli.(i) in
     let cacc = acc.comps.(i) and cb = b.comps.(i) in
     for j = 0 to acc.ctx.n - 1 do
-      let s = cacc.(j) + cb.(j) in
-      cacc.(j) <- (if s >= p then s - p else s)
+      let s = Array.unsafe_get cacc j + Array.unsafe_get cb j in
+      Array.unsafe_set cacc j (s - (p land ((p - 1 - s) asr 62)))
     done
   done
 
@@ -251,8 +336,8 @@ let sub_into acc b =
     let p = acc.ctx.moduli.(i) in
     let cacc = acc.comps.(i) and cb = b.comps.(i) in
     for j = 0 to acc.ctx.n - 1 do
-      let d = cacc.(j) - cb.(j) in
-      cacc.(j) <- (if d < 0 then d + p else d)
+      let d = Array.unsafe_get cacc j - Array.unsafe_get cb j in
+      Array.unsafe_set cacc j (d + (p land (d asr 62)))
     done
   done
 
@@ -264,6 +349,165 @@ let mul_into dst a b =
     with_eval_comp a i (fun ea ->
         with_eval_comp b i (fun eb -> Ntt.pointwise_mul dst.ctx.tables.(i) dst.comps.(i) ea eb))
   done
+
+(* Σⱼ (aⱼ - bⱼ)² for degree-1 operands aⱼ = (a0, a1), bⱼ = (b0, b1):
+   with d0 = a0 - b0 and d1 = a1 - b1, the three tensor components
+   Σ d0², 2·Σ d0·d1 and Σ d1².  Per prime and coefficient the loop runs
+   over the terms with the differences and the three sums in
+   registers.  Each product is Barrett-reduced only to [0, 3p) and
+   summed unreduced; the sums stay below 3·m·p <= 2^(2b) for b = bits
+   p, where one Barrett step plus two corrections is exact, so each is
+   reduced once, after the last term. *)
+let sum_sq_diff a b =
+  let m = Array.length a in
+  if m = 0 || Array.length b <> m then invalid_arg "Rq.sum_sq_diff: empty or mismatched inputs";
+  let x = a.(0).(0) in
+  let operand v =
+    if Array.length v <> 2 then invalid_arg "Rq.sum_sq_diff: operands must have 2 components";
+    Array.iter
+      (fun c ->
+        check_compat x c "Rq.sum_sq_diff";
+        if c.domain <> Eval then invalid_arg "Rq.sum_sq_diff: operands must be Eval")
+      v
+  in
+  Array.iter operand a;
+  Array.iter operand b;
+  let ctx = x.ctx and n = x.ctx.n and k = Array.length x.comps in
+  let out () = Array.init k (fun _ -> Array.make n 0) in
+  let s0 = out () and s1 = out () and s2 = out () in
+  (* Row gathers, refilled per prime: x0.(t) is a.(t).(0)'s residues
+     at that prime, and so on. *)
+  let x0 = Array.make m [||] and x1 = Array.make m [||] in
+  let y0 = Array.make m [||] and y1 = Array.make m [||] in
+  for i = 0 to k - 1 do
+    for t = 0 to m - 1 do
+      x0.(t) <- a.(t).(0).comps.(i);
+      x1.(t) <- a.(t).(1).comps.(i);
+      y0.(t) <- b.(t).(0).comps.(i);
+      y1.(t) <- b.(t).(1).comps.(i)
+    done;
+    let br = Ntt.barrett ctx.tables.(i) in
+    let p = br.Barrett.p in
+    let o0 = s0.(i) and o1 = s1.(i) and o2 = s2.(i) in
+    if br.Barrett.fast && 3 * m <= 1 lsl (br.Barrett.s1 + 1) then begin
+      let mu = br.Barrett.mu and sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+      for j = 0 to n - 1 do
+        let acc0 = ref 0 and acc1 = ref 0 and acc2 = ref 0 in
+        for t = 0 to m - 1 do
+          let ra = Array.unsafe_get x0 t and rb = Array.unsafe_get y0 t in
+          let d0 = Array.unsafe_get ra j - Array.unsafe_get rb j in
+          let d0 = d0 + (p land (d0 asr 62)) in
+          let ra = Array.unsafe_get x1 t and rb = Array.unsafe_get y1 t in
+          let d1 = Array.unsafe_get ra j - Array.unsafe_get rb j in
+          let d1 = d1 + (p land (d1 asr 62)) in
+          let v = d0 * d0 in
+          acc0 := !acc0 + v - ((((v lsr sh1) * mu) lsr sh2) * p);
+          let v = d0 * d1 in
+          acc1 := !acc1 + v - ((((v lsr sh1) * mu) lsr sh2) * p);
+          let v = d1 * d1 in
+          acc2 := !acc2 + v - ((((v lsr sh1) * mu) lsr sh2) * p)
+        done;
+        let v = !acc0 in
+        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+        let r = r - (p land ((p - 1 - r) asr 62)) in
+        Array.unsafe_set o0 j (r - (p land ((p - 1 - r) asr 62)));
+        let v = !acc1 in
+        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+        let r = r - (p land ((p - 1 - r) asr 62)) in
+        let r = 2 * (r - (p land ((p - 1 - r) asr 62))) in
+        Array.unsafe_set o1 j (r - (p land ((p - 1 - r) asr 62)));
+        let v = !acc2 in
+        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+        let r = r - (p land ((p - 1 - r) asr 62)) in
+        Array.unsafe_set o2 j (r - (p land ((p - 1 - r) asr 62)))
+      done
+    end
+    else
+      (for j = 0 to n - 1 do
+         for t = 0 to m - 1 do
+           let d0 = (x0.(t).(j) - y0.(t).(j) + p) mod p in
+           let d1 = (x1.(t).(j) - y1.(t).(j) + p) mod p in
+           o0.(j) <- (o0.(j) + (d0 * d0 mod p)) mod p;
+           o1.(j) <- (o1.(j) + (2 * (d0 * d1 mod p))) mod p;
+           o2.(j) <- (o2.(j) + (d1 * d1 mod p)) mod p
+         done
+       done)
+      [@sknn.allow "no-division" (* generic fallback: p >= 2^30, or too many terms *)]
+  done;
+  Array.map (fun comps -> { ctx; domain = Eval; comps }) [| s0; s1; s2 |]
+
+(* BGV's modulus switch, [drops] steps in one pass.  Each step divides
+   out the last active prime q while keeping the residue mod t: with
+   w = [c · t^-1 mod q] centered, c_i <- (c_i - t·w) · q^-1 mod p_i.
+   The steps compose in the coefficient domain, and the NTT is a
+   bijection, so one inverse transform at the source level and one
+   forward transform at the target level give the same residues as
+   [drops] single switches, each with its own round trip.  All
+   constants come from the context's [steps]; every product is a Shoup
+   multiplication, exact for any p < 2^31. *)
+let switch_down t ~drops =
+  let k = Array.length t.comps in
+  if drops < 1 || drops >= k then invalid_arg "Rq.switch_down: bad drop count";
+  let ctx = t.ctx and n = t.ctx.n in
+  let target = k - drops in
+  let coeff_copy i dst =
+    Array.blit t.comps.(i) 0 dst 0 n;
+    match t.domain with Eval -> Ntt.inverse ctx.tables.(i) dst | Coeff -> ()
+  in
+  let kept =
+    Array.init target (fun i ->
+        let c = Array.make n 0 in
+        coeff_copy i c;
+        c)
+  in
+  let dropped =
+    Array.init drops (fun s ->
+        let c = Util.Arena.acquire n in
+        coeff_copy (target + s) c;
+        c)
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Util.Arena.release dropped)
+    (fun () ->
+      for lvl = k downto target + 1 do
+        let st = ctx.steps.(lvl - 2) in
+        let q = st.drop and half = st.drop lsr 1 in
+        let iw = st.t_inv_drop.Shoup.w and ihi = st.t_inv_drop.Shoup.hi in
+        let ilo = st.t_inv_drop.Shoup.lo in
+        (* The dropped row becomes w, centered in (-q/2, q/2]. *)
+        let w = dropped.(lvl - 1 - target) in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get w j in
+          let e = ((ihi * x) + ((ilo * x) lsr 31)) lsr 31 in
+          let r = (iw * x) - (e * q) in
+          let r = r - (q land ((q - 1 - r) asr 62)) in
+          Array.unsafe_set w j (r - (q land ((half - r) asr 62)))
+        done;
+        for i = 0 to lvl - 2 do
+          let c = if i < target then kept.(i) else dropped.(i - target) in
+          let p = ctx.moduli.(i) in
+          let tm = st.t_mod.(i) and di = st.drop_inv.(i) in
+          let tw = tm.Shoup.w and thi = tm.Shoup.hi and tlo = tm.Shoup.lo in
+          let dw = di.Shoup.w and dhi = di.Shoup.hi and dlo = di.Shoup.lo in
+          for j = 0 to n - 1 do
+            let wj = Array.unsafe_get w j in
+            (* t·|w| mod p, then c - t·w in [0, p) *)
+            let sgn = wj asr 62 in
+            let aw = (wj lxor sgn) - sgn in
+            let e = ((thi * aw) + ((tlo * aw) lsr 31)) lsr 31 in
+            let r = (tw * aw) - (e * p) in
+            let r = r - (p land ((p - 1 - r) asr 62)) in
+            let v = Array.unsafe_get c j - ((r lxor sgn) - sgn) in
+            let v = v + (p land (v asr 62)) in
+            let v = v - (p land ((p - 1 - v) asr 62)) in
+            let e = ((dhi * v) + ((dlo * v) lsr 31)) lsr 31 in
+            let r = (dw * v) - (e * p) in
+            Array.unsafe_set c j (r - (p land ((p - 1 - r) asr 62)))
+          done
+        done
+      done);
+  Array.iteri (fun i c -> Ntt.forward ctx.tables.(i) c) kept;
+  { ctx; domain = Eval; comps = kept }
 
 
 let equal a b =
@@ -278,27 +522,13 @@ let equal a b =
   in
   a'.comps = b'.comps
 
-let drop_last_prime t =
-  let k = Array.length t.comps in
-  if k <= 1 then invalid_arg "Rq.drop_last_prime: would empty the chain";
-  { t with comps = Array.sub t.comps 0 (k - 1) }
-
 let truncate t ~nprimes =
   let k = Array.length t.comps in
   if nprimes < 1 || nprimes > k then invalid_arg "Rq.truncate: bad nprimes";
   if nprimes = k then t else { t with comps = Array.sub t.comps 0 nprimes }
 
 let mul_scalar_zint a s =
-  let comps =
-    Array.mapi
-      (fun i ca ->
-        let p = a.ctx.moduli.(i) in
-        let sp = Z.to_int_exn (Z.erem s (Z.of_int p)) in
-        let sh = Shoup.of_int ~p sp in
-        Array.map (fun x -> Shoup.mul sh ~p x) ca)
-      a.comps
-  in
-  { a with comps }
+  scale_comps a ~residue:(fun p -> Z.to_int_exn (Z.erem s (Z.of_int p)))
 
 (* Exponent folding mod 2n on a per-call Galois substitution (key
    switching prep), not a per-coefficient reduction. *)
@@ -322,25 +552,6 @@ let[@sknn.allow "no-division"] substitute t ~k =
       t.comps
   in
   { t with comps }
-
-let with_coeff_components t f =
-  match t.domain with
-  | Coeff -> f t.comps
-  | Eval ->
-    let k = Array.length t.comps in
-    let n = t.ctx.n in
-    let scratch =
-      Array.init k (fun i ->
-          let s = Util.Arena.acquire n in
-          Array.blit t.comps.(i) 0 s 0 n;
-          Ntt.inverse t.ctx.tables.(i) s;
-          s)
-    in
-    Fun.protect
-      ~finally:(fun () -> Array.iter Util.Arena.release scratch)
-      (fun () -> f scratch)
-
-let last_prime t = t.ctx.moduli.(Array.length t.comps - 1)
 
 let component t i = Array.copy t.comps.(i)
 let unsafe_component t i = t.comps.(i)

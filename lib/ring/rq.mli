@@ -10,10 +10,10 @@
     fresh value (the module reuses buffers internally where safe). *)
 
 type context
-(** Ring degree, modulus chain, NTT tables and all chain-prefix CRT
-    bases, shared by all values.  Immutable after creation, so a context
-    (and every value over it) may be read concurrently from multiple
-    domains. *)
+(** Ring degree, modulus chain, NTT tables, all chain-prefix CRT bases
+    and the per-level modulus-switch constants, shared by all values.
+    Immutable after creation, so a context (and every value over it) may
+    be read concurrently from multiple domains. *)
 
 type domain = Coeff | Eval
 (** [Coeff]: natural coefficient embedding. [Eval]: per-prime NTT
@@ -23,19 +23,19 @@ type t
 
 (** {1 Context} *)
 
-val context : n:int -> moduli:int array -> context
-(** [context ~n ~moduli] requires [n] a power of two and each modulus a
-    prime ≡ 1 (mod 2n) below 2^31, all distinct. *)
+val context : n:int -> moduli:int array -> t:int64 -> context
+(** [context ~n ~moduli ~t] requires [n] a power of two and each modulus
+    a prime ≡ 1 (mod 2n) below 2^31, all distinct.  [t] is the plaintext
+    modulus whose residues {!switch_down} preserves; it must be
+    invertible mod every chain prime.  For each level the context
+    precomputes t⁻¹ mod the dropped prime, and t and the dropped
+    prime's inverse mod every kept prime, with their Shoup companions. *)
 
 val degree : context -> int
 val moduli : context -> int array
 val chain_length : context -> int
 val basis : context -> nprimes:int -> Crt.basis
 (** CRT basis for the first [nprimes] primes of the chain (cached). *)
-
-val table : context -> int -> Ntt.table
-(** The NTT table of chain prime [i] — carries that prime's Shoup
-    twiddle companions and Barrett reciprocal (see {!Ntt.barrett}). *)
 
 val modulus : context -> nprimes:int -> Zint.t
 (** Product of the first [nprimes] primes. *)
@@ -76,16 +76,30 @@ val needs_transform : t -> domain -> bool
     counts stay exact even at call sites where a value's domain is
     data-dependent. *)
 
-(** {1 Arithmetic} *)
+(** {1 Arithmetic}
+
+    Every loop over residues runs one pass per prime with its modular
+    correction written in the loop body: no closure and no call into
+    another module per coefficient.  Results are canonical residues,
+    equal to the naive [mod] formulation. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
+(** Operands in different domains are added (subtracted) in [Eval]. *)
+
 val neg : t -> t
 val mul : t -> t -> t
 (** Ring product; operands are converted to [Eval] if needed. *)
 
 val mul_scalar : t -> int64 -> t
 (** Multiply every coefficient by a signed scalar. *)
+
+val add_constant : t -> int64 -> t
+(** [add_constant a v] adds the constant polynomial [v] (reduced per
+    prime): to every evaluation point in [Eval], since the transform of
+    a constant is that constant, or to coefficient 0 in [Coeff].  Equal
+    to [add a (constant ctx ~nprimes (domain a) v)] without the
+    transform. *)
 
 val mul_add_into : t -> t -> t -> unit
 (** [mul_add_into acc a b] sets [acc <- acc + a·b] by fused pointwise
@@ -117,6 +131,19 @@ val mul_into : t -> t -> t -> unit
     [Eval] at the operands' level.  [dst] may alias [a] or [b] when the
     aliased operand is already [Eval]. *)
 
+val sum_sq_diff : t array array -> t array array -> t array
+(** [sum_sq_diff a b], for degree-1 ciphertext components
+    [a.(j) = [|a0; a1|]] and [b.(j) = [|b0; b1|]], is [Σⱼ (aⱼ - bⱼ)²]
+    as a degree-2 tensor: [[|Σ d0²; 2·Σ d0·d1; Σ d1²|]] with
+    [d0 = a0 - b0] and [d1 = a1 - b1], fresh and [Eval].  Equal to
+    summing [mul_add_into] over the differences, but no difference
+    polynomial is built: per prime and coefficient the differences and
+    the three sums stay in registers, and each sum is reduced once.
+    All inputs must be [Eval] at one level.  Primes at or above 2^30,
+    and sums too long for the lazy bound (3m > 2^(bits p) terms), take
+    a [mod]-based loop.
+    @raise Invalid_argument on empty or mismatched inputs. *)
+
 val to_eval_into : t -> t
 (** [to_eval_into t] transforms [t]'s residue arrays to the evaluation
     domain {e in place} and returns the [Eval]-tagged view (sharing the
@@ -125,11 +152,18 @@ val to_eval_into : t -> t
 val equal : t -> t -> bool
 (** Structural equality at identical level; domains are reconciled. *)
 
-(** {1 Level manipulation (used by BGV modulus switching)} *)
+(** {1 Level manipulation} *)
 
-val drop_last_prime : t -> t
-(** Forgets the residues of the last active prime (plain truncation; the
-    arithmetic correction is the caller's job). *)
+val switch_down : t -> drops:int -> t
+(** BGV's modulus switch, [drops] times in one pass: divide by the last
+    [drops] active primes and round, keeping every coefficient's residue
+    mod the context's [t].  One step maps [c] to [(c - t·w) / q] for the
+    dropped prime [q] and [w = c·t⁻¹ mod q] centered.  Costs one inverse
+    NTT per prime at the source level and one forward NTT per prime at
+    the target level, whatever [drops] is; the result ([Eval]) is equal
+    to [drops] single-step switches.  The caller accounts for the
+    factor [q⁻¹ mod t] each step leaves on the plaintext.
+    @raise Invalid_argument unless [1 <= drops < nprimes t]. *)
 
 val truncate : t -> nprimes:int -> t
 (** Keeps only the first [nprimes] residue components (valid when the
@@ -147,19 +181,12 @@ val substitute : t -> k:int -> t
     Works in either domain (converts to [Coeff] internally); the result
     is in [Coeff] domain. @raise Invalid_argument on even [k]. *)
 
-val last_prime : t -> int
 val component : t -> int -> int array
 (** [component t i] is a copy of the residue polynomial mod prime [i]. *)
 
 val unsafe_component : t -> int -> int array
 (** The live residue array mod prime [i]; callers must not mutate it.
-    Exposed for the BGV layer's modulus-switch inner loop. *)
-
-val with_coeff_components : t -> (int array array -> 'a) -> 'a
-(** [with_coeff_components t f] calls [f] with [t]'s residue arrays in
-    [Coeff] domain — the live arrays when [t] is already [Coeff],
-    arena-backed inverse transforms otherwise.  The arrays are borrowed:
-    [f] must neither mutate them nor let them escape. *)
+    Exposed for serialisation and [Bgv.decrypt_coeff0]'s slot sum. *)
 
 val of_components : context -> domain -> int array array -> t
 (** Adopts the given residue arrays (takes ownership; do not reuse). *)

@@ -294,6 +294,131 @@ let test_relinearize_explicit () =
   Alcotest.check_raises "wrong degree" (Invalid_argument "Bgv.relinearize: degree <> 2")
     (fun () -> ignore (Bgv.relinearize keys.Bgv.rlk ct))
 
+(* ------------------------------------------------------------------ *)
+(* Fused and chained kernels against the sequences they replace        *)
+(* ------------------------------------------------------------------ *)
+
+let chain = Params.chain_length params
+
+let enc_at ~level seed =
+  Bgv.encrypt ~level (Rng.of_int seed) keys.Bgv.pk (Plaintext.of_slots params (random_slots seed))
+
+let check_bytes msg a b =
+  Alcotest.(check bool) msg true (Bytes.equal (Bgv.ct_to_bytes a) (Bgv.ct_to_bytes b))
+
+let test_sum_sq_diff_matches_mul_sum () =
+  List.iter
+    (fun level ->
+      List.iter
+        (fun d ->
+          let a = Array.init d (fun j -> enc_at ~level (100 + j)) in
+          let b = Array.init d (fun j -> enc_at ~level (200 + j)) in
+          List.iter
+            (fun rlk ->
+              let msg =
+                Printf.sprintf "d=%d L%d%s" d level (if rlk = None then "" else " relin")
+              in
+              let c_fused = Util.Counters.create () and c_seq = Util.Counters.create () in
+              let fused = Bgv.sum_sq_diff ~counters:c_fused ?rlk a b in
+              let diffs = Array.map2 (Bgv.sub ~counters:c_seq) a b in
+              let seq = Bgv.mul_sum ~counters:c_seq ?rlk diffs diffs in
+              check_bytes (msg ^ ": bytes") seq fused;
+              Alcotest.(check bool) (msg ^ ": ledger") true
+                (Util.Counters.equal_ledger c_seq c_fused))
+            [ None; Some keys.Bgv.rlk ])
+        [ 1; 3; 32 ])
+    [ chain; 5; 2 ]
+
+let test_sum_sq_diff_rejects () =
+  let reject msg a b =
+    Alcotest.check_raises msg
+      (Invalid_argument "Bgv.sum_sq_diff: inputs must share params, level, factor and degree 1")
+      (fun () -> ignore (Bgv.sum_sq_diff a b))
+  in
+  (* Same level, different factors: a modswitch leaves q⁻¹ mod t. *)
+  let switched = Bgv.modswitch (enc_at ~level:chain 51) in
+  let fresh = enc_at ~level:(chain - 1) 52 in
+  reject "mixed factors" [| fresh; fresh |] [| fresh; switched |];
+  reject "mixed factors (first operand)" [| switched |] [| fresh |];
+  reject "mixed levels" [| enc_at ~level:chain 53 |] [| fresh |];
+  let sq = Bgv.mul ~rescale:false fresh fresh in
+  reject "degree 2" [| sq |] [| sq |];
+  Alcotest.check_raises "empty" (Invalid_argument "Bgv.sum_sq_diff: empty or mismatched inputs")
+    (fun () -> ignore (Bgv.sum_sq_diff [||] [||]))
+
+(* High-noise ciphertexts of degree 1, 2 and 4 at [level], so that
+   rescale_to_floor switches more than once. *)
+let noisy ~level degree =
+  let x = enc_at ~level (60 + level) in
+  match degree with
+  | 1 -> Bgv.mul_scalar (Bgv.mul_scalar x (Int64.sub tp 3L)) (Int64.sub tp 5L)
+  | 2 -> Bgv.mul ~rescale:false x x
+  | _ ->
+    let sq = Bgv.mul ~rescale:false x x in
+    Bgv.mul ~rescale:false sq sq
+
+let test_rescale_chain_matches_modswitch () =
+  let longest = ref 0 in
+  List.iter
+    (fun degree ->
+      for level = 2 to chain do
+        let ct = noisy ~level degree in
+        let c_chain = Util.Counters.create () and c_seq = Util.Counters.create () in
+        let chained = Bgv.rescale_to_floor ~counters:c_chain ct in
+        let drops = level - Bgv.level chained in
+        longest := Stdlib.max !longest drops;
+        let seq = ref ct in
+        for _ = 1 to drops do
+          seq := Bgv.modswitch ~counters:c_seq !seq
+        done;
+        let msg = Printf.sprintf "degree %d from L%d (%d drops)" degree level drops in
+        check_bytes msg !seq chained;
+        List.iter
+          (fun l ->
+            Alcotest.(check int) (msg ^ Printf.sprintf ": modswitch@L%d" l)
+              (Util.Counters.op_count c_seq Util.Counters.Op_modswitch ~level:l)
+              (Util.Counters.op_count c_chain Util.Counters.Op_modswitch ~level:l))
+          (List.init chain (fun l -> l + 1));
+        (* One round trip per component for the whole chain. *)
+        if drops > 0 then begin
+          Alcotest.(check int) (msg ^ ": ntt_inv") (degree + 1)
+            (Util.Counters.op_count c_chain Util.Counters.Op_ntt_inv ~level);
+          Alcotest.(check int) (msg ^ ": ntt_fwd") (degree + 1)
+            (Util.Counters.op_count c_chain Util.Counters.Op_ntt_fwd ~level:(level - drops))
+        end
+      done)
+    [ 1; 2; 4 ];
+  Alcotest.(check bool) "some chain drops more than one prime" true (!longest >= 2)
+
+let test_add_const_matches_add_plain () =
+  let factor_of ct = Bytes.get_int64_le (Bgv.ct_to_bytes ct) 20 in
+  let fresh = enc (random_slots 71) in
+  let switched = Bgv.modswitch (Bgv.mul ~rescale:false fresh fresh) in
+  Alcotest.(check bool) "switched factor is not 1" true (not (Int64.equal (factor_of switched) 1L));
+  List.iter
+    (fun ct ->
+      List.iter
+        (fun v ->
+          let c_const = Util.Counters.create () in
+          let viaconst = Bgv.add_const ~counters:c_const ct v in
+          check_bytes (Printf.sprintf "add_const %Ld at factor %Ld" v (factor_of ct))
+            (Bgv.add_plain ct (Plaintext.constant params v))
+            viaconst;
+          Alcotest.(check int) "no NTT pass" 0
+            (Util.Counters.op_total c_const Util.Counters.Op_ntt_fwd))
+        [ 0L; 17L; -5L; Int64.pred tp; tp; 123456789012L ])
+    [ fresh; switched ]
+
+let test_mul_sum_relinearises_once () =
+  let a = Array.init 8 (fun j -> enc (random_slots (80 + j))) in
+  let b = Array.init 8 (fun j -> enc (random_slots (90 + j))) in
+  let c = Util.Counters.create () in
+  let relin = Bgv.mul_sum ~counters:c ~rlk:keys.Bgv.rlk a b in
+  let plain = Bgv.mul_sum a b in
+  Alcotest.(check int) "degree 1" 1 (Bgv.degree relin);
+  Alcotest.(check int) "one key switch" 1 (Util.Counters.op_total c Util.Counters.Op_key_switch);
+  check_slots "same plaintext as the unrelinearised sum" (dec plain) (dec relin)
+
 let test_modswitch () =
   let a = random_slots 21 in
   let ct = enc a in
@@ -795,6 +920,15 @@ let () =
          Alcotest.test_case "degree 4 no relin" `Quick test_mul_high_degree_no_relin;
          Alcotest.test_case "explicit relinearize" `Quick test_relinearize_explicit;
          Alcotest.test_case "eval_poly" `Quick test_eval_poly ]);
+      ("fused kernels",
+       [ Alcotest.test_case "sum_sq_diff = mul_sum of subs" `Quick
+           test_sum_sq_diff_matches_mul_sum;
+         Alcotest.test_case "sum_sq_diff rejects mixed inputs" `Quick test_sum_sq_diff_rejects;
+         Alcotest.test_case "rescale chain = repeated modswitch" `Quick
+           test_rescale_chain_matches_modswitch;
+         Alcotest.test_case "add_const = add_plain constant" `Quick
+           test_add_const_matches_add_plain;
+         Alcotest.test_case "mul_sum relinearises once" `Quick test_mul_sum_relinearises_once ]);
       ("levels",
        [ Alcotest.test_case "modswitch" `Quick test_modswitch;
          Alcotest.test_case "modswitch reduces noise" `Quick test_modswitch_reduces_noise;

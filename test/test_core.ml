@@ -1113,6 +1113,23 @@ let test_cost_model_prepared () =
         CM.Prepared steady)
     [ ("prepared/affine", affine_config ()); ("prepared/fast", Config.fast ()) ]
 
+(* Relinearisation changes the circuit: each distance sum (plain) and
+   each prepared norm is relinearised once, and Horner's products per
+   step.  The walk must record the same key switches and NTT census. *)
+let test_cost_model_relin () =
+  let db = small_db (Rng.of_int 651) in
+  let n = Array.length db and d = Array.length db.(0) in
+  let k = 3 in
+  let plain = Config.with_relin true (Config.standard ()) in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 652) plain ~db in
+  let q = Synthetic.query_like (Rng.of_int 653) db in
+  check_prediction "plain/standard+relin" plain ~n ~d ~k ~include_prepare:false CM.Plain
+    (Protocol.query dep ~query:q ~k);
+  let prepared = Config.with_relin true (affine_config ()) in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 654) prepared ~db in
+  check_prediction "prepared/affine+relin" prepared ~n ~d ~k ~include_prepare:true
+    CM.Prepared (Protocol.query_prepared dep ~query:q ~k)
+
 let test_cost_model_packed () =
   let db = small_db (Rng.of_int 631) in
   let n = Array.length db and d = Array.length db.(0) in
@@ -1284,6 +1301,7 @@ let () =
          Alcotest.test_case "ours beats yousef" `Quick test_cost_ours_beats_yousef;
          Alcotest.test_case "ledger exact (plain)" `Quick test_cost_model_plain;
          Alcotest.test_case "ledger exact (prepared)" `Quick test_cost_model_prepared;
+         Alcotest.test_case "ledger exact (relinearised)" `Quick test_cost_model_relin;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
          Alcotest.test_case "end-to-end prediction consistent" `Quick

@@ -11,7 +11,7 @@ let moduli =
   |> List.map Int64.to_int
   |> Array.of_list
 
-let ctx = Rq.context ~n ~moduli
+let ctx = Rq.context ~n ~moduli ~t:65537L
 
 let random_rq ?(nprimes = 4) seed =
   Sampler.uniform (Rng.of_int seed) ctx ~nprimes
@@ -167,6 +167,202 @@ let test_into_variants_match_pure () =
   check_eq "to_eval_into = to_eval" (Rq.to_eval a) e
 
 (* ------------------------------------------------------------------ *)
+(* Residue kernels against the naive mod formulation                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The standard preset's shape (10 × 30-bit primes) beside the 28-bit
+   test chain: the branchless corrections must hold at both sizes. *)
+let wide_moduli =
+  Prime64.ntt_primes ~congruent_mod:(Int64.of_int (2 * n)) ~bits:30 ~count:10
+  |> List.map Int64.to_int
+  |> Array.of_list
+
+let wide_ctx = Rq.context ~n ~moduli:wide_moduli ~t:65537L
+
+(* Primes above 2^30, where the Barrett-based loops take their [mod]
+   fallback, and 10-bit primes, where a long sum overflows the lazy
+   bound 3m <= 2^(bits p) and takes the same fallback. *)
+let chain_of ~bits ~count =
+  Prime64.ntt_primes ~congruent_mod:(Int64.of_int (2 * n)) ~bits ~count
+  |> List.map Int64.to_int
+  |> Array.of_list
+
+let big_moduli = chain_of ~bits:31 ~count:3
+let big_ctx = Rq.context ~n ~moduli:big_moduli ~t:65537L
+let small_moduli = chain_of ~bits:10 ~count:2
+let small_ctx = Rq.context ~n ~moduli:small_moduli ~t:65537L
+
+(* Random residues at every prime, with the edges 0, 1, p/2 and p - 1
+   planted in the first coefficients of each component. *)
+let edge_rq c moduli ~seed domain =
+  let rng = Rng.of_int seed in
+  Rq.of_components c domain
+    (Array.map
+       (fun p ->
+         Array.init n (fun j ->
+             match j with
+             | 0 -> p - 1
+             | 1 -> 0
+             | 2 -> p / 2
+             | 3 -> p - 1
+             | 4 -> 1
+             | _ -> Rng.int_below rng p))
+       moduli)
+
+let naive_map2 f a b moduli =
+  Array.mapi
+    (fun i p -> Array.init n (fun j -> f p (Rq.component a i).(j) (Rq.component b i).(j)))
+    moduli
+
+let check_comps msg moduli expected v =
+  Array.iteri
+    (fun i _ ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s, prime %d" msg i)
+        expected.(i) (Rq.component v i))
+    moduli
+
+let test_residue_kernels_naive () =
+  List.iter
+    (fun (c, moduli) ->
+      List.iter
+        (fun domain ->
+          let dname = match domain with Rq.Coeff -> "coeff" | Rq.Eval -> "eval" in
+          List.iter
+            (fun seed ->
+              let a = edge_rq c moduli ~seed domain in
+              let b = edge_rq c moduli ~seed:(seed + 1) domain in
+              (* b's edges line up with a's: p-1 + p-1, 0 - (p-1), … *)
+              let msg op = Printf.sprintf "%s %s seed %d" op dname seed in
+              check_comps (msg "add") moduli
+                (naive_map2 (fun p x y -> (x + y) mod p) a b moduli)
+                (Rq.add a b);
+              check_comps (msg "sub") moduli
+                (naive_map2 (fun p x y -> ((x - y) mod p + p) mod p) a b moduli)
+                (Rq.sub a b);
+              check_comps (msg "neg") moduli
+                (naive_map2 (fun p x _ -> (p - x) mod p) a a moduli)
+                (Rq.neg a);
+              List.iter
+                (fun s ->
+                  let reduce p =
+                    let p = Int64.of_int p in
+                    Int64.to_int (Int64.rem (Int64.add (Int64.rem s p) p) p)
+                  in
+                  check_comps
+                    (msg (Printf.sprintf "mul_scalar %Ld" s))
+                    moduli
+                    (naive_map2 (fun p x _ -> x * reduce p mod p) a a moduli)
+                    (Rq.mul_scalar a s);
+                  check_comps
+                    (msg (Printf.sprintf "add_constant %Ld" s))
+                    moduli
+                    (Array.mapi
+                       (fun i p ->
+                         Array.mapi
+                           (fun j x ->
+                             (* a constant is itself at every evaluation point *)
+                             if j = 0 || domain = Rq.Eval then (x + reduce p) mod p else x)
+                           (Rq.component a i))
+                       moduli)
+                    (Rq.add_constant a s))
+                [ 0L; 1L; -1L; 2L; 123456789L; Int64.max_int; Int64.min_int;
+                  Int64.of_int (moduli.(0) - 1) ])
+            [ 21; 22; 23 ])
+        [ Rq.Coeff; Rq.Eval ])
+    [ (ctx, moduli); (wide_ctx, wide_moduli); (big_ctx, big_moduli); (small_ctx, small_moduli) ]
+
+let test_sum_sq_diff_matches_mul_add () =
+  List.iter
+    (fun (c, moduli, terms) ->
+      let k = Array.length moduli in
+      List.iter
+        (fun m ->
+          let ct seed = Array.init 2 (fun i -> edge_rq c moduli ~seed:(seed + i) Rq.Eval) in
+          let a = Array.init m (fun j -> ct (1000 + (4 * j))) in
+          let b = Array.init m (fun j -> ct (3000 + (4 * j))) in
+          let acc = Array.init 3 (fun _ -> Rq.zero c ~nprimes:k Rq.Eval) in
+          for j = 0 to m - 1 do
+            let d = Array.map2 Rq.sub a.(j) b.(j) in
+            Rq.mul_add_into acc.(0) d.(0) d.(0);
+            Rq.mul_add_into acc.(1) d.(0) d.(1);
+            Rq.mul_add_into acc.(1) d.(1) d.(0);
+            Rq.mul_add_into acc.(2) d.(1) d.(1)
+          done;
+          Array.iteri
+            (fun x got ->
+              check_eq
+                (Printf.sprintf "%d-prime chain (p0 = %d), m = %d, component %d" k
+                   moduli.(0) m x)
+                acc.(x) got)
+            (Rq.sum_sq_diff a b))
+        terms)
+    [ (ctx, moduli, [ 1; 5; 40 ]);
+      (wide_ctx, wide_moduli, [ 1; 32 ]);
+      (big_ctx, big_moduli, [ 1; 7 ]);
+      (small_ctx, small_moduli, [ 3; 5000 ]) ]
+
+(* One modulus-switch step per drop, as the BGV layer computed it
+   before the kernel moved into the ring: Coeff-domain residues,
+   w = c·t⁻¹ mod q centered, c_i <- (c_i - t·w)·q⁻¹ mod p_i. *)
+let naive_switch moduli ~t comps =
+  let k = Array.length comps in
+  let q = moduli.(k - 1) in
+  let inv p x = Int64.to_int (Mod64.inv (Int64.of_int p) (Int64.of_int x)) in
+  let t_inv = inv q (Int64.to_int (Int64.rem t (Int64.of_int q))) in
+  let w =
+    Array.map
+      (fun c ->
+        let x = c * t_inv mod q in
+        if x > q / 2 then x - q else x)
+      comps.(k - 1)
+  in
+  Array.init (k - 1) (fun i ->
+      let p = moduli.(i) in
+      let tm = Int64.to_int (Int64.rem t (Int64.of_int p)) and qinv = inv p (q mod p) in
+      Array.mapi (fun j c -> (((c - (tm * w.(j))) mod p + p) mod p) * qinv mod p) comps.(i))
+
+let test_switch_down_naive () =
+  List.iter
+    (fun (c, moduli) ->
+      let chain = Array.length moduli in
+      for k = 2 to chain do
+        for drops = 1 to k - 1 do
+          List.iter
+            (fun domain ->
+              let rows =
+                let v = edge_rq c moduli ~seed:(31 * k + drops) Rq.Coeff in
+                Array.init k (fun i -> Rq.component v i)
+              in
+              (* Plant the centering boundary of the first step: residues
+                 whose c·t⁻¹ mod q lands on q/2 and q/2 + 1. *)
+              let q = moduli.(k - 1) in
+              rows.(k - 1).(5) <- q / 2 * 65537 mod q;
+              rows.(k - 1).(6) <- (q / 2 + 1) * 65537 mod q;
+              let expected = ref (Array.map Array.copy rows) in
+              let v = Rq.of_components c Rq.Coeff rows in
+              let v = match domain with Rq.Coeff -> v | Rq.Eval -> Rq.to_eval v in
+              for _ = 1 to drops do
+                expected := naive_switch moduli ~t:65537L !expected
+              done;
+              let got = Rq.to_coeff (Rq.switch_down v ~drops) in
+              Alcotest.(check int) "level" (k - drops) (Rq.nprimes got);
+              Array.iteri
+                (fun i row ->
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "L%d drops %d prime %d" k drops i)
+                    row (Rq.component got i))
+                !expected)
+            [ Rq.Coeff; Rq.Eval ]
+        done
+      done)
+    [ (ctx, moduli); (wide_ctx, wide_moduli); (big_ctx, big_moduli) ];
+  Alcotest.check_raises "no drop" (Invalid_argument "Rq.switch_down: bad drop count")
+    (fun () -> ignore (Rq.switch_down (random_rq 3) ~drops:0));
+  Alcotest.check_raises "empties the chain" (Invalid_argument "Rq.switch_down: bad drop count")
+    (fun () -> ignore (Rq.switch_down (random_rq 3) ~drops:4))
+
+(* ------------------------------------------------------------------ *)
 (* Samplers                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -247,7 +443,11 @@ let () =
          Alcotest.test_case "scalar ops" `Quick test_scalar_ops;
          Alcotest.test_case "truncate" `Quick test_truncate_level;
          Alcotest.test_case "substitute" `Quick test_substitute;
-         Alcotest.test_case "destructive variants" `Quick test_into_variants_match_pure ]);
+         Alcotest.test_case "destructive variants" `Quick test_into_variants_match_pure;
+         Alcotest.test_case "residue kernels = naive mod" `Quick test_residue_kernels_naive;
+         Alcotest.test_case "sum_sq_diff = mul_add_into of subs" `Quick
+           test_sum_sq_diff_matches_mul_add;
+         Alcotest.test_case "switch_down = naive mod" `Quick test_switch_down_naive ]);
       ("samplers",
        [ Alcotest.test_case "ternary" `Quick test_ternary_sampler;
          Alcotest.test_case "cbd" `Quick test_cbd_sampler;
