@@ -11,9 +11,12 @@
    Measurements use the same adaptive-repetition loop as Kernel_bench
    (not shared: Kernel_bench is the library's main module, so it cannot
    be a dependency of this one).  The NTT census rows (ntt_fwd/ntt_inv)
-   stay at zero on purpose: each composite op is measured end to end,
-   NTT passes included, so pricing the census too would double-count
-   them. *)
+   hold one whole-polynomial pass at each level, and every composite
+   op's cell is net of its own census: its measured time minus the
+   passes one counted call of it records, priced from those rows.  So
+   each pass is priced once, by the census, and a rescale chain that
+   drops j primes in one round trip is priced as such, not as j single
+   switches. *)
 
 module C = Util.Counters
 module Json = Util.Json
@@ -51,6 +54,32 @@ let measure ?(quick = false) ?rng (params : Params.t) : t =
   let chain = Params.chain_length params in
   let costs = Array.make_matrix C.num_ops (Stdlib.max 1 chain + 1) 0.0 in
   let set op level s = costs.(C.op_index op).(level) <- s in
+  (* The census rows first: one whole-polynomial pass each way. *)
+  let ring = params.Params.ring in
+  for lvl = 1 to chain do
+    let eval = Sampler.uniform rng ring ~nprimes:lvl in
+    let coeff = Rq.to_coeff eval in
+    set C.Op_ntt_fwd lvl (sec (fun () -> ignore (Rq.to_eval coeff)));
+    set C.Op_ntt_inv lvl (sec (fun () -> ignore (Rq.to_coeff eval)))
+  done;
+  (* A composite op's cell: its time net of the passes one counted call
+     records.  A measurement the census outweighs (timing noise on an
+     op that is nearly all transform) floors at a nanosecond, so the
+     cell still reads as measured. *)
+  let set_net op level f =
+    let c = C.create () in
+    f (Some c);
+    let census =
+      List.fold_left
+        (fun acc (op', l, count) ->
+          match op' with
+          | C.Op_ntt_fwd | C.Op_ntt_inv ->
+            acc +. (float_of_int count *. costs.(C.op_index op').(l))
+          | _ -> acc)
+        0.0 (C.ledger_entries c)
+    in
+    set op level (Float.max 1e-9 (sec (fun () -> f None) -. census))
+  in
   let keys = Bgv.keygen rng params in
   let pt = Plaintext.constant params 123L in
   let fresh = Bgv.encrypt rng keys.Bgv.pk pt in
@@ -58,8 +87,8 @@ let measure ?(quick = false) ?rng (params : Params.t) : t =
      also encrypts directly at lower levels (Party B's Return-kNN
      indicators at return_level), so every level gets its own cell. *)
   for lvl = 1 to chain do
-    set C.Op_encrypt lvl
-      (sec (fun () -> ignore (Bgv.encrypt ~level:lvl rng keys.Bgv.pk pt)))
+    set_net C.Op_encrypt lvl (fun counters ->
+        ignore (Bgv.encrypt ?counters ~level:lvl rng keys.Bgv.pk pt))
   done;
   (* Slot packing/unpacking is plaintext-side and level-free (row 0).
      to_slots caches its answer per plaintext, so the unpack measurement
@@ -86,28 +115,23 @@ let measure ?(quick = false) ?rng (params : Params.t) : t =
   done;
   for lvl = 1 to chain do
     let ct = ladder.(lvl) in
-    (try set C.Op_decrypt lvl (sec (fun () -> ignore (Bgv.decrypt keys.Bgv.sk ct)))
+    (try
+       set_net C.Op_decrypt lvl (fun counters -> ignore (Bgv.decrypt ?counters keys.Bgv.sk ct))
      with Bgv.Decryption_failure _ -> ());
-    set C.Op_ct_add lvl (sec (fun () -> ignore (Bgv.add ct ct)));
-    set C.Op_mul_plain lvl (sec (fun () -> ignore (Bgv.mul_plain ct pt)));
-    set C.Op_ct_mul lvl (sec (fun () -> ignore (Bgv.mul ~rescale:false ct ct)));
+    set_net C.Op_ct_add lvl (fun counters -> ignore (Bgv.add ?counters ct ct));
+    set_net C.Op_mul_plain lvl (fun counters -> ignore (Bgv.mul_plain ?counters ct pt));
+    set_net C.Op_ct_mul lvl (fun counters -> ignore (Bgv.mul ?counters ~rescale:false ct ct));
     let deg2 = Bgv.mul ~rescale:false ct ct in
-    set C.Op_key_switch lvl
-      (sec (fun () -> ignore (Bgv.relinearize keys.Bgv.rlk deg2)));
+    set_net C.Op_key_switch lvl (fun counters ->
+        ignore (Bgv.relinearize ?counters keys.Bgv.rlk deg2));
     if lvl >= 2 then
-      set C.Op_modswitch lvl (sec (fun () -> ignore (Bgv.modswitch ct)));
+      set_net C.Op_modswitch lvl (fun counters -> ignore (Bgv.modswitch ?counters ct));
     (* A level drop records at its target level; dropping to the current
        level is a no-op the live path never records. *)
     if lvl < chain then
       set C.Op_level_drop lvl (sec (fun () -> ignore (Bgv.truncate_to_level fresh lvl)))
   done;
   costs
-
-(* The census rows stay zero; everything else is worth printing. *)
-let priced_ops =
-  List.filter
-    (fun op -> op <> C.Op_ntt_fwd && op <> C.Op_ntt_inv)
-    (Array.to_list C.all_ops)
 
 let pp ppf (costs : t) =
   let levels = Array.length costs.(0) - 1 in
@@ -116,7 +140,7 @@ let pp ppf (costs : t) =
     Format.fprintf ppf " %9s" (if lvl = 0 then "slots" else Printf.sprintf "L%d" lvl)
   done;
   Format.fprintf ppf "@.";
-  List.iter
+  Array.iter
     (fun op ->
       let row = costs.(C.op_index op) in
       if Array.exists (fun s -> s > 0.0) row then begin
@@ -128,7 +152,7 @@ let pp ppf (costs : t) =
           row;
         Format.fprintf ppf "@."
       end)
-    priced_ops
+    C.all_ops
 
 (* ------------------------------------------------------------------ *)
 (* Cache: measured tables persisted across invocations                 *)
@@ -141,7 +165,10 @@ let pp ppf (costs : t) =
    usable — unit costs drift with the code and the host, not with the
    inputs — so mismatches produce warnings, not misses. *)
 
-let cache_version = 1
+(* Version 2: the census rows are measured and every composite op's cell
+   is net of its own census; version-1 tables priced composites gross,
+   so they are misses, not stale hits. *)
+let cache_version = 2
 
 (* The environment the table was measured in.  kernel_bench has no unix
    dependency, so the revision comes from the git CLI via a temp file;
@@ -282,7 +309,7 @@ let load_cached ~file ?(quick = false) (params : Params.t) :
        Some (costs, warn "git_rev" (git_rev ()) @ warn "machine" (machine ())))
 
 (* One {"op","level","s"} cell per measured (op, level); the zero cells
-   (census rows, unmeasured levels) stay out. *)
+   (unmeasured levels) stay out. *)
 let op_cells (costs : t) =
   Json.List
     (List.concat_map
@@ -297,7 +324,7 @@ let op_cells (costs : t) =
                          ("level", Json.Int level);
                          ("s", Json.Float s) ])
                 else None))
-       priced_ops)
+       (Array.to_list C.all_ops))
 
 let entry_json (params : Params.t) ~quick (costs : t) =
   Json.to_string

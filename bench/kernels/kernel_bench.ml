@@ -1,9 +1,10 @@
 (* Microbenchmarks for the ring kernels: NTT forward/inverse, the
-   pointwise product kernels, Rq.mul, the fused Bgv.mul_sum and
+   pointwise product kernels, Rq.mul, the fused Bgv.mul_sum,
    Algorithm 1's distance kernels (Bgv.sum_sq_diff and the rescale
-   chain).  Used by the standalone [kernels] executable and embedded as the
-   ["kernels"] block of the protocol bench JSON, so kernel-level
-   regressions are visible without a full protocol run. *)
+   chain) and BGV's plaintext boundary (encrypt, decrypt,
+   rerandomize).  Used by the standalone [kernels] executable and
+   embedded as the ["kernels"] block of the protocol bench JSON, so
+   kernel-level regressions are visible without a full protocol run. *)
 
 type result = {
   name : string;      (* kernel name, e.g. "ntt-forward" *)
@@ -106,6 +107,33 @@ let distance_suite ~target rng =
   [ bench "bgv-sum-sq-diff-d32" (fun () -> ignore (Bgv.sum_sq_diff a b));
     bench "bgv-rescale-chain" (fun () -> ignore (Bgv.rescale_to_floor sum)) ]
 
+(* BGV's plaintext boundary at the standard preset's shape (N = 64,
+   10 × 30-bit primes, 50-bit t): encryption at the full chain and at
+   the packed paths' indicator level, the client's decrypt-and-unpack
+   of a returned block, Party B's coefficient-0 decrypt, and Party A's
+   flood.  Kept apart from ntt_suite and rq_suite, whose numbers the
+   protocol benchmark reads. *)
+let boundary_suite ~target rng =
+  let params =
+    Params.create ~name:"kernel-standard" ~n:64 ~plain_bits:50 ~prime_bits:30 ~chain_len:10 ()
+  in
+  let keys = Bgv.keygen rng params in
+  let pt = Plaintext.of_slots params (Array.init 64 (fun i -> Int64.of_int (i + 1))) in
+  let at level = Bgv.encrypt ~level rng keys.Bgv.pk pt in
+  let l4 = at 4 and l6 = at 6 in
+  let flood_bits = Util.Noise_model.flood_bits params.Params.noise in
+  let bench name f =
+    let ns, reps = measure ~target f in
+    { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }
+  in
+  [ bench "bgv-encrypt-L6" (fun () -> ignore (Bgv.encrypt ~level:6 rng keys.Bgv.pk pt));
+    bench "bgv-encrypt-L10" (fun () -> ignore (Bgv.encrypt rng keys.Bgv.pk pt));
+    bench "bgv-decrypt-unpack-L6" (fun () ->
+        ignore (Plaintext.to_slots (Bgv.decrypt keys.Bgv.sk l6)));
+    bench "bgv-decrypt-coeff0-L4" (fun () -> ignore (Bgv.decrypt_coeff0 keys.Bgv.sk l4));
+    bench "bgv-rerandomize-L6" (fun () ->
+        ignore (Bgv.rerandomize ~flood_bits rng keys.Bgv.pk l6)) ]
+
 (* Slot-packing kernels behind the SIMD protocol path: CRT packing and
    unpacking (one NTT over t each way) and the Galois machinery whose
    key-switch cost dominates any rotation-based variant. *)
@@ -138,6 +166,7 @@ let run ?(quick = false) () =
   @ rq_suite ~target rng ~n:1024 ~bits:30 ~chain:4
   @ mul_sum_suite ~target rng ~d:32
   @ distance_suite ~target rng
+  @ boundary_suite ~target rng
   @ slot_suite ~target rng
 
 let pp_results ppf results =

@@ -78,12 +78,13 @@ let keygen ?counters rng (p : Params.t) =
   let full = Array.length p.Params.moduli in
   let n = p.Params.n in
   let s_coeffs = Sampler.ternary_coeffs rng ~n in
-  let s = Rq.of_small_coeffs ring ~nprimes:full Rq.Eval s_coeffs in
+  let s = Rq.of_small_coeffs ~bound:1 ring ~nprimes:full Rq.Eval s_coeffs in
   let t = p.Params.t_plain in
+  let eta = p.Params.eta in
   let rlwe_pair ~extra =
     (* (b, a) with b + a·s = t·e + extra. *)
     let a = Sampler.uniform rng ring ~nprimes:full in
-    let e = Rq.of_small_coeffs ring ~nprimes:full Rq.Eval (Sampler.cbd_coeffs rng ~n ~eta:p.Params.eta) in
+    let e = Rq.of_small_coeffs ~bound:eta ring ~nprimes:full Rq.Eval (Sampler.cbd_coeffs rng ~n ~eta) in
     let b = Rq.add (Rq.neg (Rq.mul a s)) (Rq.mul_scalar e t) in
     let b = match extra with None -> b | Some x -> Rq.add b x in
     (b, a)
@@ -138,10 +139,33 @@ let sk_dot sk ct =
 (* Encrypt / decrypt                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* c0 = b·u + NTT(t·e0 + m [+ t·F]) and c1 = a·u + NTT(t·e1): three
+   forward NTT sets (u and the two fused embeddings).  The NTT is linear
+   mod p, so the residues equal b·u + t·NTT(e0) + NTT(m) [+ NTT(t·F)].
+   Every draw comes first, in the order u, e0, e1, then the flood's
+   chunks. *)
+let encrypt_gen ?counters ?plain ?flood ~nprimes rng pk =
+  let p = pk.pk_params in
+  let ring = p.Params.ring in
+  record_op counters Counters.Op_encrypt ~level:nprimes;
+  record_op_n counters Counters.Op_ntt_fwd ~level:nprimes 3;
+  let n = p.Params.n and eta = p.Params.eta in
+  let u = Rq.of_small_coeffs ~bound:1 ring ~nprimes Rq.Eval (Sampler.ternary_coeffs rng ~n) in
+  let e0 = Sampler.cbd_coeffs rng ~n ~eta in
+  let e1 = Sampler.cbd_coeffs rng ~n ~eta in
+  let flood = Option.map (fun draw -> draw rng) flood in
+  let b = Rq.truncate pk.pk_b ~nprimes and a = Rq.truncate pk.pk_a ~nprimes in
+  (* The products are freshly owned, so the additions can be in-place. *)
+  let c0 = Rq.mul b u in
+  Rq.add_into c0 (Rq.embed_noise ?plain ?flood ring ~nprimes ~bound:eta e0);
+  let c1 = Rq.mul a u in
+  Rq.add_into c1 (Rq.embed_noise ring ~nprimes ~bound:eta e1);
+  { params = p; comps = [| c0; c1 |]; factor = 1L;
+    log_noise = (NM.fresh_at p.Params.noise ~level:nprimes).NM.bits }
+
 let encrypt ?counters ?level rng pk pt =
   let p = pk.pk_params in
   if Plaintext.params pt != p then invalid_arg "Bgv.encrypt: parameter mismatch";
-  let ring = p.Params.ring in
   let full = Array.length p.Params.moduli in
   let nprimes =
     match level with
@@ -150,27 +174,7 @@ let encrypt ?counters ?level rng pk pt =
       if l < 1 || l > full then invalid_arg "Bgv.encrypt: level out of range";
       l
   in
-  record_op counters Counters.Op_encrypt ~level:nprimes;
-  (* u, two noise polynomials and m are each embedded Coeff→Eval. *)
-  record_op_n counters Counters.Op_ntt_fwd ~level:nprimes 4;
-  let n = p.Params.n in
-  let t = p.Params.t_plain in
-  let u = Rq.of_small_coeffs ring ~nprimes Rq.Eval (Sampler.ternary_coeffs rng ~n) in
-  let noise () =
-    Rq.mul_scalar
-      (Rq.of_small_coeffs ring ~nprimes Rq.Eval (Sampler.cbd_coeffs rng ~n ~eta:p.Params.eta))
-      t
-  in
-  let m = Rq.of_int64_coeffs ring ~nprimes Rq.Eval (Plaintext.to_coeffs pt) in
-  let b = Rq.truncate pk.pk_b ~nprimes and a = Rq.truncate pk.pk_a ~nprimes in
-  (* The products are freshly owned, so the additions can be in-place. *)
-  let c0 = Rq.mul b u in
-  Rq.add_into c0 (noise ());
-  Rq.add_into c0 m;
-  let c1 = Rq.mul a u in
-  Rq.add_into c1 (noise ());
-  { params = p; comps = [| c0; c1 |]; factor = 1L;
-    log_noise = (NM.fresh_at p.Params.noise ~level:nprimes).NM.bits }
+  encrypt_gen ?counters ~plain:(Plaintext.to_coeffs pt) ~nprimes rng pk
 
 exception Decryption_failure of string
 
@@ -180,49 +184,41 @@ let check_budget op ct =
       (Decryption_failure
          (Format.asprintf "Bgv.%s: noise budget exhausted (%a)" op pp_ct ct))
 
+(* The public factor's inverse mod t, as the decode's [scale]: none
+   when the factor is 1. *)
+let factor_inverse ct =
+  if Int64.equal ct.factor 1L then None
+  else Some (Int64.to_int (Mod64.inv ct.params.Params.t_plain ct.factor))
+
 let decrypt ?counters sk ct =
   record_op counters Counters.Op_decrypt ~level:(level ct);
   let p = sk.sk_params in
   check_budget "decrypt" ct;
-  let acc = ref (sk_dot sk ct) in
-  record_inv_census counters !acc ~level:(level ct);
-  let t = p.Params.t_plain in
-  let coeffs = Rq.to_zint_coeffs !acc in
-  let zt = Z.of_int64 t in
-  let f_inv = Mod64.inv t ct.factor in
-  let out =
-    Array.map
-      (fun v ->
-        let m =
-          Z.to_int_exn
-            ((Z.erem v zt)
-             [@sknn.allow
-               "constant-time: arbitrary-precision reduction mod t is \
-                variable-time in the magnitude of the lifted coefficient \
-                (plaintext + t*noise); a production port would use a \
-                constant-time Barrett reduction here"])
-        in
-        Mod64.mul t (Int64.of_int m) f_inv)
-      coeffs
-  in
-  Plaintext.of_coeffs p out
+  let acc = sk_dot sk ct in
+  record_inv_census counters acc ~level:(level ct);
+  (* sk_dot hands back the ciphertext's own component at degree 0:
+     transform a copy there, the owned accumulator in place otherwise. *)
+  let acc = if degree ct = 0 then Rq.to_coeff acc else Rq.to_coeff_into acc in
+  let m = Rq.decode_mod_t ?scale:(factor_inverse ct) acc in
+  Plaintext.of_coeffs p (Array.map Int64.of_int m)
 
 let decrypt_coeff0 ?counters sk ct =
   (* Reads the evaluation-domain residues directly: no NTT pass. *)
   record_op counters Counters.Op_decrypt ~level:(level ct);
   let p = sk.sk_params in
   check_budget "decrypt_coeff0" ct;
-  let acc = ref (sk_dot sk ct) in
+  let acc = sk_dot sk ct in
   (* Constant coefficient of the negacyclic inverse transform:
      a_0 = n^{-1} * sum of the evaluation-domain values (the odd psi
      powers sum to zero except at j = 0). *)
   let k = level ct in
   let n = p.Params.n in
   let moduli = p.Params.moduli in
+  let ring = ct.params.Params.ring in
   let residues =
     Array.init k (fun i ->
         let pi = moduli.(i) in
-        let comp = Rq.unsafe_component !acc i in
+        let comp = Rq.unsafe_component acc i in
         let s = ref 0 in
         for j = 0 to n - 1 do
           (* Branchless conditional subtract: after the add, s is in
@@ -233,23 +229,14 @@ let decrypt_coeff0 ?counters sk ct =
           s := !s + comp.(j);
           s := !s - (pi land ((pi - 1 - !s) asr 62))
         done;
-        let pi64 = Int64.of_int pi in
-        let n_inv = Mod64.inv pi64 (Int64.of_int n) in
-        Int64.to_int (Mod64.mul pi64 (Int64.of_int !s) n_inv))
+        (* s · n^-1 mod pi, a Shoup product by the table's constant. *)
+        let ni = Rq.n_inv ring i in
+        let x = !s in
+        let q = ((ni.Shoup.hi * x) + ((ni.Shoup.lo * x) lsr 31)) lsr 31 in
+        let r = (ni.Shoup.w * x) - (q * pi) in
+        r - (pi land ((pi - 1 - r) asr 62)))
   in
-  let b = Rq.basis p.Params.ring ~nprimes:k in
-  let v = Crt.lift_centered b residues in
-  let t = p.Params.t_plain in
-  let m =
-    Z.to_int_exn
-      ((Z.erem v (Z.of_int64 t))
-       [@sknn.allow
-         "constant-time: arbitrary-precision reduction mod t is \
-          variable-time in the magnitude of the lifted coefficient; same \
-          accepted site as Bgv.decrypt, fixed by a constant-time Barrett \
-          reduction in a production port"])
-  in
-  Mod64.mul t (Int64.of_int m) (Mod64.inv t ct.factor)
+  Int64.of_int (Rq.decode_residues_mod_t ?scale:(factor_inverse ct) ring residues)
 
 (* ------------------------------------------------------------------ *)
 (* Level and factor management                                         *)
@@ -428,7 +415,7 @@ let key_switch_digits ?counters p ~w ~rows ~level:k target =
               let d = Z.to_int_exn (Z.erem m (Z.succ digit_mask)) in
               if Z.sign v < 0 then -d else d)
         in
-        Rq.of_small_coeffs ring ~nprimes:k Rq.Eval digits)
+        Rq.of_small_coeffs ~bound:(1 lsl w) ring ~nprimes:k Rq.Eval digits)
   in
   let d0 = Rq.zero ring ~nprimes:k Rq.Eval and d1 = Rq.zero ring ~nprimes:k Rq.Eval in
   for j = 0 to ndigits - 1 do
@@ -774,7 +761,7 @@ let sk_of_bytes p data =
   let full = Array.length p.Params.moduli in
   { sk_params = p;
     s_coeffs;
-    s_powers = [ Rq.of_small_coeffs p.Params.ring ~nprimes:full Rq.Eval s_coeffs ];
+    s_powers = [ Rq.of_small_coeffs ~bound:1 p.Params.ring ~nprimes:full Rq.Eval s_coeffs ];
     sp_lock = Mutex.create () }
 
 
@@ -793,8 +780,11 @@ let galois_keygen ?counters rng sk ~elt =
   let ring = p.Params.ring in
   let full = Array.length p.Params.moduli in
   let t = p.Params.t_plain in
-  let s = Rq.of_small_coeffs ring ~nprimes:full Rq.Eval sk.s_coeffs in
-  let s_sigma = Rq.to_eval (Rq.substitute (Rq.of_small_coeffs ring ~nprimes:full Rq.Coeff sk.s_coeffs) ~k:elt) in
+  let s = Rq.of_small_coeffs ~bound:1 ring ~nprimes:full Rq.Eval sk.s_coeffs in
+  let s_sigma =
+    Rq.to_eval
+      (Rq.substitute (Rq.of_small_coeffs ~bound:1 ring ~nprimes:full Rq.Coeff sk.s_coeffs) ~k:elt)
+  in
   let w = p.Params.relin_digit_bits in
   let q_bits = Z.numbits (Rq.modulus ring ~nprimes:full) in
   let ndigits = (q_bits + w - 1) / w in
@@ -803,7 +793,7 @@ let galois_keygen ?counters rng sk ~elt =
         let gadget = Z.shift_left Z.one (j * w) in
         let a = Sampler.uniform rng ring ~nprimes:full in
         let e =
-          Rq.of_small_coeffs ring ~nprimes:full Rq.Eval
+          Rq.of_small_coeffs ~bound:p.Params.eta ring ~nprimes:full Rq.Eval
             (Sampler.cbd_coeffs rng ~n ~eta:p.Params.eta)
         in
         let b =
@@ -867,37 +857,23 @@ let actual_noise_bits sk ct =
   in
   float_of_int worst
 
-(* t·F in the evaluation domain, with F's coefficients uniform in
-   [-2^fb, 2^fb).  F is drawn as fb + 1 uniform bits per coefficient in
-   30-bit chunks and reduced per prime by Horner steps (r·2^30 + chunk
-   stays below 2^62), so no coefficient is ever materialised as a big
-   integer; the one forward NTT brings the sum into the Eval domain. *)
-let flood_poly rng p ~nprimes ~fb =
-  let n = p.Params.n in
+(* F's draw: coefficients uniform in [-2^fb, 2^fb), as fb + 1 uniform
+   bits per coefficient in 30-bit chunks, most significant first.  Each
+   prime reduces them by Horner steps inside Rq.embed_noise, so no
+   coefficient is ever materialised as a big integer. *)
+let flood_draw ~n ~fb rng =
   let bits = fb + 1 in
-  let nchunks = (bits + 29) / 30 in
-  let top = bits - (30 * (nchunks - 1)) in
-  let chunks =
-    Array.init (n * nchunks) (fun i ->
-        let w = if i mod nchunks = 0 then top else 30 in
-        Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) (64 - w)))
-  in
-  let t = p.Params.t_plain in
-  let comps =
-    Array.init nprimes (fun i ->
-        let pi = p.Params.moduli.(i) in
-        let pi64 = Int64.of_int pi in
-        let offset = Int64.to_int (Mod64.pow pi64 2L (Int64.of_int fb)) in
-        let t_mod = Int64.to_int (Int64.rem t pi64) in
-        Array.init n (fun j ->
-            let r = ref 0 in
-            for c = 0 to nchunks - 1 do
-              r := ((!r lsl 30) + chunks.((j * nchunks) + c)) mod pi
-            done;
-            let f = (!r - offset + pi) mod pi in
-            Int64.to_int (Mod64.mul pi64 (Int64.of_int f) (Int64.of_int t_mod))))
-  in
-  Rq.to_eval (Rq.of_components p.Params.ring Rq.Coeff comps)
+  let per_coeff = (bits + 29) / 30 in
+  let top = bits - (30 * (per_coeff - 1)) in
+  let chunks = Array.make (n * per_coeff) 0 in
+  for j = 0 to n - 1 do
+    for c = 0 to per_coeff - 1 do
+      let w = if c = 0 then top else 30 in
+      chunks.((j * per_coeff) + c) <-
+        Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) (64 - w))
+    done
+  done;
+  { Rq.chunks; per_coeff; offset_bits = fb }
 
 let numbits64 v =
   let rec go acc v = if Int64.equal v 0L then acc else go (acc + 1) (Int64.shift_right_logical v 1) in
@@ -917,9 +893,7 @@ let rerandomize ?counters ~flood_bits rng pk ct =
   if fb < 0 then invalid_arg "Bgv.rerandomize: flood narrower than the plaintext modulus";
   if float_of_int flood_bits >= NM.log2_q p.Params.noise ~level:lvl -. 1.0 then
     invalid_arg "Bgv.rerandomize: flood does not fit under the level's modulus";
-  let z = encrypt ?counters ~level:lvl rng pk (Plaintext.zero p) in
-  record_op counters Counters.Op_ntt_fwd ~level:lvl;
-  (* c0 is freshly owned by [z], so the flood can land in place. *)
-  Rq.add_into z.comps.(0) (flood_poly rng p ~nprimes:lvl ~fb);
+  (* An encryption of zero whose c0 embedding also carries t·F. *)
+  let z = encrypt_gen ?counters ~flood:(flood_draw ~n:p.Params.n ~fb) ~nprimes:lvl rng pk in
   add ?counters ct
     { z with log_noise = (NM.flooded_zero p.Params.noise ~level:lvl ~flood_bits).NM.bits }

@@ -54,11 +54,17 @@ val params_of_pk : public_key -> Params.t
 (** [encrypt ?level rng pk pt] encrypts under the public key.  [?level]
     encrypts directly at a truncated modulus level (1 = last prime
     only); cheaper when the ciphertext is destined for shallow
-    computation, as with Party B's indicator vectors. *)
+    computation, as with Party B's indicator vectors.  Three forward
+    NTT sets: u, and one fused embedding per component
+    (c0 = b·u + NTT(t·e0 + m), c1 = a·u + NTT(t·e1)); the draws run u,
+    e0, e1. *)
 val encrypt :
   ?counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> Plaintext.t -> ct
 val decrypt : ?counters:Util.Counters.t -> secret_key -> ct -> Plaintext.t
-(** @raise Decryption_failure if the tracked noise bound shows the
+(** One inverse NTT of c0 + c1·s + …, then {!Rq.decode_mod_t}: each
+    coefficient's centered residue mod t in native integers, with no
+    branch, division or index that depends on it.
+    @raise Decryption_failure if the tracked noise bound shows the
     ciphertext is undecryptable (budget exhausted). *)
 
 val decrypt_coeff0 : ?counters:Util.Counters.t -> secret_key -> ct -> int64
@@ -66,8 +72,8 @@ val decrypt_coeff0 : ?counters:Util.Counters.t -> secret_key -> ct -> int64
     Party B's Find-Neighbours phase reads exactly one scalar per masked
     distance, and the constant coefficient of a negacyclic transform is
     recoverable as [n^{-1} · Σ evaluations], so this skips the inverse
-    NTTs and the full CRT lift — an order of magnitude cheaper than
-    {!decrypt} at protocol scale. *)
+    NTTs and decodes one residue vector ({!Rq.decode_residues_mod_t})
+    instead of n. *)
 
 (** {1 Homomorphic evaluation} *)
 
@@ -129,7 +135,8 @@ val rerandomize :
     the ciphertext's noise bound, the decryptor learns the plaintext
     and nothing about how the ciphertext was computed.  [flood_bits]
     must come from public bounds, not from the ciphertext.  Costs one
-    encryption, one forward NTT and one addition.
+    encryption and one addition: [t·F] joins c0's embedding before its
+    transform, and F's chunks are drawn after the encryption's own.
     @raise Invalid_argument when the flood is narrower than [t] or does
     not fit under the level's modulus. *)
 

@@ -17,6 +17,7 @@ type table = {
 let prime t = t.p
 let degree t = t.n
 let barrett t = t.br
+let n_inv t = { Shoup.w = t.n_inv; hi = t.n_inv_hi; lo = t.n_inv_lo }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 

@@ -37,6 +37,11 @@ val barrett : table -> Barrett.t
     exposed so the ring layer can reduce its own products without
     recomputing it. *)
 
+val n_inv : table -> Shoup.t
+(** n⁻¹ mod p with its Shoup companion: the scaling the inverse
+    transform applies, for callers that sum evaluation points to read
+    coefficient 0. *)
+
 val forward : table -> int array -> unit
 (** In-place forward negacyclic NTT; input in natural order, output in
     bit-reversed evaluation order. Length must equal [degree]. *)

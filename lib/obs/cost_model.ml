@@ -81,9 +81,11 @@ let repeat t ~times f = f { t with times = t.times * times }
    Bgv/Plaintext entry point: primary op cell and the whole-polynomial
    NTT passes it triggers. *)
 
+(* Bgv.encrypt: u and the two fused component embeddings each run one
+   forward NTT set. *)
 let enc p c ~level =
   record_op c C.Op_encrypt ~level;
-  record_op ~n:4 c C.Op_ntt_fwd ~level;
+  record_op ~n:3 c C.Op_ntt_fwd ~level;
   NM.fresh_at p.nm ~level
 
 (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
@@ -187,11 +189,11 @@ let mul_sum p c ~terms ~relin a b =
 let slot_pack c = record_op c C.Op_slot_pack ~level:0
 let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 
-(* Bgv.rerandomize ~flood_bits: an encryption of zero, the flood's one
-   forward NTT, and the addition. *)
+(* Bgv.rerandomize ~flood_bits: an encryption of zero whose c0
+   embedding also carries the flood (no transform of its own), and the
+   addition. *)
 let rerandomize p c (st : NM.state) =
   ignore (enc p c ~level:st.NM.level);
-  record_op c C.Op_ntt_fwd ~level:st.NM.level;
   record_op c C.Op_ct_add ~level:st.NM.level;
   NM.flood p.nm st ~flood_bits:(NM.flood_bits p.nm)
 
@@ -519,23 +521,17 @@ let predict ?(include_prepare = true) ?margin_bits p path =
 
 type unit_costs = float array array
 
-(* Composite operations already include the NTT passes they trigger in
-   their measured unit cost, so the ledger's NTT census rows are
-   attribution detail, not an extra term — summing them too would count
-   the same microseconds twice. *)
-let primary_op = function
-  | C.Op_ntt_fwd | C.Op_ntt_inv -> false
-  | _ -> true
-
+(* Every cell is priced, the NTT census rows included: a composite
+   op's unit cost is net of the passes it records, so a rescale chain
+   of j switches costs j divide-and-round steps plus the one round trip
+   its census holds. *)
 let predict_seconds ~unit_costs counters =
   List.fold_left
     (fun acc (op, level, count) ->
-      if not (primary_op op) then acc
-      else
-        let i = C.op_index op in
-        if i < Array.length unit_costs && level < Array.length unit_costs.(i) then
-          acc +. (float_of_int count *. unit_costs.(i).(level))
-        else acc)
+      let i = C.op_index op in
+      if i < Array.length unit_costs && level < Array.length unit_costs.(i) then
+        acc +. (float_of_int count *. unit_costs.(i).(level))
+      else acc)
     0.0
     (C.ledger_entries counters)
 

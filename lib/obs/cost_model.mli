@@ -101,13 +101,15 @@ type unit_costs = float array array
 (** [unit_costs.(Util.Counters.op_index op).(level)] = measured seconds
     per operation of that kind at that chain level (row 0 holds the
     level-free slot ops).  Produced by the calibration pass in
-    [bench/kernels]; missing cells read as zero. *)
+    [bench/kernels]: the NTT census rows ([Op_ntt_fwd]/[Op_ntt_inv])
+    hold one whole-polynomial pass, and every composite op's cell is
+    net of the passes it records.  Missing cells read as zero. *)
 
 val predict_seconds : unit_costs:unit_costs -> Util.Counters.t -> float
-(** [Σ count × unit_cost] over the ledger's {e primary} operations.
-    The NTT census rows ([Op_ntt_fwd]/[Op_ntt_inv]) are excluded: each
-    composite op's measured unit cost already contains its NTT passes,
-    so adding the census would double-count them. *)
+(** [Σ count × unit_cost] over every cell of the ledger, the NTT census
+    included: composite ops are priced net of their own passes, so the
+    census adds each pass exactly once (a rescale chain of j switches
+    is j divide-and-round steps plus one round trip). *)
 
 (** {1 Comms-aware end-to-end time} *)
 

@@ -12,12 +12,26 @@ type switch_step = {
   drop_inv : Shoup.t array; (* drop^-1 mod p_i *)
 }
 
+(* The constants of the exact decode of [x]_Q mod t: Garner's
+   mixed-radix digits, then a sum of digit × radix mod t.  None depends
+   on the prefix length, so one table serves every level. *)
+type garner = {
+  t_int : int;                   (* t, below 2^61 *)
+  prefix : Shoup.t array array;  (* prefix.(i).(j) = p_0⋯p_{j-1} mod p_i, for j < i *)
+  prefix_inv : Shoup.t array;    (* (p_0⋯p_{i-1})^-1 mod p_i *)
+  radix : int array;             (* radix.(i) = p_0⋯p_{i-1} mod t; radix.(k) = Q_k mod t *)
+  radix_q : int array;           (* floor (radix.(i) · 2^31 / t) *)
+  half : int array;              (* (p_i - 1) / 2 *)
+}
+
 type context = {
   n : int;
   moduli : int array;
   tables : Ntt.table array;
   bases : Crt.basis array; (* bases.(i): basis of the first i+1 primes *)
   steps : switch_step array; (* steps.(k-2): the switch from level k *)
+  t_mod : Shoup.t array; (* t mod p_i, for every chain prime *)
+  garner : garner;
 }
 
 type t = {
@@ -47,8 +61,53 @@ let switch_steps ~t moduli =
               let p = moduli.(i) in
               Shoup.of_int ~p (inverse p (residue p (Int64.of_int drop)))) })
 
+(* floor (c · 2^31 / t) for 0 <= c < t < 2^61: 31 steps of binary long
+   division (2r < 2^62 never overflows), so no hardware divide.  The
+   companion of a constant c for Shoup products mod t by 31-bit
+   multipliers v: with q = (companion · v) lsr 31, c·v - q·t lies in
+   [0, 2t). *)
+let companion_t ~t c =
+  let q = ref 0 and r = ref c in
+  for _ = 1 to 31 do
+    let r2 = 2 * !r in
+    let ge = lnot ((r2 - t) asr 62) land 1 in
+    q := (2 * !q) lor ge;
+    r := r2 - (t land -ge)
+  done;
+  !q
+
+(* Precompute, once per context, through Mod64's exact products and
+   extended Euclid. *)
+let garner_table ~t moduli =
+  let k = Array.length moduli in
+  let prefix_mod m i =
+    (* p_0⋯p_{i-1} mod m *)
+    let m64 = Int64.of_int m in
+    let acc = ref 1L in
+    for j = 0 to i - 1 do
+      acc := Mod64.mul m64 !acc (Mod64.reduce m64 (Int64.of_int moduli.(j)))
+    done;
+    !acc
+  in
+  let radix = Array.init (k + 1) (fun i -> Int64.to_int (prefix_mod t i)) in
+  { t_int = t;
+    prefix =
+      Array.init k (fun i ->
+          let p = moduli.(i) in
+          Array.init i (fun j -> Shoup.of_int ~p (Int64.to_int (prefix_mod p j))));
+    prefix_inv =
+      Array.init k (fun i ->
+          let p = moduli.(i) in
+          let p64 = Int64.of_int p in
+          Shoup.of_int ~p (Int64.to_int (Mod64.inv p64 (prefix_mod p i))));
+    radix;
+    radix_q = Array.map (companion_t ~t) radix;
+    half = Array.map (fun p -> (p - 1) lsr 1) moduli }
+
 let context ~n ~moduli ~t =
   if Array.length moduli = 0 then invalid_arg "Rq.context: empty modulus chain";
+  if Int64.compare t 1L <= 0 || Int64.compare t (Int64.shift_left 1L 61) >= 0 then
+    invalid_arg "Rq.context: t must lie in (1, 2^61)";
   let seen = Hashtbl.create 8 in
   Array.iter
     (fun p ->
@@ -62,7 +121,11 @@ let context ~n ~moduli ~t =
   let bases =
     Array.init (Array.length moduli) (fun i -> Crt.make (Array.sub moduli 0 (i + 1)))
   in
-  { n; moduli = Array.copy moduli; tables; bases; steps = switch_steps ~t moduli }
+  let ti = Int64.to_int t in
+  { n; moduli = Array.copy moduli; tables; bases; steps = switch_steps ~t moduli;
+    t_mod =
+      Array.map (fun p -> Shoup.of_int ~p (Int64.to_int (Mod64.reduce (Int64.of_int p) t))) moduli;
+    garner = garner_table ~t:ti moduli }
 
 let degree c = c.n
 let moduli c = Array.copy c.moduli
@@ -118,16 +181,36 @@ let to_eval_into t =
     Array.iteri (fun i c -> Ntt.forward t.ctx.tables.(i) c) t.comps;
     { t with domain = Eval }
 
-(* Input canonicalisation at the encryption boundary: one mod per
-   coefficient on entry, not on the transform hot path. *)
-let[@sknn.allow "no-division"] of_small_coeffs ctx ~nprimes domain coeffs =
+let to_coeff_into t =
+  match t.domain with
+  | Coeff -> t
+  | Eval ->
+    Array.iteri (fun i c -> Ntt.inverse t.ctx.tables.(i) c) t.comps;
+    { t with domain = Coeff }
+
+(* Small signed coefficients into [0, p).  When the caller's public
+   bound is below p, a branchless sign fold suffices: c + p for c < 0,
+   c otherwise.  The choice depends on the bound, never on a
+   coefficient; the mod path keeps narrow test chains exact. *)
+let small_residues ?bound p src dst =
+  match bound with
+  | Some b when b < p ->
+    for j = 0 to Array.length src - 1 do
+      let c = Array.unsafe_get src j in
+      Array.unsafe_set dst j (c + (p land (c asr 62)))
+    done
+  | Some _ | None ->
+    for j = 0 to Array.length src - 1 do
+      let r = (src.(j) mod p) [@sknn.allow "no-division" (* bound not below p *)] in
+      dst.(j) <- r + (p land (r asr 62))
+    done
+
+let of_small_coeffs ?bound ctx ~nprimes domain coeffs =
   if Array.length coeffs <> ctx.n then invalid_arg "Rq.of_small_coeffs: wrong length";
   let embed p =
-    Array.map
-      (fun c ->
-        let r = c mod p in
-        if r < 0 then r + p else r)
-      coeffs
+    let out = Array.make ctx.n 0 in
+    small_residues ?bound p coeffs out;
+    out
   in
   let t = { ctx; domain = Coeff; comps = Array.init nprimes (fun i -> embed ctx.moduli.(i)) } in
   match domain with Coeff -> t | Eval -> to_eval_into t
@@ -508,6 +591,202 @@ let switch_down t ~drops =
       done);
   Array.iteri (fun i c -> Ntt.forward ctx.tables.(i) c) kept;
   { ctx; domain = Eval; comps = kept }
+
+(* --- The plaintext boundary: BGV's encryption embeddings and the
+   exact decode mod t, in native-integer arithmetic. --- *)
+
+type flood = { chunks : int array; per_coeff : int; offset_bits : int }
+
+(* Per prime: residues of t·(e + F) + m, then one forward NTT.  e takes
+   small_residues' path; t·x is a Shoup product by the context's t mod
+   p; m < t is Barrett-reduced when t <= 2^(2 bits p); F's Horner steps
+   r·2^30 + c stay below 2^60, Barrett-exact when bits p = 30.  Other
+   primes take the mod fallbacks. *)
+let embed_noise ?plain ?flood ctx ~nprimes ~bound e =
+  let n = ctx.n in
+  if Array.length e <> n then invalid_arg "Rq.embed_noise: wrong length";
+  if nprimes < 1 || nprimes > Array.length ctx.moduli then invalid_arg "Rq.embed_noise: bad nprimes";
+  (match plain with
+   | Some m when Array.length m <> n -> invalid_arg "Rq.embed_noise: wrong plaintext length"
+   | _ -> ());
+  (match flood with
+   | Some f when f.per_coeff < 1 || Array.length f.chunks <> n * f.per_coeff ->
+     invalid_arg "Rq.embed_noise: wrong flood length"
+   | _ -> ());
+  let tt = ctx.garner.t_int in
+  let comps =
+    Array.init nprimes (fun i ->
+        let p = ctx.moduli.(i) in
+        let br = Ntt.barrett ctx.tables.(i) in
+        let mu = br.Barrett.mu and sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+        let out = Array.make n 0 in
+        small_residues ~bound p e out;
+        (match flood with
+         | None -> ()
+         | Some { chunks; per_coeff; offset_bits } ->
+           let offset =
+             Int64.to_int (Mod64.pow (Int64.of_int p) 2L (Int64.of_int offset_bits))
+           in
+           let barrett = br.Barrett.fast && sh1 = 29 in
+           for j = 0 to n - 1 do
+             let r = ref 0 in
+             for c = 0 to per_coeff - 1 do
+               let v = (!r lsl 30) + Array.unsafe_get chunks ((j * per_coeff) + c) in
+               if barrett then begin
+                 let r' = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+                 let r' = r' - (p land ((p - 1 - r') asr 62)) in
+                 r := r' - (p land ((p - 1 - r') asr 62))
+               end
+               else r := (v mod p) [@sknn.allow "no-division" (* primes of other than 30 bits *)]
+             done;
+             let f = !r - offset in
+             let f = f + (p land (f asr 62)) in
+             let x = Array.unsafe_get out j + f in
+             Array.unsafe_set out j (x - (p land ((p - 1 - x) asr 62)))
+           done);
+        let tm = ctx.t_mod.(i) in
+        let w = tm.Shoup.w and hi = tm.Shoup.hi and lo = tm.Shoup.lo in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get out j in
+          let q = ((hi * x) + ((lo * x) lsr 31)) lsr 31 in
+          let r = (w * x) - (q * p) in
+          Array.unsafe_set out j (r - (p land ((p - 1 - r) asr 62)))
+        done;
+        (match plain with
+         | None -> ()
+         | Some m ->
+           let barrett = br.Barrett.fast && tt <= 1 lsl (2 * (sh1 + 1)) in
+           for j = 0 to n - 1 do
+             let v = Int64.to_int (Array.unsafe_get m j) in
+             let r =
+               if barrett then begin
+                 let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+                 let r = r - (p land ((p - 1 - r) asr 62)) in
+                 r - (p land ((p - 1 - r) asr 62))
+               end
+               else (v mod p) [@sknn.allow "no-division" (* t above Barrett's range for p *)]
+             in
+             let x = Array.unsafe_get out j + r in
+             Array.unsafe_set out j (x - (p land ((p - 1 - x) asr 62)))
+           done);
+        Ntt.forward ctx.tables.(i) out;
+        out)
+  in
+  { ctx; domain = Eval; comps }
+
+(* Garner's mixed-radix digits of x in [0, Q), Q = p_0⋯p_{k-1}, with
+   P_i = p_0⋯p_{i-1}: x = v_0·P_0 + v_1·P_1 + … + v_{k-1}·P_{k-1} with
+   v_i < p_i.  Mod p_i the terms past i vanish, so
+   v_i = (x_i - Σ_{j<i} v_j·(P_j mod p_i)) · P_i^-1 mod p_i: k(k-1)/2
+   Shoup products for the sums, which take any digit below 2^31 (a
+   wider prime's digit needs no reduction first), and k - 1 for the
+   inverses.  Then, with h_i = (p_i - 1)/2 the digits of (Q - 1)/2:
+   - x > (Q-1)/2 exactly when (v_{k-1}, …, v_0) is lexicographically
+     above (h_{k-1}, …, h_0), folded here from the least significant
+     digit (a digit that differs overrides every one below it);
+   - x mod t = Σ v_i · (P_i mod t) mod t, each term a Shoup product mod
+     t by a 31-bit digit.  t < 2^61 and the product's residual c·v - q·t
+     lies in [0, 2t) below 2^62, so it is exact even though c·v itself
+     wraps mod 2^63;
+   - the centered value's residue subtracts Q mod t under the sign mask.
+   [scale] multiplies by a constant mod t as a split Shoup product:
+   s = s_hi·2^31 + s_lo, s·f = s_hi·(2^31·f mod t) + s_lo·f.
+   Rows are processed prime-major, one pass per (i, j) pair, into arena
+   scratch; no branch, division or index depends on a residue. *)
+let decode_rows ?scale g moduli rows ~width =
+  let k = Array.length rows in
+  let tt = g.t_int in
+  let out = Array.make width 0 in
+  let sgn = Util.Arena.acquire width in
+  (* digits.(i) holds v_i; v_0 is the first row itself. *)
+  let digits = Array.make k rows.(0) in
+  for i = 1 to k - 1 do
+    digits.(i) <- Util.Arena.acquire width
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Util.Arena.release sgn;
+      for i = 1 to k - 1 do
+        Util.Arena.release digits.(i)
+      done)
+    (fun () ->
+      for i = 1 to k - 1 do
+        let p = moduli.(i) and u = digits.(i) in
+        Array.fill u 0 width 0;
+        for j = 0 to i - 1 do
+          let vj = digits.(j) and pre = g.prefix.(i).(j) in
+          let w = pre.Shoup.w and hi = pre.Shoup.hi and lo = pre.Shoup.lo in
+          for c = 0 to width - 1 do
+            let y = Array.unsafe_get vj c in
+            let e = ((hi * y) + ((lo * y) lsr 31)) lsr 31 in
+            let r = (w * y) - (e * p) in
+            let r = r - (p land ((p - 1 - r) asr 62)) in
+            let s = Array.unsafe_get u c + r in
+            Array.unsafe_set u c (s - (p land ((p - 1 - s) asr 62)))
+          done
+        done;
+        let xi = rows.(i) and inv = g.prefix_inv.(i) in
+        let w = inv.Shoup.w and hi = inv.Shoup.hi and lo = inv.Shoup.lo in
+        for c = 0 to width - 1 do
+          let d = Array.unsafe_get xi c - Array.unsafe_get u c in
+          let d = d + (p land (d asr 62)) in
+          let e = ((hi * d) + ((lo * d) lsr 31)) lsr 31 in
+          let r = (w * d) - (e * p) in
+          Array.unsafe_set u c (r - (p land ((p - 1 - r) asr 62)))
+        done
+      done;
+      Array.fill sgn 0 width 0;
+      (* Q mod t, the prefix product past the last digit. *)
+      let qk = ref 0 in
+      for i = 0 to k - 1 do
+        let v = digits.(i) in
+        let h = g.half.(i) and cv = g.radix.(i) and cq = g.radix_q.(i) in
+        qk := g.radix.(i + 1);
+        for c = 0 to width - 1 do
+          let x = Array.unsafe_get v c in
+          let above = (h - x) asr 62 and below = (x - h) asr 62 in
+          Array.unsafe_set sgn c (above lor (lnot below land Array.unsafe_get sgn c));
+          let q = (cq * x) lsr 31 in
+          let r = (cv * x) - (q * tt) in
+          let r = r - (tt land ((tt - 1 - r) asr 62)) in
+          let s = Array.unsafe_get out c + r in
+          Array.unsafe_set out c (s - (tt land ((tt - 1 - s) asr 62)))
+        done
+      done;
+      let qk = !qk in
+      for c = 0 to width - 1 do
+        let s = Array.unsafe_get out c - (qk land Array.unsafe_get sgn c) in
+        Array.unsafe_set out c (s + (tt land (s asr 62)))
+      done);
+  (match scale with
+   | None -> ()
+   | Some f ->
+     let f_hi =
+       Int64.to_int (Mod64.mul (Int64.of_int tt) (Int64.of_int f) (Int64.shift_left 1L 31))
+     in
+     let q_lo = companion_t ~t:tt f and q_hi = companion_t ~t:tt f_hi in
+     for c = 0 to width - 1 do
+       let s = Array.unsafe_get out c in
+       let lo = s land 0x7FFFFFFF and hi = s lsr 31 in
+       let r1 = (f * lo) - (((q_lo * lo) lsr 31) * tt) in
+       let r1 = r1 - (tt land ((tt - 1 - r1) asr 62)) in
+       let r2 = (f_hi * hi) - (((q_hi * hi) lsr 31) * tt) in
+       let r2 = r2 - (tt land ((tt - 1 - r2) asr 62)) in
+       let s = r1 + r2 in
+       Array.unsafe_set out c (s - (tt land ((tt - 1 - s) asr 62)))
+     done);
+  out
+
+let decode_mod_t ?scale t =
+  let t = to_coeff t in
+  decode_rows ?scale t.ctx.garner t.ctx.moduli t.comps ~width:t.ctx.n
+
+(* A residue vector longer than the chain, or empty, fails the bounds
+   checks inside decode_rows with Invalid_argument. *)
+let decode_residues_mod_t ?scale ctx residues =
+  (decode_rows ?scale ctx.garner ctx.moduli (Array.map (fun r -> [| r |]) residues) ~width:1).(0)
+
+let n_inv ctx i = Ntt.n_inv ctx.tables.(i)
 
 
 let equal a b =

@@ -26,10 +26,15 @@ type t
 val context : n:int -> moduli:int array -> t:int64 -> context
 (** [context ~n ~moduli ~t] requires [n] a power of two and each modulus
     a prime ≡ 1 (mod 2n) below 2^31, all distinct.  [t] is the plaintext
-    modulus whose residues {!switch_down} preserves; it must be
-    invertible mod every chain prime.  For each level the context
-    precomputes t⁻¹ mod the dropped prime, and t and the dropped
-    prime's inverse mod every kept prime, with their Shoup companions. *)
+    modulus whose residues {!switch_down} preserves and {!decode_mod_t}
+    returns; it must lie in (1, 2^61) and be invertible mod every chain
+    prime.  For each level the context precomputes t⁻¹ mod the dropped
+    prime, and t and the dropped prime's inverse mod every kept prime,
+    with their Shoup companions; for the decode, every prefix product
+    p₀⋯pⱼ₋₁ mod pᵢ (j < i) and its inverse at j = i, every prefix
+    product mod t and (pᵢ - 1)/2; and t mod every prime for
+    {!embed_noise}.
+    @raise Invalid_argument otherwise. *)
 
 val degree : context -> int
 val moduli : context -> int array
@@ -47,10 +52,13 @@ val nprimes : t -> int
 val domain : t -> domain
 val ctx : t -> context
 
-val of_small_coeffs : context -> nprimes:int -> domain -> int array -> t
+val of_small_coeffs : ?bound:int -> context -> nprimes:int -> domain -> int array -> t
 (** Embeds a polynomial with small signed coefficients (|c| < 2^30, e.g.
     noise, ternary secrets, digits) and converts to the requested
-    domain. *)
+    domain.  [bound] is the caller's public bound on |c|: for each prime
+    above it the embedding is a branchless sign fold, otherwise (and
+    without [bound]) a [mod] per coefficient.  The result is the same;
+    a coefficient beyond a given [bound] is embedded wrongly. *)
 
 val of_int64_coeffs : context -> nprimes:int -> domain -> int64 array -> t
 (** Embeds signed 64-bit coefficients (reduced per prime). *)
@@ -144,6 +152,10 @@ val sum_sq_diff : t array array -> t array array -> t array
     a [mod]-based loop.
     @raise Invalid_argument on empty or mismatched inputs. *)
 
+val to_coeff_into : t -> t
+(** The inverse of {!to_eval_into}: transforms [t]'s residue arrays to
+    the coefficient domain in place; same ownership contract. *)
+
 val to_eval_into : t -> t
 (** [to_eval_into t] transforms [t]'s residue arrays to the evaluation
     domain {e in place} and returns the [Eval]-tagged view (sharing the
@@ -151,6 +163,49 @@ val to_eval_into : t -> t
 
 val equal : t -> t -> bool
 (** Structural equality at identical level; domains are reconciled. *)
+
+(** {1 The plaintext boundary}
+
+    BGV's encryption embeddings and the exact decode mod t, in native
+    integers: no [Zint], no division on the standard chains, and no
+    branch or memory index that depends on a residue in the decode. *)
+
+type flood = {
+  chunks : int array;  (** [per_coeff] chunks below 2^30 per coefficient, most significant first *)
+  per_coeff : int;
+  offset_bits : int;
+}
+(** Wide coefficients F_j = (Σ_c chunks.(j·per_coeff + c) · 2^(30(per_coeff-1-c))) - 2^offset_bits,
+    never materialised as integers: each prime reduces them by Horner
+    steps. *)
+
+val embed_noise :
+  ?plain:int64 array -> ?flood:flood -> context -> nprimes:int -> bound:int -> int array -> t
+(** [embed_noise ?plain ?flood ctx ~nprimes ~bound e] is
+    t·(e + F) + m in [Eval], with one forward NTT per prime: one BGV
+    ciphertext component's addend.  [e] is small with |eⱼ| <= [bound]
+    (embedded as {!of_small_coeffs} [~bound] does), [plain] holds
+    canonical residues mod t (default zero) and [flood] the wide F
+    (default zero).  Equal to embedding each addend, transforming it and
+    adding the transforms; t·x is a Shoup product by the context's
+    t mod p, m Barrett-reduced when t <= 2^(2 bits p), F's Horner steps
+    Barrett-reduced when bits p = 30; other primes use [mod].
+    @raise Invalid_argument on wrong lengths or [nprimes]. *)
+
+val decode_mod_t : ?scale:int -> t -> int array
+(** For each coefficient x of the centered lift of [t] into
+    (-Q/2, Q/2] (Q the product of [t]'s active primes), x mod t in
+    [0, t), times [scale] mod t when given ([0 <= scale < t]).  Equal to
+    [Zint.erem] of {!to_zint_coeffs}, computed from Garner's mixed-radix
+    digits in native integers, with no branch, division or index that
+    depends on a residue.  Transforms a copy when [t] is [Eval]. *)
+
+val decode_residues_mod_t : ?scale:int -> context -> int array -> int
+(** {!decode_mod_t} for one coefficient given by its residues mod the
+    first [Array.length residues] primes. *)
+
+val n_inv : context -> int -> Shoup.t
+(** n⁻¹ mod prime [i], from that prime's NTT table. *)
 
 (** {1 Level manipulation} *)
 

@@ -268,15 +268,14 @@ let of_int n =
   if n = 0 then zero
   else begin
     let sign = if n > 0 then 1 else -1 in
-    (* min_int has no positive counterpart; go through its limbs directly. *)
+    (* limbs conses the most significant limb first; magnitudes are
+       little-endian, so one reversal. *)
     let rec limbs acc n = if n = 0 then acc else limbs ((n land mask) :: acc) (n lsr limb_bits) in
-    let v = if n = min_int then ((-(n / base)) * base) else abs n in
-    ignore v;
     let mag =
       if n = min_int then
-        (* |min_int| = 2^62: limbs = [0; 0; 1] in base 2^31 gives 2^62. *)
+        (* |min_int| = 2^62 has no positive int: limbs [0; 0; 1] in base 2^31. *)
         [| 0; 0; 1 |]
-      else Array.of_list (List.rev (List.rev (limbs [] (abs n))))
+      else Array.of_list (List.rev (limbs [] (abs n)))
     in
     make sign mag
   end

@@ -295,6 +295,235 @@ let test_relinearize_explicit () =
     (fun () -> ignore (Bgv.relinearize keys.Bgv.rlk ct))
 
 (* ------------------------------------------------------------------ *)
+(* The plaintext boundary against the Zint and four-NTT references    *)
+(* ------------------------------------------------------------------ *)
+
+(* The toy preset (27-bit primes, 20-bit t: the flood's mod fallback)
+   and the standard preset's shape (30-bit primes, 50-bit t: every
+   Barrett path). *)
+let standard_shape =
+  Params.create ~name:"boundary-standard" ~n:64 ~plain_bits:50 ~prime_bits:30 ~chain_len:10 ()
+
+let boundary_sets =
+  [ (params, keys); (standard_shape, Bgv.keygen (Rng.of_int 4321) standard_shape) ]
+
+(* Residue arrays serialised as in ct_to_bytes' body: component-major,
+   prime-major, 4 bytes each. *)
+let body_of comps =
+  let buf = Buffer.create 1024 in
+  Array.iter
+    (fun c ->
+      for i = 0 to Rq.nprimes c - 1 do
+        Array.iter (fun v -> Buffer.add_int32_le buf (Int32.of_int v)) (Rq.unsafe_component c i)
+      done)
+    comps;
+  Buffer.to_bytes buf
+
+let ct_header = 40
+
+let read_rq (p : Params.t) bytes ~off ~nprimes =
+  let n = p.Params.n in
+  Rq.of_components p.Params.ring Rq.Eval
+    (Array.init nprimes (fun i ->
+         Array.init n (fun j ->
+             Int32.to_int (Bytes.get_int32_le bytes (off + (4 * ((i * n) + j)))) land 0xFFFFFFFF)))
+
+let ct_comps p ct =
+  let bytes = Bgv.ct_to_bytes ct and k = Bgv.level ct in
+  Array.init (Bgv.degree ct + 1) (fun c ->
+      read_rq p bytes ~off:(ct_header + (4 * c * k * p.Params.n)) ~nprimes:k)
+
+let ct_factor ct = Bytes.get_int64_le (Bgv.ct_to_bytes ct) 20
+
+let check_body msg ct comps =
+  let bytes = Bgv.ct_to_bytes ct in
+  Alcotest.(check bool) msg true
+    (Bytes.equal (Bytes.sub bytes ct_header (Bytes.length bytes - ct_header)) (body_of comps))
+
+let numbits64 v =
+  let rec go acc v = if Int64.equal v 0L then acc else go (acc + 1) (Int64.shift_right_logical v 1) in
+  go 0 v
+
+(* The previous encryption, from public Rq ops: u, e0, m and e1 each
+   embedded and transformed on its own (four forward NTT sets), then
+   c0 = b·u + t·e0 + m and c1 = a·u + t·e1. *)
+let reference_encrypt (p : Params.t) pk ~nprimes rng coeffs =
+  let ring = p.Params.ring and n = p.Params.n and t = p.Params.t_plain in
+  let full = Params.chain_length p in
+  let pkb = Bgv.pk_to_bytes pk in
+  let b = Rq.truncate (read_rq p pkb ~off:20 ~nprimes:full) ~nprimes in
+  let a = Rq.truncate (read_rq p pkb ~off:(20 + (4 * full * n)) ~nprimes:full) ~nprimes in
+  let u = Rq.of_small_coeffs ring ~nprimes Rq.Eval (Sampler.ternary_coeffs rng ~n) in
+  let noise () =
+    Rq.mul_scalar
+      (Rq.of_small_coeffs ring ~nprimes Rq.Eval (Sampler.cbd_coeffs rng ~n ~eta:p.Params.eta))
+      t
+  in
+  let m = Rq.of_int64_coeffs ring ~nprimes Rq.Eval coeffs in
+  let e0 = noise () in
+  let e1 = noise () in
+  [| Rq.add (Rq.add (Rq.mul b u) e0) m; Rq.add (Rq.mul a u) e1 |]
+
+(* The previous flood: t·F built per prime with mod, by Horner steps
+   over the 30-bit chunks, then its own forward NTT. *)
+let reference_flood (p : Params.t) ~nprimes ~fb rng =
+  let n = p.Params.n and t = p.Params.t_plain in
+  let bits = fb + 1 in
+  let nchunks = (bits + 29) / 30 in
+  let top = bits - (30 * (nchunks - 1)) in
+  let chunks =
+    Array.init (n * nchunks) (fun i ->
+        let w = if i mod nchunks = 0 then top else 30 in
+        Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) (64 - w)))
+  in
+  let comps =
+    Array.init nprimes (fun i ->
+        let pi = p.Params.moduli.(i) in
+        let pi64 = Int64.of_int pi in
+        let offset = Int64.to_int (Mod64.pow pi64 2L (Int64.of_int fb)) in
+        Array.init n (fun j ->
+            let r = ref 0 in
+            for c = 0 to nchunks - 1 do
+              r := ((!r lsl 30) + chunks.((j * nchunks) + c)) mod pi
+            done;
+            let f = (!r - offset + pi) mod pi in
+            Int64.to_int (Mod64.mul pi64 (Int64.of_int f) (Int64.rem t pi64))))
+  in
+  Rq.to_eval (Rq.of_components p.Params.ring Rq.Coeff comps)
+
+let test_encrypt_matches_reference () =
+  List.iter
+    (fun ((p : Params.t), (ks : Bgv.keys)) ->
+      for level = 1 to Params.chain_length p do
+        List.iter
+          (fun seed ->
+            let coeffs =
+              Array.init p.Params.n (fun j ->
+                  if j = 0 then Int64.pred p.Params.t_plain
+                  else Rng.int64_below (Rng.of_int (seed + j)) p.Params.t_plain)
+            in
+            let pt = Plaintext.of_coeffs p coeffs in
+            let c = Util.Counters.create () in
+            let ct = Bgv.encrypt ~counters:c ~level (Rng.of_int seed) ks.Bgv.pk pt in
+            let msg = Printf.sprintf "%s L%d seed %d" p.Params.name level seed in
+            check_body (msg ^ ": bytes") ct
+              (reference_encrypt p ks.Bgv.pk ~nprimes:level (Rng.of_int seed) coeffs);
+            Alcotest.(check int) (msg ^ ": level") level (Bgv.level ct);
+            Alcotest.(check int64) (msg ^ ": factor") 1L (ct_factor ct);
+            Alcotest.(check int) (msg ^ ": three forward NTT sets") 3
+              (Util.Counters.op_count c Util.Counters.Op_ntt_fwd ~level))
+          [ 5; 6 ]
+      done)
+    boundary_sets
+
+(* rerandomize: the reference encryption of zero plus the reference
+   flood on c0, scaled to the ciphertext's factor and added, on a fresh
+   ciphertext and on switched ones (factor ≠ 1) at every level the flood
+   fits under. *)
+let test_rerandomize_matches_reference () =
+  List.iter
+    (fun ((p : Params.t), (ks : Bgv.keys)) ->
+      let fresh = Bgv.encrypt (Rng.of_int 11) ks.Bgv.pk (Plaintext.constant p 7L) in
+      let ladder = ref [ fresh ] in
+      for _ = 2 to Params.chain_length p do
+        ladder := Bgv.modswitch (List.hd !ladder) :: !ladder
+      done;
+      let t_bits = numbits64 p.Params.t_plain in
+      let flood_bits = t_bits + 30 in
+      let flooded = ref 0 in
+      List.iter
+        (fun ct ->
+          let level = Bgv.level ct in
+          if float_of_int flood_bits < Util.Noise_model.log2_q p.Params.noise ~level -. 1.0 then begin
+            incr flooded;
+            let c = Util.Counters.create () in
+            let live =
+              Bgv.rerandomize ~counters:c ~flood_bits (Rng.of_int (90 + level)) ks.Bgv.pk ct
+            in
+            let rng = Rng.of_int (90 + level) in
+            let z = reference_encrypt p ks.Bgv.pk ~nprimes:level rng (Array.make p.Params.n 0L) in
+            let z0 = Rq.add z.(0) (reference_flood p ~nprimes:level ~fb:(flood_bits - t_bits) rng) in
+            let f = ct_factor ct in
+            let comps = ct_comps p ct in
+            let expected =
+              [| Rq.add comps.(0) (Rq.mul_scalar z0 f); Rq.add comps.(1) (Rq.mul_scalar z.(1) f) |]
+            in
+            let msg = Printf.sprintf "%s L%d factor %Ld" p.Params.name level f in
+            check_body (msg ^ ": bytes") live expected;
+            Alcotest.(check int) (msg ^ ": no NTT set for the flood") 3
+              (Util.Counters.op_count c Util.Counters.Op_ntt_fwd ~level)
+          end)
+        !ladder;
+      Alcotest.(check bool) (p.Params.name ^ ": floods at several levels") true (!flooded > 1))
+    boundary_sets
+
+(* The Zint reference: c0 + c1·s + … lifted to (-Q/2, Q/2], reduced
+   mod t with Zint, times factor⁻¹ mod t. *)
+let reference_decrypt (p : Params.t) (ks : Bgv.keys) ct =
+  let n = p.Params.n and t = p.Params.t_plain in
+  let skb = Bgv.sk_to_bytes ks.Bgv.sk in
+  let s_coeffs = Array.init n (fun i -> Bytes.get_int8 skb (16 + i)) in
+  let s = Rq.of_small_coeffs p.Params.ring ~nprimes:(Bgv.level ct) Rq.Eval s_coeffs in
+  let comps = ct_comps p ct in
+  let acc = ref comps.(0) and power = ref s in
+  for i = 1 to Array.length comps - 1 do
+    acc := Rq.add !acc (Rq.mul comps.(i) !power);
+    power := Rq.mul !power s
+  done;
+  let zt = Zint.of_int64 t in
+  let f_inv = Mod64.inv t (ct_factor ct) in
+  Array.map
+    (fun v -> Mod64.mul t (Int64.of_int (Zint.to_int_exn (Zint.erem v zt))) f_inv)
+    (Rq.to_zint_coeffs !acc)
+
+(* Degrees 1 to 4 at every level, and switched ciphertexts (factor ≠ 1):
+   each decrypts to the reference, or raises Decryption_failure exactly
+   when its tracked budget is spent. *)
+let test_decrypt_matches_reference () =
+  List.iter
+    (fun ((p : Params.t), (ks : Bgv.keys)) ->
+      let raised = ref 0 and decoded = ref 0 in
+      let check ct =
+        let msg =
+          Printf.sprintf "%s degree %d L%d factor %Ld" p.Params.name (Bgv.degree ct)
+            (Bgv.level ct) (ct_factor ct)
+        in
+        if Bgv.noise_budget_bits ct <= 0.0 then begin
+          incr raised;
+          let raises f =
+            try
+              ignore (f ());
+              false
+            with Bgv.Decryption_failure _ -> true
+          in
+          Alcotest.(check bool) (msg ^ ": decrypt raises") true
+            (raises (fun () -> Bgv.decrypt ks.Bgv.sk ct));
+          Alcotest.(check bool) (msg ^ ": decrypt_coeff0 raises") true
+            (raises (fun () -> Bgv.decrypt_coeff0 ks.Bgv.sk ct))
+        end
+        else begin
+          incr decoded;
+          let expected = reference_decrypt p ks ct in
+          Alcotest.(check (array int64)) (msg ^ ": decrypt") expected
+            (Plaintext.to_coeffs (Bgv.decrypt ks.Bgv.sk ct));
+          Alcotest.(check int64) (msg ^ ": decrypt_coeff0") expected.(0)
+            (Bgv.decrypt_coeff0 ks.Bgv.sk ct)
+        end
+      in
+      for level = 1 to Params.chain_length p do
+        let slots = Array.init p.Params.n (fun j -> Int64.of_int ((j * 7919) + level)) in
+        let x = Bgv.encrypt ~level (Rng.of_int level) ks.Bgv.pk (Plaintext.of_slots p slots) in
+        let sq = Bgv.mul ~rescale:false x x in
+        let cube = Bgv.mul ~rescale:false sq x in
+        let quad = Bgv.mul ~rescale:false sq sq in
+        List.iter check [ x; sq; cube; quad ];
+        if level >= 2 then List.iter check [ Bgv.modswitch x; Bgv.modswitch sq ]
+      done;
+      Alcotest.(check bool) (p.Params.name ^ ": some decrypt raises") true (!raised > 0);
+      Alcotest.(check bool) (p.Params.name ^ ": some decrypt decodes") true (!decoded > 0))
+    boundary_sets
+
+(* ------------------------------------------------------------------ *)
 (* Fused and chained kernels against the sequences they replace        *)
 (* ------------------------------------------------------------------ *)
 
@@ -929,6 +1158,11 @@ let () =
          Alcotest.test_case "add_const = add_plain constant" `Quick
            test_add_const_matches_add_plain;
          Alcotest.test_case "mul_sum relinearises once" `Quick test_mul_sum_relinearises_once ]);
+      ("boundary kernels",
+       [ Alcotest.test_case "encrypt = four-NTT reference" `Quick test_encrypt_matches_reference;
+         Alcotest.test_case "rerandomize = reference + flood" `Quick
+           test_rerandomize_matches_reference;
+         Alcotest.test_case "decrypt = Zint reference" `Quick test_decrypt_matches_reference ]);
       ("levels",
        [ Alcotest.test_case "modswitch" `Quick test_modswitch;
          Alcotest.test_case "modswitch reduces noise" `Quick test_modswitch_reduces_noise;

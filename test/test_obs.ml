@@ -917,10 +917,9 @@ let test_cost_model_steady_state () =
     [ ("prepared", CM.Prepared); ("packed", CM.Packed) ]
 
 let test_predict_seconds_algebra () =
-  (* predict_seconds is Σ count × unit_cost over the primary ops, with
-     the NTT census rows excluded (each composite op's measured unit
-     cost already contains its transforms) and missing cells read as
-     zero. *)
+  (* predict_seconds is Σ count × unit_cost over every cell, the NTT
+     census rows included (composite ops are priced net of their
+     transforms), and missing cells read as zero. *)
   let c = Counters.create () in
   Counters.record_op_n c Counters.Op_ct_add ~level:2 10;
   Counters.record_op_n c Counters.Op_ct_mul ~level:3 4;
@@ -937,12 +936,46 @@ let test_predict_seconds_algebra () =
   unit_costs.(Counters.op_index Counters.Op_ntt_fwd).(2) <- 1.0;
   unit_costs.(Counters.op_index Counters.Op_ntt_inv).(2) <- 1.0;
   (* Op_decrypt's cell stays 0.0: an uncalibrated cell contributes 0. *)
-  let expected = (10.0 *. 1e-3) +. (4.0 *. 1e-2) +. (5.0 *. 1e-4) in
-  Alcotest.(check (float 1e-12)) "sum excludes NTT census and zero cells"
+  let expected = (10.0 *. 1e-3) +. (4.0 *. 1e-2) +. (5.0 *. 1e-4) +. 2000.0 in
+  Alcotest.(check (float 1e-9)) "sum prices the NTT census, skips zero cells"
     expected
     (CM.predict_seconds ~unit_costs c);
   Alcotest.(check (float 0.0)) "empty ledger is free" 0.0
     (CM.predict_seconds ~unit_costs (Counters.create ()))
+
+(* A rescale chain that drops j = 3 primes runs one NTT round trip per
+   component, so with net unit costs it prices as 3 divide-and-round
+   steps plus that round trip, not as 3 single switches. *)
+let test_rescale_chain_pricing () =
+  let params = Params.toy () in
+  let keys = Bgv.keygen (Util.Rng.of_int 5) params in
+  let chain = Params.chain_length params in
+  let pt = Plaintext.constant params 3L in
+  let found = ref None in
+  for level = 2 to chain do
+    let x = Bgv.encrypt ~level (Util.Rng.of_int level) keys.Bgv.pk pt in
+    List.iter
+      (fun ct ->
+        let c = Counters.create () in
+        let out = Bgv.rescale_to_floor ~counters:c ct in
+        if !found = None && level - Bgv.level out = 3 then found := Some (ct, c))
+      [ Bgv.mul ~rescale:false x x; Bgv.mul ~rescale:false (Bgv.mul ~rescale:false x x) x ]
+  done;
+  match !found with
+  | None -> Alcotest.fail "no ciphertext rescales by exactly 3 primes"
+  | Some (ct, c) ->
+    let comps = float_of_int (Bgv.degree ct + 1) in
+    let unit_costs = Array.make_matrix Counters.num_ops (chain + 1) 0.0 in
+    let set op v = Array.fill unit_costs.(Counters.op_index op) 0 (chain + 1) v in
+    set Counters.Op_modswitch 10.0;
+    set Counters.Op_ntt_fwd 1.0;
+    set Counters.Op_ntt_inv 2.0;
+    let chain_cost = CM.predict_seconds ~unit_costs c in
+    Alcotest.(check (float 1e-9)) "3 steps plus one round trip"
+      ((3.0 *. 10.0) +. (comps *. (2.0 +. 1.0)))
+      chain_cost;
+    Alcotest.(check bool) "cheaper than 3 single switches" true
+      (chain_cost < 3.0 *. (10.0 +. (comps *. (2.0 +. 1.0))))
 
 let test_report_cost_attribution () =
   (* sknn cost writes {"rec":"cost",...} lines; Report aggregates them
@@ -1017,7 +1050,8 @@ let () =
          Alcotest.test_case "party merge" `Quick test_cost_model_party_merge;
          Alcotest.test_case "steady state" `Quick test_cost_model_steady_state;
          Alcotest.test_case "predict_seconds algebra" `Quick
-           test_predict_seconds_algebra ]);
+           test_predict_seconds_algebra;
+         Alcotest.test_case "rescale chain pricing" `Quick test_rescale_chain_pricing ]);
       ("audit", [ Alcotest.test_case "basics" `Quick test_audit_basics ]);
       ("ctx",
        [ Alcotest.test_case "disabled" `Quick test_ctx_disabled;

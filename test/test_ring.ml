@@ -366,6 +366,150 @@ let test_switch_down_naive () =
 (* Samplers                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* The plaintext boundary: decode mod t and the encryption embedding    *)
+(* ------------------------------------------------------------------ *)
+
+(* Plaintext moduli of 17, 50 and 60 bits: 65537 and the largest
+   primes ≡ 1 (mod 2n) of the wider sizes. *)
+let boundary_ts =
+  [ 65537L;
+    Prime64.find_ntt_prime ~congruent_mod:(Int64.of_int (2 * n)) ~bits:50 ();
+    Prime64.find_ntt_prime ~congruent_mod:(Int64.of_int (2 * n)) ~bits:60 () ]
+
+(* 10-, 28-, 30- and 31-bit chains, and one mixing them (narrow and
+   wide primes in both orders, so Garner's digits cross widths). *)
+let boundary_chains =
+  [ ("10-bit", small_moduli);
+    ("28-bit", moduli);
+    ("30-bit", wide_moduli);
+    ("31-bit", big_moduli);
+    ( "mixed",
+      [| small_moduli.(0); big_moduli.(0); moduli.(0); wide_moduli.(0); small_moduli.(1);
+         big_moduli.(1) |] ) ]
+
+(* The centered lift's residue mod t, times [scale]: the Zint reference
+   decode_mod_t replaces. *)
+let reference_decode ?(scale = 1) ~t poly =
+  let zt = Z.of_int64 t in
+  Array.map
+    (fun v -> Z.to_int_exn (Z.erem (Z.mul (Z.erem v zt) (Z.of_int scale)) zt))
+    (Rq.to_zint_coeffs poly)
+
+(* Coefficients in [0, Q) as centered values: the boundary values
+   ±1, ±(Q-1)/2, (Q+1)/2, Q-1 and ±t, values within 40 of Q/2, then
+   uniform ones. *)
+let boundary_values rng ~q ~t =
+  let half = Z.shift_right q 1 in
+  let planted =
+    [ Z.zero; Z.one; Z.minus_one; half; Z.neg half; Z.succ half; Z.pred q; Z.of_int64 t;
+      Z.neg (Z.of_int64 t) ]
+  in
+  let near = List.init 41 (fun i -> Z.add half (Z.of_int (i - 20))) in
+  let fixed = Array.of_list (planted @ near) in
+  Array.init n (fun j ->
+      if j < Array.length fixed then fixed.(j) else Z.random_below rng q)
+
+let test_decode_matches_zint () =
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (name, chain) ->
+          let c = Rq.context ~n ~moduli:chain ~t in
+          let rng = Rng.of_int (Array.length chain) in
+          for k = 1 to Array.length chain do
+            let q = Rq.modulus c ~nprimes:k in
+            for round = 0 to 1 do
+              let values =
+                if round = 0 then boundary_values rng ~q ~t
+                else Array.init n (fun _ -> Z.random_below rng q)
+              in
+              let poly = Rq.of_zint_coeffs c ~nprimes:k Rq.Coeff values in
+              let msg what = Printf.sprintf "%s chain, t %Ld, level %d: %s" name t k what in
+              let expected = reference_decode ~t poly in
+              Alcotest.(check (array int)) (msg "decode") expected (Rq.decode_mod_t poly);
+              Alcotest.(check (array int)) (msg "decode from Eval") expected
+                (Rq.decode_mod_t (Rq.to_eval poly));
+              let scale = Int64.to_int (Util.Rng.int64_below rng t) in
+              Alcotest.(check (array int)) (msg "scaled decode")
+                (reference_decode ~scale ~t poly)
+                (Rq.decode_mod_t ~scale poly);
+              let one_coeff =
+                Array.init n (fun j ->
+                    Rq.decode_residues_mod_t c
+                      (Array.init k (fun i -> (Rq.unsafe_component poly i).(j))))
+              in
+              Alcotest.(check (array int)) (msg "residue vector") expected one_coeff
+            done
+          done)
+        boundary_chains)
+    boundary_ts
+
+(* One chunked flood: per_coeff 30-bit chunks (the first [top] bits
+   wide) and its value F_j = Σ chunks·2^(30·place) - 2^offset_bits. *)
+let flood_of rng ~offset_bits =
+  let bits = offset_bits + 1 in
+  let per_coeff = (bits + 29) / 30 in
+  let top = bits - (30 * (per_coeff - 1)) in
+  let chunks =
+    Array.init (n * per_coeff) (fun i ->
+        Util.Rng.int_below rng (1 lsl (if i mod per_coeff = 0 then top else 30)))
+  in
+  let value j =
+    let acc = ref Z.zero in
+    for c = 0 to per_coeff - 1 do
+      acc := Z.add (Z.shift_left !acc 30) (Z.of_int chunks.((j * per_coeff) + c))
+    done;
+    Z.sub !acc (Z.shift_left Z.one offset_bits)
+  in
+  ({ Rq.chunks; per_coeff; offset_bits }, Array.init n value)
+
+(* Rq.embed_noise against embedding each addend, transforming it and
+   adding: on 30-bit primes (sign fold, Barrett plaintext and flood),
+   10-bit, 28-bit and 31-bit primes (their mod fallbacks), with bounds
+   below every prime, between the two 10-bit primes, and above both. *)
+let test_embed_matches_composition () =
+  let t50 = List.nth boundary_ts 1 in
+  List.iter
+    (fun (name, chain, t) ->
+      let c = Rq.context ~n ~moduli:chain ~t in
+      let rng = Rng.of_int 77 in
+      List.iter
+        (fun bound ->
+          for nprimes = 1 to Array.length chain do
+            let e = Array.init n (fun _ -> Util.Rng.int_range rng (-bound) bound) in
+            e.(0) <- bound;
+            e.(1) <- -bound;
+            let plain = Array.init n (fun _ -> Util.Rng.int64_below rng t) in
+            plain.(0) <- Int64.pred t;
+            let flood, fvalues = flood_of rng ~offset_bits:100 in
+            let small = Rq.of_small_coeffs c ~nprimes Rq.Eval e in
+            let scaled x = Rq.mul_scalar x t in
+            let m = Rq.of_int64_coeffs c ~nprimes Rq.Eval plain in
+            let f = Rq.of_zint_coeffs c ~nprimes Rq.Eval fvalues in
+            let msg what = Printf.sprintf "%s, bound %d, %d primes: %s" name bound nprimes what in
+            check_comps (msg "t·e") (Array.sub chain 0 nprimes)
+              (Array.init nprimes (Rq.component (scaled small)))
+              (Rq.embed_noise c ~nprimes ~bound e);
+            check_comps (msg "t·e + m") (Array.sub chain 0 nprimes)
+              (Array.init nprimes (Rq.component (Rq.add (scaled small) m)))
+              (Rq.embed_noise ~plain c ~nprimes ~bound e);
+            check_comps (msg "t·e + m + t·F") (Array.sub chain 0 nprimes)
+              (Array.init nprimes (Rq.component (Rq.add (Rq.add (scaled small) m) (scaled f))))
+              (Rq.embed_noise ~plain ~flood c ~nprimes ~bound e);
+            List.iter
+              (fun domain ->
+                check_eq (msg "of_small_coeffs ~bound")
+                  (Rq.of_small_coeffs c ~nprimes domain e)
+                  (Rq.of_small_coeffs ~bound c ~nprimes domain e))
+              [ Rq.Coeff; Rq.Eval ]
+          done)
+        [ 2; 700; 2000 ])
+    [ ("30-bit", wide_moduli, t50);
+      ("10-bit", small_moduli, 65537L);
+      ("28-bit", moduli, t50);
+      ("31-bit", big_moduli, t50) ]
+
 let test_ternary_sampler () =
   let rng = Rng.of_int 12 in
   let counts = Array.make 3 0 in
@@ -448,6 +592,10 @@ let () =
          Alcotest.test_case "sum_sq_diff = mul_add_into of subs" `Quick
            test_sum_sq_diff_matches_mul_add;
          Alcotest.test_case "switch_down = naive mod" `Quick test_switch_down_naive ]);
+      ("boundary",
+       [ Alcotest.test_case "decode mod t = Crt lift + erem" `Quick test_decode_matches_zint;
+         Alcotest.test_case "embed_noise = embed, transform, add" `Quick
+           test_embed_matches_composition ]);
       ("samplers",
        [ Alcotest.test_case "ternary" `Quick test_ternary_sampler;
          Alcotest.test_case "cbd" `Quick test_cbd_sampler;

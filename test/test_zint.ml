@@ -379,6 +379,20 @@ let prop_compare_total_order =
     (QCheck.pair (arbitrary_zint ()) (arbitrary_zint ()))
     (fun (a, b) -> Stdlib.compare (Z.compare a b) 0 = Stdlib.compare (Z.sign (Z.sub a b)) 0)
 
+(* of_int over the whole int range, multi-limb magnitudes included,
+   with the extremes and the limb boundaries pinned. *)
+let prop_of_int_matches_of_int64 =
+  let pinned =
+    [ min_int; max_int; 1 lsl 31; -(1 lsl 31); (1 lsl 62) - 1; -((1 lsl 62) - 1);
+      (1 lsl 31) - 1; 1 lsl 40; -(1 lsl 40) ]
+  in
+  let gen = QCheck.Gen.(oneof [ oneofl pinned; int; map (fun x -> x asr 20) int ]) in
+  QCheck.Test.make ~count:1000 ~name:"of_int n = of_int64 (Int64.of_int n)"
+    (QCheck.make ~print:string_of_int gen)
+    (fun n ->
+      List.for_all (fun m -> Z.equal (Z.of_int m) (Z.of_int64 (Int64.of_int m))) pinned
+      && Z.equal (Z.of_int n) (Z.of_int64 (Int64.of_int n)))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_add_commutative; prop_add_associative; prop_sub_inverse;
     prop_mul_commutative; prop_mul_distributes; prop_divmod_invariant;
@@ -386,7 +400,7 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     prop_shift_right_div_pow2; prop_gcd_divides; prop_egcd_bezout;
     prop_powmod_matches_naive; prop_powmod_montgomery_vs_generic;
     prop_powmod_even_modulus; prop_modinv; prop_numbits_bound;
-    prop_compare_total_order ]
+    prop_compare_total_order; prop_of_int_matches_of_int64 ]
 
 let () =
   Alcotest.run "zint"
