@@ -37,7 +37,7 @@ type opts = {
   trace : string option;     (* span-trace output file *)
   trace_format : string;     (* chrome | jsonl | pretty *)
   repeat : int;              (* steady-state queries in the amortized experiment *)
-  batch : int;               (* slot-dimension query batch in the amortized experiment *)
+  batch : int;               (* queries per batch round in the amortized experiment *)
   prom : string option;      (* Prometheus text-exposition snapshot file *)
   calib : string option;     (* calibration cache file shared with sknn cost/plan *)
 }
@@ -733,8 +733,8 @@ let amortized opts =
      return-knn phase would otherwise dominate the ratio). *)
   let steady_cd_prep = steady (Array.map snd times) in
   let steady_cd_packed = steady (Array.map snd times_p) in
-  (* Slot-dimension multi-query batching (--batch M): M queries in one
-     protocol round, amortizing even the per-round fixed costs. *)
+  (* Multi-query batching (--batch M): M packed queries in one protocol
+     round under one Π, amortizing even the per-round fixed costs. *)
   let batch_fields =
     if opts.batch < 2 then []
     else begin
@@ -1126,8 +1126,8 @@ let repeat_t =
 let batch_t =
   Arg.(value & opt int 1
        & info [ "batch" ] ~docv:"M"
-           ~doc:"Also run M queries through the slot-dimension batch round in the \
-                 amortized experiment (1 disables; M must fit the slot count).")
+           ~doc:"Also run M queries through one batch round in the amortized \
+                 experiment (1 disables).")
 
 let trace_format_t =
   Arg.(value & opt string "chrome"

@@ -176,8 +176,9 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
       exit 1
   in
   let db = read_db data in
-  (* --batch runs every ';'-separated query of --query in one
-     slot-dimension protocol round; otherwise --query is one query. *)
+  (* --batch runs every ';'-separated query of --query in one packed
+     protocol round under one permutation; otherwise --query is one
+     query. *)
   let queries =
     String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
   in
@@ -386,7 +387,8 @@ let query_cmd =
     Arg.(value & flag
          & info [ "batch" ]
              ~doc:"Treat --query as ';'-separated queries and answer them all in one \
-                   slot-dimension protocol round (implies the packed layout).")
+                   packed protocol round: one packed distance circuit per query under \
+                   one shared permutation (implies the packed layout).")
   in
   let prom =
     Arg.(value & opt (some string) None

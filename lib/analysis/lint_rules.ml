@@ -143,7 +143,8 @@ let indexed_get_heads = [ "Array"; "String"; "Bytes"; "Bigarray" ]
    one-time setup outside the per-query ledger. *)
 let bgv_ledger_ops =
   [ "encrypt"; "decrypt"; "decrypt_coeff0"; "add"; "sub"; "add_plain";
-    "add_const"; "mul"; "mul_plain"; "mul_scalar"; "mul_sum"; "sum_sq_diff"; "modswitch";
+    "add_const"; "embed"; "add_embedded"; "mul"; "mul_plain"; "mul_plain_sums"; "mul_scalar";
+    "mul_sum"; "sum_sq_diff"; "modswitch";
     "rescale_to_floor"; "relinearize"; "truncate_to_level"; "eval_poly";
     "apply_galois"; "sum_slots" ]
 

@@ -258,9 +258,13 @@ let scalar_bits ~t_plain v =
   let c = Mod64.centered t_plain (Mod64.reduce t_plain v) in
   NM.log2 (Float.max 1.0 (Int64.to_float (Int64.abs c)))
 
-(* Multiply all components by a scalar (changes the raw plaintext). *)
-let scale_raw ct v =
-  let bits = scalar_bits ~t_plain:ct.params.Params.t_plain v in
+(* Multiply all components by a scalar (changes the raw plaintext).
+   The bound grows by [bits], the scalar's own width unless the caller
+   charges a public bound on it. *)
+let scale_raw ?bits ct v =
+  let bits =
+    match bits with Some b -> b | None -> scalar_bits ~t_plain:ct.params.Params.t_plain v
+  in
   { ct with
     comps = Array.map (fun c -> Rq.mul_scalar c v) ct.comps;
     log_noise = (NM.mul_scalar (state ct) ~bits).NM.bits }
@@ -306,20 +310,41 @@ let sub ?counters a b =
 
 let neg ct = { ct with comps = Array.map Rq.neg ct.comps }
 
-let plain_to_rq ct pt =
-  Rq.of_int64_coeffs ct.params.Params.ring ~nprimes:(level ct) Rq.Eval
-    (Plaintext.to_coeffs pt)
+(* A plaintext embedded Coeff→Eval once, at a level: what add_plain
+   and mul_plain build per call, kept for reuse across products. *)
+type embedded = { e_params : Params.t; e_rq : Rq.t }
+
+let embed ?counters ~level pt =
+  let p = Plaintext.params pt in
+  if level < 1 || level > Array.length p.Params.moduli then
+    invalid_arg "Bgv.embed: level out of range";
+  record_op counters Counters.Op_ntt_fwd ~level;
+  { e_params = p;
+    e_rq = Rq.of_int64_coeffs p.Params.ring ~nprimes:level Rq.Eval (Plaintext.to_coeffs pt) }
+
+(* The embedding at [ct]'s level: residues are per prime, so dropping
+   the upper primes is exact. *)
+let embedded_at op ct e =
+  if e.e_params != ct.params then invalid_arg (op ^ ": parameter mismatch");
+  if level ct > Rq.nprimes e.e_rq then invalid_arg (op ^ ": ciphertext above the embedding");
+  Rq.truncate e.e_rq ~nprimes:(level ct)
+
+(* Adds [e] to the raw plaintext factor·m as it stands. *)
+let add_raw ?counters ct e =
+  record_op counters Counters.Op_ct_add ~level:(level ct);
+  let comps = Array.copy ct.comps in
+  comps.(0) <- Rq.add comps.(0) (embedded_at "Bgv.add_embedded" ct e);
+  { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
+
+let add_embedded ?counters ct e =
+  if not (Int64.equal ct.factor 1L) then
+    invalid_arg "Bgv.add_embedded: ciphertext carries a modulus-switch factor";
+  add_raw ?counters ct e
 
 let add_plain ?counters ct pt =
-  record_op counters Counters.Op_ct_add ~level:(level ct);
-  (* plain_to_rq embeds the addend Coeff→Eval at the ciphertext level. *)
-  record_op counters Counters.Op_ntt_fwd ~level:(level ct);
   if Plaintext.params pt != ct.params then invalid_arg "Bgv.add_plain: parameter mismatch";
   (* The stored raw plaintext is factor·m, so scale the addend too. *)
-  let pt = Plaintext.scale pt ct.factor in
-  let comps = Array.copy ct.comps in
-  comps.(0) <- Rq.add comps.(0) (plain_to_rq ct pt);
-  { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
+  add_raw ?counters ct (embed ?counters ~level:(level ct) (Plaintext.scale pt ct.factor))
 
 (* add_plain (Plaintext.constant v) without the embedding: the scaled
    addend factor·v mod t is a constant polynomial, whose evaluation
@@ -332,14 +357,45 @@ let add_const ?counters ct v =
   comps.(0) <- Rq.add_constant comps.(0) c;
   { ct with comps; log_noise = (NM.add_plain (nm ct) (state ct)).NM.bits }
 
+(* Σⱼ rowⱼ ⊙ e j for every row, j outer: embedding j is requested
+   once, added into every row's running sums (Rq.sum_mul_add) and
+   dropped, so one embedding lives at a time.  Each row's bound folds
+   NM.mul_plain then NM.add in term order, as the mul_plain-then-add
+   sequence would. *)
+let mul_plain_sums ?counters rows e =
+  let nrows = Array.length rows in
+  if nrows = 0 || Array.length rows.(0) = 0 then invalid_arg "Bgv.mul_plain_sums: no terms";
+  let terms = Array.length rows.(0) in
+  let x = rows.(0).(0) in
+  let lvl = level x in
+  let same c = level c = lvl && degree c = degree x && Int64.equal c.factor x.factor in
+  if not (Array.for_all (fun row -> Array.length row = terms && Array.for_all same row) rows)
+  then invalid_arg "Bgv.mul_plain_sums: terms must share count, level, degree and factor";
+  record_op_n counters Counters.Op_mul_plain ~level:lvl (nrows * terms);
+  record_op_n counters Counters.Op_ct_add ~level:lvl (nrows * (terms - 1));
+  let ring = x.params.Params.ring in
+  let sums =
+    Array.init nrows (fun _ -> Array.init (degree x + 1) (fun _ -> Rq.sum_create ring ~nprimes:lvl))
+  in
+  for j = 0 to terms - 1 do
+    let m = embedded_at "Bgv.mul_plain_sums" x (e j) in
+    Array.iteri
+      (fun r row -> Array.iteri (fun i c -> Rq.sum_mul_add sums.(r).(i) c m) row.(j).comps)
+      rows
+  done;
+  Array.mapi
+    (fun r row ->
+      let term j = NM.mul_plain (nm x) (state row.(j)) in
+      let bound = ref (term 0) in
+      for j = 1 to terms - 1 do
+        bound := NM.add !bound (term j)
+      done;
+      { x with comps = Array.map Rq.sum_value sums.(r); log_noise = !bound.NM.bits })
+    rows
+
 let mul_plain ?counters ct pt =
-  record_op counters Counters.Op_mul_plain ~level:(level ct);
-  record_op counters Counters.Op_ntt_fwd ~level:(level ct);
   if Plaintext.params pt != ct.params then invalid_arg "Bgv.mul_plain: parameter mismatch";
-  let m = plain_to_rq ct pt in
-  { ct with
-    comps = Array.map (fun c -> Rq.mul c m) ct.comps;
-    log_noise = (NM.mul_plain (nm ct) (state ct)).NM.bits }
+  (mul_plain_sums ?counters [| [| ct |] |] (fun _ -> embed ?counters ~level:(level ct) pt)).(0)
 
 let mul_scalar ?counters ct v =
   (* Pointwise scalar pass over the residues: no plaintext embed. *)
@@ -597,13 +653,18 @@ let sum_sq_diff ?counters ?rlk a b =
 (* Polynomial evaluation (the protocol's EvalPoly)                     *)
 (* ------------------------------------------------------------------ *)
 
-let eval_poly ?counters ?rlk ~coeffs ct =
+let eval_poly ?counters ?rlk ~lead_bits ~coeffs ct =
   let d = Array.length coeffs - 1 in
   if d < 0 then invalid_arg "Bgv.eval_poly: empty coefficient list";
   if d = 0 then add_const ?counters (mul_scalar ?counters ct 0L) coeffs.(0)
   else begin
-    (* Horner: acc = a_d; acc = acc·x + a_i. *)
-    let acc = ref (mul_scalar ?counters ct coeffs.(d)) in
+    if scalar_bits ~t_plain:ct.params.Params.t_plain coeffs.(d) > lead_bits then
+      invalid_arg "Bgv.eval_poly: leading coefficient above its bound";
+    (* Horner: acc = a_d; acc = acc·x + a_i.  The leading coefficient
+       is charged at its public bound, so the bound, and every rescale
+       decided on it, is the same for every drawn polynomial. *)
+    record_op counters Counters.Op_mul_plain ~level:(level ct);
+    let acc = ref (scale_raw ~bits:lead_bits ct coeffs.(d)) in
     for i = d - 1 downto 0 do
       if i < d - 1 then begin
         let x = truncate_to_level ct (level !acc) in
@@ -640,7 +701,9 @@ let put_rq buf rq =
     Array.iter (fun v -> Buffer.add_int32_le buf (Int32.of_int v)) comp
   done
 
-let decode_error what = failwith (Printf.sprintf "Bgv: malformed %s" what)
+exception Malformed of string
+
+let decode_error what = raise (Malformed (Printf.sprintf "Bgv: malformed %s" what))
 
 type reader = { data : Bytes.t; mutable pos : int }
 

@@ -85,6 +85,38 @@ val add_const : ?counters:Util.Counters.t -> ct -> int64 -> ct
 val mul_plain : ?counters:Util.Counters.t -> ct -> Plaintext.t -> ct
 val mul_scalar : ?counters:Util.Counters.t -> ct -> int64 -> ct
 
+type embedded
+(** A plaintext transformed into the evaluation domain once, at a
+    level: the embedding {!add_plain} and {!mul_plain} build on every
+    call, kept so that many products can share it. *)
+
+val embed : ?counters:Util.Counters.t -> level:int -> Plaintext.t -> embedded
+(** One forward NTT set at [level], recorded as
+    {!Util.Counters.Op_ntt_fwd}.  The embedding serves any ciphertext
+    at [level] or below.
+    @raise Invalid_argument when [level] is outside the chain. *)
+
+val add_embedded : ?counters:Util.Counters.t -> ct -> embedded -> ct
+(** {!add_plain} without the transform: one
+    {!Util.Counters.Op_ct_add} cell.
+    @raise Invalid_argument on a parameter mismatch, a ciphertext above
+    the embedding's level, or one a modulus switch has scaled (its
+    plaintext factor is not 1). *)
+
+val mul_plain_sums :
+  ?counters:Util.Counters.t -> ct array array -> (int -> embedded) -> ct array
+(** [mul_plain_sums rows e] is [Σⱼ rowⱼ ⊙ e j] for every row: [e j] is
+    called once per term, in order, and serves every row before the
+    next is requested, so one embedding is alive at a time.  Each
+    result's components, factor, tracked bound and ledger ([m]
+    {!Util.Counters.Op_mul_plain} and [m − 1]
+    {!Util.Counters.Op_ct_add} cells per row of [m] terms, no
+    transform) equal the [mul_plain]-then-[add] fold's without the
+    embeddings; the sums run on {!Rq.sum_mul_add}.
+    @raise Invalid_argument on empty input, rows of differing lengths,
+    terms of differing levels, degrees or factors, or an embedding
+    below the terms' level. *)
+
 val mul :
   ?counters:Util.Counters.t -> ?rlk:relin_key -> ?rescale:bool -> ct -> ct -> ct
 (** Tensor product.  Levels are aligned automatically (the deeper operand
@@ -190,9 +222,16 @@ val truncate_to_level : ?counters:Util.Counters.t -> ct -> int -> ct
     alignments inside {!add}/{!mul}/{!mul_sum} stay unrecorded. *)
 
 val eval_poly :
-  ?counters:Util.Counters.t -> ?rlk:relin_key -> coeffs:int64 array -> ct -> ct
+  ?counters:Util.Counters.t -> ?rlk:relin_key -> lead_bits:float -> coeffs:int64 array ->
+  ct -> ct
 (** Horner evaluation of [coeffs.(0) + coeffs.(1)·x + …] at the
-    encrypted [x], slot-wise.  This is the protocol's [EvalPoly]. *)
+    encrypted [x], slot-wise.  This is the protocol's [EvalPoly].
+    [lead_bits] is a public bound on the leading coefficient's
+    {!scalar_bits}: the noise bound charges it instead of the drawn
+    value, so the result's level, bound and size do not depend on the
+    coefficients.
+    @raise Invalid_argument when the leading coefficient exceeds
+    [lead_bits]. *)
 
 (** {1 Inspection} *)
 
@@ -231,7 +270,11 @@ val pp_ct : Format.formatter -> ct -> unit
     Binary wire format (little-endian, versioned magic), so the
     simulated parties exchange exactly what real deployments would.
     Decoding validates the magic, the parameter fingerprint and every
-    residue range; malformed input raises [Failure]. *)
+    residue range. *)
+
+exception Malformed of string
+(** Raised by the [*_of_bytes] decoders on truncated, padded or
+    corrupted input, and on bytes written under other parameters. *)
 
 val ct_to_bytes : ct -> Stdlib.Bytes.t
 val ct_of_bytes : Params.t -> Stdlib.Bytes.t -> ct

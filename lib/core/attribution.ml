@@ -1,10 +1,10 @@
 (* Bridge from a protocol configuration to the observability layer's
    analytic cost model (Sknn_obs.Cost_model).  lib/obs deliberately
    knows nothing about Params/Config/Masking, so the scheme-specific
-   numbers — exact modulus bit lengths, the sound mask-coefficient
-   width, the worst-case scalar magnitude — are derived here, with the
-   functions the live circuit uses (Bgv.scalar_bits,
-   Masking.max_coeff_bits), and handed over as plain floats/ints. *)
+   numbers — exact modulus bit lengths and the mask's public
+   leading-coefficient bound — are derived here, with the functions the
+   live circuit uses (Config.mask_lead_bits), and handed over as plain
+   floats/ints. *)
 
 module CM = Sknn_obs.Cost_model
 
@@ -33,16 +33,8 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
   let q_ibits = q_ibits_of_moduli moduli in
   let w = pr.Params.pr_relin_digit_bits in
   let mask_leading_bits =
-    let sound =
-      Masking.max_coeff_bits ~t_plain
-        ~input_bits:(Config.max_distance_bits ~max_coord_bits ~d)
-        ~degree:mask_degree
-    in
-    let c = Stdlib.max 1 (Stdlib.min mask_coeff_bits sound) in
-    (* Masking.draw samples coefficients uniformly from [1, 2^c − 1];
-       the live branch decisions are stable across that range, which
-       the ledger-equality tests witness. *)
-    Bgv.scalar_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
+    Config.mask_lead_bits ~t_plain ~max_coord_bits ~d ~degree:mask_degree
+      ~coeff_bits:mask_coeff_bits
   in
   { CM.nm = Params.noise_of_probe pr;
     q_ibits;
@@ -52,7 +44,6 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
     per_coordinate = (layout = Config.Per_coordinate);
     mask_degree;
     mask_leading_bits;
-    coord_bits = float_of_int max_coord_bits;
     rescale_distances;
     return_level;
     use_relin;

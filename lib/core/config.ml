@@ -63,6 +63,16 @@ let max_distance_bits ~max_coord_bits ~d =
   let max_coord = (1 lsl max_coord_bits) - 1 in
   bits_of (Distance.max_squared_euclidean ~d ~max_value:max_coord)
 
+(* Masking.draw takes its coefficients from [1, 2^C) with C the
+   requested width clamped to the envelope, so 2^C − 1 bounds the
+   leading one.  At least one bit, so an unsound shape still prices. *)
+let mask_lead_bits ~t_plain ~max_coord_bits ~d ~degree ~coeff_bits =
+  let sound =
+    Masking.max_coeff_bits ~t_plain ~input_bits:(max_distance_bits ~max_coord_bits ~d) ~degree
+  in
+  let c = Stdlib.max 1 (Stdlib.min coeff_bits sound) in
+  Bgv.scalar_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
+
 (* A distance read out of one coefficient (the inner-product trick) or
    one slot (the packed paths) survives only an affine mask: a
    higher-degree one would not commute with the extraction.  The point's

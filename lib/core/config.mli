@@ -64,6 +64,14 @@ val max_distance_bits : max_coord_bits:int -> d:int -> int
 (** Bits of the largest squared distance for [d]-dimensional data with
     coordinates below [2^max_coord_bits]. *)
 
+val mask_lead_bits :
+  t_plain:int64 -> max_coord_bits:int -> d:int -> degree:int -> coeff_bits:int -> float
+(** The public bound on a drawn mask's leading coefficient, as
+    {!Bgv.scalar_bits} of [2^C − 1], where [C] is [coeff_bits] clamped
+    to {!Masking.max_coeff_bits} (and at least 1).  Party A's
+    [Bgv.eval_poly] and the cost model both charge it, so the masked
+    ciphertexts' level, bound and size depend on public knobs only. *)
+
 val affine_supported : t -> d:int -> what:string -> (unit, string) result
 (** The rule of every path that reads a distance out of one coefficient
     or slot (the [Dot_product] layout; the prepared, packed and batch

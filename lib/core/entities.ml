@@ -32,15 +32,6 @@ type encrypted_query = {
   q_dim : int;
 }
 
-(* Slot-batched multi-query form: ciphertext j carries query m's j-th
-   coordinate in slot m, so M queries ride one set of d+1 ciphertexts. *)
-type batched_query = {
-  bq_coords : Bgv.ct array;
-  bq_norm : Bgv.ct;
-  bq_count : int;
-  bq_dim : int;
-}
-
 let ct_bytes = Bgv.byte_size
 
 let point_bytes p =
@@ -54,9 +45,6 @@ let query_bytes q =
   (match q.q_coords with None -> 0 | Some a -> Array.fold_left (fun s c -> s + ct_bytes c) 0 a)
   + (match q.q_rev with None -> 0 | Some c -> ct_bytes c)
   + (match q.q_norm with None -> 0 | Some c -> ct_bytes c)
-
-let batched_query_bytes bq =
-  Array.fold_left (fun s c -> s + ct_bytes c) (ct_bytes bq.bq_norm) bq.bq_coords
 
 (* Coefficient-packed plaintext for a point: p_j at coefficient j. *)
 let packed_plaintext params point =
@@ -91,6 +79,26 @@ let points_per_block params ~d = Params.slot_count params / d
 
 let block_layout params ~n ~per =
   { per; width = Params.slot_count params / per; count = (n + per - 1) / per }
+
+let return_level config =
+  Stdlib.min config.Config.return_level (Params.chain_length config.Config.bgv)
+
+(* The packed paths' query level, a function of public parameters only
+   (Noise_model.packed_query_level): the client encrypts there and
+   Party A embeds its columns there.  [None] keeps the full chain. *)
+let packed_drop config ~d =
+  NM.packed_query_level config.Config.bgv.Params.noise ~return_level:(return_level config) ~d
+
+let packed_query_level config ~d =
+  match packed_drop config ~d with
+  | Some lvl -> lvl
+  | None -> Params.chain_length config.Config.bgv
+
+(* The public bound Party A's mask charges for its leading coefficient. *)
+let mask_lead_bits config ~d =
+  Config.mask_lead_bits ~t_plain:config.Config.bgv.Params.t_plain
+    ~max_coord_bits:config.Config.max_coord_bits ~d ~degree:config.Config.mask_degree
+    ~coeff_bits:config.Config.mask_coeff_bits
 
 (* ------------------------------------------------------------------ *)
 
@@ -237,6 +245,7 @@ module Party_a = struct
     let coeffs =
       Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
     in
+    let lead_bits = mask_lead_bits config ~d in
     let rngs = split_streams rng t.db.db_n in
     let masked =
       Obs.with_span obs
@@ -249,7 +258,7 @@ module Party_a = struct
                 ~merge:(merge_into t.counters)
                 ~f:(fun counters i point ->
                   let ed = encrypted_distance t ~counters query point in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
+                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed in
                   match config.Config.layout with
                   | Config.Per_coordinate -> m
                   | Config.Dot_product ->
@@ -261,8 +270,7 @@ module Party_a = struct
         let perm = Perm.random rng t.db.db_n in
         ({ perm }, Perm.apply perm masked))
 
-  let return_level t =
-    Stdlib.min t.config.Config.return_level (Params.chain_length t.config.Config.bgv)
+  let return_level t = return_level t.config
 
   (* ---- Prepared (multi-query) path ------------------------------- *)
 
@@ -355,6 +363,7 @@ module Party_a = struct
     let coeffs =
       Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
     in
+    let lead_bits = mask_lead_bits config ~d in
     let rngs = split_streams rng t.db.db_n in
     let masked =
       Obs.with_span obs
@@ -393,7 +402,7 @@ module Party_a = struct
                       Bgv.rescale_to_floor ~counters ed
                     | None -> ed
                   in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
+                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed in
                   Bgv.add_plain ~counters m
                     (zero_constant_randomizer rngs.(i) config.Config.bgv))
                 prep.prep_packed))
@@ -453,58 +462,56 @@ module Party_a = struct
       pp_norms =
         Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i)))) }
 
-  let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
+  (* A query in broadcast-slot form, brought to the round's public
+     level: one above it is truncated, one below it cannot be. *)
+  let packed_query t ~d ~level query =
+    let fn = "Party_a.compute_distances_packed" in
+    if query.q_dim <> d then invalid_arg (fn ^ ": dimension mismatch");
+    let cts =
+      match query.q_coords, query.q_norm with
+      | Some c, Some nr when Array.length c = d -> Array.append c [| nr |]
+      | _ ->
+        invalid_arg (fn ^ ": query lacks broadcast-slot form (use Client.encrypt_query_packed)")
+    in
+    let arrived = Bgv.level cts.(0) in
+    if Array.exists (fun c -> Bgv.level c <> arrived) cts then
+      invalid_arg (fn ^ ": query ciphertexts at differing levels");
+    if arrived < level then invalid_arg (fn ^ ": query below the public query level");
+    Array.map (fun c -> Bgv.truncate_to_level ~counters:t.counters c level) cts
+
+  let compute_distances_packed ?(obs = Obs.disabled) t pp rng queries =
     let config = t.config in
     let params = config.Config.bgv in
     let d = t.db.db_d and n = t.db.db_n in
-    if query.q_dim <> d then
-      invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
-    let q_coords, q_norm =
-      match query.q_coords, query.q_norm with
-      | Some c, Some nr when Array.length c = d -> (c, nr)
-      | _ ->
-        invalid_arg
-          "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
-           Client.encrypt_query_packed)"
-    in
+    let nq = Array.length queries in
+    if nq = 0 then invalid_arg "Party_a.compute_distances_packed: no query";
     require_affine "Party_a.compute_distances_packed" config ~d ~what:"packed queries";
     if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
       invalid_arg "Party_a.compute_distances_packed: prepared state mismatch";
+    let drop = packed_drop config ~d in
+    let level = packed_query_level config ~d in
+    let queries = Array.map (packed_query t ~d ~level) queries in
     let slots = Params.slot_count params in
     let nbatches = (n + slots - 1) / slots in
-    let coeffs =
-      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
+    (* Each query's mask and batch streams, in query order, then the
+       round's one Π: a round of one query draws exactly what a single
+       packed query does.  Π is drawn before the homomorphic loop, since
+       the columns must already be in permuted order when they are
+       packed; repacking them per round (d+1 cheap slot NTTs per batch)
+       keeps Π uniform over all n! choices with no Galois machinery. *)
+    let secrets =
+      Array.map
+        (fun _ ->
+          let coeffs =
+            Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
+          in
+          (coeffs, split_streams rng nbatches))
+        queries
     in
-    let rngs = split_streams rng nbatches in
-    (* The permutation is drawn before the homomorphic loop: the slot
-       layout must already be in permuted order when the batches are
-       packed.  Party A repacks its plaintext columns per query — d+1
-       cheap slot NTTs per batch — so Π needs no Galois machinery and
-       stays uniform over all n! choices exactly as in Algorithm 1. *)
     let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
-    let q_noise =
-      Array.fold_left
-        (fun m c -> Float.max m (Bgv.noise_bits c))
-        (Bgv.noise_bits q_norm) q_coords
-    in
-    let drop =
-      NM.packed_query_level params.Params.noise ~return_level:(return_level t) ~d
-        ~q_bits:q_noise
-    in
-    let q_coords, q_norm =
-      match drop with
-      | Some lvl when lvl < Bgv.level q_norm ->
-        ( Array.map (fun c -> Bgv.truncate_to_level ~counters:t.counters c lvl) q_coords,
-          Bgv.truncate_to_level ~counters:t.counters q_norm lvl )
-      | _ -> (q_coords, q_norm)
-    in
+    let lead_bits = mask_lead_bits config ~d in
     let cols_p = permuted_cols pp perm in
     let norms_p = Perm.apply perm pp.pp_norms in
-    let slice src base len =
-      let a = Array.make slots 0L in
-      Array.blit src base a 0 len;
-      a
-    in
     let masked =
       Obs.with_span obs
         ~counters:[ ("party-a", t.counters) ]
@@ -514,157 +521,57 @@ module Party_a = struct
           Obs.with_pool_chunks obs ~label:"packed-distances" (fun () ->
               Pool.map_local ~jobs:t.jobs ~make:Counters.create
                 ~merge:(merge_into t.counters)
-                ~f:(fun counters b rng_b ->
+                ~f:(fun counters b () ->
                   let base = b * slots in
                   let len = Stdlib.min slots (n - base) in
-                  (* Slot s of batch b holds point Π⁻¹(b·N + s); ED and
-                     the affine mask act slot-wise, so one ciphertext
-                     carries N masked distances. *)
-                  let ip = ref None in
-                  for j = 0 to d - 1 do
-                    let col =
-                      Plaintext.of_slots ~counters params (slice cols_p.(j) base len)
-                    in
-                    let p = Bgv.mul_plain ~counters q_coords.(j) col in
-                    ip :=
-                      Some (match !ip with None -> p | Some s -> Bgv.add ~counters s p)
-                  done;
-                  let ip = Option.get !ip in
-                  let norms = Plaintext.of_slots ~counters params (slice norms_p base len) in
-                  let ed =
-                    Bgv.sub ~counters
-                      (Bgv.add_plain ~counters q_norm norms)
-                      (Bgv.mul_scalar ~counters ip 2L)
+                  (* Slot s of batch b holds point Π⁻¹(b·N + s).  The
+                     batch's columns and norms are packed and embedded
+                     once, at the query level, for every query of the
+                     round. *)
+                  let embed src =
+                    let a = Array.make slots 0L in
+                    Array.blit src base a 0 len;
+                    Bgv.embed ~counters ~level (Plaintext.of_slots ~counters params a)
                   in
-                  let ed =
-                    if drop = None && config.Config.rescale_distances then
-                      Bgv.rescale_to_floor ~counters ed
-                    else ed
+                  let ips =
+                    Bgv.mul_plain_sums ~counters
+                      (Array.map (fun q -> Array.sub q 0 d) queries)
+                      (fun j -> embed cols_p.(j))
                   in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
-                  if len < slots then
-                    (* Ragged tail: slots past the database carry phantom
-                       points whose masked values would order against the
-                       real ones; one uniform value per dead slot makes
-                       them carry no information before B discards them. *)
-                    let tail =
-                      Array.init slots (fun s ->
-                          if s < len then 0L
-                          else Rng.int64_below rng_b params.Params.t_plain)
-                    in
-                    Bgv.add_plain ~counters m (Plaintext.of_slots ~counters params tail)
-                  else m)
-                rngs))
+                  let norms = embed norms_p in
+                  Array.mapi
+                    (fun m (q, (coeffs, rngs)) ->
+                      (* ED = ‖q‖² + ‖p‖² − 2⟨p,q⟩ slot-wise, then the
+                         query's own affine mask. *)
+                      let ip = ips.(m) in
+                      let ed =
+                        Bgv.sub ~counters
+                          (Bgv.add_embedded ~counters q.(d) norms)
+                          (Bgv.mul_scalar ~counters ip 2L)
+                      in
+                      let ed =
+                        if drop = None && config.Config.rescale_distances then
+                          Bgv.rescale_to_floor ~counters ed
+                        else ed
+                      in
+                      let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed in
+                      if len < slots then
+                        (* Ragged tail: slots past the database carry
+                           phantom points whose masked values would order
+                           against the real ones; one uniform value per
+                           dead slot makes them carry no information
+                           before B discards them. *)
+                        let tail =
+                          Array.init slots (fun s ->
+                              if s < len then 0L
+                              else Rng.int64_below rngs.(b) params.Params.t_plain)
+                        in
+                        Bgv.add_plain ~counters m (Plaintext.of_slots ~counters params tail)
+                      else m)
+                    (Array.combine queries secrets))
+                (Array.make nbatches ())))
     in
-    ({ perm }, masked)
-
-  (* ---- Slot-batched multi-query evaluation ------------------------ *)
-
-  type batch_state = { b_perm : Perm.t }
-
-  let batch_state_perm s = s.b_perm
-
-  (* M queries in the slot dimension: per point the inner products of
-     all M queries cost d scalar products on the slot-packed query
-     ciphertexts, and one plain product + plain add applies every
-     query's own affine mask (slot q carries query q's coefficients).
-     The n output ciphertexts share one permutation, which is the extra
-     declared leakage of the batch mode: Party B can align positions
-     across the M views of a batch (audited as "batch-query-count"). *)
-  let compute_distances_batch ?(obs = Obs.disabled) t pp rng bq =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let d = t.db.db_d and n = t.db.db_n in
-    if bq.bq_dim <> d then
-      invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
-    require_affine "Party_a.compute_distances_batch" config ~d ~what:"packed queries";
-    if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
-      invalid_arg "Party_a.compute_distances_batch: prepared state mismatch";
-    let slots = Params.slot_count params in
-    let nqueries = bq.bq_count in
-    if nqueries < 1 || nqueries > slots then
-      invalid_arg "Party_a.compute_distances_batch: batch size out of range";
-    let masks =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Array.init nqueries (fun _ -> draw_mask rng config ~d))
-    in
-    let a1 = Array.make slots 1L and a0 = Array.make slots 0L in
-    Array.iteri
-      (fun q mq ->
-        let c = Masking.coeffs mq in
-        a0.(q) <- c.(0);
-        a1.(q) <- c.(1))
-      masks;
-    let a1_pt = Plaintext.of_slots ~counters:t.counters params a1 in
-    let a0_shared =
-      if nqueries = slots then Some (Plaintext.of_slots ~counters:t.counters params a0)
-      else None
-    in
-    let rngs = split_streams rng n in
-    let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
-    let q_noise =
-      Array.fold_left
-        (fun x c -> Float.max x (Bgv.noise_bits c))
-        (Bgv.noise_bits bq.bq_norm) bq.bq_coords
-    in
-    let drop =
-      NM.batch_query_level params.Params.noise ~return_level:(return_level t) ~d
-        ~coord_bits:(float_of_int config.Config.max_coord_bits)
-        ~q_bits:q_noise
-    in
-    let bq_coords, bq_norm =
-      match drop with
-      | Some lvl when lvl < Bgv.level bq.bq_norm ->
-        ( Array.map
-            (fun c -> Bgv.truncate_to_level ~counters:t.counters c lvl)
-            bq.bq_coords,
-          Bgv.truncate_to_level ~counters:t.counters bq.bq_norm lvl )
-      | _ -> (bq.bq_coords, bq.bq_norm)
-    in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"batched-distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters i rng_i ->
-                  let ip = ref None in
-                  for j = 0 to d - 1 do
-                    let p = Bgv.mul_scalar ~counters bq_coords.(j) pp.pp_cols.(j).(i) in
-                    ip :=
-                      Some (match !ip with None -> p | Some s -> Bgv.add ~counters s p)
-                  done;
-                  let ip = Option.get !ip in
-                  let ed =
-                    Bgv.add_const ~counters
-                      (Bgv.sub ~counters bq_norm (Bgv.mul_scalar ~counters ip 2L))
-                      pp.pp_norms.(i)
-                  in
-                  let ed =
-                    if drop = None && config.Config.rescale_distances then
-                      Bgv.rescale_to_floor ~counters ed
-                    else ed
-                  in
-                  let md = Bgv.mul_plain ~counters ed a1_pt in
-                  let a0_pt =
-                    match a0_shared with
-                    | Some pt -> pt
-                    | None ->
-                      (* Dead slots (no query) get a fresh uniform value
-                         per point, killing the cross-point order their
-                         unit-slope masking would otherwise expose. *)
-                      Plaintext.of_slots ~counters params
-                        (Array.init slots (fun q ->
-                             if q < nqueries then a0.(q)
-                             else Rng.int64_below rng_i params.Params.t_plain))
-                  in
-                  Bgv.add_plain ~counters md a0_pt)
-                rngs))
-    in
-    ({ b_perm = perm }, Perm.apply perm masked)
+    ({ perm }, Array.init nq (fun q -> Array.map (fun per_batch -> per_batch.(q)) masked))
 
   (* Return-kNN on the packed paths: Party A holds the plaintext points,
      so each of B's block indicators costs one plain product against
@@ -770,33 +677,7 @@ module Party_b = struct
     Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
         { masked_distances = masked; selected = Util.Topk.smallest ~k masked })
 
-  let select_views_batch ?(obs = Obs.disabled) t cts ~m:nqueries ~k =
-    let params = t.config.Config.bgv in
-    let slots = Params.slot_count params in
-    let n = Array.length cts in
-    if n < 1 then invalid_arg "Party_b.select_views_batch: empty database";
-    if nqueries < 1 || nqueries > slots then
-      invalid_arg "Party_b.select_views_batch: batch size out of range";
-    if k < 1 || k > n then invalid_arg "Party_b: k out of range";
-    let slot_rows =
-      Obs.with_span obs
-        ~counters:[ ("party-b", t.counters) ]
-        ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-        "decrypt-distances"
-        (fun () ->
-          Array.map
-            (fun ct ->
-              Plaintext.to_slots ~counters:t.counters
-                (Bgv.decrypt ~counters:t.counters t.sk ct))
-            cts)
-    in
-    Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
-        Array.init nqueries (fun q ->
-            let masked = Array.init n (fun i -> slot_rows.(i).(q)) in
-            { masked_distances = masked; selected = Util.Topk.smallest ~k masked }))
-
-  let return_level t =
-    Stdlib.min t.config.Config.return_level (Params.chain_length t.config.Config.bgv)
+  let return_level t = return_level t.config
 
   let indicator_row ?(obs = Obs.disabled) t rng view ~n ~j =
     let params = t.config.Config.bgv in
@@ -884,9 +765,10 @@ module Client = struct
       { q_coords = Some q_coords; q_rev = None; q_norm = None; q_dim = d }
     | Config.Dot_product -> encrypt_query_ip t rng query
 
-  (* Broadcast-slot query form for the packed path: d coordinate
+  (* Broadcast-slot query form for the packed paths: d coordinate
      ciphertexts with the same value in every slot, plus ‖q‖²
-     broadcast — still O(d) ciphertexts whatever the batch count. *)
+     broadcast — still O(d) ciphertexts whatever the batch count —
+     encrypted straight at the public level Party A computes at. *)
   let encrypt_query_packed t rng query =
     let config = t.config in
     let params = config.Config.bgv in
@@ -895,41 +777,11 @@ module Client = struct
     Data_owner.validate_point config ~d query;
     if d > params.Params.n then
       invalid_arg "Client.encrypt_query_packed: dimension exceeds ring degree";
-    let q_coords =
-      Array.map
-        (fun v -> Bgv.encrypt ~counters rng t.pk (Plaintext.constant params (Int64.of_int v)))
-        query
-    in
-    let q_norm =
-      Bgv.encrypt ~counters rng t.pk
-        (Plaintext.constant params (Int64.of_int (squared_norm query)))
-    in
+    let level = packed_query_level config ~d in
+    let enc v = Bgv.encrypt ~counters ~level rng t.pk (Plaintext.constant params (Int64.of_int v)) in
+    let q_coords = Array.map enc query in
+    let q_norm = enc (squared_norm query) in
     { q_coords = Some q_coords; q_rev = None; q_norm = Some q_norm; q_dim = d }
-
-  let encrypt_query_batch t rng queries =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let counters = t.counters in
-    let m = Array.length queries in
-    let slots = Params.slot_count params in
-    if m = 0 then invalid_arg "Client.encrypt_query_batch: empty batch";
-    if m > slots then
-      invalid_arg "Client.encrypt_query_batch: batch exceeds the slot count";
-    let d = Array.length queries.(0) in
-    Array.iter
-      (fun q ->
-        if Array.length q <> d then invalid_arg "Client.encrypt_query_batch: ragged batch";
-        Data_owner.validate_point config ~d q)
-      queries;
-    let enc slot_of =
-      let s = Array.make slots 0L in
-      Array.iteri (fun q query -> s.(q) <- Int64.of_int (slot_of query)) queries;
-      Bgv.encrypt ~counters rng t.pk (Plaintext.of_slots ~counters params s)
-    in
-    { bq_coords = Array.init d (fun j -> enc (fun query -> query.(j)));
-      bq_norm = enc squared_norm;
-      bq_count = m;
-      bq_dim = d }
 
   (* Every block the client receives decrypts to its points, p_j + 1 in
      each selected position's slots and zero elsewhere. *)

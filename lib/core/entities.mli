@@ -30,16 +30,6 @@ type encrypted_query = {
   q_dim : int;
 }
 
-type batched_query = {
-  bq_coords : Bgv.ct array;
-      (** ciphertext [j] carries query [m]'s coordinate [j] in slot [m] *)
-  bq_norm : Bgv.ct;  (** slot [m] = [‖q_m‖²] *)
-  bq_count : int;  (** M, the number of queries packed in the slots *)
-  bq_dim : int;
-}
-(** Slot-batched multi-query form: M queries ride one set of [d + 1]
-    ciphertexts through the packed pipeline. *)
-
 (** {1 Data owner} *)
 
 module Data_owner : sig
@@ -183,40 +173,28 @@ module Party_a : sig
       does not match the encrypted database's dimensions. *)
 
   val compute_distances_packed :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1 on the packed layout: returns [⌈n/N⌉] ciphertexts
-      whose slot [s] of batch [b] holds the masked distance of point
-      [Π⁻¹(b·N + s)] — the permutation is applied when the plaintext
-      columns are repacked, so it stays uniform and per-query.  The
-      query must be in broadcast-slot form
-      ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
-      batch are overwritten with uniform randomness.  The query
-      ciphertexts are truncated up front by
-      {!Util.Noise_model.packed_query_level} (every later op's noise
-      increment is level-independent).  Batches run pool-parallel with
-      per-batch RNG
-      streams: results, counters and transcripts are bit-identical for
-      every job count. *)
+    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query array ->
+    query_state * Bgv.ct array array
+  (** Algorithm 1 on the packed layout, for a round of one or more
+      queries under one permutation Π: returns, per query, [⌈n/N⌉]
+      ciphertexts whose slot [s] of batch [b] holds the masked distance
+      of point [Π⁻¹(b·N + s)].  The permutation is applied when the
+      plaintext columns are packed, so it stays uniform; each batch's
+      d columns and norms are packed and embedded once
+      ({!Bgv.embed}) and serve every query of the round
+      ({!Bgv.mul_plain_sums}).  Each query gets its own fresh affine
+      mask and its own uniform dead slots in the ragged tail batch.  A
+      round of one query draws exactly what a single packed query
+      does: its mask and batch streams, then Π.
 
-  (** {2 Slot-batched multi-query evaluation} *)
-
-  type batch_state
-  (** The batch's per-round secret that outlives Compute Distances: the
-      shared permutation Π. *)
-
-  val compute_distances_batch :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> batched_query ->
-    batch_state * Bgv.ct array
-  (** M queries at once: returns [n] ciphertexts (in permuted point
-      order) whose slot [m] holds query [m]'s masked distance to the
-      point.  Each query gets its own fresh affine mask (slot-wise
-      coefficients); dead slots are overwritten with per-point uniform
-      randomness.  The M views share one permutation — the batch mode's
-      extra declared leakage (audited as ["batch-query-count"]). *)
-
-  val batch_state_perm : batch_state -> Util.Perm.t
-  (** The batch's permutation, which {!return_blocks} also reads. *)
+      Every query must be in broadcast-slot form
+      ({!Client.encrypt_query_packed}) and reach A at or above the
+      public level {!Util.Noise_model.packed_query_level}; A truncates
+      one above it.  Batches run pool-parallel: results, counters and
+      transcripts are bit-identical for every job count.
+      @raise Invalid_argument on an empty round, a dimension mismatch,
+      a query whose ciphertexts differ in level or lie below the public
+      level, or an unsupported config. *)
 
   val return_blocks :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> perm:Util.Perm.t -> Util.Rng.t ->
@@ -270,11 +248,6 @@ module Party_b : sig
       groups, multiset) is computed on the same surface as the unpacked
       path, never on per-ciphertext aggregates. *)
 
-  val select_views_batch :
-    ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> m:int -> k:int -> view array
-  (** Batched-query selection: one {!view} per packed query, unpacked
-      from slot [m] of each of the [n] ciphertexts. *)
-
   val indicator_row :
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> Bgv.ct array
   (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
@@ -314,15 +287,13 @@ module Client : sig
       @raise Invalid_argument when [d] exceeds the ring degree. *)
 
   val encrypt_query_packed : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Broadcast-slot query form for the packed path: [d] coordinate
+  (** Broadcast-slot query form for the packed paths: [d] coordinate
       ciphertexts with the same value in every slot plus [‖q‖²]
       broadcast; what {!Party_a.compute_distances_packed} consumes.
+      They are encrypted at the public level
+      {!Util.Noise_model.packed_query_level}: for the same RNG state,
+      byte for byte what truncating top-level encryptions gives.
       @raise Invalid_argument when [d] exceeds the ring degree. *)
-
-  val encrypt_query_batch : t -> Util.Rng.t -> int array array -> batched_query
-  (** M queries packed in the slot dimension, M ≤ {!Params.slot_count};
-      what {!Party_a.compute_distances_batch} consumes.
-      @raise Invalid_argument on an empty, ragged or oversized batch. *)
 
   val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
   (** The plain and prepared paths' result: one coefficient-packed point
@@ -346,5 +317,4 @@ val points_per_block : Params.t -> d:int -> int
 (** {1 Serialised sizes} *)
 
 val query_bytes : encrypted_query -> int
-val batched_query_bytes : batched_query -> int
 val db_bytes : encrypted_db -> int

@@ -74,8 +74,11 @@ let run ?rng ?(max_iters = 25) t ~init =
   let return_level =
     Stdlib.min t.config.Config.return_level (Params.chain_length params)
   in
-  let input_bits =
-    Config.max_distance_bits ~max_coord_bits:t.config.Config.max_coord_bits ~d:t.d
+  let max_coord_bits = t.config.Config.max_coord_bits in
+  let input_bits = Config.max_distance_bits ~max_coord_bits ~d:t.d in
+  let lead_bits =
+    Config.mask_lead_bits ~t_plain:tp ~max_coord_bits ~d:t.d ~degree:1
+      ~coeff_bits:t.config.Config.mask_coeff_bits
   in
   let centroids = ref (Array.map Array.copy init) in
   let iterations = ref 0 in
@@ -105,7 +108,7 @@ let run ?rng ?(max_iters = 25) t ~init =
             Array.map
               (fun q ->
                 let ed = encrypted_distance t point q in
-                let m = Bgv.eval_poly ~counters:t.counters_a ~coeffs ed in
+                let m = Bgv.eval_poly ~counters:t.counters_a ~lead_bits ~coeffs ed in
                 Bgv.add_plain ~counters:t.counters_a m (zero_constant_randomizer rng params))
               enc_centroids
           in

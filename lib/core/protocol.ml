@@ -301,10 +301,10 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
     Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
       (Audit.Int bytes)
   in
-  (* Client: encrypt the query in the path's form and send it to Party
-     A (label 4, Fig. 2).  Each arm returns Party A's Compute Distances
-     over it, which yields the masked ciphertexts and A's side of
-     Return kNN. *)
+  (* Client: encrypt the round's queries in the path's form and send
+     them to Party A in one message (label 4, Fig. 2).  Each arm returns
+     Party A's Compute Distances over them, which yields one array of
+     masked ciphertexts per query and A's side of Return kNN. *)
   let compute_distances =
     let single (q : Entities.encrypted_query) f =
       send_query ~bytes:(Entities.query_bytes q) ~cts:(query_ct_count q);
@@ -316,49 +316,44 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
         (encrypt (fun () -> Entities.Client.encrypt_query d.cl rng queries.(0)))
         (fun q () ->
           let s, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
-          (masked, Rows (fun () -> Entities.Party_a.permuted_packed d.a s)))
+          ([| masked |], Rows (fun () -> Entities.Party_a.permuted_packed d.a s)))
     | CM.Prepared ->
       let p = prepared () in
       single
         (encrypt (fun () -> Entities.Client.encrypt_query_ip d.cl rng queries.(0)))
         (fun q () ->
           let s, masked = Entities.Party_a.compute_distances_prepared ~obs d.a p rng q in
-          (masked, Rows (fun () -> Entities.Party_a.permuted_packed_prepared p s)))
-    | CM.Packed ->
+          ([| masked |], Rows (fun () -> Entities.Party_a.permuted_packed_prepared p s)))
+    | CM.Packed | CM.Batch _ ->
       let p = prepared_packed () in
-      single
-        (encrypt (fun () -> Entities.Client.encrypt_query_packed d.cl rng queries.(0)))
-        (fun q () ->
-          let s, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng q in
-          let perm = Entities.Party_a.state_perm s in
-          (masked, Blocks (Entities.Party_a.return_blocks ~obs d.a p ~perm)))
-    | CM.Batch _ ->
-      let p = prepared_packed () in
-      let bq = encrypt (fun () -> Entities.Client.encrypt_query_batch d.cl rng queries) in
-      send_query
-        ~bytes:(Entities.batched_query_bytes bq)
-        ~cts:(Array.length bq.Entities.bq_coords + 1);
+      let qs =
+        encrypt (fun () -> Array.map (Entities.Client.encrypt_query_packed d.cl rng) queries)
+      in
+      let total f = Array.fold_left (fun acc q -> acc + f q) 0 qs in
+      send_query ~bytes:(total Entities.query_bytes) ~cts:(total query_ct_count);
       fun () ->
-        let s, masked = Entities.Party_a.compute_distances_batch ~obs d.a p rng bq in
-        let perm = Entities.Party_a.batch_state_perm s in
+        let s, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng qs in
+        let perm = Entities.Party_a.state_perm s in
         (masked, Blocks (Entities.Party_a.return_blocks ~obs d.a p ~perm))
   in
   (* Party A: Compute Distances (Algorithm 1). *)
   let masked, return_knn =
     timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" compute_distances
   in
-  sample_cts obs ~name:"masked-distance" masked;
+  let all_masked = Array.concat (Array.to_list masked) in
+  sample_cts obs ~name:"masked-distance" all_masked;
   send ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~bytes:(cts_bytes masked);
+    ~label:"masked permuted distances" ~bytes:(cts_bytes all_masked);
   (* Party B: Find Neighbours (Algorithm 2), one view per query. *)
   let views =
     timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
-        match path with
-        | CM.Plain | CM.Prepared ->
-          [| Entities.Party_b.select_neighbours ~obs d.b masked ~k |]
-        | CM.Packed ->
-          [| Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k |]
-        | CM.Batch _ -> Entities.Party_b.select_views_batch ~obs d.b masked ~m ~k)
+        Array.map
+          (fun masked ->
+            match return_knn with
+            | Rows _ -> Entities.Party_b.select_neighbours ~obs d.b masked ~k
+            | Blocks _ ->
+              Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k)
+          masked)
   in
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);

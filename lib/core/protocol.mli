@@ -163,7 +163,8 @@ val query_packed :
   query:int array -> k:int -> result
 (** Like {!query_prepared} on the packed layout, with the client sending
     the broadcast-slot query form
-    ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in,
+    ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in, at
+    the public query level,
     [⌈n/N⌉] masked-distance ciphertexts A→B, [⌈n/⌊N/d⌋⌉] block
     indicators B→A and as many flooded blocks to the client.
     @raise Invalid_argument if the configuration does not admit the
@@ -172,23 +173,24 @@ val query_packed :
 val query_batch :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   queries:int array array -> k:int -> result array
-(** [query_gen ~path:(Batch M)]: M ≤ [Params.slot_count] queries in
-    {e one} protocol round: the
-    queries ride the slot dimension of d+1 ciphertexts
-    ({!Entities.Client.encrypt_query_batch}), Party A masks each query's
-    distances with its own fresh affine polynomial in one slot-wise
-    pass, and Party B unpacks one view per query from the [n] returned
-    ciphertexts.  The M views share one permutation — the batch mode's
-    extra declared leakage, audited as
-    [party-b/find-neighbours/batch-query-count].  Return kNN runs by
-    blocks, as on {!query_packed}: B's indicators cover the union of
-    the M selections, and the client (who asked all M queries) gives
-    each query its k nearest among the decoded points — exact, since
-    each query's true k-NN lies in that union.  The returned results
+(** [query_gen ~path:(Batch M)]: M queries in {e one} protocol round.
+    The client uploads M broadcast-slot queries
+    ({!Entities.Client.encrypt_query_packed}) in one message; Party A
+    draws one permutation Π, packs and embeds its permuted columns once,
+    and runs the packed distance circuit once per query, each with its
+    own fresh affine mask ({!Entities.Party_a.compute_distances_packed});
+    Party B decrypts M·[⌈n/N⌉] ciphertexts and selects one view per
+    query.  The M views share Π — the batch mode's extra declared
+    leakage, audited as [party-b/find-neighbours/batch-query-count].
+    Return kNN runs by blocks, as on {!query_packed}: B's indicators
+    cover the union of the M selections, and the client (who asked all
+    M queries) gives each query its k nearest among the decoded points —
+    exact, since each query's true k-NN lies in that union.  A round of
+    one query is {!query_packed}, draw for draw.  The returned results
     share the round's transcript, counters and phase times; neighbours
     and views are per query.
-    @raise Invalid_argument on an empty or oversized batch, dimension
-    mismatch, or k out of range. *)
+    @raise Invalid_argument on an empty batch, dimension mismatch, or k
+    out of range. *)
 
 (** {1 Any path} *)
 

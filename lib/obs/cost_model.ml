@@ -13,10 +13,10 @@
 
    - every noise, size and level-drop formula is Noise_model's, and
      Bgv and the live circuit call the same functions;
-   - scalar magnitudes (mask coefficients, plaintext coordinates) are
-     supplied by the caller as worst-case log2 bounds; the presets'
-     branch decisions are stable across the whole range, which the
-     equality tests witness empirically.
+   - the one secret scalar with a bound, the mask's leading
+     coefficient, is charged live at the same public bound the caller
+     supplies here (mask_leading_bits), so no decision depends on a
+     drawn value.
 
    The level-0 row of the ledger holds the slot pack/unpack NTTs mod t,
    exactly as Plaintext records them. *)
@@ -33,7 +33,6 @@ type params = {
   per_coordinate : bool;
   mask_degree : int;
   mask_leading_bits : float;
-  coord_bits : float;
   rescale_distances : bool;
   return_level : int;
   use_relin : bool;
@@ -104,10 +103,22 @@ let add c a b =
 
 let sub = add
 
-let add_plain p c st =
+(* Bgv.embed: one forward NTT set at the level. *)
+let embed c ~level = record_op c C.Op_ntt_fwd ~level
+
+(* Bgv.add_embedded and each term of Bgv.mul_plain_sums: no transform.
+   Bgv.add_plain and Bgv.mul_plain embed their plaintext first. *)
+let add_embedded p c st =
   record_op c C.Op_ct_add ~level:st.NM.level;
-  record_op c C.Op_ntt_fwd ~level:st.NM.level;
   NM.add_plain p.nm st
+
+let mul_embedded p c st =
+  record_op c C.Op_mul_plain ~level:st.NM.level;
+  NM.mul_plain p.nm st
+
+let add_plain p c st =
+  embed c ~level:st.NM.level;
+  add_embedded p c st
 
 (* Bgv.add_const adds the scaled constant at every evaluation point:
    no transform. *)
@@ -116,9 +127,8 @@ let add_const p c st =
   NM.add_plain p.nm st
 
 let mul_plain p c st =
-  record_op c C.Op_mul_plain ~level:st.NM.level;
-  record_op c C.Op_ntt_fwd ~level:st.NM.level;
-  NM.mul_plain p.nm st
+  embed c ~level:st.NM.level;
+  mul_embedded p c st
 
 let mul_scalar c st ~bits =
   record_op c C.Op_mul_plain ~level:st.NM.level;
@@ -322,21 +332,17 @@ let return_blocks sim =
       dec c result;
       slot_unpack c)
 
-let encrypt_query sim ?(pack = false) count =
+let encrypt_query sim ~level count =
   let p = sim.p in
   let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh =
-    repeat cc ~times:count (fun c ->
-        if pack then slot_pack c;
-        enc p c ~level:(full_level p))
-  in
+  let fresh = repeat cc ~times:count (fun c -> enc p c ~level) in
   send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
     ~label:"encrypted query" ~count fresh;
   step sim "fresh-encrypt" fresh
 
 let predict_plain sim =
   let p = sim.p in
-  let fresh = encrypt_query sim (if p.per_coordinate then p.d else 2) in
+  let fresh = encrypt_query sim ~level:(full_level p) (if p.per_coordinate then p.d else 2) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   let masked =
     repeat ca ~times:p.n_points (fun c ->
@@ -381,7 +387,7 @@ let predict_prepared sim ~include_prepare =
         else fresh)
   in
   ignore (repeat cp ~times:p.n_points (fun c -> truncate c fresh ~level:rl));
-  let q = encrypt_query sim 2 in
+  let q = encrypt_query sim ~level:(full_level p) 2 in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   let masked =
     repeat ca ~times:p.n_points (fun c ->
@@ -401,95 +407,49 @@ let predict_prepared sim ~include_prepare =
   send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
   return_rows sim ~plain_truncations:false
 
-(* prepare_packed lays out plaintext columns only: its phase records
-   no ciphertext op. *)
-let packed_prepare sim = ignore (phase_counter sim ~phase:"prepare-db" ~party:"party-a")
-
-(* The packed and batch paths truncate all d+1 query ciphertexts up
-   front when their rule finds a level. *)
-let truncate_query sim c drop q =
-  match drop with
-  | Some lvl when lvl < q.NM.level ->
-    step sim "query-truncate"
-      (repeat c ~times:(sim.p.d + 1) (fun c -> truncate c q ~level:lvl))
-  | _ -> q
-
-(* Without an up-front drop, the configured rescale runs per ED. *)
-let rescale_undropped sim c drop ed =
-  if drop = None && sim.p.rescale_distances then
-    step sim "rescale-to-floor" (rescale_to_floor sim.p c ed)
-  else ed
-
-(* Σⱼ of d products, in the live circuit's left-to-right order. *)
-let sum_d sim c product =
-  let acc = ref (product c) in
-  for _ = 2 to sim.p.d do
-    acc := add c !acc (product c)
-  done;
-  step sim "coordinate-sum" !acc
-
-let predict_packed sim ~include_prepare =
+(* The packed and batch paths: a round of [queries] packed queries
+   under one Π.  prepare_packed lays out plaintext columns only, so its
+   phase records no ciphertext op.  The client encrypts every query at
+   the public query level; per round, Party A slot-packs and embeds
+   each batch's d columns and norms there once, then runs every query's
+   circuit against them; B decrypts each query's batches. *)
+let predict_packed sim ~include_prepare ~queries =
   let p = sim.p in
-  if include_prepare then packed_prepare sim;
-  let fresh = encrypt_query sim (p.d + 1) in
+  if queries < 1 then invalid_arg "Cost_model.predict: empty batch";
+  if include_prepare then ignore (phase_counter sim ~phase:"prepare-db" ~party:"party-a");
+  let drop = NM.packed_query_level p.nm ~return_level:(return_level p) ~d:p.d in
+  let level = Option.value drop ~default:(full_level p) in
+  let q = encrypt_query sim ~level (queries * (p.d + 1)) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let drop =
-    NM.packed_query_level p.nm ~return_level:(return_level p) ~d:p.d ~q_bits:fresh.NM.bits
-  in
-  let q = truncate_query sim ca drop fresh in
   let nbatches = (p.n_points + p.slots - 1) / p.slots in
+  repeat ca ~times:(nbatches * (p.d + 1)) (fun c ->
+      slot_pack c;
+      embed c ~level);
   let masked =
-    repeat ca ~times:nbatches (fun c ->
-        let ip =
-          sum_d sim c (fun c ->
-              slot_pack c;
-              mul_plain p c q)
+    repeat ca ~times:(queries * nbatches) (fun c ->
+        (* Bgv.mul_plain_sums: d products folded in term order. *)
+        let ip = ref (mul_embedded p c q) in
+        for _ = 2 to p.d do
+          ip := add c !ip (mul_embedded p c q)
+        done;
+        let ip = step sim "coordinate-sum" !ip in
+        let ed = step sim "ed-combine" (sub c (add_embedded p c q) (mul_scalar c ip ~bits:1.0)) in
+        let ed =
+          if drop = None && p.rescale_distances then
+            step sim "rescale-to-floor" (rescale_to_floor p c ed)
+          else ed
         in
-        slot_pack c;
-        let ed = step sim "ed-combine" (sub c (add_plain p c q) (mul_scalar c ip ~bits:1.0)) in
-        eval_poly sim c (rescale_undropped sim c drop ed))
+        eval_poly sim c ed)
   in
   (* The ragged tail batch also masks its dead slots. *)
   let masked =
     if p.n_points mod p.slots = 0 then masked
-    else begin
-      slot_pack ca;
-      add_plain p ca masked
-    end
+    else
+      repeat ca ~times:queries (fun c ->
+          slot_pack c;
+          add_plain p c masked)
   in
-  send_masked sim ~count:nbatches masked ~decrypt:(fun c st ->
-      dec c st;
-      slot_unpack c);
-  return_blocks sim
-
-let predict_batch sim ~include_prepare ~queries =
-  let p = sim.p in
-  if queries < 1 || queries > p.slots then
-    invalid_arg "Cost_model.predict: batch size out of range";
-  if include_prepare then packed_prepare sim;
-  let fresh = encrypt_query sim ~pack:true (p.d + 1) in
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  (* Per-query affine masks, slot-aligned: one packed slope plaintext,
-     and a shared intercept only when every slot carries a query. *)
-  slot_pack ca;
-  let shared_intercept = queries = p.slots in
-  if shared_intercept then slot_pack ca;
-  let drop =
-    NM.batch_query_level p.nm ~return_level:(return_level p) ~d:p.d
-      ~coord_bits:p.coord_bits ~q_bits:fresh.NM.bits
-  in
-  let q = truncate_query sim ca drop fresh in
-  let masked =
-    repeat ca ~times:p.n_points (fun c ->
-        let ip = sum_d sim c (fun c -> mul_scalar c q ~bits:p.coord_bits) in
-        let ed =
-          step sim "ed-combine" (add_const p c (sub c q (mul_scalar c ip ~bits:1.0)))
-        in
-        let md = step sim "mask-scale" (mul_plain p c (rescale_undropped sim c drop ed)) in
-        if not shared_intercept then slot_pack c;
-        add_plain p c md)
-  in
-  send_masked sim ~count:p.n_points masked ~decrypt:(fun c st ->
+  send_masked sim ~count:(queries * nbatches) masked ~decrypt:(fun c st ->
       dec c st;
       slot_unpack c);
   return_blocks sim
@@ -505,8 +465,8 @@ let predict ?(include_prepare = true) ?margin_bits p path =
   (match path with
    | Plain -> predict_plain sim
    | Prepared -> predict_prepared sim ~include_prepare
-   | Packed -> predict_packed sim ~include_prepare
-   | Batch queries -> predict_batch sim ~include_prepare ~queries);
+   | Packed -> predict_packed sim ~include_prepare ~queries:1
+   | Batch queries -> predict_packed sim ~include_prepare ~queries);
   { phases = List.rev sim.rev_phases;
     party_a = sim.party_a;
     party_b = sim.party_b;

@@ -37,11 +37,8 @@ type params = {
   mask_degree : int;
   mask_leading_bits : float;
       (** log2 bound on the centered magnitude of the mask's leading
-          coefficient (the one Horner applies as a scalar) *)
-  coord_bits : float;
-      (** log2 bound on a plaintext coordinate (the configured
-          [max_coord_bits]) — the batch path's scalar products and its
-          query-level rule *)
+          coefficient (the one Horner applies as a scalar), the public
+          width [Bgv.eval_poly] charges live *)
   rescale_distances : bool;
   return_level : int;
   use_relin : bool;

@@ -433,6 +433,72 @@ let mul_into dst a b =
         with_eval_comp b i (fun eb -> Ntt.pointwise_mul dst.ctx.tables.(i) dst.comps.(i) ea eb))
   done
 
+(* Σₜ aₜ ⊙ bₜ over Eval operands, added one term at a time, e.g.
+   ciphertext components against plaintexts embedded one by one.  Each
+   product is Barrett-reduced only to [0, 3p) and added unreduced into
+   the prime's row, so after m terms the row stays below 3·m·p, and
+   while 3·m <= 2^(bits p) that is below 2^(2·bits p), where one
+   Barrett step plus two corrections reduce it exactly (as in
+   sum_sq_diff).  A row about to pass that bound is reduced in place
+   first; primes off Barrett's fast path reduce every term with [mod]. *)
+type sum = { s_ctx : context; s_rows : int array array; s_terms : int array }
+
+let sum_create ctx ~nprimes =
+  if nprimes < 1 || nprimes > Array.length ctx.moduli then invalid_arg "Rq.sum_create: bad nprimes";
+  { s_ctx = ctx; s_rows = Array.init nprimes (fun _ -> Array.make ctx.n 0);
+    s_terms = Array.make nprimes 0 }
+
+let reduce_row br row =
+  let p = br.Barrett.p and mu = br.Barrett.mu in
+  let sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+  for j = 0 to Array.length row - 1 do
+    let v = Array.unsafe_get row j in
+    let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
+    let r = r - (p land ((p - 1 - r) asr 62)) in
+    Array.unsafe_set row j (r - (p land ((p - 1 - r) asr 62)))
+  done
+
+let sum_mul_add s a b =
+  if a.ctx != s.s_ctx then invalid_arg "Rq.sum_mul_add: different contexts";
+  check_compat a b "Rq.sum_mul_add";
+  if Array.length a.comps <> Array.length s.s_rows then invalid_arg "Rq.sum_mul_add: level mismatch";
+  if a.domain <> Eval || b.domain <> Eval then invalid_arg "Rq.sum_mul_add: operands must be Eval";
+  let n = s.s_ctx.n in
+  for i = 0 to Array.length s.s_rows - 1 do
+    let br = Ntt.barrett s.s_ctx.tables.(i) in
+    let p = br.Barrett.p in
+    let row = s.s_rows.(i) and ra = a.comps.(i) and rb = b.comps.(i) in
+    if br.Barrett.fast then begin
+      if 3 * (s.s_terms.(i) + 1) > 1 lsl (br.Barrett.s1 + 1) then begin
+        reduce_row br row;
+        s.s_terms.(i) <- 1
+      end;
+      let mu = br.Barrett.mu and sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+      for j = 0 to n - 1 do
+        let v = Array.unsafe_get ra j * Array.unsafe_get rb j in
+        Array.unsafe_set row j (Array.unsafe_get row j + v - ((((v lsr sh1) * mu) lsr sh2) * p))
+      done
+    end
+    else
+      (for j = 0 to n - 1 do
+         row.(j) <- (row.(j) + (ra.(j) * rb.(j) mod p)) mod p
+       done)
+      [@sknn.allow "no-division" (* generic fallback: p >= 2^30 *)];
+    s.s_terms.(i) <- s.s_terms.(i) + 1
+  done
+
+let sum_value s =
+  let comps =
+    Array.mapi
+      (fun i row ->
+        let row = Array.copy row in
+        let br = Ntt.barrett s.s_ctx.tables.(i) in
+        if br.Barrett.fast then reduce_row br row;
+        row)
+      s.s_rows
+  in
+  { ctx = s.s_ctx; domain = Eval; comps }
+
 (* Σⱼ (aⱼ - bⱼ)² for degree-1 operands aⱼ = (a0, a1), bⱼ = (b0, b1):
    with d0 = a0 - b0 and d1 = a1 - b1, the three tensor components
    Σ d0², 2·Σ d0·d1 and Σ d1².  Per prime and coefficient the loop runs

@@ -139,6 +139,21 @@ val mul_into : t -> t -> t -> unit
     [Eval] at the operands' level.  [dst] may alias [a] or [b] when the
     aliased operand is already [Eval]. *)
 
+type sum
+(** A running [Σₜ aₜ ⊙ bₜ] over one context and level, with each
+    product reduced lazily and each row once, when read. *)
+
+val sum_create : context -> nprimes:int -> sum
+(** The empty sum at [nprimes] primes. *)
+
+val sum_mul_add : sum -> t -> t -> unit
+(** Adds [a ⊙ b] (both Eval, at the sum's level).  Folding terms in
+    equals folding {!mul_add_into} into a zero accumulator.
+    @raise Invalid_argument on a mismatched context, level or domain. *)
+
+val sum_value : sum -> t
+(** The reduced sum so far, in [Eval]; the sum can take more terms. *)
+
 val sum_sq_diff : t array array -> t array array -> t array
 (** [sum_sq_diff a b], for degree-1 ciphertext components
     [a.(j) = [|a0; a1|]] and [b.(j) = [|b0; b1|]], is [Σⱼ (aⱼ - bⱼ)²]

@@ -156,25 +156,17 @@ let distance_level p ~return_level ~level ~bits =
   | Some lvl when lvl < level -> Some lvl
   | _ -> None
 
-(* Packed path, applied up front to the fresh query bound [q_bits]:
-   every later op's noise increment is level-independent, so truncating
-   the query reaches the same end-of-circuit bound with all the
-   per-batch work on the short chain.  The masked bound is d plain
-   products summed, the ED combine, then the mask. *)
-let packed_query_level p ~return_level ~d ~q_bits =
+(* Packed path: the level of the query ciphertexts, from the fresh
+   bound alone, so the client can encrypt there.  Every later op's
+   noise increment is level-independent, so a query at this level ends
+   the circuit at the same bound with all the per-batch work on the
+   short chain.  The masked bound is d plain products summed, the ED
+   combine, then the mask. *)
+let packed_query_level p ~return_level ~d =
+  let q_bits = fresh_noise_bits p in
   let ip = q_bits +. log2_n p +. p.t_bits -. 1.0 +. log2 (float_of_int (Stdlib.max 1 d)) in
   let ed = log2_add (log2_add q_bits (p.t_bits -. 1.0)) (ip +. 1.0) in
   level_for_need p ~return_level ~below:(chain_length p) ~need:(ed +. p.t_bits +. 17.0)
-
-(* Batch path, up front: d scalar products by coordinates below
-   2^[coord_bits], the ED combine, then the slot-wise mask (a plain
-   product and a plain add). *)
-let batch_query_level p ~return_level ~d ~coord_bits ~q_bits =
-  let ip = q_bits +. coord_bits +. log2 (float_of_int (Stdlib.max 1 d)) +. 1.0 in
-  let ed = log2_add (log2_add q_bits (p.t_bits -. 1.0)) ip in
-  let masked = ed +. log2_n p +. p.t_bits -. 1.0 in
-  let masked = log2_add masked (p.t_bits -. 1.0) in
-  level_for_need p ~return_level ~below:(chain_length p) ~need:(masked +. 17.0)
 
 (* ------------------------------------------------------------------ *)
 (* Forecast traces                                                     *)

@@ -96,13 +96,10 @@ val distance_level : params -> return_level:int -> level:int -> bits:float -> in
 (** Prepared path, per point: the level for a distance at [level] with
     noise [bits] before its affine mask; [Some] only when below [level]. *)
 
-val packed_query_level : params -> return_level:int -> d:int -> q_bits:float -> int option
-(** Packed path, applied up front to the query ciphertexts (noise
-    [q_bits]); [None] means no level clears the bound. *)
-
-val batch_query_level :
-  params -> return_level:int -> d:int -> coord_bits:float -> q_bits:float -> int option
-(** Batch path, up front; coordinates are bounded by [2^coord_bits]. *)
+val packed_query_level : params -> return_level:int -> d:int -> int option
+(** Packed paths: the level of the query ciphertexts, from the fresh
+    bound alone — public, so the client encrypts there and Party A
+    embeds its columns there; [None] means no level clears the bound. *)
 
 (** {1 Forecast traces} *)
 

@@ -638,6 +638,53 @@ let test_add_const_matches_add_plain () =
         [ 0L; 17L; -5L; Int64.pred tp; tp; 123456789012L ])
     [ fresh; switched ]
 
+(* Σⱼ rowⱼ ⊙ ptⱼ over embeddings built once and shared by every row
+   equals each row's mul_plain-then-add fold byte for byte, and for one
+   row the ledger too; an embedding built higher serves a lower level
+   unchanged. *)
+let test_mul_plain_sums_matches_fold () =
+  List.iter
+    (fun level ->
+      List.iter
+        (fun d ->
+          let rows = Array.init 3 (fun r -> Array.init d (fun j -> enc_at ~level (300 + (50 * r) + j))) in
+          let pts = Array.init d (fun j -> Plaintext.of_slots params (random_slots (400 + j))) in
+          let msg = Printf.sprintf "d=%d L%d" d level in
+          let fold ?counters row =
+            let acc = ref (Bgv.mul_plain ?counters row.(0) pts.(0)) in
+            for j = 1 to d - 1 do
+              acc := Bgv.add ?counters !acc (Bgv.mul_plain ?counters row.(j) pts.(j))
+            done;
+            !acc
+          in
+          let calls = ref 0 in
+          let fused =
+            Bgv.mul_plain_sums rows (fun j ->
+                incr calls;
+                Bgv.embed ~level:chain pts.(j))
+          in
+          Alcotest.(check int) (msg ^ ": one embedding per term") d !calls;
+          Array.iteri (fun r row -> check_bytes (Printf.sprintf "%s row %d" msg r) (fold row) fused.(r)) rows;
+          let c_fused = Util.Counters.create () and c_seq = Util.Counters.create () in
+          let one =
+            Bgv.mul_plain_sums ~counters:c_fused [| rows.(0) |] (fun j ->
+                Bgv.embed ~counters:c_fused ~level pts.(j))
+          in
+          check_bytes (msg ^ ": one row") (fold ~counters:c_seq rows.(0)) one.(0);
+          Alcotest.(check bool) (msg ^ ": ledger") true (Util.Counters.equal_ledger c_seq c_fused);
+          let norm = Plaintext.of_slots params (random_slots 500) in
+          check_bytes (msg ^ ": add_embedded") (Bgv.add_plain one.(0) norm)
+            (Bgv.add_embedded one.(0) (Bgv.embed ~level:chain norm)))
+        [ 1; 3; 32 ])
+    [ chain; 2 ];
+  let e = Bgv.embed ~level:2 (Plaintext.of_slots params (random_slots 501)) in
+  Alcotest.check_raises "above the embedding"
+    (Invalid_argument "Bgv.mul_plain_sums: ciphertext above the embedding")
+    (fun () -> ignore (Bgv.mul_plain_sums [| [| enc_at ~level:3 502 |] |] (fun _ -> e)));
+  Alcotest.check_raises "switched factor"
+    (Invalid_argument "Bgv.add_embedded: ciphertext carries a modulus-switch factor")
+    (fun () -> ignore (Bgv.add_embedded (Bgv.modswitch (enc_at ~level:3 503)) e))
+
 let test_mul_sum_relinearises_once () =
   let a = Array.init 8 (fun j -> enc (random_slots (80 + j))) in
   let b = Array.init 8 (fun j -> enc (random_slots (90 + j))) in
@@ -647,6 +694,18 @@ let test_mul_sum_relinearises_once () =
   Alcotest.(check int) "degree 1" 1 (Bgv.degree relin);
   Alcotest.(check int) "one key switch" 1 (Util.Counters.op_total c Util.Counters.Op_key_switch);
   check_slots "same plaintext as the unrelinearised sum" (dec plain) (dec relin)
+
+(* Encrypting at a level draws what a top-level encryption draws, and
+   residues are per prime: the result is that encryption truncated. *)
+let test_encrypt_at_level () =
+  let pt = Plaintext.of_slots params (random_slots 504) in
+  for level = 1 to chain do
+    let r = Rng.of_int (600 + level) in
+    let at = Bgv.encrypt ~level (Rng.copy r) keys.Bgv.pk pt in
+    check_bytes (Printf.sprintf "L%d" level)
+      (Bgv.truncate_to_level (Bgv.encrypt r keys.Bgv.pk pt) level)
+      at
+  done
 
 let test_modswitch () =
   let a = random_slots 21 in
@@ -696,11 +755,11 @@ let test_eval_poly () =
   List.iter
     (fun coeffs ->
       let expected = Array.map (horner coeffs) a in
-      let with_relin = Bgv.eval_poly ~rlk:keys.Bgv.rlk ~coeffs ct in
+      let with_relin = Bgv.eval_poly ~rlk:keys.Bgv.rlk ~lead_bits:8.0 ~coeffs ct in
       check_slots
         (Printf.sprintf "poly deg %d (relin)" (Array.length coeffs - 1))
         expected (dec with_relin);
-      let without = Bgv.eval_poly ~coeffs ct in
+      let without = Bgv.eval_poly ~lead_bits:8.0 ~coeffs ct in
       check_slots
         (Printf.sprintf "poly deg %d (no relin)" (Array.length coeffs - 1))
         expected (dec without))
@@ -746,7 +805,7 @@ let test_homomorphic_distance_pattern () =
         !s)
   in
   check_slots "packed squared distances" expected (dec dist_ct);
-  let masked = Bgv.eval_poly ~rlk:keys.Bgv.rlk ~coeffs:[| 3L; 7L; 2L |] dist_ct in
+  let masked = Bgv.eval_poly ~rlk:keys.Bgv.rlk ~lead_bits:8.0 ~coeffs:[| 3L; 7L; 2L |] dist_ct in
   let mask x = Mod64.add tp 3L (Mod64.add tp (Mod64.mul tp 7L x) (Mod64.mul tp 2L (Mod64.mul tp x x))) in
   check_slots "masked distances" (Array.map mask expected) (dec masked)
 
@@ -949,22 +1008,33 @@ let test_ct_serialisation_after_ops () =
   check_slots "product roundtrip" (map2 (Mod64.mul tp) a b) (dec ct');
   Alcotest.(check (float 0.001)) "noise metadata" (Bgv.noise_bits ct) (Bgv.noise_bits ct')
 
+(* Every decoder ends malformed input in its own typed exception, never
+   a bare Failure. *)
+let malformed decode bytes =
+  match decode bytes with
+  | () -> false
+  | exception Bgv.Malformed _ -> true
+
 let test_ct_serialisation_rejects_garbage () =
   let ct = enc (random_slots 33) in
-  let bytes = Bgv.ct_to_bytes ct in
-  let flipped = Bytes.copy bytes in
-  Bytes.set flipped 0 'X';
-  Alcotest.(check bool) "bad magic" true
-    (try ignore (Bgv.ct_of_bytes params flipped); false with Failure _ -> true);
-  let truncated = Bytes.sub bytes 0 (Bytes.length bytes - 7) in
-  Alcotest.(check bool) "truncated" true
-    (try ignore (Bgv.ct_of_bytes params truncated); false with Failure _ -> true);
-  let padded = Bytes.cat bytes (Bytes.make 3 '\000') in
-  Alcotest.(check bool) "trailing bytes" true
-    (try ignore (Bgv.ct_of_bytes params padded); false with Failure _ -> true);
   let other = Params.bench_small () in
-  Alcotest.(check bool) "wrong params" true
-    (try ignore (Bgv.ct_of_bytes other bytes); false with Failure _ -> true)
+  let pk = Bgv.pk_to_bytes keys.Bgv.pk and sk = Bgv.sk_to_bytes keys.Bgv.sk in
+  List.iter
+    (fun (what, bytes, decode, decode_other) ->
+      let flipped = Bytes.copy bytes in
+      Bytes.set flipped 0 'X';
+      Alcotest.(check bool) (what ^ ": bad magic") true (malformed decode flipped);
+      let truncated = Bytes.sub bytes 0 (Bytes.length bytes - 7) in
+      Alcotest.(check bool) (what ^ ": truncated") true (malformed decode truncated);
+      let padded = Bytes.cat bytes (Bytes.make 3 '\000') in
+      Alcotest.(check bool) (what ^ ": trailing bytes") true (malformed decode padded);
+      Alcotest.(check bool) (what ^ ": wrong params") true (malformed decode_other bytes))
+    [ ("ciphertext", Bgv.ct_to_bytes ct, (fun b -> ignore (Bgv.ct_of_bytes params b)),
+       fun b -> ignore (Bgv.ct_of_bytes other b));
+      ("public key", pk, (fun b -> ignore (Bgv.pk_of_bytes params b)),
+       fun b -> ignore (Bgv.pk_of_bytes other b));
+      ("secret key", sk, (fun b -> ignore (Bgv.sk_of_bytes params b)),
+       fun b -> ignore (Bgv.sk_of_bytes other b)) ]
 
 let test_key_serialisation () =
   let r = Rng.of_int 5555 in
@@ -1157,7 +1227,9 @@ let () =
            test_rescale_chain_matches_modswitch;
          Alcotest.test_case "add_const = add_plain constant" `Quick
            test_add_const_matches_add_plain;
-         Alcotest.test_case "mul_sum relinearises once" `Quick test_mul_sum_relinearises_once ]);
+         Alcotest.test_case "mul_sum relinearises once" `Quick test_mul_sum_relinearises_once;
+         Alcotest.test_case "mul_plain_sums = mul_plain fold" `Quick
+           test_mul_plain_sums_matches_fold ]);
       ("boundary kernels",
        [ Alcotest.test_case "encrypt = four-NTT reference" `Quick test_encrypt_matches_reference;
          Alcotest.test_case "rerandomize = reference + flood" `Quick
@@ -1167,6 +1239,7 @@ let () =
        [ Alcotest.test_case "modswitch" `Quick test_modswitch;
          Alcotest.test_case "modswitch reduces noise" `Quick test_modswitch_reduces_noise;
          Alcotest.test_case "truncate" `Quick test_truncate;
+         Alcotest.test_case "encrypt at level = truncate" `Quick test_encrypt_at_level;
          Alcotest.test_case "mixed levels" `Quick test_mixed_level_ops ]);
       ("galois",
        [ Alcotest.test_case "plaintext substitute" `Quick test_plaintext_substitute;

@@ -459,32 +459,39 @@ let test_packed_batch_shapes () =
 
 let test_packed_jobs_determinism () =
   (* Same scheduling-transparency contract as the other paths: identical
-     neighbours, views, transcripts and counters for every job count. *)
+     neighbours, views, transcripts and counters for every job count, on
+     a packed query and on a round of three. *)
   let db = small_db (Rng.of_int 413) in
-  let q = [| 10; 20; 30 |] in
-  let run jobs config =
-    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db in
-    Protocol.query_packed ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
-  in
+  let queries = [| [| 10; 20; 30 |]; [| 5; 5; 5 |]; [| 200; 1; 70 |] |] in
   let counters_s c = Format.asprintf "%a" Util.Counters.pp c in
   List.iter
-    (fun (name, config) ->
-      let r1 = run 1 config and r2 = run 2 config and r4 = run 4 config in
+    (fun (name, config, round) ->
+      let run jobs = round (Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db) in
+      let r1 = run 1 and r2 = run 2 and r4 = run 4 in
       List.iter
-        (fun (jn, r) ->
-          Alcotest.(check bool) (name ^ ": neighbours jobs 1=" ^ jn) true
-            (r1.Protocol.neighbours = r.Protocol.neighbours);
-          Alcotest.(check bool) (name ^ ": view jobs 1=" ^ jn) true
-            (r1.Protocol.view_b = r.Protocol.view_b);
-          Alcotest.(check int) (name ^ ": transcript bytes jobs 1=" ^ jn)
-            (Transcript.total_bytes r1.Protocol.transcript)
-            (Transcript.total_bytes r.Protocol.transcript);
-          Alcotest.(check string) (name ^ ": party A counters jobs 1=" ^ jn)
-            (counters_s r1.Protocol.counters_a) (counters_s r.Protocol.counters_a);
-          Alcotest.(check string) (name ^ ": party B counters jobs 1=" ^ jn)
-            (counters_s r1.Protocol.counters_b) (counters_s r.Protocol.counters_b))
+        (fun (jn, rs) ->
+          Array.iteri
+            (fun i (r : Protocol.result) ->
+              let x = r1.(i) in
+              let label what = Printf.sprintf "%s: %s %d jobs 1=%s" name what i jn in
+              Alcotest.(check bool) (label "neighbours") true
+                (x.Protocol.neighbours = r.Protocol.neighbours);
+              Alcotest.(check bool) (label "view") true (x.Protocol.view_b = r.Protocol.view_b);
+              Alcotest.(check int) (label "transcript bytes")
+                (Transcript.total_bytes x.Protocol.transcript)
+                (Transcript.total_bytes r.Protocol.transcript);
+              Alcotest.(check string) (label "party A counters")
+                (counters_s x.Protocol.counters_a) (counters_s r.Protocol.counters_a);
+              Alcotest.(check string) (label "party B counters")
+                (counters_s x.Protocol.counters_b) (counters_s r.Protocol.counters_b))
+            rs)
         [ ("2", r2); ("4", r4) ])
-    [ ("dot-product", Config.fast ()); ("per-coordinate+affine", affine_config ()) ]
+    [ ("dot-product", Config.fast (),
+       fun dep -> [| Protocol.query_packed ~rng:(Rng.of_int 1000) dep ~query:queries.(0) ~k:3 |]);
+      ("per-coordinate+affine", affine_config (),
+       fun dep -> [| Protocol.query_packed ~rng:(Rng.of_int 1000) dep ~query:queries.(0) ~k:3 |]);
+      ("batch of 3", affine_config (),
+       fun dep -> Protocol.query_batch ~rng:(Rng.of_int 1000) dep ~queries ~k:3) ]
 
 let test_packed_rejects_nonaffine () =
   (* Slot-wise masking is one plain product + one plain add per batch —
@@ -584,7 +591,7 @@ let test_packed_audit_surface () =
    | _ -> Alcotest.fail "groups not recorded as Ints")
 
 let test_query_batch () =
-  (* M queries ride the slot dimension of one protocol round.  Each
+  (* M packed queries share one protocol round and its Π.  Each
      result must be exact, and the batch's one extra declared leakage —
      the shared permutation, audited as batch-query-count — must be the
      only new Party B label (lockstep with sknn-lint.conf). *)
@@ -651,6 +658,16 @@ let test_batch_metric_surface () =
         (List.mem (Printf.sprintf "transcript.%s.bytes" link) batch))
     [ "party-A-party-B"; "party-A-client" ]
 
+(* What a party can read off a ciphertext besides its residues. *)
+let ct_meta ct =
+  let header = Bytes.sub (Bgv.ct_to_bytes ct) 0 40 in
+  ( Bgv.level ct,
+    Bgv.degree ct,
+    Bytes.get_int64_le header 20,
+    Int64.bits_of_float (Bgv.noise_bits ct),
+    Bgv.byte_size ct,
+    Bytes.to_string header )
+
 (* The messages block Return-kNN adds must carry public metadata only:
    two rounds with the same public shape (n, d, k, M) but different
    databases, queries and selections send B→A indicators and A→client
@@ -668,33 +685,16 @@ let test_block_message_metadata () =
     let cl = Protocol.client dep in
     let pp = Entities.Party_a.prepare_packed a ~db in
     let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
-    let perm, views =
-      if m = 1 then begin
-        let q = Entities.Client.encrypt_query_packed cl rng queries.(0) in
-        let s, masked = Entities.Party_a.compute_distances_packed a pp rng q in
-        ( Entities.Party_a.state_perm s,
-          [| Entities.Party_b.select_neighbours_packed b masked ~n ~k |] )
-      end
-      else begin
-        let bq = Entities.Client.encrypt_query_batch cl rng queries in
-        let s, masked = Entities.Party_a.compute_distances_batch a pp rng bq in
-        ( Entities.Party_a.batch_state_perm s,
-          Entities.Party_b.select_views_batch b masked ~m ~k )
-      end
+    let s, masked =
+      Entities.Party_a.compute_distances_packed a pp rng
+        (Array.map (Entities.Client.encrypt_query_packed cl rng) queries)
     in
+    let perm = Entities.Party_a.state_perm s in
+    let views = Array.map (fun m -> Entities.Party_b.select_neighbours_packed b m ~n ~k) masked in
     let per = Entities.points_per_block params ~d in
     let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
     let results = Entities.Party_a.return_blocks a pp ~perm rng indicators in
     (views, indicators, results)
-  in
-  let meta ct =
-    let header = Bytes.sub (Bgv.ct_to_bytes ct) 0 40 in
-    ( Bgv.level ct,
-      Bgv.degree ct,
-      Bytes.get_int64_le header 20,
-      Int64.bits_of_float (Bgv.noise_bits ct),
-      Bgv.byte_size ct,
-      Bytes.to_string header )
   in
   List.iter
     (fun (name, m) ->
@@ -708,12 +708,136 @@ let test_block_message_metadata () =
             (Array.length c2);
           Array.iteri
             (fun i c ->
-              if meta c <> meta c2.(i) then
+              if ct_meta c <> ct_meta c2.(i) then
                 Alcotest.failf "%s: %s ciphertext %d metadata differs (%a vs %a)" name what i
                   Bgv.pp_ct c Bgv.pp_ct c2.(i))
             c1)
         [ ("B->A indicator", i1, i2); ("A->client result", r1, r2) ])
     [ ("packed", 1); ("batch", 3) ]
+
+(* The masked distances A sends B carry public metadata only: rounds
+   with the same public shape (config, n, d, M) but different masks,
+   databases and queries give equal level, degree, factor, tracked
+   noise, size and header bytes, ciphertext for ciphertext, on every
+   path.  Before the mask was charged at its public width, the degree-2
+   plain mask's leading coefficient decided the level, and every affine
+   path's tracked noise carried the drawn slope. *)
+let test_masked_metadata_public () =
+  let n = 12 and d = 3 in
+  let round config path ~seed =
+    let rng = Rng.of_int seed in
+    let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
+    let dep = Protocol.deploy ~rng ~jobs:1 config ~db in
+    let a = Protocol.party_a dep and cl = Protocol.client dep in
+    let query () = Synthetic.query_like rng db in
+    match path with
+    | `Plain ->
+      snd (Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng (query ())))
+    | `Prepared ->
+      let p = Entities.Party_a.prepare a in
+      snd
+        (Entities.Party_a.compute_distances_prepared a p rng
+           (Entities.Client.encrypt_query_ip cl rng (query ())))
+    | `Packed m ->
+      let pp = Entities.Party_a.prepare_packed a ~db in
+      let qs = Array.init m (fun _ -> Entities.Client.encrypt_query_packed cl rng (query ())) in
+      Array.concat (Array.to_list (snd (Entities.Party_a.compute_distances_packed a pp rng qs)))
+  in
+  List.iter
+    (fun (name, config, path) ->
+      let reference = round config path ~seed:900 in
+      List.iter
+        (fun seed ->
+          let cts = round config path ~seed in
+          Alcotest.(check int) (name ^ ": count") (Array.length reference) (Array.length cts);
+          Array.iteri
+            (fun i c ->
+              if ct_meta c <> ct_meta reference.(i) then
+                Alcotest.failf "%s, seed %d: ciphertext %d metadata differs (%a vs %a)" name seed
+                  i Bgv.pp_ct c Bgv.pp_ct reference.(i))
+            cts)
+        [ 901; 902; 903; 904; 905 ])
+    [ ("plain, degree-2 mask", Config.standard (), `Plain);
+      ("plain, affine mask", Config.fast (), `Plain);
+      ("prepared", affine_config (), `Prepared);
+      ("packed", affine_config (), `Packed 1);
+      ("batch", affine_config (), `Packed 3) ]
+
+(* A round of one query through query_batch is query_packed: the same
+   transcript, ledgers, view and answer for the same RNG. *)
+let test_batch_of_one_is_packed () =
+  let db = small_db (Rng.of_int 441) in
+  let q = Synthetic.query_like (Rng.of_int 442) db in
+  let run f = f (Protocol.deploy ~rng:(Rng.of_int 443) ~jobs:1 (affine_config ()) ~db) in
+  let packed = run (fun dep -> Protocol.query_packed ~rng:(Rng.of_int 444) dep ~query:q ~k:3) in
+  let batch =
+    run (fun dep -> (Protocol.query_batch ~rng:(Rng.of_int 444) dep ~queries:[| q |] ~k:3).(0))
+  in
+  let entry (e : Transcript.entry) =
+    (e.Transcript.seq, e.Transcript.sender, e.Transcript.receiver, e.Transcript.label,
+     e.Transcript.bytes)
+  in
+  Alcotest.(check bool) "same transcript entries" true
+    (List.map entry (Transcript.entries packed.Protocol.transcript)
+     = List.map entry (Transcript.entries batch.Protocol.transcript));
+  List.iter
+    (fun (party, (c1 : Protocol.result -> Util.Counters.t)) ->
+      Alcotest.(check bool) (party ^ " ledger") true (Util.Counters.equal_ledger (c1 packed) (c1 batch)))
+    [ ("party A", fun r -> r.Protocol.counters_a);
+      ("party B", fun r -> r.Protocol.counters_b);
+      ("client", fun r -> r.Protocol.counters_client) ];
+  Alcotest.(check bool) "same view" true (packed.Protocol.view_b = batch.Protocol.view_b);
+  Alcotest.(check bool) "same answer" true (packed.Protocol.neighbours = batch.Protocol.neighbours)
+
+(* The client uploads at the public level.  A query that arrives above
+   it is truncated by A into byte-identical masked distances; one below
+   it, or one whose ciphertexts differ in level, is refused before any
+   product. *)
+let test_packed_upload_level () =
+  let config = affine_config () in
+  let params = config.Config.bgv in
+  let db = small_db (Rng.of_int 445) in
+  let d = Array.length db.(0) in
+  let owner = Entities.Data_owner.create (Rng.of_int 446) config in
+  let keys = Entities.Data_owner.keys owner in
+  let enc_db = Entities.Data_owner.encrypt_db ~jobs:1 (Rng.of_int 447) owner db in
+  let a = Entities.Party_a.create ~jobs:1 config keys.Bgv.pk keys.Bgv.rlk enc_db in
+  let cl = Entities.Client.create ~jobs:1 config keys.Bgv.sk keys.Bgv.pk in
+  let pp = Entities.Party_a.prepare_packed a ~db in
+  let q = Synthetic.query_like (Rng.of_int 448) db in
+  let encrypt ?norm_level level rng =
+    let enc level v = Bgv.encrypt ?level rng keys.Bgv.pk (Plaintext.constant params (Int64.of_int v)) in
+    let coords = Array.map (enc level) q in
+    let norm = Array.fold_left (fun s v -> s + (v * v)) 0 q in
+    { Entities.q_coords = Some coords;
+      q_rev = None;
+      q_norm = Some (enc (Option.value norm_level ~default:level) norm);
+      q_dim = d }
+  in
+  let ca = Entities.Party_a.counters a in
+  let distances query =
+    Util.Counters.reset ca;
+    Array.map Bgv.ct_to_bytes
+      (snd (Entities.Party_a.compute_distances_packed a pp (Rng.of_int 449) [| query |])).(0)
+  in
+  let public_q = Entities.Client.encrypt_query_packed cl (Rng.of_int 450) q in
+  let level = Bgv.level (Option.get public_q.Entities.q_norm) in
+  Alcotest.(check bool) "the public level drops primes" true (level < Params.chain_length params);
+  let public_bytes = distances public_q in
+  Alcotest.(check int) "no truncation" 0 (Util.Counters.op_total ca Util.Counters.Op_level_drop);
+  let top_bytes = distances (encrypt None (Rng.of_int 450)) in
+  Alcotest.(check int) "A truncates a top-level query" (d + 1)
+    (Util.Counters.op_total ca Util.Counters.Op_level_drop);
+  Alcotest.(check bool) "byte-identical masked distances" true (public_bytes = top_bytes);
+  List.iter
+    (fun (what, query) ->
+      match distances query with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ ->
+        Alcotest.(check int) (what ^ ": no product") 0
+          (Util.Counters.op_total ca Util.Counters.Op_mul_plain))
+    [ ("below the public level", encrypt (Some (level - 1)) (Rng.of_int 451));
+      ("mixed levels", encrypt ~norm_level:None (Some level) (Rng.of_int 452)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-path differential test on edge shapes                          *)
@@ -1085,17 +1209,26 @@ let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.re
         (Marshal.to_string (Clock.replay prof r.Protocol.transcript) []))
     Profile.presets
 
+(* Several queries per deployment, so that each draws its own mask: the
+   degree-2 mask's rescale decisions must not depend on the drawn
+   coefficients, small ones included. *)
 let test_cost_model_plain () =
-  let db = small_db (Rng.of_int 611) in
-  let n = Array.length db and d = Array.length db.(0) in
   let k = 4 in
   List.iter
-    (fun (name, config) ->
+    (fun (name, config, db, queries) ->
+      let n = Array.length db and d = Array.length db.(0) in
       let dep = Protocol.deploy ~rng:(Rng.of_int 612) config ~db in
-      let q = Synthetic.query_like (Rng.of_int 613) db in
-      let r = Protocol.query dep ~query:q ~k in
-      check_prediction name config ~n ~d ~k ~include_prepare:false CM.Plain r)
-    [ ("plain/standard", Config.standard ()); ("plain/fast", Config.fast ()) ]
+      let rng = Rng.of_int 613 in
+      for i = 1 to queries do
+        let q = Synthetic.query_like rng db in
+        let r = Protocol.query dep ~query:q ~k in
+        check_prediction (Printf.sprintf "%s query %d" name i) config ~n ~d ~k
+          ~include_prepare:false CM.Plain r
+      done)
+    [ ("plain/standard", Config.standard (), small_db (Rng.of_int 611), 6);
+      ("plain/fast", Config.fast (), small_db (Rng.of_int 611), 2);
+      ("plain/standard 64x32", Config.standard (),
+       Synthetic.uniform (Rng.of_int 7) ~n:64 ~d:32 ~max_value:255, 3) ]
 
 let test_cost_model_prepared () =
   let db = small_db (Rng.of_int 621) in
@@ -1174,6 +1307,27 @@ let test_cost_model_batch () =
       round "first" ~include_prepare:true;
       round "steady" ~include_prepare:false)
     [ 3; Params.slot_count config.Config.bgv ]
+
+(* Batch 1 is the packed walk: one query under one Π. *)
+let test_cost_model_batch_of_one () =
+  let config = affine_config () in
+  List.iter
+    (fun include_prepare ->
+      let predict path = Attribution.predict ~include_prepare config ~n:40 ~d:3 ~k:3 path in
+      let packed = predict CM.Packed and batch = predict (CM.Batch 1) in
+      let name = if include_prepare then "first" else "steady" in
+      check_ledger (name ^ " / party-a") packed.CM.party_a batch.CM.party_a;
+      check_ledger (name ^ " / party-b") packed.CM.party_b batch.CM.party_b;
+      check_ledger (name ^ " / client") packed.CM.client batch.CM.client;
+      let entries tr =
+        List.map
+          (fun (e : Transcript.entry) -> (e.Transcript.label, e.Transcript.bytes))
+          (Transcript.entries tr)
+      in
+      Alcotest.(check bool) (name ^ ": transcript") true
+        (entries packed.CM.transcript = entries batch.CM.transcript);
+      Alcotest.(check bool) (name ^ ": noise report") true (packed.CM.noise = batch.CM.noise))
+    [ true; false ]
 
 let test_predict_end_to_end_consistency () =
   (* predict_end_to_end = priced compute + replayed symbolic wire; with
@@ -1284,7 +1438,9 @@ let () =
          Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch;
          Alcotest.test_case "batch metric surface" `Quick test_batch_metric_surface;
          Alcotest.test_case "block message metadata is public" `Quick
-           test_block_message_metadata ]);
+           test_block_message_metadata;
+         Alcotest.test_case "batch of one is a packed query" `Quick test_batch_of_one_is_packed;
+         Alcotest.test_case "query upload level" `Quick test_packed_upload_level ]);
       ("faults",
        [ Alcotest.test_case "short chains, every path" `Quick test_short_chains_every_path;
          Alcotest.test_case "short chains, per-coordinate plain" `Quick
@@ -1295,7 +1451,8 @@ let () =
          Alcotest.test_case "database independence" `Quick test_leakage_view_database_independent;
          Alcotest.test_case "fresh mask per query" `Quick test_leakage_fresh_mask_across_queries;
          Alcotest.test_case "permutation plumbing" `Quick test_permutation_hides_indices;
-         Alcotest.test_case "audit channel" `Quick test_leakage_audit_channel ]);
+         Alcotest.test_case "audit channel" `Quick test_leakage_audit_channel;
+         Alcotest.test_case "masked metadata is public" `Quick test_masked_metadata_public ]);
       ("cost",
        [ Alcotest.test_case "measured vs predicted" `Quick test_cost_measured_vs_predicted;
          Alcotest.test_case "ours beats yousef" `Quick test_cost_ours_beats_yousef;
@@ -1304,6 +1461,7 @@ let () =
          Alcotest.test_case "ledger exact (relinearised)" `Quick test_cost_model_relin;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
+         Alcotest.test_case "batch of one = packed" `Quick test_cost_model_batch_of_one;
          Alcotest.test_case "end-to-end prediction consistent" `Quick
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick

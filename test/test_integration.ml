@@ -166,9 +166,9 @@ let test_packed_over_the_wire () =
   let q = Synthetic.query_like rng db in
   let state, masked =
     Entities.Party_a.compute_distances_packed a pp rng
-      (Entities.Client.encrypt_query_packed cl rng q)
+      [| Entities.Client.encrypt_query_packed cl rng q |]
   in
-  let view = Entities.Party_b.select_neighbours_packed b (Array.map wire masked) ~n ~k in
+  let view = Entities.Party_b.select_neighbours_packed b (Array.map wire masked.(0)) ~n ~k in
   let per = Entities.points_per_block params ~d in
   let indicators = Entities.Party_b.block_indicators b rng [| view |] ~n ~per in
   let blocks =

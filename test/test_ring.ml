@@ -302,6 +302,30 @@ let test_sum_sq_diff_matches_mul_add () =
       (big_ctx, big_moduli, [ 1; 7 ]);
       (small_ctx, small_moduli, [ 3; 5000 ]) ]
 
+(* The running sum equals folding mul_add_into, on the lazy path, on
+   primes off Barrett's fast path, and across an in-place reduction
+   (5000 terms pass the lazy bound of the 10-bit primes). *)
+let test_sum_matches_mul_add () =
+  List.iter
+    (fun (c, moduli, terms) ->
+      let k = Array.length moduli in
+      List.iter
+        (fun m ->
+          let acc = Rq.zero c ~nprimes:k Rq.Eval and sum = Rq.sum_create c ~nprimes:k in
+          for j = 0 to m - 1 do
+            let a = edge_rq c moduli ~seed:(5000 + j) Rq.Eval in
+            let b = edge_rq c moduli ~seed:(7000 + j) Rq.Eval in
+            Rq.mul_add_into acc a b;
+            Rq.sum_mul_add sum a b
+          done;
+          check_eq (Printf.sprintf "%d-prime chain (p0 = %d), m = %d" k moduli.(0) m) acc
+            (Rq.sum_value sum))
+        terms)
+    [ (ctx, moduli, [ 1; 5; 40 ]);
+      (wide_ctx, wide_moduli, [ 1; 32 ]);
+      (big_ctx, big_moduli, [ 1; 7 ]);
+      (small_ctx, small_moduli, [ 3; 5000 ]) ]
+
 (* One modulus-switch step per drop, as the BGV layer computed it
    before the kernel moved into the ring: Coeff-domain residues,
    w = c·t⁻¹ mod q centered, c_i <- (c_i - t·w)·q⁻¹ mod p_i. *)
@@ -591,6 +615,7 @@ let () =
          Alcotest.test_case "residue kernels = naive mod" `Quick test_residue_kernels_naive;
          Alcotest.test_case "sum_sq_diff = mul_add_into of subs" `Quick
            test_sum_sq_diff_matches_mul_add;
+         Alcotest.test_case "sum = mul_add_into fold" `Quick test_sum_matches_mul_add;
          Alcotest.test_case "switch_down = naive mod" `Quick test_switch_down_naive ]);
       ("boundary",
        [ Alcotest.test_case "decode mod t = Crt lift + erem" `Quick test_decode_matches_zint;
