@@ -8,15 +8,15 @@
 
      predicted_time = sum over cells of count * unit_cost.
 
-   Measurements use the same adaptive-repetition loop as Kernel_bench
+   Measurements grow their repetition count the way Kernel_bench does
    (not shared: Kernel_bench is the library's main module, so it cannot
-   be a dependency of this one).  The NTT census rows (ntt_fwd/ntt_inv)
-   hold one whole-polynomial pass at each level, and every composite
-   op's cell is net of its own census: its measured time minus the
-   passes one counted call of it records, priced from those rows.  So
-   each pass is priced once, by the census, and a rescale chain that
-   drops j primes in one round trip is priced as such, not as j single
-   switches. *)
+   be a dependency of this one), then take the median of five windows.
+   The NTT census rows (ntt_fwd/ntt_inv) hold one whole-polynomial pass
+   at each level, and every composite op's cell is net of its own
+   census: its measured time minus the passes one counted call of it
+   records, priced from those rows.  So each pass is priced once, by
+   the census, and a rescale chain that drops j primes with one pair of
+   passes per component is priced as such, not as j single switches. *)
 
 module C = Util.Counters
 module Json = Util.Json
@@ -25,26 +25,40 @@ module Json = Util.Json
    level axis holds the level-free slot ops. *)
 type t = float array array
 
-(* Grow the repetition count until the timed loop runs for [target]
-   seconds, then report the mean; two untimed calls warm the code and
-   working set first. *)
+(* Five windows of [target]/5 seconds each, and the median of their
+   per-call means, so one slow window (a preemption on a shared host)
+   does not set the cell.  Drift between runs minutes apart is not
+   removed this way.  The repetition count grows until one window fills
+   its share, and that window is the first sample; two untimed calls
+   warm the code and working set first. *)
+let windows = 5
+
 let seconds ~target f =
   f ();
   f ();
-  let rec go reps =
+  let window = target /. float_of_int windows in
+  let timed reps =
     let t0 = Util.Timer.now () in
     for _ = 1 to reps do
       f ()
     done;
-    let elapsed = Util.Timer.now () -. t0 in
-    if elapsed >= target || reps >= 100_000_000 then elapsed /. float_of_int reps
-    else go (reps * 4)
+    Util.Timer.now () -. t0
   in
-  go 1
+  let rec grow reps =
+    let elapsed = timed reps in
+    if elapsed >= window || reps >= 100_000_000 then (reps, elapsed) else grow (reps * 4)
+  in
+  let reps, first = grow 1 in
+  let per_call = Array.make windows (first /. float_of_int reps) in
+  for w = 1 to windows - 1 do
+    per_call.(w) <- timed reps /. float_of_int reps
+  done;
+  Array.sort Float.compare per_call;
+  per_call.(windows / 2)
 
-(* Measurement window per op.  Quick mode keeps a full-chain calibration
-   under a couple of seconds for CI; the default gives ~1% stable means
-   on a quiet machine. *)
+(* Measurement budget per op, split into [windows].  Quick mode keeps a
+   full-chain calibration under a couple of seconds for CI; the default
+   gives ~1% stable cells on a quiet machine. *)
 let target ~quick = if quick then 0.01 else 0.1
 
 let measure ?(quick = false) ?rng (params : Params.t) : t =
@@ -165,10 +179,13 @@ let pp ppf (costs : t) =
    usable — unit costs drift with the code and the host, not with the
    inputs — so mismatches produce warnings, not misses. *)
 
-(* Version 2: the census rows are measured and every composite op's cell
-   is net of its own census; version-1 tables priced composites gross,
-   so they are misses, not stale hits. *)
-let cache_version = 2
+(* Version 3: a rescale chain's inverse census cell sits at its drop
+   count (only the dropped primes leave the evaluation domain), so a
+   modswitch cell is priced net of an inverse pass over one prime, and
+   each cell is the median of five windows.  Version 2 priced it net of
+   a pass over the whole source level, and version 1 priced composites
+   gross, so both are misses, not stale hits. *)
+let cache_version = 3
 
 (* The environment the table was measured in.  kernel_bench has no unix
    dependency, so the revision comes from the git CLI via a temp file;

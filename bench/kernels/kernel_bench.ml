@@ -88,9 +88,15 @@ let mul_sum_suite ~target rng ~d =
       reps } ]
 
 (* Algorithm 1's per-point distance kernels at the standard preset's
-   shape (N = 64, 10 × 30-bit primes): the fused square-sum over d = 32
-   coordinate pairs, beside bgv-mul-sum-d32's plain inner product, and
-   the degree-2 rescale chain from L10 to L7 that follows it. *)
+   shape (N = 64, 10 × 30-bit primes):
+   - the fused square-sum over d = 32 coordinate pairs, beside
+     bgv-mul-sum-d32's plain inner product, on one hot pair of arrays;
+   - the same against one query, cycling over a fig3-shaped database
+     of 429 points (~140 MB, one point per call), so each point's rows
+     come from memory as they do in a query.  A hot pair cannot show
+     the square-sum's loop order; this row can (DESIGN §3a.11);
+   - the degree-2 rescale chain from L10 to L7 that follows it, and the
+     degree-2 mask's 5-component chain from L7 to L4. *)
 let distance_suite ~target rng =
   let params =
     Params.create ~name:"kernel-standard" ~n:64 ~plain_bits:50 ~prime_bits:30 ~chain_len:10 ()
@@ -99,13 +105,22 @@ let distance_suite ~target rng =
   let enc v = Bgv.encrypt rng keys.Bgv.pk (Plaintext.constant params (Int64.of_int v)) in
   let a = Array.init 32 (fun i -> enc (i + 1)) in
   let b = Array.init 32 (fun i -> enc (2 * i)) in
+  let points = Array.init 429 (fun p -> Array.init 32 (fun i -> enc ((p + i) land 255))) in
+  let next = ref 0 in
   let sum = Bgv.sum_sq_diff a b in
+  let dist = Bgv.rescale_to_floor sum in
+  (* a2·x² + a1·x before its rescale, as Bgv.eval_poly forms it. *)
+  let masked = Bgv.mul ~rescale:false (Bgv.add_const (Bgv.mul_scalar dist 255L) 7L) dist in
   let bench name f =
     let ns, reps = measure ~target f in
     { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }
   in
   [ bench "bgv-sum-sq-diff-d32" (fun () -> ignore (Bgv.sum_sq_diff a b));
-    bench "bgv-rescale-chain" (fun () -> ignore (Bgv.rescale_to_floor sum)) ]
+    bench "bgv-sum-sq-diff-d32-n429" (fun () ->
+        ignore (Bgv.sum_sq_diff points.(!next) b);
+        next := (!next + 1) mod Array.length points);
+    bench "bgv-rescale-chain" (fun () -> ignore (Bgv.rescale_to_floor sum));
+    bench "bgv-rescale-chain-deg4" (fun () -> ignore (Bgv.rescale_to_floor masked)) ]
 
 (* BGV's plaintext boundary at the standard preset's shape (N = 64,
    10 × 30-bit primes, 50-bit t): encryption at the full chain and at
@@ -170,10 +185,10 @@ let run ?(quick = false) () =
   @ slot_suite ~target rng
 
 let pp_results ppf results =
-  Format.fprintf ppf "%-20s %8s %6s %14s %10s@." "kernel" "n" "bits" "ns/op" "reps";
+  Format.fprintf ppf "%-24s %8s %6s %14s %10s@." "kernel" "n" "bits" "ns/op" "reps";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-20s %8d %6d %14.1f %10d@." r.name r.ring_n r.prime_bits
+      Format.fprintf ppf "%-24s %8d %6d %14.1f %10d@." r.name r.ring_n r.prime_bits
         r.ns_per_op r.reps)
     results
 

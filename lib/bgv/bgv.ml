@@ -408,10 +408,11 @@ let mul_scalar ?counters ct v =
 
 (* [drops] modulus switches as one Rq.switch_down per component.  The
    ledger keeps one modswitch cell per prime dropped; the NTT census is
-   one round trip per component for the whole chain: an inverse pass
-   at the source level (when the component is not already Coeff) and a
-   forward pass at the target level.  Factor and noise bound step
-   exactly as single switches would. *)
+   one pair of passes per component for the whole chain: an inverse
+   pass over the [drops] dropped primes (when the component is not
+   already Coeff), recorded at level [drops], and a forward pass at the
+   target level.  Factor and noise bound step exactly as single
+   switches would. *)
 let switch_down ?counters ct ~drops =
   let k = level ct in
   let moduli = ct.params.Params.moduli in
@@ -423,7 +424,7 @@ let switch_down ?counters ct ~drops =
     factor := Mod64.mul t !factor (Mod64.inv t (Mod64.reduce t drop));
     st := NM.modswitch (nm ct) !st
   done;
-  Array.iter (fun c -> record_inv_census counters c ~level:k) ct.comps;
+  Array.iter (fun c -> record_inv_census counters c ~level:drops) ct.comps;
   record_op_n counters Counters.Op_ntt_fwd ~level:(k - drops) (Array.length ct.comps);
   { ct with
     comps = Array.map (fun c -> Rq.switch_down c ~drops) ct.comps;

@@ -210,9 +210,10 @@ val rescale_to_floor : ?counters:Util.Counters.t -> ct -> ct
     is decided first on the tracked bound; the [j] switches then run as
     one {!Rq.switch_down} chain per component, equal byte for byte to
     [j] calls of {!modswitch}.  The ledger records [j]
-    {!Util.Counters.Op_modswitch} cells, but only one NTT round trip
-    per component: [degree+1] inverse passes at the source level and
-    [degree+1] forward passes at the target level. *)
+    {!Util.Counters.Op_modswitch} cells, but only one pair of NTT
+    passes per component: [degree+1] inverse passes over the [j]
+    dropped primes (cells at level [j]) and [degree+1] forward passes
+    at the target level. *)
 
 val truncate_to_level : ?counters:Util.Counters.t -> ct -> int -> ct
 (** Cheap level alignment: drop RNS components without rescaling (valid

@@ -135,9 +135,10 @@ let mul_scalar c st ~bits =
   NM.mul_scalar st ~bits
 
 (* Bgv.rescale_to_floor: one modswitch cell per prime dropped, and one
-   NTT round trip per component for the whole chain.  Every component
-   is Eval (the scheme's invariant), so each pays the inverse pass at
-   the source level and a forward pass at the target level. *)
+   pair of NTT passes per component for the whole chain.  Every
+   component is Eval (the scheme's invariant), so each pays an inverse
+   pass over the dropped primes (a cell at level j for j drops) and a
+   forward pass at the target level. *)
 let rescale_to_floor p c (st : NM.state) =
   let switch nm (st : NM.state) =
     record_op c C.Op_modswitch ~level:st.NM.level;
@@ -145,7 +146,7 @@ let rescale_to_floor p c (st : NM.state) =
   in
   let out = NM.rescale_to_floor ~switch p.nm st in
   if out.NM.level < st.NM.level then begin
-    record_op ~n:(st.NM.degree + 1) c C.Op_ntt_inv ~level:st.NM.level;
+    record_op ~n:(st.NM.degree + 1) c C.Op_ntt_inv ~level:(st.NM.level - out.NM.level);
     record_op ~n:(st.NM.degree + 1) c C.Op_ntt_fwd ~level:out.NM.level
   end;
   out

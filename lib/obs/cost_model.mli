@@ -106,7 +106,8 @@ val predict_seconds : unit_costs:unit_costs -> Util.Counters.t -> float
 (** [Σ count × unit_cost] over every cell of the ledger, the NTT census
     included: composite ops are priced net of their own passes, so the
     census adds each pass exactly once (a rescale chain of j switches
-    is j divide-and-round steps plus one round trip). *)
+    is j divide-and-round steps, an inverse pass over the j dropped
+    primes and a forward pass at the target level). *)
 
 (** {1 Comms-aware end-to-end time} *)
 

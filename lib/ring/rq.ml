@@ -8,8 +8,17 @@ type domain = Coeff | Eval
 type switch_step = {
   drop : int;
   t_inv_drop : Shoup.t;     (* t^-1 mod drop *)
-  t_mod : Shoup.t array;    (* t mod p_i, for each kept prime i < k - 1 *)
-  drop_inv : Shoup.t array; (* drop^-1 mod p_i *)
+  drop_inv : Shoup.t array; (* drop^-1 mod p_i, for each prime i < k - 1 *)
+}
+
+(* The constants that fold a whole chain down to level [target] into
+   its kept primes i < target, indexed by the last prime l >= target
+   the chain drops: with P = p_target⋯p_l,
+   fold_t.(l - target).(i) = t·P^-1 mod p_i and
+   fold_q.(l - target).(i) = P^-1 mod p_i. *)
+type switch_fold = {
+  fold_t : Shoup.t array array;
+  fold_q : Shoup.t array array;
 }
 
 (* The constants of the exact decode of [x]_Q mod t: Garner's
@@ -30,6 +39,7 @@ type context = {
   tables : Ntt.table array;
   bases : Crt.basis array; (* bases.(i): basis of the first i+1 primes *)
   steps : switch_step array; (* steps.(k-2): the switch from level k *)
+  folds : switch_fold array; (* folds.(target-1): chains ending at level target *)
   t_mod : Shoup.t array; (* t mod p_i, for every chain prime *)
   garner : garner;
 }
@@ -55,11 +65,39 @@ let switch_steps ~t moduli =
       if t_drop = 0 then invalid_arg "Rq.context: t is not invertible mod a chain prime";
       { drop;
         t_inv_drop = Shoup.of_int ~p:drop (inverse drop t_drop);
-        t_mod = Array.init kept (fun i -> Shoup.of_int ~p:moduli.(i) (residue moduli.(i) t));
         drop_inv =
           Array.init kept (fun i ->
               let p = moduli.(i) in
               Shoup.of_int ~p (inverse p (residue p (Int64.of_int drop)))) })
+
+(* The same way, through Mod64's exact products: P^-1 mod p_i as the
+   running product over l, then t times it. *)
+let switch_folds ~t moduli =
+  let chain = Array.length moduli in
+  Array.init
+    (chain - 1)
+    (fun s ->
+      let target = s + 1 in
+      (* inv.(r).(i) = (p_target⋯p_{target+r})^-1 mod p_i *)
+      let inv = Array.make_matrix (chain - target) target 0L in
+      for i = 0 to target - 1 do
+        let p64 = Int64.of_int moduli.(i) in
+        let acc = ref 1L in
+        for r = 0 to chain - target - 1 do
+          let q = Mod64.reduce p64 (Int64.of_int moduli.(target + r)) in
+          acc := Mod64.mul p64 !acc (Mod64.inv p64 q);
+          inv.(r).(i) <- !acc
+        done
+      done;
+      let shoup f =
+        Array.map
+          (Array.mapi (fun i x ->
+               let p64 = Int64.of_int moduli.(i) in
+               Shoup.of_int ~p:moduli.(i) (Int64.to_int (f p64 x))))
+          inv
+      in
+      { fold_t = shoup (fun p64 x -> Mod64.mul p64 (Mod64.reduce p64 t) x);
+        fold_q = shoup (fun _ x -> x) })
 
 (* floor (c · 2^31 / t) for 0 <= c < t < 2^61: 31 steps of binary long
    division (2r < 2^62 never overflows), so no hardware divide.  The
@@ -123,6 +161,7 @@ let context ~n ~moduli ~t =
   in
   let ti = Int64.to_int t in
   { n; moduli = Array.copy moduli; tables; bases; steps = switch_steps ~t moduli;
+    folds = switch_folds ~t moduli;
     t_mod =
       Array.map (fun p -> Shoup.of_int ~p (Int64.to_int (Mod64.reduce (Int64.of_int p) t))) moduli;
     garner = garner_table ~t:ti moduli }
@@ -499,14 +538,48 @@ let sum_value s =
   in
   { ctx = s.s_ctx; domain = Eval; comps }
 
+(* Two terms of Σ (a - b)² added into one prime's three sum rows
+   o0 += d0², o1 += d0·d1, o2 += d1², with (d0, d1) = (x0 - y0, x1 - y1)
+   and (e0, e1) = (u0 - v0, u1 - v1): each product Barrett-reduced only
+   to [0, 3p) and added unreduced. *)
+let add_sq_diff2 br o0 o1 o2 x0 x1 y0 y1 u0 u1 v0 v1 =
+  let p = br.Barrett.p and mu = br.Barrett.mu in
+  let sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+  for j = 0 to Array.length o0 - 1 do
+    let d0 = Array.unsafe_get x0 j - Array.unsafe_get y0 j in
+    let d0 = d0 + (p land (d0 asr 62)) in
+    let d1 = Array.unsafe_get x1 j - Array.unsafe_get y1 j in
+    let d1 = d1 + (p land (d1 asr 62)) in
+    let e0 = Array.unsafe_get u0 j - Array.unsafe_get v0 j in
+    let e0 = e0 + (p land (e0 asr 62)) in
+    let e1 = Array.unsafe_get u1 j - Array.unsafe_get v1 j in
+    let e1 = e1 + (p land (e1 asr 62)) in
+    let v = d0 * d0 and w = e0 * e0 in
+    Array.unsafe_set o0 j
+      (Array.unsafe_get o0 j + v - ((((v lsr sh1) * mu) lsr sh2) * p) + w
+       - ((((w lsr sh1) * mu) lsr sh2) * p));
+    let v = d0 * d1 and w = e0 * e1 in
+    Array.unsafe_set o1 j
+      (Array.unsafe_get o1 j + v - ((((v lsr sh1) * mu) lsr sh2) * p) + w
+       - ((((w lsr sh1) * mu) lsr sh2) * p));
+    let v = d1 * d1 and w = e1 * e1 in
+    Array.unsafe_set o2 j
+      (Array.unsafe_get o2 j + v - ((((v lsr sh1) * mu) lsr sh2) * p) + w
+       - ((((w lsr sh1) * mu) lsr sh2) * p))
+  done
+
 (* Σⱼ (aⱼ - bⱼ)² for degree-1 operands aⱼ = (a0, a1), bⱼ = (b0, b1):
    with d0 = a0 - b0 and d1 = a1 - b1, the three tensor components
-   Σ d0², 2·Σ d0·d1 and Σ d1².  Per prime and coefficient the loop runs
-   over the terms with the differences and the three sums in
-   registers.  Each product is Barrett-reduced only to [0, 3p) and
-   summed unreduced; the sums stay below 3·m·p <= 2^(2b) for b = bits
-   p, where one Barrett step plus two corrections is exact, so each is
-   reduced once, after the last term. *)
+   Σ d0², 2·Σ d0·d1 and Σ d1².  Per prime, the three sums accumulate in
+   the output rows, which stay in L1, and the terms stream through
+   them two at a time: each residue row is read once, in order.  A
+   coefficient-outer loop with the sums in registers instead revisits
+   every term's row at each coefficient; over a database streamed once
+   per query it ran 1.6–2× slower (DESIGN §3a.11).  Each product is
+   Barrett-reduced only to [0, 3p) and summed unreduced; the sums stay
+   below 3·m·p <= 2^(2b) for b = bits p, where one Barrett step plus
+   two corrections is exact, so each row is reduced once, after the
+   last term. *)
 let sum_sq_diff a b =
   let m = Array.length a in
   if m = 0 || Array.length b <> m then invalid_arg "Rq.sum_sq_diff: empty or mismatched inputs";
@@ -524,58 +597,38 @@ let sum_sq_diff a b =
   let ctx = x.ctx and n = x.ctx.n and k = Array.length x.comps in
   let out () = Array.init k (fun _ -> Array.make n 0) in
   let s0 = out () and s1 = out () and s2 = out () in
-  (* Row gathers, refilled per prime: x0.(t) is a.(t).(0)'s residues
-     at that prime, and so on. *)
-  let x0 = Array.make m [||] and x1 = Array.make m [||] in
-  let y0 = Array.make m [||] and y1 = Array.make m [||] in
   for i = 0 to k - 1 do
-    for t = 0 to m - 1 do
-      x0.(t) <- a.(t).(0).comps.(i);
-      x1.(t) <- a.(t).(1).comps.(i);
-      y0.(t) <- b.(t).(0).comps.(i);
-      y1.(t) <- b.(t).(1).comps.(i)
-    done;
     let br = Ntt.barrett ctx.tables.(i) in
     let p = br.Barrett.p in
     let o0 = s0.(i) and o1 = s1.(i) and o2 = s2.(i) in
+    let row v t c = v.(t).(c).comps.(i) in
     if br.Barrett.fast && 3 * m <= 1 lsl (br.Barrett.s1 + 1) then begin
-      let mu = br.Barrett.mu and sh1 = br.Barrett.s1 and sh2 = br.Barrett.s2 in
+      (* An odd count pairs its first term with a zero difference: the
+         term's own rows against themselves. *)
+      let first = m land 1 in
+      if first = 1 then begin
+        let x0 = row a 0 0 and x1 = row a 0 1 in
+        add_sq_diff2 br o0 o1 o2 x0 x1 (row b 0 0) (row b 0 1) x0 x1 x0 x1
+      end;
+      for h = 0 to (m lsr 1) - 1 do
+        let t = first + (2 * h) in
+        add_sq_diff2 br o0 o1 o2 (row a t 0) (row a t 1) (row b t 0) (row b t 1)
+          (row a (t + 1) 0) (row a (t + 1) 1) (row b (t + 1) 0) (row b (t + 1) 1)
+      done;
+      reduce_row br o0;
+      reduce_row br o1;
+      reduce_row br o2;
       for j = 0 to n - 1 do
-        let acc0 = ref 0 and acc1 = ref 0 and acc2 = ref 0 in
-        for t = 0 to m - 1 do
-          let ra = Array.unsafe_get x0 t and rb = Array.unsafe_get y0 t in
-          let d0 = Array.unsafe_get ra j - Array.unsafe_get rb j in
-          let d0 = d0 + (p land (d0 asr 62)) in
-          let ra = Array.unsafe_get x1 t and rb = Array.unsafe_get y1 t in
-          let d1 = Array.unsafe_get ra j - Array.unsafe_get rb j in
-          let d1 = d1 + (p land (d1 asr 62)) in
-          let v = d0 * d0 in
-          acc0 := !acc0 + v - ((((v lsr sh1) * mu) lsr sh2) * p);
-          let v = d0 * d1 in
-          acc1 := !acc1 + v - ((((v lsr sh1) * mu) lsr sh2) * p);
-          let v = d1 * d1 in
-          acc2 := !acc2 + v - ((((v lsr sh1) * mu) lsr sh2) * p)
-        done;
-        let v = !acc0 in
-        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
-        let r = r - (p land ((p - 1 - r) asr 62)) in
-        Array.unsafe_set o0 j (r - (p land ((p - 1 - r) asr 62)));
-        let v = !acc1 in
-        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
-        let r = r - (p land ((p - 1 - r) asr 62)) in
-        let r = 2 * (r - (p land ((p - 1 - r) asr 62))) in
-        Array.unsafe_set o1 j (r - (p land ((p - 1 - r) asr 62)));
-        let v = !acc2 in
-        let r = v - ((((v lsr sh1) * mu) lsr sh2) * p) in
-        let r = r - (p land ((p - 1 - r) asr 62)) in
-        Array.unsafe_set o2 j (r - (p land ((p - 1 - r) asr 62)))
+        let r = 2 * Array.unsafe_get o1 j in
+        Array.unsafe_set o1 j (r - (p land ((p - 1 - r) asr 62)))
       done
     end
     else
-      (for j = 0 to n - 1 do
-         for t = 0 to m - 1 do
-           let d0 = (x0.(t).(j) - y0.(t).(j) + p) mod p in
-           let d1 = (x1.(t).(j) - y1.(t).(j) + p) mod p in
+      (for t = 0 to m - 1 do
+         let x0 = row a t 0 and x1 = row a t 1 and y0 = row b t 0 and y1 = row b t 1 in
+         for j = 0 to n - 1 do
+           let d0 = (x0.(j) - y0.(j) + p) mod p in
+           let d1 = (x1.(j) - y1.(j) + p) mod p in
            o0.(j) <- (o0.(j) + (d0 * d0 mod p)) mod p;
            o1.(j) <- (o1.(j) + (2 * (d0 * d1 mod p))) mod p;
            o2.(j) <- (o2.(j) + (d1 * d1 mod p)) mod p
@@ -588,31 +641,29 @@ let sum_sq_diff a b =
 (* BGV's modulus switch, [drops] steps in one pass.  Each step divides
    out the last active prime q while keeping the residue mod t: with
    w = [c · t^-1 mod q] centered, c_i <- (c_i - t·w) · q^-1 mod p_i.
-   The steps compose in the coefficient domain, and the NTT is a
-   bijection, so one inverse transform at the source level and one
-   forward transform at the target level give the same residues as
-   [drops] single switches, each with its own round trip.  All
-   constants come from the context's [steps]; every product is a Shoup
-   multiplication, exact for any p < 2^31. *)
+   Centering needs coefficients, but only of the dropped rows: they
+   leave the evaluation domain (one inverse transform each) and run the
+   steps among themselves, leaving step s's w_s in the row of the
+   prime q_s it drops.  A kept row i sees only linear maps mod p_i, so
+   the chain folds to c_i <- Q^-1·c_i - W_i, with Q the product of the
+   dropped primes and W_i = Σₛ t·w_s·∏_{r >= s} q_r^-1, the primes
+   dropped at step s and every later one.  The NTT is linear mod p_i,
+   so an Eval row takes Q^-1·c_i - NTT(W_i) without leaving the domain:
+   [drops] inverse transforms and one forward per kept prime, equal
+   residue for residue to [drops] single switches.  All constants come
+   from the context's [steps] and [folds]; every product is a Shoup
+   multiplication, exact for any p < 2^31, of a multiplier below
+   2^31: a residue or |w| < q/2. *)
 let switch_down t ~drops =
   let k = Array.length t.comps in
   if drops < 1 || drops >= k then invalid_arg "Rq.switch_down: bad drop count";
   let ctx = t.ctx and n = t.ctx.n in
   let target = k - drops in
-  let coeff_copy i dst =
-    Array.blit t.comps.(i) 0 dst 0 n;
-    match t.domain with Eval -> Ntt.inverse ctx.tables.(i) dst | Coeff -> ()
-  in
-  let kept =
-    Array.init target (fun i ->
-        let c = Array.make n 0 in
-        coeff_copy i c;
-        c)
-  in
   let dropped =
     Array.init drops (fun s ->
         let c = Util.Arena.acquire n in
-        coeff_copy (target + s) c;
+        Array.blit t.comps.(target + s) 0 c 0 n;
+        (match t.domain with Eval -> Ntt.inverse ctx.tables.(target + s) c | Coeff -> ());
         c)
   in
   Fun.protect
@@ -632,10 +683,10 @@ let switch_down t ~drops =
           let r = r - (q land ((q - 1 - r) asr 62)) in
           Array.unsafe_set w j (r - (q land ((half - r) asr 62)))
         done;
-        for i = 0 to lvl - 2 do
-          let c = if i < target then kept.(i) else dropped.(i - target) in
+        for i = target to lvl - 2 do
+          let c = dropped.(i - target) in
           let p = ctx.moduli.(i) in
-          let tm = st.t_mod.(i) and di = st.drop_inv.(i) in
+          let tm = ctx.t_mod.(i) and di = st.drop_inv.(i) in
           let tw = tm.Shoup.w and thi = tm.Shoup.hi and tlo = tm.Shoup.lo in
           let dw = di.Shoup.w and dhi = di.Shoup.hi and dlo = di.Shoup.lo in
           for j = 0 to n - 1 do
@@ -654,9 +705,43 @@ let switch_down t ~drops =
             Array.unsafe_set c j (r - (p land ((p - 1 - r) asr 62)))
           done
         done
-      done);
-  Array.iteri (fun i c -> Ntt.forward ctx.tables.(i) c) kept;
-  { ctx; domain = Eval; comps = kept }
+      done;
+      let fold = ctx.folds.(target - 1) in
+      let kept =
+        Array.init target (fun i ->
+            let p = ctx.moduli.(i) in
+            (* W_i in the coefficient domain, then in the input's. *)
+            let wsum = Array.make n 0 in
+            for l = target to k - 1 do
+              let w = dropped.(l - target) and f = fold.fold_t.(l - target).(i) in
+              let fw = f.Shoup.w and fhi = f.Shoup.hi and flo = f.Shoup.lo in
+              for j = 0 to n - 1 do
+                let wj = Array.unsafe_get w j in
+                let sgn = wj asr 62 in
+                let aw = (wj lxor sgn) - sgn in
+                let e = ((fhi * aw) + ((flo * aw) lsr 31)) lsr 31 in
+                let r = (fw * aw) - (e * p) in
+                let r = r - (p land ((p - 1 - r) asr 62)) in
+                let v = Array.unsafe_get wsum j + ((r lxor sgn) - sgn) in
+                let v = v + (p land (v asr 62)) in
+                Array.unsafe_set wsum j (v - (p land ((p - 1 - v) asr 62)))
+              done
+            done;
+            (match t.domain with Eval -> Ntt.forward ctx.tables.(i) wsum | Coeff -> ());
+            let qi = fold.fold_q.(drops - 1).(i) and c = t.comps.(i) in
+            let qw = qi.Shoup.w and qhi = qi.Shoup.hi and qlo = qi.Shoup.lo in
+            for j = 0 to n - 1 do
+              let x = Array.unsafe_get c j in
+              let e = ((qhi * x) + ((qlo * x) lsr 31)) lsr 31 in
+              let r = (qw * x) - (e * p) in
+              let r = r - (p land ((p - 1 - r) asr 62)) in
+              let v = r - Array.unsafe_get wsum j in
+              Array.unsafe_set wsum j (v + (p land (v asr 62)))
+            done;
+            (match t.domain with Coeff -> Ntt.forward ctx.tables.(i) wsum | Eval -> ());
+            wsum)
+      in
+      { ctx; domain = Eval; comps = kept })
 
 (* --- The plaintext boundary: BGV's encryption embeddings and the
    exact decode mod t, in native-integer arithmetic. --- *)

@@ -29,11 +29,13 @@ val context : n:int -> moduli:int array -> t:int64 -> context
     modulus whose residues {!switch_down} preserves and {!decode_mod_t}
     returns; it must lie in (1, 2^61) and be invertible mod every chain
     prime.  For each level the context precomputes t⁻¹ mod the dropped
-    prime, and t and the dropped prime's inverse mod every kept prime,
-    with their Shoup companions; for the decode, every prefix product
-    p₀⋯pⱼ₋₁ mod pᵢ (j < i) and its inverse at j = i, every prefix
-    product mod t and (pᵢ - 1)/2; and t mod every prime for
-    {!embed_noise}.
+    prime and the dropped prime's inverse mod every prime below it, and
+    for each chain down to level [target] ending at prime l the fold
+    constants (p_target⋯p_l)⁻¹ and t·(p_target⋯p_l)⁻¹ mod every kept
+    prime, all with their Shoup companions; for the decode, every
+    prefix product p₀⋯pⱼ₋₁ mod pᵢ (j < i) and its inverse at j = i,
+    every prefix product mod t and (pᵢ - 1)/2; and t mod every prime
+    for {!embed_noise}.
     @raise Invalid_argument otherwise. *)
 
 val degree : context -> int
@@ -160,8 +162,9 @@ val sum_sq_diff : t array array -> t array array -> t array
     as a degree-2 tensor: [[|Σ d0²; 2·Σ d0·d1; Σ d1²|]] with
     [d0 = a0 - b0] and [d1 = a1 - b1], fresh and [Eval].  Equal to
     summing [mul_add_into] over the differences, but no difference
-    polynomial is built: per prime and coefficient the differences and
-    the three sums stay in registers, and each sum is reduced once.
+    polynomial is built: per prime the three sums accumulate in the
+    output rows while the terms' residue rows stream through them two
+    at a time, each read once, and each sum row is reduced once.
     All inputs must be [Eval] at one level.  Primes at or above 2^30,
     and sums too long for the lazy bound (3m > 2^(bits p) terms), take
     a [mod]-based loop.
@@ -229,9 +232,10 @@ val switch_down : t -> drops:int -> t
     [drops] active primes and round, keeping every coefficient's residue
     mod the context's [t].  One step maps [c] to [(c - t·w) / q] for the
     dropped prime [q] and [w = c·t⁻¹ mod q] centered.  Costs one inverse
-    NTT per prime at the source level and one forward NTT per prime at
-    the target level, whatever [drops] is; the result ([Eval]) is equal
-    to [drops] single-step switches.  The caller accounts for the
+    NTT per dropped prime (none on a [Coeff] input) and one forward NTT
+    per kept prime: the kept rows take the whole chain as one linear map
+    in the input's domain.  The result ([Eval]) is equal to [drops]
+    single-step switches.  The caller accounts for the
     factor [q⁻¹ mod t] each step leaves on the plaintext.
     @raise Invalid_argument unless [1 <= drops < nprimes t]. *)
 

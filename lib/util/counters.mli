@@ -36,7 +36,8 @@ type event =
     count whole-polynomial conversions at the recorded level (each is
     [level] per-prime butterfly passes). *)
 type op =
-  | Op_encrypt       (** public-key encryption (4 fresh Coeff→Eval embeds) *)
+  | Op_encrypt       (** public-key encryption (3 forward NTT sets: u and
+                         the two components' embeds) *)
   | Op_decrypt       (** full or coeff0-only decryption *)
   | Op_ct_add        (** ciphertext ± ciphertext or plaintext *)
   | Op_ct_mul        (** ciphertext tensor product *)
@@ -45,7 +46,9 @@ type op =
   | Op_level_drop    (** RNS truncation without rescaling (target level) *)
   | Op_key_switch    (** relinearisation or Galois key switch *)
   | Op_ntt_fwd       (** Coeff→Eval conversion of one polynomial *)
-  | Op_ntt_inv       (** Eval→Coeff conversion of one polynomial *)
+  | Op_ntt_inv       (** Eval→Coeff conversion of one polynomial; a rescale
+                         chain's pass covers only its dropped primes, so
+                         a chain of j switches records it at level j *)
   | Op_slot_pack     (** Plaintext.of_slots mod-t inverse NTT (level 0) *)
   | Op_slot_unpack   (** Plaintext.to_slots mod-t forward NTT (level 0) *)
 

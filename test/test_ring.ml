@@ -346,9 +346,15 @@ let naive_switch moduli ~t comps =
       let tm = Int64.to_int (Int64.rem t (Int64.of_int p)) and qinv = inv p (q mod p) in
       Array.mapi (fun j c -> (((c - (tm * w.(j))) mod p + p) mod p) * qinv mod p) comps.(i))
 
+(* The protocol's own chain and t: Config.standard's 10 × 30-bit
+   primes under its 50-bit plaintext prime, which lies above every
+   chain prime, so each t·(p_target⋯p_l)⁻¹ the switch folds into a kept
+   prime starts from t reduced mod that prime. *)
+let standard = (Config.standard ()).Config.bgv
+
 let test_switch_down_naive () =
   List.iter
-    (fun (c, moduli) ->
+    (fun (c, moduli, t) ->
       let chain = Array.length moduli in
       for k = 2 to chain do
         for drops = 1 to k - 1 do
@@ -361,26 +367,30 @@ let test_switch_down_naive () =
               (* Plant the centering boundary of the first step: residues
                  whose c·t⁻¹ mod q lands on q/2 and q/2 + 1. *)
               let q = moduli.(k - 1) in
-              rows.(k - 1).(5) <- q / 2 * 65537 mod q;
-              rows.(k - 1).(6) <- (q / 2 + 1) * 65537 mod q;
+              let tq = Int64.to_int (Int64.rem t (Int64.of_int q)) in
+              rows.(k - 1).(5) <- q / 2 * tq mod q;
+              rows.(k - 1).(6) <- (q / 2 + 1) * tq mod q;
               let expected = ref (Array.map Array.copy rows) in
               let v = Rq.of_components c Rq.Coeff rows in
               let v = match domain with Rq.Coeff -> v | Rq.Eval -> Rq.to_eval v in
               for _ = 1 to drops do
-                expected := naive_switch moduli ~t:65537L !expected
+                expected := naive_switch moduli ~t !expected
               done;
               let got = Rq.to_coeff (Rq.switch_down v ~drops) in
               Alcotest.(check int) "level" (k - drops) (Rq.nprimes got);
               Array.iteri
                 (fun i row ->
                   Alcotest.(check (array int))
-                    (Printf.sprintf "L%d drops %d prime %d" k drops i)
+                    (Printf.sprintf "t = %Ld, L%d drops %d prime %d" t k drops i)
                     row (Rq.component got i))
                 !expected)
             [ Rq.Coeff; Rq.Eval ]
         done
       done)
-    [ (ctx, moduli); (wide_ctx, wide_moduli); (big_ctx, big_moduli) ];
+    [ (ctx, moduli, 65537L);
+      (wide_ctx, wide_moduli, 65537L);
+      (big_ctx, big_moduli, 65537L);
+      (standard.Params.ring, standard.Params.moduli, standard.Params.t_plain) ];
   Alcotest.check_raises "no drop" (Invalid_argument "Rq.switch_down: bad drop count")
     (fun () -> ignore (Rq.switch_down (random_rq 3) ~drops:0));
   Alcotest.check_raises "empties the chain" (Invalid_argument "Rq.switch_down: bad drop count")
