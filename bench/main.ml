@@ -48,14 +48,11 @@ let obs : Sknn_obs.Ctx.t ref = ref Sknn_obs.Ctx.disabled
 
 (* Run one query under a root span so each benchmark query shows up as
    its own top-level tree in the trace. *)
-let traced_query ?(prepared = false) ?(packed = false) ?rng ~experiment dep ~query ~k =
+let traced_query ?(path = Sknn_obs.Cost_model.Plain) ?rng ~experiment dep ~query ~k =
   Sknn_obs.Ctx.with_span !obs ~kind:Sknn_obs.Trace.Root
     ~args:[ ("experiment", experiment); ("k", string_of_int k) ]
     experiment
-    (fun () ->
-      if packed then Protocol.query_packed ~obs:!obs ?rng dep ~query ~k
-      else if prepared then Protocol.query_prepared ~obs:!obs ?rng dep ~query ~k
-      else Protocol.query ~obs:!obs ?rng dep ~query ~k)
+    (fun () -> (Protocol.query_gen ~path ~obs:!obs ?rng dep ~queries:[| query |] ~k).(0))
 
 let effective_jobs opts =
   match opts.jobs with Some j -> j | None -> Util.Pool.default_jobs ()
@@ -209,11 +206,12 @@ let run_query_series ?(packed = false) ?predict ~opts ~experiment ~config ~db ~q
     ~rng () =
   let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
   let base_extra = if packed then [ ("packed", Bool true) ] else [] in
+  let path = if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Plain in
   List.mapi
     (fun i k ->
       let q = Synthetic.query_like rng db in
       let r, s =
-        Util.Timer.time (fun () -> traced_query ~packed ~experiment dep ~query:q ~k)
+        Util.Timer.time (fun () -> traced_query ~path ~experiment dep ~query:q ~k)
       in
       let ok = Protocol.exact dep ~db ~query:q r in
       let extra =
@@ -684,6 +682,7 @@ let amortized opts =
      prepared path, then the slot-packed path.  Each pass pays its own
      one-time prepare-db on the first query. *)
   let pass ~packed name =
+    let path = if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Prepared in
     say "@.%s:@." name;
     say "%8s %10s %12s %7s@." "query" "total" "prepare-db" "exact";
     Array.init (reps + 1) (fun i ->
@@ -694,8 +693,7 @@ let amortized opts =
         Gc.full_major ();
         let r, s =
           Util.Timer.time (fun () ->
-              traced_query ~prepared:(not packed) ~packed ~experiment:"amortized" dep
-                ~query:q ~k)
+              traced_query ~path ~experiment:"amortized" dep ~query:q ~k)
         in
         let ok = Protocol.exact dep ~db ~query:q r in
         let prep_s =
@@ -861,7 +859,8 @@ let planned opts =
           Gc.full_major ();
           let r, secs =
             Util.Timer.time (fun () ->
-                traced_query ~packed:true ~experiment:"planned" dep ~query:q ~k)
+                traced_query ~path:Sknn_obs.Cost_model.Packed ~experiment:"planned" dep
+                  ~query:q ~k)
           in
           let ok = Protocol.exact dep ~db ~query:q r in
           record_run

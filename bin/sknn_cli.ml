@@ -25,6 +25,39 @@ let config_of_layout = function
   | "secure" -> Config.secure ()
   | other -> invalid_arg (Printf.sprintf "unknown layout %S" other)
 
+module CM = Sknn_obs.Cost_model
+
+(* The --path names of sknn query, cost and plan. *)
+let path_of_string ~batch = function
+  | "plain" -> CM.Plain
+  | "prepared" -> CM.Prepared
+  | "packed" -> CM.Packed
+  | "batch" -> CM.Batch batch
+  | other ->
+    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
+    exit 2
+
+(* --query holds one query, or ';'-separated queries on the batch
+   path. *)
+let parse_queries ~path_s query_s =
+  let queries = String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list in
+  if path_s <> "batch" && Array.length queries > 1 then begin
+    Format.eprintf "multiple ';'-separated queries need --path batch@.";
+    exit 2
+  end;
+  queries
+
+(* Every path but plain needs affine (degree-1) masking and d <= N. *)
+let check_path config ~d path_s =
+  if path_s <> "plain" && Result.is_error (Config.affine_supported config ~d ~what:path_s)
+  then begin
+    Format.eprintf
+      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
+       --layout dot-product)@."
+      path_s;
+    exit 2
+  end
+
 (* ------------------------------------------------------------------ *)
 (* gen                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -109,8 +142,8 @@ let append_net_records path (tl : Clock.timeline) =
       tl.Clock.links);
   close_out oc
 
-let query_run data query_s k layout seed jobs repeat packed batch net verbose
-    trace trace_format audit metrics prom flight_out =
+let query_run data query_s k layout path_s seed jobs repeat net verbose trace
+    trace_format audit metrics prom flight_out =
   (match jobs with
    | Some j when j < 1 ->
      Format.eprintf "--jobs must be at least 1 (got %d)@." j;
@@ -176,115 +209,73 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
       exit 1
   in
   let db = read_db data in
-  (* --batch runs every ';'-separated query of --query in one packed
-     protocol round under one permutation; otherwise --query is one
-     query. *)
-  let queries =
-    String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
-  in
-  if (not batch) && Array.length queries > 1 then begin
-    Format.eprintf "multiple ';'-separated queries need --batch@.";
-    exit 2
-  end;
-  let q = queries.(0) in
+  let queries = parse_queries ~path_s query_s in
+  let m = Array.length queries in
+  let path = path_of_string ~batch:m path_s in
   let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
+  let d = Array.length queries.(0) in
+  (match Config.validate config ~d with
    | Ok () -> ()
    | Error e ->
      Format.eprintf "configuration unsound for this data: %s@." e;
      exit 2);
-  let packed_ok =
-    Result.is_ok (Config.affine_supported config ~d:(Array.length q) ~what:"packed queries")
-  in
-  if (packed || batch) && not packed_ok then begin
-    Format.eprintf
-      "the slot-packed path needs affine (degree-1) masking and d <= ring degree \
-       (try --layout dot-product)@.";
-    exit 2
-  end;
+  check_path config ~d path_s;
   let rng = Util.Rng.of_int seed in
   let trace0 = new_trace () in
   let obs0 = make_ctx trace0 in
   let dep, setup_s =
     Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
   in
-  let net_timeline = ref None in
-  if batch then begin
-    let m = Array.length queries in
-    let results, round_s =
-      Util.Timer.time (fun () ->
-          guarded (fun () -> Protocol.query_batch ~obs:obs0 ?net dep ~queries ~k))
-    in
-    net_timeline := results.(0).Protocol.net;
-    write_trace trace0 0;
-    if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
-    Array.iteri
-      (fun i r ->
-        Format.printf "query %d neighbours:@." i;
-        Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
-        Format.printf "  exact: %b@." (Protocol.exact dep ~db ~query:queries.(i) r))
-      results;
-    Format.printf "setup %a, batched round %a (%d queries, %a per query)@."
-      Util.Timer.pp_duration setup_s Util.Timer.pp_duration round_s m
-      Util.Timer.pp_duration
-      (round_s /. float_of_int m);
-    if verbose then begin
-      List.iter
-        (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
-        results.(0).Protocol.phase_seconds;
-      Format.printf "party A: %a@." Util.Counters.pp results.(0).Protocol.counters_a;
-      Format.printf "party B: %a@." Util.Counters.pp results.(0).Protocol.counters_b;
-      Format.printf "%a@." Transcript.pp results.(0).Protocol.transcript
-    end
-  end
-  else begin
-    (* With --repeat, use the packed path when asked (--packed), else the
-       prepared multi-query path when the configuration supports it
-       (affine masking, d <= n); otherwise fall back to independent
-       queries and say so. *)
-    let use_prepared = repeat > 1 && packed_ok in
-    let run obs () =
-      if packed then Protocol.query_packed ~obs ?net dep ~query:q ~k
-      else if use_prepared then Protocol.query_prepared ~obs ?net dep ~query:q ~k
-      else Protocol.query ~obs ?net dep ~query:q ~k
-    in
-    let r, query_s' = Util.Timer.time (fun () -> guarded (run obs0)) in
-    net_timeline := r.Protocol.net;
-    write_trace trace0 0;
-    let steady_times =
-      List.init (repeat - 1) (fun i ->
-          Gc.full_major ();
-          let tr = new_trace () in
-          let obs = make_ctx tr in
-          let t = snd (Util.Timer.time (fun () -> guarded (run obs))) in
-          write_trace tr (i + 1);
-          t)
-    in
-    if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
-    Format.printf "neighbours:@.";
-    Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
-    Format.printf "exact: %b@." (Protocol.exact dep ~db ~query:q r);
+  (* Every run of the round goes through the one driver; the prepared
+     and packed paths build their query-independent state on the
+     first. *)
+  let run obs () = Protocol.query_gen ~path ~obs ?net dep ~queries ~k in
+  let exacts rs = Array.map2 (fun q r -> Protocol.exact dep ~db ~query:q r) queries rs in
+  let all = Array.for_all Fun.id in
+  let results, round_s = Util.Timer.time (fun () -> guarded (run obs0)) in
+  let r = results.(0) and ok = exacts results in
+  write_trace trace0 0;
+  let steady =
+    List.init (repeat - 1) (fun i ->
+        Gc.full_major ();
+        let tr = new_trace () in
+        let obs = make_ctx tr in
+        let rs, t = Util.Timer.time (fun () -> guarded (run obs)) in
+        write_trace tr (i + 1);
+        (all (exacts rs), t))
+  in
+  if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
+  Array.iteri
+    (fun i (r : Protocol.result) ->
+      if m = 1 then Format.printf "neighbours:@." else Format.printf "query %d neighbours:@." i;
+      Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
+      Format.printf "%sexact: %b@." (if m = 1 then "" else "  ") ok.(i))
+    results;
+  if m = 1 then
     Format.printf "setup %a, query %a@." Util.Timer.pp_duration setup_s Util.Timer.pp_duration
-      query_s';
-    if repeat > 1 then begin
-      let n_steady = List.length steady_times in
-      let mean = List.fold_left ( +. ) 0.0 steady_times /. float_of_int n_steady in
-      Format.printf "repeat %d (%s): first %a, steady-state mean %a (%.1fx)@." repeat
-        (if packed then "slot-packed database"
-         else if use_prepared then "prepared database"
-         else "independent queries — prepared path needs affine masking")
-        Util.Timer.pp_duration query_s' Util.Timer.pp_duration mean (query_s' /. mean)
-    end;
-    if verbose then begin
-      List.iter
-        (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
-        r.Protocol.phase_seconds;
-      Format.printf "party A: %a@." Util.Counters.pp r.Protocol.counters_a;
-      Format.printf "party B: %a@." Util.Counters.pp r.Protocol.counters_b;
-      Format.printf "%a@." Transcript.pp r.Protocol.transcript
-    end
+      round_s
+  else
+    Format.printf "setup %a, batched round %a (%d queries, %a per query)@."
+      Util.Timer.pp_duration setup_s Util.Timer.pp_duration round_s m Util.Timer.pp_duration
+      (round_s /. float_of_int m);
+  if repeat > 1 then begin
+    let mean = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 steady /. float_of_int (repeat - 1) in
+    Format.printf "repeat %d (%s path): first %a, steady-state mean %a (%.1fx)@." repeat path_s
+      Util.Timer.pp_duration round_s Util.Timer.pp_duration mean (round_s /. mean);
+    List.iteri
+      (fun i (ok, _) -> if not ok then Format.printf "run %d: exact: false@." (i + 2))
+      steady
   end;
-  (match !net_timeline with
+  if verbose then begin
+    List.iter
+      (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
+      r.Protocol.phase_seconds;
+    Format.printf "party A: %a@." Util.Counters.pp r.Protocol.counters_a;
+    Format.printf "party B: %a@." Util.Counters.pp r.Protocol.counters_b;
+    Format.printf "%a@." Transcript.pp r.Protocol.transcript
+  end;
+  let net_timeline = r.Protocol.net in
+  (match net_timeline with
    | None -> ()
    | Some tl -> Format.printf "@.%a" print_timeline tl);
   (match audit_log with
@@ -307,10 +298,14 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
        ~run:
          [ ("cmd", "query"); ("data", data); ("k", string_of_int k);
            ("repeat", string_of_int repeat) ];
-     Option.iter (append_net_records path) !net_timeline;
+     Option.iter (append_net_records path) net_timeline;
      Format.printf "flight dump written to %s@." path
    | Some _ -> Format.eprintf "--flight ignored: recorder disabled (SKNN_FLIGHT=0)@.");
-  0
+  if all ok && List.for_all fst steady then 0
+  else begin
+    Format.eprintf "wrong answer: a neighbour set differs from plaintext k-NN@.";
+    1
+  end
 
 let data_t = Arg.(required & opt (some file) None & info [ "data" ] ~doc:"Integer CSV database.")
 let query_t =
@@ -368,27 +363,26 @@ let query_cmd =
              ~doc:"Print the metrics registry: phase latencies, BGV level / noise \
                    headroom samples, pool utilization, transcript bytes per link.")
   in
+  let path =
+    Arg.(value & opt string "plain"
+         & info [ "path" ]
+             ~doc:"Query pipeline: plain | prepared | packed | batch.  prepared \
+                   reuses the encrypted norms and sends the two-ciphertext \
+                   inner-product query; packed and batch use the slot-packed \
+                   (SIMD) layout, one ciphertext per $(b,N) points, and batch \
+                   answers the ';'-separated --query list in one round under one \
+                   permutation.  Every path but plain needs affine masking and \
+                   d <= ring degree (try --layout dot-product).")
+  in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ]
-             ~doc:"Run the query $(docv) times and report first-query vs steady-state \
-                   latency; reuses the prepared database when the layout allows it. \
-                   With --trace, run $(docv)'s spans go to FILE.$(docv).ext."
+             ~doc:"Run the round $(docv) times and report first vs steady-state \
+                   latency; the prepared and packed paths build their \
+                   query-independent state on the first run.  Every run's answers \
+                   are checked.  With --trace, run $(docv)'s spans go to \
+                   FILE.$(docv).ext."
              ~docv:"N")
-  in
-  let packed =
-    Arg.(value & flag
-         & info [ "packed" ]
-             ~doc:"Use the slot-packed (SIMD) database layout: one ciphertext per \
-                   $(b,N) points in the distance phase.  Needs affine masking and \
-                   d <= ring degree.")
-  in
-  let batch =
-    Arg.(value & flag
-         & info [ "batch" ]
-             ~doc:"Treat --query as ';'-separated queries and answer them all in one \
-                   packed protocol round: one packed distance circuit per query under \
-                   one shared permutation (implies the packed layout).")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -404,8 +398,8 @@ let query_cmd =
                    sknn-flight-crash.jsonl if unset — automatically.")
   in
   Cmd.v (Cmd.info "query" ~doc:"Run a secure k-NN query over an encrypted CSV database")
-    Term.(const query_run $ data_t $ query_t $ k_t $ layout $ seed_t $ jobs $ repeat
-          $ packed $ batch $ net_t $ verbose_t $ trace $ trace_format $ audit
+    Term.(const query_run $ data_t $ query_t $ k_t $ layout $ path $ seed_t $ jobs $ repeat
+          $ net_t $ verbose_t $ trace $ trace_format $ audit
           $ metrics $ prom $ flight_out)
 
 (* ------------------------------------------------------------------ *)
@@ -502,18 +496,6 @@ let report_cmd =
    This subsumes the bench harness's Table 1 printout — the paper-style
    op-count rows land next to the calibrated microsecond attribution. *)
 
-module CM = Sknn_obs.Cost_model
-
-(* The --path names of sknn cost and sknn plan. *)
-let path_of_string ~batch = function
-  | "plain" -> CM.Plain
-  | "prepared" -> CM.Prepared
-  | "packed" -> CM.Packed
-  | "batch" -> CM.Batch batch
-  | other ->
-    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-    exit 2
-
 let calib_t =
   Arg.(value & opt (some string) None
        & info [ "calib" ] ~docv:"FILE"
@@ -524,33 +506,17 @@ let calib_t =
 
 let cost_run data query_s k layout path_s seed jobs net quick calib verbose json =
   let db = read_db data in
-  let queries =
-    String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
-  in
-  let q = queries.(0) in
-  let m = Array.length queries in
-  let path = path_of_string ~batch:m path_s in
+  let queries = parse_queries ~path_s query_s in
+  let path = path_of_string ~batch:(Array.length queries) path_s in
   let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
+  let d = Array.length queries.(0) in
+  (match Config.validate config ~d with
    | Ok () -> ()
    | Error e ->
      Format.eprintf "configuration unsound for this data: %s@." e;
      exit 2);
-  if path_s <> "batch" && m > 1 then begin
-    Format.eprintf "multiple ';'-separated queries need --path batch@.";
-    exit 2
-  end;
-  let packed_ok =
-    Result.is_ok (Config.affine_supported config ~d:(Array.length q) ~what:path_s)
-  in
-  if path_s <> "plain" && not packed_ok then begin
-    Format.eprintf
-      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
-       --layout dot-product)@."
-      path_s;
-    exit 2
-  end;
-  let n = Array.length db and d = Array.length db.(0) in
+  check_path config ~d path_s;
+  let n = Array.length db in
   let rng = Util.Rng.of_int seed in
   Format.printf "calibrating per-op unit costs (%s pass%s)...@."
     (if quick then "quick" else "full")
@@ -996,10 +962,11 @@ let baseline_run data query_s k modulus_bits seed =
   let r, qs = Util.Timer.time (fun () -> Sknn_m.query dep ~query:q ~k) in
   Format.printf "neighbours:@.";
   Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Sknn_m.neighbours;
-  Format.printf "exact: %b@." (Sknn_m.exact dep ~db ~query:q r);
+  let ok = Sknn_m.exact dep ~db ~query:q r in
+  Format.printf "exact: %b@." ok;
   Format.printf "setup %a, query %a, C1<->C2 interactions %d@." Util.Timer.pp_duration setup_s
     Util.Timer.pp_duration qs r.Sknn_m.interactions;
-  0
+  if ok then 0 else 1
 
 let baseline_cmd =
   let modulus =
@@ -1029,9 +996,9 @@ let kmeans_run data k max_iters seed =
     (fun i c -> Format.printf "  cluster %d (%d points): %a@." (i + 1) r.Kmeans.sizes.(i)
         Point.pp c)
     r.Kmeans.centroids;
-  Format.printf "identical to plaintext Lloyd: %b@."
-    (Kmeans.matches_plaintext ~db ~init ~max_iters r);
-  0
+  let ok = Kmeans.matches_plaintext ~db ~init ~max_iters r in
+  Format.printf "identical to plaintext Lloyd: %b@." ok;
+  if ok then 0 else 1
 
 let kmeans_cmd =
   let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"Cluster count.") in
@@ -1053,9 +1020,9 @@ let apriori_run data minsup max_size seed =
   List.iter
     (fun s -> Format.printf "  {%s}@." (String.concat ", " (List.map string_of_int s)))
     r.Apriori.frequent;
-  Format.printf "identical to plaintext Apriori: %b@."
-    (Apriori.matches_plaintext ~transactions:tx ~minsup ~max_size r);
-  0
+  let ok = Apriori.matches_plaintext ~transactions:tx ~minsup ~max_size r in
+  Format.printf "identical to plaintext Apriori: %b@." ok;
+  if ok then 0 else 1
 
 let apriori_cmd =
   let minsup = Arg.(value & opt int 10 & info [ "minsup" ] ~doc:"Support threshold.") in

@@ -98,6 +98,74 @@ let sum_keys_of (t : deployment) rng =
     t.sum_keys <- Some ks;
     ks
 
+(* The largest secret scale a. *)
+let max_scale = 65535L
+
+let masked_support ?(use_rotations = false) (t : deployment) rng ~minsup itemset =
+  let params = t.config.Config.bgv in
+  let slots = Params.slot_count params in
+  (* a is charged at its public width, so the ciphertexts' noise bound
+     (and header) is the same whatever a is drawn. *)
+  let lead_bits = Bgv.scalar_bits ~t_plain:params.Params.t_plain max_scale in
+  let a = Int64.add 1L (Rng.int64_below rng max_scale) in
+  if use_rotations then begin
+    (* A folds the support itself: relinearised membership
+       products summed across blocks, then rotate-and-sum puts
+       a·support + r into every slot — one scalar ciphertext
+       per candidate reaches B. *)
+    let blocks = membership_blocks ~rlk:t.rlk t itemset in
+    let total =
+      Array.fold_left
+        (fun acc ct ->
+          match acc with
+          | None -> Some ct
+          | Some x -> Some (Bgv.add ~counters:t.counters_a x ct))
+        None blocks
+      |> Option.get
+    in
+    let support_ct = Bgv.sum_slots ~counters:t.counters_a (sum_keys_of t rng) total in
+    (* A single scalar mask can be much wider than the per-slot
+       ones: a·support < 2^34 stays far below t even with 2^40
+       of additive noise. *)
+    let r = Rng.int64_below rng (Int64.shift_left 1L 40) in
+    let masked_ct =
+      Bgv.eval_poly ~counters:t.counters_a ~lead_bits ~coeffs:[| r; a |] support_ct
+    in
+    let theta = Int64.add (Int64.mul a (Int64.of_int minsup)) r in
+    ([| masked_ct |], theta)
+  end
+  else begin
+    (* Mask sizes keeping a·support + Σ r below t (no wrap mod t):
+       a < 2^16, r_i < 2^rbits with slots·blocks·2^rbits < t/4. *)
+    let rbits =
+      let budget =
+        int_of_float
+          (log (Int64.to_float params.Params.t_plain /. 4.0 /. float_of_int (t.blocks * slots))
+           /. log 2.0)
+      in
+      Stdlib.max 8 (Stdlib.min 36 budget)
+    in
+    let rbound = Int64.shift_left 1L rbits in
+    let blocks = membership_blocks t itemset in
+    let big_r = ref 0L in
+    let blocks =
+      Array.map
+        (fun ct ->
+          let rs =
+            Array.init slots (fun _ ->
+                let r = Rng.int64_below rng rbound in
+                big_r := Int64.add !big_r r;
+                r)
+          in
+          Bgv.add_plain ~counters:t.counters_a
+            (Bgv.eval_poly ~counters:t.counters_a ~lead_bits ~coeffs:[| 0L; a |] ct)
+            (Plaintext.of_slots ~counters:t.counters_a params rs))
+        blocks
+    in
+    let theta = Int64.add (Int64.mul a (Int64.of_int minsup)) !big_r in
+    (blocks, theta)
+  end
+
 let mine ?rng ?(max_size = 4) ?(use_rotations = false) (t : deployment) ~minsup =
   if minsup < 1 then invalid_arg "Apriori.mine: minsup < 1";
   let rng = match rng with Some r -> r | None -> Rng.split t.seed in
@@ -105,19 +173,6 @@ let mine ?rng ?(max_size = 4) ?(use_rotations = false) (t : deployment) ~minsup 
   Counters.reset t.counters_b;
   let tr = Transcript.create () in
   let t0 = Util.Timer.now () in
-  let params = t.config.Config.bgv in
-  let tp = params.Params.t_plain in
-  let slots = Params.slot_count params in
-  (* Mask sizes keeping a·support + Σ r below t (no wrap mod t):
-     a < 2^16, r_i < 2^rbits with slots·blocks·2^rbits < t/4. *)
-  let total_slots = t.blocks * slots in
-  let rbits =
-    let budget =
-      int_of_float (log (Int64.to_float tp /. 4.0 /. float_of_int total_slots) /. log 2.0)
-    in
-    Stdlib.max 8 (Stdlib.min 36 budget)
-  in
-  let rbound = Int64.shift_left 1L rbits in
   let frequent = ref [] in
   let level_candidates = ref [] and level_frequent = ref [] in
   let current = ref (List.init t.m (fun j -> [ j ])) in
@@ -128,60 +183,7 @@ let mine ?rng ?(max_size = 4) ?(use_rotations = false) (t : deployment) ~minsup 
     let nc = Array.length cands in
     (* Party A: masked membership ciphertexts + masked thresholds. *)
     let perm = Perm.random rng nc in
-    let masked =
-      Array.map
-        (fun itemset ->
-          let a = Int64.add 1L (Rng.int64_below rng 65535L) in
-          if use_rotations then begin
-            (* A folds the support itself: relinearised membership
-               products summed across blocks, then rotate-and-sum puts
-               a·support + r into every slot — one scalar ciphertext
-               per candidate reaches B. *)
-            let blocks = membership_blocks ~rlk:t.rlk t itemset in
-            let total =
-              Array.fold_left
-                (fun acc ct ->
-                  match acc with
-                  | None -> Some ct
-                  | Some x -> Some (Bgv.add ~counters:t.counters_a x ct))
-                None blocks
-              |> Option.get
-            in
-            let support_ct = Bgv.sum_slots ~counters:t.counters_a (sum_keys_of t rng) total in
-            (* A single scalar mask can be much wider than the per-slot
-               ones: a·support < 2^34 stays far below t even with 2^40
-               of additive noise. *)
-            let r = Rng.int64_below rng (Int64.shift_left 1L 40) in
-            let masked_ct =
-              Bgv.add_const ~counters:t.counters_a
-                (Bgv.mul_scalar ~counters:t.counters_a support_ct a)
-                r
-            in
-            let theta = Int64.add (Int64.mul a (Int64.of_int minsup)) r in
-            ([| masked_ct |], theta)
-          end
-          else begin
-            let blocks = membership_blocks t itemset in
-            let big_r = ref 0L in
-            let blocks =
-              Array.map
-                (fun ct ->
-                  let rs =
-                    Array.init slots (fun _ ->
-                        let r = Rng.int64_below rng rbound in
-                        big_r := Int64.add !big_r r;
-                        r)
-                  in
-                  Bgv.add_plain ~counters:t.counters_a
-                    (Bgv.mul_scalar ~counters:t.counters_a ct a)
-                    (Plaintext.of_slots ~counters:t.counters_a params rs))
-                blocks
-            in
-            let theta = Int64.add (Int64.mul a (Int64.of_int minsup)) !big_r in
-            (blocks, theta)
-          end)
-        cands
-    in
+    let masked = Array.map (masked_support ~use_rotations t rng ~minsup) cands in
     let shuffled = Perm.apply perm masked in
     let bytes =
       Array.fold_left

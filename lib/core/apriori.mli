@@ -14,10 +14,11 @@
     both clouds:
 
     + per level, A computes each candidate's encrypted membership-bit
-      vector, scales it by a fresh secret [a], adds per-slot uniform
-      masks [r_i], and sends the ciphertexts to B together with the
-      masked threshold [a·minsup + Σ r_i], under a fresh permutation of
-      the candidates;
+      vector, scales it by a fresh secret [a] (charged to the noise
+      bound at its public width, so the ciphertexts' headers do not
+      reveal it), adds per-slot uniform masks [r_i], and sends the
+      ciphertexts to B together with the masked threshold
+      [a·minsup + Σ r_i], under a fresh permutation of the candidates;
     + B decrypts, sums each candidate's slots — obtaining
       [a·support + Σ r_i], which hides the support — and reports one
       comparison bit per (permuted) candidate to the client;
@@ -58,6 +59,19 @@ val mine :
     single scalar ciphertext per candidate — strictly less information
     (no per-slot view at all) and far less communication, at the cost of
     key-switching work at A.  Both variants return identical results. *)
+
+val masked_support :
+  ?use_rotations:bool -> deployment -> Util.Rng.t -> minsup:int -> int list ->
+  Bgv.ct array * int64
+(** Party A's message to B for one candidate itemset, as {!mine} sends
+    it: the membership ciphertexts scaled by a fresh secret
+    [a ∈ [1, 65535]] and masked (per slot, or by one scalar with
+    [use_rotations]), and the masked threshold.  [a] is applied through
+    {!Bgv.eval_poly} at its public width [Bgv.scalar_bits 65535], so the
+    ciphertexts' level, noise bound and header are the same for every
+    draw: B cannot read [a] off them.  Records into the deployment's
+    Party A ledger; the per-slot variant adds one [ct_add] per block
+    over a bare scalar product (the mask polynomial's zero constant). *)
 
 val matches_plaintext :
   transactions:int array array -> minsup:int -> ?max_size:int -> result -> bool

@@ -207,29 +207,17 @@ module Party_a = struct
 
   let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
 
-  let encrypted_distance t ~counters query point =
-    match t.config.Config.layout, point.coords, query.q_coords with
-    | Config.Per_coordinate, Some coords, Some q_coords ->
-      (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1, as one
-         fused square-sum: the per-dimension squares are left
-         unrescaled, and one rescale chain after the sum costs d-1
-         fewer modulus switches per point.  It runs on this point's
-         worker; compute_distances already parallelises over points. *)
-      let ed = Bgv.sum_sq_diff ~counters ?rlk:(rlk_opt t) coords q_coords in
-      if t.config.Config.rescale_distances then Bgv.rescale_to_floor ~counters ed else ed
-    | Config.Dot_product, _, _ ->
-      let q_rev = Option.get query.q_rev and q_norm = Option.get query.q_norm in
-      let norm = Option.get point.norm in
-      (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant coefficient. *)
-      let ip = Bgv.mul ~counters ~rescale:false point.packed q_rev in
-      Bgv.sub ~counters
-        (Bgv.add ~counters norm q_norm)
-        (Bgv.mul_scalar ~counters ip 2L)
-    | Config.Per_coordinate, _, _ ->
-      invalid_arg "Party_a.compute_distances: layout/ciphertext mismatch"
+  (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1, as one fused
+     square-sum: the per-dimension squares are left unrescaled, and one
+     rescale chain after the sum costs d-1 fewer modulus switches per
+     point.  It runs on this point's worker; compute_distances already
+     parallelises over points. *)
+  let encrypted_distance t ~counters q_coords coords =
+    let ed = Bgv.sum_sq_diff ~counters ?rlk:(rlk_opt t) coords q_coords in
+    if t.config.Config.rescale_distances then Bgv.rescale_to_floor ~counters ed else ed
 
   (* A uniformly random polynomial with zero constant coefficient; added
-     to Dot_product masked distances to destroy the cross-term
+     to masked inner-product distances to destroy the cross-term
      coefficients the inner-product trick leaves behind. *)
   let zero_constant_randomizer rng params =
     let t = params.Params.t_plain in
@@ -238,55 +226,96 @@ module Party_a = struct
     in
     Plaintext.of_coeffs params coeffs
 
-  let compute_distances ?(obs = Obs.disabled) t rng query =
-    let config = t.config in
-    let d = t.db.db_d in
-    if query.q_dim <> d then invalid_arg "Party_a.compute_distances: dimension mismatch";
-    let coeffs =
-      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
+  let masked_inner_product ~counters ?rlk config ~lead_bits ~coeffs rng ~norm ~packed
+      (q_rev, q_norm) =
+    (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant coefficient; one
+       ciphertext product per point. *)
+    let ip = Bgv.mul ~counters ?rlk ~rescale:false packed q_rev in
+    let ed =
+      Bgv.sub ~counters (Bgv.add ~counters norm q_norm) (Bgv.mul_scalar ~counters ip 2L)
     in
-    let lead_bits = mask_lead_bits config ~d in
-    let rngs = split_streams rng t.db.db_n in
+    (* ED is one multiplication deep: drop the RNS primes the affine
+       mask does not need in one cheap truncation, so masking, transport
+       and B's decryption all run on the small ciphertext.  If no level
+       has the headroom, fall back to the configured rescale (which
+       actually reduces the noise). *)
+    let ed =
+      match
+        NM.distance_level config.Config.bgv.Params.noise ~return_level:(return_level config)
+          ~level:(Bgv.level ed) ~bits:(Bgv.noise_bits ed)
+      with
+      | Some lvl -> Bgv.truncate_to_level ~counters ed lvl
+      | None when config.Config.rescale_distances -> Bgv.rescale_to_floor ~counters ed
+      | None -> ed
+    in
+    let m = Bgv.eval_poly ~counters ?rlk ~lead_bits ~coeffs ed in
+    Bgv.add_plain ~counters m (zero_constant_randomizer rng config.Config.bgv)
+
+  let check_dim fn t query =
+    if query.q_dim <> t.db.db_d then invalid_arg (fn ^ ": dimension mismatch")
+
+  let inner_product_form fn query =
+    match query.q_rev, query.q_norm with
+    | Some r, Some n -> (r, n)
+    | _ ->
+      invalid_arg (fn ^ ": query lacks inner-product form (use Client.encrypt_query_ip)")
+
+  (* One masked round over the stored points, what the plain and
+     prepared paths share: the mask, one randomizer stream per point,
+     [distance] on every point pool-parallel, then Π, drawn in that
+     order whatever the circuit. *)
+  let masked_round ?(obs = Obs.disabled) t rng distance =
+    let n = t.db.db_n and d = t.db.db_d in
+    let coeffs =
+      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng t.config ~d))
+    in
+    let lead_bits = mask_lead_bits t.config ~d in
+    let rngs = split_streams rng n in
     let masked =
       Obs.with_span obs
         ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
+        ~args:[ ("points", string_of_int n) ]
         "distance-batches"
         (fun () ->
           Obs.with_pool_chunks obs ~label:"distances" (fun () ->
               Pool.map_local ~jobs:t.jobs ~make:Counters.create
                 ~merge:(merge_into t.counters)
                 ~f:(fun counters i point ->
-                  let ed = encrypted_distance t ~counters query point in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed in
-                  match config.Config.layout with
-                  | Config.Per_coordinate -> m
-                  | Config.Dot_product ->
-                    Bgv.add_plain ~counters m
-                      (zero_constant_randomizer rngs.(i) config.Config.bgv))
+                  distance ~counters ~lead_bits ~coeffs rngs.(i) i point)
                 t.db.points))
     in
     Obs.with_span obs "permute" (fun () ->
-        let perm = Perm.random rng t.db.db_n in
+        let perm = Perm.random rng n in
         ({ perm }, Perm.apply perm masked))
 
-  let return_level t = return_level t.config
+  (* The masked inner-product round against the per-point norms. *)
+  let inner_product_round ?obs t rng q norms =
+    masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs rng i point ->
+        masked_inner_product ~counters ?rlk:(rlk_opt t) t.config ~lead_bits ~coeffs rng
+          ~norm:norms.(i) ~packed:point.packed q)
+
+  let compute_distances ?obs t rng query =
+    let fn = "Party_a.compute_distances" in
+    check_dim fn t query;
+    match t.config.Config.layout, query.q_coords with
+    | Config.Per_coordinate, Some q_coords ->
+      masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ _ point ->
+          let ed = encrypted_distance t ~counters q_coords (Option.get point.coords) in
+          Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed)
+    | Config.Per_coordinate, None -> invalid_arg (fn ^ ": layout/ciphertext mismatch")
+    | Config.Dot_product, _ ->
+      inner_product_round ?obs t rng (inner_product_form fn query)
+        (Array.map (fun p -> Option.get p.norm) t.db.points)
 
   (* ---- Prepared (multi-query) path ------------------------------- *)
 
-  (* Query-independent work hoisted out of the per-query loop: the
-     packed ciphertexts (already NTT/Eval-domain) and an encrypted
-     squared norm per point.  With ED = ||p||^2 - 2<p,q> + ||q||^2 the
-     per-query cost per point drops from d ciphertext products
-     (Per_coordinate) to one packed product against the reversed query,
-     amortising the d-fold work across the database lifetime. *)
-  type prepared = {
-    prep_packed : Bgv.ct array;
-    prep_norms : Bgv.ct array;
-    prep_return_packed : Bgv.ct array;
-        (* packed points already truncated to the return level, so
-           Return-kNN skips the per-query truncation pass *)
-  }
+  (* Query-independent work hoisted out of the per-query loop: an
+     encrypted squared norm per point.  With ED = ||p||^2 - 2<p,q> +
+     ||q||^2 the per-query cost per point drops from d ciphertext
+     products (Per_coordinate) to one packed product against the
+     reversed query, amortising the d-fold work across the database
+     lifetime. *)
+  type prepared = { prep_norms : Bgv.ct array }
 
   (* ---- Noise forecast ------------------------------------------- *)
 
@@ -337,97 +366,25 @@ module Party_a = struct
                     invalid_arg "Party_a.prepare: point carries no norm or coordinates")
                 t.db.points))
     in
-    let lvl = return_level t in
-    { prep_packed = Array.map (fun p -> p.packed) t.db.points;
-      prep_norms = norms;
-      prep_return_packed =
-        Array.map
-          (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-          t.db.points }
+    { prep_norms = norms }
 
-  let compute_distances_prepared ?(obs = Obs.disabled) t prep rng query =
-    let config = t.config in
-    let d = t.db.db_d in
-    if query.q_dim <> d then
-      invalid_arg "Party_a.compute_distances_prepared: dimension mismatch";
-    let q_rev, q_norm =
-      match query.q_rev, query.q_norm with
-      | Some r, Some n -> (r, n)
-      | _ ->
-        invalid_arg
-          "Party_a.compute_distances_prepared: query lacks inner-product form \
-           (use Client.encrypt_query_ip)"
-    in
-    require_affine "Party_a.compute_distances_prepared" config ~d ~what:"prepared queries";
-    let nm = config.Config.bgv.Params.noise in
-    let coeffs =
-      Masking.coeffs (Obs.with_span obs "draw-mask" (fun () -> draw_mask rng config ~d))
-    in
-    let lead_bits = mask_lead_bits config ~d in
-    let rngs = split_streams rng t.db.db_n in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters i packed ->
-                  (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant
-                     coefficient; one ciphertext product per point. *)
-                  let ip =
-                    Bgv.mul ~counters ?rlk:(rlk_opt t) ~rescale:false packed q_rev
-                  in
-                  let ed =
-                    Bgv.sub ~counters
-                      (Bgv.add ~counters prep.prep_norms.(i) q_norm)
-                      (Bgv.mul_scalar ~counters ip 2L)
-                  in
-                  (* ED is one multiplication deep: drop the RNS
-                     primes the affine mask does not need in one cheap
-                     truncation, so masking, transport and B's
-                     decryption all run on the small ciphertext.  If no
-                     level has the headroom, fall back to the
-                     configured rescale (which actually reduces the
-                     noise). *)
-                  let ed =
-                    match
-                      NM.distance_level nm ~return_level:(return_level t)
-                        ~level:(Bgv.level ed) ~bits:(Bgv.noise_bits ed)
-                    with
-                    | Some lvl -> Bgv.truncate_to_level ~counters ed lvl
-                    | None when config.Config.rescale_distances ->
-                      Bgv.rescale_to_floor ~counters ed
-                    | None -> ed
-                  in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed in
-                  Bgv.add_plain ~counters m
-                    (zero_constant_randomizer rngs.(i) config.Config.bgv))
-                prep.prep_packed))
-    in
-    Obs.with_span obs "permute" (fun () ->
-        let perm = Perm.random rng t.db.db_n in
-        ({ perm }, Perm.apply perm masked))
+  let compute_distances_prepared ?obs t prep rng query =
+    let fn = "Party_a.compute_distances_prepared" in
+    check_dim fn t query;
+    let q = inner_product_form fn query in
+    require_affine fn t.config ~d:t.db.db_d ~what:"prepared queries";
+    inner_product_round ?obs t rng q prep.prep_norms
 
   let select_row ?(obs = Obs.disabled) t permuted_packed row =
     (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
        inner product is fused and split across domains;
        Protocol.query_gen keeps the k rows sequential so parallelism is
-       never nested. *)
+       never nested.  Bgv.mul_sum brings the stored points to the
+       indicators' return level. *)
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
         Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
 
-  let permuted_packed t state =
-    let lvl = return_level t in
-    Perm.apply state.perm
-      (Array.map
-         (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-         t.db.points)
-
-  let permuted_packed_prepared prep state =
-    Perm.apply state.perm prep.prep_return_packed
+  let permuted_packed t state = Perm.apply state.perm (Array.map (fun p -> p.packed) t.db.points)
 
   (* ---- Slot-packed (SIMD) path ----------------------------------- *)
 

@@ -76,13 +76,35 @@ module Party_a : sig
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query ->
     query_state * Bgv.ct array
   (** Algorithm 1: returns the masked encrypted distances in permuted
-      order, [D'_i = Π(m(ED_i))].  [obs] records the ["draw-mask"],
+      order, [D'_i = Π(m(ED_i))].  A [Per_coordinate] deployment runs
+      the per-coordinate square-sum; a [Dot_product] one runs
+      {!masked_inner_product} against the stored norms, the prepared
+      path's circuit.  [obs] records the ["draw-mask"],
       ["distance-batches"] (with per-point pool chunks) and ["permute"]
       sub-stages. *)
 
+  val masked_inner_product :
+    counters:Util.Counters.t -> ?rlk:Bgv.relin_key -> Config.t -> lead_bits:float ->
+    coeffs:int64 array -> Util.Rng.t -> norm:Bgv.ct -> packed:Bgv.ct -> Bgv.ct * Bgv.ct ->
+    Bgv.ct
+  (** One point's masked distance through
+      [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²]: the product of the coefficient-packed
+      point [packed] with the reversed query (relinearised with [rlk]),
+      the combine with [norm] = [‖p‖²] and the query's [‖q‖²], the drop
+      to {!Util.Noise_model.distance_level} (or the configured rescale
+      when no level has the headroom), the mask [coeffs] with its
+      leading coefficient charged at [lead_bits] ({!Bgv.eval_poly}), and
+      a uniform zero-constant polynomial drawn from [rng] that destroys
+      the cross terms in the other coefficients.  The query is
+      [(reversed query, ‖q‖²)].  The plain path on a [Dot_product]
+      deployment, the prepared path and {!Kmeans.run} all run this
+      circuit. *)
+
   val permuted_packed : t -> query_state -> Bgv.ct array
-  (** [Π(P')] at the return level — the first step of Algorithm 3,
-      exposed so the protocol driver can stream indicator rows. *)
+  (** [Π(P')], the stored packed points in permuted order — the first
+      step of Algorithm 3, exposed so the protocol driver can stream
+      indicator rows.  {!select_row} brings them to the indicators'
+      return level. *)
 
   val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
   (** Algorithm 3, one row at a time: [select_row t Π(P') B^j] computes
@@ -95,12 +117,12 @@ module Party_a : sig
 
   (** {2 Prepared multi-query state}
 
-      Query-independent work hoisted out of the per-query loop: the
-      packed (NTT-domain) database ciphertexts plus an encrypted
-      [‖p_i‖²] per point, computed homomorphically once when the layout
-      does not already ship norms.  With
-      [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] each subsequent query costs one
-      ciphertext product per point instead of [d]. *)
+      Query-independent work hoisted out of the per-query loop: an
+      encrypted [‖p_i‖²] per point, computed homomorphically once when
+      the layout does not already ship norms.  With
+      [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] ({!masked_inner_product}) each
+      subsequent query costs one ciphertext product per point instead
+      of [d]. *)
 
   type prepared
 
@@ -134,16 +156,14 @@ module Party_a : sig
   val compute_distances_prepared :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared -> Util.Rng.t -> encrypted_query ->
     query_state * Bgv.ct array
-  (** Algorithm 1 against prepared state.  The query must be in
-      inner-product form ({!Client.encrypt_query_ip}).  Output
-      distribution, determinism and observability mirror
-      {!compute_distances}: results are bit-identical for every job
+  (** Algorithm 1 against prepared state: {!masked_inner_product} on
+      every point, in the round {!compute_distances} runs (the same
+      spans, pool label and draws: mask, per-point streams, then Π).
+      The query must be in inner-product form
+      ({!Client.encrypt_query_ip}).  On a [Dot_product] deployment, a
+      plain and a prepared query on the same RNG state give the same
+      masked distances.  Results are bit-identical for every job
       count. *)
-
-  val permuted_packed_prepared : prepared -> query_state -> Bgv.ct array
-  (** {!permuted_packed} from the prepared cache: the return-level
-      truncation was done once in {!prepare}, so this is just the
-      permutation. *)
 
   (** {2 Slot-packed (SIMD) prepared state}
 

@@ -44,22 +44,6 @@ type result = {
   counters_b : Counters.t;
 }
 
-(* Party A: encrypted squared distance of one stored point to one
-   encrypted centroid (Dot_product layout; see Entities). *)
-let encrypted_distance (t : deployment) (point : Entities.encrypted_point) (q : Entities.encrypted_query) =
-  let counters = t.counters_a in
-  let q_rev = Option.get q.Entities.q_rev and q_norm = Option.get q.Entities.q_norm in
-  let norm = Option.get point.Entities.norm in
-  let ip = Bgv.mul ~counters ~rescale:false point.Entities.packed q_rev in
-  Bgv.sub ~counters (Bgv.add ~counters norm q_norm) (Bgv.mul_scalar ~counters ip 2L)
-
-let zero_constant_randomizer rng params =
-  let tp = params.Params.t_plain in
-  let coeffs =
-    Array.init params.Params.n (fun i -> if i = 0 then 0L else Rng.int64_below rng tp)
-  in
-  Plaintext.of_coeffs params coeffs
-
 let run ?rng ?(max_iters = 25) t ~init =
   let rng = match rng with Some r -> r | None -> Rng.split t.seed in
   let k = Array.length init in
@@ -80,6 +64,7 @@ let run ?rng ?(max_iters = 25) t ~init =
     Config.mask_lead_bits ~t_plain:tp ~max_coord_bits ~d:t.d ~degree:1
       ~coeff_bits:t.config.Config.mask_coeff_bits
   in
+  let packed = Array.map (fun p -> p.Entities.packed) t.enc_db.Entities.points in
   let centroids = ref (Array.map Array.copy init) in
   let iterations = ref 0 in
   let converged = ref false in
@@ -90,6 +75,11 @@ let run ?rng ?(max_iters = 25) t ~init =
     (* Client: encrypt the centroids as dot-product queries. *)
     let enc_centroids =
       Array.map (fun c -> Entities.Client.encrypt_query t.client rng c) !centroids
+    in
+    let queries =
+      Array.map
+        (fun q -> (Option.get q.Entities.q_rev, Option.get q.Entities.q_norm))
+        enc_centroids
     in
     Transcript.send tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
       ~label:(Printf.sprintf "iteration %d: encrypted centroids" !iterations)
@@ -107,10 +97,10 @@ let run ?rng ?(max_iters = 25) t ~init =
           let row =
             Array.map
               (fun q ->
-                let ed = encrypted_distance t point q in
-                let m = Bgv.eval_poly ~counters:t.counters_a ~lead_bits ~coeffs ed in
-                Bgv.add_plain ~counters:t.counters_a m (zero_constant_randomizer rng params))
-              enc_centroids
+                Entities.Party_a.masked_inner_product ~counters:t.counters_a t.config
+                  ~lead_bits ~coeffs rng ~norm:(Option.get point.Entities.norm)
+                  ~packed:point.Entities.packed q)
+              queries
           in
           Perm.apply perms.(i) row)
         t.enc_db.Entities.points
@@ -134,28 +124,16 @@ let run ?rng ?(max_iters = 25) t ~init =
       ~label:(Printf.sprintf "iteration %d: assignment indicators" !iterations)
       ~bytes:(Array.fold_left (fun s row -> s + ct_bytes row) 0 indicator_rows);
     (* Party A: un-permute and aggregate sums and counts per cluster. *)
-    let sums = Array.make k None and counts = Array.make k None in
-    Array.iteri
-      (fun i row ->
-        let packed =
-          Bgv.truncate_to_level ~counters:t.counters_a
-            t.enc_db.Entities.points.(i).Entities.packed return_level
-        in
-        for c = 0 to k - 1 do
-          let ind = row.(Perm.apply_index perms.(i) c) in
-          let term = Bgv.mul ~counters:t.counters_a ~rescale:false packed ind in
-          sums.(c) <-
-            (match sums.(c) with
-             | None -> Some term
-             | Some a -> Some (Bgv.add ~counters:t.counters_a a term));
-          counts.(c) <-
-            (match counts.(c) with
-             | None -> Some ind
-             | Some a -> Some (Bgv.add ~counters:t.counters_a a ind))
-        done)
-      indicator_rows;
     let aggregates =
-      Array.init k (fun c -> (Option.get sums.(c), Option.get counts.(c)))
+      Array.init k (fun c ->
+          let inds =
+            Array.mapi (fun i row -> row.(Perm.apply_index perms.(i) c)) indicator_rows
+          in
+          let count =
+            Array.fold_left (Bgv.add ~counters:t.counters_a) inds.(0)
+              (Array.sub inds 1 (t.n - 1))
+          in
+          (Bgv.mul_sum ~counters:t.counters_a ~jobs:1 packed inds, count))
     in
     Transcript.send tr ~sender:Transcript.Party_a ~receiver:Transcript.Client
       ~label:(Printf.sprintf "iteration %d: cluster aggregates" !iterations)

@@ -14,12 +14,15 @@
       the centroids, masks each point's row with a {e fresh per-point}
       monotone affine polynomial (so B can compare within a row but
       never across rows) and permutes each row's centroid positions with
-      a fresh per-point permutation;
+      a fresh per-point permutation — each masked distance is the k-NN
+      paths' inner-product circuit,
+      {!Entities.Party_a.masked_inner_product};
     + B decrypts each row, finds the argmin, and returns per-point
       one-hot indicator vectors over the (permuted) centroid slots;
     + A un-permutes, homomorphically aggregates per cluster the
-      coordinate sums [Σ indicator·packed_point] and sizes
-      [Σ indicator], and forwards the k aggregate pairs to the client;
+      coordinate sums [Σ indicator·packed_point] (one {!Bgv.mul_sum})
+      and sizes [Σ indicator], and forwards the k aggregate pairs to the
+      client;
     + the client decrypts and computes the rounded integer means —
       exactly {!Kmeans_plain.update} — so on tie-free instances the
       secure run reproduces the plaintext iterates bit for bit.

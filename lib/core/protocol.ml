@@ -234,12 +234,12 @@ let sample_cts obs ~name cts =
 let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 
 (* How Party A answers Return kNN: by folding Party B's k scalar
-   indicator rows into Π(P') at the return level, which only ciphertexts
-   hold on the plain and prepared paths; or, where A holds the plaintext
-   points (packed, batch), by multiplying B's block indicators into its
+   indicator rows into the round's Π(P'), which only ciphertexts hold on
+   the plain and prepared paths; or, where A holds the plaintext points
+   (packed, batch), by multiplying B's block indicators into its
    plaintext blocks under the round's permutation. *)
 type return_knn =
-  | Rows of (unit -> Bgv.ct array)
+  | Rows of Entities.Party_a.query_state
   | Blocks of (Rng.t -> Bgv.ct array -> Bgv.ct array)
 
 let query_ct_count (q : Entities.encrypted_query) =
@@ -310,20 +310,20 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       send_query ~bytes:(Entities.query_bytes q) ~cts:(query_ct_count q);
       f q
     in
+    let rows encrypt_query distances =
+      single
+        (encrypt (fun () -> encrypt_query d.cl rng queries.(0)))
+        (fun q () ->
+          let s, masked = distances rng q in
+          ([| masked |], Rows s))
+    in
     match path with
     | CM.Plain ->
-      single
-        (encrypt (fun () -> Entities.Client.encrypt_query d.cl rng queries.(0)))
-        (fun q () ->
-          let s, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
-          ([| masked |], Rows (fun () -> Entities.Party_a.permuted_packed d.a s)))
+      rows Entities.Client.encrypt_query (Entities.Party_a.compute_distances ~obs d.a)
     | CM.Prepared ->
       let p = prepared () in
-      single
-        (encrypt (fun () -> Entities.Client.encrypt_query_ip d.cl rng queries.(0)))
-        (fun q () ->
-          let s, masked = Entities.Party_a.compute_distances_prepared ~obs d.a p rng q in
-          ([| masked |], Rows (fun () -> Entities.Party_a.permuted_packed_prepared p s)))
+      rows Entities.Client.encrypt_query_ip
+        (Entities.Party_a.compute_distances_prepared ~obs d.a p)
     | CM.Packed | CM.Batch _ ->
       let p = prepared_packed () in
       let qs =
@@ -391,8 +391,8 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       "return-knn"
       (fun () ->
         match return_knn with
-        | Rows permuted_packed ->
-          let packed = permuted_packed () in
+        | Rows s ->
+          let packed = Entities.Party_a.permuted_packed d.a s in
           Array.init k (fun j ->
               Obs.with_span obs
                 ~counters:[ ("party-a", ca); ("party-b", cb) ]

@@ -112,7 +112,14 @@ val query :
 
     Requires affine (degree-1) masking and [d ≤ N], the ring degree
     (see {!Entities.Party_a.prepare}).  Results remain exact and
-    bit-identical across job counts. *)
+    bit-identical across job counts.
+
+    The prepared path runs {!Entities.Party_a.masked_inner_product} on
+    every point.  A [Dot_product] deployment ships the norms, so
+    {!query} on it runs the same round: a plain and a steady-state
+    prepared query from the same RNG state give the same transcript,
+    view and Party A ledger.  The prepared path pays off on a
+    [Per_coordinate] deployment, whose norms it computes once. *)
 
 val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
 (** Builds the prepared state now (idempotent).  Otherwise the first

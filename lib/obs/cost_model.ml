@@ -176,9 +176,9 @@ let relinearize p c (st : NM.state) =
   NM.key_switch p.nm st ~ndigits ~w
 
 (* The tensor product, relinearised when the live call site passes
-   [?rlk] — some sites (the plain-path inner product, Return-kNN's row
-   selection) never do, whatever the configuration says.  A rescaling
-   Bgv.mul is this followed by [rescale_to_floor]. *)
+   [?rlk] — Return-kNN's row selection never does, whatever the
+   configuration says.  A rescaling Bgv.mul is this followed by
+   [rescale_to_floor]. *)
 let mul p c ~relin a b =
   record_op c C.Op_ct_mul ~level:(Stdlib.min a.NM.level b.NM.level);
   let st = NM.mul p.nm a b in
@@ -272,18 +272,14 @@ let send_masked sim ~count ~decrypt masked =
   repeat cb ~times:count (fun c -> decrypt c masked)
 
 (* Return-kNN + decrypt-result on the plain and prepared paths: [k]
-   scalar indicator rows against return-level packed points. *)
-let return_rows sim ~plain_truncations =
+   scalar indicator rows against the stored packed points, which
+   Bgv.mul_sum brings to the return level without a ledger cell. *)
+let return_rows sim =
   let p = sim.p in
   let rl = return_level p in
   let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
   let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
-  let fresh = NM.fresh p.nm in
-  let packed_ret =
-    if plain_truncations then
-      repeat ca ~times:p.n_points (fun c -> truncate c fresh ~level:rl)
-    else truncate_silent fresh ~level:rl
-  in
+  let packed_ret = truncate_silent (NM.fresh p.nm) ~level:rl in
   (* Each indicator row is n fresh return-level encryptions crossing
      B->A in one message, folded by A into one selected point. *)
   let row = repeat cb ~times:(p.k * p.n_points) (fun c -> enc p c ~level:rl) in
@@ -341,13 +337,36 @@ let encrypt_query sim ~level count =
     ~label:"encrypted query" ~count fresh;
   step sim "fresh-encrypt" fresh
 
-let predict_plain sim =
+(* Entities.Party_a.masked_inner_product on one point: the product
+   with the reversed query, the ED combine, the level drop (or the
+   configured rescale), the mask and the zero-constant randomizer. *)
+let masked_inner_product sim c ~norm ~packed q =
   let p = sim.p in
-  let fresh = encrypt_query sim ~level:(full_level p) (if p.per_coordinate then p.d else 2) in
+  let ip = step sim "inner-product" (mul p c ~relin:p.use_relin packed q) in
+  let ed = step sim "ed-combine" (sub c (add c norm q) (mul_scalar c ip ~bits:1.0)) in
+  let ed =
+    match
+      NM.distance_level p.nm ~return_level:(return_level p) ~level:ed.NM.level
+        ~bits:ed.NM.bits
+    with
+    | Some lvl -> step sim "truncate" (truncate c ed ~level:lvl)
+    | None when p.rescale_distances -> step sim "rescale-to-floor" (rescale_to_floor p c ed)
+    | None -> ed
+  in
+  add_plain p c (eval_poly sim c ed)
+
+(* The rounds the plain and prepared paths share after any prepare
+   phase: the query, one masked distance per point, B's decryptions and
+   Return-kNN by rows.  [per_coordinate] runs Algorithm 1's square-sum
+   on [d] coordinate ciphertexts; otherwise the two-ciphertext
+   inner-product query meets [norm]. *)
+let predict_rows sim ~per_coordinate ~norm =
+  let p = sim.p in
+  let fresh = encrypt_query sim ~level:(full_level p) (if per_coordinate then p.d else 2) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   let masked =
     repeat ca ~times:p.n_points (fun c ->
-        if p.per_coordinate then begin
+        if per_coordinate then begin
           (* Bgv.sum_sq_diff: d per-coordinate differences and their
              square-and-sum, then one deferred rescale chain and the
              masking polynomial. *)
@@ -359,20 +378,13 @@ let predict_plain sim =
           in
           eval_poly sim c ed
         end
-        else begin
-          (* ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖² via the inner-product trick, plus
-             the zero-constant randomizer. *)
-          let ip = step sim "inner-product" (mul p c ~relin:false fresh fresh) in
-          let ed = step sim "ed-combine" (sub c (add c fresh fresh) (mul_scalar c ip ~bits:1.0)) in
-          add_plain p c (eval_poly sim c ed)
-        end)
+        else masked_inner_product sim c ~norm ~packed:(NM.fresh p.nm) fresh)
   in
   send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
-  return_rows sim ~plain_truncations:true
+  return_rows sim
 
 let predict_prepared sim ~include_prepare =
   let p = sim.p in
-  let rl = return_level p in
   let fresh = NM.fresh p.nm in
   (* The prepared norms exist whether or not this query pays for them;
      only the first query of a deployment records the prepare phase (a
@@ -387,26 +399,7 @@ let predict_prepared sim ~include_prepare =
           step sim "prepare-norms" (mul_sum p c ~terms:p.d ~relin:p.use_relin fresh fresh)
         else fresh)
   in
-  ignore (repeat cp ~times:p.n_points (fun c -> truncate c fresh ~level:rl));
-  let q = encrypt_query sim ~level:(full_level p) 2 in
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let masked =
-    repeat ca ~times:p.n_points (fun c ->
-        let ip = step sim "inner-product" (mul p c ~relin:p.use_relin fresh q) in
-        let ed = step sim "ed-combine" (sub c (add c norm q) (mul_scalar c ip ~bits:1.0)) in
-        let ed =
-          match
-            NM.distance_level p.nm ~return_level:rl ~level:ed.NM.level ~bits:ed.NM.bits
-          with
-          | Some lvl -> step sim "truncate" (truncate c ed ~level:lvl)
-          | None when p.rescale_distances ->
-            step sim "rescale-to-floor" (rescale_to_floor p c ed)
-          | None -> ed
-        in
-        add_plain p c (eval_poly sim c ed))
-  in
-  send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
-  return_rows sim ~plain_truncations:false
+  predict_rows sim ~per_coordinate:false ~norm
 
 (* The packed and batch paths: a round of [queries] packed queries
    under one Π.  prepare_packed lays out plaintext columns only, so its
@@ -464,7 +457,7 @@ let predict ?(include_prepare = true) ?margin_bits p path =
       party_a = C.create (); party_b = C.create (); client = C.create () }
   in
   (match path with
-   | Plain -> predict_plain sim
+   | Plain -> predict_rows sim ~per_coordinate:p.per_coordinate ~norm:(NM.fresh p.nm)
    | Prepared -> predict_prepared sim ~include_prepare
    | Packed -> predict_packed sim ~include_prepare ~queries:1
    | Batch queries -> predict_packed sim ~include_prepare ~queries);

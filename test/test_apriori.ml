@@ -165,6 +165,28 @@ let test_secure_rotations_variant () =
      < Transcript.bytes_between r_basic.Apriori.transcript Transcript.Party_a
          Transcript.Party_b)
 
+(* B's ciphertexts carry no trace of A's secret scale a: candidates
+   masked under different seeds, so different a, give equal noise
+   bounds and headers in both variants.  Charged at the drawn width, a
+   moved the bound by log2 a, and B could divide it out of
+   a·(support − minsup). *)
+let test_secure_scale_hidden () =
+  let dep = Apriori.deploy ~rng:(Rng.of_int 71) (Config.standard ()) ~transactions:tiny in
+  List.iter
+    (fun use_rotations ->
+      let meta seed =
+        let cts, _ = Apriori.masked_support ~use_rotations dep (Rng.of_int seed) ~minsup:3 [ 0; 1 ] in
+        Array.map (fun c -> (Bgv.noise_bits c, Bytes.sub (Bgv.ct_to_bytes c) 0 40)) cts
+      in
+      let reference = meta 72 in
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool)
+            (Printf.sprintf "rotations=%b, seed %d: same noise bits and header" use_rotations seed)
+            true (meta seed = reference))
+        [ 73; 74; 75 ])
+    [ false; true ]
+
 let test_secure_validation () =
   Alcotest.check_raises "non-binary" (Invalid_argument "Apriori.deploy: bits must be 0/1")
     (fun () -> ignore (Apriori.deploy (Config.standard ()) ~transactions:[| [| 3 |] |]));
@@ -189,4 +211,5 @@ let () =
          Alcotest.test_case "spans blocks" `Quick test_secure_spans_blocks;
          Alcotest.test_case "leakage shape" `Quick test_secure_leakage_shape;
          Alcotest.test_case "rotation variant" `Quick test_secure_rotations_variant;
+         Alcotest.test_case "scale hidden from B" `Quick test_secure_scale_hidden;
          Alcotest.test_case "validation" `Quick test_secure_validation ]) ]

@@ -1212,6 +1212,40 @@ let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.re
 (* Several queries per deployment, so that each draws its own mask: the
    degree-2 mask's rescale decisions must not depend on the drawn
    coefficients, small ones included. *)
+(* On a dot-product deployment the plain path runs the prepared
+   circuit: a plain query and a steady-state prepared query from the
+   same RNG state give the same transcript, view, answer and Party A
+   ledger, and the model predicts that plain round.  On the 10-prime
+   chain the distance drops to the prepared level only since both
+   paths share the circuit. *)
+let test_plain_is_prepared_circuit () =
+  let db = small_db (Rng.of_int 181) in
+  let q = Synthetic.query_like (Rng.of_int 182) db in
+  let entry (e : Transcript.entry) =
+    (e.Transcript.sender, e.Transcript.receiver, e.Transcript.label, e.Transcript.bytes)
+  in
+  List.iter
+    (fun (name, config) ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 183) ~jobs:1 config ~db in
+      Protocol.prepare dep;
+      let plain = Protocol.query ~rng:(Rng.of_int 184) dep ~query:q ~k:3 in
+      let prepared = Protocol.query_prepared ~rng:(Rng.of_int 184) dep ~query:q ~k:3 in
+      Alcotest.(check bool) (name ^ ": same transcript") true
+        (List.map entry (Transcript.entries plain.Protocol.transcript)
+         = List.map entry (Transcript.entries prepared.Protocol.transcript));
+      Alcotest.(check bool) (name ^ ": same view") true
+        (plain.Protocol.view_b = prepared.Protocol.view_b);
+      Alcotest.(check bool) (name ^ ": same answer") true
+        (plain.Protocol.neighbours = prepared.Protocol.neighbours);
+      Alcotest.(check bool) (name ^ ": same Party A ledger") true
+        (Util.Counters.equal_ledger plain.Protocol.counters_a prepared.Protocol.counters_a);
+      check_prediction (name ^ " plain") config ~n:(Array.length db) ~d:(Array.length db.(0))
+        ~k:3 ~include_prepare:false CM.Plain plain)
+    [ ("fast", Config.fast ());
+      ( "10-prime dot-product",
+        Config.with_layout Config.Dot_product (Config.with_mask_degree 1 (Config.standard ())) )
+    ]
+
 let test_cost_model_plain () =
   let k = 4 in
   List.iter
@@ -1424,7 +1458,9 @@ let () =
          Alcotest.test_case "matches unprepared path" `Quick test_prepared_matches_unprepared;
          Alcotest.test_case "identical across job counts" `Quick test_prepared_jobs_determinism;
          Alcotest.test_case "rejects non-affine masking" `Quick test_prepared_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_prepared_query_stream ]);
+         Alcotest.test_case "run_queries batch" `Quick test_prepared_query_stream;
+         Alcotest.test_case "plain on dot-product = prepared" `Quick
+           test_plain_is_prepared_circuit ]);
       ("packed",
        [ Alcotest.test_case "exact over repeated queries" `Quick test_packed_exactness;
          Alcotest.test_case "matches unpacked paths" `Quick test_packed_matches_unpacked;
