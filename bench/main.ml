@@ -206,7 +206,7 @@ let run_query_series ?(packed = false) ?predict ~opts ~experiment ~config ~db ~q
     ~rng () =
   let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
   let base_extra = if packed then [ ("packed", Bool true) ] else [] in
-  let path = if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Plain in
+  let path = if packed then Sknn_obs.Cost_model.Packed 1 else Sknn_obs.Cost_model.Plain in
   List.mapi
     (fun i k ->
       let q = Synthetic.query_like rng db in
@@ -274,14 +274,14 @@ let fig_k_sweep ?(packed = false) ?(attribute = false) ~id ~title ~dataset_name 
     else begin
       let unit_costs = calibration_for ?cache:opts.calib config.Config.bgv in
       let path =
-        if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Plain
+        if packed then Sknn_obs.Cost_model.Packed 1 else Sknn_obs.Cost_model.Plain
       in
       Some
         (fun ~first ~k ->
           let pred =
             Attribution.predict ~include_prepare:(packed && first) config ~n ~d ~k path
           in
-          Attribution.predicted_phase_seconds ~unit_costs pred)
+          (Sknn_obs.Cost_model.price ~unit_costs pred).Sknn_obs.Cost_model.phase_s)
     end
   in
   let rows =
@@ -682,7 +682,9 @@ let amortized opts =
      prepared path, then the slot-packed path.  Each pass pays its own
      one-time prepare-db on the first query. *)
   let pass ~packed name =
-    let path = if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Prepared in
+    let path =
+      if packed then Sknn_obs.Cost_model.Packed 1 else Sknn_obs.Cost_model.Prepared
+    in
     say "@.%s:@." name;
     say "%8s %10s %12s %7s@." "query" "total" "prepare-db" "exact";
     Array.init (reps + 1) (fun i ->
@@ -804,7 +806,7 @@ let planned opts =
     Sknn_obs.Cost_model.fit_unit_model ~n:preset.Config.bgv.Params.n costs
   in
   let w =
-    Planner.workload ~layout:preset.Config.layout ~path:Sknn_obs.Cost_model.Packed
+    Planner.workload ~layout:preset.Config.layout ~path:(Sknn_obs.Cost_model.Packed 1)
       ~mask_degree:preset.Config.mask_degree
       ~mask_coeff_bits:preset.Config.mask_coeff_bits ~points:n ~dim:d ~k
       ~coord_bits:preset.Config.max_coord_bits ()
@@ -836,10 +838,9 @@ let planned opts =
       in
       let pred =
         Attribution.predict ~include_prepare:false preset ~n ~d ~k
-          Sknn_obs.Cost_model.Packed
+          (Sknn_obs.Cost_model.Packed 1)
       in
-      List.fold_left (fun acc (_, ps) -> acc +. ps) 0.0
-        (Attribution.predicted_phase_seconds ~unit_costs pred)
+      (Sknn_obs.Cost_model.price ~unit_costs pred).Sknn_obs.Cost_model.total_s
     in
     let reps = Stdlib.max 1 opts.repeat in
     say "n=%d, d=%d, k=%d, 1 first + %d steady-state queries per variant%s@." n d k reps
@@ -859,7 +860,7 @@ let planned opts =
           Gc.full_major ();
           let r, secs =
             Util.Timer.time (fun () ->
-                traced_query ~path:Sknn_obs.Cost_model.Packed ~experiment:"planned" dep
+                traced_query ~path:(Sknn_obs.Cost_model.Packed 1) ~experiment:"planned" dep
                   ~query:q ~k)
           in
           let ok = Protocol.exact dep ~db ~query:q r in
@@ -915,27 +916,29 @@ let network opts =
   say "n=%d, d=%d, k=%d, batch m=%d@." n d k m;
   say "@.%-7s %-9s %7s %10s %13s %12s %12s %12s %6s@." "shape" "profile" "rounds"
     "bytes" "pred compute" "pred wire" "pred e2e" "replayed" "match";
-  let link_sig (tl : Clock.timeline) =
-    List.map
-      (fun (l : Clock.link) ->
-        (l.Clock.link_a, l.Clock.link_b, l.Clock.link_messages,
-         l.Clock.link_bytes, l.Clock.link_rounds))
-      tl.Clock.links
-  in
   let all_exact = ref true in
-  let shape ~id ~config ~path ~prepare run_live =
+  let shape ~id ~config path =
     let dep =
       Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 91)) ?jobs:opts.jobs
         config ~db
     in
     (* Pay prepare-db up front so every profile's run is steady state and
        the prediction can price the query alone. *)
-    if prepare then Protocol.prepare_packed ~obs:!obs dep;
+    let round =
+      match path with
+      | Sknn_obs.Cost_model.Packed m ->
+        Protocol.prepare_packed ~obs:!obs dep;
+        m
+      | Sknn_obs.Cost_model.Plain | Sknn_obs.Cost_model.Prepared -> 1
+    in
     let qrng = Rng.of_int (opts.seed + 92) in
-    let queries = Array.init m (fun _ -> Synthetic.query_like qrng db) in
+    let queries = Array.init round (fun _ -> Synthetic.query_like qrng db) in
     List.iter
       (fun profile ->
-        let r, s = Util.Timer.time (fun () -> run_live dep ~net:profile ~queries) in
+        let r, s =
+          Util.Timer.time (fun () ->
+              (Protocol.query_gen ~path ~obs:!obs ~net:profile dep ~queries ~k).(0))
+        in
         let ok = Protocol.exact dep ~db ~query:queries.(0) r in
         let tl =
           match r.Protocol.net with
@@ -943,12 +946,10 @@ let network opts =
           | None -> failwith "network run returned no timeline"
         in
         let e2e =
-          Attribution.predict_end_to_end ~include_prepare:false config ~n ~d ~k
-            ~unit_costs ~profile path
+          Sknn_obs.Cost_model.price ~unit_costs ~profile
+            (Attribution.predict ~include_prepare:false config ~n ~d ~k path)
         in
-        let exact_tr =
-          link_sig e2e.Sknn_obs.Cost_model.timeline = link_sig tl
-        in
+        let exact_tr = Clock.same_traffic e2e.Sknn_obs.Cost_model.timeline tl in
         all_exact := !all_exact && exact_tr;
         let tr = r.Protocol.transcript in
         record_run
@@ -970,15 +971,9 @@ let network opts =
           tl.Clock.end_to_end_s exact_tr)
       profiles
   in
-  shape ~id:"fig3" ~config:plain_config ~path:Sknn_obs.Cost_model.Plain
-    ~prepare:false (fun dep ~net ~queries ->
-      Protocol.query ~obs:!obs ~net dep ~query:queries.(0) ~k);
-  shape ~id:"fig3p" ~config:packed_config ~path:Sknn_obs.Cost_model.Packed
-    ~prepare:true (fun dep ~net ~queries ->
-      Protocol.query_packed ~obs:!obs ~net dep ~query:queries.(0) ~k);
-  shape ~id:"batch8" ~config:packed_config ~path:(Sknn_obs.Cost_model.Batch m)
-    ~prepare:true (fun dep ~net ~queries ->
-      (Protocol.query_batch ~obs:!obs ~net dep ~queries ~k).(0));
+  shape ~id:"fig3" ~config:plain_config Sknn_obs.Cost_model.Plain;
+  shape ~id:"fig3p" ~config:packed_config (Sknn_obs.Cost_model.Packed 1);
+  shape ~id:"batch8" ~config:packed_config (Sknn_obs.Cost_model.Packed m);
   say "@.predicted transcripts %s the live replays on every shape x profile@."
     (if !all_exact then "exactly match" else "DIVERGE from")
 

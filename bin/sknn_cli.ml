@@ -27,25 +27,46 @@ let config_of_layout = function
 
 module CM = Sknn_obs.Cost_model
 
-(* The --path names of sknn query, cost and plan. *)
-let path_of_string ~batch = function
+(* The --path names of sknn query, cost and plan; [queries] is the size
+   of a packed round. *)
+let path_of_string ~queries = function
   | "plain" -> CM.Plain
   | "prepared" -> CM.Prepared
-  | "packed" -> CM.Packed
-  | "batch" -> CM.Batch batch
+  | "packed" -> CM.Packed queries
   | other ->
-    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
+    Format.eprintf "unknown path %S (plain | prepared | packed)@." other;
     exit 2
 
-(* --query holds one query, or ';'-separated queries on the batch
-   path. *)
-let parse_queries ~path_s query_s =
+(* --query holds one query, or on the packed path ';'-separated
+   queries that one round answers. *)
+let parse_round ~path_s query_s =
   let queries = String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list in
-  if path_s <> "batch" && Array.length queries > 1 then begin
-    Format.eprintf "multiple ';'-separated queries need --path batch@.";
+  let path = path_of_string ~queries:(Array.length queries) path_s in
+  if path_s <> "packed" && Array.length queries > 1 then begin
+    Format.eprintf "multiple ';'-separated queries need --path packed@.";
     exit 2
   end;
-  queries
+  (path, queries)
+
+let write_flight fl path ~run =
+  let oc = open_out path in
+  Sknn_obs.Flight.dump ~run fl oc;
+  close_out oc
+
+(* Noise exhaustion ends every protocol command the same way: one
+   stderr line, the flight recorder (when one is attached) dumped to
+   [flight_out] or sknn-flight-crash.jsonl, and exit 1. *)
+let guarded ?flight ?flight_out f =
+  try f ()
+  with Bgv.Decryption_failure msg ->
+    Format.eprintf "decryption failure: %s@." msg;
+    Option.iter
+      (fun fl ->
+        let path = Option.value flight_out ~default:"sknn-flight-crash.jsonl" in
+        write_flight fl path ~run:[ ("reason", "decryption-failure"); ("error", msg) ];
+        Format.eprintf "flight recorder dumped to %s@." path)
+      flight;
+    exit 1
 
 (* Every path but plain needs affine (degree-1) masking and d <= N. *)
 let check_path config ~d path_s =
@@ -189,29 +210,10 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
       close_out oc;
       Format.printf "trace written to %s@." path
   in
-  let dump_flight_to path ~run =
-    match flight with
-    | None -> ()
-    | Some fl ->
-      let oc = open_out path in
-      Sknn_obs.Flight.dump ~run fl oc;
-      close_out oc
-  in
-  let guarded f =
-    try f ()
-    with Bgv.Decryption_failure msg ->
-      Format.eprintf "decryption failure: %s@." msg;
-      if Option.is_some flight then begin
-        let path = Option.value flight_out ~default:"sknn-flight-crash.jsonl" in
-        dump_flight_to path ~run:[ ("reason", "decryption-failure"); ("error", msg) ];
-        Format.eprintf "flight recorder dumped to %s@." path
-      end;
-      exit 1
-  in
+  let guarded f = guarded ?flight ?flight_out f in
   let db = read_db data in
-  let queries = parse_queries ~path_s query_s in
+  let path, queries = parse_round ~path_s query_s in
   let m = Array.length queries in
-  let path = path_of_string ~batch:m path_s in
   let config = config_of_layout layout in
   let d = Array.length queries.(0) in
   (match Config.validate config ~d with
@@ -291,16 +293,16 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
      close_out oc;
      Format.printf "prometheus exposition written to %s@." path
    | _ -> ());
-  (match flight_out with
-   | None -> ()
-   | Some path when Option.is_some flight ->
-     dump_flight_to path
+  (match flight_out, flight with
+   | None, _ -> ()
+   | Some path, Some fl ->
+     write_flight fl path
        ~run:
          [ ("cmd", "query"); ("data", data); ("k", string_of_int k);
            ("repeat", string_of_int repeat) ];
      Option.iter (append_net_records path) net_timeline;
      Format.printf "flight dump written to %s@." path
-   | Some _ -> Format.eprintf "--flight ignored: recorder disabled (SKNN_FLIGHT=0)@.");
+   | Some _, None -> Format.eprintf "--flight ignored: recorder disabled (SKNN_FLIGHT=0)@.");
   if all ok && List.for_all fst steady then 0
   else begin
     Format.eprintf "wrong answer: a neighbour set differs from plaintext k-NN@.";
@@ -366,13 +368,13 @@ let query_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline: plain | prepared | packed | batch.  prepared \
-                   reuses the encrypted norms and sends the two-ciphertext \
-                   inner-product query; packed and batch use the slot-packed \
-                   (SIMD) layout, one ciphertext per $(b,N) points, and batch \
-                   answers the ';'-separated --query list in one round under one \
-                   permutation.  Every path but plain needs affine masking and \
-                   d <= ring degree (try --layout dot-product).")
+             ~doc:"Query pipeline: plain | prepared | packed.  prepared reuses \
+                   the encrypted norms and sends the two-ciphertext inner-product \
+                   query; packed uses the slot-packed (SIMD) layout, one \
+                   ciphertext per $(b,N) points, and answers the ';'-separated \
+                   --query list in one round under one permutation.  Every path \
+                   but plain needs affine masking and d <= ring degree (try \
+                   --layout dot-product).")
   in
   let repeat =
     Arg.(value & opt int 1
@@ -401,63 +403,6 @@ let query_cmd =
     Term.(const query_run $ data_t $ query_t $ k_t $ layout $ path $ seed_t $ jobs $ repeat
           $ net_t $ verbose_t $ trace $ trace_format $ audit
           $ metrics $ prom $ flight_out)
-
-(* ------------------------------------------------------------------ *)
-(* dump-flight                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let dump_flight_run data query_s k layout seed jobs out =
-  let flight =
-    match Sknn_obs.Flight.default () with
-    | Some f -> f
-    | None ->
-      Format.eprintf "flight recorder disabled (SKNN_FLIGHT=0)@.";
-      exit 2
-  in
-  let db = read_db data in
-  let q = parse_query query_s in
-  let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
-   | Ok () -> ()
-   | Error e ->
-     Format.eprintf "configuration unsound for this data: %s@." e;
-     exit 2);
-  let rng = Util.Rng.of_int seed in
-  let obs = Sknn_obs.Ctx.create ~flight () in
-  let dump ~reason =
-    let oc = open_out out in
-    Sknn_obs.Flight.dump
-      ~run:[ ("cmd", "dump-flight"); ("data", data); ("k", string_of_int k); reason ]
-      flight oc;
-    close_out oc;
-    Format.printf "flight dump (%d events, %d dropped) written to %s@."
-      (Stdlib.min (Sknn_obs.Flight.total flight) (Sknn_obs.Flight.capacity flight))
-      (Sknn_obs.Flight.dropped flight) out
-  in
-  (try
-     let dep = Protocol.deploy ~obs ~rng ?jobs config ~db in
-     ignore (Protocol.query ~obs dep ~query:q ~k)
-   with Bgv.Decryption_failure msg ->
-     Format.eprintf "decryption failure: %s@." msg;
-     dump ~reason:("error", msg);
-     exit 1);
-  dump ~reason:("status", "ok");
-  0
-
-let dump_flight_cmd =
-  let out =
-    Arg.(value & opt string "flight.jsonl"
-         & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output path for the JSONL dump.")
-  in
-  Cmd.v
-    (Cmd.info "dump-flight"
-       ~doc:"Run one query with the flight recorder only and dump its ring buffer")
-    Term.(const dump_flight_run $ data_t $ query_t $ k_t
-          $ Arg.(value & opt string "per-coordinate"
-                 & info [ "layout" ] ~doc:"per-coordinate | dot-product | secure")
-          $ seed_t
-          $ Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:"OCaml domains.")
-          $ out)
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
@@ -506,8 +451,7 @@ let calib_t =
 
 let cost_run data query_s k layout path_s seed jobs net quick calib verbose json =
   let db = read_db data in
-  let queries = parse_queries ~path_s query_s in
-  let path = path_of_string ~batch:(Array.length queries) path_s in
+  let path, queries = parse_round ~path_s query_s in
   let config = config_of_layout layout in
   let d = Array.length queries.(0) in
   (match Config.validate config ~d with
@@ -527,7 +471,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
   let dep = Protocol.deploy ~rng ?jobs config ~db in
-  let r = (Protocol.query_gen ~path ?net dep ~queries ~k).(0) in
+  let r = guarded (fun () -> (Protocol.query_gen ~path ?net dep ~queries ~k).(0)) in
   (* The one query above pays any prepare-db phase, so predict it too. *)
   let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k path in
   let ledger_exact =
@@ -535,7 +479,8 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     && Util.Counters.equal_ledger pred.CM.party_b r.Protocol.counters_b
     && Util.Counters.equal_ledger pred.CM.client r.Protocol.counters_client
   in
-  let predicted = Attribution.predicted_phase_seconds ~unit_costs pred in
+  let priced = CM.price ~unit_costs ?profile:net pred in
+  let predicted = priced.CM.phase_s in
   Format.printf "@.instance: n=%d d=%d k=%d layout=%s path=%s@." n d k
     (Config.layout_name config.Config.layout)
     path_s;
@@ -575,31 +520,24 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     match net with
     | None -> None
     | Some profile ->
-      let e2e = CM.predict_end_to_end ~unit_costs ~profile pred in
       let live = Clock.replay profile r.Protocol.transcript in
-      let link_sig (tl : Clock.timeline) =
-        List.map
-          (fun (l : Clock.link) ->
-            (l.Clock.link_a, l.Clock.link_b, l.Clock.link_messages,
-             l.Clock.link_bytes, l.Clock.link_rounds))
-          tl.Clock.links
-      in
-      let exact = link_sig e2e.CM.timeline = link_sig live in
+      let exact = Clock.same_traffic priced.CM.timeline live in
       Format.printf
         "@.network (%s): predicted end-to-end %.6fs = compute %.6fs + wire %.6fs@."
-        (Profile.to_string profile) e2e.CM.total_s e2e.CM.compute_s e2e.CM.wire_s;
+        (Profile.to_string profile) priced.CM.total_s priced.CM.compute_s
+        priced.CM.wire_s;
       List.iter
         (fun (party, s) -> Format.printf "  compute %-12s %11.6fs@." party s)
-        e2e.CM.compute_party_s;
+        priced.CM.party_s;
       Format.printf "  live transcript replayed: wire %.6fs; rounds/bytes %s the \
                      prediction@."
         live.Clock.end_to_end_s
         (if exact then "exactly match" else "DIVERGE from");
       Format.printf "%a" print_timeline live;
-      Some (profile, e2e, live, exact)
+      Some (profile, live, exact)
   in
   let transcript_exact =
-    match net_report with None -> true | Some (_, _, _, exact) -> exact
+    match net_report with None -> true | Some (_, _, exact) -> exact
   in
   (* Mirror the attribution into the flight recorder, so post-mortem
      dumps carry it next to the phase/noise stream. *)
@@ -636,14 +574,14 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
                      rows) ) ]);
        match net_report with
        | None -> ()
-       | Some (profile, e2e, live, exact) ->
+       | Some (profile, live, exact) ->
          output_line oc
            (Obj
               [ ("rec", Str "cost-net");
                 ("profile", Str (Profile.to_string profile));
-                ("predicted_total_s", Float e2e.CM.total_s);
-                ("predicted_compute_s", Float e2e.CM.compute_s);
-                ("predicted_wire_s", Float e2e.CM.wire_s);
+                ("predicted_total_s", Float priced.CM.total_s);
+                ("predicted_compute_s", Float priced.CM.compute_s);
+                ("predicted_wire_s", Float priced.CM.wire_s);
                 ("replayed_wire_s", Float live.Clock.end_to_end_s);
                 ("transcript_exact", Bool exact) ]));
      close_out oc;
@@ -658,8 +596,8 @@ let cost_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline to attribute: plain | prepared | packed | batch \
-                   (batch answers the ';'-separated --query list in one round).")
+             ~doc:"Query pipeline to attribute: plain | prepared | packed \
+                   (packed answers the ';'-separated --query list in one round).")
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:"OCaml domains.")
@@ -704,12 +642,7 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       Format.eprintf "unknown layout %S (per-coordinate | dot-product)@." other;
       exit 2
   in
-  let path = path_of_string ~batch:batch_m path_s in
-  (match path with
-   | CM.Batch m when m < 2 ->
-     Format.eprintf "--path batch needs --batch at least 2 (got %d)@." m;
-     exit 2
-   | _ -> ());
+  let path = path_of_string ~queries:batch_m path_s in
   let objective =
     match objective_s with
     | "first" -> Planner.First_query
@@ -782,22 +715,13 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       let unit_costs =
         CM.unit_costs_for unit_model ~n:bgv.Params.n ~levels:(Params.chain_length bgv)
       in
+      (* Priced under the same network term as the planner's objective,
+         or the comparison is apples to oranges. *)
       let total ~include_prepare =
         let pred =
           Attribution.predict ~include_prepare preset_config ~n:points ~d:dims ~k path
         in
-        let compute =
-          List.fold_left
-            (fun acc (_, s) -> acc +. s)
-            0.0
-            (Attribution.predicted_phase_seconds ~unit_costs pred)
-        in
-        (* Price the preset under the same network term as the planner's
-           objective, or the comparison is apples to oranges. *)
-        match net with
-        | None -> compute
-        | Some profile ->
-          compute +. (Clock.replay profile pred.CM.transcript).Clock.end_to_end_s
+        (CM.price ~unit_costs ?profile:net pred).CM.total_s
       in
       Some (bgv.Params.name, total ~include_prepare:true, total ~include_prepare:false)
   in
@@ -852,13 +776,14 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       let q = Synthetic.query_like rng db in
       let queries =
         match path with
-        | CM.Batch m ->
+        | CM.Packed m ->
           Array.init m (fun i -> if i = 0 then q else Synthetic.query_like rng db)
-        | _ -> [| q |]
+        | CM.Plain | CM.Prepared -> [| q |]
       in
       let dep = Protocol.deploy ~rng ?jobs config ~db in
       let r, secs =
-        Util.Timer.time (fun () -> (Protocol.query_gen ~path dep ~queries ~k).(0))
+        Util.Timer.time (fun () ->
+            guarded (fun () -> (Protocol.query_gen ~path dep ~queries ~k).(0)))
       in
       let ok = Protocol.exact dep ~db ~query:q r in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;
@@ -880,11 +805,13 @@ let plan_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline to plan for: plain | prepared | packed | batch.")
+             ~doc:"Query pipeline to plan for: plain | prepared | packed.")
   in
   let batch_m =
-    Arg.(value & opt int 4
-         & info [ "batch" ] ~docv:"M" ~doc:"Batch size when --path batch.")
+    Arg.(value & opt int 1
+         & info [ "batch" ] ~docv:"M"
+             ~doc:"Queries per round on --path packed (one round answers $(docv) \
+                   queries under one permutation).")
   in
   let mask_degree =
     Arg.(value & opt int 1 & info [ "mask-degree" ] ~doc:"Masking-polynomial degree.")
@@ -989,7 +916,7 @@ let kmeans_run data k max_iters seed =
   let rng = Util.Rng.of_int seed in
   let init = Array.init k (fun i -> db.(i * (Array.length db / k))) in
   let dep = Kmeans.deploy ~rng (Config.fast ()) ~db in
-  let r = Kmeans.run ~rng ~max_iters dep ~init in
+  let r = guarded (fun () -> Kmeans.run ~rng ~max_iters dep ~init) in
   Format.printf "converged=%b after %d iterations (%a)@." r.Kmeans.converged
     r.Kmeans.iterations Util.Timer.pp_duration r.Kmeans.seconds;
   Array.iteri
@@ -1014,7 +941,7 @@ let apriori_run data minsup max_size seed =
   let tx = read_db data in
   let rng = Util.Rng.of_int seed in
   let dep = Apriori.deploy ~rng (Config.standard ()) ~transactions:tx in
-  let r = Apriori.mine ~rng ~max_size dep ~minsup in
+  let r = guarded (fun () -> Apriori.mine ~rng ~max_size dep ~minsup) in
   Format.printf "%d frequent itemsets (support >= %d) in %a:@."
     (List.length r.Apriori.frequent) minsup Util.Timer.pp_duration r.Apriori.seconds;
   List.iter
@@ -1054,4 +981,4 @@ let () =
     (Cmd.eval'
        (Cmd.group (Cmd.info "sknn" ~doc)
           [ gen_cmd; query_cmd; cost_cmd; plan_cmd; baseline_cmd; kmeans_cmd;
-            apriori_cmd; info_cmd; dump_flight_cmd; report_cmd ]))
+            apriori_cmd; info_cmd; report_cmd ]))

@@ -72,8 +72,7 @@ let params_of_pk pk = pk.pk_params
 (* Key generation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let keygen ?counters rng (p : Params.t) =
-  ignore counters;
+let keygen rng (p : Params.t) =
   let ring = p.Params.ring in
   let full = Array.length p.Params.moduli in
   let n = p.Params.n in
@@ -835,8 +834,7 @@ let sk_of_bytes p data =
 
 let galois_elt gk = gk.gk_elt
 
-let galois_keygen ?counters rng sk ~elt =
-  ignore counters;
+let galois_keygen rng sk ~elt =
   let p = sk.sk_params in
   let n = p.Params.n in
   let elt = ((elt mod (2 * n)) + (2 * n)) mod (2 * n) in
@@ -892,7 +890,7 @@ let apply_galois ?counters gk ct =
    so folding the ciphertext with sigma_{3^(2^i)} for each i and finally
    with the conjugation sigma_{-1} leaves the total slot sum in every
    slot — log2(n) automorphisms instead of n. *)
-let slot_sum_keys ?counters rng sk =
+let slot_sum_keys rng sk =
   let n = sk.sk_params.Params.n in
   let m = 2 * n in
   let rec squares acc elt count =
@@ -904,7 +902,7 @@ let slot_sum_keys ?counters rng sk =
     log2i (n / 2)
   in
   let elts = squares [] 3 steps @ [ m - 1 ] in
-  List.map (fun elt -> galois_keygen ?counters rng sk ~elt) elts
+  List.map (fun elt -> galois_keygen rng sk ~elt) elts
 
 let sum_slots ?counters gks ct =
   List.fold_left

@@ -45,7 +45,7 @@ exception Decryption_failure of string
 
 (** {1 Keys} *)
 
-val keygen : ?counters:Util.Counters.t -> Util.Rng.t -> Params.t -> keys
+val keygen : Util.Rng.t -> Params.t -> keys
 val params_of_sk : secret_key -> Params.t
 val params_of_pk : public_key -> Params.t
 
@@ -175,8 +175,7 @@ val rerandomize :
 val relinearize : ?counters:Util.Counters.t -> relin_key -> ct -> ct
 (** Degree-2 → degree-1. @raise Invalid_argument on other degrees. *)
 
-val galois_keygen :
-  ?counters:Util.Counters.t -> Util.Rng.t -> secret_key -> elt:int -> galois_key
+val galois_keygen : Util.Rng.t -> secret_key -> elt:int -> galois_key
 (** Key material for the Galois automorphism [x -> x^elt] (odd [elt],
     taken mod 2n).  [elt = 3^r] rotates the batching slots within their
     two hypercolumns by [r]; [elt = 2n - 1] is the conjugation that
@@ -191,8 +190,7 @@ val apply_galois : ?counters:Util.Counters.t -> galois_key -> ct -> ct
     {!Plaintext.substitute} for the plaintext-side image).  Degree-1
     ciphertexts only; costs one key switch. *)
 
-val slot_sum_keys :
-  ?counters:Util.Counters.t -> Util.Rng.t -> secret_key -> galois_key list
+val slot_sum_keys : Util.Rng.t -> secret_key -> galois_key list
 (** The log2(n) Galois keys {!sum_slots} needs. *)
 
 val sum_slots : ?counters:Util.Counters.t -> galois_key list -> ct -> ct

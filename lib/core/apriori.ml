@@ -94,7 +94,7 @@ let sum_keys_of (t : deployment) rng =
   match t.sum_keys with
   | Some ks -> ks
   | None ->
-    let ks = Bgv.slot_sum_keys ~counters:t.counters_a rng t.sk in
+    let ks = Bgv.slot_sum_keys rng t.sk in
     t.sum_keys <- Some ks;
     ks
 

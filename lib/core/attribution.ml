@@ -63,24 +63,3 @@ let model_params (config : Config.t) ~n ~d ~k : CM.params =
 
 let predict ?include_prepare ?margin_bits config ~n ~d ~k path =
   CM.predict ?include_prepare ?margin_bits (model_params config ~n ~d ~k) path
-
-let predict_end_to_end ?include_prepare config ~n ~d ~k ~unit_costs ~profile path =
-  CM.predict_end_to_end ~unit_costs ~profile
-    (predict ?include_prepare config ~n ~d ~k path)
-
-(* Predicted wall-clock per protocol phase: the per-party phase ledgers
-   priced by the calibration table, summed per phase name in protocol
-   order — directly comparable to [Protocol.result.phase_seconds]. *)
-let predicted_phase_seconds ~unit_costs (pred : CM.prediction) =
-  let order = ref [] in
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun (ph : CM.phase) ->
-      let s = CM.predict_seconds ~unit_costs ph.CM.counters in
-      match Hashtbl.find_opt totals ph.CM.phase with
-      | Some acc -> Hashtbl.replace totals ph.CM.phase (acc +. s)
-      | None ->
-        order := ph.CM.phase :: !order;
-        Hashtbl.add totals ph.CM.phase s)
-    pred.CM.phases;
-  List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order

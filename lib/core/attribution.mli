@@ -44,25 +44,6 @@ val predict :
   k:int ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.prediction
-(** One-stop [model_params] + [Cost_model.predict]. *)
-
-val predict_end_to_end :
-  ?include_prepare:bool ->
-  Config.t ->
-  n:int ->
-  d:int ->
-  k:int ->
-  unit_costs:Sknn_obs.Cost_model.unit_costs ->
-  profile:Profile.t ->
-  Sknn_obs.Cost_model.path ->
-  Sknn_obs.Cost_model.end_to_end
-(** [predict] priced end-to-end under a network profile: compute critical
-    path from the calibration table plus the {!Netsim.Clock} replay of
-    the predicted transcript. *)
-
-val predicted_phase_seconds :
-  unit_costs:Sknn_obs.Cost_model.unit_costs ->
-  Sknn_obs.Cost_model.prediction ->
-  (string * float) list
-(** Predicted seconds per protocol phase (parties merged), in protocol
-    order — the analytic counterpart of [Protocol.result.phase_seconds]. *)
+(** One-stop [model_params] + [Cost_model.predict], for any of the three
+    paths; {!Sknn_obs.Cost_model.price} turns the prediction into
+    seconds. *)

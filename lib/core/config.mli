@@ -74,8 +74,8 @@ val mask_lead_bits :
 
 val affine_supported : t -> d:int -> what:string -> (unit, string) result
 (** The rule of every path that reads a distance out of one coefficient
-    or slot (the [Dot_product] layout; the prepared, packed and batch
-    paths): affine (degree-1) masking and [d <= n], the ring degree.
+    or slot (the [Dot_product] layout; the prepared and packed paths):
+    affine (degree-1) masking and [d <= n], the ring degree.
     [Error] says ["<what> need …"]. *)
 
 val validate : t -> d:int -> (unit, string) result

@@ -319,18 +319,22 @@ module Party_a = struct
 
   (* ---- Noise forecast ------------------------------------------- *)
 
+  (* The headroom, in bits, under which the prepare-time guard warns. *)
+  let noise_margin_bits = 4.0
+
   (* Worst-case headroom of a path's circuit, predicted from the
      parameter chain alone by the symbolic walk the planner also prunes
      with.  A negative forecast means a live query would raise
      Decryption_failure. *)
-  let forecast_noise ?(margin_bits = 4.0) ?(path = Sknn_obs.Cost_model.Prepared) t =
-    (Attribution.predict ~margin_bits t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1 path)
+  let forecast_noise ?(path = Sknn_obs.Cost_model.Prepared) t =
+    (Attribution.predict ~margin_bits:noise_margin_bits t.config ~n:t.db.db_n ~d:t.db.db_d
+       ~k:1 path)
       .Sknn_obs.Cost_model.noise
 
   (* The prepare-time guard: audit the forecast minimum, and warn (audit
      entry, flight event, stderr) when it falls below the margin. *)
-  let guard_noise obs t ~margin_bits path =
-    let forecast = forecast_noise ~margin_bits ~path t in
+  let guard_noise obs t path =
+    let forecast = forecast_noise ~path t in
     Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
       (Audit.Float forecast.NM.min_headroom_bits);
     if forecast.NM.below_margin then begin
@@ -341,12 +345,12 @@ module Party_a = struct
       Format.eprintf
         "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin \
          %.1f) — deepen the modulus chain or lower the circuit depth@."
-        forecast.NM.min_headroom_bits margin_bits
+        forecast.NM.min_headroom_bits noise_margin_bits
     end
 
-  let prepare ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t =
+  let prepare ?(obs = Obs.disabled) t =
     require_affine "Party_a.prepare" t.config ~d:t.db.db_d ~what:"prepared queries";
-    guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Prepared;
+    guard_noise obs t Sknn_obs.Cost_model.Prepared;
     let norms =
       Obs.with_span obs
         ~counters:[ ("party-a", t.counters) ]
@@ -404,14 +408,14 @@ module Party_a = struct
   (* Column j in Π-permuted order: position Π(i) holds p_i(j). *)
   let permuted_cols pp perm = Array.map (Perm.apply perm) pp.pp_cols
 
-  let prepare_packed ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t ~db =
+  let prepare_packed ?(obs = Obs.disabled) t ~db =
     let config = t.config in
     let d = t.db.db_d and n = t.db.db_n in
     require_affine "Party_a.prepare_packed" config ~d ~what:"packed queries";
     if Array.length db <> n then
       invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
     Array.iter (Data_owner.validate_point config ~d) db;
-    guard_noise obs t ~margin_bits:noise_margin_bits Sknn_obs.Cost_model.Packed;
+    guard_noise obs t (Sknn_obs.Cost_model.Packed 1);
     let tp = config.Config.bgv.Params.t_plain in
     { pp_cols =
         Array.init d (fun j ->

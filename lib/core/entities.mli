@@ -126,17 +126,15 @@ module Party_a : sig
 
   type prepared
 
-  val forecast_noise :
-    ?margin_bits:float -> ?path:Sknn_obs.Cost_model.path -> t ->
-    Util.Noise_model.report
+  val forecast_noise : ?path:Sknn_obs.Cost_model.path -> t -> Util.Noise_model.report
   (** Worst-case noise headroom of [path]'s circuit (default
       [Prepared]), predicted from the parameter chain alone: the noise
       report of {!Sknn_obs.Cost_model.predict}, the symbolic walk of the
-      circuit that runs, level-drop rules included.  A negative
-      [min_headroom_bits] means a live query would raise
-      {!Bgv.Decryption_failure}.  [margin_bits] defaults to 4. *)
+      circuit that runs, level-drop rules included, with a 4-bit
+      warning margin.  A negative [min_headroom_bits] means a live query
+      would raise {!Bgv.Decryption_failure}. *)
 
-  val prepare : ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> prepared
+  val prepare : ?obs:Sknn_obs.Ctx.t -> t -> prepared
   (** Computes the prepared state (norms in parallel over [jobs]
       domains, counted against Party A).  Requires affine (degree-1)
       masking and [d <= n] — the inner-product trick leaves cross terms
@@ -144,8 +142,7 @@ module Party_a : sig
       corrupt the constant coefficient.
 
       Also runs {!forecast_noise} on the prepared path and, when the
-      predicted minimum
-      headroom drops below [noise_margin_bits] (default 4), emits a
+      predicted minimum headroom drops below the 4-bit margin, emits a
       structured warning: an audit entry
       [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
       flight event and a stderr line.  The forecast minimum is always
@@ -181,13 +178,11 @@ module Party_a : sig
 
   type prepared_packed
 
-  val prepare_packed :
-    ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> db:int array array ->
-    prepared_packed
+  val prepare_packed : ?obs:Sknn_obs.Ctx.t -> t -> db:int array array -> prepared_packed
   (** Lays [db] (the plaintext database, dimension-major) out for the
       packed path.  Emits the same [prepare-db] audit entries and
       low-headroom warning as {!prepare}, driven by {!forecast_noise}
-      on the packed path.  Requires affine masking and [d <= N], the
+      on a packed round of one query.  Requires affine masking and [d <= N], the
       ring degree.
       @raise Invalid_argument when the config is unsupported or [db]
       does not match the encrypted database's dimensions. *)
@@ -219,7 +214,7 @@ module Party_a : sig
   val return_blocks :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> perm:Util.Perm.t -> Util.Rng.t ->
     Bgv.ct array -> Bgv.ct array
-  (** Return-kNN on the packed and batch paths, given the round's
+  (** Return-kNN on the packed path, given the round's
       permutation Π and Party B's {!Party_b.block_indicators}: block [b]
       is [rerandomize (indicator_b ⊙ P_b)], where [P_b] holds, in the
       slots of the point at permuted position [p = b·per + o], its

@@ -35,7 +35,7 @@ type workload = {
   mask_coeff_bits : int;
 }
 
-let workload ?(layout = Config.Dot_product) ?(path = CM.Packed) ?(mask_degree = 1)
+let workload ?(layout = Config.Dot_product) ?(path = CM.Packed 1) ?(mask_degree = 1)
     ?(mask_coeff_bits = 8) ~points ~dim ~k ~coord_bits () =
   { points; dim; k; coord_bits; layout; path; mask_degree; mask_coeff_bits }
 
@@ -122,21 +122,6 @@ let objective_seconds limits ~first ~steady =
     let a = Float.max 0.0 (Float.min 1.0 alpha) in
     (a *. first) +. ((1.0 -. a) *. steady)
 
-(* Compute cost of one query, plus — under a network profile — the
-   virtual wire time of its predicted transcript.  The wire term is what
-   lets a WAN objective reward the packed/batched paths' fewer, larger
-   messages end-to-end, not just in compute. *)
-let price ~unit_costs ?net (pred : CM.prediction) =
-  let compute =
-    List.fold_left
-      (fun acc (ph : CM.phase) -> acc +. CM.predict_seconds ~unit_costs ph.CM.counters)
-      0.0 pred.CM.phases
-  in
-  match net with
-  | None -> compute
-  | Some prof ->
-    compute +. (Clock.replay prof pred.CM.transcript).Clock.end_to_end_s
-
 let compare_entries a b =
   let c = Float.compare a.objective_seconds b.objective_seconds in
   if c <> 0 then c
@@ -164,7 +149,7 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
   if w.mask_degree > 1 && (w.layout = Config.Dot_product || w.path <> CM.Plain) then
     invalid_arg "Planner.plan: only the plain per-coordinate path supports mask_degree > 1";
   (match w.path with
-   | CM.Batch m when m < 1 -> invalid_arg "Planner.plan: empty batch"
+   | CM.Packed m when m < 1 -> invalid_arg "Planner.plan: empty batch"
    | _ -> ());
   let infeasible = Hashtbl.create 8 in
   let count_infeasible reason =
@@ -252,9 +237,13 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                       let unit_costs =
                         CM.unit_costs_for unit_model ~n ~levels:chain_len
                       in
-                      let pred_first = CM.predict ~include_prepare:true p w.path in
-                      let first = price ~unit_costs ?net:limits.net pred_first in
-                      let steady = price ~unit_costs ?net:limits.net pred_steady in
+                      (* Compute, plus the wire time of the predicted
+                         transcript under a network profile: what lets a
+                         WAN objective reward the packed path's fewer,
+                         larger messages end to end. *)
+                      let price pred = CM.price ~unit_costs ?profile:limits.net pred in
+                      let first = price (CM.predict ~include_prepare:true p w.path) in
+                      let steady = price pred_steady in
                       let entry =
                         { spec =
                             { sp_n = n; sp_plain_bits = plain_bits;
@@ -264,13 +253,12 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                           log2_q;
                           security_bits = security;
                           min_headroom_bits = report.NM.min_headroom_bits;
-                          first_seconds = first;
-                          steady_seconds = steady;
+                          first_seconds = first.CM.total_s;
+                          steady_seconds = steady.CM.total_s;
                           objective_seconds =
-                            objective_seconds limits ~first ~steady;
-                          phase_seconds =
-                            Attribution.predicted_phase_seconds ~unit_costs
-                              pred_steady }
+                            objective_seconds limits ~first:first.CM.total_s
+                              ~steady:steady.CM.total_s;
+                          phase_seconds = steady.CM.phase_s }
                       in
                       entries := entry :: !entries
                   end)
@@ -322,8 +310,7 @@ let realize (w : workload) (e : entry) : Config.t =
 let path_name = function
   | CM.Plain -> "plain"
   | CM.Prepared -> "prepared"
-  | CM.Packed -> "packed"
-  | CM.Batch m -> Printf.sprintf "batch-%d" m
+  | CM.Packed m -> Printf.sprintf "packed-%d" m
 
 let json_of_entry e =
   let open Util.Json in

@@ -14,11 +14,10 @@
       [prepare_packed] audit — against the noise margin, and
       {!Params.security_bits_for} against the security floor; the
       return level is the lowest that clears the margin;
-    - survivors are ranked by {!Sknn_obs.Cost_model.predict_seconds}
-      of the same walk's ledger, priced by a
-      {!Sknn_obs.Cost_model.unit_model} fitted from one measured
-      calibration — both the first-query (prepare included) and
-      steady-state objectives are computed.
+    - survivors are ranked by {!Sknn_obs.Cost_model.price} of the same
+      walk, with unit costs from a {!Sknn_obs.Cost_model.unit_model}
+      fitted from one measured calibration — both the first-query
+      (prepare included) and steady-state objectives are computed.
 
     Everything is pure given the unit model: the same spec yields the
     byte-identical plan.  Only {!realize} builds the expensive NTT/CRT
@@ -48,7 +47,7 @@ val workload :
   coord_bits:int ->
   unit ->
   workload
-(** Defaults: [Dot_product] layout, [Packed] path, affine mask with
+(** Defaults: [Dot_product] layout, [Packed 1] path, affine mask with
     8-bit coefficients (the presets' request). *)
 
 type objective =
@@ -88,10 +87,10 @@ type entry = {
   log2_q : float;
   security_bits : float;
   min_headroom_bits : float;  (** at the chosen return level *)
-  first_seconds : float;
-  steady_seconds : float;
+  first_seconds : float;  (** [total_s] of the first query's price *)
+  steady_seconds : float;  (** [total_s] of a steady-state query's price *)
   objective_seconds : float;  (** the ranking key *)
-  phase_seconds : (string * float) list;  (** steady state, protocol order *)
+  phase_seconds : (string * float) list;  (** steady-state [phase_s] *)
 }
 
 type outcome = {
@@ -113,8 +112,9 @@ val plan :
 (** Search the candidate space; [keep] (default 10) bounds the ranked
     list.  Pure given [unit_model] — the same inputs always produce the
     identical outcome.  @raise Invalid_argument on nonsensical
-    workloads (and on [mask_degree > 1] anywhere but the plain
-    per-coordinate path, the only pipeline that supports it). *)
+    workloads (an empty packed round, and [mask_degree > 1] anywhere
+    but the plain per-coordinate path, the only pipeline that supports
+    it). *)
 
 val best : outcome -> entry option
 
@@ -125,5 +125,7 @@ val realize : workload -> entry -> Config.t
 (** {1 Rendering} *)
 
 val path_name : Sknn_obs.Cost_model.path -> string
+(** ["plain"], ["prepared"] or ["packed-M"]. *)
+
 val json_of_outcome : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit

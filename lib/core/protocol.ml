@@ -236,8 +236,8 @@ let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 (* How Party A answers Return kNN: by folding Party B's k scalar
    indicator rows into the round's Π(P'), which only ciphertexts hold on
    the plain and prepared paths; or, where A holds the plaintext points
-   (packed, batch), by multiplying B's block indicators into its
-   plaintext blocks under the round's permutation. *)
+   (packed), by multiplying B's block indicators into its plaintext
+   blocks under the round's permutation. *)
 type return_knn =
   | Rows of Entities.Party_a.query_state
   | Blocks of (Rng.t -> Bgv.ct array -> Bgv.ct array)
@@ -250,16 +250,17 @@ let query_ct_count (q : Entities.encrypted_query) =
 (* One protocol round on [path]: every path runs the same five phases
    and sends, and differs only in the query form, Party A's distance
    circuit and Party B's unpacking.  [queries] holds the round's queries
-   (exactly one except on [Batch]); the phase list, transcript and
+   (exactly one except on [Packed _]); the phase list, transcript and
    counters describe the whole round and are shared by the results;
    neighbours and views are per query. *)
 let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
-  let fn = match path with CM.Batch _ -> "Protocol.query_batch" | _ -> "Protocol.query" in
+  let fn = "Protocol.query" in
   let rng = match rng with Some r -> r | None -> Rng.split d.query_seed in
   let m = Array.length queries in
   (match path with
-   | CM.Batch _ -> if m = 0 then invalid_arg (fn ^ ": empty batch")
-   | _ -> if m <> 1 then invalid_arg "Protocol.query_gen: only the batch path takes several queries");
+   | CM.Packed _ -> if m = 0 then invalid_arg (fn ^ ": empty batch")
+   | CM.Plain | CM.Prepared ->
+     if m <> 1 then invalid_arg (fn ^ ": only the packed path takes several queries"));
   if Array.exists (fun q -> Array.length q <> d.db_d) queries then
     invalid_arg (fn ^ ": dimension mismatch");
   if k < 1 || k > d.db_n then invalid_arg (fn ^ ": k out of range");
@@ -324,7 +325,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       let p = prepared () in
       rows Entities.Client.encrypt_query_ip
         (Entities.Party_a.compute_distances_prepared ~obs d.a p)
-    | CM.Packed | CM.Batch _ ->
+    | CM.Packed _ ->
       let p = prepared_packed () in
       let qs =
         encrypt (fun () -> Array.map (Entities.Client.encrypt_query_packed d.cl rng) queries)
@@ -357,14 +358,14 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   in
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
-  (match path with
-   | CM.Batch _ ->
-     (* The one leakage the batch mode adds: B learns how many queries
-        share the round's permutation, and can align positions across
-        their views. *)
+  (match return_knn with
+   | Blocks _ ->
+     (* B learns how many queries share the round's permutation (it
+        counts the masked ciphertexts it receives), and can align
+        positions across their views. *)
      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"batch-query-count"
        (Audit.Int m)
-   | _ -> ());
+   | Rows _ -> ());
   Array.iter
     (fun view ->
       Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
@@ -482,10 +483,10 @@ let query_prepared ?obs ?rng ?net d ~query ~k =
   (query_gen ~path:CM.Prepared ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
 let query_packed ?obs ?rng ?net d ~query ~k =
-  (query_gen ~path:CM.Packed ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
+  (query_gen ~path:(CM.Packed 1) ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
 let query_batch ?obs ?rng ?net d ~queries ~k =
-  query_gen ~path:(CM.Batch (Array.length queries)) ?obs ?rng ?net d ~queries ~k
+  query_gen ~path:(CM.Packed (Array.length queries)) ?obs ?rng ?net d ~queries ~k
 
 let prepare ?(obs = Obs.disabled) d =
   match d.prepared with

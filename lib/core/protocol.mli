@@ -16,8 +16,8 @@
     + {b Return kNN} at A (Algorithm 3) — permuted inner products,
       giving k re-randomised encrypted points returned to the client.
 
-    The packed and batch paths, where Party A holds the plaintext
-    points, answer Return kNN by blocks instead: B sends one message of
+    The packed path, where Party A holds the plaintext points, answers
+    Return kNN by blocks instead: B sends one message of
     [⌈n/⌊N/d⌋⌉] slot-packed indicators, A returns one flooded product
     with its plaintext block per indicator, and the client decodes the
     selected points and ranks them against its own queries.
@@ -154,7 +154,10 @@ val query_prepared :
     ({!Entities.Party_a.return_blocks}), and the client decodes the
     selected points.  Party B's §5 leakage surface is the unpacked
     paths' (masked distance multiset, [n], [k], equidistant groups)
-    plus [points-per-block], [⌊N/d⌋].
+    plus [points-per-block], [⌊N/d⌋], and [batch-query-count], the
+    number of queries in the round.  A packed round answers one or more
+    queries under one permutation: {!query_packed} is the round of one,
+    {!query_batch} the round of M.
 
     Requires affine (degree-1) masking and [d ≤ N], the ring degree.
     Results remain exact and bit-identical across job counts. *)
@@ -168,27 +171,28 @@ val is_packed_prepared : deployment -> bool
 val query_packed :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   query:int array -> k:int -> result
-(** Like {!query_prepared} on the packed layout, with the client sending
-    the broadcast-slot query form
+(** [query_gen ~path:(Packed 1)]: like {!query_prepared} on the packed
+    layout, with the client sending the broadcast-slot query form
     ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in, at
-    the public query level,
-    [⌈n/N⌉] masked-distance ciphertexts A→B, [⌈n/⌊N/d⌋⌉] block
-    indicators B→A and as many flooded blocks to the client.
+    the public query level, [⌈n/N⌉] masked-distance ciphertexts A→B,
+    [⌈n/⌊N/d⌋⌉] block indicators B→A and as many flooded blocks to the
+    client.
     @raise Invalid_argument if the configuration does not admit the
     packed path. *)
 
 val query_batch :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   queries:int array array -> k:int -> result array
-(** [query_gen ~path:(Batch M)]: M queries in {e one} protocol round.
+(** [query_gen ~path:(Packed M)]: M queries in {e one} protocol round.
     The client uploads M broadcast-slot queries
     ({!Entities.Client.encrypt_query_packed}) in one message; Party A
     draws one permutation Π, packs and embeds its permuted columns once,
     and runs the packed distance circuit once per query, each with its
     own fresh affine mask ({!Entities.Party_a.compute_distances_packed});
     Party B decrypts M·[⌈n/N⌉] ciphertexts and selects one view per
-    query.  The M views share Π — the batch mode's extra declared
-    leakage, audited as [party-b/find-neighbours/batch-query-count].
+    query.  The M views share Π, and B can count M from the
+    ciphertexts it receives: every packed round audits it as
+    [party-b/find-neighbours/batch-query-count].
     Return kNN runs by blocks, as on {!query_packed}: B's indicators
     cover the union of the M selections, and the client (who asked all
     M queries) gives each query its k nearest among the decoded points —
@@ -206,12 +210,11 @@ val query_gen :
   ?net:Profile.t -> deployment -> queries:int array array -> k:int -> result array
 (** The one round driver behind every entry point above, keyed by the
     path type the planner and the cost model use: [Plain] is {!query},
-    [Prepared] {!query_prepared}, [Packed] {!query_packed}, [Batch _]
-    {!query_batch}.  [queries] holds exactly one query except on
-    [Batch], which answers all of them in the round.  Every path emits
-    the same phases and metric names; the packed and batch paths add
-    the [points-per-block] audit label, and the batch path
-    [batch-query-count].
+    [Prepared] {!query_prepared}, [Packed M] {!query_batch}
+    ({!query_packed} when [M = 1]).  [queries] holds exactly one query
+    except on [Packed M], which answers all of them in the round.
+    Every path emits the same phases and metric names; the packed path
+    adds the [points-per-block] and [batch-query-count] audit labels.
     @raise Invalid_argument as the matching entry point does. *)
 
 val total_seconds : result -> float

@@ -136,6 +136,16 @@ let replay prof t =
   in
   { profile = prof; messages; links; end_to_end_s }
 
+(* A predicted transcript must carry a live run's traffic link for link,
+   whatever the clock times. *)
+let same_traffic a b =
+  let traffic tl =
+    List.map
+      (fun l -> (l.link_a, l.link_b, l.link_messages, l.link_bytes, l.link_rounds))
+      tl.links
+  in
+  traffic a = traffic b
+
 (* Nearest-rank quantile over a copy; 0 on an empty array. *)
 let quantile xs p =
   let n = Array.length xs in

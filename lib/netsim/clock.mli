@@ -60,6 +60,11 @@ val replay : Profile.t -> Transcript.t -> timeline
 (** Pure: same transcript and profile give a structurally identical
     timeline, whatever recorded it. *)
 
+val same_traffic : timeline -> timeline -> bool
+(** Equal links, each with equal message count, bytes and rounds: the
+    traffic a predicted transcript shares with a live one, timings
+    aside. *)
+
 val quantile : float array -> float -> float
 (** Nearest-rank quantile ([p] in [0,1]); 0 on an empty array.  Used for
     the per-round p50/p95 columns. *)

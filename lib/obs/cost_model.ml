@@ -41,7 +41,7 @@ type params = {
   slots : int;
 }
 
-type path = Plain | Prepared | Packed | Batch of int
+type path = Plain | Prepared | Packed of int
 
 type phase = { phase : string; party : string; counters : C.t }
 
@@ -297,11 +297,11 @@ let return_rows sim =
     ~label:"encrypted k-NN result" ~count:p.k result;
   repeat cc ~times:p.k (fun c -> dec c result)
 
-(* Return-kNN on the packed and batch paths.  Party B encrypts one
-   slot-packed indicator per block of ⌊N/d⌋ permuted positions and
-   sends them in one message; Party A multiplies each by its plaintext
-   block and floods the product; the client decrypts and slot-unpacks
-   every block.  The counts depend on n, N and d only. *)
+(* Return-kNN on the packed path.  Party B encrypts one slot-packed
+   indicator per block of ⌊N/d⌋ permuted positions and sends them in
+   one message; Party A multiplies each by its plaintext block and
+   floods the product; the client decrypts and slot-unpacks every
+   block.  The counts depend on n, N and d only. *)
 let return_blocks sim =
   let p = sim.p in
   let rl = return_level p in
@@ -401,11 +401,11 @@ let predict_prepared sim ~include_prepare =
   in
   predict_rows sim ~per_coordinate:false ~norm
 
-(* The packed and batch paths: a round of [queries] packed queries
-   under one Π.  prepare_packed lays out plaintext columns only, so its
-   phase records no ciphertext op.  The client encrypts every query at
-   the public query level; per round, Party A slot-packs and embeds
-   each batch's d columns and norms there once, then runs every query's
+(* The packed path: a round of [queries] ≥ 1 packed queries under one
+   Π.  prepare_packed lays out plaintext columns only, so its phase
+   records no ciphertext op.  The client encrypts every query at the
+   public query level; per round, Party A slot-packs and embeds each
+   batch's d columns and norms there once, then runs every query's
    circuit against them; B decrypts each query's batches. *)
 let predict_packed sim ~include_prepare ~queries =
   let p = sim.p in
@@ -459,8 +459,7 @@ let predict ?(include_prepare = true) ?margin_bits p path =
   (match path with
    | Plain -> predict_rows sim ~per_coordinate:p.per_coordinate ~norm:(NM.fresh p.nm)
    | Prepared -> predict_prepared sim ~include_prepare
-   | Packed -> predict_packed sim ~include_prepare ~queries:1
-   | Batch queries -> predict_packed sim ~include_prepare ~queries);
+   | Packed queries -> predict_packed sim ~include_prepare ~queries);
   { phases = List.rev sim.rev_phases;
     party_a = sim.party_a;
     party_b = sim.party_b;
@@ -490,46 +489,43 @@ let predict_seconds ~unit_costs counters =
     (C.ledger_entries counters)
 
 (* ------------------------------------------------------------------ *)
-(* Comms-aware end-to-end time                                         *)
+(* Pricing a prediction                                                *)
 (* ------------------------------------------------------------------ *)
 
-type end_to_end = {
-  e2e_profile : Profile.t;
-  compute_party_s : (string * float) list;
+type priced = {
+  phase_s : (string * float) list;
+  party_s : (string * float) list;
   compute_s : float;
   wire_s : float;
   total_s : float;
   timeline : Clock.timeline;
 }
 
+(* Add [s] to [key]'s running total; keys keep their first-seen order. *)
+let accumulate totals key s =
+  if List.mem_assoc key totals then
+    List.map (fun (k, acc) -> if k = key then (k, acc +. s) else (k, acc)) totals
+  else totals @ [ (key, s) ]
+
 (* The protocol is a strict sequential exchange — every phase waits for
-   the previous phase's message — so the compute critical path is the sum
-   of all phases, attributed per party for the breakdown; the wire term
-   is the Clock replay of the predicted transcript (serialization + the
-   causal chain of RTT/2 hops, i.e. rounds × RTT + bytes/bandwidth).
-   Rounds and bytes agree exactly with a live run's replay because the
-   symbolic transcript reproduces the live message structure; the time
-   split only disagrees through the calibrated unit costs. *)
-let predict_end_to_end ~unit_costs ~profile pred =
-  let order = ref [] in
-  let totals = Hashtbl.create 4 in
-  List.iter
-    (fun ph ->
-      let s = predict_seconds ~unit_costs ph.counters in
-      match Hashtbl.find_opt totals ph.party with
-      | Some acc -> Hashtbl.replace totals ph.party (acc +. s)
-      | None ->
-        order := ph.party :: !order;
-        Hashtbl.add totals ph.party s)
-    pred.phases;
-  let compute_party_s =
-    List.rev_map (fun party -> (party, Hashtbl.find totals party)) !order
+   the previous phase's message — so the compute critical path is the
+   in-order sum of all phases, split per phase and per party for the
+   breakdowns; the wire term is the Clock replay of the predicted
+   transcript (serialization + the causal chain of RTT/2 hops, i.e.
+   rounds × RTT + bytes/bandwidth), zero on loopback.  Rounds and bytes
+   agree exactly with a live run's replay because the symbolic
+   transcript reproduces the live message structure; the time split
+   only disagrees through the calibrated unit costs. *)
+let price ~unit_costs ?(profile = Profile.loopback) pred =
+  let phases =
+    List.map (fun ph -> (ph, predict_seconds ~unit_costs ph.counters)) pred.phases
   in
-  let compute_s = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 compute_party_s in
+  let split key = List.fold_left (fun acc (ph, s) -> accumulate acc (key ph) s) [] phases in
+  let compute_s = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
   let timeline = Clock.replay profile pred.transcript in
   let wire_s = timeline.Clock.end_to_end_s in
-  { e2e_profile = profile;
-    compute_party_s;
+  { phase_s = split (fun ph -> ph.phase);
+    party_s = split (fun ph -> ph.party);
     compute_s;
     wire_s;
     total_s = compute_s +. wire_s;

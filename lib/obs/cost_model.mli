@@ -21,8 +21,10 @@
 
     Combined with per-op unit costs measured by the calibration bench
     ([bench/kernels]), {!predict_seconds} turns a ledger — predicted or
-    measured — into seconds, which is what [sknn cost] and the
-    regression gate compare against measured phase times. *)
+    measured — into seconds, and {!price} turns a whole prediction into
+    per-phase, per-party, compute, wire and total seconds: the one
+    pricing every consumer ([sknn cost], [sknn plan], the planner, the
+    bench harness) reads. *)
 
 type params = {
   nm : Util.Noise_model.params;  (** ring/modulus/noise numbers, shared with the forecaster *)
@@ -47,9 +49,11 @@ type params = {
   slots : int;  (** SIMD slot count (= ring degree here) *)
 }
 
-(** Which query pipeline to predict; [Batch m] is [Protocol.query_batch]
-    with [m] queries sharing the round. *)
-type path = Plain | Prepared | Packed | Batch of int
+(** Which query pipeline to predict.  [Packed m] is one slot-packed
+    round of [m ≥ 1] queries under one permutation
+    ([Protocol.query_gen ~path:(Packed m)]); [Packed 1] is the single
+    packed query. *)
+type path = Plain | Prepared | Packed of int
 
 type phase = {
   phase : string;  (** protocol phase name, as [Protocol] times it *)
@@ -77,20 +81,21 @@ type prediction = {
       (** worst-case noise bound of one representative point (or batch)
           per phase, in circuit order: the step ["masked-distance"] is
           the A→B ciphertext, ["result"] what A returns to the client —
-          a Return-kNN inner product, or on the packed and batch paths a
-          block product flooded at {!Util.Noise_model.flood_bits}.  A
+          a Return-kNN inner product, or on the packed path a block
+          product flooded at {!Util.Noise_model.flood_bits}.  A
           negative minimum means a live query would raise
           [Bgv.Decryption_failure]. *)
 }
 
 val predict :
   ?include_prepare:bool -> ?margin_bits:float -> params -> path -> prediction
-(** Symbolically run one query (or one batch round).  [include_prepare]
+(** Symbolically run one round.  [include_prepare]
     (default [true]) adds the prepare-db phase the first
     prepared/packed query of a deployment pays; steady-state queries
     drop it.  Ignored for [Plain]; the noise report is the same either
     way.  [margin_bits] (default 4) is the report's warning margin.
-    @raise Invalid_argument on nonsensical sizes. *)
+    @raise Invalid_argument on nonsensical sizes and on [Packed m] with
+    [m < 1]. *)
 
 (** {1 Calibrated time} *)
 
@@ -109,27 +114,30 @@ val predict_seconds : unit_costs:unit_costs -> Util.Counters.t -> float
     is j divide-and-round steps, an inverse pass over the j dropped
     primes and a forward pass at the target level). *)
 
-(** {1 Comms-aware end-to-end time} *)
+(** {1 Pricing} *)
 
-type end_to_end = {
-  e2e_profile : Profile.t;
-  compute_party_s : (string * float) list;
-      (** priced compute seconds per party, in phase order *)
+type priced = {
+  phase_s : (string * float) list;
+      (** seconds per protocol phase, parties merged, in protocol order —
+          the analytic counterpart of [Protocol.result.phase_seconds] *)
+  party_s : (string * float) list;  (** seconds per party, in phase order *)
   compute_s : float;
       (** compute critical path: the protocol is a strict sequential
-          exchange, so this is the sum over all phases *)
-  wire_s : float;  (** [timeline.end_to_end_s] of the predicted transcript *)
+          exchange, so this is the in-order sum over all phases *)
+  wire_s : float;  (** [timeline.end_to_end_s]: zero on loopback *)
   total_s : float;  (** [compute_s + wire_s] *)
   timeline : Clock.timeline;
+      (** the {!Clock} replay of the predicted transcript *)
 }
 
-val predict_end_to_end :
-  unit_costs:unit_costs -> profile:Profile.t -> prediction -> end_to_end
-(** Price a prediction's compute with the calibration table and replay
-    its symbolic transcript under a network profile.  Rounds and bytes
-    agree {e exactly} with the {!Netsim.Clock} replay of a live run's
-    transcript (the symbolic transcript mirrors the live message
-    structure); only the time split depends on the calibrated unit
+val price :
+  unit_costs:unit_costs -> ?profile:Profile.t -> prediction -> priced
+(** The one way a prediction becomes seconds: every phase ledger priced
+    with {!predict_seconds}, and the symbolic transcript replayed under
+    [profile] (default {!Profile.loopback}, whose wire time is
+    zero).  Rounds and bytes agree {e exactly} with the replay of a live
+    run's transcript (the symbolic transcript mirrors the live message
+    structure); only the compute split depends on the calibrated unit
     costs. *)
 
 (** {1 Unit-cost model}

@@ -551,8 +551,9 @@ let test_packed_leakage_groups () =
 
 let test_packed_audit_surface () =
   (* §5 leakage surface through the audit channel: the packed path
-     records the unpacked paths' Party B labels plus the one the block
-     Return-kNN adds, points-per-block (⌊N/d⌋).  Party A counts the
+     records the unpacked paths' Party B labels plus the two a packed
+     round adds: batch-query-count, here 1, and points-per-block
+     (⌊N/d⌋), which the block Return-kNN adds.  Party A counts the
      block indicators it receives, and the client the points it
      decodes. *)
   let module Audit = Sknn_obs.Audit in
@@ -564,8 +565,10 @@ let test_packed_audit_surface () =
   let dep = Protocol.deploy ~rng config ~db in
   let q = Synthetic.query_like rng db in
   let r = Protocol.query_packed ~obs dep ~query:q ~k:4 in
-  Alcotest.(check (list string)) "party-b surface: the unpacked one plus points-per-block"
-    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "points-per-block" ]
+  Alcotest.(check (list string))
+    "party-b surface: the unpacked one plus batch-query-count and points-per-block"
+    [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n";
+      "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
   let per = Params.slot_count config.Config.bgv / 3 in
   let int_of party label =
@@ -574,6 +577,7 @@ let test_packed_audit_surface () =
     | _ -> Alcotest.failf "%s/%s not recorded as Int" party label
   in
   Alcotest.(check int) "points-per-block = N/d" per (int_of "party-b" "points-per-block");
+  Alcotest.(check int) "a round of one query" 1 (int_of "party-b" "batch-query-count");
   Alcotest.(check int) "A receives one indicator per block" ((20 + per - 1) / per)
     (int_of "party-a" "indicator-ciphertexts");
   Alcotest.(check int) "the client decodes the k selected points" 4
@@ -957,9 +961,8 @@ let faulted_round config ~db ~queries ~k path =
   let audit = Sknn_obs.Audit.create () in
   let obs = Sknn_obs.Ctx.create ~audit () in
   let dep = Protocol.deploy ~rng:(Rng.of_int 29) ~jobs:1 config ~db in
-  let queries =
-    match path with Sknn_obs.Cost_model.Batch _ -> queries | _ -> [| queries.(0) |]
-  in
+  let m = match path with Sknn_obs.Cost_model.Packed m -> m | _ -> 1 in
+  let queries = Array.sub queries 0 m in
   let failed =
     match Protocol.query_gen ~path ~obs dep ~queries ~k with
     | results ->
@@ -998,7 +1001,7 @@ let test_short_chains_every_path () =
           if failed && path <> Sknn_obs.Cost_model.Plain then
             Alcotest.(check bool) (label "guard warned before the failure") true warned)
         Sknn_obs.Cost_model.
-          [ ("plain", Plain); ("prepared", Prepared); ("packed", Packed); ("batch", Batch 3) ])
+          [ ("plain", Plain); ("prepared", Prepared); ("packed", Packed 1); ("batch", Packed 3) ])
     [ 3; 4; 5; 6 ]
 
 let test_short_chains_per_coordinate () =
@@ -1188,7 +1191,7 @@ let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.re
     (Cost.measured r).Cost.bytes pred.CM.ab_bytes;
   (* The symbolic transcript must mirror the live exchange message for
      message — same senders, labels and byte sizes in the same order —
-     so its virtual-clock replay (what [predict_end_to_end] prices) is
+     so its virtual-clock replay (what [Cost_model.price] prices) is
      structurally identical to replaying the live run, per-round
      latencies and all, under every profile. *)
   let entry_key (e : Transcript.entry) =
@@ -1307,10 +1310,10 @@ let test_cost_model_packed () =
       let q = Synthetic.query_like (Rng.of_int 633) db in
       let first = Protocol.query_packed dep ~query:q ~k in
       check_prediction (name ^ "/first") config ~n ~d ~k ~include_prepare:true
-        CM.Packed first;
+        (CM.Packed 1) first;
       let steady = Protocol.query_packed dep ~query:q ~k in
       check_prediction (name ^ "/steady") config ~n ~d ~k ~include_prepare:false
-        CM.Packed steady)
+        (CM.Packed 1) steady)
     [ ("packed/affine", affine_config ()); ("packed/fast", Config.fast ()) ]
 
 let test_cost_model_batch () =
@@ -1336,62 +1339,63 @@ let test_cost_model_batch () =
               true
               (Protocol.exact dep ~db ~query:queries.(i) r))
           results;
-        check_prediction name config ~n ~d ~k ~include_prepare (CM.Batch m) results.(0)
+        check_prediction name config ~n ~d ~k ~include_prepare (CM.Packed m) results.(0)
       in
       round "first" ~include_prepare:true;
       round "steady" ~include_prepare:false)
     [ 3; Params.slot_count config.Config.bgv ]
 
-(* Batch 1 is the packed walk: one query under one Π. *)
-let test_cost_model_batch_of_one () =
-  let config = affine_config () in
-  List.iter
-    (fun include_prepare ->
-      let predict path = Attribution.predict ~include_prepare config ~n:40 ~d:3 ~k:3 path in
-      let packed = predict CM.Packed and batch = predict (CM.Batch 1) in
-      let name = if include_prepare then "first" else "steady" in
-      check_ledger (name ^ " / party-a") packed.CM.party_a batch.CM.party_a;
-      check_ledger (name ^ " / party-b") packed.CM.party_b batch.CM.party_b;
-      check_ledger (name ^ " / client") packed.CM.client batch.CM.client;
-      let entries tr =
-        List.map
-          (fun (e : Transcript.entry) -> (e.Transcript.label, e.Transcript.bytes))
-          (Transcript.entries tr)
-      in
-      Alcotest.(check bool) (name ^ ": transcript") true
-        (entries packed.CM.transcript = entries batch.CM.transcript);
-      Alcotest.(check bool) (name ^ ": noise report") true (packed.CM.noise = batch.CM.noise))
-    [ true; false ]
-
-let test_predict_end_to_end_consistency () =
-  (* predict_end_to_end = priced compute + replayed symbolic wire; with
-     an empty calibration table the compute term is zero, so the total
-     must equal the virtual-clock replay of the live transcript — the
-     same timeline the query itself recorded under [?net]. *)
+let test_price_consistency () =
+  (* Cost_model.price on every path under WAN: the per-phase and
+     per-party splits both add up to the in-order compute total, the
+     total is compute plus wire, and the priced timeline is the
+     virtual-clock replay of the live round's transcript — the same
+     timeline the round itself recorded under [?net]. *)
   let db = small_db (Rng.of_int 651) in
   let k = 3 in
   let n = Array.length db and d = Array.length db.(0) in
   let config = Config.fast () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
-  let q = Synthetic.query_like (Rng.of_int 653) db in
-  let r = Protocol.query ~net:Profile.wan dep ~query:q ~k in
-  let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k CM.Plain in
-  let e2e = CM.predict_end_to_end ~unit_costs:[||] ~profile:Profile.wan pred in
-  Alcotest.(check (float 0.0)) "empty table prices zero compute" 0.0 e2e.CM.compute_s;
-  Alcotest.(check (float 0.0)) "total = compute + wire"
-    (e2e.CM.compute_s +. e2e.CM.wire_s) e2e.CM.total_s;
-  let live =
-    match r.Protocol.net with
-    | Some tl -> tl
-    | None -> Alcotest.fail "query ran with ?net but recorded no timeline"
+  let bgv = config.Config.bgv in
+  let unit_costs =
+    CM.unit_costs_for { CM.scales = Array.make Util.Counters.num_ops 1e-9 }
+      ~n:bgv.Params.n ~levels:(Params.chain_length bgv)
   in
-  Alcotest.(check (float 0.0)) "wire = live end-to-end" live.Clock.end_to_end_s
-    e2e.CM.wire_s;
-  Alcotest.(check string) "predicted timeline = live timeline"
-    (Marshal.to_string live []) (Marshal.to_string e2e.CM.timeline []);
-  Alcotest.(check string) "live timeline = replaying the live transcript"
-    (Marshal.to_string (Clock.replay Profile.wan r.Protocol.transcript) [])
-    (Marshal.to_string live [])
+  let queries = Array.init 3 (fun i -> Synthetic.query_like (Rng.of_int (653 + i)) db) in
+  let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 in
+  List.iter
+    (fun (name, path) ->
+      let m = match path with CM.Packed m -> m | CM.Plain | CM.Prepared -> 1 in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
+      let r =
+        (Protocol.query_gen ~path ~net:Profile.wan dep ~queries:(Array.sub queries 0 m) ~k).(0)
+      in
+      let p =
+        CM.price ~unit_costs ~profile:Profile.wan
+          (Attribution.predict ~include_prepare:true config ~n ~d ~k path)
+      in
+      let rounding = Alcotest.float (1e-12 *. p.CM.compute_s) in
+      Alcotest.(check bool) (name ^ ": compute priced") true (p.CM.compute_s > 0.0);
+      Alcotest.check rounding (name ^ ": phases sum to compute") p.CM.compute_s
+        (sum p.CM.phase_s);
+      Alcotest.check rounding (name ^ ": parties sum to compute") p.CM.compute_s
+        (sum p.CM.party_s);
+      Alcotest.(check (float 0.0)) (name ^ ": total = compute + wire")
+        (p.CM.compute_s +. p.CM.wire_s) p.CM.total_s;
+      let live =
+        match r.Protocol.net with
+        | Some tl -> tl
+        | None -> Alcotest.fail "round ran with ?net but recorded no timeline"
+      in
+      Alcotest.(check (float 0.0)) (name ^ ": wire = live end-to-end")
+        live.Clock.end_to_end_s p.CM.wire_s;
+      Alcotest.(check string) (name ^ ": priced timeline = replay of the live transcript")
+        (Marshal.to_string (Clock.replay Profile.wan r.Protocol.transcript) [])
+        (Marshal.to_string p.CM.timeline []);
+      Alcotest.(check string) (name ^ ": live timeline = replay of the live transcript")
+        (Marshal.to_string (Clock.replay Profile.wan r.Protocol.transcript) [])
+        (Marshal.to_string live []))
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed-1", CM.Packed 1);
+      ("packed-3", CM.Packed 3) ]
 
 let test_net_timeline_jobs_determinism () =
   (* The replayed timeline is a pure function of (transcript, profile),
@@ -1497,9 +1501,7 @@ let () =
          Alcotest.test_case "ledger exact (relinearised)" `Quick test_cost_model_relin;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
-         Alcotest.test_case "batch of one = packed" `Quick test_cost_model_batch_of_one;
-         Alcotest.test_case "end-to-end prediction consistent" `Quick
-           test_predict_end_to_end_consistency;
+         Alcotest.test_case "end-to-end prediction consistent" `Quick test_price_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick
            test_net_timeline_jobs_determinism ]);
       ("properties",

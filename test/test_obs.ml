@@ -95,7 +95,7 @@ let traced_round ~path ~jobs =
   let db = Synthetic.uniform (Rng.of_int 77) ~n:18 ~d:3 ~max_value:100 in
   let queries =
     match path with
-    | Sknn_obs.Cost_model.Batch m -> Array.init m (fun i -> [| 10 + i; 20; 30 - i |])
+    | Sknn_obs.Cost_model.Packed m -> Array.init m (fun i -> [| 10 + i; 20; 30 - i |])
     | _ -> [| [| 10; 20; 30 |] |]
   in
   let config =
@@ -223,8 +223,8 @@ let test_span_tree_jobs_determinism () =
       check "transcript identical"
         (Format.asprintf "%a" Transcript.pp r1.Protocol.transcript)
         (Format.asprintf "%a" Transcript.pp r4.Protocol.transcript))
-    [ ("plain", Sknn_obs.Cost_model.Plain); ("packed", Sknn_obs.Cost_model.Packed);
-      ("batch", Sknn_obs.Cost_model.Batch 3) ]
+    [ ("plain", Sknn_obs.Cost_model.Plain); ("packed", Sknn_obs.Cost_model.Packed 1);
+      ("batch", Sknn_obs.Cost_model.Packed 3) ]
 
 let test_chunk_spans_partition () =
   (* At jobs=2 the "distance-batches" stage must carry exactly 2 chunk
@@ -875,8 +875,8 @@ let test_cost_model_phase_structure () =
         pred.CM.phases;
       Alcotest.(check bool) (label ^ ": A<->B traffic predicted") true
         (pred.CM.ab_bytes > 0))
-    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed);
-      ("batch", CM.Batch 3) ]
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed 1);
+      ("batch", CM.Packed 3) ]
 
 let test_cost_model_party_merge () =
   (* The merged per-party totals are exactly the fold of the per-phase
@@ -897,8 +897,8 @@ let test_cost_model_party_merge () =
         (Counters.equal_ledger (fold "party-b") pred.CM.party_b);
       Alcotest.(check bool) (label ^ ": client merge") true
         (Counters.equal_ledger (fold "client") pred.CM.client))
-    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed);
-      ("batch", CM.Batch 2) ]
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed 1);
+      ("batch", CM.Packed 2) ]
 
 let test_cost_model_steady_state () =
   (* include_prepare:false models a steady-state query: the prepare-db
@@ -914,7 +914,7 @@ let test_cost_model_steady_state () =
         (List.exists (fun ph -> ph.CM.phase = "prepare-db") steady.CM.phases);
       Alcotest.(check int) (label ^ ": traffic unchanged") first.CM.ab_bytes
         steady.CM.ab_bytes)
-    [ ("prepared", CM.Prepared); ("packed", CM.Packed) ]
+    [ ("prepared", CM.Prepared); ("packed", CM.Packed 1) ]
 
 let test_predict_seconds_algebra () =
   (* predict_seconds is Σ count × unit_cost over every cell, the NTT

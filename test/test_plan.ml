@@ -23,7 +23,7 @@ module Rng = Util.Rng
    determinism and feasibility, not wall-clock fidelity. *)
 let unit_model = { CM.scales = Array.make Util.Counters.num_ops 1e-9 }
 
-let toy_workload ?(layout = Config.Per_coordinate) ?(path = CM.Packed) () =
+let toy_workload ?(layout = Config.Per_coordinate) ?(path = CM.Packed 1) () =
   Planner.workload ~layout ~path ~points:24 ~dim:3 ~k:3 ~coord_bits:4 ()
 
 let plan_toy ?(limits = Planner.default_constraints) ?layout ?path () =
@@ -99,7 +99,7 @@ let test_roundtrip_exact () =
       let r = query dep q in
       Alcotest.(check bool) (label ^ ": exact neighbours") true
         (Protocol.exact dep ~db ~query:q r))
-    [ ( "packed", Config.Per_coordinate, CM.Packed,
+    [ ( "packed", Config.Per_coordinate, CM.Packed 1,
         fun dep q -> Protocol.query_packed dep ~query:q ~k:3 );
       ( "prepared", Config.Dot_product, CM.Prepared,
         fun dep q -> Protocol.query_prepared dep ~query:q ~k:3 );
@@ -135,7 +135,7 @@ let check_forecast label config ~n ~d path =
   let max_value = (1 lsl config.Config.max_coord_bits) - 1 in
   let db = Synthetic.uniform (Rng.of_int 7) ~n ~d ~max_value in
   let rng = Rng.of_int 8 in
-  let m = match path with CM.Batch m -> m | _ -> 1 in
+  let m = match path with CM.Packed m -> m | _ -> 1 in
   let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
   let dep = Protocol.deploy ~rng:(Rng.of_int 9) ~jobs:1 config ~db in
   let results = Protocol.query_gen ~path ~obs dep ~queries ~k in
@@ -173,18 +173,18 @@ let test_forecast_conservative () =
         (fun path ->
           check_forecast (name ^ "/" ^ Planner.path_name path) config ~n ~d path)
         paths)
-    [ ("fast", fast, 8, 3, [ CM.Plain; CM.Prepared; CM.Packed; CM.Batch 3 ]);
+    [ ("fast", fast, 8, 3, [ CM.Plain; CM.Prepared; CM.Packed 1; CM.Packed 3 ]);
       ("standard", standard, 64, 32, [ CM.Plain ]);
-      ("standard+affine", affine, 64, 32, [ CM.Plain; CM.Prepared; CM.Packed; CM.Batch 3 ]) ];
+      ("standard+affine", affine, 64, 32, [ CM.Plain; CM.Prepared; CM.Packed 1; CM.Packed 3 ]) ];
   (* A planner pick: the live guard walks the circuit the planner pruned
      with, so the entry's headroom is the realized walk's minimum. *)
-  let w = toy_workload ~path:CM.Packed () in
+  let w = toy_workload ~path:(CM.Packed 1) () in
   let best = best_exn (Planner.plan ~unit_model w Planner.default_constraints) in
   let config = Planner.realize w best in
-  let report = (Attribution.predict config ~n:24 ~d:3 ~k:3 CM.Packed).CM.noise in
+  let report = (Attribution.predict config ~n:24 ~d:3 ~k:3 (CM.Packed 1)).CM.noise in
   Alcotest.(check (float 1e-9)) "entry headroom = realized forecast"
     best.Planner.min_headroom_bits report.NM.min_headroom_bits;
-  check_forecast "planner pick/packed" config ~n:24 ~d:3 CM.Packed
+  check_forecast "planner pick/packed" config ~n:24 ~d:3 (CM.Packed 1)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same spec => byte-identical plan, in any domain        *)
