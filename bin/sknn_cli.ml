@@ -16,7 +16,10 @@ let read_db path = Csv_io.read ~has_header:false path
 
 let parse_query s =
   String.split_on_char ',' s
-  |> List.map (fun f -> int_of_string (String.trim f))
+  |> List.map (fun f ->
+         match int_of_string_opt (String.trim f) with
+         | Some v -> v
+         | None -> invalid_arg (Printf.sprintf "query field %S is not an integer" f))
   |> Array.of_list
 
 let config_of_layout = function
@@ -31,10 +34,9 @@ module CM = Sknn_obs.Cost_model
    of a packed round. *)
 let path_of_string ~queries = function
   | "plain" -> CM.Plain
-  | "prepared" -> CM.Prepared
   | "packed" -> CM.Packed queries
   | other ->
-    Format.eprintf "unknown path %S (plain | prepared | packed)@." other;
+    Format.eprintf "unknown path %S (plain | packed)@." other;
     exit 2
 
 (* --query holds one query, or on the packed path ';'-separated
@@ -53,12 +55,19 @@ let write_flight fl path ~run =
   Sknn_obs.Flight.dump ~run fl oc;
   close_out oc
 
-(* Noise exhaustion ends every protocol command the same way: one
-   stderr line, the flight recorder (when one is attached) dumped to
-   [flight_out] or sknn-flight-crash.jsonl, and exit 1. *)
+(* Every protocol command ends the same two ways short of an answer.
+   Bad input (the library's documented Invalid_argument: a dimension
+   mismatch, k out of range, a coordinate out of range, an unsound
+   plan) prints one "error: …" stderr line and exits 2.  Noise
+   exhaustion prints one "decryption failure: …" line, dumps the flight
+   recorder (when one is attached) to [flight_out] or
+   sknn-flight-crash.jsonl, and exits 1. *)
 let guarded ?flight ?flight_out f =
-  try f ()
-  with Bgv.Decryption_failure msg ->
+  try f () with
+  | Invalid_argument msg ->
+    Format.eprintf "error: %s@." msg;
+    exit 2
+  | Bgv.Decryption_failure msg ->
     Format.eprintf "decryption failure: %s@." msg;
     Option.iter
       (fun fl ->
@@ -68,14 +77,13 @@ let guarded ?flight ?flight_out f =
       flight;
     exit 1
 
-(* Every path but plain needs affine (degree-1) masking and d <= N. *)
+(* The packed path needs affine (degree-1) masking and d <= N. *)
 let check_path config ~d path_s =
-  if path_s <> "plain" && Result.is_error (Config.affine_supported config ~d ~what:path_s)
+  if path_s = "packed" && Result.is_error (Config.affine_supported config ~d ~what:path_s)
   then begin
     Format.eprintf
-      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
-       --layout dot-product)@."
-      path_s;
+      "the packed path needs affine (degree-1) masking and d <= ring degree (try \
+       --layout dot-product)@.";
     exit 2
   end
 
@@ -212,9 +220,9 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
   in
   let guarded f = guarded ?flight ?flight_out f in
   let db = read_db data in
-  let path, queries = parse_round ~path_s query_s in
+  let path, queries = guarded (fun () -> parse_round ~path_s query_s) in
   let m = Array.length queries in
-  let config = config_of_layout layout in
+  let config = guarded (fun () -> config_of_layout layout) in
   let d = Array.length queries.(0) in
   (match Config.validate config ~d with
    | Ok () -> ()
@@ -228,9 +236,8 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
   let dep, setup_s =
     Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
   in
-  (* Every run of the round goes through the one driver; the prepared
-     and packed paths build their query-independent state on the
-     first. *)
+  (* Every run of the round goes through the one driver; the packed
+     path builds its query-independent state on the first. *)
   let run obs () = Protocol.query_gen ~path ~obs ?net dep ~queries ~k in
   let exacts rs = Array.map2 (fun q r -> Protocol.exact dep ~db ~query:q r) queries rs in
   let all = Array.for_all Fun.id in
@@ -368,22 +375,21 @@ let query_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline: plain | prepared | packed.  prepared reuses \
-                   the encrypted norms and sends the two-ciphertext inner-product \
-                   query; packed uses the slot-packed (SIMD) layout, one \
-                   ciphertext per $(b,N) points, and answers the ';'-separated \
-                   --query list in one round under one permutation.  Every path \
-                   but plain needs affine masking and d <= ring degree (try \
+             ~doc:"Query pipeline: plain | packed.  plain runs the deployment's \
+                   layout (on dot-product, the two-ciphertext inner-product query \
+                   against the stored norms); packed uses the slot-packed (SIMD) \
+                   layout, one ciphertext per $(b,N) points, and answers the \
+                   ';'-separated --query list in one round under one permutation. \
+                   packed needs affine masking and d <= ring degree (try \
                    --layout dot-product).")
   in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ]
              ~doc:"Run the round $(docv) times and report first vs steady-state \
-                   latency; the prepared and packed paths build their \
-                   query-independent state on the first run.  Every run's answers \
-                   are checked.  With --trace, run $(docv)'s spans go to \
-                   FILE.$(docv).ext."
+                   latency; the packed path builds its query-independent state \
+                   on the first run.  Every run's answers are checked.  With \
+                   --trace, run $(docv)'s spans go to FILE.$(docv).ext."
              ~docv:"N")
   in
   let prom =
@@ -451,8 +457,8 @@ let calib_t =
 
 let cost_run data query_s k layout path_s seed jobs net quick calib verbose json =
   let db = read_db data in
-  let path, queries = parse_round ~path_s query_s in
-  let config = config_of_layout layout in
+  let path, queries = guarded (fun () -> parse_round ~path_s query_s) in
+  let config = guarded (fun () -> config_of_layout layout) in
   let d = Array.length queries.(0) in
   (match Config.validate config ~d with
    | Ok () -> ()
@@ -470,7 +476,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   in
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
-  let dep = Protocol.deploy ~rng ?jobs config ~db in
+  let dep = guarded (fun () -> Protocol.deploy ~rng ?jobs config ~db) in
   let r = guarded (fun () -> (Protocol.query_gen ~path ?net dep ~queries ~k).(0)) in
   (* The one query above pays any prepare-db phase, so predict it too. *)
   let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k path in
@@ -596,8 +602,8 @@ let cost_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline to attribute: plain | prepared | packed \
-                   (packed answers the ';'-separated --query list in one round).")
+             ~doc:"Query pipeline to attribute: plain | packed (packed answers \
+                   the ';'-separated --query list in one round).")
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:"OCaml domains.")
@@ -632,8 +638,8 @@ let cost_cmd =
    calibrated unit model. *)
 
 let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
-    mask_coeff_bits min_security noise_margin objective_s net keep preset_s quick
-    calib json_path apply seed jobs =
+    mask_coeff_bits min_security noise_margin net keep preset_s quick calib json_path
+    apply seed jobs =
   let layout =
     match layout_s with
     | "per-coordinate" -> Config.Per_coordinate
@@ -643,18 +649,6 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       exit 2
   in
   let path = path_of_string ~queries:batch_m path_s in
-  let objective =
-    match objective_s with
-    | "first" -> Planner.First_query
-    | "steady" -> Planner.Steady_state
-    | s ->
-      (match float_of_string_opt s with
-       | Some alpha -> Planner.Weighted alpha
-       | None ->
-         Format.eprintf
-           "unknown objective %S (first | steady | a first-query weight in [0,1])@." s;
-         exit 2)
-  in
   let ref_params =
     match preset_s with
     | "toy" -> Params.toy ()
@@ -666,12 +660,8 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       exit 2
   in
   let w =
-    try
-      Planner.workload ~layout ~path ~mask_degree ~mask_coeff_bits ~points ~dim:dims
-        ~k ~coord_bits ()
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
+    Planner.workload ~layout ~path ~mask_degree ~mask_coeff_bits ~points ~dim:dims ~k
+      ~coord_bits ()
   in
   Format.printf "calibrating per-op unit costs on %s (%s pass%s)...@."
     ref_params.Params.name
@@ -683,17 +673,9 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   let unit_model = CM.fit_unit_model ~n:ref_params.Params.n costs in
   let limits =
-    { Planner.min_security_bits = min_security;
-      noise_margin_bits = noise_margin;
-      objective;
-      net }
+    { Planner.min_security_bits = min_security; noise_margin_bits = noise_margin; net }
   in
-  let outcome =
-    try Planner.plan ~keep ~unit_model w limits
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-  in
+  let outcome = guarded (fun () -> Planner.plan ~keep ~unit_model w limits) in
   Format.printf "@.%a@." Planner.pp_outcome outcome;
   (* What the matching preset costs at this workload under the same unit
      model — the number the planner's winner has to beat. *)
@@ -715,25 +697,19 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       let unit_costs =
         CM.unit_costs_for unit_model ~n:bgv.Params.n ~levels:(Params.chain_length bgv)
       in
-      (* Priced under the same network term as the planner's objective,
-         or the comparison is apples to oranges. *)
-      let total ~include_prepare =
-        let pred =
-          Attribution.predict ~include_prepare preset_config ~n:points ~d:dims ~k path
-        in
-        (CM.price ~unit_costs ?profile:net pred).CM.total_s
+      (* Priced as the planner prices its entries, under the same
+         network term, or the comparison is apples to oranges. *)
+      let pred =
+        Attribution.predict ~include_prepare:false preset_config ~n:points ~d:dims ~k path
       in
-      Some (bgv.Params.name, total ~include_prepare:true, total ~include_prepare:false)
+      Some (bgv.Params.name, (CM.price ~unit_costs ?profile:net pred).CM.total_s)
   in
   (match comparison, Planner.best outcome with
-   | Some (pname, pfirst, psteady), Some best ->
+   | Some (pname, preset_s), Some best ->
      Format.printf "@.vs preset %s at the same workload (same unit model):@." pname;
-     Format.printf "  preset:  first %.6fs, steady %.6fs@." pfirst psteady;
-     Format.printf "  planned: first %.6fs, steady %.6fs  (steady speedup %.2fx)@."
-       best.Planner.first_seconds best.Planner.steady_seconds
-       (if best.Planner.steady_seconds > 0.0 then
-          psteady /. best.Planner.steady_seconds
-        else 0.0)
+     Format.printf "  preset:  %.6fs@." preset_s;
+     Format.printf "  planned: %.6fs  (speedup %.2fx)@." best.Planner.seconds
+       (if best.Planner.seconds > 0.0 then preset_s /. best.Planner.seconds else 0.0)
    | _ -> ());
   (match json_path with
    | None -> ()
@@ -742,16 +718,14 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
      output_string oc (Planner.json_of_outcome outcome);
      output_char oc '\n';
      (match comparison, Planner.best outcome with
-      | Some (pname, pfirst, psteady), Some best ->
+      | Some (pname, preset_s), Some best ->
         Util.Json.(
           output_line oc
             (Obj
                [ ("rec", Str "plan-compare");
                  ("preset", Str pname);
-                 ("preset_first_s", Float pfirst);
-                 ("preset_steady_s", Float psteady);
-                 ("planned_first_s", Float best.Planner.first_seconds);
-                 ("planned_steady_s", Float best.Planner.steady_seconds) ]))
+                 ("preset_s", Float preset_s);
+                 ("planned_s", Float best.Planner.seconds) ]))
       | _ -> ());
      close_out oc;
      Format.printf "plan written to %s@." path);
@@ -778,9 +752,9 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
         match path with
         | CM.Packed m ->
           Array.init m (fun i -> if i = 0 then q else Synthetic.query_like rng db)
-        | CM.Plain | CM.Prepared -> [| q |]
+        | CM.Plain -> [| q |]
       in
-      let dep = Protocol.deploy ~rng ?jobs config ~db in
+      let dep = guarded (fun () -> Protocol.deploy ~rng ?jobs config ~db) in
       let r, secs =
         Util.Timer.time (fun () ->
             guarded (fun () -> (Protocol.query_gen ~path dep ~queries ~k).(0)))
@@ -805,7 +779,7 @@ let plan_cmd =
   let path =
     Arg.(value & opt string "plain"
          & info [ "path" ]
-             ~doc:"Query pipeline to plan for: plain | prepared | packed.")
+             ~doc:"Query pipeline to plan for: plain | packed.")
   in
   let batch_m =
     Arg.(value & opt int 1
@@ -830,12 +804,6 @@ let plan_cmd =
     Arg.(value & opt float 4.0
          & info [ "noise-margin" ] ~docv:"BITS"
              ~doc:"Forecast noise headroom every phase must keep.")
-  in
-  let objective =
-    Arg.(value & opt string "steady"
-         & info [ "objective" ]
-             ~doc:"Ranking objective: first | steady | a first-query weight in \
-                   [0,1] (alpha*first + (1-alpha)*steady).")
   in
   let keep =
     Arg.(value & opt int 10 & info [ "keep" ] ~doc:"Ranked candidates to report.")
@@ -872,8 +840,7 @@ let plan_cmd =
              cheapest parameter set a workload can prove safe")
     Term.(const plan_run $ points $ dims $ k_t $ coord_bits $ layout $ path
           $ batch_m $ mask_degree $ mask_coeff_bits $ min_security $ noise_margin
-          $ objective $ net_t $ keep $ preset $ quick $ calib_t $ json $ apply
-          $ seed_t $ jobs)
+          $ net_t $ keep $ preset $ quick $ calib_t $ json $ apply $ seed_t $ jobs)
 
 (* ------------------------------------------------------------------ *)
 (* baseline                                                            *)
@@ -881,7 +848,7 @@ let plan_cmd =
 
 let baseline_run data query_s k modulus_bits seed =
   let db = read_db data in
-  let q = parse_query query_s in
+  let q = guarded (fun () -> parse_query query_s) in
   let rng = Util.Rng.of_int seed in
   let dep, setup_s =
     Util.Timer.time (fun () -> Sknn_m.deploy ~rng ~modulus_bits ~db ())
@@ -910,12 +877,12 @@ let baseline_cmd =
 let kmeans_run data k max_iters seed =
   let db = read_db data in
   if k < 1 || k > Array.length db then begin
-    Format.eprintf "k out of range@.";
+    Format.eprintf "error: k out of range@.";
     exit 2
   end;
   let rng = Util.Rng.of_int seed in
   let init = Array.init k (fun i -> db.(i * (Array.length db / k))) in
-  let dep = Kmeans.deploy ~rng (Config.fast ()) ~db in
+  let dep = guarded (fun () -> Kmeans.deploy ~rng (Config.fast ()) ~db) in
   let r = guarded (fun () -> Kmeans.run ~rng ~max_iters dep ~init) in
   Format.printf "converged=%b after %d iterations (%a)@." r.Kmeans.converged
     r.Kmeans.iterations Util.Timer.pp_duration r.Kmeans.seconds;
@@ -940,7 +907,7 @@ let kmeans_cmd =
 let apriori_run data minsup max_size seed =
   let tx = read_db data in
   let rng = Util.Rng.of_int seed in
-  let dep = Apriori.deploy ~rng (Config.standard ()) ~transactions:tx in
+  let dep = guarded (fun () -> Apriori.deploy ~rng (Config.standard ()) ~transactions:tx) in
   let r = guarded (fun () -> Apriori.mine ~rng ~max_size dep ~minsup) in
   Format.printf "%d frequent itemsets (support >= %d) in %a:@."
     (List.length r.Apriori.frequent) minsup Util.Timer.pp_duration r.Apriori.seconds;

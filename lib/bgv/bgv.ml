@@ -529,8 +529,8 @@ let mul ?counters ?rlk ?(rescale = true) a b =
 (* Σᵢ aᵢ·bᵢ without rescaling between terms.  The fused path tensors
    each pair directly into a shared accumulator (Rq.mul_add_into),
    cutting the intermediate Rq allocations the mul-then-add fold pays
-   per term — this is Return-kNN's row selection and the prepared
-   path's norms.  Chunks may run on separate domains: residue addition
+   per term — this is Return-kNN's row selection and k-means'
+   coordinate sums.  Chunks may run on separate domains: residue addition
    mod p is associative and commutative, so the components are
    bit-identical for every job count, and the noise bound is folded
    sequentially in term order for the same reason.  With [rlk] the

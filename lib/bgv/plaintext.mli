@@ -9,7 +9,7 @@
     which is what makes a candidate's support cost [|S| - 1] ciphertext
     multiplications in total.  The k-NN protocol uses both views: the
     per-point layouts put one point per ciphertext in the coefficient
-    view, while the slot-packed prepared path (DESIGN §2 "Packing
+    view, while the slot-packed path (DESIGN §2 "Packing
     layout") packs one database point per slot, dimension-major —
     Party A's per-query permutation needs no Galois key material there
     because it is applied to the plaintext columns at pack time, and

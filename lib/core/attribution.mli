@@ -44,6 +44,6 @@ val predict :
   k:int ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.prediction
-(** One-stop [model_params] + [Cost_model.predict], for any of the three
-    paths; {!Sknn_obs.Cost_model.price} turns the prediction into
-    seconds. *)
+(** One-stop [model_params] + [Cost_model.predict], for the plain path
+    on the configuration's layout or a packed round;
+    {!Sknn_obs.Cost_model.price} turns the prediction into seconds. *)

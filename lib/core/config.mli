@@ -74,7 +74,7 @@ val mask_lead_bits :
 
 val affine_supported : t -> d:int -> what:string -> (unit, string) result
 (** The rule of every path that reads a distance out of one coefficient
-    or slot (the [Dot_product] layout; the prepared and packed paths):
+    or slot (plain on the [Dot_product] layout, and the packed path):
     affine (degree-1) masking and [d <= n], the ring degree.
     [Error] says ["<what> need …"]. *)
 

@@ -109,18 +109,22 @@ module Data_owner = struct
   let keys t = t.keys
   let config t = t.config
 
-  let validate_point config ~d point =
-    if Array.length point <> d then invalid_arg "Data_owner.encrypt_db: ragged data";
+  (* Every coordinate, of a stored point or of a query, must fit the
+     configured width; [what] names the offender in the error. *)
+  let check_coords ~what config point =
     let bound = 1 lsl config.Config.max_coord_bits in
     Array.iter
       (fun v ->
         if v < 0 || v >= bound then
           invalid_arg
-            (Printf.sprintf
-               "Data_owner.encrypt_db: coordinate %d outside [0, 2^%d) — preprocess the data \
-                (Preprocess.scale_to_max)"
-               v config.Config.max_coord_bits))
+            (Printf.sprintf "%s %d outside [0, 2^%d) — preprocess the data \
+                             (Preprocess.scale_to_max)"
+               what v config.Config.max_coord_bits))
       point
+
+  let validate_point config ~d point =
+    if Array.length point <> d then invalid_arg "Data_owner.encrypt_db: ragged data";
+    check_coords ~what:"Data_owner.encrypt_db: coordinate" config point
 
   let encrypt_db ?(obs = Obs.disabled) ?counters ?jobs rng t db =
     let config = t.config in
@@ -251,19 +255,9 @@ module Party_a = struct
     let m = Bgv.eval_poly ~counters ?rlk ~lead_bits ~coeffs ed in
     Bgv.add_plain ~counters m (zero_constant_randomizer rng config.Config.bgv)
 
-  let check_dim fn t query =
-    if query.q_dim <> t.db.db_d then invalid_arg (fn ^ ": dimension mismatch")
-
-  let inner_product_form fn query =
-    match query.q_rev, query.q_norm with
-    | Some r, Some n -> (r, n)
-    | _ ->
-      invalid_arg (fn ^ ": query lacks inner-product form (use Client.encrypt_query_ip)")
-
-  (* One masked round over the stored points, what the plain and
-     prepared paths share: the mask, one randomizer stream per point,
-     [distance] on every point pool-parallel, then Π, drawn in that
-     order whatever the circuit. *)
+  (* One masked round over the stored points, whatever the layout's
+     circuit: the mask, one randomizer stream per point, [distance] on
+     every point pool-parallel, then Π, drawn in that order. *)
   let masked_round ?(obs = Obs.disabled) t rng distance =
     let n = t.db.db_n and d = t.db.db_d in
     let coeffs =
@@ -280,42 +274,28 @@ module Party_a = struct
           Obs.with_pool_chunks obs ~label:"distances" (fun () ->
               Pool.map_local ~jobs:t.jobs ~make:Counters.create
                 ~merge:(merge_into t.counters)
-                ~f:(fun counters i point ->
-                  distance ~counters ~lead_bits ~coeffs rngs.(i) i point)
+                ~f:(fun counters i point -> distance ~counters ~lead_bits ~coeffs rngs.(i) point)
                 t.db.points))
     in
     Obs.with_span obs "permute" (fun () ->
         let perm = Perm.random rng n in
         ({ perm }, Perm.apply perm masked))
 
-  (* The masked inner-product round against the per-point norms. *)
-  let inner_product_round ?obs t rng q norms =
-    masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs rng i point ->
-        masked_inner_product ~counters ?rlk:(rlk_opt t) t.config ~lead_bits ~coeffs rng
-          ~norm:norms.(i) ~packed:point.packed q)
-
   let compute_distances ?obs t rng query =
     let fn = "Party_a.compute_distances" in
-    check_dim fn t query;
-    match t.config.Config.layout, query.q_coords with
-    | Config.Per_coordinate, Some q_coords ->
-      masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ _ point ->
+    if query.q_dim <> t.db.db_d then invalid_arg (fn ^ ": dimension mismatch");
+    match t.config.Config.layout, query.q_coords, query.q_rev, query.q_norm with
+    | Config.Per_coordinate, Some q_coords, _, _ ->
+      masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ point ->
           let ed = encrypted_distance t ~counters q_coords (Option.get point.coords) in
           Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed)
-    | Config.Per_coordinate, None -> invalid_arg (fn ^ ": layout/ciphertext mismatch")
-    | Config.Dot_product, _ ->
-      inner_product_round ?obs t rng (inner_product_form fn query)
-        (Array.map (fun p -> Option.get p.norm) t.db.points)
-
-  (* ---- Prepared (multi-query) path ------------------------------- *)
-
-  (* Query-independent work hoisted out of the per-query loop: an
-     encrypted squared norm per point.  With ED = ||p||^2 - 2<p,q> +
-     ||q||^2 the per-query cost per point drops from d ciphertext
-     products (Per_coordinate) to one packed product against the
-     reversed query, amortising the d-fold work across the database
-     lifetime. *)
-  type prepared = { prep_norms : Bgv.ct array }
+    | Config.Dot_product, _, Some q_rev, Some q_norm ->
+      (* The inner-product circuit against the norms the data owner
+         shipped. *)
+      masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs rng point ->
+          masked_inner_product ~counters ?rlk:(rlk_opt t) t.config ~lead_bits ~coeffs rng
+            ~norm:(Option.get point.norm) ~packed:point.packed (q_rev, q_norm))
+    | _ -> invalid_arg (fn ^ ": layout/ciphertext mismatch")
 
   (* ---- Noise forecast ------------------------------------------- *)
 
@@ -326,7 +306,7 @@ module Party_a = struct
      parameter chain alone by the symbolic walk the planner also prunes
      with.  A negative forecast means a live query would raise
      Decryption_failure. *)
-  let forecast_noise ?(path = Sknn_obs.Cost_model.Prepared) t =
+  let forecast_noise ~path t =
     (Attribution.predict ~margin_bits:noise_margin_bits t.config ~n:t.db.db_n ~d:t.db.db_d
        ~k:1 path)
       .Sknn_obs.Cost_model.noise
@@ -348,43 +328,13 @@ module Party_a = struct
         forecast.NM.min_headroom_bits noise_margin_bits
     end
 
-  let prepare ?(obs = Obs.disabled) t =
-    require_affine "Party_a.prepare" t.config ~d:t.db.db_d ~what:"prepared queries";
-    guard_noise obs t Sknn_obs.Cost_model.Prepared;
-    let norms =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
-        "prepare-norms"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"prepare-norms" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters _ point ->
-                  match point.norm, point.coords with
-                  | Some norm, _ -> norm
-                  | None, Some coords ->
-                    (* ||p||^2 homomorphically, once per database. *)
-                    Bgv.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) coords coords
-                  | None, None ->
-                    invalid_arg "Party_a.prepare: point carries no norm or coordinates")
-                t.db.points))
-    in
-    { prep_norms = norms }
-
-  let compute_distances_prepared ?obs t prep rng query =
-    let fn = "Party_a.compute_distances_prepared" in
-    check_dim fn t query;
-    let q = inner_product_form fn query in
-    require_affine fn t.config ~d:t.db.db_d ~what:"prepared queries";
-    inner_product_round ?obs t rng q prep.prep_norms
-
   let select_row ?(obs = Obs.disabled) t permuted_packed row =
-    (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
-       inner product is fused and split across domains;
-       Protocol.query_gen keeps the k rows sequential so parallelism is
-       never nested.  Bgv.mul_sum brings the stored points to the
-       indicators' return level. *)
+    (* T^j = Π(P')·B^j summed: one encrypted point, not re-randomised
+       (Bgv.mul_sum floods nothing; only return_blocks floods).  The
+       inner product is fused and split across domains; Protocol.query_gen
+       keeps the k rows sequential so parallelism is never nested.
+       Bgv.mul_sum brings the stored points to the indicators' return
+       level. *)
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
         Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
 
@@ -693,16 +643,13 @@ module Client = struct
   let counters t = t.counters
 
   (* Inner-product query form (reversed-packed query + encrypted norm):
-     what the Dot_product layout sends, and what the prepared multi-query
-     path consumes regardless of layout. *)
+     what the Dot_product layout sends. *)
   let encrypt_query_ip t rng query =
-    let config = t.config in
-    let params = config.Config.bgv in
+    let params = t.config.Config.bgv in
     let counters = t.counters in
     let d = Array.length query in
-    Data_owner.validate_point config ~d query;
     if d > params.Params.n then
-      invalid_arg "Client.encrypt_query_ip: dimension exceeds ring degree";
+      invalid_arg "Client.encrypt_query: dimension exceeds ring degree";
     let q_rev = Bgv.encrypt ~counters rng t.pk (reversed_query_plaintext params query) in
     let q_norm =
       Bgv.encrypt ~counters rng t.pk
@@ -715,7 +662,7 @@ module Client = struct
     let params = config.Config.bgv in
     let counters = t.counters in
     let d = Array.length query in
-    Data_owner.validate_point config ~d query;
+    Data_owner.check_coords ~what:"Client.encrypt_query: query coordinate" config query;
     match config.Config.layout with
     | Config.Per_coordinate ->
       let q_coords =
@@ -735,7 +682,7 @@ module Client = struct
     let params = config.Config.bgv in
     let counters = t.counters in
     let d = Array.length query in
-    Data_owner.validate_point config ~d query;
+    Data_owner.check_coords ~what:"Client.encrypt_query_packed: query coordinate" config query;
     if d > params.Params.n then
       invalid_arg "Client.encrypt_query_packed: dimension exceeds ring degree";
     let level = packed_query_level config ~d in

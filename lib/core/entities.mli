@@ -78,10 +78,13 @@ module Party_a : sig
   (** Algorithm 1: returns the masked encrypted distances in permuted
       order, [D'_i = Π(m(ED_i))].  A [Per_coordinate] deployment runs
       the per-coordinate square-sum; a [Dot_product] one runs
-      {!masked_inner_product} against the stored norms, the prepared
-      path's circuit.  [obs] records the ["draw-mask"],
-      ["distance-batches"] (with per-point pool chunks) and ["permute"]
-      sub-stages. *)
+      {!masked_inner_product} against the norms the data owner shipped,
+      one ciphertext product per point against the two-ciphertext query
+      {!Client.encrypt_query} sends there.  [obs] records the
+      ["draw-mask"], ["distance-batches"] (with per-point pool chunks)
+      and ["permute"] sub-stages.
+      @raise Invalid_argument on a dimension mismatch or a query in
+      another layout's form. *)
 
   val masked_inner_product :
     counters:Util.Counters.t -> ?rlk:Bgv.relin_key -> Config.t -> lead_bits:float ->
@@ -97,8 +100,7 @@ module Party_a : sig
       a uniform zero-constant polynomial drawn from [rng] that destroys
       the cross terms in the other coefficients.  The query is
       [(reversed query, ‖q‖²)].  The plain path on a [Dot_product]
-      deployment, the prepared path and {!Kmeans.run} all run this
-      circuit. *)
+      deployment and {!Kmeans.run} both run this circuit. *)
 
   val permuted_packed : t -> query_state -> Bgv.ct array
   (** [Π(P')], the stored packed points in permuted order — the first
@@ -109,58 +111,20 @@ module Party_a : sig
   val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
   (** Algorithm 3, one row at a time: [select_row t Π(P') B^j] computes
       the inner product and sum of indicator row [B^j] (in permuted
-      index space): one encrypted neighbour point. *)
+      index space): one encrypted neighbour point.  The result is not
+      re-randomised: only {!return_blocks} floods its products. *)
 
   val state_perm : query_state -> Util.Perm.t
   (** The permutation, which {!return_blocks} also reads.  A deployed
       Party A keeps it secret and drops it after the query. *)
 
-  (** {2 Prepared multi-query state}
-
-      Query-independent work hoisted out of the per-query loop: an
-      encrypted [‖p_i‖²] per point, computed homomorphically once when
-      the layout does not already ship norms.  With
-      [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] ({!masked_inner_product}) each
-      subsequent query costs one ciphertext product per point instead
-      of [d]. *)
-
-  type prepared
-
-  val forecast_noise : ?path:Sknn_obs.Cost_model.path -> t -> Util.Noise_model.report
-  (** Worst-case noise headroom of [path]'s circuit (default
-      [Prepared]), predicted from the parameter chain alone: the noise
-      report of {!Sknn_obs.Cost_model.predict}, the symbolic walk of the
-      circuit that runs, level-drop rules included, with a 4-bit
-      warning margin.  A negative [min_headroom_bits] means a live query
-      would raise {!Bgv.Decryption_failure}. *)
-
-  val prepare : ?obs:Sknn_obs.Ctx.t -> t -> prepared
-  (** Computes the prepared state (norms in parallel over [jobs]
-      domains, counted against Party A).  Requires affine (degree-1)
-      masking and [d <= n] — the inner-product trick leaves cross terms
-      in the non-constant coefficients, so higher-degree masks would
-      corrupt the constant coefficient.
-
-      Also runs {!forecast_noise} on the prepared path and, when the
-      predicted minimum headroom drops below the 4-bit margin, emits a
-      structured warning: an audit entry
-      [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
-      flight event and a stderr line.  The forecast minimum is always
-      recorded as the audit entry
-      [party-a/prepare-db/noise-min-headroom-bits].
-      @raise Invalid_argument when the config is unsupported. *)
-
-  val compute_distances_prepared :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1 against prepared state: {!masked_inner_product} on
-      every point, in the round {!compute_distances} runs (the same
-      spans, pool label and draws: mask, per-point streams, then Π).
-      The query must be in inner-product form
-      ({!Client.encrypt_query_ip}).  On a [Dot_product] deployment, a
-      plain and a prepared query on the same RNG state give the same
-      masked distances.  Results are bit-identical for every job
-      count. *)
+  val forecast_noise : path:Sknn_obs.Cost_model.path -> t -> Util.Noise_model.report
+  (** Worst-case noise headroom of [path]'s circuit, predicted from the
+      parameter chain alone: the noise report of
+      {!Sknn_obs.Cost_model.predict}, the symbolic walk of the circuit
+      that runs, level-drop rules included, with a 4-bit warning
+      margin.  A negative [min_headroom_bits] means a live query would
+      raise {!Bgv.Decryption_failure}. *)
 
   (** {2 Slot-packed (SIMD) prepared state}
 
@@ -180,10 +144,13 @@ module Party_a : sig
 
   val prepare_packed : ?obs:Sknn_obs.Ctx.t -> t -> db:int array array -> prepared_packed
   (** Lays [db] (the plaintext database, dimension-major) out for the
-      packed path.  Emits the same [prepare-db] audit entries and
-      low-headroom warning as {!prepare}, driven by {!forecast_noise}
-      on a packed round of one query.  Requires affine masking and [d <= N], the
-      ring degree.
+      packed path.  Runs {!forecast_noise} on a packed round of one
+      query and always records the forecast minimum as the audit entry
+      [party-a/prepare-db/noise-min-headroom-bits]; when it drops below
+      the 4-bit margin, also emits a structured warning: an audit entry
+      [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
+      flight event and a stderr line.  Requires affine masking and
+      [d <= N], the ring degree.
       @raise Invalid_argument when the config is unsupported or [db]
       does not match the encrypted database's dimensions. *)
 
@@ -292,14 +259,12 @@ module Client : sig
   val counters : t -> Util.Counters.t
 
   val encrypt_query : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Layout-matched query form: [d] constants ([Per_coordinate]) or the
-      reversed-packed polynomial plus norm ([Dot_product]). *)
-
-  val encrypt_query_ip : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Inner-product query form (reversed-packed query + encrypted
-      [‖q‖²]) regardless of layout — two ciphertexts instead of [d];
-      what {!Party_a.compute_distances_prepared} consumes.
-      @raise Invalid_argument when [d] exceeds the ring degree. *)
+  (** Layout-matched query form: [d] constants ([Per_coordinate]) or,
+      on [Dot_product], the inner-product form: the reversed-packed
+      polynomial plus [‖q‖²], two ciphertexts whatever [d].
+      @raise Invalid_argument on a coordinate outside
+      [[0, 2^max_coord_bits)] (the error names the query) or, on
+      [Dot_product], when [d] exceeds the ring degree. *)
 
   val encrypt_query_packed : t -> Util.Rng.t -> int array -> encrypted_query
   (** Broadcast-slot query form for the packed paths: [d] coordinate
@@ -308,11 +273,12 @@ module Client : sig
       They are encrypted at the public level
       {!Util.Noise_model.packed_query_level}: for the same RNG state,
       byte for byte what truncating top-level encryptions gives.
-      @raise Invalid_argument when [d] exceeds the ring degree. *)
+      @raise Invalid_argument on a coordinate out of range or when [d]
+      exceeds the ring degree. *)
 
   val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
-  (** The plain and prepared paths' result: one coefficient-packed point
-      per ciphertext. *)
+  (** The plain path's result: one coefficient-packed point per
+      ciphertext. *)
 
   val decrypt_blocks : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
   (** The packed paths' result ({!Party_a.return_blocks}): decrypts and

@@ -2,12 +2,12 @@
    chain, plaintext prime) space for the cheapest parameter set a given
    workload can prove safe.
 
-   Both halves of the objective come from one symbolic walk of the
+   Both halves of the search come from one symbolic walk of the
    candidate's circuit, Cost_model.predict:
 
-   - feasibility — its noise report (the same walk Party_a.prepare and
-     prepare_packed audit, so the planner and the live guard can never
-     diverge), plus Params.security_bits_for for the RLWE floor;
+   - feasibility — its noise report (the same walk Party_a.prepare_packed
+     audits, so the planner and the live guard can never diverge), plus
+     Params.security_bits_for for the RLWE floor;
    - cost — its ledger, priced at any (n, chain) shape by a unit model
      fitted from one measured calibration (Cost_model.fit_unit_model).
 
@@ -39,20 +39,13 @@ let workload ?(layout = Config.Dot_product) ?(path = CM.Packed 1) ?(mask_degree 
     ?(mask_coeff_bits = 8) ~points ~dim ~k ~coord_bits () =
   { points; dim; k; coord_bits; layout; path; mask_degree; mask_coeff_bits }
 
-type objective = First_query | Steady_state | Weighted of float
-
 type constraints = {
   min_security_bits : float;
   noise_margin_bits : float;
-  objective : objective;
   net : Profile.t option;
 }
 
-let default_constraints =
-  { min_security_bits = 0.0;
-    noise_margin_bits = 4.0;
-    objective = Steady_state;
-    net = None }
+let default_constraints = { min_security_bits = 0.0; noise_margin_bits = 4.0; net = None }
 
 type spec = {
   sp_n : int;
@@ -68,9 +61,7 @@ type entry = {
   log2_q : float;
   security_bits : float;
   min_headroom_bits : float;
-  first_seconds : float;
-  steady_seconds : float;
-  objective_seconds : float;
+  seconds : float;
   phase_seconds : (string * float) list;
 }
 
@@ -114,30 +105,19 @@ let min_plain_bits w =
   in
   (int_of_float (ceil need)) + 1
 
-let objective_seconds limits ~first ~steady =
-  match limits.objective with
-  | First_query -> first
-  | Steady_state -> steady
-  | Weighted alpha ->
-    let a = Float.max 0.0 (Float.min 1.0 alpha) in
-    (a *. first) +. ((1.0 -. a) *. steady)
-
 let compare_entries a b =
-  let c = Float.compare a.objective_seconds b.objective_seconds in
+  let c = Float.compare a.seconds b.seconds in
   if c <> 0 then c
   else
-    let c = Float.compare a.steady_seconds b.steady_seconds in
+    let c = Int.compare a.spec.sp_n b.spec.sp_n in
     if c <> 0 then c
     else
-      let c = Int.compare a.spec.sp_n b.spec.sp_n in
+      let c = Int.compare a.spec.sp_chain_len b.spec.sp_chain_len in
       if c <> 0 then c
       else
-        let c = Int.compare a.spec.sp_chain_len b.spec.sp_chain_len in
+        let c = Int.compare a.spec.sp_prime_bits b.spec.sp_prime_bits in
         if c <> 0 then c
-        else
-          let c = Int.compare a.spec.sp_prime_bits b.spec.sp_prime_bits in
-          if c <> 0 then c
-          else Int.compare a.spec.sp_return_level b.spec.sp_return_level
+        else Int.compare a.spec.sp_return_level b.spec.sp_return_level
 
 let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcome =
   if w.points < 1 then invalid_arg "Planner.plan: empty database";
@@ -223,27 +203,24 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                             ~rescale_distances ~return_level:rl ~n:w.points ~d:w.dim
                             ~k:w.k
                         in
-                        let steady =
+                        let pred =
                           CM.predict ~include_prepare:false
                             ~margin_bits:limits.noise_margin_bits p w.path
                         in
-                        if steady.CM.noise.NM.below_margin then first_feasible (rl + 1)
-                        else Some (rl, p, steady)
+                        if pred.CM.noise.NM.below_margin then first_feasible (rl + 1)
+                        else Some (rl, pred)
                     in
                     match first_feasible 1 with
                     | None -> incr pruned_noise
-                    | Some (rl, p, pred_steady) ->
-                      let report = pred_steady.CM.noise in
+                    | Some (rl, pred) ->
                       let unit_costs =
                         CM.unit_costs_for unit_model ~n ~levels:chain_len
                       in
                       (* Compute, plus the wire time of the predicted
                          transcript under a network profile: what lets a
-                         WAN objective reward the packed path's fewer,
+                         WAN ranking reward the packed path's fewer,
                          larger messages end to end. *)
-                      let price pred = CM.price ~unit_costs ?profile:limits.net pred in
-                      let first = price (CM.predict ~include_prepare:true p w.path) in
-                      let steady = price pred_steady in
+                      let priced = CM.price ~unit_costs ?profile:limits.net pred in
                       let entry =
                         { spec =
                             { sp_n = n; sp_plain_bits = plain_bits;
@@ -252,13 +229,9 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                           probe = pr;
                           log2_q;
                           security_bits = security;
-                          min_headroom_bits = report.NM.min_headroom_bits;
-                          first_seconds = first.CM.total_s;
-                          steady_seconds = steady.CM.total_s;
-                          objective_seconds =
-                            objective_seconds limits ~first:first.CM.total_s
-                              ~steady:steady.CM.total_s;
-                          phase_seconds = steady.CM.phase_s }
+                          min_headroom_bits = pred.CM.noise.NM.min_headroom_bits;
+                          seconds = priced.CM.total_s;
+                          phase_seconds = priced.CM.phase_s }
                       in
                       entries := entry :: !entries
                   end)
@@ -309,7 +282,6 @@ let realize (w : workload) (e : entry) : Config.t =
 
 let path_name = function
   | CM.Plain -> "plain"
-  | CM.Prepared -> "prepared"
   | CM.Packed m -> Printf.sprintf "packed-%d" m
 
 let json_of_entry e =
@@ -324,9 +296,7 @@ let json_of_entry e =
       ("log2_q", Float e.log2_q);
       ("security_bits", Float e.security_bits);
       ("min_headroom_bits", Float e.min_headroom_bits);
-      ("first_seconds", Float e.first_seconds);
-      ("steady_seconds", Float e.steady_seconds);
-      ("objective_seconds", Float e.objective_seconds);
+      ("seconds", Float e.seconds);
       ( "phases",
         List
           (List.map
@@ -375,18 +345,18 @@ let pp_seconds ppf s =
   else Format.fprintf ppf "%.2fs" s
 
 let pp_entry ppf (i, e) =
-  Format.fprintf ppf "%2d. n=%-5d chain=%2d x %2d-bit t=2^%-2d rl=%d  %a steady"
-    (i + 1) e.spec.sp_n e.spec.sp_chain_len e.spec.sp_prime_bits e.spec.sp_plain_bits
-    e.spec.sp_return_level pp_seconds e.steady_seconds;
-  Format.fprintf ppf "  %a first  %5.1f bits headroom  %5.1f bits security@,"
-    pp_seconds e.first_seconds e.min_headroom_bits e.security_bits
+  Format.fprintf ppf "%2d. n=%-5d chain=%2d x %2d-bit t=2^%-2d rl=%d  %a" (i + 1)
+    e.spec.sp_n e.spec.sp_chain_len e.spec.sp_prime_bits e.spec.sp_plain_bits
+    e.spec.sp_return_level pp_seconds e.seconds;
+  Format.fprintf ppf "  %5.1f bits headroom  %5.1f bits security@," e.min_headroom_bits
+    e.security_bits
 
 let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>plan: %s path, %d points x %d dims, k=%d, coords<=%d bits@,"
     (path_name o.load.path) o.load.points o.load.dim o.load.k o.load.coord_bits;
   (match o.limits.net with
    | None -> ()
-   | Some p -> Format.fprintf ppf "objective priced end-to-end over %a@," Profile.pp p);
+   | Some p -> Format.fprintf ppf "priced end-to-end over %a@," Profile.pp p);
   Format.fprintf ppf
     "searched %d candidates: %d ranked, %d noise-pruned, %d security-pruned"
     o.considered (List.length o.ranked) o.pruned_noise o.pruned_security;
@@ -398,7 +368,7 @@ let pp_outcome ppf o =
   (match best o with
    | None -> Format.fprintf ppf "no feasible parameter set@,"
    | Some e ->
-     Format.fprintf ppf "@,winner phase forecast (steady state):@,";
+     Format.fprintf ppf "@,winner phase forecast:@,";
      List.iter
        (fun (name, s) -> Format.fprintf ppf "  %-20s %a@," name pp_seconds s)
        e.phase_seconds);

@@ -10,14 +10,14 @@
       {!Masking.max_coeff_bits};
     - feasibility pruning checks the noise report of
       {!Sknn_obs.Cost_model.predict} — the symbolic walk of the
-      workload's query path, the same one [Party_a.prepare] and
-      [prepare_packed] audit — against the noise margin, and
+      workload's query path, the same one [Party_a.prepare_packed]
+      audits — against the noise margin, and
       {!Params.security_bits_for} against the security floor; the
       return level is the lowest that clears the margin;
     - survivors are ranked by {!Sknn_obs.Cost_model.price} of the same
-      walk, with unit costs from a {!Sknn_obs.Cost_model.unit_model}
-      fitted from one measured calibration — both the first-query
-      (prepare included) and steady-state objectives are computed.
+      walk — one query of a deployed database — with unit costs from a
+      {!Sknn_obs.Cost_model.unit_model} fitted from one measured
+      calibration.
 
     Everything is pure given the unit model: the same spec yields the
     byte-identical plan.  Only {!realize} builds the expensive NTT/CRT
@@ -50,26 +50,18 @@ val workload :
 (** Defaults: [Dot_product] layout, [Packed 1] path, affine mask with
     8-bit coefficients (the presets' request). *)
 
-type objective =
-  | First_query  (** prepare + one query *)
-  | Steady_state  (** marginal query of a deployed database *)
-  | Weighted of float  (** [alpha·first + (1−alpha)·steady], clamped *)
-
 type constraints = {
   min_security_bits : float;  (** RLWE floor; 0 disables the prune *)
   noise_margin_bits : float;  (** forecast headroom the plan must keep *)
-  objective : objective;
   net : Profile.t option;
       (** price candidates end-to-end under this network profile: each
-          entry's first/steady seconds gain the virtual wire time of its
-          predicted transcript (rounds × RTT + bytes/bandwidth), so a
-          WAN objective weights rounds and message sizes, not just
-          compute *)
+          entry's seconds gain the virtual wire time of its predicted
+          transcript (rounds × RTT + bytes/bandwidth), so a WAN ranking
+          weights rounds and message sizes, not just compute *)
 }
 
 val default_constraints : constraints
-(** No security floor, 4-bit margin, steady-state objective, no network
-    term. *)
+(** No security floor, 4-bit margin, no network term. *)
 
 (** {1 Planning} *)
 
@@ -87,10 +79,10 @@ type entry = {
   log2_q : float;
   security_bits : float;
   min_headroom_bits : float;  (** at the chosen return level *)
-  first_seconds : float;  (** [total_s] of the first query's price *)
-  steady_seconds : float;  (** [total_s] of a steady-state query's price *)
-  objective_seconds : float;  (** the ranking key *)
-  phase_seconds : (string * float) list;  (** steady-state [phase_s] *)
+  seconds : float;
+      (** the ranking key: [total_s] of one query's price on a deployed
+          database, under [net] when given *)
+  phase_seconds : (string * float) list;  (** that price's [phase_s] *)
 }
 
 type outcome = {
@@ -125,7 +117,7 @@ val realize : workload -> entry -> Config.t
 (** {1 Rendering} *)
 
 val path_name : Sknn_obs.Cost_model.path -> string
-(** ["plain"], ["prepared"] or ["packed-M"]. *)
+(** ["plain"] or ["packed-M"]. *)
 
 val json_of_outcome : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -20,10 +20,6 @@ type deployment = {
   setup_transcript : Transcript.t;
   query_seed : Rng.t; (* source of per-query randomness *)
   jobs : int;
-  mutable prepared : Entities.Party_a.prepared option;
-      (* query-independent state for the multi-query path, built lazily
-         on the first prepared query and reused for the rest of the
-         deployment's lifetime *)
   mutable prepared_packed : Entities.Party_a.prepared_packed option;
 }
 
@@ -115,7 +111,6 @@ let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs config ~db =
     setup_transcript = tr;
     query_seed = Rng.split rng;
     jobs;
-    prepared = None;
     prepared_packed = None }
 
 type result = {
@@ -235,7 +230,7 @@ let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 
 (* How Party A answers Return kNN: by folding Party B's k scalar
    indicator rows into the round's Π(P'), which only ciphertexts hold on
-   the plain and prepared paths; or, where A holds the plaintext points
+   the plain path; or, where A holds the plaintext points
    (packed), by multiplying B's block indicators into its plaintext
    blocks under the round's permutation. *)
 type return_knn =
@@ -259,7 +254,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   let m = Array.length queries in
   (match path with
    | CM.Packed _ -> if m = 0 then invalid_arg (fn ^ ": empty batch")
-   | CM.Plain | CM.Prepared ->
+   | CM.Plain ->
      if m <> 1 then invalid_arg (fn ^ ": only the packed path takes several queries"));
   if Array.exists (fun q -> Array.length q <> d.db_d) queries then
     invalid_arg (fn ^ ": dimension mismatch");
@@ -274,17 +269,9 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   let clock = Option.map Clock.cursor net in
   let send = send_tracked ?clock obs tr in
   let phases = ref [] in
-  (* The query-independent state is built once per deployment; only the
-     first query of its path pays (and records) the "prepare-db" phase. *)
+  (* The packed state is built once per deployment; only the first
+     packed query pays (and records) the "prepare-db" phase. *)
   let prepare_db build = timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" build in
-  let prepared () =
-    match d.prepared with
-    | Some p -> p
-    | None ->
-      let p = prepare_db (fun () -> Entities.Party_a.prepare ~obs d.a) in
-      d.prepared <- Some p;
-      p
-  in
   let prepared_packed () =
     match d.prepared_packed with
     | Some p -> p
@@ -321,10 +308,6 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
     match path with
     | CM.Plain ->
       rows Entities.Client.encrypt_query (Entities.Party_a.compute_distances ~obs d.a)
-    | CM.Prepared ->
-      let p = prepared () in
-      rows Entities.Client.encrypt_query_ip
-        (Entities.Party_a.compute_distances_prepared ~obs d.a p)
     | CM.Packed _ ->
       let p = prepared_packed () in
       let qs =
@@ -479,21 +462,11 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
 let query ?obs ?rng ?net d ~query ~k =
   (query_gen ~path:CM.Plain ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
-let query_prepared ?obs ?rng ?net d ~query ~k =
-  (query_gen ~path:CM.Prepared ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
-
 let query_packed ?obs ?rng ?net d ~query ~k =
   (query_gen ~path:(CM.Packed 1) ?obs ?rng ?net d ~queries:[| query |] ~k).(0)
 
 let query_batch ?obs ?rng ?net d ~queries ~k =
   query_gen ~path:(CM.Packed (Array.length queries)) ?obs ?rng ?net d ~queries ~k
-
-let prepare ?(obs = Obs.disabled) d =
-  match d.prepared with
-  | Some _ -> ()
-  | None -> d.prepared <- Some (Entities.Party_a.prepare ~obs d.a)
-
-let is_prepared d = Option.is_some d.prepared
 
 let prepare_packed ?(obs = Obs.disabled) d =
   match d.prepared_packed with

@@ -14,7 +14,15 @@
       message B→A per vector (streamed row by row so O(nk) ciphertexts
       never live in memory at once);
     + {b Return kNN} at A (Algorithm 3) — permuted inner products,
-      giving k re-randomised encrypted points returned to the client.
+      giving k encrypted points returned to the client.  They are not
+      re-randomised: [Bgv.mul_sum] floods nothing.
+
+    [query] runs the round on the deployment's layout: Algorithm 1's
+    per-coordinate square-sum, or on a [Dot_product] deployment the
+    inner-product form [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²]
+    ({!Entities.Party_a.masked_inner_product}): the data owner ships one
+    encrypted norm per point, the client sends two ciphertexts instead
+    of [d], and Party A computes one ciphertext product per point.
 
     The packed path, where Party A holds the plaintext points, answers
     Return kNN by blocks instead: B sends one message of
@@ -99,46 +107,6 @@ val query :
     across job counts.
     @raise Invalid_argument on dimension mismatch or k out of range. *)
 
-(** {1 Prepared multi-query path}
-
-    A deployment answers one query per protocol run, but the database —
-    and therefore the packed ciphertexts and the encrypted norms
-    [‖p_i‖²] the distance identity [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] needs —
-    is fixed at deploy time.  The prepared path hoists that work out of
-    the per-query loop: after a one-time ["prepare-db"] phase, each
-    query costs {e one} ciphertext product per point (against the
-    reversed-packed query) instead of [d], and the query message shrinks
-    from [d] ciphertexts to two.
-
-    Requires affine (degree-1) masking and [d ≤ N], the ring degree
-    (see {!Entities.Party_a.prepare}).  Results remain exact and
-    bit-identical across job counts.
-
-    The prepared path runs {!Entities.Party_a.masked_inner_product} on
-    every point.  A [Dot_product] deployment ships the norms, so
-    {!query} on it runs the same round: a plain and a steady-state
-    prepared query from the same RNG state give the same transcript,
-    view and Party A ledger.  The prepared path pays off on a
-    [Per_coordinate] deployment, whose norms it computes once. *)
-
-val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
-(** Builds the prepared state now (idempotent).  Otherwise the first
-    {!query_prepared} builds it lazily and records it as that query's
-    ["prepare-db"] phase. *)
-
-val is_prepared : deployment -> bool
-
-val query_prepared :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  query:int array -> k:int -> result
-(** Like {!query}, but against the prepared state, with the client
-    sending the inner-product query form
-    ({!Entities.Client.encrypt_query_ip}).  The first call on an
-    unprepared deployment additionally reports a ["prepare-db"] phase in
-    [phase_seconds]; subsequent calls are steady-state.
-    @raise Invalid_argument if the configuration does not admit the
-    prepared path. *)
-
 (** {1 Slot-packed (SIMD) path}
 
     The packed path lays the database out dimension-major across the
@@ -152,8 +120,8 @@ val query_prepared :
     positions instead of [n·k] scalars, A multiplies each into its
     plaintext block and floods the product
     ({!Entities.Party_a.return_blocks}), and the client decodes the
-    selected points.  Party B's §5 leakage surface is the unpacked
-    paths' (masked distance multiset, [n], [k], equidistant groups)
+    selected points.  Party B's §5 leakage surface is the plain
+    path's (masked distance multiset, [n], [k], equidistant groups)
     plus [points-per-block], [⌊N/d⌋], and [batch-query-count], the
     number of queries in the round.  A packed round answers one or more
     queries under one permutation: {!query_packed} is the round of one,
@@ -171,8 +139,8 @@ val is_packed_prepared : deployment -> bool
 val query_packed :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   query:int array -> k:int -> result
-(** [query_gen ~path:(Packed 1)]: like {!query_prepared} on the packed
-    layout, with the client sending the broadcast-slot query form
+(** [query_gen ~path:(Packed 1)]: like {!query} on the packed layout,
+    with the client sending the broadcast-slot query form
     ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in, at
     the public query level, [⌈n/N⌉] masked-distance ciphertexts A→B,
     [⌈n/⌊N/d⌋⌉] block indicators B→A and as many flooded blocks to the
@@ -210,8 +178,7 @@ val query_gen :
   ?net:Profile.t -> deployment -> queries:int array array -> k:int -> result array
 (** The one round driver behind every entry point above, keyed by the
     path type the planner and the cost model use: [Plain] is {!query},
-    [Prepared] {!query_prepared}, [Packed M] {!query_batch}
-    ({!query_packed} when [M = 1]).  [queries] holds exactly one query
+    [Packed M] {!query_batch} ({!query_packed} when [M = 1]).  [queries] holds exactly one query
     except on [Packed M], which answers all of them in the round.
     Every path emits the same phases and metric names; the packed path
     adds the [points-per-block] and [batch-query-count] audit labels.

@@ -41,7 +41,7 @@ type params = {
   slots : int;
 }
 
-type path = Plain | Prepared | Packed of int
+type path = Plain | Packed of int
 
 type phase = { phase : string; party : string; counters : C.t }
 
@@ -271,7 +271,7 @@ let send_masked sim ~count ~decrypt masked =
   let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
   repeat cb ~times:count (fun c -> decrypt c masked)
 
-(* Return-kNN + decrypt-result on the plain and prepared paths: [k]
+(* Return-kNN + decrypt-result on the plain path: [k]
    scalar indicator rows against the stored packed points, which
    Bgv.mul_sum brings to the return level without a ledger cell. *)
 let return_rows sim =
@@ -337,13 +337,15 @@ let encrypt_query sim ~level count =
     ~label:"encrypted query" ~count fresh;
   step sim "fresh-encrypt" fresh
 
-(* Entities.Party_a.masked_inner_product on one point: the product
-   with the reversed query, the ED combine, the level drop (or the
-   configured rescale), the mask and the zero-constant randomizer. *)
-let masked_inner_product sim c ~norm ~packed q =
+(* Entities.Party_a.masked_inner_product on one point: the product of
+   its fresh packed ciphertext with the reversed query, the ED combine
+   with its fresh norm, the level drop (or the configured rescale), the
+   mask and the zero-constant randomizer. *)
+let masked_inner_product sim c q =
   let p = sim.p in
-  let ip = step sim "inner-product" (mul p c ~relin:p.use_relin packed q) in
-  let ed = step sim "ed-combine" (sub c (add c norm q) (mul_scalar c ip ~bits:1.0)) in
+  let stored = NM.fresh p.nm in
+  let ip = step sim "inner-product" (mul p c ~relin:p.use_relin stored q) in
+  let ed = step sim "ed-combine" (sub c (add c stored q) (mul_scalar c ip ~bits:1.0)) in
   let ed =
     match
       NM.distance_level p.nm ~return_level:(return_level p) ~level:ed.NM.level
@@ -355,13 +357,14 @@ let masked_inner_product sim c ~norm ~packed q =
   in
   add_plain p c (eval_poly sim c ed)
 
-(* The rounds the plain and prepared paths share after any prepare
-   phase: the query, one masked distance per point, B's decryptions and
-   Return-kNN by rows.  [per_coordinate] runs Algorithm 1's square-sum
-   on [d] coordinate ciphertexts; otherwise the two-ciphertext
-   inner-product query meets [norm]. *)
-let predict_rows sim ~per_coordinate ~norm =
+(* The plain path: the query, one masked distance per point, B's
+   decryptions and Return-kNN by rows.  A per-coordinate deployment runs
+   Algorithm 1's square-sum on [d] coordinate ciphertexts; a dot-product
+   one meets the two-ciphertext inner-product query with its stored
+   norms. *)
+let predict_plain sim =
   let p = sim.p in
+  let per_coordinate = p.per_coordinate in
   let fresh = encrypt_query sim ~level:(full_level p) (if per_coordinate then p.d else 2) in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   let masked =
@@ -378,28 +381,10 @@ let predict_rows sim ~per_coordinate ~norm =
           in
           eval_poly sim c ed
         end
-        else masked_inner_product sim c ~norm ~packed:(NM.fresh p.nm) fresh)
+        else masked_inner_product sim c fresh)
   in
   send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
   return_rows sim
-
-let predict_prepared sim ~include_prepare =
-  let p = sim.p in
-  let fresh = NM.fresh p.nm in
-  (* The prepared norms exist whether or not this query pays for them;
-     only the first query of a deployment records the prepare phase (a
-     steady-state query walks them at zero repetitions). *)
-  let cp =
-    if include_prepare then phase_counter sim ~phase:"prepare-db" ~party:"party-a"
-    else { phase_c = sim.party_a; party_c = sim.party_a; times = 0 }
-  in
-  let norm =
-    repeat cp ~times:p.n_points (fun c ->
-        if p.per_coordinate then
-          step sim "prepare-norms" (mul_sum p c ~terms:p.d ~relin:p.use_relin fresh fresh)
-        else fresh)
-  in
-  predict_rows sim ~per_coordinate:false ~norm
 
 (* The packed path: a round of [queries] ≥ 1 packed queries under one
    Π.  prepare_packed lays out plaintext columns only, so its phase
@@ -457,8 +442,7 @@ let predict ?(include_prepare = true) ?margin_bits p path =
       party_a = C.create (); party_b = C.create (); client = C.create () }
   in
   (match path with
-   | Plain -> predict_rows sim ~per_coordinate:p.per_coordinate ~norm:(NM.fresh p.nm)
-   | Prepared -> predict_prepared sim ~include_prepare
+   | Plain -> predict_plain sim
    | Packed queries -> predict_packed sim ~include_prepare ~queries);
   { phases = List.rev sim.rev_phases;
     party_a = sim.party_a;

@@ -7,8 +7,8 @@
     - the op-kind × BGV-level ledger the instrumented scheme records on
       live ciphertexts, in fresh {!Util.Counters.t} values;
     - the transcript, message for message, with exact byte sizes;
-    - the worst-case noise report that [Party_a.prepare]/[prepare_packed]
-      audit and the planner prunes with.
+    - the worst-case noise report that [Party_a.prepare_packed] audits
+      and the planner prunes with.
 
     The test suite asserts {!Util.Counters.equal_ledger} and transcript
     equality between a prediction and a measured query on every preset,
@@ -49,11 +49,14 @@ type params = {
   slots : int;  (** SIMD slot count (= ring degree here) *)
 }
 
-(** Which query pipeline to predict.  [Packed m] is one slot-packed
-    round of [m ≥ 1] queries under one permutation
+(** Which query pipeline to predict.  [Plain] is the paper's round on
+    the deployment's layout: Algorithm 1's square-sum per coordinate, or
+    on a [Dot_product] deployment the inner-product circuit against the
+    norms the data owner shipped.  [Packed m] is one slot-packed round
+    of [m ≥ 1] queries under one permutation
     ([Protocol.query_gen ~path:(Packed m)]); [Packed 1] is the single
     packed query. *)
-type path = Plain | Prepared | Packed of int
+type path = Plain | Packed of int
 
 type phase = {
   phase : string;  (** protocol phase name, as [Protocol] times it *)
@@ -90,10 +93,10 @@ type prediction = {
 val predict :
   ?include_prepare:bool -> ?margin_bits:float -> params -> path -> prediction
 (** Symbolically run one round.  [include_prepare]
-    (default [true]) adds the prepare-db phase the first
-    prepared/packed query of a deployment pays; steady-state queries
-    drop it.  Ignored for [Plain]; the noise report is the same either
-    way.  [margin_bits] (default 4) is the report's warning margin.
+    (default [true]) adds the prepare-db phase the first packed query
+    of a deployment pays (plaintext layout only, so it records no
+    ciphertext op); steady-state queries drop it.  Ignored for [Plain];
+    the noise report is the same either way.  [margin_bits] (default 4) is the report's warning margin.
     @raise Invalid_argument on nonsensical sizes and on [Packed m] with
     [m < 1]. *)
 

@@ -9,7 +9,7 @@
 
     When the buffer wraps, the oldest events are overwritten; [total]
     and [dropped] keep the bookkeeping honest.  Dump the buffer on
-    demand ([sknn dump-flight]), on [Bgv.Decryption_failure], or
+    demand ([sknn query --flight FILE]), on [Bgv.Decryption_failure], or
     whenever a run ends surprisingly — it answers "what was the protocol
     doing just before this?" without re-running with tracing on. *)
 

@@ -148,9 +148,9 @@ let level_for_need p ~return_level ~below ~need =
   done;
   if !bits > need then Some (Stdlib.max !lvl return_level) else None
 
-(* Prepared path, per point: ED at [level] with noise [bits], about to
-   take the affine mask (a scalar below t).  [Some lvl] only when that
-   drops primes. *)
+(* The inner-product circuit, per point: ED at [level] with noise
+   [bits], about to take the affine mask (a scalar below t).  [Some lvl]
+   only when that drops primes. *)
 let distance_level p ~return_level ~level ~bits =
   match level_for_need p ~return_level ~below:level ~need:(bits +. p.t_bits +. 17.0) with
   | Some lvl when lvl < level -> Some lvl

@@ -5,8 +5,8 @@
     bound, its budget, the rescale rule and its serialised size from
     these ops; the forecaster, the planner and [Cost_model] walk the
     same ops on {!state}s, so worst-case end-of-circuit headroom can be
-    predicted {e before} any ciphertext exists — at [Party_a.prepare]
-    time — and a deployment whose chain is too shallow for its circuit
+    predicted {e before} any ciphertext exists — at
+    [Party_a.prepare_packed] time — and a deployment whose chain is too shallow for its circuit
     warns instead of failing mid-query.  Every op keeps its float
     operations in one fixed order, so a branch on a bound decides the
     same way live and in a walk. *)
@@ -93,8 +93,9 @@ val flood : params -> state -> flood_bits:int -> state
     comparisons. *)
 
 val distance_level : params -> return_level:int -> level:int -> bits:float -> int option
-(** Prepared path, per point: the level for a distance at [level] with
-    noise [bits] before its affine mask; [Some] only when below [level]. *)
+(** The inner-product circuit (plain on a [Dot_product] deployment,
+    k-means), per point: the level for a distance at [level] with noise
+    [bits] before its affine mask; [Some] only when below [level]. *)
 
 val packed_query_level : params -> return_level:int -> d:int -> int option
 (** Packed paths: the level of the query ciphertexts, from the fresh

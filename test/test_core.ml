@@ -260,132 +260,19 @@ let test_jobs_determinism () =
     [ ("dot-product", Config.fast ()); ("per-coordinate", Config.standard ()) ]
 
 (* ------------------------------------------------------------------ *)
-(* Prepared multi-query path                                           *)
+(* Slot-packed (SIMD) path                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-coordinate preset with the affine mask the prepared path
+(* The per-coordinate preset with the affine mask the packed path
    requires; coordinates and dimensions in these tests stay within the
    degree-1 masking envelope. *)
 let affine_config () = Config.with_mask_degree 1 (Config.standard ())
 
+(* The same chain and mask on the dot-product layout: plain queries
+   there run the inner-product circuit against the shipped norms. *)
+let dot_config () = Config.with_layout Config.Dot_product (affine_config ())
+
 let has_phase name r = List.mem_assoc name r.Protocol.phase_seconds
-
-let test_prepared_exactness () =
-  let rng = Rng.of_int 167 in
-  let db = small_db rng in
-  List.iter
-    (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 168) config ~db in
-      let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
-      Array.iteri
-        (fun i q ->
-          let r = Protocol.query_prepared dep ~query:q ~k:4 in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: query %d exact" name i)
-            true
-            (Protocol.exact dep ~db ~query:q r);
-          (* Only the first prepared query pays (and reports) the
-             database preparation. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: query %d prepare-db phase" name i)
-            (i = 0) (has_phase "prepare-db" r))
-        queries)
-    [ ("per-coordinate+affine", affine_config ()); ("dot-product", Config.fast ()) ]
-
-let test_prepared_matches_unprepared () =
-  (* The prepared path changes the computation plan, not the answer:
-     against the same deployment both paths return the same neighbour
-     set. *)
-  let rng = Rng.of_int 169 in
-  let db = small_db rng in
-  let q = Synthetic.query_like rng db in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 170) (affine_config ()) ~db in
-  let r_plain = Protocol.query ~rng:(Rng.of_int 171) dep ~query:q ~k:5 in
-  let r_prep = Protocol.query_prepared ~rng:(Rng.of_int 172) dep ~query:q ~k:5 in
-  let sorted r =
-    let a = Array.map (Distance.squared_euclidean q) r.Protocol.neighbours in
-    Array.sort compare a;
-    a
-  in
-  Alcotest.(check (array int)) "same neighbour distances" (sorted r_plain)
-    (sorted r_prep);
-  (* Two ciphertexts instead of d: the prepared query message is
-     strictly smaller for d > 2. *)
-  let q_bytes r =
-    List.assoc "encrypted query"
-      (List.filter_map
-         (fun (e : Transcript.entry) -> Some (e.Transcript.label, e.Transcript.bytes))
-         (Transcript.entries r.Protocol.transcript))
-  in
-  Alcotest.(check bool) "smaller query message" true
-    (q_bytes r_prep < q_bytes r_plain)
-
-let test_prepared_jobs_determinism () =
-  (* Same scheduling-transparency contract as the unprepared path:
-     identical neighbours, views, transcripts and counters for every
-     job count. *)
-  let db = small_db (Rng.of_int 173) in
-  let q = [| 10; 20; 30 |] in
-  let run jobs config =
-    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db in
-    Protocol.query_prepared ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
-  in
-  let counters_s c = Format.asprintf "%a" Util.Counters.pp c in
-  List.iter
-    (fun (name, config) ->
-      let r1 = run 1 config and r2 = run 2 config and r4 = run 4 config in
-      List.iter
-        (fun (jn, r) ->
-          Alcotest.(check bool) (name ^ ": neighbours jobs 1=" ^ jn) true
-            (r1.Protocol.neighbours = r.Protocol.neighbours);
-          Alcotest.(check bool) (name ^ ": view jobs 1=" ^ jn) true
-            (r1.Protocol.view_b = r.Protocol.view_b);
-          Alcotest.(check int) (name ^ ": transcript bytes jobs 1=" ^ jn)
-            (Transcript.total_bytes r1.Protocol.transcript)
-            (Transcript.total_bytes r.Protocol.transcript);
-          Alcotest.(check string) (name ^ ": party A counters jobs 1=" ^ jn)
-            (counters_s r1.Protocol.counters_a) (counters_s r.Protocol.counters_a);
-          Alcotest.(check string) (name ^ ": party B counters jobs 1=" ^ jn)
-            (counters_s r1.Protocol.counters_b) (counters_s r.Protocol.counters_b))
-        [ ("2", r2); ("4", r4) ])
-    [ ("dot-product", Config.fast ()); ("per-coordinate+affine", affine_config ()) ]
-
-let test_prepared_rejects_nonaffine () =
-  (* Config.standard masks with degree 2; the inner-product trick leaves
-     cross terms that only an affine mask keeps sound, so the prepared
-     path must refuse. *)
-  let rng = Rng.of_int 179 in
-  let db = small_db rng in
-  let dep = Protocol.deploy ~rng (Config.standard ()) ~db in
-  Alcotest.check_raises "degree-2 mask rejected"
-    (Invalid_argument "Party_a.prepare: prepared queries need affine (degree-1) masking")
-    (fun () -> Protocol.prepare dep)
-
-let test_prepared_query_stream () =
-  let rng = Rng.of_int 181 in
-  let db = small_db rng in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 182) (affine_config ()) ~db in
-  Alcotest.(check bool) "not prepared before" false (Protocol.is_prepared dep);
-  let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
-  let rng_q = Rng.of_int 183 in
-  let results =
-    Array.map
-      (fun q -> Protocol.query_prepared ~rng:(Rng.split rng_q) dep ~query:q ~k:3)
-      queries
-  in
-  Alcotest.(check bool) "prepared after" true (Protocol.is_prepared dep);
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool) (Printf.sprintf "batch query %d exact" i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r))
-    results;
-  Alcotest.(check bool) "first pays prepare-db" true (has_phase "prepare-db" results.(0));
-  Alcotest.(check bool) "later queries steady-state" false
-    (Array.exists (has_phase "prepare-db") (Array.sub results 1 3))
-
-(* ------------------------------------------------------------------ *)
-(* Slot-packed (SIMD) path                                             *)
-(* ------------------------------------------------------------------ *)
 
 let sorted_dists q r =
   let a = Array.map (Distance.squared_euclidean q) r.Protocol.neighbours in
@@ -415,20 +302,32 @@ let test_packed_exactness () =
 
 let test_packed_matches_unpacked () =
   (* The packed path changes the ciphertext layout, not the answer:
-     against the same deployment, the plain, prepared and packed paths
-     return the same neighbour set — and Party B sees the same
-     equidistant structure (slot-unpacked, never per-ciphertext). *)
+     against the same deployment, the plain and packed paths return the
+     same neighbour set, as does plain on the dot-product layout of the
+     same config — and Party B sees the same equidistant structure
+     (slot-unpacked, never per-ciphertext). *)
   let rng = Rng.of_int 403 in
   let db = small_db rng in
   let q = Synthetic.query_like rng db in
   let dep = Protocol.deploy ~rng:(Rng.of_int 404) (affine_config ()) ~db in
+  let dep_dot = Protocol.deploy ~rng:(Rng.of_int 404) (dot_config ()) ~db in
   let r_plain = Protocol.query ~rng:(Rng.of_int 405) dep ~query:q ~k:5 in
-  let r_prep = Protocol.query_prepared ~rng:(Rng.of_int 406) dep ~query:q ~k:5 in
+  let r_dot = Protocol.query ~rng:(Rng.of_int 406) dep_dot ~query:q ~k:5 in
   let r_packed = Protocol.query_packed ~rng:(Rng.of_int 407) dep ~query:q ~k:5 in
   Alcotest.(check (array int)) "packed = plain neighbour distances"
     (sorted_dists q r_plain) (sorted_dists q r_packed);
-  Alcotest.(check (array int)) "packed = prepared neighbour distances"
-    (sorted_dists q r_prep) (sorted_dists q r_packed);
+  Alcotest.(check (array int)) "packed = plain dot-product neighbour distances"
+    (sorted_dists q r_dot) (sorted_dists q r_packed);
+  (* Two ciphertexts instead of d: the dot-product query message is
+     strictly smaller for d > 2. *)
+  let q_bytes r =
+    List.assoc "encrypted query"
+      (List.map
+         (fun (e : Transcript.entry) -> (e.Transcript.label, e.Transcript.bytes))
+         (Transcript.entries r.Protocol.transcript))
+  in
+  Alcotest.(check bool) "smaller dot-product query message" true
+    (q_bytes r_dot < q_bytes r_plain);
   Alcotest.(check (array int)) "same equidistant groups as plain path"
     (Leakage.equidistant_group_sizes r_plain.Protocol.view_b)
     (Leakage.equidistant_group_sizes r_packed.Protocol.view_b);
@@ -496,7 +395,7 @@ let test_packed_jobs_determinism () =
 let test_packed_rejects_nonaffine () =
   (* Slot-wise masking is one plain product + one plain add per batch —
      only sound for an affine (degree-1) polynomial, so the packed path
-     must refuse a degree-2 config just as the prepared path does. *)
+     must refuse a degree-2 config. *)
   let rng = Rng.of_int 419 in
   let db = small_db rng in
   let dep = Protocol.deploy ~rng (Config.standard ()) ~db in
@@ -737,11 +636,6 @@ let test_masked_metadata_public () =
     match path with
     | `Plain ->
       snd (Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng (query ())))
-    | `Prepared ->
-      let p = Entities.Party_a.prepare a in
-      snd
-        (Entities.Party_a.compute_distances_prepared a p rng
-           (Entities.Client.encrypt_query_ip cl rng (query ())))
     | `Packed m ->
       let pp = Entities.Party_a.prepare_packed a ~db in
       let qs = Array.init m (fun _ -> Entities.Client.encrypt_query_packed cl rng (query ())) in
@@ -763,7 +657,7 @@ let test_masked_metadata_public () =
         [ 901; 902; 903; 904; 905 ])
     [ ("plain, degree-2 mask", Config.standard (), `Plain);
       ("plain, affine mask", Config.fast (), `Plain);
-      ("prepared", affine_config (), `Prepared);
+      ("plain, 10-prime dot-product", dot_config (), `Plain);
       ("packed", affine_config (), `Packed 1);
       ("batch", affine_config (), `Packed 3) ]
 
@@ -888,8 +782,8 @@ let edge_instance (preset, n_sel, d_sel, k_sel, rows_sel, seed) =
   done;
   let queries = Array.init 3 (fun m -> if m = 0 then Array.copy db.(0) else row (m + rows_sel)) in
   let k = match k_sel mod 3 with 0 -> 1 | 1 -> n | _ -> 1 + Rng.int_below rng n in
-  (* The plain and prepared paths encrypt n·k indicators: keep k = n to
-     the smaller databases so one instance stays under ~0.3 s. *)
+  (* The plain path encrypts n·k indicators: keep k = n to the smaller
+     databases so one instance stays under ~0.3 s. *)
   let k = Stdlib.min k (Stdlib.max 1 (1200 / n)) in
   (name, config, db, queries, k)
 
@@ -904,28 +798,85 @@ let prop_paths_agree_on_edge_shapes =
             (pair (triple (int_bound 2) (int_bound 5) (int_bound 6))
                (triple (int_bound 2) (int_bound 4) (int_bound 10000)))))
     (fun sel ->
+      let module Audit = Sknn_obs.Audit in
+      let module CM = Sknn_obs.Cost_model in
       let name, config, db, queries, k = edge_instance sel in
       let d = Array.length db.(0) in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 7) config ~db in
+      let deploy config = Protocol.deploy ~rng:(Rng.of_int 7) config ~db in
+      let dep = deploy config in
       let admits = Config.affine_supported config ~d ~what:"packed queries" = Ok () in
+      let one = [| queries.(0) |] in
+      (* Plain on the deployment's layout and, for a per-coordinate
+         config that admits it, on the dot-product layout of the same
+         config; then the packed rounds, the first of which builds the
+         packed state. *)
+      let rounds =
+        ("plain", dep, CM.Plain, one)
+        :: (if not admits then []
+            else
+              (if config.Config.layout = Config.Per_coordinate then
+                 [ ("plain dot-product", deploy (Config.with_layout Config.Dot_product config),
+                    CM.Plain, one) ]
+               else [])
+              @ [ ("packed", dep, CM.Packed 1, one);
+                  ("batch-1", dep, CM.Packed 1, one);
+                  ("batch-3", dep, CM.Packed 3, queries) ])
+      in
+      (* Each round records into its own audit channel. *)
       let runs =
-        (("plain", [| Protocol.query dep ~query:queries.(0) ~k |]) ::
-         (if admits then
-            [ ("prepared", [| Protocol.query_prepared dep ~query:queries.(0) ~k |]);
-              ("packed", [| Protocol.query_packed dep ~query:queries.(0) ~k |]);
-              ("batch-1", Protocol.query_batch dep ~queries:[| queries.(0) |] ~k);
-              ("batch-3", Protocol.query_batch dep ~queries ~k) ]
-          else []))
+        List.map
+          (fun (label, dep, path, queries) ->
+            let audit = Audit.create () in
+            let obs = Sknn_obs.Ctx.create ~audit () in
+            (label, dep, path, audit, Protocol.query_gen ~path ~obs dep ~queries ~k))
+          rounds
+      in
+      (* A party's labels inside or outside the prepare-db phase. *)
+      let labels audit ~party ~prepare =
+        Audit.for_party audit ~party
+        |> List.filter_map (fun (e : Audit.entry) ->
+               if (e.Audit.phase = "prepare-db") = prepare then Some e.Audit.label else None)
+        |> List.sort_uniq String.compare
       in
       let groups (r : Protocol.result) = Leakage.equidistant_group_sizes r.Protocol.view_b in
-      let expected = groups (snd (List.hd runs)).(0) in
+      let _, _, _, audit0, results0 = List.hd runs in
+      let expected = groups results0.(0) in
+      let surface_a = labels audit0 ~party:"party-a" ~prepare:false in
+      let surface_client = labels audit0 ~party:"client" ~prepare:false in
+      let surface_b = [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ] in
       List.iter
-        (fun (path, results) ->
+        (fun (label, dep, path, audit, results) ->
+          let where = Printf.sprintf "%s n=%d d=%d k=%d %s" name (Array.length db) d k label in
+          let expect_b =
+            match path with
+            | CM.Plain -> surface_b
+            | CM.Packed _ -> List.sort String.compare ("batch-query-count" :: "points-per-block" :: surface_b)
+          in
+          if Audit.labels_for audit ~party:"party-b" <> expect_b then
+            QCheck.Test.fail_reportf "%s: party-b surface [%s]" where
+              (String.concat "; " (Audit.labels_for audit ~party:"party-b"));
+          if labels audit ~party:"party-a" ~prepare:false <> surface_a then
+            QCheck.Test.fail_reportf "%s: party-a surface differs from plain" where;
+          if labels audit ~party:"client" ~prepare:false <> surface_client then
+            QCheck.Test.fail_reportf "%s: client surface differs from plain" where;
+          let prepared =
+            List.exists
+              (fun party -> labels audit ~party ~prepare:true <> [])
+              [ "party-a"; "party-b"; "client" ]
+          in
+          if prepared <> (label = "packed") then
+            QCheck.Test.fail_reportf "%s: prepare-db entries only where the packed state is built"
+              where;
+          List.iter
+            (fun (e : Audit.entry) ->
+              match e.Audit.phase, e.Audit.value with
+              | "prepare-db", _ | _, Audit.Int _ -> ()
+              | _ -> QCheck.Test.fail_reportf "%s: party-a %S is not a scalar Int" where e.Audit.label)
+            (Audit.for_party audit ~party:"party-a");
           Array.iteri
             (fun i (r : Protocol.result) ->
               let query = queries.(i) in
-              let where = Printf.sprintf "%s n=%d d=%d k=%d %s query %d" name
-                  (Array.length db) d k path i in
+              let where = Printf.sprintf "%s query %d" where i in
               if not (Protocol.exact dep ~db ~query r) then
                 QCheck.Test.fail_reportf "%s: inexact answer" where;
               if not
@@ -955,8 +906,8 @@ let with_chain config ~chain_len =
 
 (* One round of [path] on a fresh deployment with its own audit.  A
    short chain may end the round only in a typed error; an answer must
-   be exact.  Returns whether the round failed and whether the prepare
-   guard warned. *)
+   be exact.  Returns whether the round failed and whether the
+   prepare_packed guard warned. *)
 let faulted_round config ~db ~queries ~k path =
   let audit = Sknn_obs.Audit.create () in
   let obs = Sknn_obs.Ctx.create ~audit () in
@@ -986,7 +937,8 @@ let fault_queries = [| [| 10; 20; 30 |]; [| 5; 5; 5 |]; [| 200; 1; 70 |] |]
 let test_short_chains_every_path () =
   (* Three primes cannot carry any path's circuit, six carry them all;
      in between, every round is exact or raises a typed error, and on
-     the paths with a prepare guard the guard warned first. *)
+     the packed paths, whose prepare_packed runs the noise guard, the
+     guard warned first. *)
   List.iter
     (fun chain_len ->
       let config = with_chain (Config.fast ()) ~chain_len in
@@ -1001,7 +953,7 @@ let test_short_chains_every_path () =
           if failed && path <> Sknn_obs.Cost_model.Plain then
             Alcotest.(check bool) (label "guard warned before the failure") true warned)
         Sknn_obs.Cost_model.
-          [ ("plain", Plain); ("prepared", Prepared); ("packed", Packed 1); ("batch", Packed 3) ])
+          [ ("plain", Plain); ("packed", Packed 1); ("batch", Packed 3) ])
     [ 3; 4; 5; 6 ]
 
 let test_short_chains_per_coordinate () =
@@ -1214,41 +1166,9 @@ let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.re
 
 (* Several queries per deployment, so that each draws its own mask: the
    degree-2 mask's rescale decisions must not depend on the drawn
-   coefficients, small ones included. *)
-(* On a dot-product deployment the plain path runs the prepared
-   circuit: a plain query and a steady-state prepared query from the
-   same RNG state give the same transcript, view, answer and Party A
-   ledger, and the model predicts that plain round.  On the 10-prime
-   chain the distance drops to the prepared level only since both
-   paths share the circuit. *)
-let test_plain_is_prepared_circuit () =
-  let db = small_db (Rng.of_int 181) in
-  let q = Synthetic.query_like (Rng.of_int 182) db in
-  let entry (e : Transcript.entry) =
-    (e.Transcript.sender, e.Transcript.receiver, e.Transcript.label, e.Transcript.bytes)
-  in
-  List.iter
-    (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 183) ~jobs:1 config ~db in
-      Protocol.prepare dep;
-      let plain = Protocol.query ~rng:(Rng.of_int 184) dep ~query:q ~k:3 in
-      let prepared = Protocol.query_prepared ~rng:(Rng.of_int 184) dep ~query:q ~k:3 in
-      Alcotest.(check bool) (name ^ ": same transcript") true
-        (List.map entry (Transcript.entries plain.Protocol.transcript)
-         = List.map entry (Transcript.entries prepared.Protocol.transcript));
-      Alcotest.(check bool) (name ^ ": same view") true
-        (plain.Protocol.view_b = prepared.Protocol.view_b);
-      Alcotest.(check bool) (name ^ ": same answer") true
-        (plain.Protocol.neighbours = prepared.Protocol.neighbours);
-      Alcotest.(check bool) (name ^ ": same Party A ledger") true
-        (Util.Counters.equal_ledger plain.Protocol.counters_a prepared.Protocol.counters_a);
-      check_prediction (name ^ " plain") config ~n:(Array.length db) ~d:(Array.length db.(0))
-        ~k:3 ~include_prepare:false CM.Plain plain)
-    [ ("fast", Config.fast ());
-      ( "10-prime dot-product",
-        Config.with_layout Config.Dot_product (Config.with_mask_degree 1 (Config.standard ())) )
-    ]
-
+   coefficients, small ones included.  The dot-product configs run the
+   inner-product circuit; on the 10-prime chain its distance drops
+   levels before the mask (Noise_model.distance_level). *)
 let test_cost_model_plain () =
   let k = 4 in
   List.iter
@@ -1264,41 +1184,27 @@ let test_cost_model_plain () =
       done)
     [ ("plain/standard", Config.standard (), small_db (Rng.of_int 611), 6);
       ("plain/fast", Config.fast (), small_db (Rng.of_int 611), 2);
+      ("plain/10-prime dot-product", dot_config (), small_db (Rng.of_int 611), 2);
       ("plain/standard 64x32", Config.standard (),
        Synthetic.uniform (Rng.of_int 7) ~n:64 ~d:32 ~max_value:255, 3) ]
 
-let test_cost_model_prepared () =
-  let db = small_db (Rng.of_int 621) in
-  let n = Array.length db and d = Array.length db.(0) in
-  let k = 4 in
-  List.iter
-    (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 622) config ~db in
-      let q = Synthetic.query_like (Rng.of_int 623) db in
-      let first = Protocol.query_prepared dep ~query:q ~k in
-      check_prediction (name ^ "/first") config ~n ~d ~k ~include_prepare:true
-        CM.Prepared first;
-      let steady = Protocol.query_prepared dep ~query:q ~k in
-      check_prediction (name ^ "/steady") config ~n ~d ~k ~include_prepare:false
-        CM.Prepared steady)
-    [ ("prepared/affine", affine_config ()); ("prepared/fast", Config.fast ()) ]
-
-(* Relinearisation changes the circuit: each distance sum (plain) and
-   each prepared norm is relinearised once, and Horner's products per
-   step.  The walk must record the same key switches and NTT census. *)
+(* Relinearisation changes the circuit: each distance sum (plain,
+   per-coordinate) and each inner product (plain, dot-product) is
+   relinearised once, and Horner's products per step.  The walk must
+   record the same key switches and NTT census. *)
 let test_cost_model_relin () =
   let db = small_db (Rng.of_int 651) in
   let n = Array.length db and d = Array.length db.(0) in
   let k = 3 in
-  let plain = Config.with_relin true (Config.standard ()) in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 652) plain ~db in
   let q = Synthetic.query_like (Rng.of_int 653) db in
-  check_prediction "plain/standard+relin" plain ~n ~d ~k ~include_prepare:false CM.Plain
-    (Protocol.query dep ~query:q ~k);
-  let prepared = Config.with_relin true (affine_config ()) in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 654) prepared ~db in
-  check_prediction "prepared/affine+relin" prepared ~n ~d ~k ~include_prepare:true
-    CM.Prepared (Protocol.query_prepared dep ~query:q ~k)
+  List.iter
+    (fun (name, config) ->
+      let config = Config.with_relin true config in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
+      check_prediction (name ^ "+relin") config ~n ~d ~k ~include_prepare:false CM.Plain
+        (Protocol.query dep ~query:q ~k))
+    [ ("plain/standard", Config.standard ()); ("plain/fast", Config.fast ());
+      ("plain/10-prime dot-product", dot_config ()) ]
 
 let test_cost_model_packed () =
   let db = small_db (Rng.of_int 631) in
@@ -1364,7 +1270,7 @@ let test_price_consistency () =
   let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 in
   List.iter
     (fun (name, path) ->
-      let m = match path with CM.Packed m -> m | CM.Plain | CM.Prepared -> 1 in
+      let m = match path with CM.Packed m -> m | CM.Plain -> 1 in
       let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
       let r =
         (Protocol.query_gen ~path ~net:Profile.wan dep ~queries:(Array.sub queries 0 m) ~k).(0)
@@ -1394,7 +1300,7 @@ let test_price_consistency () =
       Alcotest.(check string) (name ^ ": live timeline = replay of the live transcript")
         (Marshal.to_string (Clock.replay Profile.wan r.Protocol.transcript) [])
         (Marshal.to_string live []))
-    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed-1", CM.Packed 1);
+    [ ("plain", CM.Plain); ("packed-1", CM.Packed 1);
       ("packed-3", CM.Packed 3) ]
 
 let test_net_timeline_jobs_determinism () =
@@ -1457,14 +1363,6 @@ let () =
          Alcotest.test_case "phase times" `Quick test_phase_times_present;
          Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
          Alcotest.test_case "identical across job counts" `Quick test_jobs_determinism ]);
-      ("prepared",
-       [ Alcotest.test_case "exact over repeated queries" `Quick test_prepared_exactness;
-         Alcotest.test_case "matches unprepared path" `Quick test_prepared_matches_unprepared;
-         Alcotest.test_case "identical across job counts" `Quick test_prepared_jobs_determinism;
-         Alcotest.test_case "rejects non-affine masking" `Quick test_prepared_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_prepared_query_stream;
-         Alcotest.test_case "plain on dot-product = prepared" `Quick
-           test_plain_is_prepared_circuit ]);
       ("packed",
        [ Alcotest.test_case "exact over repeated queries" `Quick test_packed_exactness;
          Alcotest.test_case "matches unpacked paths" `Quick test_packed_matches_unpacked;
@@ -1497,7 +1395,6 @@ let () =
        [ Alcotest.test_case "measured vs predicted" `Quick test_cost_measured_vs_predicted;
          Alcotest.test_case "ours beats yousef" `Quick test_cost_ours_beats_yousef;
          Alcotest.test_case "ledger exact (plain)" `Quick test_cost_model_plain;
-         Alcotest.test_case "ledger exact (prepared)" `Quick test_cost_model_prepared;
          Alcotest.test_case "ledger exact (relinearised)" `Quick test_cost_model_relin;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;

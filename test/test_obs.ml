@@ -650,13 +650,16 @@ let test_forecast_default_is_quiet () =
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
   let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 (Config.fast ()) ~db in
-  let report = Entities.Party_a.forecast_noise (Protocol.party_a dep) in
+  let report =
+    Entities.Party_a.forecast_noise ~path:(Sknn_obs.Cost_model.Packed 1)
+      (Protocol.party_a dep)
+  in
   Alcotest.(check bool) "steps recorded" true (List.length report.NM.steps > 5);
   Alcotest.(check bool) "default preset clears the margin" false
     report.NM.below_margin;
   Alcotest.(check bool) "positive minimum headroom" true
     (report.NM.min_headroom_bits > report.NM.margin_bits);
-  Protocol.prepare ~obs dep;
+  Protocol.prepare_packed ~obs dep;
   (match
      Audit.value_of audit ~party:"party-a" ~label:"noise-min-headroom-bits"
    with
@@ -668,14 +671,14 @@ let test_forecast_default_is_quiet () =
     (Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning" = None);
   Alcotest.(check bool) "no warning flight event" true
     (List.for_all (fun e -> e.Flight.kind <> Flight.Warning) (Flight.events flight));
-  (* A live prepared query agrees with the positive forecast. *)
-  let r = Protocol.query_prepared ~obs ~rng:(Rng.of_int 8) dep ~query:[| 1; 2; 3 |] ~k:2 in
+  (* A live packed query agrees with the positive forecast. *)
+  let r = Protocol.query_packed ~obs ~rng:(Rng.of_int 8) dep ~query:[| 1; 2; 3 |] ~k:2 in
   Alcotest.(check int) "query succeeds" 2 (Array.length r.Protocol.neighbours)
 
 let test_forecast_shallow_chain_warns () =
-  (* Three 30-bit primes cannot absorb the prepared circuit: the
-     forecaster must warn at prepare time instead of letting the query
-     die mid-flight. *)
+  (* Three 30-bit primes cannot absorb the packed circuit: the
+     forecaster must warn when prepare_packed runs instead of letting
+     the query die mid-flight. *)
   let shallow =
     let bgv =
       Params.create ~name:"shallow-obs-test" ~n:64 ~plain_bits:50 ~prime_bits:30
@@ -691,14 +694,17 @@ let test_forecast_shallow_chain_warns () =
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
   let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 shallow ~db in
-  let report = Entities.Party_a.forecast_noise (Protocol.party_a dep) in
+  let report =
+    Entities.Party_a.forecast_noise ~path:(Sknn_obs.Cost_model.Packed 1)
+      (Protocol.party_a dep)
+  in
   Alcotest.(check bool) "below margin" true report.NM.below_margin;
   Alcotest.(check bool) "headroom below margin" true
     (report.NM.min_headroom_bits < report.NM.margin_bits);
   let rendered = Format.asprintf "%a" NM.pp_report report in
   Alcotest.(check bool) "report renders the verdict" true
     (contains ~sub:"BELOW MARGIN" rendered);
-  Protocol.prepare ~obs dep;
+  Protocol.prepare_packed ~obs dep;
   (match
      Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning"
    with
@@ -875,8 +881,7 @@ let test_cost_model_phase_structure () =
         pred.CM.phases;
       Alcotest.(check bool) (label ^ ": A<->B traffic predicted") true
         (pred.CM.ab_bytes > 0))
-    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed 1);
-      ("batch", CM.Packed 3) ]
+    [ ("plain", CM.Plain); ("packed", CM.Packed 1); ("batch", CM.Packed 3) ]
 
 let test_cost_model_party_merge () =
   (* The merged per-party totals are exactly the fold of the per-phase
@@ -897,13 +902,12 @@ let test_cost_model_party_merge () =
         (Counters.equal_ledger (fold "party-b") pred.CM.party_b);
       Alcotest.(check bool) (label ^ ": client merge") true
         (Counters.equal_ledger (fold "client") pred.CM.client))
-    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed 1);
-      ("batch", CM.Packed 2) ]
+    [ ("plain", CM.Plain); ("packed", CM.Packed 1); ("batch", CM.Packed 2) ]
 
 let test_cost_model_steady_state () =
-  (* include_prepare:false models a steady-state query: the prepare-db
-     phase disappears and with it some work, but the A<->B traffic of
-     the query round itself is unchanged. *)
+  (* include_prepare:false models a steady-state packed query: the
+     prepare-db phase disappears, and the A<->B traffic of the query
+     round itself is unchanged. *)
   List.iter
     (fun (label, path) ->
       let first = cm_predict ~include_prepare:true path in
@@ -914,7 +918,7 @@ let test_cost_model_steady_state () =
         (List.exists (fun ph -> ph.CM.phase = "prepare-db") steady.CM.phases);
       Alcotest.(check int) (label ^ ": traffic unchanged") first.CM.ab_bytes
         steady.CM.ab_bytes)
-    [ ("prepared", CM.Prepared); ("packed", CM.Packed 1) ]
+    [ ("packed", CM.Packed 1); ("batch", CM.Packed 3) ]
 
 let test_predict_seconds_algebra () =
   (* predict_seconds is Σ count × unit_cost over every cell, the NTT

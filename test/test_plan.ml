@@ -40,8 +40,7 @@ let best_exn outcome =
 
 let test_entries_clear_limits () =
   let limits =
-    { Planner.min_security_bits = 10.0; noise_margin_bits = 6.0;
-      objective = Planner.Steady_state; net = None }
+    { Planner.min_security_bits = 10.0; noise_margin_bits = 6.0; net = None }
   in
   let o = plan_toy ~limits () in
   Alcotest.(check bool) "found candidates" true (o.Planner.ranked <> []);
@@ -51,15 +50,12 @@ let test_entries_clear_limits () =
         (e.Planner.min_headroom_bits >= limits.Planner.noise_margin_bits);
       Alcotest.(check bool) "security clears the floor" true
         (e.Planner.security_bits >= limits.Planner.min_security_bits);
-      Alcotest.(check bool) "positive predicted times" true
-        (e.Planner.first_seconds > 0.0 && e.Planner.steady_seconds > 0.0
-         && e.Planner.steady_seconds <= e.Planner.first_seconds +. 1e-12))
+      Alcotest.(check bool) "positive predicted time" true (e.Planner.seconds > 0.0))
     o.Planner.ranked;
-  (* Ranking is ascending in the objective. *)
+  (* Ranking is ascending in the predicted time. *)
   let rec ascending = function
     | a :: (b :: _ as rest) ->
-      a.Planner.objective_seconds <= b.Planner.objective_seconds +. 1e-15
-      && ascending rest
+      a.Planner.seconds <= b.Planner.seconds +. 1e-15 && ascending rest
     | _ -> true
   in
   Alcotest.(check bool) "ranked ascending" true (ascending o.Planner.ranked);
@@ -68,8 +64,7 @@ let test_entries_clear_limits () =
   Alcotest.(check bool) "tighter floor keeps no cheaper winner" true
     (match (Planner.best tighter, Planner.best o) with
      | None, _ -> true
-     | Some t, Some b ->
-       t.Planner.objective_seconds >= b.Planner.objective_seconds -. 1e-15
+     | Some t, Some b -> t.Planner.seconds >= b.Planner.seconds -. 1e-15
      | Some _, None -> false);
   List.iter
     (fun e ->
@@ -101,8 +96,8 @@ let test_roundtrip_exact () =
         (Protocol.exact dep ~db ~query:q r))
     [ ( "packed", Config.Per_coordinate, CM.Packed 1,
         fun dep q -> Protocol.query_packed dep ~query:q ~k:3 );
-      ( "prepared", Config.Dot_product, CM.Prepared,
-        fun dep q -> Protocol.query_prepared dep ~query:q ~k:3 );
+      ( "plain dot-product", Config.Dot_product, CM.Plain,
+        fun dep q -> Protocol.query dep ~query:q ~k:3 );
       ( "plain per-coordinate", Config.Per_coordinate, CM.Plain,
         fun dep q -> Protocol.query dep ~query:q ~k:3 ) ]
 
@@ -167,15 +162,17 @@ let check_forecast label config ~n ~d path =
 let test_forecast_conservative () =
   let fast = Config.fast () and standard = Config.standard () in
   let affine = Config.with_mask_degree 1 standard in
+  let dot = Config.with_layout Config.Dot_product affine in
   List.iter
     (fun (name, config, n, d, paths) ->
       List.iter
         (fun path ->
           check_forecast (name ^ "/" ^ Planner.path_name path) config ~n ~d path)
         paths)
-    [ ("fast", fast, 8, 3, [ CM.Plain; CM.Prepared; CM.Packed 1; CM.Packed 3 ]);
+    [ ("fast", fast, 8, 3, [ CM.Plain; CM.Packed 1; CM.Packed 3 ]);
       ("standard", standard, 64, 32, [ CM.Plain ]);
-      ("standard+affine", affine, 64, 32, [ CM.Plain; CM.Prepared; CM.Packed 1; CM.Packed 3 ]) ];
+      ("standard+affine", affine, 64, 32, [ CM.Plain; CM.Packed 1; CM.Packed 3 ]);
+      ("standard+affine dot-product", dot, 64, 32, [ CM.Plain ]) ];
   (* A planner pick: the live guard walks the circuit the planner pruned
      with, so the entry's headroom is the realized walk's minimum. *)
   let w = toy_workload ~path:(CM.Packed 1) () in
@@ -191,12 +188,11 @@ let test_forecast_conservative () =
 (* ------------------------------------------------------------------ *)
 
 let test_plan_deterministic () =
-  let limits =
-    { Planner.default_constraints with Planner.objective = Planner.Weighted 0.3 }
-  in
   let render () =
     Planner.json_of_outcome
-      (Planner.plan ~unit_model (toy_workload ~path:CM.Prepared ()) limits)
+      (Planner.plan ~unit_model
+         (toy_workload ~layout:Config.Dot_product ~path:CM.Plain ())
+         Planner.default_constraints)
   in
   let reference = render () in
   Alcotest.(check string) "same spec, identical bytes" reference (render ());
@@ -209,10 +205,10 @@ let test_plan_deterministic () =
     domains
 
 (* ------------------------------------------------------------------ *)
-(* Network-aware objective                                             *)
+(* Network-aware pricing                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_net_objective () =
+let test_net_pricing () =
   let no_net = plan_toy () in
   let wan_limits =
     { Planner.default_constraints with Planner.net = Some Profile.wan }
@@ -223,13 +219,12 @@ let test_net_objective () =
      term alone is >= the compute-only optimum; the wire term on top is at
      least one full round trip (the protocol always exchanges messages in
      both directions on some link). *)
-  Alcotest.(check bool) "wan objective >= compute optimum + one RTT" true
-    (bw.Planner.objective_seconds
-     >= b0.Planner.objective_seconds +. Profile.wan.Profile.rtt_s);
+  Alcotest.(check bool) "wan time >= compute optimum + one RTT" true
+    (bw.Planner.seconds >= b0.Planner.seconds +. Profile.wan.Profile.rtt_s);
   List.iter
     (fun e ->
       Alcotest.(check bool) "every wan entry carries a positive wire term" true
-        (e.Planner.objective_seconds > Profile.wan.Profile.rtt_s))
+        (e.Planner.seconds > Profile.wan.Profile.rtt_s))
     wan.Planner.ranked;
   (* Net pricing stays deterministic. *)
   Alcotest.(check string) "byte-identical wan plans"
@@ -256,13 +251,13 @@ let test_q_ibits_matches_ring () =
     [ Params.toy (); Params.bench_small () ]
 
 let test_probe_prices_like_config () =
-  let w = toy_workload ~path:CM.Prepared ~layout:Config.Dot_product () in
+  let w = toy_workload ~path:CM.Plain ~layout:Config.Dot_product () in
   let o = Planner.plan ~unit_model w Planner.default_constraints in
   let best = best_exn o in
   let config = Planner.realize w best in
   (* The candidate was priced from its probe; the realized configuration
      must forecast the identical noise walk. *)
-  let probe_report = (Attribution.predict config ~n:24 ~d:3 ~k:3 CM.Prepared).CM.noise in
+  let probe_report = (Attribution.predict config ~n:24 ~d:3 ~k:3 CM.Plain).CM.noise in
   Alcotest.(check (float 1e-9)) "headroom identical"
     best.Planner.min_headroom_bits probe_report.NM.min_headroom_bits;
   Alcotest.(check (float 1e-9)) "security from the probe's chain"
@@ -281,7 +276,7 @@ let () =
        [ Alcotest.test_case "byte-identical plans" `Quick test_plan_deterministic ]);
       ("network",
        [ Alcotest.test_case "wan objective prices the wire" `Quick
-           test_net_objective ]);
+           test_net_pricing ]);
       ("attribution",
        [ Alcotest.test_case "q_ibits matches ring" `Quick test_q_ibits_matches_ring;
          Alcotest.test_case "probe prices like config" `Quick
