@@ -66,11 +66,11 @@ let mean_compute_distances path =
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 (* Mean compute-distances over the amortized experiment's steady-state
-   queries on one computation plan: the prepared hot path
-   ([packed = false]; runs written before the packed field existed count
-   as prepared) or the slot-packed one ([packed = true]).  [None] when
-   the file carries no such samples (e.g. a bench run with --only fig3,
-   or a pre-packing baseline asked for packed samples). *)
+   queries on one computation plan: plain on a dot-product deployment
+   ([packed = false]; runs written before the packed field existed
+   count here too) or the slot-packed one ([packed = true]).  [None]
+   when the file carries no such samples (e.g. a bench run with --only
+   fig3, or a pre-packing baseline asked for packed samples). *)
 let mean_steady_compute_distances ~packed path =
   let samples =
     List.filter_map

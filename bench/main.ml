@@ -457,7 +457,7 @@ let table1 opts =
     let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k
         Sknn_obs.Cost_model.Plain in
     Cost.ours ~bytes:pred.Sknn_obs.Cost_model.ab_bytes ~n ~d ~k
-      ~mask_degree:config.Config.mask_degree ()
+      ~mask_degree:config.Config.mask_degree ~ring_degree:config.Config.bgv.Params.n ()
   in
   (* Baseline, measured on a further-scaled instance (it is the slow
      one). *)

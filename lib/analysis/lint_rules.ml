@@ -144,6 +144,7 @@ let indexed_get_heads = [ "Array"; "String"; "Bytes"; "Bigarray" ]
 let bgv_ledger_ops =
   [ "encrypt"; "decrypt"; "decrypt_coeff0"; "add"; "sub"; "add_plain";
     "add_const"; "embed"; "add_embedded"; "mul"; "mul_plain"; "mul_plain_sums"; "mul_scalar";
+    "fold_monomials";
     "mul_sum"; "sum_sq_diff"; "modswitch";
     "rescale_to_floor"; "relinearize"; "truncate_to_level"; "eval_poly";
     "apply_galois"; "sum_slots" ]

@@ -401,6 +401,34 @@ let mul_scalar ?counters ct v =
   record_op counters Counters.Op_mul_plain ~level:(level ct);
   scale_raw ct v
 
+(* Σₛ x^s·ctₛ, one Rq.fold_monomials per component.  A product by x^s
+   permutes the decryption's coefficients up to sign, so the block's
+   bound is the inputs' sum: the add fold in term order.  Each Horner
+   step is one mul_plain and one ct_add cell; x's transform lives in
+   the ring context, so no NTT pass is recorded. *)
+let fold_monomials ?counters cts =
+  let m = Array.length cts in
+  if m = 0 then invalid_arg "Bgv.fold_monomials: no ciphertexts";
+  let x = cts.(0) in
+  if m > x.params.Params.n then
+    invalid_arg "Bgv.fold_monomials: more ciphertexts than coefficients";
+  let lvl = level x in
+  let same c =
+    c.params == x.params && level c = lvl && degree c = degree x && Int64.equal c.factor x.factor
+  in
+  if not (Array.for_all same cts) then
+    invalid_arg "Bgv.fold_monomials: inputs must share params, level, degree and factor";
+  record_op_n counters Counters.Op_mul_plain ~level:lvl (m - 1);
+  record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
+  let bound = ref (state x) in
+  for s = 1 to m - 1 do
+    bound := NM.add !bound (state cts.(s))
+  done;
+  let comps =
+    Array.init (degree x + 1) (fun i -> Rq.fold_monomials (Array.map (fun c -> c.comps.(i)) cts))
+  in
+  { x with comps; log_noise = !bound.NM.bits }
+
 (* ------------------------------------------------------------------ *)
 (* Modulus switching                                                   *)
 (* ------------------------------------------------------------------ *)

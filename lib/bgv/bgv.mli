@@ -85,6 +85,21 @@ val add_const : ?counters:Util.Counters.t -> ct -> int64 -> ct
 val mul_plain : ?counters:Util.Counters.t -> ct -> Plaintext.t -> ct
 val mul_scalar : ?counters:Util.Counters.t -> ct -> int64 -> ct
 
+val fold_monomials : ?counters:Util.Counters.t -> ct array -> ct
+(** [fold_monomials cts] is [Σₛ xˢ·cts.(s)]: when every input encrypts
+    a constant, coefficient [s] of the result decrypts to input [s] and
+    the coefficients past the inputs to 0.  A product by a monomial
+    permutes the decryption's coefficients up to sign, with no key
+    switch, so the tracked bound is the inputs' {!Util.Noise_model.add}
+    fold in term order (log2 m bits above m equal bounds).  Horner's
+    [m − 1] steps run in place in the evaluation domain
+    ({!Rq.fold_monomials}); the ledger records [m − 1]
+    {!Util.Counters.Op_mul_plain} and [m − 1]
+    {!Util.Counters.Op_ct_add} cells at the inputs' level and no
+    transform.
+    @raise Invalid_argument on no input, more inputs than the ring
+    degree, or inputs of differing params, level, degree or factor. *)
+
 type embedded
 (** A plaintext transformed into the evaluation domain once, at a
     level: the embedding {!add_plain} and {!mul_plain} build on every

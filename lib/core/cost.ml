@@ -6,17 +6,18 @@ type row = {
   bytes : int;
 }
 
-let ours ?(bytes = 0) ~n ~d ~k ~mask_degree () =
+let ours ?(bytes = 0) ~n ~d ~k ~mask_degree ~ring_degree () =
   (* Party A: per point, d squared-difference multiplications (+ d-1
      additions), one EvalPoly of degree D (D multiplications via Horner
      counting the scalar one), and k inner-product accumulations in
-     Return kNN; Party B contributes no homomorphic evaluation.
+     Return kNN; Party B contributes no homomorphic evaluation, and
+     decrypts the masked distances N = [ring_degree] to a ciphertext.
      [bytes] is the A<->B traffic from actual serialized ciphertext
      sizes — Cost_model.prediction.ab_bytes when the caller has one
      (the event counts here are asymptotic, byte counts are not). *)
   { hom_ops = n * ((2 * d) + mask_degree + (2 * k));
     encryptions = n * k;
-    decryptions = n;
+    decryptions = (n + ring_degree - 1) / ring_degree;
     rounds = 1;
     bytes }
 

@@ -15,10 +15,12 @@ type row = {
   bytes : int;          (** total A↔B payload *)
 }
 
-val ours : ?bytes:int -> n:int -> d:int -> k:int -> mask_degree:int -> unit -> row
-(** O(n(k + d + D)) homomorphic ops, O(nk) encryptions, O(n)
-    decryptions, 1 round — instantiated with this implementation's exact
-    constants.  [bytes] is the predicted A<->B payload from serialized
+val ours :
+  ?bytes:int -> n:int -> d:int -> k:int -> mask_degree:int -> ring_degree:int -> unit -> row
+(** O(n(k + d + D)) homomorphic ops, O(nk) encryptions, 1 round —
+    instantiated with this implementation's exact constants — and the
+    [⌈n/N⌉] decryptions Party B runs, the masked distances folded
+    [N = ring_degree] to a ciphertext by coefficient.  [bytes] is the predicted A<->B payload from serialized
     ciphertext sizes ({!Sknn_obs.Cost_model.prediction}[.ab_bytes] via
     [Attribution.predict]); it defaults to 0 for callers without a
     parameter set in hand, since unlike the event counts it cannot be

@@ -94,6 +94,20 @@ let packed_query_level config ~d =
   | Some lvl -> lvl
   | None -> Params.chain_length config.Config.bgv
 
+(* How a round's masked distances reach Party B: one value per
+   ciphertext at coefficient 0 (plain, dot-product layout), N values
+   per ciphertext by coefficient (plain, per-coordinate layout) or by
+   slot (the packed paths).  Value s of ciphertext b is permuted
+   position b·per + s. *)
+type masked_form = Scalars | Coeff_blocks | Slot_blocks
+
+let masked_form config = function
+  | Sknn_obs.Cost_model.Packed _ -> Slot_blocks
+  | Sknn_obs.Cost_model.Plain -> (
+    match config.Config.layout with
+    | Config.Per_coordinate -> Coeff_blocks
+    | Config.Dot_product -> Scalars)
+
 (* The public bound Party A's mask charges for its leading coefficient. *)
 let mask_lead_bits config ~d =
   Config.mask_lead_bits ~t_plain:config.Config.bgv.Params.t_plain
@@ -238,8 +252,9 @@ module Party_a = struct
     let ed =
       Bgv.sub ~counters (Bgv.add ~counters norm q_norm) (Bgv.mul_scalar ~counters ip 2L)
     in
-    (* ED is one multiplication deep: drop the RNS primes the affine
-       mask does not need in one cheap truncation, so masking, transport
+    (* ED is one multiplication deep: the query arrives at its public
+       level, so ED already sits there; any primes the affine mask still
+       does not need go in one cheap truncation, so masking, transport
        and B's decryption all run on the small ciphertext.  If no level
        has the headroom, fall back to the configured rescale (which
        actually reduces the noise). *)
@@ -281,14 +296,37 @@ module Party_a = struct
         let perm = Perm.random rng n in
         ({ perm }, Perm.apply perm masked))
 
+  (* Each run of N permuted masked distances, each a constant
+     polynomial, folds into one block Σₛ x^s·ct_{bN+s}: coefficient s
+     of block b holds permuted position b·N + s, and the last block's
+     coefficients past n hold nothing. *)
+  let fold_blocks ?(obs = Obs.disabled) t masked =
+    let n = t.db.db_n and per = t.config.Config.bgv.Params.n in
+    let blocks = (n + per - 1) / per in
+    Obs.with_span obs
+      ~counters:[ ("party-a", t.counters) ]
+      ~args:[ ("blocks", string_of_int blocks) ]
+      "fold-blocks"
+      (fun () ->
+        Obs.with_pool_chunks obs ~label:"fold-blocks" (fun () ->
+            Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+              ~f:(fun counters b () ->
+                let base = b * per in
+                Bgv.fold_monomials ~counters
+                  (Array.sub masked base (Stdlib.min per (n - base))))
+              (Array.make blocks ())))
+
   let compute_distances ?obs t rng query =
     let fn = "Party_a.compute_distances" in
     if query.q_dim <> t.db.db_d then invalid_arg (fn ^ ": dimension mismatch");
     match t.config.Config.layout, query.q_coords, query.q_rev, query.q_norm with
     | Config.Per_coordinate, Some q_coords, _, _ ->
-      masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ point ->
-          let ed = encrypted_distance t ~counters q_coords (Option.get point.coords) in
-          Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed)
+      let s, masked =
+        masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ point ->
+            let ed = encrypted_distance t ~counters q_coords (Option.get point.coords) in
+            Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed)
+      in
+      (s, fold_blocks ?obs t masked)
     | Config.Dot_product, _, Some q_rev, Some q_norm ->
       (* The inner-product circuit against the norms the data owner
          shipped. *)
@@ -348,7 +386,7 @@ module Party_a = struct
      coordinates, one slot per point — while the client's query stays
      encrypted.  A batch of N = slot_count points then costs d plain
      products plus adds instead of N ciphertext products, and Party B
-     decrypts ceil(n/N) ciphertexts instead of n.  B's §5 view (masked
+     decrypts ceil(n/N) slot-packed ciphertexts.  B's §5 view (masked
      permuted distance multiset, n, k) is unchanged. *)
   type prepared_packed = {
     pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
@@ -537,8 +575,17 @@ module Party_b = struct
 
   type view = { masked_distances : int64 array; selected : int array }
 
-  let select_neighbours ?(obs = Obs.disabled) t cts ~k =
-    let n = Array.length cts in
+  let select_neighbours ?(obs = Obs.disabled) t form cts ~n ~k =
+    let fn = "Party_b.select_neighbours" in
+    let params = t.config.Config.bgv in
+    let per =
+      match form with
+      | Scalars -> 1
+      | Coeff_blocks -> params.Params.n
+      | Slot_blocks -> Params.slot_count params
+    in
+    if n < 1 then invalid_arg (fn ^ ": empty database");
+    if Array.length cts <> (n + per - 1) / per then invalid_arg (fn ^ ": ciphertext count mismatch");
     if k < 1 || k > n then invalid_arg "Party_b: k out of range";
     (* The decrypt-and-select half runs sequentially on purpose: it
        handles secret-key material and masked plaintexts, and keeping it
@@ -548,40 +595,27 @@ module Party_b = struct
     let masked =
       Obs.with_span obs
         ~counters:[ ("party-b", t.counters) ]
-        ~args:[ ("points", string_of_int n) ]
-        "decrypt-distances"
-        (fun () ->
-          Array.map (fun ct -> Bgv.decrypt_coeff0 ~counters:t.counters t.sk ct) cts)
-    in
-    Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
-        { masked_distances = masked; selected = Util.Topk.smallest ~k masked })
-
-  let select_neighbours_packed ?(obs = Obs.disabled) t cts ~n ~k =
-    let params = t.config.Config.bgv in
-    let slots = Params.slot_count params in
-    if n < 1 then invalid_arg "Party_b.select_neighbours_packed: empty database";
-    if Array.length cts <> (n + slots - 1) / slots then
-      invalid_arg "Party_b.select_neighbours_packed: ciphertext count mismatch";
-    if k < 1 || k > n then invalid_arg "Party_b: k out of range";
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-b", t.counters) ]
         ~args:
           [ ("points", string_of_int n); ("ciphertexts", string_of_int (Array.length cts)) ]
         "decrypt-distances"
         (fun () ->
-          (* Slot-unpack before any accounting: every downstream consumer
-             (Topk, Leakage, the audit channel) must see the n per-point
-             masked distances, never per-ciphertext aggregates. *)
+          (* Unpack before any accounting: every downstream consumer
+             (Topk, Leakage, the audit channel) must see the n
+             per-point masked distances, never per-ciphertext
+             aggregates.  A block's values past n were never computed
+             and are dropped by position. *)
           let out = Array.make n 0L in
+          let counters = t.counters in
           Array.iteri
             (fun b ct ->
-              let s =
-                Plaintext.to_slots ~counters:t.counters
-                  (Bgv.decrypt ~counters:t.counters t.sk ct)
+              let values =
+                match form with
+                | Scalars -> [| Bgv.decrypt_coeff0 ~counters t.sk ct |]
+                | Coeff_blocks -> Plaintext.to_coeffs (Bgv.decrypt ~counters t.sk ct)
+                | Slot_blocks -> Plaintext.to_slots ~counters (Bgv.decrypt ~counters t.sk ct)
               in
-              let base = b * slots in
-              Array.blit s 0 out base (Stdlib.min slots (n - base)))
+              let base = b * per in
+              Array.blit values 0 out base (Stdlib.min per (n - base)))
             cts;
           out)
     in
@@ -643,16 +677,22 @@ module Client = struct
   let counters t = t.counters
 
   (* Inner-product query form (reversed-packed query + encrypted norm):
-     what the Dot_product layout sends. *)
+     what the Dot_product layout sends, at its public level
+     (Noise_model.inner_product_query_level), which the stored point and
+     norm align down to.  [None] keeps the full chain. *)
   let encrypt_query_ip t rng query =
     let params = t.config.Config.bgv in
     let counters = t.counters in
     let d = Array.length query in
     if d > params.Params.n then
       invalid_arg "Client.encrypt_query: dimension exceeds ring degree";
-    let q_rev = Bgv.encrypt ~counters rng t.pk (reversed_query_plaintext params query) in
+    let level =
+      Option.value ~default:(Params.chain_length params)
+        (NM.inner_product_query_level params.Params.noise ~return_level:(return_level t.config))
+    in
+    let q_rev = Bgv.encrypt ~counters ~level rng t.pk (reversed_query_plaintext params query) in
     let q_norm =
-      Bgv.encrypt ~counters rng t.pk
+      Bgv.encrypt ~counters ~level rng t.pk
         (Plaintext.constant params (Int64.of_int (squared_norm query)))
     in
     { q_coords = None; q_rev = Some q_rev; q_norm = Some q_norm; q_dim = d }

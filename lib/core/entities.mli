@@ -30,6 +30,21 @@ type encrypted_query = {
   q_dim : int;
 }
 
+type masked_form =
+  | Scalars  (** one value per ciphertext, at coefficient 0 *)
+  | Coeff_blocks  (** N values per ciphertext, value s at coefficient s *)
+  | Slot_blocks  (** N values per ciphertext, value s in slot s *)
+(** How a round's masked distances reach Party B.  Value [s] of
+    ciphertext [b] is permuted position [b·per + s], [per] the form's
+    values per ciphertext. *)
+
+val masked_form : Config.t -> Sknn_obs.Cost_model.path -> masked_form
+(** The form a path sends: {!Slot_blocks} on the packed paths;
+    {!Coeff_blocks} on plain over a [Per_coordinate] deployment, whose
+    masked distances are constant polynomials; {!Scalars} on plain over
+    a [Dot_product] one, whose randomizer fills every other
+    coefficient. *)
+
 (** {1 Data owner} *)
 
 module Data_owner : sig
@@ -75,14 +90,19 @@ module Party_a : sig
   val compute_distances :
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query ->
     query_state * Bgv.ct array
-  (** Algorithm 1: returns the masked encrypted distances in permuted
-      order, [D'_i = Π(m(ED_i))].  A [Per_coordinate] deployment runs
-      the per-coordinate square-sum; a [Dot_product] one runs
-      {!masked_inner_product} against the norms the data owner shipped,
-      one ciphertext product per point against the two-ciphertext query
-      {!Client.encrypt_query} sends there.  [obs] records the
+  (** Algorithm 1: the masked encrypted distances in permuted order,
+      [D'_i = Π(m(ED_i))], in the deployment's {!masked_form}.  A
+      [Per_coordinate] deployment runs the per-coordinate square-sum and
+      folds each run of N permuted distances into one block
+      [Σₛ xˢ·D'_{bN+s}] ({!Bgv.fold_monomials}): [⌈n/N⌉] ciphertexts,
+      coefficient [s] of block [b] holding position [b·N + s].  A
+      [Dot_product] one runs {!masked_inner_product} against the norms
+      the data owner shipped, one ciphertext product per point against
+      the two-ciphertext query {!Client.encrypt_query} sends there, and
+      returns one ciphertext per point.  [obs] records the
       ["draw-mask"], ["distance-batches"] (with per-point pool chunks)
-      and ["permute"] sub-stages.
+      and ["permute"] sub-stages, and ["fold-blocks"] (with per-block
+      pool chunks) on [Per_coordinate].
       @raise Invalid_argument on a dimension mismatch or a query in
       another layout's form. *)
 
@@ -93,9 +113,12 @@ module Party_a : sig
   (** One point's masked distance through
       [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²]: the product of the coefficient-packed
       point [packed] with the reversed query (relinearised with [rlk]),
-      the combine with [norm] = [‖p‖²] and the query's [‖q‖²], the drop
-      to {!Util.Noise_model.distance_level} (or the configured rescale
-      when no level has the headroom), the mask [coeffs] with its
+      the combine with [norm] = [‖p‖²] and the query's [‖q‖²] at the
+      query's level (the stored ciphertexts align down to it unrecorded),
+      the drop to {!Util.Noise_model.distance_level}, which leaves a
+      distance at the query's public level where it is (or the
+      configured rescale when no level has the headroom), the mask
+      [coeffs] with its
       leading coefficient charged at [lead_bits] ({!Bgv.eval_poly}), and
       a uniform zero-constant polynomial drawn from [rng] that destroys
       the cross terms in the other coefficients.  The query is
@@ -135,7 +158,7 @@ module Party_a : sig
       slots per batch — while the client's query stays encrypted.  A
       batch of [N = slot_count] points then costs [d] plain products
       plus adds instead of [N] ciphertext products, and Party B decrypts
-      [⌈n/N⌉] ciphertexts instead of [n].  Party B's §5 view (the masked
+      [⌈n/N⌉] slot-packed ciphertexts.  Party B's §5 view (the masked
       permuted distance multiset, [n] and [k]) is unchanged.  Return-kNN
       selects whole blocks of plaintext points ({!return_blocks}), so
       the database never needs a return-level ciphertext copy. *)
@@ -214,21 +237,22 @@ module Party_b : sig
         (** Permuted indices of the k chosen minima. *)
   }
 
-  val select_neighbours : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> k:int -> view
-  (** The decrypt-and-select half of Algorithm 2: decrypts the masked
-      distances and selects the k smallest with an O(n log k) heap that
-      replicates the paper's streaming max-replacement scan exactly
-      (ties included; see {!Util.Topk}).  {!indicator_row} then
-      encrypts the k indicator vectors one row at a time. *)
-
-  val select_neighbours_packed :
-    ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> n:int -> k:int -> view
-  (** {!select_neighbours} over slot-packed distances: decrypts the
-      [⌈n/N⌉] ciphertexts, unpacks the slots ({!Plaintext.to_slots}) and
-      discards the dead tail slots, so the view carries exactly the [n]
-      per-point masked distances — Leakage accounting (equidistant
-      groups, multiset) is computed on the same surface as the unpacked
-      path, never on per-ciphertext aggregates. *)
+  val select_neighbours :
+    ?obs:Sknn_obs.Ctx.t -> t -> masked_form -> Bgv.ct array -> n:int -> k:int -> view
+  (** The decrypt-and-select half of Algorithm 2 over a round's [n]
+      masked distances in [form]: decrypts each ciphertext
+      ({!Bgv.decrypt_coeff0} for {!Scalars}, a full {!Bgv.decrypt} read
+      by coefficient or slot-unpacked for the blocks), drops a last
+      block's values past [n] by position, and selects the k smallest
+      with an O(n log k) heap that replicates the paper's streaming
+      max-replacement scan exactly (ties included; see {!Util.Topk}).
+      The view carries exactly the [n] per-point masked distances, so
+      Leakage accounting (equidistant groups, multiset) sees the same
+      surface on every form, never per-ciphertext aggregates.  Runs in
+      B's own domain, span ["decrypt-distances"] then ["select-top-k"].
+      @raise Invalid_argument when the ciphertext count is not [n]
+      divided by the form's values per ciphertext, rounded up, or [k]
+      is outside [1, n]. *)
 
   val indicator_row :
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> Bgv.ct array
@@ -261,7 +285,8 @@ module Client : sig
   val encrypt_query : t -> Util.Rng.t -> int array -> encrypted_query
   (** Layout-matched query form: [d] constants ([Per_coordinate]) or,
       on [Dot_product], the inner-product form: the reversed-packed
-      polynomial plus [‖q‖²], two ciphertexts whatever [d].
+      polynomial plus [‖q‖²], two ciphertexts whatever [d], encrypted at
+      the public level {!Util.Noise_model.inner_product_query_level}.
       @raise Invalid_argument on a coordinate outside
       [[0, 2^max_coord_bits)] (the error names the query) or, on
       [Dot_product], when [d] exceeds the ring degree. *)

@@ -329,14 +329,11 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   send ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
     ~label:"masked permuted distances" ~bytes:(cts_bytes all_masked);
   (* Party B: Find Neighbours (Algorithm 2), one view per query. *)
+  let form = Entities.masked_form d.config path in
   let views =
     timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
         Array.map
-          (fun masked ->
-            match return_knn with
-            | Rows _ -> Entities.Party_b.select_neighbours ~obs d.b masked ~k
-            | Blocks _ ->
-              Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k)
+          (fun masked -> Entities.Party_b.select_neighbours ~obs d.b form masked ~n:d.db_n ~k)
           masked)
   in
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);

@@ -9,8 +9,11 @@
     + client encrypts Q and sends it to Party A;
     + {b Compute Distances} at A (Algorithm 1) — encrypted squared
       distances, fresh monotone masking polynomial, fresh permutation;
-    + one message A→B; {b Find Neighbours} at B (Algorithm 2) —
-      decrypt, streaming top-k, k encrypted indicator vectors; one
+      the permuted distances, each a constant polynomial, fold N to a
+      ciphertext as coefficients ({!Entities.Party_a.compute_distances});
+    + one message A→B of [⌈n/N⌉] ciphertexts; {b Find Neighbours} at B
+      (Algorithm 2) — decrypt each block and read its coefficients,
+      streaming top-k, k encrypted indicator vectors; one
       message B→A per vector (streamed row by row so O(nk) ciphertexts
       never live in memory at once);
     + {b Return kNN} at A (Algorithm 3) — permuted inner products,
@@ -22,7 +25,10 @@
     inner-product form [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²]
     ({!Entities.Party_a.masked_inner_product}): the data owner ships one
     encrypted norm per point, the client sends two ciphertexts instead
-    of [d], and Party A computes one ciphertext product per point.
+    of [d], at a public level below the full chain when the distance
+    does not need it, and Party A computes one ciphertext product per
+    point.  Its randomizer fills every other coefficient, so A sends one
+    masked distance per point and B decrypts each one's coefficient 0.
 
     The packed path, where Party A holds the plaintext points, answers
     Return kNN by blocks instead: B sends one message of
@@ -112,8 +118,8 @@ val query :
     The packed path lays the database out dimension-major across the
     [N = Params.slot_count] plaintext slots, so Party A computes a batch
     of [N] masked distances with [d] plain products plus adds, and
-    Party B decrypts [⌈n/N⌉] ciphertexts instead of [n], slot-unpacking
-    them before the top-k scan.  The trust model differs on Party A's
+    Party B decrypts [⌈n/N⌉] ciphertexts, slot-unpacking them before
+    the top-k scan.  The trust model differs on Party A's
     side: A holds the plaintext database as the data owner's delegate
     (see {!Entities.Party_a.prepare_packed}), and uses it for Return kNN
     too: B encrypts one indicator per block of [⌊N/d⌋] permuted

@@ -197,6 +197,18 @@ let mul_sum p c ~terms ~relin a b =
   let st = NM.mul_sum p.nm a b ~terms in
   if relin && st.NM.degree = 2 then relinearize p c st else st
 
+(* Bgv.fold_monomials over [terms] inputs in state [st]: one mul_plain
+   and one ct_add cell a Horner step, no transform; the bound is the
+   add fold in term order. *)
+let fold_monomials c ~terms (st : NM.state) =
+  record_op ~n:(terms - 1) c C.Op_mul_plain ~level:st.NM.level;
+  record_op ~n:(terms - 1) c C.Op_ct_add ~level:st.NM.level;
+  let acc = ref st in
+  for _ = 2 to terms do
+    acc := NM.add !acc st
+  done;
+  !acc
+
 let slot_pack c = record_op c C.Op_slot_pack ~level:0
 let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 
@@ -263,7 +275,8 @@ let eval_poly sim c st =
     !acc
   end
 
-(* The masked distances cross A->B and Party B decrypts each one. *)
+(* The masked distances cross A->B as [count] ciphertexts in state
+   [masked], and Party B decrypts each one. *)
 let send_masked sim ~count ~decrypt masked =
   let masked = step sim "masked-distance" masked in
   send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
@@ -351,7 +364,8 @@ let masked_inner_product sim c q =
       NM.distance_level p.nm ~return_level:(return_level p) ~level:ed.NM.level
         ~bits:ed.NM.bits
     with
-    | Some lvl -> step sim "truncate" (truncate c ed ~level:lvl)
+    | Some lvl when lvl < ed.NM.level -> step sim "truncate" (truncate c ed ~level:lvl)
+    | Some _ -> ed
     | None when p.rescale_distances -> step sim "rescale-to-floor" (rescale_to_floor p c ed)
     | None -> ed
   in
@@ -359,13 +373,23 @@ let masked_inner_product sim c q =
 
 (* The plain path: the query, one masked distance per point, B's
    decryptions and Return-kNN by rows.  A per-coordinate deployment runs
-   Algorithm 1's square-sum on [d] coordinate ciphertexts; a dot-product
-   one meets the two-ciphertext inner-product query with its stored
-   norms. *)
+   Algorithm 1's square-sum on [d] coordinate ciphertexts, then folds
+   each run of N permuted distances into one block, which B decrypts in
+   full; a dot-product one meets the two-ciphertext inner-product query,
+   at its public level, with its stored norms, and B reads each
+   distance's coefficient 0. *)
 let predict_plain sim =
   let p = sim.p in
   let per_coordinate = p.per_coordinate in
-  let fresh = encrypt_query sim ~level:(full_level p) (if per_coordinate then p.d else 2) in
+  let fresh =
+    if per_coordinate then encrypt_query sim ~level:(full_level p) p.d
+    else
+      encrypt_query sim
+        ~level:
+          (Option.value ~default:(full_level p)
+             (NM.inner_product_query_level p.nm ~return_level:(return_level p)))
+        2
+  in
   let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
   let masked =
     repeat ca ~times:p.n_points (fun c ->
@@ -383,7 +407,16 @@ let predict_plain sim =
         end
         else masked_inner_product sim c fresh)
   in
-  send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
+  if per_coordinate then begin
+    (* Bgv.fold_monomials per block of N permuted positions, the last
+       holding what is left; the forecast follows the widest. *)
+    let per = p.nm.NM.n in
+    let blocks = (p.n_points + per - 1) / per in
+    let last = fold_monomials ca ~terms:(p.n_points - ((blocks - 1) * per)) masked in
+    let full = repeat ca ~times:(blocks - 1) (fun c -> fold_monomials c ~terms:per masked) in
+    send_masked sim ~count:blocks ~decrypt:dec (if blocks > 1 then full else last)
+  end
+  else send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
   return_rows sim
 
 (* The packed path: a round of [queries] ≥ 1 packed queries under one

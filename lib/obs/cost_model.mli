@@ -50,9 +50,10 @@ type params = {
 }
 
 (** Which query pipeline to predict.  [Plain] is the paper's round on
-    the deployment's layout: Algorithm 1's square-sum per coordinate, or
-    on a [Dot_product] deployment the inner-product circuit against the
-    norms the data owner shipped.  [Packed m] is one slot-packed round
+    the deployment's layout: Algorithm 1's square-sum per coordinate,
+    its masked distances folded N to a coefficient block, or on a
+    [Dot_product] deployment the inner-product circuit against the
+    norms the data owner shipped, from a query at its public level.  [Packed m] is one slot-packed round
     of [m ≥ 1] queries under one permutation
     ([Protocol.query_gen ~path:(Packed m)]); [Packed 1] is the single
     packed query. *)

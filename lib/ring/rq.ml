@@ -33,6 +33,11 @@ type garner = {
   half : int array;              (* (p_i - 1) / 2 *)
 }
 
+(* The monomial x in one prime's evaluation domain, as a Shoup operand
+   per evaluation point: w.(j) is x's value at point j, hi.(j) and
+   lo.(j) its companion's 31-bit split. *)
+type monomial = { w : int array; hi : int array; lo : int array }
+
 type context = {
   n : int;
   moduli : int array;
@@ -42,6 +47,7 @@ type context = {
   folds : switch_fold array; (* folds.(target-1): chains ending at level target *)
   t_mod : Shoup.t array; (* t mod p_i, for every chain prime *)
   garner : garner;
+  x_eval : monomial array; (* x mod p_i, for every chain prime *)
 }
 
 type t = {
@@ -142,6 +148,16 @@ let garner_table ~t moduli =
     radix_q = Array.map (companion_t ~t) radix;
     half = Array.map (fun p -> (p - 1) lsr 1) moduli }
 
+(* x's forward transform per prime (for n = 1, x = -1 mod x + 1), with
+   each point's Shoup companion. *)
+let monomial_x table ~n =
+  let p = Ntt.prime table in
+  let w = Array.make n 0 in
+  if n = 1 then w.(0) <- p - 1 else w.(1) <- 1;
+  Ntt.forward table w;
+  let sh = Array.map (fun v -> Shoup.of_int ~p v) w in
+  { w; hi = Array.map (fun s -> s.Shoup.hi) sh; lo = Array.map (fun s -> s.Shoup.lo) sh }
+
 let context ~n ~moduli ~t =
   if Array.length moduli = 0 then invalid_arg "Rq.context: empty modulus chain";
   if Int64.compare t 1L <= 0 || Int64.compare t (Int64.shift_left 1L 61) >= 0 then
@@ -164,7 +180,8 @@ let context ~n ~moduli ~t =
     folds = switch_folds ~t moduli;
     t_mod =
       Array.map (fun p -> Shoup.of_int ~p (Int64.to_int (Mod64.reduce (Int64.of_int p) t))) moduli;
-    garner = garner_table ~t:ti moduli }
+    garner = garner_table ~t:ti moduli;
+    x_eval = Array.map (monomial_x ~n) tables }
 
 let degree c = c.n
 let moduli c = Array.copy c.moduli
@@ -637,6 +654,41 @@ let sum_sq_diff a b =
       [@sknn.allow "no-division" (* generic fallback: p >= 2^30, or too many terms *)]
   done;
   Array.map (fun comps -> { ctx; domain = Eval; comps }) [| s0; s1; s2 |]
+
+(* Σₛ x^s·aₛ by Horner from the last term down, acc <- acc·x + aₛ, in
+   the evaluation domain, where the product by x is one Shoup product
+   per point by the context's x.  Per prime the accumulator row stays
+   in L1 while the terms' rows stream through it, each read once. *)
+let fold_monomials a =
+  let m = Array.length a in
+  if m = 0 then invalid_arg "Rq.fold_monomials: no terms";
+  let x = a.(0) in
+  Array.iter
+    (fun c ->
+      check_compat x c "Rq.fold_monomials";
+      if c.domain <> Eval then invalid_arg "Rq.fold_monomials: operands must be Eval")
+    a;
+  let ctx = x.ctx and n = x.ctx.n in
+  let comps =
+    Array.init (Array.length x.comps) (fun i ->
+        let p = ctx.moduli.(i) and xe = ctx.x_eval.(i) in
+        let w = xe.w and hi = xe.hi and lo = xe.lo in
+        let acc = Array.copy a.(m - 1).comps.(i) in
+        for s = m - 2 downto 0 do
+          let row = a.(s).comps.(i) in
+          for j = 0 to n - 1 do
+            let v = Array.unsafe_get acc j in
+            let q =
+              ((Array.unsafe_get hi j * v) + ((Array.unsafe_get lo j * v) lsr 31)) lsr 31
+            in
+            let r = (Array.unsafe_get w j * v) - (q * p) in
+            let r = r - (p land ((p - 1 - r) asr 62)) + Array.unsafe_get row j in
+            Array.unsafe_set acc j (r - (p land ((p - 1 - r) asr 62)))
+          done
+        done;
+        acc)
+  in
+  { ctx; domain = Eval; comps }
 
 (* BGV's modulus switch, [drops] steps in one pass.  Each step divides
    out the last active prime q while keeping the residue mod t: with

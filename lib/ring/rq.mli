@@ -34,8 +34,9 @@ val context : n:int -> moduli:int array -> t:int64 -> context
     constants (p_target⋯p_l)⁻¹ and t·(p_target⋯p_l)⁻¹ mod every kept
     prime, all with their Shoup companions; for the decode, every
     prefix product p₀⋯pⱼ₋₁ mod pᵢ (j < i) and its inverse at j = i,
-    every prefix product mod t and (pᵢ - 1)/2; and t mod every prime
-    for {!embed_noise}.
+    every prefix product mod t and (pᵢ - 1)/2; t mod every prime
+    for {!embed_noise}; and x's transform mod every prime, with Shoup
+    companions, for {!fold_monomials}.
     @raise Invalid_argument otherwise. *)
 
 val degree : context -> int
@@ -168,6 +169,14 @@ val sum_sq_diff : t array array -> t array array -> t array
     All inputs must be [Eval] at one level.  Primes at or above 2^30,
     and sums too long for the lazy bound (3m > 2^(bits p) terms), take
     a [mod]-based loop.
+    @raise Invalid_argument on empty or mismatched inputs. *)
+
+val fold_monomials : t array -> t
+(** [fold_monomials a] is [Σₛ xˢ·a.(s)], fresh and [Eval]: Horner's
+    [acc <- acc·x + a.(s)] from the last term down, each product by x a
+    Shoup product per evaluation point by the context's transform of x.
+    Equal to summing [mul] by each monomial's transform; per prime each
+    term's row is read once.  All inputs must be [Eval] at one level.
     @raise Invalid_argument on empty or mismatched inputs. *)
 
 val to_coeff_into : t -> t

@@ -150,11 +150,23 @@ let level_for_need p ~return_level ~below ~need =
 
 (* The inner-product circuit, per point: ED at [level] with noise
    [bits], about to take the affine mask (a scalar below t).  [Some lvl]
-   only when that drops primes. *)
+   when [lvl <= level] primes clear it; at [lvl = level] there is
+   nothing to drop. *)
 let distance_level p ~return_level ~level ~bits =
   match level_for_need p ~return_level ~below:level ~need:(bits +. p.t_bits +. 17.0) with
-  | Some lvl when lvl < level -> Some lvl
+  | Some lvl when lvl <= level -> Some lvl
   | _ -> None
+
+(* The inner-product query's level, from the fresh bound alone, so the
+   client can encrypt there: the ED of a fresh stored point and norm
+   against a fresh query, as the circuit combines them without
+   relinearisation, then distance_level's need.  Every op's increment is
+   level-independent, so an ED computed at this level carries the bound
+   the full chain would, and it is its own distance level. *)
+let inner_product_query_level p ~return_level =
+  let fresh = fresh p in
+  let ed = add (add fresh fresh) (mul_scalar (mul p fresh fresh) ~bits:1.0) in
+  level_for_need p ~return_level ~below:(chain_length p) ~need:(ed.bits +. p.t_bits +. 17.0)
 
 (* Packed path: the level of the query ciphertexts, from the fresh
    bound alone, so the client can encrypt there.  Every later op's

@@ -95,7 +95,16 @@ val flood : params -> state -> flood_bits:int -> state
 val distance_level : params -> return_level:int -> level:int -> bits:float -> int option
 (** The inner-product circuit (plain on a [Dot_product] deployment,
     k-means), per point: the level for a distance at [level] with noise
-    [bits] before its affine mask; [Some] only when below [level]. *)
+    [bits] before its affine mask, at most [level] (equal when nothing
+    can be dropped); [None] when [level] primes do not clear it. *)
+
+val inner_product_query_level : params -> return_level:int -> int option
+(** The inner-product query's level, from the fresh bound alone: the
+    {!distance_level} of the distance a fresh stored point and norm
+    give against a fresh query without relinearisation, walked over the
+    whole chain.  Public, so the client encrypts there and the stored
+    ciphertexts align down to it; a distance computed there is its own
+    distance level.  [None] means no level clears the bound. *)
 
 val packed_query_level : params -> return_level:int -> d:int -> int option
 (** Packed paths: the level of the query ciphertexts, from the fresh

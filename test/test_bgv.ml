@@ -689,6 +689,92 @@ let test_mul_plain_sums_matches_fold () =
     (Invalid_argument "Bgv.add_embedded: ciphertext carries a modulus-switch factor")
     (fun () -> ignore (Bgv.add_embedded (Bgv.modswitch (enc_at ~level:3 503)) e))
 
+(* ------------------------------------------------------------------ *)
+(* Monomial fold: N constants to one ciphertext by coefficient          *)
+(* ------------------------------------------------------------------ *)
+
+let nring = params.Params.n
+
+(* [m] encryptions of constants at degree 1, or at degree 4 through two
+   unrescaled products with encryptions of one. *)
+let constants ~degree ~m =
+  let r = Rng.of_int 77 in
+  let values = Array.init m (fun _ -> Rng.int64_below r tp) in
+  let one () = Bgv.encrypt r keys.Bgv.pk (Plaintext.constant params 1L) in
+  let one_sq = Bgv.mul ~rescale:false (one ()) (one ()) in
+  let cts =
+    Array.map
+      (fun v ->
+        let ct = Bgv.encrypt r keys.Bgv.pk (Plaintext.constant params v) in
+        if degree = 1 then ct
+        else Bgv.mul ~rescale:false (Bgv.mul ~rescale:false ct (one ())) one_sq)
+      values
+  in
+  (values, cts)
+
+(* Coefficient s decrypts to input s and the rest to 0; the components
+   equal the mul_plain-by-xˢ-then-add fold's; the bound is the inputs'
+   add fold in term order, above the true noise; the ledger holds one
+   mul_plain and one ct_add per Horner step. *)
+let test_fold_monomials () =
+  List.iter
+    (fun (degree, m) ->
+      let msg = Printf.sprintf "degree %d, %d inputs" degree m in
+      let values, cts = constants ~degree ~m in
+      Alcotest.(check int) (msg ^ ": input degree") degree (Bgv.degree cts.(0));
+      let c = Util.Counters.create () in
+      let block = Bgv.fold_monomials ~counters:c cts in
+      let expect = Array.init nring (fun s -> if s < m then values.(s) else 0L) in
+      Alcotest.(check (array int64)) (msg ^ ": coefficients") expect
+        (Plaintext.to_coeffs (Bgv.decrypt keys.Bgv.sk block));
+      let monomial s =
+        Plaintext.of_coeffs params (Array.init nring (fun j -> if j = s then 1L else 0L))
+      in
+      let reference = ref (Bgv.mul_plain cts.(0) (monomial 0)) in
+      for s = 1 to m - 1 do
+        reference := Bgv.add !reference (Bgv.mul_plain cts.(s) (monomial s))
+      done;
+      let body ct = Bytes.sub_string (Bgv.ct_to_bytes ct) 40 (Bgv.byte_size ct - 40) in
+      Alcotest.(check bool) (msg ^ ": components = mul_plain fold") true
+        (body block = body !reference);
+      let st ct =
+        { Util.Noise_model.level = Bgv.level ct; degree = Bgv.degree ct; bits = Bgv.noise_bits ct }
+      in
+      let bound = ref (st cts.(0)) in
+      for s = 1 to m - 1 do
+        bound := Util.Noise_model.add !bound (st cts.(s))
+      done;
+      Alcotest.(check (float 0.0)) (msg ^ ": bound = add fold") !bound.Util.Noise_model.bits
+        (Bgv.noise_bits block);
+      Alcotest.(check bool) (msg ^ ": true noise below the bound") true
+        (Bgv.actual_noise_bits keys.Bgv.sk block < Bgv.noise_bits block);
+      let level = Bgv.level block in
+      Alcotest.(check (list int)) (msg ^ ": ledger, no transform")
+        [ m - 1; m - 1; 2 * (m - 1) ]
+        [ Util.Counters.op_count c Util.Counters.Op_mul_plain ~level;
+          Util.Counters.op_count c Util.Counters.Op_ct_add ~level;
+          Util.Counters.ops_total c ])
+    [ (1, 1); (1, nring - 1); (1, nring); (4, 1); (4, nring - 1); (4, nring) ]
+
+let test_fold_monomials_rejects () =
+  let _, cts = constants ~degree:1 ~m:(nring + 1) in
+  let rejects what inputs =
+    match Bgv.fold_monomials inputs with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "no input" [||];
+  rejects "more inputs than coefficients" cts;
+  let three = Array.sub cts 0 3 in
+  let with_last ct = Array.append (Array.sub three 0 2) [| ct |] in
+  rejects "mixed level" (with_last (Bgv.truncate_to_level three.(2) (chain - 1)));
+  rejects "mixed degree" (with_last (Bgv.mul ~rescale:false three.(2) three.(2)));
+  let switched = Bgv.modswitch three.(2) in
+  rejects "mixed factor"
+    (Array.append
+       (Array.map (fun c -> Bgv.truncate_to_level c (chain - 1)) (Array.sub three 0 2))
+       [| switched |])
+
 let test_mul_sum_relinearises_once () =
   let a = Array.init 8 (fun j -> enc (random_slots (80 + j))) in
   let b = Array.init 8 (fun j -> enc (random_slots (90 + j))) in
@@ -1234,6 +1320,9 @@ let () =
          Alcotest.test_case "mul_sum relinearises once" `Quick test_mul_sum_relinearises_once;
          Alcotest.test_case "mul_plain_sums = mul_plain fold" `Quick
            test_mul_plain_sums_matches_fold ]);
+      ("monomial fold",
+       [ Alcotest.test_case "coefficient s is input s" `Quick test_fold_monomials;
+         Alcotest.test_case "rejects mixed inputs" `Quick test_fold_monomials_rejects ]);
       ("boundary kernels",
        [ Alcotest.test_case "encrypt = four-NTT reference" `Quick test_encrypt_matches_reference;
          Alcotest.test_case "rerandomize = reference + flood" `Quick

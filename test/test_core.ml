@@ -202,7 +202,34 @@ let test_transcript_structure () =
   (* 1 query + 1 distance msg + k indicator rows + 1 result = k + 3. *)
   Alcotest.(check int) "message count" (4 + 3) (Transcript.messages tr);
   (* Setup transcript covers key and database distribution. *)
-  Alcotest.(check int) "setup messages" 4 (Transcript.messages (Protocol.setup_transcript dep))
+  Alcotest.(check int) "setup messages" 4 (Transcript.messages (Protocol.setup_transcript dep));
+  (* The one A->B message: ⌈n/N⌉ coefficient blocks on the
+     per-coordinate layout, one masked distance per point on the
+     dot-product one, whose randomizer fills every other coefficient. *)
+  let n = (2 * (Config.standard ()).Config.bgv.Params.n) + 1 in
+  let db = Synthetic.uniform rng ~n ~d:3 ~max_value:250 in
+  let q = Synthetic.query_like rng db in
+  List.iter
+    (fun (name, config, expect) ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 132) config ~db in
+      let a = Protocol.party_a dep and cl = Protocol.client dep in
+      let _, cts =
+        Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng q)
+      in
+      Alcotest.(check int) (name ^ ": A->B ciphertexts") expect (Array.length cts);
+      let r = Protocol.query dep ~query:q ~k:2 in
+      let a_to_b =
+        List.filter
+          (fun (e : Transcript.entry) ->
+            e.Transcript.sender = Transcript.Party_a && e.Transcript.receiver = Transcript.Party_b)
+          (Transcript.entries r.Protocol.transcript)
+      in
+      Alcotest.(check (list int)) (name ^ ": one A->B message of those ciphertexts")
+        [ Array.fold_left (fun acc c -> acc + Bgv.byte_size c) 0 cts ]
+        (List.map (fun (e : Transcript.entry) -> e.Transcript.bytes) a_to_b))
+    [ ("per-coordinate", Config.standard (),
+       (n + (Config.standard ()).Config.bgv.Params.n - 1) / (Config.standard ()).Config.bgv.Params.n);
+      ("dot-product", Config.fast (), n) ]
 
 let test_phase_times_present () =
   let rng = Rng.of_int 137 in
@@ -233,14 +260,14 @@ let test_jobs_determinism () =
      moves identical bytes, and records identical operation counts. *)
   let db = small_db (Rng.of_int 141) in
   let q = [| 10; 20; 30 |] in
-  let run jobs config =
+  let run jobs config db =
     let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db in
     Protocol.query ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
   in
   let counters_s c = Format.asprintf "%a" Util.Counters.pp c in
   List.iter
-    (fun (name, config) ->
-      let r1 = run 1 config and r4 = run 4 config in
+    (fun (name, config, db) ->
+      let r1 = run 1 config db and r4 = run 4 config db in
       Alcotest.(check bool) (name ^ ": same neighbours") true
         (r1.Protocol.neighbours = r4.Protocol.neighbours);
       Alcotest.(check bool) (name ^ ": same view") true
@@ -256,8 +283,20 @@ let test_jobs_determinism () =
       Alcotest.(check string) (name ^ ": party B counters")
         (counters_s r1.Protocol.counters_b) (counters_s r4.Protocol.counters_b);
       Alcotest.(check string) (name ^ ": client counters")
-        (counters_s r1.Protocol.counters_client) (counters_s r4.Protocol.counters_client))
-    [ ("dot-product", Config.fast ()); ("per-coordinate", Config.standard ()) ]
+        (counters_s r1.Protocol.counters_client) (counters_s r4.Protocol.counters_client);
+      let entries r =
+        List.map
+          (fun (e : Transcript.entry) -> (e.Transcript.label, e.Transcript.bytes))
+          (Transcript.entries r.Protocol.transcript)
+      in
+      Alcotest.(check (list (pair string int))) (name ^ ": same transcript entries") (entries r1)
+        (entries r4))
+    [ ("dot-product", Config.fast (), db); ("per-coordinate", Config.standard (), db);
+      (* Three coefficient blocks, the last ragged, folded on 1 and 4
+         domains. *)
+      ("per-coordinate, 2N + 1 points", Config.standard (),
+       Synthetic.uniform (Rng.of_int 142) ~n:((2 * (Config.standard ()).Config.bgv.Params.n) + 1)
+         ~d:3 ~max_value:250) ]
 
 (* ------------------------------------------------------------------ *)
 (* Slot-packed (SIMD) path                                             *)
@@ -593,7 +632,9 @@ let test_block_message_metadata () =
         (Array.map (Entities.Client.encrypt_query_packed cl rng) queries)
     in
     let perm = Entities.Party_a.state_perm s in
-    let views = Array.map (fun m -> Entities.Party_b.select_neighbours_packed b m ~n ~k) masked in
+    let views =
+      Array.map (fun m -> Entities.Party_b.select_neighbours b Entities.Slot_blocks m ~n ~k) masked
+    in
     let per = Entities.points_per_block params ~d in
     let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
     let results = Entities.Party_a.return_blocks a pp ~perm rng indicators in
@@ -626,8 +667,8 @@ let test_block_message_metadata () =
    plain mask's leading coefficient decided the level, and every affine
    path's tracked noise carried the drawn slope. *)
 let test_masked_metadata_public () =
-  let n = 12 and d = 3 in
-  let round config path ~seed =
+  let d = 3 in
+  let round (config, n) path ~seed =
     let rng = Rng.of_int seed in
     let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
     let dep = Protocol.deploy ~rng ~jobs:1 config ~db in
@@ -655,11 +696,16 @@ let test_masked_metadata_public () =
                   i Bgv.pp_ct c Bgv.pp_ct reference.(i))
             cts)
         [ 901; 902; 903; 904; 905 ])
-    [ ("plain, degree-2 mask", Config.standard (), `Plain);
-      ("plain, affine mask", Config.fast (), `Plain);
-      ("plain, 10-prime dot-product", dot_config (), `Plain);
-      ("packed", affine_config (), `Packed 1);
-      ("batch", affine_config (), `Packed 3) ]
+    (* On the per-coordinate layout the ciphertexts are coefficient
+       blocks: at 2N + 1 points two full ones and a ragged one-term
+       last block. *)
+    [ ("plain, degree-2 mask", (Config.standard (), 12), `Plain);
+      ("plain, degree-2 mask, 2N + 1 points",
+       (Config.standard (), (2 * (Config.standard ()).Config.bgv.Params.n) + 1), `Plain);
+      ("plain, affine mask", (Config.fast (), 12), `Plain);
+      ("plain, 10-prime dot-product", (dot_config (), 12), `Plain);
+      ("packed", (affine_config (), 12), `Packed 1);
+      ("batch", (affine_config (), 12), `Packed 3) ]
 
 (* A round of one query through query_batch is query_packed: the same
    transcript, ledgers, view and answer for the same RNG. *)
@@ -736,6 +782,67 @@ let test_packed_upload_level () =
           (Util.Counters.op_total ca Util.Counters.Op_mul_plain))
     [ ("below the public level", encrypt (Some (level - 1)) (Rng.of_int 451));
       ("mixed levels", encrypt ~norm_level:None (Some level) (Rng.of_int 452)) ]
+
+(* The dot-product client uploads at the public level
+   Noise_model.inner_product_query_level: below the full chain on the
+   10-prime chain, at it on the 6-prime fast chain.  The stored points
+   align down to it unrecorded, and the masked distances equal, byte
+   for byte, those A computes from a top-level upload, which it
+   truncates after the product. *)
+let test_inner_product_upload_level () =
+  List.iter
+    (fun (name, config, drops) ->
+      let params = config.Config.bgv in
+      let chain = Params.chain_length params in
+      let db = small_db (Rng.of_int 455) in
+      let d = Array.length db.(0) in
+      let owner = Entities.Data_owner.create (Rng.of_int 456) config in
+      let keys = Entities.Data_owner.keys owner in
+      let enc_db = Entities.Data_owner.encrypt_db ~jobs:1 (Rng.of_int 457) owner db in
+      let a = Entities.Party_a.create ~jobs:1 config keys.Bgv.pk keys.Bgv.rlk enc_db in
+      let cl = Entities.Client.create ~jobs:1 config keys.Bgv.sk keys.Bgv.pk in
+      let q = Synthetic.query_like (Rng.of_int 458) db in
+      let public_q = Entities.Client.encrypt_query cl (Rng.of_int 459) q in
+      let level =
+        Option.value ~default:chain
+          (Util.Noise_model.inner_product_query_level params.Params.noise
+             ~return_level:(Stdlib.min config.Config.return_level chain))
+      in
+      List.iter
+        (fun (what, ct) ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s at the rule's level" name what) level
+            (Bgv.level (Option.get ct)))
+        [ ("reversed query", public_q.Entities.q_rev); ("norm", public_q.Entities.q_norm) ];
+      Alcotest.(check bool) (name ^ ": below the full chain") drops (level < chain);
+      (* The same draws at the top level. *)
+      let top =
+        let rng = Rng.of_int 459 and t = params.Params.t_plain in
+        let rev = Array.make params.Params.n 0L in
+        Array.iteri
+          (fun j v -> rev.(if j = 0 then 0 else params.Params.n - j) <- Mod64.neg t (Int64.of_int v))
+          q;
+        rev.(0) <- Int64.of_int q.(0);
+        let enc pt = Bgv.encrypt rng keys.Bgv.pk pt in
+        let q_rev = enc (Plaintext.of_coeffs params rev) in
+        let norm = Array.fold_left (fun s v -> s + (v * v)) 0 q in
+        let q_norm = enc (Plaintext.constant params (Int64.of_int norm)) in
+        { Entities.q_coords = None; q_rev = Some q_rev; q_norm = Some q_norm; q_dim = d }
+      in
+      let ca = Entities.Party_a.counters a in
+      let masked query =
+        Util.Counters.reset ca;
+        Array.map Bgv.ct_to_bytes (snd (Entities.Party_a.compute_distances a (Rng.of_int 460) query))
+      in
+      let public_bytes = masked public_q in
+      Alcotest.(check int) (name ^ ": no truncation") 0
+        (Util.Counters.op_total ca Util.Counters.Op_level_drop);
+      let top_bytes = masked top in
+      Alcotest.(check int) (name ^ ": A truncates a top-level query's distances")
+        (if drops then Array.length db else 0)
+        (Util.Counters.op_total ca Util.Counters.Op_level_drop);
+      Alcotest.(check bool) (name ^ ": byte-identical masked distances") true
+        (public_bytes = top_bytes))
+    [ ("10-prime dot-product", dot_config (), true); ("fast", Config.fast (), false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-path differential test on edge shapes                          *)
@@ -1097,9 +1204,13 @@ let test_cost_measured_vs_predicted () =
   let dep = Protocol.deploy ~rng config ~db in
   let r = Protocol.query dep ~query:(Synthetic.query_like rng db) ~k in
   let measured = Cost.measured r in
-  let predicted = Cost.ours ~n ~d ~k ~mask_degree:config.Config.mask_degree () in
+  let ring_degree = config.Config.bgv.Params.n in
+  let predicted = Cost.ours ~n ~d ~k ~mask_degree:config.Config.mask_degree ~ring_degree () in
   Alcotest.(check int) "one round measured" 1 measured.Cost.rounds;
-  Alcotest.(check int) "decryptions = n" n measured.Cost.decryptions;
+  Alcotest.(check int) "decryptions = ⌈n/N⌉" ((n + ring_degree - 1) / ring_degree)
+    measured.Cost.decryptions;
+  Alcotest.(check int) "predicted decryptions = measured" measured.Cost.decryptions
+    predicted.Cost.decryptions;
   Alcotest.(check int) "encryptions = nk" (n * k) measured.Cost.encryptions;
   Alcotest.(check bool)
     (Format.asprintf "hom ops within 4x of model (measured %a, predicted %a)" Cost.pp measured
@@ -1111,7 +1222,7 @@ let test_cost_ours_beats_yousef () =
   (* The Table 1 comparison: for 32-bit values, every row of ours is
      asymptotically below Yousef et al. *)
   let n = 1000 and d = 10 and k = 10 and l = 32 in
-  let ours = Cost.ours ~n ~d ~k ~mask_degree:2 () in
+  let ours = Cost.ours ~n ~d ~k ~mask_degree:2 ~ring_degree:64 () in
   let yousef = Cost.yousef ~n ~d ~k ~l in
   Alcotest.(check bool) "hom ops" true (ours.Cost.hom_ops < yousef.Cost.hom_ops);
   Alcotest.(check bool) "encryptions" true (ours.Cost.encryptions < yousef.Cost.encryptions);
@@ -1186,7 +1297,9 @@ let test_cost_model_plain () =
       ("plain/fast", Config.fast (), small_db (Rng.of_int 611), 2);
       ("plain/10-prime dot-product", dot_config (), small_db (Rng.of_int 611), 2);
       ("plain/standard 64x32", Config.standard (),
-       Synthetic.uniform (Rng.of_int 7) ~n:64 ~d:32 ~max_value:255, 3) ]
+       Synthetic.uniform (Rng.of_int 7) ~n:64 ~d:32 ~max_value:255, 3);
+      ("plain/standard 129x3", Config.standard (),
+       Synthetic.uniform (Rng.of_int 8) ~n:129 ~d:3 ~max_value:255, 1) ]
 
 (* Relinearisation changes the circuit: each distance sum (plain,
    per-coordinate) and each inner product (plain, dot-product) is
@@ -1362,7 +1475,8 @@ let () =
          Alcotest.test_case "transcript structure" `Quick test_transcript_structure;
          Alcotest.test_case "phase times" `Quick test_phase_times_present;
          Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
-         Alcotest.test_case "identical across job counts" `Quick test_jobs_determinism ]);
+         Alcotest.test_case "identical across job counts" `Quick test_jobs_determinism;
+         Alcotest.test_case "inner-product upload level" `Quick test_inner_product_upload_level ]);
       ("packed",
        [ Alcotest.test_case "exact over repeated queries" `Quick test_packed_exactness;
          Alcotest.test_case "matches unpacked paths" `Quick test_packed_matches_unpacked;

@@ -140,7 +140,9 @@ let test_protocol_over_the_wire () =
   let state, masked =
     Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng q)
   in
-  let view = Entities.Party_b.select_neighbours b (Array.map wire masked) ~k in
+  let view =
+    Entities.Party_b.select_neighbours b Entities.Coeff_blocks (Array.map wire masked) ~n ~k
+  in
   let packed = Entities.Party_a.permuted_packed a state in
   let results =
     Array.init k (fun j ->
@@ -168,7 +170,9 @@ let test_packed_over_the_wire () =
     Entities.Party_a.compute_distances_packed a pp rng
       [| Entities.Client.encrypt_query_packed cl rng q |]
   in
-  let view = Entities.Party_b.select_neighbours_packed b (Array.map wire masked.(0)) ~n ~k in
+  let view =
+    Entities.Party_b.select_neighbours b Entities.Slot_blocks (Array.map wire masked.(0)) ~n ~k
+  in
   let per = Entities.points_per_block params ~d in
   let indicators = Entities.Party_b.block_indicators b rng [| view |] ~n ~per in
   let blocks =

@@ -326,6 +326,37 @@ let test_sum_matches_mul_add () =
       (big_ctx, big_moduli, [ 1; 7 ]);
       (small_ctx, small_moduli, [ 3; 5000 ]) ]
 
+(* Σₛ xˢ·aₛ as a negacyclic shift per term in the coefficient domain:
+   xˢ moves coefficient j to j + s, with a sign each time it wraps past
+   n.  Edge residues, on every chain, past n terms included. *)
+let test_fold_monomials_naive () =
+  List.iter
+    (fun (c, moduli) ->
+      let k = Array.length moduli in
+      List.iter
+        (fun m ->
+          let a = Array.init m (fun s -> edge_rq c moduli ~seed:(9000 + s) Rq.Eval) in
+          let expect =
+            Array.mapi
+              (fun i p ->
+                let out = Array.make n 0 in
+                Array.iteri
+                  (fun s term ->
+                    Array.iteri
+                      (fun j v ->
+                        let e = (j + s) mod (2 * n) in
+                        let at, v = if e < n then (e, v) else (e - n, (p - v) mod p) in
+                        out.(at) <- (out.(at) + v) mod p)
+                      (Rq.component (Rq.to_coeff term) i))
+                  a;
+                out)
+              moduli
+          in
+          check_eq (Printf.sprintf "%d-prime chain (p0 = %d), m = %d" k moduli.(0) m)
+            (Rq.of_components c Rq.Coeff expect) (Rq.fold_monomials a))
+        [ 1; 2; n - 1; n; n + 3 ])
+    [ (ctx, moduli); (wide_ctx, wide_moduli); (big_ctx, big_moduli); (small_ctx, small_moduli) ]
+
 (* One modulus-switch step per drop, as the BGV layer computed it
    before the kernel moved into the ring: Coeff-domain residues,
    w = c·t⁻¹ mod q centered, c_i <- (c_i - t·w)·q⁻¹ mod p_i. *)
@@ -627,6 +658,7 @@ let () =
            test_sum_sq_diff_matches_mul_add;
          Alcotest.test_case "sum = mul_add_into fold" `Quick test_sum_matches_mul_add;
          Alcotest.test_case "switch_down = naive mod" `Quick test_switch_down_naive ]);
+      ("monomial", [ Alcotest.test_case "fold = negacyclic shifts" `Quick test_fold_monomials_naive ]);
       ("boundary",
        [ Alcotest.test_case "decode mod t = Crt lift + erem" `Quick test_decode_matches_zint;
          Alcotest.test_case "embed_noise = embed, transform, add" `Quick
