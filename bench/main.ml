@@ -207,8 +207,8 @@ let run_query_series ?(packed = false) ?predict ~opts ~experiment ~config ~db ~q
   let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
   let base_extra = if packed then [ ("packed", Bool true) ] else [] in
   let path = if packed then Sknn_obs.Cost_model.Packed 1 else Sknn_obs.Cost_model.Plain in
-  List.mapi
-    (fun i k ->
+  List.map
+    (fun k ->
       let q = Synthetic.query_like rng db in
       let r, s =
         Util.Timer.time (fun () -> traced_query ~path ~experiment dep ~query:q ~k)
@@ -220,7 +220,7 @@ let run_query_series ?(packed = false) ?predict ~opts ~experiment ~config ~db ~q
         match predict with
         | None -> []
         | Some f ->
-          let phases : (string * float) list = f ~first:(i = 0) ~k in
+          let phases : (string * float) list = f ~k in
           [ ("predicted_phases", Obj (List.map (fun (nm, ps) -> (nm, Float ps)) phases)) ]
       in
       record_run ~extra ~experiment ~n:(Array.length db) ~d:(Array.length db.(0)) ~k
@@ -267,8 +267,7 @@ let fig_k_sweep ?(packed = false) ?(attribute = false) ~id ~title ~dataset_name 
   (* Attribution annotations: price each run's analytic op-count replica
      with the calibrated unit costs, so the JSON carries a predicted
      figure next to every measured phase (check_regress gates the
-     drift).  Only the first query of the packed sweep pays prepare-db —
-     the deployment is shared down the k sweep. *)
+     drift). *)
   let predict =
     if not attribute then None
     else begin
@@ -277,10 +276,8 @@ let fig_k_sweep ?(packed = false) ?(attribute = false) ~id ~title ~dataset_name 
         if packed then Sknn_obs.Cost_model.Packed 1 else Sknn_obs.Cost_model.Plain
       in
       Some
-        (fun ~first ~k ->
-          let pred =
-            Attribution.predict ~include_prepare:(packed && first) config ~n ~d ~k path
-          in
+        (fun ~k ->
+          let pred = Attribution.predict config ~n ~d ~k path in
           (Sknn_obs.Cost_model.price ~unit_costs pred).Sknn_obs.Cost_model.phase_s)
     end
   in
@@ -454,8 +451,7 @@ let table1 opts =
     ~exact:(Protocol.exact dep ~db ~query:q r) r;
   let ours_measured = Cost.measured r in
   let ours_predicted =
-    let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k
-        Sknn_obs.Cost_model.Plain in
+    let pred = Attribution.predict config ~n ~d ~k Sknn_obs.Cost_model.Plain in
     Cost.ours ~bytes:pred.Sknn_obs.Cost_model.ab_bytes ~n ~d ~k
       ~mask_degree:config.Config.mask_degree ~ring_degree:config.Config.bgv.Params.n ()
   in
@@ -686,15 +682,14 @@ let amortized opts =
     (if opts.full then "" else " (scaled)");
   (* One pass per computation plan: plain on the dot-product deployment
      (one ciphertext product per point), then the slot-packed path on
-     the per-coordinate one, whose first query pays the one-time
-     prepare-db. *)
+     the per-coordinate one. *)
   let pass ~packed name =
     let path, dep =
       if packed then (Sknn_obs.Cost_model.Packed 1, dep)
       else (Sknn_obs.Cost_model.Plain, dep_dot)
     in
     say "@.%s:@." name;
-    say "%8s %10s %12s %7s@." "query" "total" "prepare-db" "exact";
+    say "%8s %10s %7s@." "query" "total" "exact";
     Array.init (reps + 1) (fun i ->
         let q = Synthetic.query_like rng db in
         (* Collect the previous query's floating garbage outside the
@@ -706,11 +701,6 @@ let amortized opts =
               traced_query ~path ~experiment:"amortized" dep ~query:q ~k)
         in
         let ok = Protocol.exact dep ~db ~query:q r in
-        let prep_s =
-          match List.assoc_opt "prepare-db" r.Protocol.phase_seconds with
-          | Some t -> t
-          | None -> 0.0
-        in
         record_run
           ~extra:
             [ ("query_index", Int i);
@@ -723,9 +713,7 @@ let amortized opts =
           | Some t -> t
           | None -> 0.0
         in
-        say "%8s %9.2fs %11.2fs %7b@."
-          (if i = 0 then "first" else Printf.sprintf "#%d" i)
-          s prep_s ok;
+        say "%8s %9.2fs %7b@." (if i = 0 then "first" else Printf.sprintf "#%d" i) s ok;
         (s, cd_s))
   in
   let steady times =
@@ -736,8 +724,8 @@ let amortized opts =
   let first = fst times.(0) and steady_plain = steady (Array.map fst times) in
   let first_p = fst times_p.(0) and steady_packed = steady (Array.map fst times_p) in
   (* The acceptance gate is on the phase the packing accelerates:
-     compute-distances, steady state (prepare-db and the unchanged
-     return-knn phase would otherwise dominate the ratio). *)
+     compute-distances, steady state (the unchanged return-knn phase
+     would otherwise dominate the ratio). *)
   let steady_cd_plain = steady (Array.map snd times) in
   let steady_cd_packed = steady (Array.map snd times_p) in
   (* Multi-query batching (--batch M): M packed queries in one protocol
@@ -841,10 +829,7 @@ let planned opts =
         Sknn_obs.Cost_model.unit_costs_for unit_model ~n:bgv.Params.n
           ~levels:(Params.chain_length bgv)
       in
-      let pred =
-        Attribution.predict ~include_prepare:false preset ~n ~d ~k
-          (Sknn_obs.Cost_model.Packed 1)
-      in
+      let pred = Attribution.predict preset ~n ~d ~k (Sknn_obs.Cost_model.Packed 1) in
       (Sknn_obs.Cost_model.price ~unit_costs pred).Sknn_obs.Cost_model.total_s
     in
     let reps = Stdlib.max 1 opts.repeat in
@@ -927,14 +912,8 @@ let network opts =
       Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 91)) ?jobs:opts.jobs
         config ~db
     in
-    (* Pay prepare-db up front so every profile's run is steady state and
-       the prediction can price the query alone. *)
     let round =
-      match path with
-      | Sknn_obs.Cost_model.Packed m ->
-        Protocol.prepare_packed ~obs:!obs dep;
-        m
-      | Sknn_obs.Cost_model.Plain -> 1
+      match path with Sknn_obs.Cost_model.Packed m -> m | Sknn_obs.Cost_model.Plain -> 1
     in
     let qrng = Rng.of_int (opts.seed + 92) in
     let queries = Array.init round (fun _ -> Synthetic.query_like qrng db) in
@@ -952,7 +931,7 @@ let network opts =
         in
         let e2e =
           Sknn_obs.Cost_model.price ~unit_costs ~profile
-            (Attribution.predict ~include_prepare:false config ~n ~d ~k path)
+            (Attribution.predict config ~n ~d ~k path)
         in
         let exact_tr = Clock.same_traffic e2e.Sknn_obs.Cost_model.timeline tl in
         all_exact := !all_exact && exact_tr;

@@ -77,6 +77,16 @@ let guarded ?flight ?flight_out f =
       flight;
     exit 1
 
+(* Each answer of a round against plaintext k-NN; one stderr line per
+   wrong answer names its query. *)
+let answers_exact dep ~db queries results =
+  Array.mapi
+    (fun i r ->
+      let ok = Protocol.exact dep ~db ~query:queries.(i) r in
+      if not ok then Format.eprintf "wrong answer: query %d differs from plaintext k-NN@." i;
+      ok)
+    results
+
 (* The packed path needs affine (degree-1) masking and d <= N. *)
 let check_path config ~d path_s =
   if path_s = "packed" && Result.is_error (Config.affine_supported config ~d ~what:path_s)
@@ -236,13 +246,11 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
   let dep, setup_s =
     Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
   in
-  (* Every run of the round goes through the one driver; the packed
-     path builds its query-independent state on the first. *)
+  (* Every run of the round goes through the one driver. *)
   let run obs () = Protocol.query_gen ~path ~obs ?net dep ~queries ~k in
-  let exacts rs = Array.map2 (fun q r -> Protocol.exact dep ~db ~query:q r) queries rs in
   let all = Array.for_all Fun.id in
   let results, round_s = Util.Timer.time (fun () -> guarded (run obs0)) in
-  let r = results.(0) and ok = exacts results in
+  let r = results.(0) and ok = answers_exact dep ~db queries results in
   write_trace trace0 0;
   let steady =
     List.init (repeat - 1) (fun i ->
@@ -251,7 +259,7 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
         let obs = make_ctx tr in
         let rs, t = Util.Timer.time (fun () -> guarded (run obs)) in
         write_trace tr (i + 1);
-        (all (exacts rs), t))
+        (all (answers_exact dep ~db queries rs), t))
   in
   if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
   Array.iteri
@@ -310,11 +318,7 @@ let query_run data query_s k layout path_s seed jobs repeat net verbose trace
      Option.iter (append_net_records path) net_timeline;
      Format.printf "flight dump written to %s@." path
    | Some _, None -> Format.eprintf "--flight ignored: recorder disabled (SKNN_FLIGHT=0)@.");
-  if all ok && List.for_all fst steady then 0
-  else begin
-    Format.eprintf "wrong answer: a neighbour set differs from plaintext k-NN@.";
-    1
-  end
+  if all ok && List.for_all fst steady then 0 else 1
 
 let data_t = Arg.(required & opt (some file) None & info [ "data" ] ~doc:"Integer CSV database.")
 let query_t =
@@ -387,9 +391,8 @@ let query_cmd =
     Arg.(value & opt int 1
          & info [ "repeat" ]
              ~doc:"Run the round $(docv) times and report first vs steady-state \
-                   latency; the packed path builds its query-independent state \
-                   on the first run.  Every run's answers are checked.  With \
-                   --trace, run $(docv)'s spans go to FILE.$(docv).ext."
+                   latency.  Every run's answers are checked.  With --trace, \
+                   run $(docv)'s spans go to FILE.$(docv).ext."
              ~docv:"N")
   in
   let prom =
@@ -477,9 +480,10 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
   let dep = guarded (fun () -> Protocol.deploy ~rng ?jobs config ~db) in
-  let r = guarded (fun () -> (Protocol.query_gen ~path ?net dep ~queries ~k).(0)) in
-  (* The one query above pays any prepare-db phase, so predict it too. *)
-  let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k path in
+  let results = guarded (fun () -> Protocol.query_gen ~path ?net dep ~queries ~k) in
+  let r = results.(0) in
+  let exact = Array.for_all Fun.id (answers_exact dep ~db queries results) in
+  let pred = Attribution.predict config ~n ~d ~k path in
   let ledger_exact =
     Util.Counters.equal_ledger pred.CM.party_a r.Protocol.counters_a
     && Util.Counters.equal_ledger pred.CM.party_b r.Protocol.counters_b
@@ -492,6 +496,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     path_s;
   Format.printf "ledger: analytic replica %s the measured op ledger@."
     (if ledger_exact then "exactly matches" else "DIVERGES from");
+  Format.printf "exact: %b@." exact;
   Format.printf "@.%-22s %12s %12s %8s@." "phase" "predicted" "measured" "ratio";
   let rows =
     List.map
@@ -592,7 +597,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
                 ("transcript_exact", Bool exact) ]));
      close_out oc;
      Format.printf "@.cost report written to %s@." path);
-  if not (ledger_exact && transcript_exact) then 1 else 0
+  if not (ledger_exact && transcript_exact && exact) then 1 else 0
 
 let cost_cmd =
   let layout =
@@ -699,9 +704,7 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       in
       (* Priced as the planner prices its entries, under the same
          network term, or the comparison is apples to oranges. *)
-      let pred =
-        Attribution.predict ~include_prepare:false preset_config ~n:points ~d:dims ~k path
-      in
+      let pred = Attribution.predict preset_config ~n:points ~d:dims ~k path in
       Some (bgv.Params.name, (CM.price ~unit_costs ?profile:net pred).CM.total_s)
   in
   (match comparison, Planner.best outcome with
@@ -747,19 +750,13 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       let rng = Util.Rng.of_int seed in
       let max_value = (1 lsl coord_bits) - 1 in
       let db = Synthetic.uniform rng ~n:points ~d:dims ~max_value in
-      let q = Synthetic.query_like rng db in
-      let queries =
-        match path with
-        | CM.Packed m ->
-          Array.init m (fun i -> if i = 0 then q else Synthetic.query_like rng db)
-        | CM.Plain -> [| q |]
-      in
+      let m = match path with CM.Packed m -> m | CM.Plain -> 1 in
+      let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
       let dep = guarded (fun () -> Protocol.deploy ~rng ?jobs config ~db) in
-      let r, secs =
-        Util.Timer.time (fun () ->
-            guarded (fun () -> (Protocol.query_gen ~path dep ~queries ~k).(0)))
+      let results, secs =
+        Util.Timer.time (fun () -> guarded (fun () -> Protocol.query_gen ~path dep ~queries ~k))
       in
-      let ok = Protocol.exact dep ~db ~query:q r in
+      let ok = Array.for_all Fun.id (answers_exact dep ~db queries results) in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;
       if ok then 0 else 1
 

@@ -578,64 +578,48 @@ let mul_sum ?counters ?jobs ?rlk a b =
   let a = Array.map (fun c -> truncate_to_level c lvl) a in
   let b = Array.map (fun c -> truncate_to_level c lvl) b in
   let f0 = Mod64.mul t a.(0).factor b.(0).factor in
-  let uniform_factor =
-    let ok = ref true in
+  for i = 1 to m - 1 do
+    if not (Int64.equal (Mod64.mul t a.(i).factor b.(i).factor) f0) then
+      invalid_arg "Bgv.mul_sum: terms must share one factor"
+  done;
+  record_op_n counters Counters.Op_ct_mul ~level:lvl m;
+  record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
+  let ring = p.Params.ring in
+  let width =
+    let w = ref 0 in
     for i = 0 to m - 1 do
-      if not (Int64.equal (Mod64.mul t a.(i).factor b.(i).factor) f0) then ok := false
+      w := Stdlib.max !w (Array.length a.(i).comps + Array.length b.(i).comps - 1)
     done;
-    !ok
+    !w
   in
-  let sum =
-    if not uniform_factor then begin
-      (* Mixed factors break the shared-accumulator shape; fall back to
-         the exact mul-then-add sequence. *)
-      let acc = ref (mul ?counters ~rescale:false a.(0) b.(0)) in
-      for i = 1 to m - 1 do
-        acc := add ?counters !acc (mul ?counters ~rescale:false a.(i) b.(i))
-      done;
-      !acc
-    end
-    else begin
-      record_op_n counters Counters.Op_ct_mul ~level:lvl m;
-      record_op_n counters Counters.Op_ct_add ~level:lvl (m - 1);
-      let ring = p.Params.ring in
-      let width =
-        let w = ref 0 in
-        for i = 0 to m - 1 do
-          w := Stdlib.max !w (Array.length a.(i).comps + Array.length b.(i).comps - 1)
-        done;
-        !w
-      in
-      let partials = ref [] in
-      ignore
-        (Util.Pool.map_local ?jobs
-           ~make:(fun () -> Array.init width (fun _ -> Rq.zero ring ~nprimes:lvl Rq.Eval))
-           ~merge:(fun acc -> partials := acc :: !partials)
-           ~f:(fun acc i () ->
-             let ca = a.(i).comps and cb = b.(i).comps in
-             for x = 0 to Array.length ca - 1 do
-               for y = 0 to Array.length cb - 1 do
-                 Rq.mul_add_into acc.(x + y) ca.(x) cb.(y)
-               done
-             done)
-           (Array.make m ()));
-      let comps =
-        match List.rev !partials with
-        | [] -> assert false
-        | first :: rest ->
-          List.fold_left (fun acc part -> Array.map2 Rq.add acc part) first rest
-      in
-      let log_noise =
-        let term i = NM.mul p.Params.noise (state a.(i)) (state b.(i)) in
-        let acc = ref (term 0) in
-        for i = 1 to m - 1 do
-          acc := NM.add !acc (term i)
-        done;
-        !acc.NM.bits
-      in
-      { params = p; comps; factor = f0; log_noise }
-    end
+  let partials = ref [] in
+  ignore
+    (Util.Pool.map_local ?jobs
+       ~make:(fun () -> Array.init width (fun _ -> Rq.zero ring ~nprimes:lvl Rq.Eval))
+       ~merge:(fun acc -> partials := acc :: !partials)
+       ~f:(fun acc i () ->
+         let ca = a.(i).comps and cb = b.(i).comps in
+         for x = 0 to Array.length ca - 1 do
+           for y = 0 to Array.length cb - 1 do
+             Rq.mul_add_into acc.(x + y) ca.(x) cb.(y)
+           done
+         done)
+       (Array.make m ()));
+  let comps =
+    match List.rev !partials with
+    | [] -> assert false
+    | first :: rest ->
+      List.fold_left (fun acc part -> Array.map2 Rq.add acc part) first rest
   in
+  let log_noise =
+    let term i = NM.mul p.Params.noise (state a.(i)) (state b.(i)) in
+    let acc = ref (term 0) in
+    for i = 1 to m - 1 do
+      acc := NM.add !acc (term i)
+    done;
+    !acc.NM.bits
+  in
+  let sum = { params = p; comps; factor = f0; log_noise } in
   match rlk with
   | Some rlk when degree sum = 2 -> relinearize ?counters rlk sum
   | Some _ | None -> sum

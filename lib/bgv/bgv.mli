@@ -155,10 +155,11 @@ val mul_sum :
     ({!Util.Pool}).  Residue addition is exact modular arithmetic and
     the noise bound is folded in term order ({!Util.Noise_model.mul}
     then {!Util.Noise_model.add}), so the result is bit-identical for
-    every job count.  Mixed factors fall back to the sequential
-    mul-then-add fold.  With [rlk] a degree-2 sum is relinearised once,
+    every job count.  With [rlk] a degree-2 sum is relinearised once,
     after the last term: one {!Util.Counters.Op_key_switch}.
-    @raise Invalid_argument on empty or length-mismatched inputs. *)
+    @raise Invalid_argument on empty or length-mismatched inputs, or
+    when the terms' factors [aᵢ.factor·bᵢ.factor] differ (a modswitched
+    operand among fresh ones). *)
 
 val sum_sq_diff :
   ?counters:Util.Counters.t -> ?rlk:relin_key -> ct array -> ct array -> ct

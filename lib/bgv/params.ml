@@ -48,8 +48,12 @@ type probe = {
   pr_relin_digit_bits : int;
 }
 
-let probe ?(eta = 2) ?(relin_digit_bits = 16) ~name ~n ~plain_bits ~prime_bits
-    ~chain_len () =
+(* The CBD noise parameter and the key-switching digit width every
+   parameter set uses. *)
+let eta = 2
+let relin_digit_bits = 16
+
+let probe ~name ~n ~plain_bits ~prime_bits ~chain_len () =
   if plain_bits > 50 then invalid_arg "Params.create: plain_bits > 50";
   if prime_bits > 30 then
     raise (Infeasible (Prime_bits_too_large { prime_bits; limit = 30 }));
@@ -94,8 +98,8 @@ let of_probe pr =
     relin_digit_bits = pr.pr_relin_digit_bits; ring; batching;
     noise = noise_of_probe pr }
 
-let create ?eta ?relin_digit_bits ~name ~n ~plain_bits ~prime_bits ~chain_len () =
-  of_probe (probe ?eta ?relin_digit_bits ~name ~n ~plain_bits ~prime_bits ~chain_len ())
+let create ~name ~n ~plain_bits ~prime_bits ~chain_len () =
+  of_probe (probe ~name ~n ~plain_bits ~prime_bits ~chain_len ())
 
 let probe_of_t p =
   { pr_name = p.name; pr_n = p.n; pr_t_plain = p.t_plain; pr_moduli = p.moduli;

@@ -62,8 +62,6 @@ type probe = private {
     ring/batching tables it builds. *)
 
 val probe :
-  ?eta:int ->
-  ?relin_digit_bits:int ->
   name:string ->
   n:int ->
   plain_bits:int ->
@@ -73,10 +71,11 @@ val probe :
   probe
 (** Searches for the plaintext prime (largest ≡ 1 mod 2n below
     [2^plain_bits]) and [chain_len] distinct NTT primes of [prime_bits]
-    bits (skipping a collision with the plaintext prime).  Raises
-    [Infeasible] when the spec admits no parameter set, [Invalid_argument]
-    on programmer errors ([plain_bits > 50], the fast 64-bit multiplier
-    bound; [n] not a power of two; [chain_len < 1]). *)
+    bits (skipping a collision with the plaintext prime), with CBD
+    noise parameter [eta = 2] and key-switching digits of 16 bits.
+    Raises [Infeasible] when the spec admits no parameter set,
+    [Invalid_argument] on programmer errors ([plain_bits > 50], the fast
+    64-bit multiplier bound; [n] not a power of two; [chain_len < 1]). *)
 
 val of_probe : probe -> t
 (** Builds the CRT ring context and batching NTT tables — the expensive
@@ -90,8 +89,6 @@ val noise_of_probe : probe -> Util.Noise_model.params
     unrealized candidates with. *)
 
 val create :
-  ?eta:int ->
-  ?relin_digit_bits:int ->
   name:string ->
   n:int ->
   plain_bits:int ->

@@ -61,5 +61,5 @@ let model_params (config : Config.t) ~n ~d ~k : CM.params =
     ~rescale_distances:config.Config.rescale_distances
     ~return_level:config.Config.return_level ~n ~d ~k
 
-let predict ?include_prepare ?margin_bits config ~n ~d ~k path =
-  CM.predict ?include_prepare ?margin_bits (model_params config ~n ~d ~k) path
+let predict ?margin_bits config ~n ~d ~k path =
+  CM.predict ?margin_bits (model_params config ~n ~d ~k) path

@@ -36,7 +36,6 @@ val model_params :
     count — the three run-time numbers a [Config.t] does not carry. *)
 
 val predict :
-  ?include_prepare:bool ->
   ?margin_bits:float ->
   Config.t ->
   n:int ->
@@ -44,6 +43,7 @@ val predict :
   k:int ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.prediction
-(** One-stop [model_params] + [Cost_model.predict], for the plain path
-    on the configuration's layout or a packed round;
+(** One-stop [model_params] + [Cost_model.predict]: one round on a
+    deployed database, of the plain path on the configuration's layout
+    or of a packed round, the same five phases either way;
     {!Sknn_obs.Cost_model.price} turns the prediction into seconds. *)

@@ -207,10 +207,6 @@ module Party_a = struct
   let db_size t = t.db.db_n
   let jobs t = t.jobs
 
-  type query_state = { perm : Perm.t }
-
-  let state_perm s = s.perm
-
   (* A fresh masking polynomial, sound for d-dimensional distances. *)
   let draw_mask rng config ~d =
     Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
@@ -272,7 +268,8 @@ module Party_a = struct
 
   (* One masked round over the stored points, whatever the layout's
      circuit: the mask, one randomizer stream per point, [distance] on
-     every point pool-parallel, then Π, drawn in that order. *)
+     every point pool-parallel, then Π, drawn in that order.  Π also
+     orders the stored packed points, Return kNN's operand. *)
   let masked_round ?(obs = Obs.disabled) t rng distance =
     let n = t.db.db_n and d = t.db.db_d in
     let coeffs =
@@ -294,7 +291,7 @@ module Party_a = struct
     in
     Obs.with_span obs "permute" (fun () ->
         let perm = Perm.random rng n in
-        ({ perm }, Perm.apply perm masked))
+        (Perm.apply perm (Array.map (fun p -> p.packed) t.db.points), Perm.apply perm masked))
 
   (* Each run of N permuted masked distances, each a constant
      polynomial, folds into one block Σₛ x^s·ct_{bN+s}: coefficient s
@@ -321,12 +318,12 @@ module Party_a = struct
     if query.q_dim <> t.db.db_d then invalid_arg (fn ^ ": dimension mismatch");
     match t.config.Config.layout, query.q_coords, query.q_rev, query.q_norm with
     | Config.Per_coordinate, Some q_coords, _, _ ->
-      let s, masked =
+      let points, masked =
         masked_round ?obs t rng (fun ~counters ~lead_bits ~coeffs _ point ->
             let ed = encrypted_distance t ~counters q_coords (Option.get point.coords) in
             Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~lead_bits ~coeffs ed)
       in
-      (s, fold_blocks ?obs t masked)
+      (points, fold_blocks ?obs t masked)
     | Config.Dot_product, _, Some q_rev, Some q_norm ->
       (* The inner-product circuit against the norms the data owner
          shipped. *)
@@ -337,7 +334,7 @@ module Party_a = struct
 
   (* ---- Noise forecast ------------------------------------------- *)
 
-  (* The headroom, in bits, under which the prepare-time guard warns. *)
+  (* The headroom, in bits, under which the deploy-time guard warns. *)
   let noise_margin_bits = 4.0
 
   (* Worst-case headroom of a path's circuit, predicted from the
@@ -349,14 +346,14 @@ module Party_a = struct
        ~k:1 path)
       .Sknn_obs.Cost_model.noise
 
-  (* The prepare-time guard: audit the forecast minimum, and warn (audit
+  (* The deploy-time guard: audit the forecast minimum, and warn (audit
      entry, flight event, stderr) when it falls below the margin. *)
-  let guard_noise obs t path =
+  let guard_noise ?(obs = Obs.disabled) ~path t =
     let forecast = forecast_noise ~path t in
-    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
+    Obs.audit obs ~party:"party-a" ~phase:"deploy" ~label:"noise-min-headroom-bits"
       (Audit.Float forecast.NM.min_headroom_bits);
     if forecast.NM.below_margin then begin
-      Obs.audit obs ~party:"party-a" ~phase:"prepare-db"
+      Obs.audit obs ~party:"party-a" ~phase:"deploy"
         ~label:"noise-low-headroom-warning"
         (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
       Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
@@ -366,7 +363,7 @@ module Party_a = struct
         forecast.NM.min_headroom_bits noise_margin_bits
     end
 
-  let select_row ?(obs = Obs.disabled) t permuted_packed row =
+  let select_row ?(obs = Obs.disabled) t points row =
     (* T^j = Π(P')·B^j summed: one encrypted point, not re-randomised
        (Bgv.mul_sum floods nothing; only return_blocks floods).  The
        inner product is fused and split across domains; Protocol.query_gen
@@ -374,9 +371,7 @@ module Party_a = struct
        Bgv.mul_sum brings the stored points to the indicators' return
        level. *)
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
-        Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
-
-  let permuted_packed t state = Perm.apply state.perm (Array.map (fun p -> p.packed) t.db.points)
+        Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs points row)
 
   (* ---- Slot-packed (SIMD) path ----------------------------------- *)
 
@@ -393,17 +388,13 @@ module Party_a = struct
     pp_norms : int64 array;       (* ‖p_i‖² mod t *)
   }
 
-  (* Column j in Π-permuted order: position Π(i) holds p_i(j). *)
-  let permuted_cols pp perm = Array.map (Perm.apply perm) pp.pp_cols
-
-  let prepare_packed ?(obs = Obs.disabled) t ~db =
+  let prepare_packed t ~db =
     let config = t.config in
     let d = t.db.db_d and n = t.db.db_n in
     require_affine "Party_a.prepare_packed" config ~d ~what:"packed queries";
     if Array.length db <> n then
       invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
     Array.iter (Data_owner.validate_point config ~d) db;
-    guard_noise obs t (Sknn_obs.Cost_model.Packed 1);
     let tp = config.Config.bgv.Params.t_plain in
     { pp_cols =
         Array.init d (fun j ->
@@ -459,7 +450,10 @@ module Party_a = struct
     in
     let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
     let lead_bits = mask_lead_bits config ~d in
-    let cols_p = permuted_cols pp perm in
+    (* Column j in Π-permuted order: position Π(i) holds p_i(j).
+       Perm.apply is applied in full, not partially: the lint's flow
+       pass binds a callee's parameters only at full applications. *)
+    let cols_p = Array.map (fun col -> Perm.apply perm col) pp.pp_cols in
     let norms_p = Perm.apply perm pp.pp_norms in
     let masked =
       Obs.with_span obs
@@ -520,23 +514,22 @@ module Party_a = struct
                     (Array.combine queries secrets))
                 (Array.make nbatches ())))
     in
-    ({ perm }, Array.init nq (fun q -> Array.map (fun per_batch -> per_batch.(q)) masked))
+    (cols_p, Array.init nq (fun q -> Array.map (fun per_batch -> per_batch.(q)) masked))
 
   (* Return-kNN on the packed paths: Party A holds the plaintext points,
      so each of B's block indicators costs one plain product against
-     the block of Π-permuted points it covers.  A point's d slots hold
-     p_j + 1, so every selected point — an all-zero row included —
-     decrypts non-zero in its first slot, and positions B left out
-     decrypt to zero.  The product's noise carries the database and the
+     the block of the round's Π-permuted columns it covers.  A point's
+     d slots hold p_j + 1, so every selected point — an all-zero row
+     included — decrypts non-zero in its first slot, and positions B
+     left out decrypt to zero.  The product's noise carries the database and the
      indicator's encryption noise, so it is flooded with a width that
      depends on the parameters alone before it leaves A. *)
-  let return_blocks ?(obs = Obs.disabled) t pp ~perm rng indicators =
+  let return_blocks ?(obs = Obs.disabled) t cols_p rng indicators =
     let params = t.config.Config.bgv in
     let d = t.db.db_d and n = t.db.db_n in
     let lay = block_layout params ~n ~per:(points_per_block params ~d) in
     if Array.length indicators <> lay.count then
       invalid_arg "Party_a.return_blocks: indicator count mismatch";
-    let cols_p = permuted_cols pp perm in
     let flood_bits = NM.flood_bits params.Params.noise in
     let rngs = split_streams rng lay.count in
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->

@@ -83,14 +83,12 @@ module Party_a : sig
   val db_size : t -> int
   val jobs : t -> int
 
-  type query_state
-  (** Party A's per-query secret that outlives Compute Distances: the
-      fresh permutation Π. *)
-
   val compute_distances :
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1: the masked encrypted distances in permuted order,
+    Bgv.ct array * Bgv.ct array
+  (** Algorithm 1: Return kNN's operand [Π(P')], the stored packed
+      points in the round's fresh permutation Π, which {!select_row}
+      reads, and the masked encrypted distances in the same order,
       [D'_i = Π(m(ED_i))], in the deployment's {!masked_form}.  A
       [Per_coordinate] deployment runs the per-coordinate square-sum and
       folds each run of N permuted distances into one block
@@ -125,21 +123,14 @@ module Party_a : sig
       [(reversed query, ‖q‖²)].  The plain path on a [Dot_product]
       deployment and {!Kmeans.run} both run this circuit. *)
 
-  val permuted_packed : t -> query_state -> Bgv.ct array
-  (** [Π(P')], the stored packed points in permuted order — the first
-      step of Algorithm 3, exposed so the protocol driver can stream
-      indicator rows.  {!select_row} brings them to the indicators'
-      return level. *)
-
   val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
   (** Algorithm 3, one row at a time: [select_row t Π(P') B^j] computes
       the inner product and sum of indicator row [B^j] (in permuted
-      index space): one encrypted neighbour point.  The result is not
-      re-randomised: only {!return_blocks} floods its products. *)
-
-  val state_perm : query_state -> Util.Perm.t
-  (** The permutation, which {!return_blocks} also reads.  A deployed
-      Party A keeps it secret and drops it after the query. *)
+      index space) with the operand {!compute_distances} returned,
+      brought to the indicators' return level: one encrypted neighbour
+      point.  The protocol driver streams the k rows through it.  The
+      result is not re-randomised: only {!return_blocks} floods its
+      products. *)
 
   val forecast_noise : path:Sknn_obs.Cost_model.path -> t -> Util.Noise_model.report
   (** Worst-case noise headroom of [path]'s circuit, predicted from the
@@ -149,7 +140,16 @@ module Party_a : sig
       margin.  A negative [min_headroom_bits] means a live query would
       raise {!Bgv.Decryption_failure}. *)
 
-  (** {2 Slot-packed (SIMD) prepared state}
+  val guard_noise : ?obs:Sknn_obs.Ctx.t -> path:Sknn_obs.Cost_model.path -> t -> unit
+  (** The noise guard {!Protocol.deploy} runs on a packed round of one
+      query when the configuration admits packed queries: always
+      records {!forecast_noise}'s minimum as the audit entry
+      [party-a/deploy/noise-min-headroom-bits]; when it drops below the
+      4-bit margin, also emits a structured warning: an audit entry
+      [party-a/deploy/noise-low-headroom-warning], a [Warning] flight
+      event and a stderr line. *)
+
+  (** {2 Slot-packed (SIMD) layout}
 
       The packed path models the outsourced-query setting (SANNS-style):
       Party A acts for the data owner and holds the database in the
@@ -161,33 +161,32 @@ module Party_a : sig
       [⌈n/N⌉] slot-packed ciphertexts.  Party B's §5 view (the masked
       permuted distance multiset, [n] and [k]) is unchanged.  Return-kNN
       selects whole blocks of plaintext points ({!return_blocks}), so
-      the database never needs a return-level ciphertext copy. *)
+      the database never needs a return-level ciphertext copy.
+      Laying the database out is set-up work: {!Protocol.deploy} does
+      it once. *)
 
   type prepared_packed
 
-  val prepare_packed : ?obs:Sknn_obs.Ctx.t -> t -> db:int array array -> prepared_packed
+  val prepare_packed : t -> db:int array array -> prepared_packed
   (** Lays [db] (the plaintext database, dimension-major) out for the
-      packed path.  Runs {!forecast_noise} on a packed round of one
-      query and always records the forecast minimum as the audit entry
-      [party-a/prepare-db/noise-min-headroom-bits]; when it drops below
-      the 4-bit margin, also emits a structured warning: an audit entry
-      [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
-      flight event and a stderr line.  Requires affine masking and
-      [d <= N], the ring degree.
+      packed path.  Requires affine masking and [d <= N], the ring
+      degree.
       @raise Invalid_argument when the config is unsupported or [db]
       does not match the encrypted database's dimensions. *)
 
   val compute_distances_packed :
     ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query array ->
-    query_state * Bgv.ct array array
+    int64 array array * Bgv.ct array array
   (** Algorithm 1 on the packed layout, for a round of one or more
-      queries under one permutation Π: returns, per query, [⌈n/N⌉]
-      ciphertexts whose slot [s] of batch [b] holds the masked distance
-      of point [Π⁻¹(b·N + s)].  The permutation is applied when the
-      plaintext columns are packed, so it stays uniform; each batch's
-      d columns and norms are packed and embedded once
-      ({!Bgv.embed}) and serve every query of the round
-      ({!Bgv.mul_plain_sums}).  Each query gets its own fresh affine
+      queries under one permutation Π: returns Return kNN's operand,
+      the plaintext columns in Π order (entry [p] of column [j] is
+      coordinate [j] of point [Π⁻¹(p)], mod t), which {!return_blocks}
+      reads, and, per query, [⌈n/N⌉] ciphertexts whose slot [s] of
+      batch [b] holds the masked distance of point [Π⁻¹(b·N + s)].
+      The permutation is applied when the plaintext columns are packed,
+      so it stays uniform; each batch's d columns and norms are packed
+      and embedded once ({!Bgv.embed}) and serve every query of the
+      round ({!Bgv.mul_plain_sums}).  Each query gets its own fresh affine
       mask and its own uniform dead slots in the ragged tail batch.  A
       round of one query draws exactly what a single packed query
       does: its mask and batch streams, then Π.
@@ -202,11 +201,12 @@ module Party_a : sig
       level, or an unsupported config. *)
 
   val return_blocks :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> perm:Util.Perm.t -> Util.Rng.t ->
-    Bgv.ct array -> Bgv.ct array
-  (** Return-kNN on the packed path, given the round's
-      permutation Π and Party B's {!Party_b.block_indicators}: block [b]
-      is [rerandomize (indicator_b ⊙ P_b)], where [P_b] holds, in the
+    ?obs:Sknn_obs.Ctx.t -> t -> int64 array array -> Util.Rng.t -> Bgv.ct array ->
+    Bgv.ct array
+  (** Return-kNN on the packed path, given the round's Π-ordered
+      columns from {!compute_distances_packed} and Party B's
+      {!Party_b.block_indicators}: block [b] is
+      [rerandomize (indicator_b ⊙ P_b)], where [P_b] holds, in the
       slots of the point at permuted position [p = b·per + o], its
       coordinates plus one ([per = ⌊N/d⌋] points a block, each owning
       [N/per] slots from [o·(N/per)]).  The product is flooded by

@@ -5,7 +5,7 @@
    Both halves of the search come from one symbolic walk of the
    candidate's circuit, Cost_model.predict:
 
-   - feasibility — its noise report (the same walk Party_a.prepare_packed
+   - feasibility — its noise report (the same walk Party_a.guard_noise
      audits, so the planner and the live guard can never diverge), plus
      Params.security_bits_for for the RLWE floor;
    - cost — its ledger, priced at any (n, chain) shape by a unit model
@@ -204,8 +204,7 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                             ~k:w.k
                         in
                         let pred =
-                          CM.predict ~include_prepare:false
-                            ~margin_bits:limits.noise_margin_bits p w.path
+                          CM.predict ~margin_bits:limits.noise_margin_bits p w.path
                         in
                         if pred.CM.noise.NM.below_margin then first_feasible (rl + 1)
                         else Some (rl, pred)

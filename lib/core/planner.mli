@@ -10,8 +10,8 @@
       {!Masking.max_coeff_bits};
     - feasibility pruning checks the noise report of
       {!Sknn_obs.Cost_model.predict} — the symbolic walk of the
-      workload's query path, the same one [Party_a.prepare_packed]
-      audits — against the noise margin, and
+      workload's query path, the same one [Party_a.guard_noise]
+      audits at deploy — against the noise margin, and
       {!Params.security_bits_for} against the security floor; the
       return level is the lowest that clears the margin;
     - survivors are ranked by {!Sknn_obs.Cost_model.price} of the same

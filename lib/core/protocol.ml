@@ -10,17 +10,16 @@ type deployment = {
   config : Config.t;
   db_n : int;
   db_d : int;
-  db : int array array;
-      (* the plaintext database — retained for the slot-packed path,
-         which models Party A as the data owner's delegate (SANNS-style
-         outsourced queries; see Entities.Party_a.prepare_packed) *)
   a : Entities.Party_a.t;
   b : Entities.Party_b.t;
   cl : Entities.Client.t;
+  packed : (Entities.Party_a.prepared_packed, string) result;
+      (* Party A's plaintext layout for packed queries, which model A as
+         the data owner's delegate (SANNS-style outsourced queries), or
+         why the configuration admits none *)
   setup_transcript : Transcript.t;
   query_seed : Rng.t; (* source of per-query randomness *)
   jobs : int;
-  mutable prepared_packed : Entities.Party_a.prepared_packed option;
 }
 
 let config d = d.config
@@ -88,6 +87,14 @@ let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs config ~db =
   in
   let keys = Entities.Data_owner.keys owner in
   let a = Entities.Party_a.create ~jobs config keys.Bgv.pk keys.Bgv.rlk enc_db in
+  (* Laying the database out for packed queries, and the noise guard
+     for their circuit, are set-up work. *)
+  let packed =
+    Result.map
+      (fun () -> Entities.Party_a.prepare_packed a ~db)
+      (Config.affine_supported config ~d:enc_db.Entities.db_d ~what:"packed queries")
+  in
+  if Result.is_ok packed then Entities.Party_a.guard_noise ~obs ~path:(CM.Packed 1) a;
   let b = Entities.Party_b.create ~jobs config keys.Bgv.sk keys.Bgv.pk in
   let cl = Entities.Client.create ~jobs config keys.Bgv.sk keys.Bgv.pk in
   let tr = Transcript.create () in
@@ -104,14 +111,19 @@ let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs config ~db =
     | Transcript.Data_owner -> counters
     | _ -> None);
   { config;
-    db_n = Array.length db;
-    db_d = Array.length db.(0);
-    db;
-    a; b; cl;
+    db_n = enc_db.Entities.db_n;
+    db_d = enc_db.Entities.db_d;
+    a; b; cl; packed;
     setup_transcript = tr;
     query_seed = Rng.split rng;
-    jobs;
-    prepared_packed = None }
+    jobs }
+
+(* Party A's packed layout; on a configuration that admits no packed
+   queries, the error Party_a.prepare_packed raises there. *)
+let packed_layout d =
+  match d.packed with
+  | Ok p -> p
+  | Error msg -> invalid_arg ("Party_a.prepare_packed: " ^ msg)
 
 type result = {
   neighbours : int array array;
@@ -228,14 +240,14 @@ let sample_cts obs ~name cts =
 
 let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 
-(* How Party A answers Return kNN: by folding Party B's k scalar
-   indicator rows into the round's Π(P'), which only ciphertexts hold on
-   the plain path; or, where A holds the plaintext points
-   (packed), by multiplying B's block indicators into its plaintext
-   blocks under the round's permutation. *)
+(* Return kNN's operand, which Compute Distances hands over: the
+   round's Π(P'), which only ciphertexts hold on the plain path and
+   Party B's k scalar indicator rows fold into; or, where A holds the
+   plaintext points (packed), their columns in Π order, whose blocks
+   B's block indicators multiply. *)
 type return_knn =
-  | Rows of Entities.Party_a.query_state
-  | Blocks of (Rng.t -> Bgv.ct array -> Bgv.ct array)
+  | Rows of Bgv.ct array
+  | Blocks of int64 array array
 
 let query_ct_count (q : Entities.encrypted_query) =
   (match q.Entities.q_coords with None -> 0 | Some a -> Array.length a)
@@ -269,56 +281,38 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   let clock = Option.map Clock.cursor net in
   let send = send_tracked ?clock obs tr in
   let phases = ref [] in
-  (* The packed state is built once per deployment; only the first
-     packed query pays (and records) the "prepare-db" phase. *)
-  let prepare_db build = timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" build in
-  let prepared_packed () =
-    match d.prepared_packed with
-    | Some p -> p
-    | None ->
-      let p = prepare_db (fun () -> Entities.Party_a.prepare_packed ~obs d.a ~db:d.db) in
-      d.prepared_packed <- Some p;
-      p
-  in
   let encrypt f = timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" f in
-  let send_query ~bytes ~cts =
+  let send_queries qs =
+    let total f = Array.fold_left (fun acc q -> acc + f q) 0 qs in
+    let bytes = total Entities.query_bytes in
     send ~sender:Transcript.Client ~receiver:Transcript.Party_a ~label:"encrypted query"
       ~bytes;
     Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
-      (Audit.Int cts);
+      (Audit.Int (total query_ct_count));
     Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
       (Audit.Int bytes)
   in
   (* Client: encrypt the round's queries in the path's form and send
      them to Party A in one message (label 4, Fig. 2).  Each arm returns
      Party A's Compute Distances over them, which yields one array of
-     masked ciphertexts per query and A's side of Return kNN. *)
+     masked ciphertexts per query and Return kNN's operand. *)
   let compute_distances =
-    let single (q : Entities.encrypted_query) f =
-      send_query ~bytes:(Entities.query_bytes q) ~cts:(query_ct_count q);
-      f q
-    in
-    let rows encrypt_query distances =
-      single
-        (encrypt (fun () -> encrypt_query d.cl rng queries.(0)))
-        (fun q () ->
-          let s, masked = distances rng q in
-          ([| masked |], Rows s))
-    in
     match path with
     | CM.Plain ->
-      rows Entities.Client.encrypt_query (Entities.Party_a.compute_distances ~obs d.a)
+      let q = encrypt (fun () -> Entities.Client.encrypt_query d.cl rng queries.(0)) in
+      send_queries [| q |];
+      fun () ->
+        let points, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
+        ([| masked |], Rows points)
     | CM.Packed _ ->
-      let p = prepared_packed () in
+      let p = packed_layout d in
       let qs =
         encrypt (fun () -> Array.map (Entities.Client.encrypt_query_packed d.cl rng) queries)
       in
-      let total f = Array.fold_left (fun acc q -> acc + f q) 0 qs in
-      send_query ~bytes:(total Entities.query_bytes) ~cts:(total query_ct_count);
+      send_queries qs;
       fun () ->
-        let s, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng qs in
-        let perm = Entities.Party_a.state_perm s in
-        (masked, Blocks (Entities.Party_a.return_blocks ~obs d.a p ~perm))
+        let cols, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng qs in
+        (masked, Blocks cols)
   in
   (* Party A: Compute Distances (Algorithm 1). *)
   let masked, return_knn =
@@ -372,8 +366,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       "return-knn"
       (fun () ->
         match return_knn with
-        | Rows s ->
-          let packed = Entities.Party_a.permuted_packed d.a s in
+        | Rows points ->
           Array.init k (fun j ->
               Obs.with_span obs
                 ~counters:[ ("party-a", ca); ("party-b", cb) ]
@@ -384,8 +377,8 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
                     Entities.Party_b.indicator_row ~obs d.b rng views.(0) ~n:d.db_n ~j
                   in
                   receive ~label:(Printf.sprintf "indicator vector B^%d" (j + 1)) row;
-                  Entities.Party_a.select_row ~obs d.a packed row))
-        | Blocks select ->
+                  Entities.Party_a.select_row ~obs d.a points row))
+        | Blocks cols ->
           (* B lays its indicators out from ⌊N/d⌋: the one observable
              the block layout adds to its view. *)
           let per = Entities.points_per_block d.config.Config.bgv ~d:d.db_d in
@@ -397,7 +390,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
           in
           receive ~label:"indicator blocks" indicators;
           Obs.with_span obs ~counters:[ ("party-a", ca) ] "select-blocks" (fun () ->
-              select rng indicators))
+              Entities.Party_a.return_blocks ~obs d.a cols rng indicators))
   in
   sample_cts obs ~name:"result" results;
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
@@ -465,12 +458,9 @@ let query_packed ?obs ?rng ?net d ~query ~k =
 let query_batch ?obs ?rng ?net d ~queries ~k =
   query_gen ~path:(CM.Packed (Array.length queries)) ?obs ?rng ?net d ~queries ~k
 
-let prepare_packed ?(obs = Obs.disabled) d =
-  match d.prepared_packed with
-  | Some _ -> ()
-  | None -> d.prepared_packed <- Some (Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-
-let is_packed_prepared d = Option.is_some d.prepared_packed
+let prepare_packed ?obs d =
+  ignore (packed_layout d);
+  Entities.Party_a.guard_noise ?obs ~path:(CM.Packed 1) d.a
 
 let total_seconds r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.phase_seconds
 

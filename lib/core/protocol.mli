@@ -3,8 +3,8 @@
 
     [deploy] performs the paper's Setup phase — key generation at the
     data owner, database encryption, and key/ciphertext distribution to
-    the parties (recorded in the transcript).  [query] runs the three
-    on-line phases end to end:
+    the parties (recorded in the transcript).  [query] runs the paper's
+    one round end to end, the same five phases on every path:
 
     + client encrypts Q and sends it to Party A;
     + {b Compute Distances} at A (Algorithm 1) — encrypted squared
@@ -16,8 +16,9 @@
       streaming top-k, k encrypted indicator vectors; one
       message B→A per vector (streamed row by row so O(nk) ciphertexts
       never live in memory at once);
-    + {b Return kNN} at A (Algorithm 3) — permuted inner products,
-      giving k encrypted points returned to the client.  They are not
+    + {b Return kNN} at A (Algorithm 3) — inner products with the
+      permuted stored points Compute Distances hands over, giving k
+      encrypted points returned to the client.  They are not
       re-randomised: [Bgv.mul_sum] floods nothing.
 
     [query] runs the round on the deployment's layout: Algorithm 1's
@@ -51,8 +52,15 @@ val deploy :
     inner products, indicator encryption, result decryption); it
     defaults to {!Util.Pool.default_jobs} ([SKNN_DOMAINS] or the
     machine's recommended domain count).  Query results, transcripts and
-    counter totals are bit-identical for every job count.  [obs]
-    records ["keygen"] and ["encrypt-db"] spans and, when [counters] is
+    counter totals are bit-identical for every job count.
+
+    When the configuration admits packed queries
+    ({!Config.affine_supported}), deploy also lays the plaintext
+    database out for them ({!Entities.Party_a.prepare_packed}) and runs
+    their noise guard ({!Entities.Party_a.guard_noise}) under [obs]:
+    set-up work, so every packed round runs the same five phases as a
+    plain one.  [obs] records ["keygen"] and ["encrypt-db"] spans and
+    the guard's [party-a/deploy] audit entries and, when [counters] is
     given, folds the setup transcript's bytes into it.
     @raise Invalid_argument if the configuration is unsound for the
     database's dimensionality (see {!Config.validate}) or the data is
@@ -120,11 +128,12 @@ val query :
     of [N] masked distances with [d] plain products plus adds, and
     Party B decrypts [⌈n/N⌉] ciphertexts, slot-unpacking them before
     the top-k scan.  The trust model differs on Party A's
-    side: A holds the plaintext database as the data owner's delegate
-    (see {!Entities.Party_a.prepare_packed}), and uses it for Return kNN
-    too: B encrypts one indicator per block of [⌊N/d⌋] permuted
-    positions instead of [n·k] scalars, A multiplies each into its
-    plaintext block and floods the product
+    side: A holds the plaintext database as the data owner's delegate,
+    laid out at {!deploy} (see {!Entities.Party_a.prepare_packed}), and
+    uses it for Return kNN too: Compute Distances hands over the
+    round's permuted columns, B encrypts one indicator per block of
+    [⌊N/d⌋] permuted positions instead of [n·k] scalars, A multiplies
+    each into its plaintext block and floods the product
     ({!Entities.Party_a.return_blocks}), and the client decodes the
     selected points.  Party B's §5 leakage surface is the plain
     path's (masked distance multiset, [n], [k], equidistant groups)
@@ -137,10 +146,11 @@ val query :
     Results remain exact and bit-identical across job counts. *)
 
 val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
-(** Builds the packed prepared state now (idempotent); otherwise the
-    first {!query_packed} builds it lazily as its ["prepare-db"] phase. *)
-
-val is_packed_prepared : deployment -> bool
+(** Checks that the deployment answers packed queries, whose layout
+    {!deploy} built, and runs their noise guard again under [obs]
+    ({!Entities.Party_a.guard_noise}).  It stores nothing.
+    @raise Invalid_argument if the configuration does not admit the
+    packed path. *)
 
 val query_packed :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
@@ -174,8 +184,8 @@ val query_batch :
     one query is {!query_packed}, draw for draw.  The returned results
     share the round's transcript, counters and phase times; neighbours
     and views are per query.
-    @raise Invalid_argument on an empty batch, dimension mismatch, or k
-    out of range. *)
+    @raise Invalid_argument on an empty batch, dimension mismatch, k out
+    of range, or a configuration that does not admit the packed path. *)
 
 (** {1 Any path} *)
 

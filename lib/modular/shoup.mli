@@ -23,7 +23,14 @@ val mul_lazy : t -> p:int -> int -> int
 (** [mul_lazy t ~p x] returns [t.w * x mod p + e*p] with [e] in {0,1} —
     a value in [[0, 2p)] congruent to the product.  Requires
     [0 <= x < 2^31].  Used inside lazy butterfly stages where the final
-    reduction is deferred. *)
+    reduction is deferred.
+
+    For a prime [p] and a canonical [x < p], [e = 0]: with
+    [w' = ⌊w·2^62/p⌋], the quotient estimate falls short only when
+    [frac(w·x/p) < x/2^62 < 2^-31 < 1/p], that is when [p] divides
+    [w·x], so [w = 0] or [x = 0], where [w'·x/2^62] is exact.  [e = 1]
+    needs [x >= p] ([x = p] with [w <> 0] gives [p]); the kernels keep
+    their correction so they stay exact for any [x < 2^31]. *)
 
 val mul : t -> p:int -> int -> int
 (** [mul t ~p x] is the exact product residue [t.w * x mod p], for

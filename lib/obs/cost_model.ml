@@ -3,7 +3,7 @@
    protocol.ml) on Noise_model states instead of ciphertexts.  One walk
    yields the op-kind × BGV-level ledger cells (Util.Counters) the
    instrumented scheme records, the transcript with its byte sizes, and
-   the noise report the prepare-time guard and the planner read.
+   the noise report the deploy-time guard and the planner read.
 
    Exactness is the contract: the test suite asserts
    [Counters.equal_ledger] between a prediction and a measured run on
@@ -420,15 +420,13 @@ let predict_plain sim =
   return_rows sim
 
 (* The packed path: a round of [queries] ≥ 1 packed queries under one
-   Π.  prepare_packed lays out plaintext columns only, so its phase
-   records no ciphertext op.  The client encrypts every query at the
-   public query level; per round, Party A slot-packs and embeds each
-   batch's d columns and norms there once, then runs every query's
-   circuit against them; B decrypts each query's batches. *)
-let predict_packed sim ~include_prepare ~queries =
+   Π.  The client encrypts every query at the public query level; per
+   round, Party A slot-packs and embeds each batch's d columns and norms
+   there once, then runs every query's circuit against them; B decrypts
+   each query's batches. *)
+let predict_packed sim ~queries =
   let p = sim.p in
   if queries < 1 then invalid_arg "Cost_model.predict: empty batch";
-  if include_prepare then ignore (phase_counter sim ~phase:"prepare-db" ~party:"party-a");
   let drop = NM.packed_query_level p.nm ~return_level:(return_level p) ~d:p.d in
   let level = Option.value drop ~default:(full_level p) in
   let q = encrypt_query sim ~level (queries * (p.d + 1)) in
@@ -466,7 +464,7 @@ let predict_packed sim ~include_prepare ~queries =
       slot_unpack c);
   return_blocks sim
 
-let predict ?(include_prepare = true) ?margin_bits p path =
+let predict ?margin_bits p path =
   if p.n_points < 1 then invalid_arg "Cost_model.predict: empty database";
   if p.d < 1 then invalid_arg "Cost_model.predict: dimension < 1";
   if p.k < 1 || p.k > p.n_points then invalid_arg "Cost_model.predict: k out of range";
@@ -476,7 +474,7 @@ let predict ?(include_prepare = true) ?margin_bits p path =
   in
   (match path with
    | Plain -> predict_plain sim
-   | Packed queries -> predict_packed sim ~include_prepare ~queries);
+   | Packed queries -> predict_packed sim ~queries);
   { phases = List.rev sim.rev_phases;
     party_a = sim.party_a;
     party_b = sim.party_b;

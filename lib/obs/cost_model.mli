@@ -7,7 +7,7 @@
     - the op-kind × BGV-level ledger the instrumented scheme records on
       live ciphertexts, in fresh {!Util.Counters.t} values;
     - the transcript, message for message, with exact byte sizes;
-    - the worst-case noise report that [Party_a.prepare_packed] audits
+    - the worst-case noise report that [Party_a.guard_noise] audits
       and the planner prunes with.
 
     The test suite asserts {!Util.Counters.equal_ledger} and transcript
@@ -91,13 +91,11 @@ type prediction = {
           [Bgv.Decryption_failure]. *)
 }
 
-val predict :
-  ?include_prepare:bool -> ?margin_bits:float -> params -> path -> prediction
-(** Symbolically run one round.  [include_prepare]
-    (default [true]) adds the prepare-db phase the first packed query
-    of a deployment pays (plaintext layout only, so it records no
-    ciphertext op); steady-state queries drop it.  Ignored for [Plain];
-    the noise report is the same either way.  [margin_bits] (default 4) is the report's warning margin.
+val predict : ?margin_bits:float -> params -> path -> prediction
+(** Symbolically run one round, on a deployed database: every path runs
+    the same five phases, the first round of a deployment included
+    (the packed layout is set-up work).  [margin_bits] (default 4) is
+    the report's warning margin.
     @raise Invalid_argument on nonsensical sizes and on [Packed m] with
     [m < 1]. *)
 

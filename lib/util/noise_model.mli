@@ -5,9 +5,9 @@
     bound, its budget, the rescale rule and its serialised size from
     these ops; the forecaster, the planner and [Cost_model] walk the
     same ops on {!state}s, so worst-case end-of-circuit headroom can be
-    predicted {e before} any ciphertext exists — at
-    [Party_a.prepare_packed] time — and a deployment whose chain is too shallow for its circuit
-    warns instead of failing mid-query.  Every op keeps its float
+    predicted {e before} any ciphertext exists — at deploy, by
+    [Party_a.guard_noise] — and a deployment whose chain is too shallow
+    for its circuit warns instead of failing mid-query.  Every op keeps its float
     operations in one fixed order, so a branch on a bound decides the
     same way live and in a walk. *)
 

@@ -575,6 +575,14 @@ let test_sum_sq_diff_rejects () =
   Alcotest.check_raises "empty" (Invalid_argument "Bgv.sum_sq_diff: empty or mismatched inputs")
     (fun () -> ignore (Bgv.sum_sq_diff [||] [||]))
 
+(* The shared accumulator needs one factor across terms: a modswitched
+   operand among fresh ones is refused, as sum_sq_diff refuses it. *)
+let test_mul_sum_rejects () =
+  let switched = Bgv.modswitch (enc_at ~level:chain 54) in
+  let fresh = enc_at ~level:(chain - 1) 55 in
+  Alcotest.check_raises "mixed factors" (Invalid_argument "Bgv.mul_sum: terms must share one factor")
+    (fun () -> ignore (Bgv.mul_sum [| fresh; fresh |] [| fresh; switched |]))
+
 (* High-noise ciphertexts of degree 1, 2 and 4 at [level], so that
    rescale_to_floor switches more than once. *)
 let noisy ~level degree =
@@ -1313,6 +1321,7 @@ let () =
        [ Alcotest.test_case "sum_sq_diff = mul_sum of subs" `Quick
            test_sum_sq_diff_matches_mul_sum;
          Alcotest.test_case "sum_sq_diff rejects mixed inputs" `Quick test_sum_sq_diff_rejects;
+         Alcotest.test_case "mul_sum rejects mixed factors" `Quick test_mul_sum_rejects;
          Alcotest.test_case "rescale chain = repeated modswitch" `Quick
            test_rescale_chain_matches_modswitch;
          Alcotest.test_case "add_const = add_plain constant" `Quick

@@ -311,7 +311,8 @@ let affine_config () = Config.with_mask_degree 1 (Config.standard ())
    there run the inner-product circuit against the shipped norms. *)
 let dot_config () = Config.with_layout Config.Dot_product (affine_config ())
 
-let has_phase name r = List.mem_assoc name r.Protocol.phase_seconds
+let five_phases =
+  [ "encrypt-query"; "compute-distances"; "find-neighbours"; "return-knn"; "decrypt-result" ]
 
 let sorted_dists q r =
   let a = Array.map (Distance.squared_euclidean q) r.Protocol.neighbours in
@@ -332,10 +333,11 @@ let test_packed_exactness () =
             (Printf.sprintf "%s: query %d exact" name i)
             true
             (Protocol.exact dep ~db ~query:q r);
-          (* Only the first packed query pays (and reports) the packing. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: query %d prepare-db phase" name i)
-            (i = 0) (has_phase "prepare-db" r))
+          (* Deploy laid the database out: no round has a prepare-db
+             phase, the first included. *)
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: query %d runs five phases, no prepare-db" name i)
+            five_phases (List.map fst r.Protocol.phase_seconds))
         queries)
     [ ("per-coordinate+affine", affine_config ()); ("dot-product", Config.fast ()) ]
 
@@ -438,6 +440,9 @@ let test_packed_rejects_nonaffine () =
   let rng = Rng.of_int 419 in
   let db = small_db rng in
   let dep = Protocol.deploy ~rng (Config.standard ()) ~db in
+  Alcotest.check_raises "degree-2 mask rejects a packed query"
+    (Invalid_argument "Party_a.prepare_packed: packed queries need affine (degree-1) masking")
+    (fun () -> ignore (Protocol.query_packed dep ~query:db.(0) ~k:1));
   Alcotest.check_raises "degree-2 mask rejected"
     (Invalid_argument "Party_a.prepare_packed: packed queries need affine (degree-1) masking")
     (fun () -> Protocol.prepare_packed dep)
@@ -446,8 +451,6 @@ let test_packed_query_stream () =
   let rng = Rng.of_int 421 in
   let db = small_db rng in
   let dep = Protocol.deploy ~rng:(Rng.of_int 422) (affine_config ()) ~db in
-  Alcotest.(check bool) "not packed-prepared before" false
-    (Protocol.is_packed_prepared dep);
   let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
   let rng_q = Rng.of_int 423 in
   let results =
@@ -455,15 +458,14 @@ let test_packed_query_stream () =
       (fun q -> Protocol.query_packed ~rng:(Rng.split rng_q) dep ~query:q ~k:3)
       queries
   in
-  Alcotest.(check bool) "packed-prepared after" true (Protocol.is_packed_prepared dep);
   Array.iteri
     (fun i r ->
       Alcotest.(check bool) (Printf.sprintf "packed query %d exact" i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r))
-    results;
-  Alcotest.(check bool) "first pays prepare-db" true (has_phase "prepare-db" results.(0));
-  Alcotest.(check bool) "later queries steady-state" false
-    (Array.exists (has_phase "prepare-db") (Array.sub results 1 3))
+        (Protocol.exact dep ~db ~query:queries.(i) r);
+      Alcotest.(check (list string))
+        (Printf.sprintf "packed query %d runs five phases, no prepare-db" i)
+        five_phases (List.map fst r.Protocol.phase_seconds))
+    results
 
 let test_packed_leakage_groups () =
   (* Regression for the equidistant-group accounting: the tie database
@@ -627,17 +629,16 @@ let test_block_message_metadata () =
     let cl = Protocol.client dep in
     let pp = Entities.Party_a.prepare_packed a ~db in
     let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
-    let s, masked =
+    let cols, masked =
       Entities.Party_a.compute_distances_packed a pp rng
         (Array.map (Entities.Client.encrypt_query_packed cl rng) queries)
     in
-    let perm = Entities.Party_a.state_perm s in
     let views =
       Array.map (fun m -> Entities.Party_b.select_neighbours b Entities.Slot_blocks m ~n ~k) masked
     in
     let per = Entities.points_per_block params ~d in
     let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
-    let results = Entities.Party_a.return_blocks a pp ~perm rng indicators in
+    let results = Entities.Party_a.return_blocks a cols rng indicators in
     (views, indicators, results)
   in
   List.iter
@@ -915,8 +916,7 @@ let prop_paths_agree_on_edge_shapes =
       let one = [| queries.(0) |] in
       (* Plain on the deployment's layout and, for a per-coordinate
          config that admits it, on the dot-product layout of the same
-         config; then the packed rounds, the first of which builds the
-         packed state. *)
+         config; then the packed rounds. *)
       let rounds =
         ("plain", dep, CM.Plain, one)
         :: (if not admits then []
@@ -938,18 +938,11 @@ let prop_paths_agree_on_edge_shapes =
             (label, dep, path, audit, Protocol.query_gen ~path ~obs dep ~queries ~k))
           rounds
       in
-      (* A party's labels inside or outside the prepare-db phase. *)
-      let labels audit ~party ~prepare =
-        Audit.for_party audit ~party
-        |> List.filter_map (fun (e : Audit.entry) ->
-               if (e.Audit.phase = "prepare-db") = prepare then Some e.Audit.label else None)
-        |> List.sort_uniq String.compare
-      in
       let groups (r : Protocol.result) = Leakage.equidistant_group_sizes r.Protocol.view_b in
       let _, _, _, audit0, results0 = List.hd runs in
       let expected = groups results0.(0) in
-      let surface_a = labels audit0 ~party:"party-a" ~prepare:false in
-      let surface_client = labels audit0 ~party:"client" ~prepare:false in
+      let surface_a = Audit.labels_for audit0 ~party:"party-a" in
+      let surface_client = Audit.labels_for audit0 ~party:"client" in
       let surface_b = [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ] in
       List.iter
         (fun (label, dep, path, audit, results) ->
@@ -962,22 +955,14 @@ let prop_paths_agree_on_edge_shapes =
           if Audit.labels_for audit ~party:"party-b" <> expect_b then
             QCheck.Test.fail_reportf "%s: party-b surface [%s]" where
               (String.concat "; " (Audit.labels_for audit ~party:"party-b"));
-          if labels audit ~party:"party-a" ~prepare:false <> surface_a then
+          if Audit.labels_for audit ~party:"party-a" <> surface_a then
             QCheck.Test.fail_reportf "%s: party-a surface differs from plain" where;
-          if labels audit ~party:"client" ~prepare:false <> surface_client then
+          if Audit.labels_for audit ~party:"client" <> surface_client then
             QCheck.Test.fail_reportf "%s: client surface differs from plain" where;
-          let prepared =
-            List.exists
-              (fun party -> labels audit ~party ~prepare:true <> [])
-              [ "party-a"; "party-b"; "client" ]
-          in
-          if prepared <> (label = "packed") then
-            QCheck.Test.fail_reportf "%s: prepare-db entries only where the packed state is built"
-              where;
           List.iter
             (fun (e : Audit.entry) ->
-              match e.Audit.phase, e.Audit.value with
-              | "prepare-db", _ | _, Audit.Int _ -> ()
+              match e.Audit.value with
+              | Audit.Int _ -> ()
               | _ -> QCheck.Test.fail_reportf "%s: party-a %S is not a scalar Int" where e.Audit.label)
             (Audit.for_party audit ~party:"party-a");
           Array.iteri
@@ -1013,12 +998,12 @@ let with_chain config ~chain_len =
 
 (* One round of [path] on a fresh deployment with its own audit.  A
    short chain may end the round only in a typed error; an answer must
-   be exact.  Returns whether the round failed and whether the
-   prepare_packed guard warned. *)
+   be exact.  Returns whether the round failed and whether the noise
+   guard deploy runs warned. *)
 let faulted_round config ~db ~queries ~k path =
   let audit = Sknn_obs.Audit.create () in
   let obs = Sknn_obs.Ctx.create ~audit () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 29) ~jobs:1 config ~db in
+  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 29) ~jobs:1 config ~db in
   let m = match path with Sknn_obs.Cost_model.Packed m -> m | _ -> 1 in
   let queries = Array.sub queries 0 m in
   let failed =
@@ -1044,8 +1029,8 @@ let fault_queries = [| [| 10; 20; 30 |]; [| 5; 5; 5 |]; [| 200; 1; 70 |] |]
 let test_short_chains_every_path () =
   (* Three primes cannot carry any path's circuit, six carry them all;
      in between, every round is exact or raises a typed error, and on
-     the packed paths, whose prepare_packed runs the noise guard, the
-     guard warned first. *)
+     the packed paths, whose noise guard deploy runs, the guard warned
+     first. *)
   List.iter
     (fun chain_len ->
       let config = with_chain (Config.fast ()) ~chain_len in
@@ -1241,8 +1226,8 @@ let check_ledger name predicted measured =
     Alcotest.failf "%s: ledger mismatch@.predicted: %a@.measured:  %a" name
       Util.Counters.pp predicted Util.Counters.pp measured
 
-let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.result) =
-  let pred = Attribution.predict ~include_prepare config ~n ~d ~k path in
+let check_prediction name config ~n ~d ~k path (r : Protocol.result) =
+  let pred = Attribution.predict config ~n ~d ~k path in
   check_ledger (name ^ " / party-a") pred.CM.party_a r.Protocol.counters_a;
   check_ledger (name ^ " / party-b") pred.CM.party_b r.Protocol.counters_b;
   check_ledger (name ^ " / client") pred.CM.client r.Protocol.counters_client;
@@ -1290,8 +1275,7 @@ let test_cost_model_plain () =
       for i = 1 to queries do
         let q = Synthetic.query_like rng db in
         let r = Protocol.query dep ~query:q ~k in
-        check_prediction (Printf.sprintf "%s query %d" name i) config ~n ~d ~k
-          ~include_prepare:false CM.Plain r
+        check_prediction (Printf.sprintf "%s query %d" name i) config ~n ~d ~k CM.Plain r
       done)
     [ ("plain/standard", Config.standard (), small_db (Rng.of_int 611), 6);
       ("plain/fast", Config.fast (), small_db (Rng.of_int 611), 2);
@@ -1314,7 +1298,7 @@ let test_cost_model_relin () =
     (fun (name, config) ->
       let config = Config.with_relin true config in
       let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
-      check_prediction (name ^ "+relin") config ~n ~d ~k ~include_prepare:false CM.Plain
+      check_prediction (name ^ "+relin") config ~n ~d ~k CM.Plain
         (Protocol.query dep ~query:q ~k))
     [ ("plain/standard", Config.standard ()); ("plain/fast", Config.fast ());
       ("plain/10-prime dot-product", dot_config ()) ]
@@ -1328,11 +1312,9 @@ let test_cost_model_packed () =
       let dep = Protocol.deploy ~rng:(Rng.of_int 632) config ~db in
       let q = Synthetic.query_like (Rng.of_int 633) db in
       let first = Protocol.query_packed dep ~query:q ~k in
-      check_prediction (name ^ "/first") config ~n ~d ~k ~include_prepare:true
-        (CM.Packed 1) first;
-      let steady = Protocol.query_packed dep ~query:q ~k in
-      check_prediction (name ^ "/steady") config ~n ~d ~k ~include_prepare:false
-        (CM.Packed 1) steady)
+      check_prediction (name ^ "/first") config ~n ~d ~k (CM.Packed 1) first;
+      let second = Protocol.query_packed dep ~query:q ~k in
+      check_prediction (name ^ "/second") config ~n ~d ~k (CM.Packed 1) second)
     [ ("packed/affine", affine_config ()); ("packed/fast", Config.fast ()) ]
 
 let test_cost_model_batch () =
@@ -1348,7 +1330,7 @@ let test_cost_model_batch () =
       let dep = Protocol.deploy ~rng:(Rng.of_int 642) config ~db in
       let rng = Rng.of_int 643 in
       let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
-      let round label ~include_prepare =
+      let round label =
         let name = Printf.sprintf "batch-%d/%s" m label in
         let results = Protocol.query_batch dep ~queries ~k in
         Array.iteri
@@ -1358,10 +1340,10 @@ let test_cost_model_batch () =
               true
               (Protocol.exact dep ~db ~query:queries.(i) r))
           results;
-        check_prediction name config ~n ~d ~k ~include_prepare (CM.Packed m) results.(0)
+        check_prediction name config ~n ~d ~k (CM.Packed m) results.(0)
       in
-      round "first" ~include_prepare:true;
-      round "steady" ~include_prepare:false)
+      round "first";
+      round "second")
     [ 3; Params.slot_count config.Config.bgv ]
 
 let test_price_consistency () =
@@ -1390,7 +1372,7 @@ let test_price_consistency () =
       in
       let p =
         CM.price ~unit_costs ~profile:Profile.wan
-          (Attribution.predict ~include_prepare:true config ~n ~d ~k path)
+          (Attribution.predict config ~n ~d ~k path)
       in
       let rounding = Alcotest.float (1e-12 *. p.CM.compute_s) in
       Alcotest.(check bool) (name ^ ": compute priced") true (p.CM.compute_s > 0.0);

@@ -137,13 +137,12 @@ let test_protocol_over_the_wire () =
   let dep = Protocol.deploy ~rng config ~db in
   let a = Protocol.party_a dep and b = Protocol.party_b dep and cl = Protocol.client dep in
   let q = Synthetic.query_like rng db in
-  let state, masked =
+  let packed, masked =
     Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng q)
   in
   let view =
     Entities.Party_b.select_neighbours b Entities.Coeff_blocks (Array.map wire masked) ~n ~k
   in
-  let packed = Entities.Party_a.permuted_packed a state in
   let results =
     Array.init k (fun j ->
         let row = Entities.Party_b.indicator_row b rng view ~n ~j in
@@ -166,7 +165,7 @@ let test_packed_over_the_wire () =
   let a = Protocol.party_a dep and b = Protocol.party_b dep and cl = Protocol.client dep in
   let pp = Entities.Party_a.prepare_packed a ~db in
   let q = Synthetic.query_like rng db in
-  let state, masked =
+  let cols, masked =
     Entities.Party_a.compute_distances_packed a pp rng
       [| Entities.Client.encrypt_query_packed cl rng q |]
   in
@@ -175,10 +174,7 @@ let test_packed_over_the_wire () =
   in
   let per = Entities.points_per_block params ~d in
   let indicators = Entities.Party_b.block_indicators b rng [| view |] ~n ~per in
-  let blocks =
-    Entities.Party_a.return_blocks a pp ~perm:(Entities.Party_a.state_perm state) rng
-      (Array.map wire indicators)
-  in
+  let blocks = Entities.Party_a.return_blocks a cols rng (Array.map wire indicators) in
   Alcotest.(check int) "one block per ⌊N/d⌋ points" ((n + per - 1) / per)
     (Array.length blocks);
   let points = Entities.Client.decrypt_blocks cl ~d (Array.map wire blocks) in

@@ -293,6 +293,29 @@ let test_shoup_vs_naive_chain_primes () =
       done)
     (Lazy.force params_chain_primes)
 
+(* For a prime p, mul_lazy of a canonical x is already below p (see
+   Shoup.mul_lazy): no canonical input reaches the kernels' correction,
+   and x = p is the smallest one that does. *)
+let test_shoup_lazy_canonical () =
+  let rng = Rng.of_int 67 in
+  List.iter
+    (fun p ->
+      let ws = 1 :: (p - 1) :: List.init 20 (fun _ -> 1 + Rng.int_below rng (p - 1)) in
+      List.iter
+        (fun w ->
+          let s = Shoup.of_int ~p w in
+          let xs = 0 :: 1 :: (p - 1) :: List.init 50 (fun _ -> Rng.int_below rng p) in
+          List.iter
+            (fun x ->
+              let v = Shoup.mul_lazy s ~p x in
+              if v <> w * x mod p then
+                Alcotest.failf "mul_lazy p=%d w=%d x=%d -> %d, not below p" p w x v)
+            xs;
+          Alcotest.(check int) (Printf.sprintf "mul_lazy p=%d w=%d x=p" p w) p
+            (Shoup.mul_lazy s ~p p))
+        ws)
+    (1021 :: 65537 :: 2147483647 :: Lazy.force params_chain_primes)
+
 let test_barrett_vs_naive_chain_primes () =
   let rng = Rng.of_int 61 in
   List.iter
@@ -415,6 +438,7 @@ let () =
       ("kernels",
        [ Alcotest.test_case "shoup vs naive (chain primes)" `Quick
            test_shoup_vs_naive_chain_primes;
+         Alcotest.test_case "shoup lazy exact below p" `Quick test_shoup_lazy_canonical;
          Alcotest.test_case "barrett vs naive (chain primes)" `Quick
            test_barrett_vs_naive_chain_primes;
          Alcotest.test_case "barrett wide fallback" `Quick test_barrett_fallback_wide;
