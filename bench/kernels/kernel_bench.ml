@@ -136,7 +136,7 @@ let boundary_suite ~target rng =
   let pt = Plaintext.of_slots params (Array.init 64 (fun i -> Int64.of_int (i + 1))) in
   let at level = Bgv.encrypt ~level rng keys.Bgv.pk pt in
   let l4 = at 4 and l6 = at 6 in
-  let flood_bits = Util.Noise_model.flood_bits params.Params.noise in
+  let flood_bits = Util.Noise_model.block_flood_bits params.Params.noise in
   let bench name f =
     let ns, reps = measure ~target f in
     { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }

@@ -245,8 +245,9 @@ let check_linear ~name xs ys =
     (if slope > 0.0 && r2 > 0.9 then "[linear: OK]" else "[check]")
 
 let k_dependent_seconds (r : Protocol.result) =
-  (* The phases whose work grows with k: Party B's indicator vectors and
-     Party A's Return-kNN inner products (plus the result decryption). *)
+  (* The phases whose work grows with k on the plain path: Party B's
+     k·⌈n/⌊N/d⌋⌉ monomial indicators and Party A's Return-kNN products
+     (plus the result decryption). *)
   List.fold_left
     (fun acc (name, s) ->
       match name with

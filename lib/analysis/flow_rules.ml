@@ -94,6 +94,21 @@ let bindings cg =
     cg.Cg.funcs;
   tbl
 
+(* The substitution a call to [g] with [args] (evaluated in [ctx])
+   puts on [g]'s parameters.  A parameter the call does not supply (a
+   partial application) is bound to no origin: it is not any other call
+   site's argument, and the higher-order call that applies the closure
+   already carries the values it feeds in its own argument union. *)
+let call_subst ctx (g : T.func) args =
+  let matched = Cg.match_args g.T.f_params (List.map (fun (l, os) -> ((ctx, os), l)) args) in
+  List.map
+    (fun (p : T.param) ->
+      ( p.T.p_name,
+        match List.find_opt (fun ((q : T.param), _) -> q == p) matched with
+        | Some (_, v) -> v
+        | None -> (ctx, []) ))
+    g.T.f_params
+
 (* Is this origin set secret?  Returns a source-first witness trace.
    [vf] guards recursive call resolution (function names), [vp] guards
    binding chains ((function, parameter) keys): both prune cycles,
@@ -156,11 +171,7 @@ and secret_one dom ctx depth vf vp o =
             (fun g ->
               if List.mem g.T.f_name vf then None
               else
-                let matched =
-                  Cg.match_args g.T.f_params
-                    (List.map (fun (l, os) -> ((ctx, os), l)) args)
-                in
-                let subst = List.map (fun (p, v) -> (p.T.p_name, v)) matched in
+                let subst = call_subst ctx g args in
                 Option.map
                   (fun t -> t @ [ Printf.sprintf "via result of %s" g.T.f_name ])
                   (secret_at dom { fn = g; subst } (depth - 1)
@@ -249,11 +260,7 @@ and shapes dom ctx depth vf vp o :
             (fun g ->
               if List.mem g.T.f_name vf then []
               else
-                let matched =
-                  Cg.match_args g.T.f_params
-                    (List.map (fun (l, os) -> ((ctx, os), l)) args)
-                in
-                let subst = List.map (fun (p, v) -> (p.T.p_name, v)) matched in
+                let subst = call_subst ctx g args in
                 let hop = Printf.sprintf "via result of %s" g.T.f_name in
                 List.map
                   (fun (c, hops, fields) -> (c, hops @ [ hop ], fields))

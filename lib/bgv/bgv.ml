@@ -401,17 +401,18 @@ let mul_scalar ?counters ct v =
   record_op counters Counters.Op_mul_plain ~level:(level ct);
   scale_raw ct v
 
-(* Σₛ x^s·ctₛ, one Rq.fold_monomials per component.  A product by x^s
-   permutes the decryption's coefficients up to sign, so the block's
-   bound is the inputs' sum: the add fold in term order.  Each Horner
-   step is one mul_plain and one ct_add cell; x's transform lives in
-   the ring context, so no NTT pass is recorded. *)
-let fold_monomials ?counters cts =
+(* Σₛ x^{s·w}·ctₛ for [by] = x^w, one Rq.fold_monomials per
+   component.  A product by a monomial permutes the decryption's
+   coefficients up to sign, so the block's bound is the inputs' sum:
+   the add fold in term order.  Each Horner step is one mul_plain and
+   one ct_add cell; x^w's transform was built before the fold, so no
+   NTT pass is recorded. *)
+let fold_monomials ?counters ~by cts =
   let m = Array.length cts in
   if m = 0 then invalid_arg "Bgv.fold_monomials: no ciphertexts";
   let x = cts.(0) in
-  if m > x.params.Params.n then
-    invalid_arg "Bgv.fold_monomials: more ciphertexts than coefficients";
+  if (m - 1) * Rq.exponent by >= x.params.Params.n then
+    invalid_arg "Bgv.fold_monomials: the last term's shift leaves the ring degree";
   let lvl = level x in
   let same c =
     c.params == x.params && level c = lvl && degree c = degree x && Int64.equal c.factor x.factor
@@ -425,7 +426,8 @@ let fold_monomials ?counters cts =
     bound := NM.add !bound (state cts.(s))
   done;
   let comps =
-    Array.init (degree x + 1) (fun i -> Rq.fold_monomials (Array.map (fun c -> c.comps.(i)) cts))
+    Array.init (degree x + 1) (fun i ->
+        Rq.fold_monomials ~by (Array.map (fun c -> c.comps.(i)) cts))
   in
   { x with comps; log_noise = !bound.NM.bits }
 

@@ -54,7 +54,7 @@ val params_of_pk : public_key -> Params.t
 (** [encrypt ?level rng pk pt] encrypts under the public key.  [?level]
     encrypts directly at a truncated modulus level (1 = last prime
     only); cheaper when the ciphertext is destined for shallow
-    computation, as with Party B's indicator vectors.  Three forward
+    computation, as with Party B's Return-kNN indicators.  Three forward
     NTT sets: u, and one fused embedding per component
     (c0 = b·u + NTT(t·e0 + m), c1 = a·u + NTT(t·e1)); the draws run u,
     e0, e1. *)
@@ -85,20 +85,25 @@ val add_const : ?counters:Util.Counters.t -> ct -> int64 -> ct
 val mul_plain : ?counters:Util.Counters.t -> ct -> Plaintext.t -> ct
 val mul_scalar : ?counters:Util.Counters.t -> ct -> int64 -> ct
 
-val fold_monomials : ?counters:Util.Counters.t -> ct array -> ct
-(** [fold_monomials cts] is [Σₛ xˢ·cts.(s)]: when every input encrypts
-    a constant, coefficient [s] of the result decrypts to input [s] and
-    the coefficients past the inputs to 0.  A product by a monomial
-    permutes the decryption's coefficients up to sign, with no key
-    switch, so the tracked bound is the inputs' {!Util.Noise_model.add}
-    fold in term order (log2 m bits above m equal bounds).  Horner's
-    [m − 1] steps run in place in the evaluation domain
-    ({!Rq.fold_monomials}); the ledger records [m − 1]
-    {!Util.Counters.Op_mul_plain} and [m − 1]
+val fold_monomials : ?counters:Util.Counters.t -> by:Rq.power -> ct array -> ct
+(** [fold_monomials ~by cts], for [by = x^w] ({!Rq.x_power} of the
+    params' ring, built once by the caller), is
+    [Σₛ x^{s·w}·cts.(s)]: a product by a monomial shifts the
+    decryption's coefficients, so when every input encrypts a
+    polynomial of degree below [w], coefficients [s·w] to
+    [s·w + w − 1] of the result decrypt to input [s] and the
+    coefficients past the inputs to 0 (with [w = 1] and constant
+    inputs, coefficient [s] is input [s]).  The shift needs no key
+    switch, so the tracked bound is the inputs'
+    {!Util.Noise_model.add} fold in term order (log2 m bits above m
+    equal bounds).  Horner's [m − 1] steps run in place in the
+    evaluation domain ({!Rq.fold_monomials}); the ledger records
+    [m − 1] {!Util.Counters.Op_mul_plain} and [m − 1]
     {!Util.Counters.Op_ct_add} cells at the inputs' level and no
     transform.
-    @raise Invalid_argument on no input, more inputs than the ring
-    degree, or inputs of differing params, level, degree or factor. *)
+    @raise Invalid_argument on no input, a last term's shift
+    [(m − 1)·w] at or past the ring degree, or inputs of differing
+    params, level, degree or factor. *)
 
 type embedded
 (** A plaintext transformed into the evaluation domain once, at a

@@ -35,7 +35,7 @@ let fast =
   memo (fun () ->
       let bgv =
         Params.create ~name:"protocol-fast" ~n:64 ~plain_bits:50 ~prime_bits:30
-          ~chain_len:6 ()
+          ~chain_len:7 ()
       in
       { bgv; layout = Dot_product; mask_degree = 1; mask_coeff_bits = 16;
         max_coord_bits = 8; use_relin = false; rescale_distances = false;

@@ -17,10 +17,13 @@ type row = {
 
 val ours :
   ?bytes:int -> n:int -> d:int -> k:int -> mask_degree:int -> ring_degree:int -> unit -> row
-(** O(n(k + d + D)) homomorphic ops, O(nk) encryptions, 1 round —
-    instantiated with this implementation's exact constants — and the
-    [⌈n/N⌉] decryptions Party B runs, the masked distances folded
-    [N = ring_degree] to a ciphertext by coefficient.  [bytes] is the predicted A<->B payload from serialized
+(** O(n(d + D) + k⌈n/⌊N/d⌋⌉) homomorphic ops, k·⌈n/⌊N/d⌋⌉
+    encryptions (Algorithm 3's n·k, with Return kNN selecting blocks of
+    ⌊N/d⌋ points by monomial), 1 round — instantiated with this
+    implementation's exact constants — and the [⌈n/N⌉] decryptions
+    Party B runs, the masked distances folded [N = ring_degree] to a
+    ciphertext by coefficient.  [bytes] is the predicted A<->B payload
+    from serialized
     ciphertext sizes ({!Sknn_obs.Cost_model.prediction}[.ab_bytes] via
     [Attribution.predict]); it defaults to 0 for callers without a
     parameter set in hand, since unlike the event counts it cannot be

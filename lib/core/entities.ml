@@ -69,10 +69,11 @@ let reversed_query_plaintext params query =
 
 let squared_norm point = Array.fold_left (fun s v -> s + (v * v)) 0 point
 
-(* Return-kNN's block layout on the packed paths: block b carries the
-   [per] permuted positions b·per .. b·per + per − 1, and the point at
-   offset o owns the [width] slots from o·width (its d coordinates
-   first).  Party B lays out its indicators from [per] alone. *)
+(* Return-kNN's block layout: block b carries the [per] permuted
+   positions b·per .. b·per + per − 1, and the point at offset o owns
+   the [width] slots (packed paths) or coefficients (plain path) from
+   o·width, its d coordinates first.  Party B lays out its indicators
+   from [per] alone. *)
 type block_layout = { per : int; width : int; count : int }
 
 let points_per_block params ~d = Params.slot_count params / d
@@ -82,6 +83,24 @@ let block_layout params ~n ~per =
 
 let return_level config =
   Stdlib.min config.Config.return_level (Params.chain_length config.Config.bgv)
+
+(* The plain path's Return-kNN level for [n] stored points, [per] to a
+   block (Noise_model.monomial_return_level): Party B encrypts its
+   indicators there and Party A folds the stored points there.  Both
+   derive it from the public shape. *)
+let monomial_level config ~n ~per =
+  let params = config.Config.bgv in
+  let nm = params.Params.noise in
+  let lay = block_layout params ~n ~per in
+  let per = Stdlib.min per n in
+  match NM.monomial_return_level nm ~return_level:(return_level config) ~per ~count:lay.count with
+  | Some level -> level
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "plain Return-kNN: no level of the %d-prime chain clears a %d-bit flood of %d \
+          points, %d to a block (deepen the chain)"
+         (Params.chain_length params) (NM.monomial_flood_bits nm ~per ~count:lay.count) n per)
 
 (* The packed paths' query level, a function of public parameters only
    (Noise_model.packed_query_level): the client encrypts there and
@@ -192,7 +211,7 @@ end
 module Party_a = struct
   type t = {
     config : Config.t;
-    pk : Bgv.public_key;  (* floods the packed paths' Return-kNN results *)
+    pk : Bgv.public_key;  (* floods Return-kNN's results *)
     rlk : Bgv.relin_key;
     db : encrypted_db;
     counters : Counters.t;
@@ -230,13 +249,15 @@ module Party_a = struct
     let ed = Bgv.sum_sq_diff ~counters ?rlk:(rlk_opt t) coords q_coords in
     if t.config.Config.rescale_distances then Bgv.rescale_to_floor ~counters ed else ed
 
-  (* A uniformly random polynomial with zero constant coefficient; added
-     to masked inner-product distances to destroy the cross-term
-     coefficients the inner-product trick leaves behind. *)
-  let zero_constant_randomizer rng params =
+  (* A uniformly random polynomial that is zero below coefficient
+     [from]: added to masked inner-product distances ([from] = 1) to
+     destroy the cross-term coefficients the inner-product trick leaves
+     behind, and to a plain Return-kNN result ([from] = d) to destroy
+     the other points of the selected block. *)
+  let randomizer rng params ~from =
     let t = params.Params.t_plain in
     let coeffs =
-      Array.init params.Params.n (fun i -> if i = 0 then 0L else Rng.int64_below rng t)
+      Array.init params.Params.n (fun i -> if i < from then 0L else Rng.int64_below rng t)
     in
     Plaintext.of_coeffs params coeffs
 
@@ -264,7 +285,7 @@ module Party_a = struct
       | None -> ed
     in
     let m = Bgv.eval_poly ~counters ?rlk ~lead_bits ~coeffs ed in
-    Bgv.add_plain ~counters m (zero_constant_randomizer rng config.Config.bgv)
+    Bgv.add_plain ~counters m (randomizer rng config.Config.bgv ~from:1)
 
   (* One masked round over the stored points, whatever the layout's
      circuit: the mask, one randomizer stream per point, [distance] on
@@ -298,8 +319,10 @@ module Party_a = struct
      of block b holds permuted position b·N + s, and the last block's
      coefficients past n hold nothing. *)
   let fold_blocks ?(obs = Obs.disabled) t masked =
-    let n = t.db.db_n and per = t.config.Config.bgv.Params.n in
+    let params = t.config.Config.bgv in
+    let n = t.db.db_n and per = params.Params.n in
     let blocks = (n + per - 1) / per in
+    let x = Rq.x_power params.Params.ring 1 in
     Obs.with_span obs
       ~counters:[ ("party-a", t.counters) ]
       ~args:[ ("blocks", string_of_int blocks) ]
@@ -309,7 +332,7 @@ module Party_a = struct
             Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
               ~f:(fun counters b () ->
                 let base = b * per in
-                Bgv.fold_monomials ~counters
+                Bgv.fold_monomials ~counters ~by:x
                   (Array.sub masked base (Stdlib.min per (n - base))))
               (Array.make blocks ())))
 
@@ -363,15 +386,50 @@ module Party_a = struct
         forecast.NM.min_headroom_bits noise_margin_bits
     end
 
-  let select_row ?(obs = Obs.disabled) t points row =
-    (* T^j = Π(P')·B^j summed: one encrypted point, not re-randomised
-       (Bgv.mul_sum floods nothing; only return_blocks floods).  The
-       inner product is fused and split across domains; Protocol.query_gen
-       keeps the k rows sequential so parallelism is never nested.
-       Bgv.mul_sum brings the stored points to the indicators' return
-       level. *)
-    Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
-        Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs points row)
+  (* Return-kNN on the plain path, by monomial selection.  The round's
+     Π(P'), truncated to [monomial_level], fold ⌊N/d⌋ to a block,
+     D_b = Σ_o x^{o·w}·P'_{b·per+o} with stride w = ⌊N/per⌋ ≥ d, and
+     result j is Σ_b I_{j,b}·D_b, one fused inner product split across
+     domains.  B's x^{−o·w} moves the selected point to coefficients
+     0..d−1 and the rest of its block into d..N−1, with no wrap; A
+     overwrites those with a uniform plaintext and floods the sum at
+     Noise_model.monomial_flood_bits, which that level clears, so the
+     client learns its k points and nothing about how they were
+     computed. *)
+  let return_monomials ?(obs = Obs.disabled) t points rng indicators =
+    let params = t.config.Config.bgv in
+    let d = t.db.db_d and n = t.db.db_n in
+    let lay = block_layout params ~n ~per:(points_per_block params ~d) in
+    if Array.length points <> n
+       || Array.exists (fun row -> Array.length row <> lay.count) indicators
+    then invalid_arg "Party_a.return_monomials: indicator count mismatch";
+    let level = monomial_level t.config ~n ~per:lay.per in
+    let x_w = Rq.x_power params.Params.ring lay.width in
+    let blocks =
+      Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
+          Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+            ~f:(fun counters b () ->
+              let base = b * lay.per in
+              Bgv.fold_monomials ~counters ~by:x_w
+                (Array.map
+                   (fun c -> Bgv.truncate_to_level ~counters c level)
+                   (Array.sub points base (Stdlib.min lay.per (n - base)))))
+            (Array.make lay.count ()))
+    in
+    let flood_bits =
+      NM.monomial_flood_bits params.Params.noise ~per:(Stdlib.min lay.per n) ~count:lay.count
+    in
+    let rngs = split_streams rng (Array.length indicators) in
+    Array.mapi
+      (fun j row ->
+        let counters = t.counters in
+        let sum =
+          Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
+              Bgv.mul_sum ~counters ~jobs:t.jobs row blocks)
+        in
+        let uniform = randomizer rngs.(j) params ~from:d in
+        Bgv.rerandomize ~counters ~flood_bits rngs.(j) t.pk (Bgv.add_plain ~counters sum uniform))
+      indicators
 
   (* ---- Slot-packed (SIMD) path ----------------------------------- *)
 
@@ -450,10 +508,8 @@ module Party_a = struct
     in
     let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
     let lead_bits = mask_lead_bits config ~d in
-    (* Column j in Π-permuted order: position Π(i) holds p_i(j).
-       Perm.apply is applied in full, not partially: the lint's flow
-       pass binds a callee's parameters only at full applications. *)
-    let cols_p = Array.map (fun col -> Perm.apply perm col) pp.pp_cols in
+    (* Column j in Π-permuted order: position Π(i) holds p_i(j). *)
+    let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
     let norms_p = Perm.apply perm pp.pp_norms in
     let masked =
       Obs.with_span obs
@@ -530,7 +586,7 @@ module Party_a = struct
     let lay = block_layout params ~n ~per:(points_per_block params ~d) in
     if Array.length indicators <> lay.count then
       invalid_arg "Party_a.return_blocks: indicator count mismatch";
-    let flood_bits = NM.flood_bits params.Params.noise in
+    let flood_bits = NM.block_flood_bits params.Params.noise in
     let rngs = split_streams rng lay.count in
     Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
         Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
@@ -617,17 +673,32 @@ module Party_b = struct
 
   let return_level t = return_level t.config
 
-  let indicator_row ?(obs = Obs.disabled) t rng view ~n ~j =
+  (* The plain path's indicators, one row per selected neighbour j:
+     for each block of [per] permuted positions, Enc(x^{−o·w}) for the
+     block holding the selection at offset o, and Enc(0) for every
+     other block; x^{−o·w} = −x^{N−o·w}, at [monomial_level].  Every
+     block is encrypted the same way, so B's work depends on n, N,
+     [per] and k only. *)
+  let monomial_indicators ?(obs = Obs.disabled) t rng view ~n ~per =
     let params = t.config.Config.bgv in
-    let level = return_level t in
-    let sel = view.selected.(j) in
-    let rngs = split_streams rng n in
-    Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
-        Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-          ~f:(fun counters i rng ->
-            let bit = if i = sel then 1L else 0L in
-            Bgv.encrypt ~counters ~level rng t.pk (Plaintext.constant params bit))
-          rngs)
+    let level = monomial_level t.config ~n ~per in
+    let lay = block_layout params ~n ~per in
+    let k = Array.length view.selected in
+    let rngs = split_streams rng (k * lay.count) in
+    let flat =
+      Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
+          Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+            ~f:(fun counters i rng ->
+              let sel = view.selected.(i / lay.count) in
+              let coeffs = Array.make params.Params.n 0L in
+              (if i mod lay.count = sel / lay.per then
+                 let shift = sel mod lay.per * lay.width in
+                 if shift = 0 then coeffs.(0) <- 1L
+                 else coeffs.(params.Params.n - shift) <- Int64.pred params.Params.t_plain);
+              Bgv.encrypt ~counters ~level rng t.pk (Plaintext.of_coeffs params coeffs))
+            rngs)
+    in
+    Array.init k (fun j -> Array.sub flat (j * lay.count) lay.count)
 
   (* One k-hot indicator per block of [per] permuted positions: ones
      over every slot of each position selected in any of the round's

@@ -74,10 +74,10 @@ module Party_a : sig
   val create :
     ?jobs:int -> Config.t -> Bgv.public_key -> Bgv.relin_key -> encrypted_db -> t
   (** [jobs] is the domain count used by {!compute_distances},
-      {!select_row} and {!return_blocks} (default
+      {!return_monomials} and {!return_blocks} (default
       {!Util.Pool.default_jobs}).  Results and counter totals are
-      identical for every value.  The public key floods the packed
-      paths' Return-kNN results. *)
+      identical for every value.  The public key floods Return-kNN's
+      results. *)
 
   val counters : t -> Util.Counters.t
   val db_size : t -> int
@@ -87,8 +87,8 @@ module Party_a : sig
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query ->
     Bgv.ct array * Bgv.ct array
   (** Algorithm 1: Return kNN's operand [Π(P')], the stored packed
-      points in the round's fresh permutation Π, which {!select_row}
-      reads, and the masked encrypted distances in the same order,
+      points in the round's fresh permutation Π, which
+      {!return_monomials} reads, and the masked encrypted distances in the same order,
       [D'_i = Π(m(ED_i))], in the deployment's {!masked_form}.  A
       [Per_coordinate] deployment runs the per-coordinate square-sum and
       folds each run of N permuted distances into one block
@@ -123,14 +123,27 @@ module Party_a : sig
       [(reversed query, ‖q‖²)].  The plain path on a [Dot_product]
       deployment and {!Kmeans.run} both run this circuit. *)
 
-  val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
-  (** Algorithm 3, one row at a time: [select_row t Π(P') B^j] computes
-      the inner product and sum of indicator row [B^j] (in permuted
-      index space) with the operand {!compute_distances} returned,
-      brought to the indicators' return level: one encrypted neighbour
-      point.  The protocol driver streams the k rows through it.  The
-      result is not re-randomised: only {!return_blocks} floods its
-      products. *)
+  val return_monomials :
+    ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Util.Rng.t -> Bgv.ct array array ->
+    Bgv.ct array
+  (** Algorithm 3 by monomial selection: [return_monomials t Π(P') rng
+      I] takes the operand {!compute_distances} returned and Party B's
+      {!Party_b.monomial_indicators} [I] (one row of [⌈n/per⌉] per
+      neighbour, [per = ⌊N/d⌋]) and returns one encrypted point per
+      row.  The points are truncated to {!monomial_level}, and every
+      [per] of them fold into one block
+      [D_b = Σ_o x^{o·w}·Π(P')_{b·per+o}] with stride
+      [w = ⌊N/per⌋ ≥ d] ({!Bgv.fold_monomials}, blocks pool-parallel);
+      result [j] is [Σ_b I_{j,b}·D_b] ({!Bgv.mul_sum}): its
+      coefficients [0..d−1] hold
+      neighbour [j] and the rest of its block lands in [d..N−1].  A
+      adds a plaintext uniform on [d..N−1] and zero below, then floods
+      the sum with {!Bgv.rerandomize} at
+      {!Util.Noise_model.monomial_flood_bits} (one fresh indicator
+      times the widest block, summed over every block), with one RNG
+      stream per row split in order.  Pool chunks ["select-row"].
+      @raise Invalid_argument when the operand is not [n] points, a
+      row is not [⌈n/per⌉] indicators, or {!monomial_level} raises. *)
 
   val forecast_noise : path:Sknn_obs.Cost_model.path -> t -> Util.Noise_model.report
   (** Worst-case noise headroom of [path]'s circuit, predicted from the
@@ -211,7 +224,7 @@ module Party_a : sig
       coordinates plus one ([per = ⌊N/d⌋] points a block, each owning
       [N/per] slots from [o·(N/per)]).  The product is flooded by
       {!Bgv.rerandomize} at the public width
-      {!Util.Noise_model.flood_bits}.  Blocks run pool-parallel with
+      {!Util.Noise_model.block_flood_bits}.  Blocks run pool-parallel with
       per-block RNG streams split in order (pool chunks ["select-row"]).
       @raise Invalid_argument when the indicator count is not
       [⌈n/per⌉]. *)
@@ -223,8 +236,8 @@ module Party_b : sig
   type t
 
   val create : ?jobs:int -> Config.t -> Bgv.secret_key -> Bgv.public_key -> t
-  (** [jobs] parallelises the indicator encryption of {!indicator_row}
-      and {!block_indicators} only; the decrypt-and-select half of
+  (** [jobs] parallelises the indicator encryption of
+      {!monomial_indicators} and {!block_indicators} only; the decrypt-and-select half of
       Algorithm 2 always runs in B's own domain (it touches secret-key
       material). *)
 
@@ -254,11 +267,17 @@ module Party_b : sig
       divided by the form's values per ciphertext, rounded up, or [k]
       is outside [1, n]. *)
 
-  val indicator_row :
-    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> Bgv.ct array
-  (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
-      1).  Used by the protocol driver to stream row-by-row so that the
-      O(nk) ciphertexts never live in memory at once. *)
+  val monomial_indicators :
+    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> per:int -> Bgv.ct array array
+  (** The plain path's indicators: for each of the view's k selections
+      [s_j], a row of [⌈n/per⌉] fresh encryptions at {!monomial_level},
+      [Enc(x^{−(s_j mod per)·w})] for block [⌊s_j/per⌋] and [Enc(0)]
+      for every other block, with [w = ⌊N/per⌋].  Every block is
+      encrypted alike, so B's work depends on [n], [N], [per] and [k]
+      only.  The [k·⌈n/per⌉] encryptions run pool-parallel with
+      per-encryption RNG streams split in order, row by row (pool
+      chunks ["indicator-row"]).
+      @raise Invalid_argument when {!monomial_level} does. *)
 
   val block_indicators :
     ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view array -> n:int -> per:int ->
@@ -302,8 +321,9 @@ module Client : sig
       exceeds the ring degree. *)
 
   val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
-  (** The plain path's result: one coefficient-packed point per
-      ciphertext. *)
+  (** The plain path's result ({!Party_a.return_monomials}): one point
+      per ciphertext, read from coefficients [0..d−1]; the others are
+      uniform. *)
 
   val decrypt_blocks : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
   (** The packed paths' result ({!Party_a.return_blocks}): decrypts and
@@ -317,8 +337,17 @@ module Client : sig
 end
 
 val points_per_block : Params.t -> d:int -> int
-(** [⌊N/d⌋]: the points a Return-kNN block holds on the packed paths —
-    what Party B learns to lay out its indicators. *)
+(** [⌊N/d⌋]: the points a Return-kNN block holds on every path — what
+    Party B learns to lay out its indicators. *)
+
+val monomial_level : Config.t -> n:int -> per:int -> int
+(** The plain path's Return-kNN level for [n] stored points, [per] to a
+    block: {!Util.Noise_model.monomial_return_level} from the
+    configured return level.  Its flood grows by log2 ⌈n/per⌉, so a
+    larger database may need a higher level; Party A and Party B both
+    derive it from this public shape.
+    @raise Invalid_argument when no level of the chain clears the
+    flood. *)
 
 (** {1 Serialised sizes} *)
 

@@ -242,12 +242,12 @@ let cts_bytes cts = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 cts
 
 (* Return kNN's operand, which Compute Distances hands over: the
    round's Π(P'), which only ciphertexts hold on the plain path and
-   Party B's k scalar indicator rows fold into; or, where A holds the
-   plaintext points (packed), their columns in Π order, whose blocks
-   B's block indicators multiply. *)
+   Party A folds into the blocks B's monomial indicators select from;
+   or, where A holds the plaintext points (packed), their columns in Π
+   order, whose blocks B's slot indicators multiply. *)
 type return_knn =
-  | Rows of Bgv.ct array
-  | Blocks of int64 array array
+  | Points of Bgv.ct array
+  | Columns of int64 array array
 
 let query_ct_count (q : Entities.encrypted_query) =
   (match q.Entities.q_coords with None -> 0 | Some a -> Array.length a)
@@ -271,6 +271,10 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   if Array.exists (fun q -> Array.length q <> d.db_d) queries then
     invalid_arg (fn ^ ": dimension mismatch");
   if k < 1 || k > d.db_n then invalid_arg (fn ^ ": k out of range");
+  let per = Entities.points_per_block d.config.Config.bgv ~d:d.db_d in
+  (* A chain too short to flood the plain results fails here, before
+     any work. *)
+  if path = CM.Plain then ignore (Entities.monomial_level d.config ~n:d.db_n ~per);
   let ca = Entities.Party_a.counters d.a in
   let cb = Entities.Party_b.counters d.b in
   let cc = Entities.Client.counters d.cl in
@@ -303,7 +307,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       send_queries [| q |];
       fun () ->
         let points, masked = Entities.Party_a.compute_distances ~obs d.a rng q in
-        ([| masked |], Rows points)
+        ([| masked |], Points points)
     | CM.Packed _ ->
       let p = packed_layout d in
       let qs =
@@ -312,7 +316,7 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
       send_queries qs;
       fun () ->
         let cols, masked = Entities.Party_a.compute_distances_packed ~obs d.a p rng qs in
-        (masked, Blocks cols)
+        (masked, Columns cols)
   in
   (* Party A: Compute Distances (Algorithm 1). *)
   let masked, return_knn =
@@ -333,13 +337,13 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
   Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
   (match return_knn with
-   | Blocks _ ->
+   | Columns _ ->
      (* B learns how many queries share the round's permutation (it
         counts the masked ciphertexts it receives), and can align
         positions across their views. *)
      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"batch-query-count"
        (Audit.Int m)
-   | Rows _ -> ());
+   | Points _ -> ());
   Array.iter
     (fun view ->
       Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
@@ -349,48 +353,45 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
         ~label:"equidistant-group-sizes"
         (Audit.Ints (Leakage.equidistant_group_sizes view)))
     views;
-  (* Return kNN (Algorithm 3).  On rows, B's indicator vectors stream
-     one message per row and A folds each into one selected point as it
-     arrives; on blocks, B's indicators cross in one message and A
-     returns one flooded block each. *)
+  (* Return kNN (Algorithm 3), by blocks of ⌊N/d⌋ permuted positions
+     on every path: B's indicators cross in one message, and A returns
+     flooded results.  On the plain path B sends k monomial indicators
+     per block and A returns one point per neighbour; on the packed
+     path one slot indicator per block and A one block each. *)
+  (* B's indicators cross to A in one message; A sees their count and
+     size.  A helper takes them as a parameter, so no binding of this
+     function holds a value the per-file taint rule derives from B's
+     view. *)
   let received = ref 0 and indicator_bytes = ref 0 in
-  let receive ~label cts =
+  let receive cts =
     let bytes = cts_bytes cts in
-    received := !received + Array.length cts;
-    indicator_bytes := !indicator_bytes + bytes;
-    send ~sender:Transcript.Party_b ~receiver:Transcript.Party_a ~label ~bytes
+    received := Array.length cts;
+    indicator_bytes := bytes;
+    send ~sender:Transcript.Party_b ~receiver:Transcript.Party_a ~label:"indicator blocks"
+      ~bytes
   in
   let results =
     timed obs phases
       ~counters:[ ("party-a", ca); ("party-b", cb) ]
       "return-knn"
       (fun () ->
-        match return_knn with
-        | Rows points ->
-          Array.init k (fun j ->
-              Obs.with_span obs
-                ~counters:[ ("party-a", ca); ("party-b", cb) ]
-                ~args:[ ("j", string_of_int j) ]
-                "indicator-row"
-                (fun () ->
-                  let row =
-                    Entities.Party_b.indicator_row ~obs d.b rng views.(0) ~n:d.db_n ~j
-                  in
-                  receive ~label:(Printf.sprintf "indicator vector B^%d" (j + 1)) row;
-                  Entities.Party_a.select_row ~obs d.a points row))
-        | Blocks cols ->
-          (* B lays its indicators out from ⌊N/d⌋: the one observable
-             the block layout adds to its view. *)
-          let per = Entities.points_per_block d.config.Config.bgv ~d:d.db_d in
-          Obs.audit obs ~party:"party-b" ~phase:"return-knn" ~label:"points-per-block"
-            (Audit.Int per);
-          let indicators =
-            Obs.with_span obs ~counters:[ ("party-b", cb) ] "indicator-blocks" (fun () ->
-                Entities.Party_b.block_indicators ~obs d.b rng views ~n:d.db_n ~per)
-          in
-          receive ~label:"indicator blocks" indicators;
-          Obs.with_span obs ~counters:[ ("party-a", ca) ] "select-blocks" (fun () ->
-              Entities.Party_a.return_blocks ~obs d.a cols rng indicators))
+        (* B lays its indicators out from ⌊N/d⌋: the one observable the
+           block layout adds to its view. *)
+        Obs.audit obs ~party:"party-b" ~phase:"return-knn" ~label:"points-per-block"
+          (Audit.Int per);
+        let indicators =
+          Obs.with_span obs ~counters:[ ("party-b", cb) ] "indicator-blocks" (fun () ->
+              match return_knn with
+              | Points _ ->
+                Entities.Party_b.monomial_indicators ~obs d.b rng views.(0) ~n:d.db_n ~per
+              | Columns _ ->
+                [| Entities.Party_b.block_indicators ~obs d.b rng views ~n:d.db_n ~per |])
+        in
+        receive (Array.concat (Array.to_list indicators));
+        Obs.with_span obs ~counters:[ ("party-a", ca) ] "select-blocks" (fun () ->
+            match return_knn with
+            | Points points -> Entities.Party_a.return_monomials ~obs d.a points rng indicators
+            | Columns cols -> Entities.Party_a.return_blocks ~obs d.a cols rng indicators.(0)))
   in
   sample_cts obs ~name:"result" results;
   Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
@@ -403,14 +404,14 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
     timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
         let points =
           match return_knn with
-          | Rows _ -> Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d results
-          | Blocks _ -> Entities.Client.decrypt_blocks ~obs d.cl ~d:d.db_d results
+          | Points _ -> Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d results
+          | Columns _ -> Entities.Client.decrypt_blocks ~obs d.cl ~d:d.db_d results
         in
         Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"result-points"
           (Audit.Int (Array.length points));
         match return_knn with
-        | Rows _ -> [| points |]
-        | Blocks _ ->
+        | Points _ -> [| points |]
+        | Columns _ ->
           Array.map (fun query -> Entities.Client.nearest ~k ~query points) queries)
   in
   Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"

@@ -13,13 +13,18 @@
       ciphertext as coefficients ({!Entities.Party_a.compute_distances});
     + one message A→B of [⌈n/N⌉] ciphertexts; {b Find Neighbours} at B
       (Algorithm 2) — decrypt each block and read its coefficients,
-      streaming top-k, k encrypted indicator vectors; one
-      message B→A per vector (streamed row by row so O(nk) ciphertexts
-      never live in memory at once);
-    + {b Return kNN} at A (Algorithm 3) — inner products with the
-      permuted stored points Compute Distances hands over, giving k
-      encrypted points returned to the client.  They are not
-      re-randomised: [Bgv.mul_sum] floods nothing.
+      streaming top-k, then one message B→A of [k·⌈n/⌊N/d⌋⌉] monomial
+      indicators: for neighbour j, [Enc(x^{−o·w})] for the block of
+      [⌊N/d⌋] permuted positions that holds it at offset o, [Enc(0)]
+      for every other block ({!Entities.Party_b.monomial_indicators});
+    + {b Return kNN} at A (Algorithm 3) — A folds the permuted stored
+      points Compute Distances hands over into blocks
+      [D_b = Σ_o x^{o·w}·P'_{b·per+o}], and per neighbour sums the
+      indicators' products with them, which leaves the neighbour in
+      coefficients [0..d−1]; A overwrites the other coefficients with
+      a uniform plaintext, floods the sum at a public width, and
+      returns k encrypted points to the client
+      ({!Entities.Party_a.return_monomials}).
 
     [query] runs the round on the deployment's layout: Algorithm 1's
     per-coordinate square-sum, or on a [Dot_product] deployment the
@@ -32,10 +37,11 @@
     masked distance per point and B decrypts each one's coefficient 0.
 
     The packed path, where Party A holds the plaintext points, answers
-    Return kNN by blocks instead: B sends one message of
-    [⌈n/⌊N/d⌋⌉] slot-packed indicators, A returns one flooded product
-    with its plaintext block per indicator, and the client decodes the
-    selected points and ranks them against its own queries.
+    Return kNN by slot blocks instead: B sends one message of
+    [⌈n/⌊N/d⌋⌉] slot-packed indicators, whatever k is, A returns one
+    flooded product with its plaintext block per indicator, and the
+    client decodes the selected points and ranks them against its own
+    queries.
 
     The result carries plaintext neighbours, per-phase wall-clock times,
     per-party operation counters and the full communication transcript —
@@ -107,9 +113,9 @@ val query :
     noise-budget headroom are sampled into histograms, per-link
     transcript bytes become gauges, and each party's observables are
     appended to the leakage-audit channel ([party-b]: masked distance
-    multiset, [n], [k], equidistant group sizes; [party-a]: ciphertext
-    counts and byte sizes only; [client]: the number of points it
-    decodes).
+    multiset, [n], [k], equidistant group sizes, and [⌊N/d⌋], the
+    points per Return-kNN block; [party-a]: ciphertext counts and byte
+    sizes only; [client]: the number of points it decodes).
 
     With a network profile [net], a virtual clock cursor runs alongside
     the transcript (flight [Send] events gain seq + virtual arrival),
@@ -119,7 +125,9 @@ val query :
     pure function of (transcript, profile) — timing derives only from
     the already-audited §5 byte/round surface, and stays byte-identical
     across job counts.
-    @raise Invalid_argument on dimension mismatch or k out of range. *)
+    @raise Invalid_argument on dimension mismatch, k out of range, or a
+    chain with no level that clears the flood of the deployment's [n]
+    results ({!Entities.monomial_level}), each before any work. *)
 
 (** {1 Slot-packed (SIMD) path}
 
@@ -136,9 +144,9 @@ val query :
     each into its plaintext block and floods the product
     ({!Entities.Party_a.return_blocks}), and the client decodes the
     selected points.  Party B's §5 leakage surface is the plain
-    path's (masked distance multiset, [n], [k], equidistant groups)
-    plus [points-per-block], [⌊N/d⌋], and [batch-query-count], the
-    number of queries in the round.  A packed round answers one or more
+    path's (masked distance multiset, [n], [k], equidistant groups,
+    [points-per-block]) plus [batch-query-count], the number of
+    queries in the round.  A packed round answers one or more
     queries under one permutation: {!query_packed} is the round of one,
     {!query_batch} the round of M.
 
@@ -197,7 +205,7 @@ val query_gen :
     [Packed M] {!query_batch} ({!query_packed} when [M = 1]).  [queries] holds exactly one query
     except on [Packed M], which answers all of them in the round.
     Every path emits the same phases and metric names; the packed path
-    adds the [points-per-block] and [batch-query-count] audit labels.
+    adds the [batch-query-count] audit label.
     @raise Invalid_argument as the matching entry point does. *)
 
 val total_seconds : result -> float

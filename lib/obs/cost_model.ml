@@ -176,7 +176,7 @@ let relinearize p c (st : NM.state) =
   NM.key_switch p.nm st ~ndigits ~w
 
 (* The tensor product, relinearised when the live call site passes
-   [?rlk] — Return-kNN's row selection never does, whatever the
+   [?rlk] — Return-kNN's monomial selection never does, whatever the
    configuration says.  A rescaling Bgv.mul is this followed by
    [rescale_to_floor]. *)
 let mul p c ~relin a b =
@@ -203,11 +203,7 @@ let mul_sum p c ~terms ~relin a b =
 let fold_monomials c ~terms (st : NM.state) =
   record_op ~n:(terms - 1) c C.Op_mul_plain ~level:st.NM.level;
   record_op ~n:(terms - 1) c C.Op_ct_add ~level:st.NM.level;
-  let acc = ref st in
-  for _ = 2 to terms do
-    acc := NM.add !acc st
-  done;
-  !acc
+  NM.sum st ~terms
 
 let slot_pack c = record_op c C.Op_slot_pack ~level:0
 let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
@@ -215,10 +211,10 @@ let slot_unpack c = record_op c C.Op_slot_unpack ~level:0
 (* Bgv.rerandomize ~flood_bits: an encryption of zero whose c0
    embedding also carries the flood (no transform of its own), and the
    addition. *)
-let rerandomize p c (st : NM.state) =
+let rerandomize p c ~flood_bits (st : NM.state) =
   ignore (enc p c ~level:st.NM.level);
   record_op c C.Op_ct_add ~level:st.NM.level;
-  NM.flood p.nm st ~flood_bits:(NM.flood_bits p.nm)
+  NM.flood p.nm st ~flood_bits
 
 (* ------------------------------------------------------------------ *)
 (* Per-path circuits                                                   *)
@@ -284,26 +280,43 @@ let send_masked sim ~count ~decrypt masked =
   let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
   repeat cb ~times:count (fun c -> decrypt c masked)
 
-(* Return-kNN + decrypt-result on the plain path: [k]
-   scalar indicator rows against the stored packed points, which
-   Bgv.mul_sum brings to the return level without a ledger cell. *)
-let return_rows sim =
+(* Return-kNN + decrypt-result on the plain path, by monomial
+   selection.  Party B encrypts k rows of one indicator per block of
+   ⌊N/d⌋ permuted positions and sends them in one message; Party A
+   truncates every stored point to the same level and folds each block
+   of them (the last holding what is left), and per neighbour sums the
+   row's products with the blocks, adds the uniform plaintext and
+   floods; the client decrypts k points.  The forecast follows the
+   widest block.  The level is the live one
+   (Noise_model.monomial_return_level); on a chain with none, where a
+   live query raises, the walk runs at the full level and its forecast
+   shows the shortfall. *)
+let return_monomials sim =
   let p = sim.p in
-  let rl = return_level p in
+  let per = p.nm.NM.n / p.d in
+  let blocks = (p.n_points + per - 1) / per in
+  let widest = Stdlib.min per p.n_points in
+  let rl =
+    Option.value ~default:(full_level p)
+      (NM.monomial_return_level p.nm ~return_level:(return_level p) ~per:widest ~count:blocks)
+  in
+  let flood_bits = NM.monomial_flood_bits p.nm ~per:widest ~count:blocks in
   let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
   let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
-  let packed_ret = truncate_silent (NM.fresh p.nm) ~level:rl in
-  (* Each indicator row is n fresh return-level encryptions crossing
-     B->A in one message, folded by A into one selected point. *)
-  let row = repeat cb ~times:(p.k * p.n_points) (fun c -> enc p c ~level:rl) in
-  let result =
-    repeat ca ~times:p.k (fun c -> mul_sum p c ~terms:p.n_points ~relin:false packed_ret row)
+  let ind = repeat cb ~times:(p.k * blocks) (fun c -> enc p c ~level:rl) in
+  send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
+    ~label:"indicator blocks" ~count:(p.k * blocks) ind;
+  let stored =
+    repeat ca ~times:p.n_points (fun c -> truncate c (NM.fresh p.nm) ~level:rl)
   in
-  for j = 1 to p.k do
-    send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-      ~label:(Printf.sprintf "indicator vector B^%d" j)
-      ~count:p.n_points row
-  done;
+  let last = fold_monomials ca ~terms:(p.n_points - ((blocks - 1) * per)) stored in
+  let full = repeat ca ~times:(blocks - 1) (fun c -> fold_monomials c ~terms:per stored) in
+  let block = if blocks > 1 then full else last in
+  let result =
+    repeat ca ~times:p.k (fun c ->
+        rerandomize p c ~flood_bits
+          (add_plain p c (mul_sum p c ~terms:blocks ~relin:false ind block)))
+  in
   let result = step sim "result" result in
   let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
   send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
@@ -332,7 +345,7 @@ let return_blocks sim =
   let result =
     repeat ca ~times:blocks (fun c ->
         slot_pack c;
-        rerandomize p c (mul_plain p c ind))
+        rerandomize p c ~flood_bits:(NM.block_flood_bits p.nm) (mul_plain p c ind))
   in
   let result = step sim "result" result in
   let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
@@ -372,12 +385,12 @@ let masked_inner_product sim c q =
   add_plain p c (eval_poly sim c ed)
 
 (* The plain path: the query, one masked distance per point, B's
-   decryptions and Return-kNN by rows.  A per-coordinate deployment runs
-   Algorithm 1's square-sum on [d] coordinate ciphertexts, then folds
-   each run of N permuted distances into one block, which B decrypts in
-   full; a dot-product one meets the two-ciphertext inner-product query,
-   at its public level, with its stored norms, and B reads each
-   distance's coefficient 0. *)
+   decryptions and Return-kNN by monomial selection.  A per-coordinate
+   deployment runs Algorithm 1's square-sum on [d] coordinate
+   ciphertexts, then folds each run of N permuted distances into one
+   block, which B decrypts in full; a dot-product one meets the
+   two-ciphertext inner-product query, at its public level, with its
+   stored norms, and B reads each distance's coefficient 0. *)
 let predict_plain sim =
   let p = sim.p in
   let per_coordinate = p.per_coordinate in
@@ -417,7 +430,7 @@ let predict_plain sim =
     send_masked sim ~count:blocks ~decrypt:dec (if blocks > 1 then full else last)
   end
   else send_masked sim ~count:p.n_points ~decrypt:dec0 masked;
-  return_rows sim
+  return_monomials sim
 
 (* The packed path: a round of [queries] ≥ 1 packed queries under one
    Π.  The client encrypts every query at the public query level; per

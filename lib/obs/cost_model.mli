@@ -84,11 +84,12 @@ type prediction = {
   noise : Util.Noise_model.report;
       (** worst-case noise bound of one representative point (or batch)
           per phase, in circuit order: the step ["masked-distance"] is
-          the A→B ciphertext, ["result"] what A returns to the client —
-          a Return-kNN inner product, or on the packed path a block
-          product flooded at {!Util.Noise_model.flood_bits}.  A
-          negative minimum means a live query would raise
-          [Bgv.Decryption_failure]. *)
+          the A→B ciphertext, ["result"] what A returns to the client,
+          flooded: on the plain path a monomial-selection sum over the
+          widest block at {!Util.Noise_model.monomial_flood_bits}, on
+          the packed path a block product at
+          {!Util.Noise_model.block_flood_bits}.  A negative minimum
+          means a live query would raise [Bgv.Decryption_failure]. *)
 }
 
 val predict : ?margin_bits:float -> params -> path -> prediction

@@ -33,8 +33,8 @@ type garner = {
   half : int array;              (* (p_i - 1) / 2 *)
 }
 
-(* The monomial x in one prime's evaluation domain, as a Shoup operand
-   per evaluation point: w.(j) is x's value at point j, hi.(j) and
+(* A monomial x^s in one prime's evaluation domain, as a Shoup operand
+   per evaluation point: w.(j) is its value at point j, hi.(j) and
    lo.(j) its companion's 31-bit split. *)
 type monomial = { w : int array; hi : int array; lo : int array }
 
@@ -49,6 +49,9 @@ type context = {
   garner : garner;
   x_eval : monomial array; (* x mod p_i, for every chain prime *)
 }
+
+(* x^s's transform mod every prime of [m_ctx]'s chain. *)
+type power = { m_ctx : context; exponent : int; rows : monomial array }
 
 type t = {
   ctx : context;
@@ -148,12 +151,13 @@ let garner_table ~t moduli =
     radix_q = Array.map (companion_t ~t) radix;
     half = Array.map (fun p -> (p - 1) lsr 1) moduli }
 
-(* x's forward transform per prime (for n = 1, x = -1 mod x + 1), with
-   each point's Shoup companion. *)
-let monomial_x table ~n =
+(* x^s's forward transform per prime, with each point's Shoup
+   companion.  x^n = -1, so a power wrapping past n carries a sign. *)
+let monomial_x table ~n ~power =
   let p = Ntt.prime table in
   let w = Array.make n 0 in
-  if n = 1 then w.(0) <- p - 1 else w.(1) <- 1;
+  let e = power land ((2 * n) - 1) in
+  if e < n then w.(e) <- 1 else w.(e - n) <- p - 1;
   Ntt.forward table w;
   let sh = Array.map (fun v -> Shoup.of_int ~p v) w in
   { w; hi = Array.map (fun s -> s.Shoup.hi) sh; lo = Array.map (fun s -> s.Shoup.lo) sh }
@@ -181,7 +185,18 @@ let context ~n ~moduli ~t =
     t_mod =
       Array.map (fun p -> Shoup.of_int ~p (Int64.to_int (Mod64.reduce (Int64.of_int p) t))) moduli;
     garner = garner_table ~t:ti moduli;
-    x_eval = Array.map (monomial_x ~n) tables }
+    x_eval = Array.map (monomial_x ~n ~power:1) tables }
+
+(* x's transform is the context's own; any other power is built here,
+   one forward transform per prime, and belongs to the caller. *)
+let x_power ctx s =
+  if s < 1 then invalid_arg "Rq.x_power: exponent below 1";
+  let rows =
+    if s = 1 then ctx.x_eval else Array.map (monomial_x ~n:ctx.n ~power:s) ctx.tables
+  in
+  { m_ctx = ctx; exponent = s; rows }
+
+let exponent m = m.exponent
 
 let degree c = c.n
 let moduli c = Array.copy c.moduli
@@ -655,14 +670,16 @@ let sum_sq_diff a b =
   done;
   Array.map (fun comps -> { ctx; domain = Eval; comps }) [| s0; s1; s2 |]
 
-(* Σₛ x^s·aₛ by Horner from the last term down, acc <- acc·x + aₛ, in
-   the evaluation domain, where the product by x is one Shoup product
-   per point by the context's x.  Per prime the accumulator row stays
-   in L1 while the terms' rows stream through it, each read once. *)
-let fold_monomials a =
+(* Σₛ x^{s·e}·aₛ, for [by] = x^e, by Horner from the last term down,
+   acc <- acc·x^e + aₛ, in the evaluation domain, where the product by
+   x^e is one Shoup product per point by its transform.  Per prime the
+   accumulator row stays in L1 while the terms' rows stream through
+   it, each read once. *)
+let fold_monomials ~by a =
   let m = Array.length a in
   if m = 0 then invalid_arg "Rq.fold_monomials: no terms";
   let x = a.(0) in
+  if by.m_ctx != x.ctx then invalid_arg "Rq.fold_monomials: monomial from another context";
   Array.iter
     (fun c ->
       check_compat x c "Rq.fold_monomials";
@@ -671,8 +688,8 @@ let fold_monomials a =
   let ctx = x.ctx and n = x.ctx.n in
   let comps =
     Array.init (Array.length x.comps) (fun i ->
-        let p = ctx.moduli.(i) and xe = ctx.x_eval.(i) in
-        let w = xe.w and hi = xe.hi and lo = xe.lo in
+        let p = ctx.moduli.(i) in
+        let { w; hi; lo } = by.rows.(i) in
         let acc = Array.copy a.(m - 1).comps.(i) in
         for s = m - 2 downto 0 do
           let row = a.(s).comps.(i) in

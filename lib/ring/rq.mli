@@ -171,13 +171,29 @@ val sum_sq_diff : t array array -> t array array -> t array
     a [mod]-based loop.
     @raise Invalid_argument on empty or mismatched inputs. *)
 
-val fold_monomials : t array -> t
-(** [fold_monomials a] is [Σₛ xˢ·a.(s)], fresh and [Eval]: Horner's
-    [acc <- acc·x + a.(s)] from the last term down, each product by x a
-    Shoup product per evaluation point by the context's transform of x.
-    Equal to summing [mul] by each monomial's transform; per prime each
-    term's row is read once.  All inputs must be [Eval] at one level.
-    @raise Invalid_argument on empty or mismatched inputs. *)
+type power
+(** A monomial [x^e]'s transform mod every prime of one context's
+    chain, with Shoup companions: the multiplier of {!fold_monomials}.
+    Immutable once built, so it may be shared across domains. *)
+
+val x_power : context -> int -> power
+(** [x_power ctx e] is [x^e]'s transform (negacyclic, so a power past
+    n wraps with a sign).  [e = 1] returns the context's own table;
+    any other exponent builds one, a forward transform per prime, so a
+    caller builds it once and passes it to every fold that uses it.
+    @raise Invalid_argument when [e < 1]. *)
+
+val exponent : power -> int
+
+val fold_monomials : by:power -> t array -> t
+(** [fold_monomials ~by a], for [by = x^e], is [Σₛ x^{s·e}·a.(s)],
+    fresh and [Eval]: Horner's [acc <- acc·x^e + a.(s)] from the last
+    term down, each product a Shoup product per evaluation point by
+    [by].  Equal to summing [mul] by each monomial's transform; per
+    prime each term's row is read once.  All inputs must be [Eval] at
+    one level.
+    @raise Invalid_argument on empty or mismatched inputs, or [by]
+    built from another context. *)
 
 val to_coeff_into : t -> t
 (** The inverse of {!to_eval_into}: transforms [t]'s residue arrays to

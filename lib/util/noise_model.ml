@@ -62,6 +62,16 @@ let add a b =
     degree = Stdlib.max a.degree b.degree;
     bits = log2_add a.bits b.bits }
 
+(* The add fold of [terms] equal states in term order, as Bgv folds a
+   sum of them. *)
+let sum st ~terms =
+  if terms < 1 then invalid_arg "Noise_model.sum: terms must be positive";
+  let acc = ref st in
+  for _ = 2 to terms do
+    acc := add !acc st
+  done;
+  !acc
+
 let add_plain p st = { st with bits = log2_add st.bits (p.t_bits -. 1.0) }
 let mul_plain p st = { st with bits = st.bits +. log2_n p +. p.t_bits -. 1.0 }
 let mul_scalar st ~bits = { st with bits = st.bits +. Float.max 0.0 bits }
@@ -114,11 +124,24 @@ let truncate st ~level =
   if level < 1 || level > st.level then invalid_arg "Noise_model.truncate: bad level";
   { st with level }
 
-(* The flood width of the packed paths' Return-kNN: the bound of a
-   fresh ciphertext after one plain product (a block indicator times
-   Party A's plaintext block), plus 40 bits of statistical margin.  It
-   depends on the parameters alone. *)
-let flood_bits p = int_of_float (Float.ceil (mul_plain p (fresh p)).bits) + 40
+(* Return-kNN's flood width: the public bound of the state it floods,
+   rounded up, plus 40 bits of statistical margin.  Both states below
+   depend on the public shape alone. *)
+let flood_bits st = int_of_float (Float.ceil st.bits) + 40
+
+(* The packed paths flood a block indicator times Party A's plaintext
+   block. *)
+let block_flood_bits p = flood_bits (mul_plain p (fresh p))
+
+(* The plain path floods a sum of [count] products, each of a fresh
+   monomial indicator and a block of [per] fresh stored points folded
+   by monomials, plus the uniform plaintext: the widest block's bound,
+   as Bgv folds it. *)
+let monomial_selection p ~per ~count =
+  let fresh = fresh p in
+  add_plain p (mul_sum p fresh (sum fresh ~terms:per) ~terms:count)
+
+let monomial_flood_bits p ~per ~count = flood_bits (monomial_selection p ~per ~count)
 
 (* What Bgv.rerandomize ~flood_bits adds: a fresh encryption of zero
    whose c0 also carries the flood. *)
@@ -168,6 +191,20 @@ let inner_product_query_level p ~return_level =
   let ed = add (add fresh fresh) (mul_scalar (mul p fresh fresh) ~bits:1.0) in
   level_for_need p ~return_level ~below:(chain_length p) ~need:(ed.bits +. p.t_bits +. 17.0)
 
+(* The headroom the noise forecast warns under, by default. *)
+let default_margin_bits = 4.0
+
+(* The plain path's Return-kNN level.  Its flood is log2 of the stored
+   points above a fixed bound, so no single level suits every n: take
+   the lowest from [return_level] whose modulus keeps the flooded
+   result [default_margin_bits] clear, as the query-level rules take
+   theirs.  [None] when no level of the chain does. *)
+let monomial_return_level p ~return_level ~per ~count =
+  let st = monomial_selection p ~per ~count in
+  let flooded = flood p st ~flood_bits:(flood_bits st) in
+  level_for_need p ~return_level ~below:(chain_length p)
+    ~need:(flooded.bits +. 1.0 +. default_margin_bits)
+
 (* Packed path: the level of the query ciphertexts, from the fresh
    bound alone, so the client can encrypt there.  Every later op's
    noise increment is level-independent, so a query at this level ends
@@ -203,7 +240,7 @@ let step tr op st =
     :: tr.rev_steps;
   st
 
-let report ?(margin_bits = 4.0) tr =
+let report ?(margin_bits = default_margin_bits) tr =
   let steps = List.rev tr.rev_steps in
   let min_headroom_bits =
     List.fold_left (fun m s -> Float.min m s.s_headroom) infinity steps

@@ -40,6 +40,12 @@ val ct_bytes : params -> state -> int
 val fresh : params -> state
 val fresh_at : params -> level:int -> state
 val add : state -> state -> state
+
+val sum : state -> terms:int -> state
+(** The {!add} fold of [terms] copies of a state in term order: the
+    bound [Bgv] tracks for a sum of that many equal-bound ciphertexts.
+    @raise Invalid_argument when [terms < 1]. *)
+
 val add_plain : params -> state -> state
 val mul_plain : params -> state -> state
 
@@ -69,11 +75,20 @@ val key_switch : params -> state -> ndigits:int -> w:int -> state
 
 val truncate : state -> level:int -> state
 
-val flood_bits : params -> int
-(** The public flood width of the packed paths' Return-kNN: the bound of
-    a fresh ciphertext after one {!mul_plain}, rounded up, plus 40 bits.
+(** Return-kNN's public flood widths: the bound of the flooded state,
+    rounded up, plus 40 bits.  Each depends on the public shape alone;
     Party A passes it to [Bgv.rerandomize] and [Cost_model.predict]
     walks the same value. *)
+
+val block_flood_bits : params -> int
+(** The packed paths': a fresh ciphertext after one {!mul_plain} (a
+    block indicator times Party A's plaintext block). *)
+
+val monomial_flood_bits : params -> per:int -> count:int -> int
+(** The plain path's: the {!mul_sum} of [count] products of a fresh
+    monomial indicator with a block of [per] fresh stored points
+    ({!sum}, the widest block), plus the uniform plaintext
+    ({!add_plain}).  It grows by log2 [count]. *)
 
 val flooded_zero : params -> level:int -> flood_bits:int -> state
 (** What [Bgv.rerandomize ~flood_bits] adds at [level]: a fresh
@@ -87,7 +102,8 @@ val flood : params -> state -> flood_bits:int -> state
 
     Where Party A drops spare RNS primes: each rule predicts the masked
     bound and returns the lowest level whose modulus clears it with 17
-    bits of slack, floored at [return_level].  The live circuit
+    bits of slack, floored at [return_level] (Return-kNN's rule clears
+    the flooded result by {!default_margin_bits}).  The live circuit
     ([Entities.Party_a]) and the symbolic walk ([Cost_model.predict])
     both call these, so their level choices are the same float
     comparisons. *)
@@ -105,6 +121,18 @@ val inner_product_query_level : params -> return_level:int -> int option
     whole chain.  Public, so the client encrypts there and the stored
     ciphertexts align down to it; a distance computed there is its own
     distance level.  [None] means no level clears the bound. *)
+
+val default_margin_bits : float
+(** 4 bits: the headroom a forecast {!report} warns under by default. *)
+
+val monomial_return_level :
+  params -> return_level:int -> per:int -> count:int -> int option
+(** The plain path's Return-kNN level: the lowest, at least
+    [return_level], whose modulus keeps the result flooded at
+    {!monomial_flood_bits} more than {!default_margin_bits} clear of
+    its bound; [None] when no level of the chain does.  Party A, Party
+    B and [Cost_model.predict] all call it, so an n that a chain cannot
+    flood is known before a round starts. *)
 
 val packed_query_level : params -> return_level:int -> d:int -> int option
 (** Packed paths: the level of the query ciphertexts, from the fresh

@@ -720,19 +720,21 @@ let constants ~degree ~m =
   in
   (values, cts)
 
-(* Coefficient s decrypts to input s and the rest to 0; the components
-   equal the mul_plain-by-xˢ-then-add fold's; the bound is the inputs'
-   add fold in term order, above the true noise; the ledger holds one
-   mul_plain and one ct_add per Horner step. *)
+(* Coefficient s·stride decrypts to input s and the rest to 0; the
+   components equal the mul_plain-by-x^{s·stride}-then-add fold's; the
+   bound is the inputs' add fold in term order, above the true noise;
+   the ledger holds one mul_plain and one ct_add per Horner step. *)
 let test_fold_monomials () =
   List.iter
-    (fun (degree, m) ->
-      let msg = Printf.sprintf "degree %d, %d inputs" degree m in
+    (fun (degree, m, stride) ->
+      let msg = Printf.sprintf "degree %d, %d inputs, stride %d" degree m stride in
       let values, cts = constants ~degree ~m in
       Alcotest.(check int) (msg ^ ": input degree") degree (Bgv.degree cts.(0));
       let c = Util.Counters.create () in
-      let block = Bgv.fold_monomials ~counters:c cts in
-      let expect = Array.init nring (fun s -> if s < m then values.(s) else 0L) in
+      let block = Bgv.fold_monomials ~counters:c ~by:(Rq.x_power params.Params.ring stride) cts in
+      let expect =
+        Array.init nring (fun j -> if j mod stride = 0 && j / stride < m then values.(j / stride) else 0L)
+      in
       Alcotest.(check (array int64)) (msg ^ ": coefficients") expect
         (Plaintext.to_coeffs (Bgv.decrypt keys.Bgv.sk block));
       let monomial s =
@@ -740,7 +742,7 @@ let test_fold_monomials () =
       in
       let reference = ref (Bgv.mul_plain cts.(0) (monomial 0)) in
       for s = 1 to m - 1 do
-        reference := Bgv.add !reference (Bgv.mul_plain cts.(s) (monomial s))
+        reference := Bgv.add !reference (Bgv.mul_plain cts.(s) (monomial (s * stride)))
       done;
       let body ct = Bytes.sub_string (Bgv.ct_to_bytes ct) 40 (Bgv.byte_size ct - 40) in
       Alcotest.(check bool) (msg ^ ": components = mul_plain fold") true
@@ -762,17 +764,27 @@ let test_fold_monomials () =
         [ Util.Counters.op_count c Util.Counters.Op_mul_plain ~level;
           Util.Counters.op_count c Util.Counters.Op_ct_add ~level;
           Util.Counters.ops_total c ])
-    [ (1, 1); (1, nring - 1); (1, nring); (4, 1); (4, nring - 1); (4, nring) ]
+    [ (1, 1, 1); (1, nring - 1, 1); (1, nring, 1); (4, 1, 1); (4, nring - 1, 1); (4, nring, 1);
+      (1, 2, 3); (1, (nring + 2) / 3, 3); (4, 2, nring / 2); (1, 1, nring) ]
 
 let test_fold_monomials_rejects () =
   let _, cts = constants ~degree:1 ~m:(nring + 1) in
   let rejects what inputs =
-    match Bgv.fold_monomials inputs with
+    match Bgv.fold_monomials ~by:(Rq.x_power params.Params.ring 1) inputs with
     | _ -> Alcotest.failf "%s: accepted" what
     | exception Invalid_argument _ -> ()
   in
   rejects "no input" [||];
   rejects "more inputs than coefficients" cts;
+  (match Rq.x_power params.Params.ring 0 with
+   | _ -> Alcotest.fail "stride 0: accepted"
+   | exception Invalid_argument _ -> ());
+  List.iter
+    (fun (what, stride, m) ->
+      match Bgv.fold_monomials ~by:(Rq.x_power params.Params.ring stride) (Array.sub cts 0 m) with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("last shift at the ring degree", nring / 2, 3); ("last shift past the ring degree", nring, 2) ];
   let three = Array.sub cts 0 3 in
   let with_last ct = Array.append (Array.sub three 0 2) [| ct |] in
   rejects "mixed level" (with_last (Bgv.truncate_to_level three.(2) (chain - 1)));

@@ -199,8 +199,9 @@ let test_transcript_structure () =
     (Transcript.rounds tr Transcript.Party_a Transcript.Party_b);
   Alcotest.(check bool) "A->B bytes positive" true
     (Transcript.bytes_between tr Transcript.Party_a Transcript.Party_b > 0);
-  (* 1 query + 1 distance msg + k indicator rows + 1 result = k + 3. *)
-  Alcotest.(check int) "message count" (4 + 3) (Transcript.messages tr);
+  (* 1 query + 1 distance msg + 1 indicator message + 1 result, whatever
+     k is. *)
+  Alcotest.(check int) "message count" 4 (Transcript.messages tr);
   (* Setup transcript covers key and database distribution. *)
   Alcotest.(check int) "setup messages" 4 (Transcript.messages (Protocol.setup_transcript dep));
   (* The one A->B message: ⌈n/N⌉ coefficient blocks on the
@@ -491,10 +492,10 @@ let test_packed_leakage_groups () =
 
 let test_packed_audit_surface () =
   (* §5 leakage surface through the audit channel: the packed path
-     records the unpacked paths' Party B labels plus the two a packed
-     round adds: batch-query-count, here 1, and points-per-block
-     (⌊N/d⌋), which the block Return-kNN adds.  Party A counts the
-     block indicators it receives, and the client the points it
+     records the plain path's Party B labels, points-per-block (⌊N/d⌋,
+     which every path's block Return-kNN adds) included, plus the one
+     a packed round adds: batch-query-count, here 1.  Party A counts
+     the block indicators it receives, and the client the points it
      decodes. *)
   let module Audit = Sknn_obs.Audit in
   let rng = Rng.of_int 427 in
@@ -506,7 +507,7 @@ let test_packed_audit_surface () =
   let q = Synthetic.query_like rng db in
   let r = Protocol.query_packed ~obs dep ~query:q ~k:4 in
   Alcotest.(check (list string))
-    "party-b surface: the unpacked one plus batch-query-count and points-per-block"
+    "party-b surface: the plain one plus batch-query-count"
     [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n";
       "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
@@ -557,7 +558,7 @@ let test_query_batch () =
         (Array.length db)
         (Array.length (Leakage.view_multiset r.Protocol.view_b)))
     results;
-  Alcotest.(check (list string)) "batch adds exactly batch-query-count and points-per-block"
+  Alcotest.(check (list string)) "batch adds exactly batch-query-count to plain's surface"
     [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset";
       "n"; "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
@@ -612,38 +613,51 @@ let ct_meta ct =
     Bgv.byte_size ct,
     Bytes.to_string header )
 
-(* The messages block Return-kNN adds must carry public metadata only:
+(* The messages block Return-kNN sends must carry public metadata only:
    two rounds with the same public shape (n, d, k, M) but different
    databases, queries and selections send B→A indicators and A→client
    results whose level, degree, factor, tracked noise, size and header
-   bytes are equal ciphertext for ciphertext. *)
+   bytes are equal ciphertext for ciphertext, on the plain path's
+   monomial selection and on the packed paths' slot blocks. *)
 let test_block_message_metadata () =
-  let config = affine_config () in
-  let params = config.Config.bgv in
   let n = 30 and d = 3 and k = 4 in
-  let round ~seed ~m =
+  let round path ~seed =
     let rng = Rng.of_int seed in
+    let config = match path with `Plain -> Config.standard () | `Packed _ -> affine_config () in
+    let per = Entities.points_per_block config.Config.bgv ~d in
     let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
     let dep = Protocol.deploy ~rng ~jobs:1 config ~db in
     let a = Protocol.party_a dep and b = Protocol.party_b dep in
     let cl = Protocol.client dep in
-    let pp = Entities.Party_a.prepare_packed a ~db in
-    let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
-    let cols, masked =
-      Entities.Party_a.compute_distances_packed a pp rng
-        (Array.map (Entities.Client.encrypt_query_packed cl rng) queries)
-    in
-    let views =
-      Array.map (fun m -> Entities.Party_b.select_neighbours b Entities.Slot_blocks m ~n ~k) masked
-    in
-    let per = Entities.points_per_block params ~d in
-    let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
-    let results = Entities.Party_a.return_blocks a cols rng indicators in
-    (views, indicators, results)
+    match path with
+    | `Plain ->
+      let points, masked =
+        Entities.Party_a.compute_distances a rng
+          (Entities.Client.encrypt_query cl rng (Synthetic.query_like rng db))
+      in
+      let view = Entities.Party_b.select_neighbours b Entities.Coeff_blocks masked ~n ~k in
+      let indicators = Entities.Party_b.monomial_indicators b rng view ~n ~per in
+      let results = Entities.Party_a.return_monomials a points rng indicators in
+      ([| view |], Array.concat (Array.to_list indicators), results)
+    | `Packed m ->
+      let pp = Entities.Party_a.prepare_packed a ~db in
+      let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
+      let cols, masked =
+        Entities.Party_a.compute_distances_packed a pp rng
+          (Array.map (Entities.Client.encrypt_query_packed cl rng) queries)
+      in
+      let views =
+        Array.map
+          (fun m -> Entities.Party_b.select_neighbours b Entities.Slot_blocks m ~n ~k)
+          masked
+      in
+      let indicators = Entities.Party_b.block_indicators b rng views ~n ~per in
+      let results = Entities.Party_a.return_blocks a cols rng indicators in
+      (views, indicators, results)
   in
   List.iter
-    (fun (name, m) ->
-      let v1, i1, r1 = round ~seed:701 ~m and v2, i2, r2 = round ~seed:702 ~m in
+    (fun (name, path) ->
+      let v1, i1, r1 = round path ~seed:701 and v2, i2, r2 = round path ~seed:702 in
       Alcotest.(check bool) (name ^ ": the selections differ") true
         (Array.map (fun v -> v.Entities.Party_b.selected) v1
          <> Array.map (fun v -> v.Entities.Party_b.selected) v2);
@@ -658,7 +672,7 @@ let test_block_message_metadata () =
                   Bgv.pp_ct c Bgv.pp_ct c2.(i))
             c1)
         [ ("B->A indicator", i1, i2); ("A->client result", r1, r2) ])
-    [ ("packed", 1); ("batch", 3) ]
+    [ ("plain", `Plain); ("packed", `Packed 1); ("batch", `Packed 3) ]
 
 (* The masked distances A sends B carry public metadata only: rounds
    with the same public shape (config, n, d, M) but different masks,
@@ -786,7 +800,7 @@ let test_packed_upload_level () =
 
 (* The dot-product client uploads at the public level
    Noise_model.inner_product_query_level: below the full chain on the
-   10-prime chain, at it on the 6-prime fast chain.  The stored points
+   10-prime chain, at it on the 7-prime fast chain.  The stored points
    align down to it unrecorded, and the masked distances equal, byte
    for byte, those A computes from a top-level upload, which it
    truncates after the product. *)
@@ -890,9 +904,10 @@ let edge_instance (preset, n_sel, d_sel, k_sel, rows_sel, seed) =
   done;
   let queries = Array.init 3 (fun m -> if m = 0 then Array.copy db.(0) else row (m + rows_sel)) in
   let k = match k_sel mod 3 with 0 -> 1 | 1 -> n | _ -> 1 + Rng.int_below rng n in
-  (* The plain path encrypts n·k indicators: keep k = n to the smaller
-     databases so one instance stays under ~0.3 s. *)
-  let k = Stdlib.min k (Stdlib.max 1 (1200 / n)) in
+  (* The plain path encrypts k·⌈n/per⌉ indicators; the cap keeps one
+     instance under ~0.3 s, and on these shapes k·⌈n/per⌉ stays below
+     400 at k = n, so k = n always runs. *)
+  let k = Stdlib.min k (Stdlib.max 1 (1200 / ((n + per - 1) / per))) in
   (name, config, db, queries, k)
 
 let prop_paths_agree_on_edge_shapes =
@@ -943,14 +958,16 @@ let prop_paths_agree_on_edge_shapes =
       let expected = groups results0.(0) in
       let surface_a = Audit.labels_for audit0 ~party:"party-a" in
       let surface_client = Audit.labels_for audit0 ~party:"client" in
-      let surface_b = [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ] in
+      let surface_b =
+        [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "points-per-block" ]
+      in
       List.iter
         (fun (label, dep, path, audit, results) ->
           let where = Printf.sprintf "%s n=%d d=%d k=%d %s" name (Array.length db) d k label in
           let expect_b =
             match path with
             | CM.Plain -> surface_b
-            | CM.Packed _ -> List.sort String.compare ("batch-query-count" :: "points-per-block" :: surface_b)
+            | CM.Packed _ -> List.sort String.compare ("batch-query-count" :: surface_b)
           in
           if Audit.labels_for audit ~party:"party-b" <> expect_b then
             QCheck.Test.fail_reportf "%s: party-b surface [%s]" where
@@ -1061,6 +1078,67 @@ let test_short_chains_per_coordinate () =
       Alcotest.(check bool) (Printf.sprintf "chain %d fails" chain_len) true failed)
     [ 2; 3; 4; 5 ]
 
+(* The plain results' flood grows by log2 ⌈n/⌊N/d⌋⌉, so its level is
+   derived from the shape (Entities.monomial_level).  At the bench's
+   paper-scale shapes (fig5 and fig7 on fast at d = 2, fig6 on its
+   standard variant, up to n = 200,000), and on the standard preset at
+   d = 3, the forecast's flooded result sits at that level and clears
+   the margin; on perfbench's plain shape it is the configured level 6.
+   Six 30-bit primes cannot flood 70,000 points at d = 2: the rule says
+   so, and a live round on a chain that cannot flood raises before any
+   work.  ("ledger exact (plain)" runs a live round whose configured
+   return level is below the derived one.) *)
+let test_plain_flood_level () =
+  let module NM = Util.Noise_model in
+  let fig6 =
+    Config.with_rescale_distances false (Config.with_mask_degree 1 (Config.standard ()))
+  in
+  let result_step config ~n ~d =
+    let report = (Attribution.predict config ~n ~d ~k:1 Sknn_obs.Cost_model.Plain).noise in
+    List.find (fun st -> st.NM.op = "result") report.NM.steps
+  in
+  List.iter
+    (fun (name, config, d, ns) ->
+      let per = Entities.points_per_block config.Config.bgv ~d in
+      let last = ref 0 in
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%s, d = %d, n = %d" name d n in
+          let level = Entities.monomial_level config ~n ~per in
+          let st = result_step config ~n ~d in
+          Alcotest.(check int) (what ^ ": forecast at the live level") level st.NM.s_level;
+          Alcotest.(check bool) (what ^ ": clears the margin") true
+            (st.NM.s_headroom > NM.default_margin_bits);
+          Alcotest.(check bool) (what ^ ": level grows with n") true (level >= !last);
+          last := level)
+        ns)
+    [ ("fast", Config.fast (), 2, [ 24; 2_000; 20_000; 70_000; 200_000 ]);
+      ("fig6", fig6, 2, [ 20_000; 200_000 ]); ("fig6", fig6, 32, [ 20_000; 200_000 ]);
+      ("standard", Config.standard (), 3, [ 4_000; 65_000; 200_000 ]);
+      ("standard", Config.standard (), 32, [ 429 ]) ];
+  Alcotest.(check int) "perfbench plain shape: the configured level" 6
+    (Entities.monomial_level (Config.standard ()) ~n:429
+       ~per:(Entities.points_per_block (Config.standard ()).Config.bgv ~d:32));
+  let six = with_chain (Config.fast ()) ~chain_len:6 in
+  let per = Entities.points_per_block six.Config.bgv ~d:2 in
+  Alcotest.(check int) "six primes flood 2,000 points" 6
+    (Entities.monomial_level six ~n:2_000 ~per);
+  (match Entities.monomial_level six ~n:70_000 ~per with
+   | level -> Alcotest.failf "six primes flood 70,000 points at level %d" level
+   | exception Invalid_argument _ -> ());
+  let five = with_chain (Config.fast ()) ~chain_len:5 in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 33) ~jobs:1 five ~db:fault_db in
+  (match Protocol.query dep ~query:fault_queries.(0) ~k:3 with
+   | _ -> Alcotest.fail "five primes: the round ran"
+   | exception Invalid_argument msg ->
+     Alcotest.(check bool) "five primes: the flood error" true
+       (String.starts_with ~prefix:"plain Return-kNN" msg));
+  Alcotest.(check (list int)) "five primes: no work before the error" [ 0; 0; 0 ]
+    (List.map Util.Counters.ops_total
+       [ Entities.Party_a.counters (Protocol.party_a dep);
+         Entities.Party_b.counters (Protocol.party_b dep);
+         Entities.Client.counters (Protocol.client dep) ])
+
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
 (* ------------------------------------------------------------------ *)
@@ -1153,11 +1231,16 @@ let test_leakage_audit_channel () =
   let q = Synthetic.query_like rng db in
   let r = Protocol.query ~obs dep ~query:q ~k:4 in
   Alcotest.(check (list string)) "party-b leakage surface"
-    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ]
+    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "points-per-block" ]
     (Audit.labels_for audit ~party:"party-b");
   (match Audit.value_of audit ~party:"party-b" ~label:"k" with
    | Some (Audit.Int k) -> Alcotest.(check int) "k" 4 k
    | _ -> Alcotest.fail "k not recorded as Int");
+  (match Audit.value_of audit ~party:"party-b" ~label:"points-per-block" with
+   | Some (Audit.Int per) ->
+     Alcotest.(check int) "points-per-block = ⌊N/d⌋"
+       (Entities.points_per_block (Config.standard ()).Config.bgv ~d:3) per
+   | _ -> Alcotest.fail "points-per-block not recorded as Int");
   (match Audit.value_of audit ~party:"party-b" ~label:"masked-distance-multiset" with
    | Some (Audit.Int64s a) ->
      Alcotest.(check (array int64)) "multiset matches view"
@@ -1196,7 +1279,11 @@ let test_cost_measured_vs_predicted () =
     measured.Cost.decryptions;
   Alcotest.(check int) "predicted decryptions = measured" measured.Cost.decryptions
     predicted.Cost.decryptions;
-  Alcotest.(check int) "encryptions = nk" (n * k) measured.Cost.encryptions;
+  let per = Entities.points_per_block config.Config.bgv ~d in
+  Alcotest.(check int) "encryptions = k·⌈n/⌊N/d⌋⌉" (k * ((n + per - 1) / per))
+    measured.Cost.encryptions;
+  Alcotest.(check int) "predicted encryptions = measured" measured.Cost.encryptions
+    predicted.Cost.encryptions;
   Alcotest.(check bool)
     (Format.asprintf "hom ops within 4x of model (measured %a, predicted %a)" Cost.pp measured
        Cost.pp predicted)
@@ -1283,7 +1370,11 @@ let test_cost_model_plain () =
       ("plain/standard 64x32", Config.standard (),
        Synthetic.uniform (Rng.of_int 7) ~n:64 ~d:32 ~max_value:255, 3);
       ("plain/standard 129x3", Config.standard (),
-       Synthetic.uniform (Rng.of_int 8) ~n:129 ~d:3 ~max_value:255, 1) ]
+       Synthetic.uniform (Rng.of_int 8) ~n:129 ~d:3 ~max_value:255, 1);
+      (* The flood needs level 6 here: both parties and the walk raise
+         Return-kNN above the configured floor. *)
+      ("plain/standard, return level 3", Config.with_return_level 3 (Config.standard ()),
+       small_db (Rng.of_int 611), 1) ]
 
 (* Relinearisation changes the circuit: each distance sum (plain,
    per-coordinate) and each inner product (plain, dot-product) is
@@ -1478,7 +1569,8 @@ let () =
       ("faults",
        [ Alcotest.test_case "short chains, every path" `Quick test_short_chains_every_path;
          Alcotest.test_case "short chains, per-coordinate plain" `Quick
-           test_short_chains_per_coordinate ]);
+           test_short_chains_per_coordinate;
+         Alcotest.test_case "plain flood level" `Quick test_plain_flood_level ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;

@@ -59,12 +59,15 @@ let test_cost_model_fast_layout () =
   let rng = Rng.of_int 229 in
   let n = 40 and d = 5 and k = 3 in
   let db = Synthetic.uniform rng ~n ~d ~max_value:200 in
-  let dep = Protocol.deploy ~rng (Config.fast ()) ~db in
+  let config = Config.fast () in
+  let dep = Protocol.deploy ~rng config ~db in
   let r = Protocol.query dep ~query:(Synthetic.query_like rng db) ~k in
   let m = Cost.measured r in
+  let per = Entities.points_per_block config.Config.bgv ~d in
   Alcotest.(check int) "rounds" 1 m.Cost.rounds;
   Alcotest.(check int) "B decryptions = n" n m.Cost.decryptions;
-  Alcotest.(check int) "B encryptions = nk" (n * k) m.Cost.encryptions;
+  Alcotest.(check int) "B encryptions = k·⌈n/⌊N/d⌋⌉" (k * ((n + per - 1) / per))
+    m.Cost.encryptions;
   Alcotest.(check bool) "bytes measured" true (m.Cost.bytes > 0)
 
 let test_reproducibility_across_deployments () =
@@ -128,26 +131,59 @@ let check_exact label ~k ~query db neighbours =
 
 let test_protocol_over_the_wire () =
   (* The plain path, driven by hand with the calls Protocol.query_gen
-     makes: A -> B, B -> A and A -> client all cross the codec. *)
+     makes: A -> B, B's indicator blocks to A and A's flooded results to
+     the client all cross the codec.  An indicator block cut short or
+     re-tagged on its way to A ends in Bgv.Malformed before A
+     multiplies. *)
   let rng = Rng.of_int 251 in
   let config = Config.standard () in
-  let wire = wire config.Config.bgv in
+  let params = config.Config.bgv in
+  let wire = wire params in
   let n = 18 and d = 3 and k = 4 in
   let db = Synthetic.uniform rng ~n ~d ~max_value:120 in
   let dep = Protocol.deploy ~rng config ~db in
   let a = Protocol.party_a dep and b = Protocol.party_b dep and cl = Protocol.client dep in
   let q = Synthetic.query_like rng db in
-  let packed, masked =
+  let points, masked =
     Entities.Party_a.compute_distances a rng (Entities.Client.encrypt_query cl rng q)
   in
   let view =
     Entities.Party_b.select_neighbours b Entities.Coeff_blocks (Array.map wire masked) ~n ~k
   in
-  let results =
-    Array.init k (fun j ->
-        let row = Entities.Party_b.indicator_row b rng view ~n ~j in
-        Entities.Party_a.select_row a packed (Array.map wire row))
+  let per = Entities.points_per_block params ~d in
+  let indicators = Entities.Party_b.monomial_indicators b rng view ~n ~per in
+  Alcotest.(check (list int)) "k rows of ⌈n/⌊N/d⌋⌉ indicators"
+    (List.init k (fun _ -> (n + per - 1) / per))
+    (Array.to_list (Array.map Array.length indicators));
+  (* A decodes the whole message; [damage] alters the first block's
+     bytes. *)
+  let receive damage =
+    Array.mapi
+      (fun j row ->
+        Array.mapi
+          (fun i ct ->
+            let bytes = Bgv.ct_to_bytes ct in
+            Bgv.ct_of_bytes params (if i = 0 && j = 0 then damage bytes else bytes))
+          row)
+      indicators
   in
+  let ca = Entities.Party_a.counters a in
+  List.iter
+    (fun (what, damage) ->
+      Util.Counters.reset ca;
+      match Entities.Party_a.return_monomials a points rng (receive damage) with
+      | _ -> Alcotest.failf "%s indicator block accepted" what
+      | exception Bgv.Malformed _ ->
+        Alcotest.(check int) (what ^ ": no product") 0
+          (Util.Counters.op_total ca Util.Counters.Op_ct_mul))
+    [ ("truncated", fun bytes -> Bytes.sub bytes 0 (Bytes.length bytes - 7));
+      ("re-tagged",
+       fun bytes ->
+         let bytes = Bytes.copy bytes in
+         Bytes.set bytes 0 'X';
+         bytes) ];
+  let results = Entities.Party_a.return_monomials a points rng (receive Fun.id) in
+  Alcotest.(check int) "one result per neighbour" k (Array.length results);
   check_exact "exact through the codec" ~k ~query:q db
     (Entities.Client.decrypt_points cl ~d (Array.map wire results))
 

@@ -27,6 +27,9 @@ let expected =
     (Lint_config.Ledger_at_op_site, "bad_ledger.ml", 5);
     (Lint_config.Secret_flow, "bad_flow_cross_fn.ml", 1);
     (Lint_config.Secret_flow, "bad_flow_field.ml", 1);
+    (* A partial application binds only the parameters it supplies. *)
+    (Lint_config.Secret_flow, "bad_flow_partial.ml", 1);
+    (Lint_config.Secret_flow, "ok_flow_partial.ml", 0);
     (Lint_config.Constant_time, "bad_ct_branch.ml", 2);
     (Lint_config.Constant_time, "bad_ct_index.ml", 2);
     (Lint_config.Unused_allow, "bad_stale_allow.ml", 1) ]

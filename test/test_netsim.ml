@@ -34,8 +34,8 @@ let test_rounds_single () =
   Alcotest.(check int) "one round" 1 (rounds t Party_a Party_b)
 
 let test_rounds_batched_run () =
-  (* Several messages in the same direction are still part of one run;
-     our protocol's k indicator vectors are one reply, not k rounds. *)
+  (* Several messages in the same direction are still part of one run:
+     one reply, not one round per message. *)
   let t = create () in
   send t ~sender:Party_a ~receiver:Party_b ~label:"dist" ~bytes:1;
   for _ = 1 to 5 do
@@ -131,14 +131,14 @@ let test_pp_golden () =
   send t ~sender:Client ~receiver:Party_a ~label:"encrypted query" ~bytes:12345;
   send t ~sender:Party_a ~receiver:Party_b ~label:"masked permuted distances"
     ~bytes:678;
-  send t ~sender:Party_b ~receiver:Party_a ~label:"indicator vector B^0" ~bytes:9;
+  send t ~sender:Party_b ~receiver:Party_a ~label:"indicator blocks" ~bytes:9;
   send t ~sender:Party_a ~receiver:Client ~label:"encrypted k-NN result" ~bytes:4;
   let expected =
     String.concat "\n"
       [ "seq from       to      bytes    label";
         "  0 client  -> party-A 12345 B  encrypted query";
         "  1 party-A -> party-B   678 B  masked permuted distances";
-        "  2 party-B -> party-A     9 B  indicator vector B^0";
+        "  2 party-B -> party-A     9 B  indicator blocks";
         "  3 party-A -> client      4 B  encrypted k-NN result";
         "link party-A <-> party-B: 687 bytes, 1 rounds";
         "link party-A <-> client: 12349 bytes, 1 rounds";

@@ -326,15 +326,18 @@ let test_sum_matches_mul_add () =
       (big_ctx, big_moduli, [ 1; 7 ]);
       (small_ctx, small_moduli, [ 3; 5000 ]) ]
 
-(* Σₛ xˢ·aₛ as a negacyclic shift per term in the coefficient domain:
-   xˢ moves coefficient j to j + s, with a sign each time it wraps past
-   n.  Edge residues, on every chain, past n terms included. *)
+(* Σₛ x^{s·stride}·aₛ as a negacyclic shift per term in the
+   coefficient domain: x^{s·stride} moves coefficient j to j + s·stride,
+   with a sign each time it wraps past n.  Edge residues, on every
+   chain, past n terms included, at stride 1, at an odd stride (the
+   return fold's ⌊N/⌊N/d⌋⌋ for d = 3 at N = 64 is 3) and at n, where
+   x^n = −1. *)
 let test_fold_monomials_naive () =
   List.iter
     (fun (c, moduli) ->
       let k = Array.length moduli in
       List.iter
-        (fun m ->
+        (fun (m, stride) ->
           let a = Array.init m (fun s -> edge_rq c moduli ~seed:(9000 + s) Rq.Eval) in
           let expect =
             Array.mapi
@@ -344,7 +347,7 @@ let test_fold_monomials_naive () =
                   (fun s term ->
                     Array.iteri
                       (fun j v ->
-                        let e = (j + s) mod (2 * n) in
+                        let e = (j + (s * stride)) mod (2 * n) in
                         let at, v = if e < n then (e, v) else (e - n, (p - v) mod p) in
                         out.(at) <- (out.(at) + v) mod p)
                       (Rq.component (Rq.to_coeff term) i))
@@ -352,9 +355,11 @@ let test_fold_monomials_naive () =
                 out)
               moduli
           in
-          check_eq (Printf.sprintf "%d-prime chain (p0 = %d), m = %d" k moduli.(0) m)
-            (Rq.of_components c Rq.Coeff expect) (Rq.fold_monomials a))
-        [ 1; 2; n - 1; n; n + 3 ])
+          check_eq
+            (Printf.sprintf "%d-prime chain (p0 = %d), m = %d, stride %d" k moduli.(0) m stride)
+            (Rq.of_components c Rq.Coeff expect)
+            (Rq.fold_monomials ~by:(Rq.x_power c stride) a))
+        [ (1, 1); (2, 1); (n - 1, 1); (n, 1); (n + 3, 1); (2, 3); (n / 3, 3); (3, n) ])
     [ (ctx, moduli); (wide_ctx, wide_moduli); (big_ctx, big_moduli); (small_ctx, small_moduli) ]
 
 (* One modulus-switch step per drop, as the BGV layer computed it
